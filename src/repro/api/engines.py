@@ -17,7 +17,7 @@ from .registry import CheckerError, EngineSpec, register_engine
 __all__ = ["register_builtin_engines"]
 
 
-_PIPELINE_OPTIONS = ("prune", "compact", "closure", "closure_backend",
+_PIPELINE_OPTIONS = ("prune", "compact", "closure_backend",
                      "check_axioms_first", "initial_values")
 
 
@@ -201,7 +201,7 @@ def register_builtin_engines() -> None:
             ("listappend", "batch"),
         }),
         options=frozenset({
-            "prune", "compact", "closure", "closure_backend",
+            "prune", "compact", "closure_backend",
             "check_axioms_first", "initial_values", "workers", "strategy",
             "oversubscribe", "early_cancel", "max_shards", "solve_every",
             "max_live", "sessions", "state_dir", "resume",
@@ -222,12 +222,12 @@ def register_builtin_engines() -> None:
                 "resume", "checkpoint_every",
             }),
             ("si", "parallel"): frozenset({
-                "prune", "compact", "closure", "closure_backend",
+                "prune", "compact", "closure_backend",
                 "check_axioms_first", "workers", "strategy",
                 "oversubscribe", "early_cancel", "max_shards",
             }),
             ("si", "segmented"): frozenset({
-                "prune", "compact", "closure", "closure_backend",
+                "prune", "compact", "closure_backend",
                 "check_axioms_first", "workers", "oversubscribe",
             }),
             ("causal", "batch"): frozenset(),
@@ -246,8 +246,7 @@ def register_builtin_engines() -> None:
         # initial_values are deliberately not accepted (the fast path
         # always runs the axiom pass and always reads plain initial
         # values), so setting them is a typed error, not a silent no-op.
-        options=frozenset({"prune", "compact", "closure",
-                           "closure_backend"}),
+        options=frozenset({"prune", "compact", "closure_backend"}),
         runner=_run_timestamp,
         inputs={("si", "batch"): "timestamped_history"},
     ))

@@ -45,7 +45,6 @@ MODE_OPTIONS: Dict[str, frozenset] = {
 OPTION_DOCS: Dict[str, str] = {
     "prune": "apply constraint pruning before encoding (default True)",
     "compact": "use generalized (compacted) constraints (default True)",
-    "closure": 'reachability seed kernel: "bits" or "numpy"',
     "closure_backend": ('incremental-closure backend: "python", "numpy", '
                         "or None for REPRO_CLOSURE_BACKEND / auto"),
     "check_axioms_first": "run the axiom stage before construction",
@@ -85,7 +84,6 @@ class CheckOptions:
     # Pipeline switches (PolySI and Cobra-family engines).
     prune: bool = True
     compact: bool = True
-    closure: str = "bits"
     closure_backend: Optional[str] = None
     check_axioms_first: bool = True
     initial_values: Optional[dict] = None
@@ -118,8 +116,6 @@ class CheckOptions:
     trace: bool = True
 
     def __post_init__(self) -> None:
-        if self.closure not in ("bits", "numpy"):
-            raise ValueError(f"unknown closure kernel: {self.closure!r}")
         if self.closure_backend is not None:
             # Delegate to the registry so the error lists what exists.
             from ..utils.closure import resolve_closure_backend

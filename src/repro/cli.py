@@ -4,9 +4,7 @@ Commands:
 
 - ``check HISTORY``     — check a history file through the unified
   façade: ``--isolation si|ser|causal|ra``, ``--mode
-  batch|online|parallel``, ``--engine polysi|cobra|cobrasi|dbcop|naive``
-  (old ``--stream`` / ``--parallel N`` flags remain as deprecated
-  aliases for ``--mode online`` / ``--mode parallel --workers N``).
+  batch|online|parallel``, ``--engine polysi|cobra|cobrasi|dbcop|naive``.
 - ``engines``           — list every registered engine with its
   supported isolation x mode combinations (``--json`` for tooling).
 - ``watch``             — run a workload against a (possibly faulty)
@@ -175,36 +173,6 @@ def _render_report(report, *, explain: bool = False,
     return 1
 
 
-def _resolve_check_mode(args) -> None:
-    """Fold the deprecated ``--stream`` / ``--parallel N`` aliases into
-    ``--mode`` / ``--workers``, rejecting contradictions."""
-    if args.stream and args.parallel:
-        raise CLIError(
-            "--parallel applies to the batch pipeline and --stream to the "
-            "online one; pick one mode (--mode batch|online|parallel)"
-        )
-    if args.stream:
-        if args.mode not in ("batch", "online"):
-            raise CLIError(
-                f"--stream (deprecated alias for --mode online) conflicts "
-                f"with --mode {args.mode}"
-            )
-        print("note: --stream is deprecated; use --mode online",
-              file=sys.stderr)
-        args.mode = "online"
-    if args.parallel:
-        if args.mode not in ("batch", "parallel"):
-            raise CLIError(
-                f"--parallel (deprecated alias for --mode parallel "
-                f"--workers N) conflicts with --mode {args.mode}"
-            )
-        print("note: --parallel N is deprecated; use --mode parallel "
-              "--workers N", file=sys.stderr)
-        args.mode = "parallel"
-        if args.workers is None:
-            args.workers = args.parallel
-
-
 def _write_trace(report, path: str) -> None:
     """Write the report's ``repro-trace/1`` payload as a Chrome
     ``trace_event`` JSON file (open it in Perfetto / chrome://tracing)."""
@@ -246,7 +214,6 @@ def cmd_check(args) -> int:
 
     from .store import is_store_dir
 
-    _resolve_check_mode(args)
     store_input = is_store_dir(args.history)
     if store_input:
         if args.mode == "parallel":
@@ -714,15 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for --mode parallel")
     p.add_argument("--no-prune", action="store_true",
                    help="disable constraint pruning")
-    p.add_argument("--stream", action="store_true",
-                   help="deprecated alias for --mode online")
     p.add_argument("--solve-every", type=int, default=1,
                    help="online mode: solve the SAT residue every N txns")
     p.add_argument("--explain", action="store_true",
                    help="run the interpretation algorithm on violations")
     p.add_argument("--dot", help="write the counterexample DOT here")
-    p.add_argument("--parallel", type=_positive_int, metavar="N",
-                   help="deprecated alias for --mode parallel --workers N")
     p.add_argument("--closure-backend", default=None,
                    choices=available_closure_backends(),
                    help="incremental-closure kernel (default: "

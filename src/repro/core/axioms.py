@@ -24,6 +24,7 @@ from .history import History, Transaction, INITIAL_VALUE
 
 __all__ = [
     "AxiomViolation",
+    "int_violations",
     "check_internal_consistency",
     "check_aborted_reads",
     "check_intermediate_reads",
@@ -47,29 +48,36 @@ class AxiomViolation:
         return f"AxiomViolation({self.axiom}, {self.txn.name}, {self.detail})"
 
 
-def check_internal_consistency(history: History) -> List[AxiomViolation]:
-    """The Int axiom of Theorem 6.
+def int_violations(txn: Transaction) -> List[AxiomViolation]:
+    """The Int axiom of Theorem 6 for one transaction.
 
-    Tracks, per transaction and key, the last value seen (written or read);
-    any later read of the key must return exactly that value.
+    Tracks, per key, the last value seen (written or read); any later
+    read of the key must return exactly that value.  Shared by the batch
+    pass below and the online checker's per-arrival check.
     """
     violations: List[AxiomViolation] = []
+    last_seen: dict = {}
+    for op in txn.ops:
+        if op.is_read and op.key in last_seen and op.value != last_seen[op.key]:
+            violations.append(
+                AxiomViolation(
+                    "Int",
+                    txn,
+                    op.key,
+                    op.value,
+                    f"read {op.value!r} after observing "
+                    f"{last_seen[op.key]!r} on {op.key!r}",
+                )
+            )
+        last_seen[op.key] = op.value
+    return violations
+
+
+def check_internal_consistency(history: History) -> List[AxiomViolation]:
+    """The Int axiom over every transaction (see :func:`int_violations`)."""
+    violations: List[AxiomViolation] = []
     for txn in history.transactions:
-        last_seen: dict = {}
-        for op in txn.ops:
-            if op.is_read:
-                if op.key in last_seen and op.value != last_seen[op.key]:
-                    violations.append(
-                        AxiomViolation(
-                            "Int",
-                            txn,
-                            op.key,
-                            op.value,
-                            f"read {op.value!r} after observing "
-                            f"{last_seen[op.key]!r} on {op.key!r}",
-                        )
-                    )
-            last_seen[op.key] = op.value
+        violations.extend(int_violations(txn))
     return violations
 
 

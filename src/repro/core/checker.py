@@ -19,19 +19,15 @@ on violation, and per-stage wall-clock timings plus structural statistics
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..obs import get_logger, trace_span
 from ..utils.closure import resolve_closure_backend
-from ..utils.reachability import (
-    Reachability,
-    is_acyclic,
-    transitive_closure_bits,
-    transitive_closure_numpy,
-)
+from ..utils.reachability import is_acyclic
 from .axioms import AxiomViolation, check_axioms
-from .encoding import SIEncoding, encode_polygraph, extract_violation_cycle
+from .encoding import SIEncoding, encode_polygraph, graph_constraints
 from .history import History
+from .known import KnownGraph
 from .polygraph import Edge, GeneralizedPolygraph, build_polygraph
 from .pruning import PruneResult, find_known_cycle, prune_constraints
 
@@ -43,12 +39,6 @@ __all__ = [
 ]
 
 log = get_logger("core.checker")
-
-_CLOSURES: dict = {
-    "bits": transitive_closure_bits,
-    "numpy": transitive_closure_numpy,
-}
-
 
 class CheckResult:
     """Verdict and evidence for one history."""
@@ -147,15 +137,10 @@ class PolySIChecker:
     compact:
         Use generalized (compacted) constraints; False decomposes them
         into classic per-reader constraints (Figure 10's "w/o C+P").
-    closure:
-        Reachability kernel for pruning: "bits" (default) or "numpy".
-        This selects the batch *seed* closure; the incremental kernel
-        that maintains it across fixpoint iterations is chosen by
-        ``closure_backend``.
     closure_backend:
-        Incremental-closure backend: a registered name (``"python"``,
-        ``"numpy"``) or None to honour ``REPRO_CLOSURE_BACKEND`` /
-        auto-selection (see
+        Incremental-closure backend for pruning: a registered name
+        (``"python"``, ``"numpy"``) or None to honour
+        ``REPRO_CLOSURE_BACKEND`` / auto-selection (see
         :func:`repro.utils.closure.resolve_closure_backend`).  The
         resolved name is reported in ``result.stats["closure_backend"]``.
     check_axioms_first:
@@ -172,16 +157,12 @@ class PolySIChecker:
         *,
         prune: bool = True,
         compact: bool = True,
-        closure: str = "bits",
         closure_backend: Optional[str] = None,
         check_axioms_first: bool = True,
         initial_values: Optional[dict] = None,
     ):
-        if closure not in _CLOSURES:
-            raise ValueError(f"unknown closure kernel: {closure!r}")
         self.prune = prune
         self.compact = compact
-        self.closure: Callable[..., Reachability] = _CLOSURES[closure]
         # Resolve eagerly: an unknown name fails at construction, and
         # every shard / stage of one check uses the same backend even
         # if the environment changes mid-run.
@@ -261,7 +242,7 @@ class PolySIChecker:
             t0 = time.perf_counter()
             with trace_span("prune", backend=self.closure_backend) as span:
                 prune_result = prune_constraints(
-                    graph, closure=self.closure, backend=self.closure_backend)
+                    graph, backend=self.closure_backend)
                 span.set(iterations=prune_result.iterations,
                          pruned=prune_result.pruned)
             result.timings["prune"] = time.perf_counter() - t0
@@ -344,7 +325,8 @@ class PolySIChecker:
             # independently of how the remaining constraints resolve.
             result.satisfies_si = False
             result.decided_by = "encoding"
-            result.cycle = _map_cycle(find_known_cycle(enc_graph, []), enc_old)
+            result.cycle = _map_cycle(
+                find_known_cycle(enc_graph.known_edges), enc_old)
             return result
 
         t0 = time.perf_counter()
@@ -364,8 +346,10 @@ class PolySIChecker:
         result.satisfies_si = False
         t0 = time.perf_counter()
         with trace_span("explain"):
-            result.cycle = _map_cycle(extract_violation_cycle(encoding),
-                                      enc_old)
+            result.cycle = _map_cycle(
+                encoding.violation_cycle(enc_graph.known_edges,
+                                         graph_constraints(enc_graph)),
+                enc_old)
         result.timings["explain"] = time.perf_counter() - t0
         return result
 
@@ -377,16 +361,11 @@ def static_induced_cycle(graph: GeneralizedPolygraph) -> Optional[List[Edge]]:
     Ignores constraints entirely — this is the whole check a polygraph
     (or component fragment) with no unresolved constraints needs, and
     the static part of what :func:`encode_polygraph` would verify.
-    Builds KI through pruning's own adjacency helpers so there is a
-    single definition of the induced graph.
     """
-    from .pruning import _induced_adjacency, _known_adjacency
-
-    dep, antidep = _known_adjacency(graph)
-    ki = _induced_adjacency(dep, antidep)
-    if is_acyclic(graph.num_vertices, [list(row) for row in ki]):
+    known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
+    if is_acyclic(graph.num_vertices, known.induced_adjacency()):
         return None
-    return find_known_cycle(graph, [])
+    return find_known_cycle(graph.known_edges)
 
 
 def _map_cycle(

@@ -5,12 +5,13 @@ keep it sound in corner cases and small in practice:
 
 - **Static/variable split.**  Known edges are facts: they need no Boolean
   variables.  The known part of the induced SI graph
-  ``KI = Dep ∪ (Dep ; AntiDep)`` is computed concretely, checked for
-  cycles directly (a cycle there is already a violation), and handed to
-  the acyclicity theory as a transitive-closure substrate.  Only edges
-  occurring in the *remaining constraints* — a few hundred after pruning
-  (Table 3) — get variables, which is why PolySI's solving stage is cheap
-  on pruned polygraphs (Figure 9).
+  ``KI = Dep ∪ (Dep ; AntiDep)`` is computed concretely
+  (:class:`~repro.core.known.KnownGraph`), checked for cycles directly (a
+  cycle there is already a violation), and handed to the acyclicity
+  theory as a transitive-closure substrate.  Only edges occurring in the
+  *remaining constraints* — a few hundred after pruning (Table 3) — get
+  variables, which is why PolySI's solving stage is cheap on pruned
+  polygraphs (Figure 9).
 - **Typed pair variables.**  ``dep(u, v)`` means "some Dep-type edge
   (SO/WR/WW) from u to v is present" and ``rw(u, v)`` means "some RW edge
   from u to v is present".  One untyped variable per pair (the paper's
@@ -24,54 +25,210 @@ keep it sound in corner cases and small in practice:
   with an opposite-branch edge.
 
 Induced edges with a variable part are defined by Tseitin translation
-over four derivation shapes: a constraint WW edge itself, constraint-Dep
+over four derivation shapes: a constraint Dep edge itself, constraint-Dep
 composed with known-RW, known-Dep composed with constraint-RW, and
 constraint-Dep composed with constraint-RW.  Pairs already present in the
 known induced graph are skipped — they are permanently true.
+
+There is one encoder, and it is *incremental*: :meth:`SIEncoding.encode`
+may be called any number of times with the constraints currently
+unresolved, and each call adds only what earlier calls have not — clauses
+for branch edges not yet clausified, gates for derivation terms not yet
+emitted — into one persistent solver instance.  That is sound because
+everything it adds is monotone: a clause, once implied, stays implied; an
+induced pair whose term set grows gets one more gate variable registered
+as a parallel edge, and the pair is present iff any of its gates is.  The
+online checker calls it once per solve; :func:`encode_polygraph` is the
+same encoder called once, and its output is the reference clause set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..solver.monosat import AcyclicGraphSolver
 from ..utils.reachability import is_acyclic
+from .known import KnownGraph
 from .polygraph import Edge, GeneralizedPolygraph, RW
+from .pruning import find_known_cycle
 
-__all__ = ["SIEncoding", "encode_polygraph", "extract_violation_cycle"]
+__all__ = ["SIEncoding", "encode_polygraph", "graph_constraints"]
+
+#: What the encoder consumes per constraint: a hashable identity tuple
+#: (stable across calls) and the two branches' typed edges.
+ConstraintSpec = Tuple[tuple, Sequence[Edge], Sequence[Edge]]
+
+
+def graph_constraints(graph: GeneralizedPolygraph) -> List[ConstraintSpec]:
+    """A polygraph's constraints as the encoder consumes them, identified
+    by position."""
+    return [((index,), cons.either, cons.orelse)
+            for index, cons in enumerate(graph.constraints)]
 
 
 class SIEncoding:
-    """The encoded instance plus the maps needed to decode models."""
+    """The incremental encoder, and the encoded instance it maintains.
 
-    def __init__(self, graph: GeneralizedPolygraph):
-        self.graph = graph
-        self.solver: Optional[AcyclicGraphSolver] = None
+    ``static_adj`` seeds the solver's static substrate (None builds no
+    solver — the known graph is cyclic and there is nothing to solve);
+    growing the substrate afterwards (``solver.add_vertex`` /
+    ``solver.add_static_edge``) is the caller's business.  The encoder
+    keeps only what it emitted — variable tables and the solver — and
+    is handed the caller's known graph per call, so a one-shot encoding
+    does not pin the graph it was built from.
+    """
+
+    def __init__(self, num_vertices: int,
+                 static_adj: Optional[Sequence[Iterable[int]]] = None):
+        self.solver: Optional[AcyclicGraphSolver] = (
+            AcyclicGraphSolver(num_vertices, static_adj=static_adj)
+            if static_adj is not None else None
+        )
         #: True when the known induced graph already contains a cycle; the
         #: history violates SI without any solving.
         self.static_cycle = False
+        #: Size of KI when the instance was built (a harness counter).
+        self.num_static_induced_edges = 0
         self.dep_var: Dict[Tuple[int, int], int] = {}
         self.rw_var: Dict[Tuple[int, int], int] = {}
-        self.choice_var: List[int] = []
-        self.num_aux_vars = 0
-        self.num_induced_edges = 0
-        self.num_static_induced_edges = 0
+        self.choice_var: Dict[tuple, int] = {}
+        self.and_var: Dict[Tuple[int, int], int] = {}
+        # What has been emitted so far: per constraint the clausified
+        # (branch tag, edge) pairs, per induced pair the derivation terms.
+        self._emitted_branch: Dict[tuple, set] = {}
+        self._emitted_terms: Dict[Tuple[int, int], set] = {}
 
-    # -- model decoding ------------------------------------------------------
+    # -- encoding --------------------------------------------------------------
 
-    def resolved_edges(self, model) -> List[Edge]:
-        """Typed edge set of one concrete resolution of the constraints.
+    def encode(self, constraints: Iterable[ConstraintSpec],
+               known: KnownGraph, present: Callable[[int, int], bool]) -> None:
+        """Bring the instance up to date with ``constraints`` (every
+        constraint currently unresolved) and the current ``known``
+        graph; ``present(u, v)`` says whether the induced pair
+        ``u -> v`` is already permanently true and needs no gate."""
+        solver = self.solver
+        cur_dep: Dict[Tuple[int, int], int] = {}
+        cur_rw: Dict[Tuple[int, int], int] = {}
+        for ident, either, orelse in constraints:
+            cvar = self.choice_var.get(ident)
+            if cvar is None:
+                cvar = self.choice_var[ident] = solver.new_var()
+            emitted = self._emitted_branch.setdefault(ident, set())
+            for tag, lit, branch in (("e", -cvar, either), ("o", cvar, orelse)):
+                for edge in branch:
+                    pair = (edge[0], edge[1])
+                    table, cur = ((self.rw_var, cur_rw) if edge[2] == RW
+                                  else (self.dep_var, cur_dep))
+                    var = table.get(pair)
+                    if var is None:
+                        var = table[pair] = solver.new_var()
+                    cur[pair] = var
+                    if (tag, edge) not in emitted:
+                        emitted.add((tag, edge))
+                        solver.add_clause([lit, var])
+        self._emit_gates(self._derive_terms(cur_dep, cur_rw, known, present))
+
+    def _derive_terms(self, cur_dep: Dict, cur_rw: Dict, known: KnownGraph,
+                      present: Callable[[int, int], bool]) -> Dict:
+        """The not-yet-emitted ways each induced pair can arise from the
+        current constraint variables: a term is a single variable or a
+        conjunction of two."""
+        emitted = self._emitted_terms
+        terms: Dict[Tuple[int, int], List[tuple]] = {}
+
+        def add_term(u: int, v: int, term: tuple) -> None:
+            if present(u, v):
+                return
+            seen = emitted.setdefault((u, v), set())
+            if term not in seen:
+                seen.add(term)
+                terms.setdefault((u, v), []).append(term)
+
+        rw_by_tail: Dict[int, List[Tuple[int, int]]] = {}
+        for (k, j), rvar in cur_rw.items():
+            rw_by_tail.setdefault(k, []).append((j, rvar))
+        for (u, k), dvar in cur_dep.items():
+            # The constraint Dep edge is itself an induced edge.
+            add_term(u, k, ("single", dvar))
+            # Constraint-Dep ; known-RW.
+            for j in known.antidep[k]:
+                add_term(u, j, ("single", dvar))
+            # Constraint-Dep ; constraint-RW.
+            for j, rvar in rw_by_tail.get(k, ()):
+                add_term(u, j, ("and", dvar, rvar))
+        for (k, j), rvar in cur_rw.items():
+            # Known-Dep ; constraint-RW.
+            for i in known.dep_preds[k]:
+                add_term(i, j, ("single", rvar))
+        return terms
+
+    def _emit_gates(self, terms: Dict) -> None:
+        """Tseitin gates and graph-edge registration for new terms."""
+        solver = self.solver
+        for (u, v), term_list in terms.items():
+            if len(term_list) == 1 and term_list[0][0] == "single":
+                var = term_list[0][1]
+                if not solver.watches_var(var):
+                    solver.add_edge(var, u, v)
+                    continue
+                # The variable already stands for another induced edge;
+                # fall through to an equivalent fresh variable.
+            term_vars: List[int] = []
+            for term in term_list:
+                if term[0] == "single":
+                    term_vars.append(term[1])
+                    continue
+                _tag, a, b = term
+                aux = self.and_var[(a, b)] = solver.new_var()
+                solver.add_clause([-aux, a])
+                solver.add_clause([-aux, b])
+                solver.add_clause([aux, -a, -b])
+                term_vars.append(aux)
+            gate = solver.new_var()
+            for tvar in term_vars:
+                solver.add_clause([-tvar, gate])
+            solver.add_clause([-gate] + term_vars)
+            solver.add_edge(gate, u, v)
+
+    def resolve(self, ident: tuple, either_wins: bool) -> None:
+        """Pin an encoded constraint the caller resolved outside the
+        solver (a unit clause on its choice variable)."""
+        cvar = self.choice_var.get(ident)
+        if cvar is not None:
+            self.solver.add_clause([cvar if either_wins else -cvar])
+
+    # -- model decoding ----------------------------------------------------------
+
+    def resolved_edges(self, model, known_edges: Iterable[Edge],
+                       constraints: Iterable[ConstraintSpec]) -> List[Edge]:
+        """Typed edge set of one concrete resolution of ``constraints``
+        on top of ``known_edges``.
 
         ``model`` is any object with ``model_value(var)`` (the theory-free
         solver returned by ``solve_without_acyclicity``, or the main
         solver after SAT).  Known edges are always present; each
         constraint contributes the branch selected by its choice variable.
         """
-        edges: List[Edge] = list(self.graph.known_edges)
-        for cons, cvar in zip(self.graph.constraints, self.choice_var):
-            branch = cons.either if model.model_value(cvar) else cons.orelse
-            edges.extend(branch)
+        edges: List[Edge] = list(known_edges)
+        for ident, either, orelse in constraints:
+            chosen = model.model_value(self.choice_var[ident])
+            edges.extend(either if chosen else orelse)
         return edges
+
+    def violation_cycle(
+        self, known_edges: Iterable[Edge],
+        constraints: Iterable[ConstraintSpec],
+    ) -> Optional[List[Edge]]:
+        """After an UNSAT answer, one concrete undesired cycle.
+
+        Solves the clause set without the acyclicity requirement to
+        obtain a concrete resolution of ``constraints`` (the ones last
+        encoded), then searches the resolution's induced graph for a
+        shortest cycle (:func:`repro.core.pruning.find_known_cycle`).
+        """
+        plain = self.solver.solve_without_acyclicity()
+        return find_known_cycle(
+            self.resolved_edges(plain, known_edges, constraints))
 
     def stats(self) -> dict:
         """Structural size counters (vars/clauses/edges) for the harness."""
@@ -79,164 +236,70 @@ class SIEncoding:
         return {
             "vars": solver.num_vars if solver else 0,
             "clauses": solver.num_clauses if solver else 0,
-            "induced_edges": self.num_induced_edges,
+            "induced_edges": solver.num_edges if solver else 0,
             "static_induced_edges": self.num_static_induced_edges,
-            "aux_vars": self.num_aux_vars,
+            "aux_vars": len(self.and_var),
         }
 
+    # -- persistence (checkpointed online checking) ------------------------------
 
-def _static_adjacency(graph: GeneralizedPolygraph):
-    """Pair-level known Dep / AntiDep successor sets."""
-    n = graph.num_vertices
-    dep: List[Set[int]] = [set() for _ in range(n)]
-    antidep: List[Set[int]] = [set() for _ in range(n)]
-    for u, v, label, _key in graph.known_edges:
-        (antidep if label == RW else dep)[u].add(v)
-    return dep, antidep
+    def export_state(self) -> dict:
+        """JSON-able snapshot: the solver's Boolean side
+        (:meth:`AcyclicGraphSolver.export_state`) plus the variable and
+        emitted-so-far tables.  Identity tuples are flattened in front
+        of their payload, so their members must be JSON scalars."""
+        state = self.solver.export_state()
+        state["dep_var"] = [[u, v, var]
+                            for (u, v), var in self.dep_var.items()]
+        state["rw_var"] = [[u, v, var] for (u, v), var in self.rw_var.items()]
+        state["choice_var"] = [[*ident, var]
+                               for ident, var in self.choice_var.items()]
+        state["and_cache"] = [[a, b, var]
+                              for (a, b), var in self.and_var.items()]
+        state["emitted_branch"] = [
+            [*ident, sorted(([tag, *edge] for tag, edge in emitted), key=repr)]
+            for ident, emitted in self._emitted_branch.items()]
+        state["emitted_terms"] = [
+            [u, v, sorted((list(term) for term in terms), key=repr)]
+            for (u, v), terms in self._emitted_terms.items()]
+        return state
+
+    @classmethod
+    def import_state(cls, state: dict, num_vertices: int,
+                     static_adj: Sequence[Iterable[int]]) -> "SIEncoding":
+        """Rebuild an encoder from :meth:`export_state` output over the
+        caller's restored static substrate."""
+        enc = cls(num_vertices)
+        enc.solver = AcyclicGraphSolver.import_state(
+            state, num_vertices, static_adj=static_adj)
+        enc.dep_var = {(u, v): var for u, v, var in state["dep_var"]}
+        enc.rw_var = {(u, v): var for u, v, var in state["rw_var"]}
+        enc.choice_var = {tuple(rec[:-1]): rec[-1]
+                          for rec in state["choice_var"]}
+        enc.and_var = {(a, b): var for a, b, var in state["and_cache"]}
+        enc._emitted_branch = {
+            tuple(rec[:-1]): {(tag, (u, v, label, key))
+                              for tag, u, v, label, key in rec[-1]}
+            for rec in state["emitted_branch"]}
+        enc._emitted_terms = {(u, v): {tuple(term) for term in terms}
+                              for u, v, terms in state["emitted_terms"]}
+        return enc
 
 
 def encode_polygraph(graph: GeneralizedPolygraph) -> SIEncoding:
-    """Encode the (pruned) polygraph; returns the ready-to-solve instance.
+    """Encode the (pruned) polygraph in one shot; returns the
+    ready-to-solve instance.
 
     If the known induced graph is already cyclic, ``static_cycle`` is set
     and no solver is constructed — the caller reports the violation
     straight from the known edges.
     """
-    enc = SIEncoding(graph)
-    n = graph.num_vertices
-
-    # 1. Known induced graph KI = Dep ∪ (Dep ; AntiDep), concretely.
-    sd_out, sr_out = _static_adjacency(graph)
-    ki: List[Set[int]] = [set(sd_out[u]) for u in range(n)]
-    for u in range(n):
-        row = ki[u]
-        for mid in sd_out[u]:
-            row |= sr_out[mid]
+    known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
+    ki = known.induced_adjacency()
+    acyclic = is_acyclic(graph.num_vertices, ki)
+    enc = SIEncoding(graph.num_vertices, ki if acyclic else None)
+    enc.static_cycle = not acyclic
     enc.num_static_induced_edges = sum(len(row) for row in ki)
-
-    ki_lists = [list(row) for row in ki]
-    if not is_acyclic(n, ki_lists):
-        enc.static_cycle = True
-        return enc
-
-    solver = AcyclicGraphSolver(n, static_adj=ki_lists)
-    enc.solver = solver
-
-    # 2. Variables for constraint edges (typed, pair-level) and the
-    #    choice-implication clauses.
-    def dep_pair(u: int, v: int) -> int:
-        var = enc.dep_var.get((u, v))
-        if var is None:
-            var = solver.new_var()
-            enc.dep_var[(u, v)] = var
-        return var
-
-    def rw_pair(u: int, v: int) -> int:
-        var = enc.rw_var.get((u, v))
-        if var is None:
-            var = solver.new_var()
-            enc.rw_var[(u, v)] = var
-        return var
-
-    def edge_var(edge: Edge) -> int:
-        u, v, label, _key = edge
-        return rw_pair(u, v) if label == RW else dep_pair(u, v)
-
-    for cons in graph.constraints:
-        cvar = solver.new_var()
-        enc.choice_var.append(cvar)
-        for edge in cons.either:
-            solver.add_clause([-cvar, edge_var(edge)])
-        for edge in cons.orelse:
-            solver.add_clause([cvar, edge_var(edge)])
-
-    # 3. Variable-derived induced edges.  terms[(u, v)] collects the ways
-    #    the induced edge u -> v can arise; each term is a single variable
-    #    or a conjunction of two.
-    terms: Dict[Tuple[int, int], List[tuple]] = {}
-
-    def add_term(u: int, v: int, term: tuple) -> None:
-        if v in ki[u]:  # already permanently present
-            return
-        terms.setdefault((u, v), []).append(term)
-
-    sd_in: List[List[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in sd_out[u]:
-            sd_in[v].append(u)
-
-    rw_by_tail: Dict[int, List[Tuple[int, int]]] = {}
-    for (k, j), var in enc.rw_var.items():
-        rw_by_tail.setdefault(k, []).append((j, var))
-
-    for (u, k), dvar in enc.dep_var.items():
-        # The constraint Dep edge is itself an induced edge.
-        add_term(u, k, ("single", dvar))
-        # Constraint-Dep ; known-RW.
-        for j in sr_out[k]:
-            add_term(u, j, ("single", dvar))
-        # Constraint-Dep ; constraint-RW.
-        for j, rvar in rw_by_tail.get(k, ()):
-            add_term(u, j, ("and", dvar, rvar))
-
-    for (k, j), rvar in enc.rw_var.items():
-        # Known-Dep ; constraint-RW.
-        for i in sd_in[k]:
-            add_term(i, j, ("single", rvar))
-
-    # 4. Tseitin gates and graph-edge registration.
-    registered: Set[int] = set()
-    for (u, v), term_list in terms.items():
-        if len(term_list) == 1 and term_list[0][0] == "single":
-            var = term_list[0][1]
-            if var not in registered:
-                solver.add_edge(var, u, v)
-                registered.add(var)
-                enc.num_induced_edges += 1
-                continue
-            # The variable already stands for another induced edge; fall
-            # through to an equivalent fresh variable.
-        term_vars: List[int] = []
-        seen: Set[tuple] = set()
-        for term in term_list:
-            if term in seen:
-                continue
-            seen.add(term)
-            if term[0] == "single":
-                term_vars.append(term[1])
-            else:
-                _tag, a, b = term
-                aux = solver.new_var()
-                enc.num_aux_vars += 1
-                solver.add_clause([-aux, a])
-                solver.add_clause([-aux, b])
-                solver.add_clause([aux, -a, -b])
-                term_vars.append(aux)
-        bvi = solver.new_var()
-        for t in term_vars:
-            solver.add_clause([-t, bvi])
-        solver.add_clause([-bvi] + term_vars)
-        solver.add_edge(bvi, u, v)
-        enc.num_induced_edges += 1
-
+    if acyclic:
+        enc.encode(graph_constraints(graph), known, lambda u, v: v in ki[u])
     return enc
-
-
-def extract_violation_cycle(enc: SIEncoding) -> Optional[List[Edge]]:
-    """After an UNSAT answer, produce one concrete undesired cycle.
-
-    Solves the clause set without the acyclicity requirement to obtain a
-    concrete resolution of all constraints, then searches the resolution's
-    induced graph for a shortest cycle (see
-    :func:`repro.core.pruning.find_known_cycle`).
-    """
-    from .pruning import find_known_cycle  # local import to avoid a cycle
-
-    plain = enc.solver.solve_without_acyclicity()
-    resolved = enc.resolved_edges(plain)
-    shadow = enc.graph.copy()
-    shadow.known_edges = []
-    shadow._known_set = set()
-    shadow.add_known_many(resolved)
-    shadow.constraints = []
-    return find_known_cycle(shadow, [])

@@ -1,0 +1,143 @@
+"""The known part of the induced SI graph, derived in one place.
+
+Every stage after construction reasons about the *known induced graph*
+``KI = Dep ∪ (Dep ; AntiDep)`` (Theorem 6): Dep collects the SO/WR/WW
+edges, AntiDep the RW edges, and an anti-dependency only ever appears
+as the trailing half of a composed hop.  Pruning classifies against
+KI's closure, the encoder skips induced pairs KI already contains, the
+static acyclicity check runs on it, interpretation re-derives it over
+the certain edges, and the online checker grows it one edge at a time.
+
+:class:`KnownGraph` is the single owner of that derivation.  It carries
+*data and derivation only*: when to derive, and what to do with an
+induced pair — expand a batch of promoted edges at the next closure
+flush or reseed in bulk, insert eagerly and latch a violation on a
+cycle, hand the pair to a solver as a static edge — is each caller's
+policy and stays with the caller.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, List, Sequence, Set, Tuple
+
+from .polygraph import Edge, RW
+
+__all__ = ["KnownGraph"]
+
+Pair = Tuple[int, int]
+
+
+class KnownGraph:
+    """The pair-level sets derived from the typed known edges.
+
+    - ``dep[u]`` / ``antidep[u]`` — Dep / AntiDep successors of ``u``;
+    - ``dep_preds[v]`` — immediate Dep predecessors of ``v``.
+
+    The typed edges themselves stay with whoever owns them (the
+    polygraph, the online checker's edge table): several labels or keys
+    may share one pair, and only the pair matters here, so feeding the
+    same edge twice is harmless.
+
+    ``KI`` itself is derived on demand: :meth:`induced_by` gives the
+    pairs one edge induces, :meth:`induced_adjacency` the whole relation.
+    """
+
+    __slots__ = ("dep", "dep_preds", "antidep")
+
+    def __init__(self, num_vertices: int = 0):
+        self.dep: List[Set[int]] = [set() for _ in range(num_vertices)]
+        self.dep_preds: List[Set[int]] = [set() for _ in range(num_vertices)]
+        self.antidep: List[Set[int]] = [set() for _ in range(num_vertices)]
+
+    @classmethod
+    def from_edges(cls, num_vertices: int,
+                   edges: Iterable[Edge]) -> "KnownGraph":
+        """The graph over ``edges`` — what feeding them to :meth:`add`
+        one at a time, in any order, arrives at."""
+        # One bulk pass instead of a call per edge: this runs on every
+        # check, over every known edge.
+        out = cls(num_vertices)
+        dep, dep_preds, antidep = out.dep, out.dep_preds, out.antidep
+        for u, v, label, _key in edges:
+            if label == RW:
+                antidep[u].add(v)
+            else:
+                dep[u].add(v)
+                dep_preds[v].add(u)
+        return out
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.dep)
+
+    def add_vertex(self) -> int:
+        """Append an isolated vertex; returns its id."""
+        for table in (self.dep, self.dep_preds, self.antidep):
+            table.append(set())
+        return len(self.dep) - 1
+
+    def add(self, edge: Edge) -> bool:
+        """Install one typed edge.  True when it added a new Dep or
+        AntiDep *pair* — the only case in which it induces anything
+        (:meth:`induced_by`); a repeated edge, or another label or key
+        on a pair already known, changes no derived state."""
+        u, v, label, _key = edge
+        if label == RW:
+            if v in self.antidep[u]:
+                return False
+            self.antidep[u].add(v)
+            return True
+        if v in self.dep[u]:
+            return False
+        self.dep[u].add(v)
+        self.dep_preds[v].add(u)
+        return True
+
+    def _through(self, mids: Iterable[int]) -> Set[int]:
+        """KI successors of a vertex whose Dep successors are ``mids``:
+        the Dep edges themselves, each optionally followed by one
+        AntiDep edge."""
+        row = set(mids)
+        for mid in mids:
+            row |= self.antidep[mid]
+        return row
+
+    def induced_by(self, edge: Edge) -> List[Pair]:
+        """The KI pairs an installed edge induces against the graph as
+        it is now: a Dep edge ``u -> v`` induces ``u -> v`` and
+        ``u -> w`` for every AntiDep successor ``w`` of ``v``; an
+        AntiDep edge ``u -> v`` induces ``p -> v`` for every Dep
+        predecessor ``p`` of ``u``.  Asked right after each
+        :meth:`add`, every composition is reported once — by whichever
+        of its two halves arrived second — so the multiset of pairs
+        over a whole edge set does not depend on insertion order; asked
+        later it reports a superset, which is harmless because KI only
+        grows."""
+        u, v, label, _key = edge
+        if label == RW:
+            return [(p, v) for p in self.dep_preds[u]]
+        return [(u, w) for w in self._through((v,))]
+
+    def induced_adjacency(self) -> List[Set[int]]:
+        """``KI`` as fresh per-vertex successor sets."""
+        return [self._through(succs) for succs in self.dep]
+
+    def compact(self, old_to_new: Sequence[int]) -> None:
+        """Renumber onto the survivors of a window compaction
+        (``old_to_new[v]`` is -1 for an evicted vertex): pairs with an
+        evicted endpoint are dropped, everything else is renamed.  Induced pairs between survivors survive with the
+        vertex they are composed through; paths *through* an evicted
+        vertex are the closure's to remember, not this graph's."""
+        m = old_to_new
+        size = sum(1 for new in m if new >= 0)
+
+        def remap(table: List[Set[int]]) -> List[Set[int]]:
+            out: List[Set[int]] = [set() for _ in range(size)]
+            for old, row in enumerate(table):
+                if m[old] >= 0:
+                    out[m[old]] = {m[v] for v in row if m[v] >= 0}
+            return out
+
+        self.dep = remap(self.dep)
+        self.dep_preds = remap(self.dep_preds)
+        self.antidep = remap(self.antidep)

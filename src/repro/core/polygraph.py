@@ -36,6 +36,7 @@ __all__ = [
     "Edge",
     "Constraint",
     "GeneralizedPolygraph",
+    "branch_edges",
     "build_polygraph",
 ]
 
@@ -411,11 +412,15 @@ def build_polygraph(
     return graph, violations
 
 
-def _branch(graph: GeneralizedPolygraph, key, first: int, second: int) -> List[Edge]:
+def branch_edges(readers_from: Dict[Tuple[int, object], List[int]],
+                 key, first: int, second: int) -> List[Edge]:
     """Edges forced when ``first`` precedes ``second`` in the version order
-    of ``key``: the WW edge plus one RW edge per reader of ``first``."""
+    of ``key``: the WW edge plus one RW edge per reader of ``first``
+    (``readers_from`` maps ``(writer, key)`` to the readers).  Shared by
+    batch construction and the online checker, which materializes
+    branches lazily from its running reader index."""
     edges: List[Edge] = [(first, second, WW, key)]
-    for reader in graph.readers_from.get((first, key), []):
+    for reader in readers_from.get((first, key), ()):
         if reader != second:
             edges.append((reader, second, RW, key))
     return edges
@@ -424,8 +429,8 @@ def _branch(graph: GeneralizedPolygraph, key, first: int, second: int) -> List[E
 def _emit_constraints(
     graph: GeneralizedPolygraph, key, t: int, s: int, compact: bool
 ) -> None:
-    either = _branch(graph, key, t, s)
-    orelse = _branch(graph, key, s, t)
+    either = branch_edges(graph.readers_from, key, t, s)
+    orelse = branch_edges(graph.readers_from, key, s, t)
     if compact:
         graph.constraints.append(
             Constraint(either, orelse, key=key, pair=(t, s))

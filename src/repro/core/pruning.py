@@ -18,15 +18,16 @@ edges enable further pruning.
 
 Reachability of the known induced graph ``KI = Dep ∪ (Dep ; AntiDep)``
 is maintained *incrementally* across iterations: iteration 1 seeds the
-shared closure kernel (:class:`repro.utils.closure.IncrementalClosure`)
+shared closure kernel (:class:`repro.utils.closure.ClosureBackend`)
 from one exact SCC-condensed bitset closure (the paper uses
 Floyd-Warshall; see ``repro.utils.reachability``), and every later
 iteration only propagates the edges the previous iteration promoted to
 known — the same maintenance the online checker performs per
-transaction.  :class:`PruneState` carries the closure plus the Dep /
-AntiDep adjacency and immediate Dep-predecessor lists, all updated in
-place as :func:`apply_decisions` resolves constraints, so nothing is
-rebuilt from scratch after iteration 1.  This is sound in batch mode
+transaction.  :class:`PruneState` carries the closure plus the shared
+:class:`~repro.core.known.KnownGraph` (Dep / AntiDep adjacency,
+immediate Dep-predecessors and KI itself), all updated in place as
+:func:`apply_decisions` resolves constraints, so nothing is rebuilt
+from scratch after iteration 1.  This is sound in batch mode
 because edges are only ever *added* (no eviction): the incrementally
 maintained rows equal what a recompute over the current known edges
 would produce, which :func:`prune_constraints_recompute` — the pre-PR
@@ -36,12 +37,14 @@ reference implementation — pins differentially in the tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import counter as obs_counter, trace_span
 from ..utils.closure import ClosureBackend, resolve_closure_backend
 from ..utils.reachability import Reachability, transitive_closure_bits
-from .polygraph import Constraint, Edge, GeneralizedPolygraph, RW, WW, DEP_LABELS
+from .known import KnownGraph
+from .polygraph import Constraint, Edge, GeneralizedPolygraph, RW, WW
 
 __all__ = [
     "PruneResult",
@@ -95,70 +98,34 @@ class PruneResult:
         }
 
 
-def _known_adjacency(
-    graph: GeneralizedPolygraph,
-) -> Tuple[List[set], List[set]]:
-    """Pair-level Dep and AntiDep successor sets over known edges."""
-    n = graph.num_vertices
-    dep: List[set] = [set() for _ in range(n)]
-    antidep: List[set] = [set() for _ in range(n)]
-    for u, v, label, _key in graph.known_edges:
-        if label == RW:
-            antidep[u].add(v)
-        else:
-            dep[u].add(v)
-    return dep, antidep
-
-
-def _induced_adjacency(dep: List[set], antidep: List[set]) -> List[set]:
-    """KI = Dep ∪ (Dep ; AntiDep) at the pair level."""
-    ki: List[set] = []
-    for u in range(len(dep)):
-        row = set(dep[u])
-        for mid in dep[u]:
-            row |= antidep[mid]
-        ki.append(row)
-    return ki
-
-
-def _dep_predecessors(dep: List[set]) -> List[List[int]]:
-    preds: List[List[int]] = [[] for _ in range(len(dep))]
-    for u, succs in enumerate(dep):
-        for v in succs:
-            preds[v].append(u)
-    return preds
-
-
 class PruneState:
     """Incrementally-maintained classification state for the fixpoint.
 
     Bundles everything one pruning iteration classifies against — the
     reachability closure of the known induced graph ``KI`` plus the
-    pair-level Dep / AntiDep / KI adjacency and immediate
-    Dep-predecessor sets — and keeps all of it current as edges are
-    promoted, instead of rebuilding per iteration:
+    :class:`~repro.core.known.KnownGraph` it is derived from — and
+    keeps both current as edges are promoted, instead of rebuilding per
+    iteration:
 
-    - construction pays for one batch closure (any
-      :mod:`repro.utils.reachability` kernel) and wraps its rows into
-      the shared :class:`~repro.utils.closure.IncrementalClosure`;
+    - construction pays for one batch closure
+      (:func:`~repro.utils.reachability.transitive_closure_bits`) and
+      wraps its rows into the shared incremental kernel;
     - :meth:`add_known` installs a newly-promoted typed edge into the
-      graph and the pair-level adjacency (cheap set unions) and queues
-      the pair;
+      graph (which dedups typed edges) and the known graph (cheap set
+      updates) and queues it;
     - reading :attr:`reach` flushes the queued delta into the closure,
       *adaptively*.  A small delta (the typical late fixpoint
-      iteration) expands each queued pair into its induced
-      consequences — a Dep edge ``u -> v`` contributes KI edges
-      ``u -> v`` and ``u -> w`` for every AntiDep successor ``w`` of
-      ``v``; an AntiDep edge ``u -> v`` contributes ``p -> v`` for
-      every Dep predecessor ``p`` of ``u``, exactly the maintenance the
-      online checker's ``_add_known`` performs per arriving
-      transaction — and propagates them through
-      :meth:`~repro.utils.closure.IncrementalClosure.insert`.  A large
-      delta (typically iteration 1 resolving most constraints at once)
-      instead reseeds the closure with one batch kernel run over the
-      induced adjacency of the maintained Dep/AntiDep sets — never more
-      expensive than the per-iteration recompute it replaces, because
-      those sets are already current.
+      iteration) expands each queued edge into the KI pairs it induces
+      (:meth:`~repro.core.known.KnownGraph.induced_by`) and propagates
+      them through :meth:`~repro.utils.closure.ClosureBackend.insert` —
+      the maintenance the online checker performs per arriving
+      transaction.  A large delta (typically iteration 1 resolving most
+      constraints at once) instead reseeds the closure with one batch
+      kernel run over KI — never more expensive than the per-iteration
+      recompute it replaces, because the sets KI is derived from are
+      already current.  The
+      kernel's operation counters carry over a reseed, so they stay
+      monotone for the whole fixpoint.
 
     Eviction-free batch mode is what makes carrying the rows across
     iterations sound: edges are only ever added, so the incremental rows
@@ -167,39 +134,35 @@ class PruneState:
     the SCC-condensed kernel).
     """
 
-    __slots__ = ("graph", "dep", "antidep", "dep_preds",
-                 "_closure", "_backend", "_reach", "_pending")
+    __slots__ = ("graph", "known", "_backend", "_reach", "_pending")
 
-    def __init__(
-        self,
-        graph: GeneralizedPolygraph,
-        *,
-        closure: Callable[[int, List[set]], Reachability] = transitive_closure_bits,
-        backend=None,
-    ):
+    def __init__(self, graph: GeneralizedPolygraph, *, backend=None):
         self.graph = graph
-        dep, antidep = _known_adjacency(graph)
-        self.dep = dep
-        self.antidep = antidep
-        self.dep_preds: List[set] = [set() for _ in range(graph.num_vertices)]
-        for u, succs in enumerate(dep):
-            for v in succs:
-                self.dep_preds[v].add(u)
-        self._closure = closure
+        self.known = KnownGraph.from_edges(graph.num_vertices,
+                                           graph.known_edges)
         #: Incremental-closure backend class (see
         #: :func:`repro.utils.closure.resolve_closure_backend` for the
         #: selector semantics — None honours REPRO_CLOSURE_BACKEND).
         self._backend = resolve_closure_backend(backend)
-        base = closure(graph.num_vertices, _induced_adjacency(dep, antidep))
-        self._reach = self._backend.from_rows(base.rows)
-        #: Newly-promoted (src, dst, is_antidep) pairs not yet in the
-        #: closure; pair-level deduplicated by :meth:`add_known`.
-        self._pending: List[Tuple[int, int, bool]] = []
+        self._reach = self._seed()
+        #: Promoted edges (each a new Dep/AntiDep pair) whose induced
+        #: pairs are not yet in the closure.
+        self._pending: List[Edge] = []
+
+    def _seed(self) -> ClosureBackend:
+        base = transitive_closure_bits(self.graph.num_vertices,
+                                       self.known.induced_adjacency())
+        return self._backend.from_rows(base.rows)
 
     @property
     def backend_name(self) -> str:
         """Registry name of the closure backend in use."""
         return self._backend.name
+
+    @property
+    def dep_preds(self) -> List[set]:
+        """Known immediate Dep-predecessors per vertex."""
+        return self.known.dep_preds
 
     @property
     def reach(self) -> ClosureBackend:
@@ -210,42 +173,26 @@ class PruneState:
 
     def _flush(self) -> None:
         pending, self._pending = self._pending, []
-        n = self.graph.num_vertices
-        if len(pending) > max(16, n // 8):
+        if len(pending) > max(16, self.graph.num_vertices // 8):
             # Large delta: one bulk reseed over the maintained adjacency
             # costs what a single old-style recompute iteration did.
-            ki = _induced_adjacency(self.dep, self.antidep)
-            base = self._closure(n, ki)
-            self._reach = self._backend.from_rows(base.rows)
+            fresh = self._seed()
+            fresh.adopt_counters(self._reach)
+            self._reach = fresh
             return
-        # Small delta: expand each promoted pair into its induced
-        # consequences against the *current* adjacency (a superset of
-        # what was current at promotion time — monotone, and insert()
-        # dedups already-implied edges in O(1)).
+        # Small delta: expand each promoted edge against the *current*
+        # graph (a superset of what was current at promotion time —
+        # monotone, and insert() dedups already-implied edges in O(1)).
         insert = self._reach.insert
-        for u, v, is_antidep in pending:
-            if is_antidep:
-                for prec in self.dep_preds[u]:
-                    insert(prec, v)
-            else:
+        for edge in pending:
+            for u, v in self.known.induced_by(edge):
                 insert(u, v)
-                for w in self.antidep[v]:
-                    insert(u, w)
 
     def add_known(self, edge: Edge) -> None:
-        """Promote one typed edge: into the graph, the pair-level
-        adjacency, and the (queued) incremental KI closure."""
-        if not self.graph.add_known(edge):
-            return
-        u, v, label, _key = edge
-        if label == RW:
-            if v not in self.antidep[u]:
-                self.antidep[u].add(v)
-                self._pending.append((u, v, True))
-        elif v not in self.dep[u]:
-            self.dep[u].add(v)
-            self.dep_preds[v].add(u)
-            self._pending.append((u, v, False))
+        """Promote one typed edge: into the graph, the known graph, and
+        the (queued) incremental KI closure."""
+        if self.graph.add_known(edge) and self.known.add(edge):
+            self._pending.append(edge)
 
     def add_known_many(self, edges: Sequence[Edge]) -> None:
         for edge in edges:
@@ -278,28 +225,24 @@ def branch_impossible(
 
 def prune_iteration_state(
     graph: GeneralizedPolygraph,
-    *,
-    closure: Callable[[int, List[set]], Reachability] = transitive_closure_bits,
-) -> Tuple[Reachability, List[List[int]]]:
+) -> Tuple[Reachability, List[set]]:
     """The read-only state one pruning iteration classifies against:
     reachability of the known induced graph plus the immediate
-    Dep-predecessor lists, rebuilt from scratch.  Never mutated during
+    Dep-predecessor sets, rebuilt from scratch.  Never mutated during
     an iteration, which is what makes classification shardable.  The
     incremental fixpoint carries the same state forward in a
     :class:`PruneState` instead; this from-scratch variant backs the
-    :func:`prune_constraints_recompute` reference path and
-    :func:`repro.core.checker.static_induced_cycle`-style one-shot
-    queries."""
-    dep, antidep = _known_adjacency(graph)
-    ki = _induced_adjacency(dep, antidep)
-    reach = closure(graph.num_vertices, ki)
-    return reach, _dep_predecessors(dep)
+    :func:`prune_constraints_recompute` reference path."""
+    known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
+    reach = transitive_closure_bits(graph.num_vertices,
+                                    known.induced_adjacency())
+    return reach, known.dep_preds
 
 
 def classify_constraints(
     constraints: List[Constraint],
     reach: Reachability,
-    dep_preds: List[List[int]],
+    dep_preds: Sequence,
 ) -> List[Tuple[bool, bool]]:
     """Per-constraint ``(either_impossible, orelse_impossible)`` decisions
     against one iteration's read-only state.
@@ -366,8 +309,8 @@ def apply_decisions(
 def prune_constraints(
     graph: GeneralizedPolygraph,
     *,
-    closure: Callable[[int, List[set]], Reachability] = transitive_closure_bits,
     backend=None,
+    classify: Callable[..., List[Tuple[bool, bool]]] = classify_constraints,
 ) -> PruneResult:
     """Prune ``graph`` in place until no more constraints can be resolved.
 
@@ -376,7 +319,9 @@ def prune_constraints(
     front, and every iteration after the first only pays for the edges
     the previous one promoted — identical decisions, counters, and
     witnesses to :func:`prune_constraints_recompute`, without the
-    per-iteration closure rebuild.
+    per-iteration closure rebuild.  ``classify`` is the per-iteration
+    classifier, called as :func:`classify_constraints` is; the parallel
+    engine passes one that shards the constraint list across workers.
 
     Returns a :class:`PruneResult`; ``result.ok`` is False when some
     constraint has *both* branches impossible, i.e. the history violates
@@ -388,13 +333,13 @@ def prune_constraints(
     result.constraints_before = graph.num_constraints
     result.unknown_deps_before = graph.num_unknown_deps
 
-    state = PruneState(graph, closure=closure, backend=backend)
+    state = PruneState(graph, backend=backend)
     with trace_span("prune-fixpoint", backend=state.backend_name,
                     constraints=result.constraints_before) as span:
         while True:
             result.iterations += 1
             with trace_span("classify", iteration=result.iterations):
-                decisions = classify_constraints(
+                decisions = classify(
                     graph.constraints, state.reach, state.dep_preds
                 )
             changed = apply_decisions(graph, decisions, result, state=state)
@@ -418,11 +363,7 @@ def _publish_closure_counters(reach, backend_name, span) -> None:
             obs_counter(f"closure.{backend_name}.{name}").inc(value)
 
 
-def prune_constraints_recompute(
-    graph: GeneralizedPolygraph,
-    *,
-    closure: Callable[[int, List[set]], Reachability] = transitive_closure_bits,
-) -> PruneResult:
+def prune_constraints_recompute(graph: GeneralizedPolygraph) -> PruneResult:
     """The recompute-per-iteration reference fixpoint.
 
     Rebuilds the adjacency, Dep-predecessor lists, and the whole KI
@@ -438,7 +379,7 @@ def prune_constraints_recompute(
 
     while True:
         result.iterations += 1
-        reach, dep_preds = prune_iteration_state(graph, closure=closure)
+        reach, dep_preds = prune_iteration_state(graph)
         decisions = classify_constraints(graph.constraints, reach, dep_preds)
         changed = apply_decisions(graph, decisions, result)
         if not result.ok or not changed:
@@ -452,18 +393,12 @@ def prune_constraints_recompute(
 # -- witness-cycle reconstruction -------------------------------------------------
 
 
-def _typed_adjacency(graph: GeneralizedPolygraph) -> Dict[int, List[Edge]]:
-    adj: Dict[int, List[Edge]] = {}
-    for edge in graph.known_edges:
-        adj.setdefault(edge[0], []).append(edge)
-    return adj
-
-
 def find_known_cycle(
-    graph: GeneralizedPolygraph, extra_edges: List[Edge]
+    known_edges: Iterable[Edge], extra_edges: Sequence[Edge] = ()
 ) -> Optional[List[Edge]]:
-    """A shortest undesired cycle in the known induced graph extended with
-    ``extra_edges``, as a list of typed edges, or None.
+    """A shortest undesired cycle in the induced graph of the typed
+    ``known_edges`` extended with ``extra_edges``, as a list of typed
+    edges, or None.
 
     Works on the *induced* graph (Dep composed with optional trailing RW),
     so any cycle found has no two adjacent RW edges and is therefore a
@@ -480,7 +415,7 @@ def find_known_cycle(
     """
     dep_adj: Dict[int, List[Edge]] = {}
     antidep_adj: Dict[int, List[Edge]] = {}
-    for edge in list(graph.known_edges) + list(extra_edges):
+    for edge in chain(known_edges, extra_edges):
         target = antidep_adj if edge[2] == RW else dep_adj
         target.setdefault(edge[0], []).append(edge)
 
@@ -536,7 +471,7 @@ def _violation_cycle(
     """On a both-branches-impossible constraint, close one branch's edges
     against the known graph to produce a concrete witness cycle."""
     for branch in (cons.either, cons.orelse):
-        cycle = find_known_cycle(graph, list(branch))
+        cycle = find_known_cycle(graph.known_edges, branch)
         if cycle is not None:
             return cycle
     return None

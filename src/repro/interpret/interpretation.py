@@ -30,13 +30,13 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.checker import CheckResult
+from ..core.known import KnownGraph
 from ..core.polygraph import (
     Constraint,
     Edge,
     GeneralizedPolygraph,
     RW,
     SO,
-    WW,
 )
 from ..utils.reachability import transitive_closure_bits
 from .classify import classify_anomalies, classify_cycle
@@ -296,7 +296,9 @@ def _resolve(
     changed = True
     while changed:
         changed = False
-        reach = _certain_reachability(graph.num_vertices, certain_edges)
+        certain = KnownGraph.from_edges(graph.num_vertices, certain_edges)
+        reach = transitive_closure_bits(graph.num_vertices,
+                                        certain.induced_adjacency())
         for cons in constraints:
             either_bad = _branch_closes_cycle(cons.either, reach)
             orelse_bad = _branch_closes_cycle(cons.orelse, reach)
@@ -316,20 +318,6 @@ def _resolve(
                     changed = True
 
     example.resolved = resolved
-
-
-def _certain_reachability(n: int, edges: Set[Edge]):
-    dep: List[Set[int]] = [set() for _ in range(n)]
-    antidep: List[Set[int]] = [set() for _ in range(n)]
-    for u, v, label, _key in edges:
-        (antidep if label == RW else dep)[u].add(v)
-    induced: List[List[int]] = []
-    for u in range(n):
-        row = set(dep[u])
-        for mid in dep[u]:
-            row |= antidep[mid]
-        induced.append(list(row))
-    return transitive_closure_bits(n, induced)
 
 
 def _branch_closes_cycle(branch: Sequence[Edge], reach) -> bool:

@@ -1,7 +1,9 @@
 """PolySI-List: the SI checker for list-append histories (Appendix F).
 
-Reuses PolySI's pruning, encoding, and solving stages on the polygraph
-inferred by :mod:`repro.listappend.infer`.  Because list reads pin the
+Runs PolySI's cycle-analysis stages
+(:meth:`repro.core.checker.PolySIChecker.check_polygraph`: prune,
+decompose, encode, solve) on the polygraph inferred by
+:mod:`repro.listappend.infer`.  Because list reads pin the
 version order of everything they observe, the polygraph arrives almost
 fully resolved and checking is fast across all workload shapes
 (Figure 15).
@@ -11,9 +13,7 @@ from __future__ import annotations
 
 import time
 
-from ..core.checker import CheckResult
-from ..core.encoding import encode_polygraph, extract_violation_cycle
-from ..core.pruning import find_known_cycle, prune_constraints
+from ..core.checker import CheckResult, PolySIChecker
 from .infer import build_list_polygraph
 from .model import ListHistory
 
@@ -40,38 +40,7 @@ class ListAppendChecker:
             result.decided_by = "axioms"
             return result
 
-        if self.prune:
-            t0 = time.perf_counter()
-            prune_result = prune_constraints(graph)
-            result.timings["prune"] = time.perf_counter() - t0
-            result.prune_result = prune_result
-            if not prune_result.ok:
-                result.satisfies_si = False
-                result.decided_by = "pruning"
-                result.cycle = prune_result.violation_cycle
-                return result
-
-        t0 = time.perf_counter()
-        encoding = encode_polygraph(graph)
-        result.timings["encode"] = time.perf_counter() - t0
-        result.encoding = encoding
-        if encoding.static_cycle:
-            result.satisfies_si = False
-            result.decided_by = "encoding"
-            result.cycle = find_known_cycle(graph, [])
-            return result
-
-        t0 = time.perf_counter()
-        acyclic = encoding.solver.solve()
-        result.timings["solve"] = time.perf_counter() - t0
-        result.solver_stats = encoding.solver.stats.as_dict()
-        result.decided_by = "solving"
-        if acyclic:
-            return result
-
-        result.satisfies_si = False
-        result.cycle = extract_violation_cycle(encoding)
-        return result
+        return PolySIChecker(prune=self.prune).check_polygraph(graph, result)
 
 
 def check_list_history(history: ListHistory, **options) -> CheckResult:

@@ -11,18 +11,15 @@ Entry points:
 - :class:`OnlineChecker` — the incremental checker (``add`` /
   ``extend`` / ``replay`` / ``finish``);
 - :class:`OnlineResult` — the streaming verdict object;
-- :class:`WindowPolicy` — eviction/compaction knobs for bounded memory;
-- :class:`IncrementalClosure` — the incremental reachability kernel.
+- :class:`WindowPolicy` — eviction/compaction knobs for bounded memory.
 """
 
 from .checker import OnlineChecker, OnlineResult
-from .closure import IncrementalClosure
 from .window import WindowPolicy, WindowStats
 
 __all__ = [
     "OnlineChecker",
     "OnlineResult",
-    "IncrementalClosure",
     "WindowPolicy",
     "WindowStats",
 ]

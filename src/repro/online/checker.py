@@ -23,12 +23,14 @@ pipeline (:mod:`repro.core.checker`) recomputes from scratch:
   paper's two impossibility rules (Section 4.3) run to fixpoint over the
   surviving constraints only.  A cycle materializing in the known graph
   is a violation the moment the closing edge arrives.
-- **solving** — one :class:`~repro.solver.monosat.AcyclicGraphSolver`
-  persists across calls.  Known edges enter its static substrate, new
+- **solving** — one :class:`~repro.core.encoding.SIEncoding` (the same
+  incremental encoder the batch pipeline calls once) and its solver
+  persist across calls.  Known edges enter the static substrate, new
   constraint clauses are added at the root level, and each call re-solves
   only what pruning left unresolved — *keeping the learned clauses of
   every previous call* (sound because clauses are only ever added; see
-  DESIGN.md, "Incremental solving").
+  DESIGN.md, "Incremental solving").  This module keeps only the policy:
+  when to solve, and when a mostly-stale instance is dropped.
 
 With a :class:`~repro.online.window.WindowPolicy` installed, closed-over
 transactions are evicted and the state periodically compacted, bounding
@@ -39,9 +41,10 @@ verdict is preserved; see the window module and DESIGN.md).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..core.axioms import AxiomViolation
+from ..core.axioms import AxiomViolation, int_violations
+from ..core.encoding import SIEncoding
 from ..core.history import (
     ABORTED,
     COMMITTED,
@@ -51,25 +54,16 @@ from ..core.history import (
     Operation,
     Transaction,
 )
-from ..core.polygraph import Edge, RW, SO, WR, WW
+from ..core.known import KnownGraph
+from ..core.polygraph import Edge, RW, SO, WR, WW, branch_edges
 from ..core.pruning import branch_impossible, find_known_cycle
 from ..obs import current_metrics, get_logger, trace_span
-from ..solver.monosat import AcyclicGraphSolver
 from ..utils.closure import CYCLE, resolve_closure_backend
 from .window import WindowPolicy, WindowStats
 
 log = get_logger("online")
 
 __all__ = ["OnlineChecker", "OnlineResult"]
-
-
-class _EdgeBag:
-    """Minimal stand-in for a polygraph when reconstructing witnesses."""
-
-    __slots__ = ("known_edges",)
-
-    def __init__(self, edges: List[Edge]):
-        self.known_edges = edges
 
 
 class OnlineResult:
@@ -242,11 +236,8 @@ class OnlineChecker:
         self._readers_from: Dict[tuple, List[int]] = {}
         self._init_keys: set = set()
 
-        self._known_edges: List[Edge] = []
-        self._known_set: set = set()
-        self._dep_out: List[set] = [set()]
-        self._dep_in: List[set] = [set()]
-        self._antidep_out: List[set] = [set()]
+        self._known_edges: Dict[Edge, None] = {}    # insertion-ordered set
+        self._known = KnownGraph(1)
         self._ww_succ: Dict[int, Dict[object, set]] = {}
 
         backend_cls = resolve_closure_backend(closure_backend)
@@ -258,14 +249,7 @@ class OnlineChecker:
         self._unresolved_touch: Dict[int, int] = {}
         self._resolved_dir: Dict[tuple, bool] = {}
 
-        self._solver: Optional[AcyclicGraphSolver] = None
-        self._dep_var: Dict[Tuple[int, int], int] = {}
-        self._rw_var: Dict[Tuple[int, int], int] = {}
-        self._choice_var: Dict[tuple, int] = {}
-        self._emitted_branch: Dict[tuple, set] = {}
-        self._emitted_terms: Dict[Tuple[int, int], set] = {}
-        self._new_terms: Dict[Tuple[int, int], List[tuple]] = {}
-        self._and_cache: Dict[Tuple[int, int], int] = {}
+        self._enc: Optional[SIEncoding] = None
 
         self._violation: Optional[OnlineResult] = None
         self._solver_dirty = True
@@ -393,26 +377,8 @@ class OnlineChecker:
 
     def _snapshot_state(self) -> dict:
         window = self.window
-        solver_state = None
-        if self._solver is not None:
-            solver_state = self._solver.export_state()
-            solver_state["dep_var"] = [
-                [u, v, var] for (u, v), var in self._dep_var.items()]
-            solver_state["rw_var"] = [
-                [u, v, var] for (u, v), var in self._rw_var.items()]
-            solver_state["choice_var"] = [
-                [key, t, s, var]
-                for (key, t, s), var in self._choice_var.items()]
-            solver_state["and_cache"] = [
-                [a, b, var] for (a, b), var in self._and_cache.items()]
-            solver_state["emitted_branch"] = [
-                [key, t, s,
-                 sorted(([tag, u, v, label, ekey]
-                         for tag, (u, v, label, ekey) in emitted), key=repr)]
-                for (key, t, s), emitted in self._emitted_branch.items()]
-            solver_state["emitted_terms"] = [
-                [u, v, sorted((list(term) for term in terms), key=repr)]
-                for (u, v), terms in self._emitted_terms.items()]
+        solver_state = (self._enc.export_state()
+                        if self._enc is not None else None)
         return {
             "v": STATE_VERSION,
             "config": {
@@ -456,8 +422,7 @@ class OnlineChecker:
                              for (w, key), readers in
                              self._readers_from.items()],
             "init_keys": sorted(self._init_keys, key=repr),
-            "known_edges": [[u, v, label, key]
-                            for (u, v, label, key) in self._known_edges],
+            "known_edges": [list(edge) for edge in self._known_edges],
             "ki_rows": [format(row, "x") for row in self._ki.int_rows()],
             "dep_rows": (
                 [format(row, "x") for row in self._dep_reach.int_rows()]
@@ -546,9 +511,10 @@ class OnlineChecker:
         self._readers_from = {(w, key): list(readers)
                               for w, key, readers in state["readers_from"]}
         self._init_keys = set(state["init_keys"])
-        self._known_edges = [(u, v, label, key)
-                             for u, v, label, key in state["known_edges"]]
-        self._known_set = set(self._known_edges)
+        self._known_edges = dict.fromkeys(
+            tuple(edge) for edge in state["known_edges"])
+        self._known = KnownGraph.from_edges(self._n, self._known_edges)
+        self._rebuild_ww_succ()
 
         backend_cls = resolve_closure_backend(self.closure_backend)
         self._ki = backend_cls.from_rows(
@@ -559,27 +525,9 @@ class OnlineChecker:
             if state["dep_rows"] is not None else None
         )
 
-        # Derived adjacency, exactly as _compact rebuilds it.
-        self._dep_out = [set() for _ in range(self._n)]
-        self._dep_in = [set() for _ in range(self._n)]
-        self._antidep_out = [set() for _ in range(self._n)]
-        self._ww_succ = {}
-        for u, v, label, key in self._known_edges:
-            if label == RW:
-                self._antidep_out[u].add(v)
-            else:
-                self._dep_out[u].add(v)
-                self._dep_in[v].add(u)
-                if label == WW and u != 0:
-                    self._ww_succ.setdefault(u, {}).setdefault(
-                        key, set()).add(v)
-
         self._unresolved = {(key, t, s): True
                             for key, t, s in state["unresolved"]}
-        self._unresolved_touch = {}
-        for (_key, t, s) in self._unresolved:
-            self._unresolved_touch[t] = self._unresolved_touch.get(t, 0) + 1
-            self._unresolved_touch[s] = self._unresolved_touch.get(s, 0) + 1
+        self._recount_touch()
         self._resolved_dir = {(key, t, s): bool(d)
                               for key, t, s, d in state["resolved_dir"]}
 
@@ -593,30 +541,10 @@ class OnlineChecker:
         for name, value in state["window_stats"].items():
             setattr(self._wstats, name, value)
 
-        self._reset_solver_state()
+        if state["solver"] is not None:
+            self._enc = SIEncoding.import_state(
+                state["solver"], self._n, self._solver_substrate())
         self._solver_dirty = bool(state["solver_dirty"])
-        solver_state = state["solver"]
-        if solver_state is not None:
-            static = [list(self._ki.successors_direct(u))
-                      for u in range(self._n)]
-            self._solver = AcyclicGraphSolver.import_state(
-                solver_state, self._n, static_adj=static)
-            self._dep_var = {(u, v): var
-                             for u, v, var in solver_state["dep_var"]}
-            self._rw_var = {(u, v): var
-                            for u, v, var in solver_state["rw_var"]}
-            self._choice_var = {
-                (key, t, s): var
-                for key, t, s, var in solver_state["choice_var"]}
-            self._and_cache = {(a, b): var
-                               for a, b, var in solver_state["and_cache"]}
-            self._emitted_branch = {
-                (key, t, s): {(tag, (u, v, label, ekey))
-                              for tag, u, v, label, ekey in emitted}
-                for key, t, s, emitted in solver_state["emitted_branch"]}
-            self._emitted_terms = {
-                (u, v): {tuple(term) for term in terms}
-                for u, v, terms in solver_state["emitted_terms"]}
 
     # -- ingestion -----------------------------------------------------------
 
@@ -643,13 +571,11 @@ class OnlineChecker:
         txn = Transaction(self._seq, ops, session=session, index=index,
                           status=status)
 
-        anomalies = self._check_int(txn)
+        anomalies = int_violations(txn)
         if status == ABORTED:
             self._aborted_seen += 1
             anomalies.extend(self._register_aborted(txn))
-            self._timings["ingest"] = (
-                self._timings.get("ingest", 0.0) + time.perf_counter() - t0
-            )
+            self._charge("ingest", t0)
             if anomalies:
                 self._latch("axioms", anomalies=anomalies)
             return
@@ -659,9 +585,7 @@ class OnlineChecker:
         resolved_pending = self._register_writes(txn, vertex, anomalies)
         resolved, init_reads = self._scan_reads(txn, vertex, anomalies)
         if anomalies:
-            self._timings["ingest"] = (
-                self._timings.get("ingest", 0.0) + time.perf_counter() - t0
-            )
+            self._charge("ingest", t0)
             self._latch("axioms", anomalies=anomalies)
             return
 
@@ -682,31 +606,19 @@ class OnlineChecker:
         for key, reader in resolved_pending:
             self._record_wr(vertex, key, reader)
             self._pending_count[reader] -= 1
-        self._timings["ingest"] = (
-            self._timings.get("ingest", 0.0) + time.perf_counter() - t0
-        )
+        self._charge("ingest", t0)
 
         if self.prune and self._violation is None:
             t1 = time.perf_counter()
             with trace_span("prune", unresolved=len(self._unresolved)):
                 self._prune_fixpoint()
-            self._timings["prune"] = (
-                self._timings.get("prune", 0.0) + time.perf_counter() - t1
-            )
+            self._charge("prune", t1)
 
-    def _check_int(self, txn: Transaction) -> List[AxiomViolation]:
-        """The Int axiom for one transaction (mirrors the batch check)."""
-        violations: List[AxiomViolation] = []
-        last_seen: dict = {}
-        for op in txn.ops:
-            if op.is_read and op.key in last_seen and op.value != last_seen[op.key]:
-                violations.append(AxiomViolation(
-                    "Int", txn, op.key, op.value,
-                    f"read {op.value!r} after observing "
-                    f"{last_seen[op.key]!r} on {op.key!r}",
-                ))
-            last_seen[op.key] = op.value
-        return violations
+    def _charge(self, stage: str, since: float) -> None:
+        """Add the seconds since ``since`` to a stage's cumulative time."""
+        self._timings[stage] = (
+            self._timings.get(stage, 0.0) + time.perf_counter() - since
+        )
 
     def _register_aborted(self, txn: Transaction) -> List[AxiomViolation]:
         """Index an aborted transaction's writes; flag readers that already
@@ -752,14 +664,12 @@ class OnlineChecker:
         self._live.append(True)
         self._pending_count.append(0)
         self._reads_of.append([])
-        self._dep_out.append(set())
-        self._dep_in.append(set())
-        self._antidep_out.append(set())
+        self._known.add_vertex()
         self._ki.add_vertex()
         if self._dep_reach is not None:
             self._dep_reach.add_vertex()
-        if self._solver is not None:
-            self._solver.add_vertex()
+        if self._enc is not None:
+            self._enc.solver.add_vertex()
         return vertex
 
     def _register_writes(self, txn: Transaction, vertex: int,
@@ -897,27 +807,29 @@ class OnlineChecker:
 
     def _add_known(self, edge: Edge) -> None:
         """Install a known typed edge and its induced-graph consequences."""
-        if self._violation is not None or edge in self._known_set:
+        if self._violation is not None or edge in self._known_edges:
             return
-        self._known_set.add(edge)
-        self._known_edges.append(edge)
-        u, v, label, key = edge
-        if label == RW:
-            self._antidep_out[u].add(v)
-            ki_pairs = [(p, v) for p in self._dep_in[u]]
-        else:
-            self._dep_out[u].add(v)
-            self._dep_in[v].add(u)
-            if label == WW and u != 0:
-                self._ww_succ.setdefault(u, {}).setdefault(key, set()).add(v)
-            if self._dep_reach is not None:
-                self._dep_reach.insert(u, v)
-            ki_pairs = [(u, v)]
-            ki_pairs.extend((u, w) for w in self._antidep_out[v])
-        for a, b in ki_pairs:
+        self._known_edges[edge] = None
+        self._note_ww(edge)
+        if not self._known.add(edge):
+            return
+        if edge[2] != RW and self._dep_reach is not None:
+            self._dep_reach.insert(edge[0], edge[1])
+        for a, b in self._known.induced_by(edge):
             self._add_ki(a, b)
             if self._violation is not None:
                 return
+
+    def _note_ww(self, edge: Edge) -> None:
+        """Window bookkeeping: per-key WW successors of real writers."""
+        u, v, label, key = edge
+        if label == WW and u != 0:
+            self._ww_succ.setdefault(u, {}).setdefault(key, set()).add(v)
+
+    def _rebuild_ww_succ(self) -> None:
+        self._ww_succ = {}
+        for edge in self._known_edges:
+            self._note_ww(edge)
 
     def _add_ki(self, a: int, b: int) -> None:
         """Insert one induced known edge; a cycle here is a violation."""
@@ -926,44 +838,39 @@ class OnlineChecker:
         self._solver_dirty = True
         status = self._ki.insert(a, b)
         if status == CYCLE:
-            self._latch("pruning", cycle=self._witness([]))
+            self._latch("pruning", cycle=self._witness())
             return
-        if self._solver is not None:
-            conflict = self._solver.add_static_edge(a, b)
+        if self._enc is not None:
+            conflict = self._enc.solver.add_static_edge(a, b)
             if conflict is not None:
                 # The cycle runs through edges the solver has proven
                 # mandatory (root-level facts): a violation, though the
                 # typed witness may be partial.
-                self._latch("solving", cycle=self._witness([]))
+                self._latch("solving", cycle=self._witness())
 
     # -- incremental pruning ---------------------------------------------------
 
-    def _branch_edges(self, key, first: int, second: int) -> List[Edge]:
-        edges: List[Edge] = [(first, second, WW, key)]
-        for reader in self._readers_from.get((first, key), ()):
-            if reader != second:
-                edges.append((reader, second, RW, key))
-        return edges
-
-    def _branch_impossible(self, edges: Sequence[Edge]) -> bool:
-        """The shared Section 4.3 rules against the incremental closure."""
-        return branch_impossible(edges, self._ki, self._dep_in)
+    def _constraint(self, ck: tuple) -> tuple:
+        """An unresolved constraint as the shared encoder consumes it:
+        ``(ck, either, orelse)``, branches materialized from the current
+        reader index."""
+        key, t, s = ck
+        return (ck, branch_edges(self._readers_from, key, t, s),
+                branch_edges(self._readers_from, key, s, t))
 
     def _prune_fixpoint(self) -> None:
+        reach, dep_preds = self._ki, self._known.dep_preds
         changed = True
         while changed and self._violation is None:
             changed = False
             for ck in list(self._unresolved):
                 if ck not in self._unresolved or self._violation is not None:
                     continue
-                key, t, s = ck
-                either = self._branch_edges(key, t, s)
-                orelse = self._branch_edges(key, s, t)
-                either_bad = self._branch_impossible(either)
-                orelse_bad = self._branch_impossible(orelse)
+                _ck, either, orelse = self._constraint(ck)
+                either_bad = branch_impossible(either, reach, dep_preds)
+                orelse_bad = branch_impossible(orelse, reach, dep_preds)
                 if either_bad and orelse_bad:
-                    cycle = (self._witness(list(either))
-                             or self._witness(list(orelse)))
+                    cycle = self._witness(either) or self._witness(orelse)
                     self._latch("pruning", cycle=cycle)
                     return
                 if either_bad:
@@ -979,9 +886,8 @@ class OnlineChecker:
         for vert in (ck[1], ck[2]):
             self._unresolved_touch[vert] -= 1
         self._resolved_dir[ck] = t_first
-        cvar = self._choice_var.get(ck)
-        if cvar is not None and self._solver is not None:
-            self._solver.add_clause([cvar if t_first else -cvar])
+        if self._enc is not None:
+            self._enc.resolve(ck, t_first)
         for edge in edges:
             self._add_known(edge)
             if self._violation is not None:
@@ -989,42 +895,22 @@ class OnlineChecker:
 
     # -- incremental solving ----------------------------------------------------
 
-    def _ensure_solver(self) -> AcyclicGraphSolver:
-        if self._solver is None:
-            static = [[] for _ in range(self._n)]
-            for u in range(self._n):
-                static[u] = list(self._ki.successors_direct(u))
-            self._solver = AcyclicGraphSolver(self._n, static_adj=static)
-        return self._solver
-
-    def _reset_solver_state(self) -> None:
-        """Discard the persistent solver and its variable tables.
-
-        The next solve lazily rebuilds a compact instance over the
-        *current* residue only: constraints resolved in the meantime
-        live on as static edges and need no re-encoding.  Learned
-        clauses are reused between resets and dropped at them — the
-        price of keeping the variable pool (which every solve call must
-        decide over) proportional to the live residue rather than the
-        whole stream.
-        """
-        self._solver = None
-        self._solver_dirty = True
-        self._dep_var = {}
-        self._rw_var = {}
-        self._choice_var = {}
-        self._emitted_branch = {}
-        self._emitted_terms = {}
-        self._new_terms = {}
-        self._and_cache = {}
+    def _solver_substrate(self) -> List[List[int]]:
+        return [list(self._ki.successors_direct(u)) for u in range(self._n)]
 
     def _solve_residue(self) -> None:
         """Encode whatever pruning left unresolved and re-solve.
 
-        Only the delta is encoded: clauses for branch edges not yet
-        clausified and Tseitin gates for induced-edge terms not yet
-        emitted.  The solver instance — and its learned clauses — carries
-        over from previous calls.
+        The shared encoder adds only the delta; its solver instance — and
+        its learned clauses — carries over from previous calls.  A
+        mostly-stale instance (resolved constraints left behind
+        unassigned variables that every solve must still decide) is
+        dropped first and lazily rebuilt over the *current* residue
+        only: constraints resolved in the meantime live on as static
+        edges and need no re-encoding.  Learned clauses are reused
+        between drops and lost at them — the price of keeping the
+        variable pool proportional to the live residue rather than the
+        whole stream.
         """
         if self._violation is not None or not self._unresolved:
             return
@@ -1032,121 +918,29 @@ class OnlineChecker:
             return  # nothing changed since the last (SAT) solve
         t0 = time.perf_counter()
         with trace_span("solve", unresolved=len(self._unresolved)) as span:
-            if (self._solver is not None and self._solver.num_vars > 64
-                    and self._solver.num_vars > 3 * len(self._unresolved)):
-                # Mostly-stale instance: resolved constraints left behind
-                # unassigned variables that every solve must still decide.
-                self._reset_solver_state()
-            solver = self._ensure_solver()
-            cur_dep: Dict[Tuple[int, int], int] = {}
-            cur_rw: Dict[Tuple[int, int], int] = {}
-            for ck in self._unresolved:
-                key, t, s = ck
-                cvar = self._choice_var.get(ck)
-                if cvar is None:
-                    cvar = solver.new_var()
-                    self._choice_var[ck] = cvar
-                emitted = self._emitted_branch.setdefault(ck, set())
-                for tag, branch in (("e", self._branch_edges(key, t, s)),
-                                    ("o", self._branch_edges(key, s, t))):
-                    lit = -cvar if tag == "e" else cvar
-                    for edge in branch:
-                        u, v, label, _k = edge
-                        table = cur_rw if label == RW else cur_dep
-                        table[(u, v)] = self._pair_var(edge, solver)
-                        if (tag, edge) not in emitted:
-                            emitted.add((tag, edge))
-                            solver.add_clause(
-                                [lit, self._pair_var(edge, solver)])
-            self._collect_induced_terms(cur_dep, cur_rw)
-            self._flush_terms(solver)
-            sat = solver.solve()
-            span.set(sat=sat, vars=solver.num_vars)
+            enc = self._enc
+            if (enc is not None and enc.solver.num_vars > 64
+                    and enc.solver.num_vars > 3 * len(self._unresolved)):
+                enc = None
+            if enc is None:
+                enc = self._enc = SIEncoding(
+                    self._n, self._solver_substrate())
+            constraints = [self._constraint(ck) for ck in self._unresolved]
+            enc.encode(constraints, self._known, self._ki.has)
+            sat = enc.solver.solve()
+            span.set(sat=sat, vars=enc.solver.num_vars)
         self._solves += 1
-        self._timings["solve"] = (
-            self._timings.get("solve", 0.0) + time.perf_counter() - t0
-        )
+        self._charge("solve", t0)
         if not sat:
-            self._latch("solving", cycle=self._extract_cycle(solver))
+            self._latch("solving", cycle=enc.violation_cycle(
+                self._known_edges, constraints))
         else:
             self._solver_dirty = False
 
-    def _pair_var(self, edge: Edge, solver: AcyclicGraphSolver) -> int:
-        """Persistent typed pair variable for a constraint edge."""
-        u, v, label, _key = edge
-        table = self._rw_var if label == RW else self._dep_var
-        var = table.get((u, v))
-        if var is None:
-            var = solver.new_var()
-            table[(u, v)] = var
-        return var
-
-    def _collect_induced_terms(self, cur_dep: Dict, cur_rw: Dict) -> None:
-        """Derivation terms for induced edges with a variable part — the
-        four shapes of the batch encoding (see core.encoding)."""
-        rw_by_tail: Dict[int, List[Tuple[int, int]]] = {}
-        for (k, j), rvar in cur_rw.items():
-            rw_by_tail.setdefault(k, []).append((j, rvar))
-        for (u, k), dvar in cur_dep.items():
-            self._add_term(u, k, ("single", dvar))
-            for j in self._antidep_out[k]:
-                self._add_term(u, j, ("single", dvar))
-            for j, rvar in rw_by_tail.get(k, ()):
-                self._add_term(u, j, ("and", dvar, rvar))
-        for (k, j), rvar in cur_rw.items():
-            for i in self._dep_in[k]:
-                self._add_term(i, j, ("single", rvar))
-
-    def _add_term(self, u: int, v: int, term: tuple) -> None:
-        if u != v and self._ki.has(u, v):
-            return  # the induced edge is permanently present already
-        seen = self._emitted_terms.setdefault((u, v), set())
-        if term in seen:
-            return
-        seen.add(term)
-        self._new_terms.setdefault((u, v), []).append(term)
-
-    def _flush_terms(self, solver: AcyclicGraphSolver) -> None:
-        """Tseitin-translate the newly collected terms into edge gates."""
-        for (u, v), terms in self._new_terms.items():
-            term_vars: List[int] = []
-            for term in terms:
-                if term[0] == "single":
-                    term_vars.append(term[1])
-                else:
-                    _tag, a, b = term
-                    aux = self._and_cache.get((a, b))
-                    if aux is None:
-                        aux = solver.new_var()
-                        self._and_cache[(a, b)] = aux
-                        solver.add_clause([-aux, a])
-                        solver.add_clause([-aux, b])
-                        solver.add_clause([aux, -a, -b])
-                    term_vars.append(aux)
-            gate = solver.new_var()
-            for tvar in term_vars:
-                solver.add_clause([-tvar, gate])
-            solver.add_clause([-gate] + term_vars)
-            solver.add_edge(gate, u, v)
-        self._new_terms = {}
-
-    def _extract_cycle(self, solver: AcyclicGraphSolver) -> Optional[List[Edge]]:
-        """After UNSAT: one concrete resolution's cycle, as typed edges."""
-        plain = solver.solve_without_acyclicity()
-        edges = list(self._known_edges)
-        for ck in self._unresolved:
-            key, t, s = ck
-            cvar = self._choice_var[ck]
-            if plain.model_value(cvar):
-                edges.extend(self._branch_edges(key, t, s))
-            else:
-                edges.extend(self._branch_edges(key, s, t))
-        return find_known_cycle(_EdgeBag(edges), [])
-
     # -- verdict plumbing --------------------------------------------------------
 
-    def _witness(self, extra: List[Edge]) -> Optional[List[Edge]]:
-        return find_known_cycle(_EdgeBag(self._known_edges), extra)
+    def _witness(self, extra: Sequence[Edge] = ()) -> Optional[List[Edge]]:
+        return find_known_cycle(self._known_edges, extra)
 
     def _latch(self, decided_by: str, *, anomalies: Optional[list] = None,
                cycle: Optional[List[Edge]] = None) -> None:
@@ -1185,8 +979,8 @@ class OnlineChecker:
             "closure_backend": self.closure_backend,
         }
         out.stats["closure"] = self._ki.counters()
-        if self._solver is not None:
-            out.stats["solver"] = self._solver.stats.as_dict()
+        if self._enc is not None:
+            out.stats["solver"] = self._enc.solver.stats.as_dict()
 
     def _publish_metrics(self) -> None:
         """Mirror the live stream state into the ambient metrics
@@ -1224,9 +1018,7 @@ class OnlineChecker:
                 with trace_span("compact", vertices=self._n):
                     self._compact()
                 log.debug("compacted to %d vertices", self._n)
-        self._timings["gc"] = (
-            self._timings.get("gc", 0.0) + time.perf_counter() - t0
-        )
+        self._charge("gc", t0)
         self._publish_metrics()
 
     def _evict_closed(self) -> None:
@@ -1325,33 +1117,17 @@ class OnlineChecker:
             kv: [m(r) for r in readers]
             for kv, readers in self._pending.items()
         }
-        kept_edges: List[Edge] = []
-        for u, v, label, key in self._known_edges:
-            if m(u) >= 0 and m(v) >= 0:
-                kept_edges.append((m(u), m(v), label, key))
-        self._known_edges = kept_edges
-        self._known_set = set(kept_edges)
-        self._dep_out = [set() for _ in range(self._n)]
-        self._dep_in = [set() for _ in range(self._n)]
-        self._antidep_out = [set() for _ in range(self._n)]
-        self._ww_succ = {}
-        for u, v, label, key in kept_edges:
-            if label == RW:
-                self._antidep_out[u].add(v)
-            else:
-                self._dep_out[u].add(v)
-                self._dep_in[v].add(u)
-                if label == WW and u != 0:
-                    self._ww_succ.setdefault(u, {}).setdefault(
-                        key, set()).add(v)
+        self._known_edges = dict.fromkeys(
+            (m(u), m(v), label, key)
+            for u, v, label, key in self._known_edges
+            if m(u) >= 0 and m(v) >= 0)
+        self._known.compact(old_to_new)
+        self._rebuild_ww_succ()
         self._unresolved = {
             (key, m(t), m(s)): True
             for (key, t, s) in self._unresolved
         }
-        self._unresolved_touch = {}
-        for (_key, t, s) in self._unresolved:
-            self._unresolved_touch[t] = self._unresolved_touch.get(t, 0) + 1
-            self._unresolved_touch[s] = self._unresolved_touch.get(s, 0) + 1
+        self._recount_touch()
         self._resolved_dir = {
             (key, m(t), m(s)): d
             for (key, t, s), d in self._resolved_dir.items()
@@ -1371,5 +1147,13 @@ class OnlineChecker:
             kv: rec for kv, rec in self._intermediate.items()
             if rec[1] >= horizon
         }
-        self._reset_solver_state()
+        self._enc = None
+        self._solver_dirty = True
         self._wstats.compactions += 1
+
+    def _recount_touch(self) -> None:
+        """Per-vertex count of unresolved constraints touching it."""
+        self._unresolved_touch = {}
+        for (_key, t, s) in self._unresolved:
+            self._unresolved_touch[t] = self._unresolved_touch.get(t, 0) + 1
+            self._unresolved_touch[s] = self._unresolved_touch.get(s, 0) + 1

@@ -282,7 +282,7 @@ class ParallelChecker:
         decomposes into two or more constrained components and
         ``"constraints"`` (shared-closure partitioned pruning + serial
         solve) otherwise; both can be forced.
-    prune / compact / closure / closure_backend / check_axioms_first:
+    prune / compact / closure_backend / check_axioms_first:
         Forwarded to the per-shard pipeline, same as PolySIChecker
         (``closure_backend`` is resolved once in the parent, so shards
         cannot diverge from it).
@@ -316,7 +316,6 @@ class ParallelChecker:
         strategy: str = "auto",
         prune: bool = True,
         compact: bool = True,
-        closure: str = "bits",
         closure_backend: Optional[str] = None,
         check_axioms_first: bool = True,
         early_cancel: bool = True,
@@ -336,10 +335,9 @@ class ParallelChecker:
         self.strategy = strategy
         self.early_cancel = early_cancel
         self._options = {"prune": prune, "compact": compact,
-                         "closure": closure,
                          "closure_backend": closure_backend,
                          "check_axioms_first": check_axioms_first}
-        # Validates prune/compact/closure immediately, and serves as the
+        # Validates the pipeline options immediately, and serves as the
         # parent-side stage runner.
         self._serial = PolySIChecker(**self._options)
         # Pin the resolved name so every worker shard uses the same
@@ -430,7 +428,6 @@ class ParallelChecker:
                             pooled=executor is not None) as span:
                 prune_result = prune_constraints_parallel(
                     graph, executor, self.pool_workers,
-                    closure=self._serial.closure,
                     backend=self._serial.closure_backend,
                 )
                 span.set(iterations=prune_result.iterations,

@@ -12,9 +12,9 @@ the constraint list can be split across workers that share that one
 closure, and the concatenated decisions are bit-for-bit what a serial
 pass would compute.
 
-The parent then applies the decisions in constraint order through the
-same :func:`repro.core.pruning.apply_decisions` the serial checker uses,
-which preserves everything downstream: resolved-edge insertion order,
+The parent then applies the decisions in constraint order — it runs the
+serial checker's own :func:`repro.core.pruning.prune_constraints` loop,
+only the classifier differs — which preserves everything downstream: resolved-edge insertion order,
 fixpoint iteration count, the first violating constraint, and its
 reconstructed witness cycle.  ``prune_constraints_parallel`` is therefore
 *serial-identical*, not merely verdict-equivalent.
@@ -22,16 +22,15 @@ reconstructed witness cycle.  ``prune_constraints_parallel`` is therefore
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from ..core.polygraph import Constraint, GeneralizedPolygraph
 from ..core.pruning import (
     PruneResult,
-    PruneState,
-    apply_decisions,
     classify_constraints,
+    prune_constraints,
 )
-from ..utils.reachability import Reachability, transitive_closure_bits
+from ..utils.reachability import Reachability
 
 __all__ = ["classify_shard", "prune_constraints_parallel"]
 
@@ -74,7 +73,6 @@ def prune_constraints_parallel(
     executor,
     workers: int,
     *,
-    closure: Callable = transitive_closure_bits,
     backend=None,
 ) -> PruneResult:
     """Serial-identical pruning with sharded classification.
@@ -85,37 +83,21 @@ def prune_constraints_parallel(
     slices per iteration.  Small iterations fall back to in-process
     classification — the schedule adapts, the decisions never do.
 
-    The parent maintains one incremental
-    :class:`~repro.core.pruning.PruneState` (the same shared closure
-    kernel the serial and online checkers use); each iteration ships
-    the state's current bitset rows to the workers instead of
-    recomputing a closure, and applies their concatenated decisions
-    back through the state.
+    This is :func:`repro.core.pruning.prune_constraints` — the same
+    fixpoint loop over the same parent-held
+    :class:`~repro.core.pruning.PruneState` — with a classifier that
+    ships the state's current bitset rows to the workers instead of
+    classifying in-process.
     """
-    result = PruneResult()
-    result.constraints_before = graph.num_constraints
-    result.unknown_deps_before = graph.num_unknown_deps
-
-    state = PruneState(graph, closure=closure, backend=backend)
-    while True:
-        result.iterations += 1
-        constraints = graph.constraints
+    def classify(constraints, reach, dep_preds):
         if (executor is None or workers <= 1
                 or len(constraints) < MIN_PARALLEL_CONSTRAINTS):
-            decisions = classify_constraints(constraints, state.reach,
-                                             state.dep_preds)
-        else:
-            rows = state.reach.int_rows()
-            futures = [
-                executor.submit(classify_shard, rows,
-                                state.dep_preds, chunk)
-                for chunk in _chunks(constraints, workers)
-            ]
-            decisions = [d for future in futures for d in future.result()]
-        changed = apply_decisions(graph, decisions, result, state=state)
-        if not result.ok or not changed:
-            break
+            return classify_constraints(constraints, reach, dep_preds)
+        rows = reach.int_rows()
+        futures = [
+            executor.submit(classify_shard, rows, dep_preds, chunk)
+            for chunk in _chunks(constraints, workers)
+        ]
+        return [d for future in futures for d in future.result()]
 
-    result.constraints_after = graph.num_constraints
-    result.unknown_deps_after = graph.num_unknown_deps
-    return result
+    return prune_constraints(graph, backend=backend, classify=classify)

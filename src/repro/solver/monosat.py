@@ -66,6 +66,10 @@ class AcyclicGraphSolver:
         self._theory.register_edge(var, u, v)
         self._edges[var] = (u, v)
 
+    def watches_var(self, var: int) -> bool:
+        """Whether ``var`` already stands for an edge."""
+        return self._theory.watches_var(var)
+
     # -- persistence (checkpointed online checking) ---------------------------
 
     def export_state(self) -> dict:

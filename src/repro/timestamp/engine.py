@@ -51,7 +51,7 @@ logger = get_logger("timestamp")
 #: the global axiom pass (the timestamp conditions do not imply Int /
 #: AbortedReads / IntermediateReads) and always reads initial values as
 #: :data:`~repro.core.history.INITIAL_VALUE`.
-PIPELINE_OPTIONS = ("prune", "compact", "closure", "closure_backend")
+PIPELINE_OPTIONS = ("prune", "compact", "closure_backend")
 
 
 class TimestampResult:
@@ -96,13 +96,11 @@ class TimestampChecker:
         *,
         prune: bool = True,
         compact: bool = True,
-        closure: str = "bits",
         closure_backend: Optional[str] = None,
     ):
         self._pipeline = {
             "prune": prune,
             "compact": compact,
-            "closure": closure,
             "closure_backend": closure_backend,
         }
 

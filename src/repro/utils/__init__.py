@@ -16,7 +16,6 @@ through :func:`resolve_closure_backend`.
 from .closure import (
     BACKEND_ENV,
     ClosureBackend,
-    IncrementalClosure,
     PyBitsetClosure,
     available_closure_backends,
     register_closure_backend,
@@ -33,7 +32,6 @@ from .reachability import (
 __all__ = [
     "BACKEND_ENV",
     "ClosureBackend",
-    "IncrementalClosure",
     "PyBitsetClosure",
     "available_closure_backends",
     "register_closure_backend",

@@ -83,7 +83,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Type, Union
 __all__ = [
     "ClosureBackend",
     "PyBitsetClosure",
-    "IncrementalClosure",
     "NEW",
     "KNOWN",
     "CYCLE",
@@ -169,6 +168,14 @@ class ClosureBackend:
             "compacts": self._ncompact,
             "queries": self._nquery,
         }
+
+    def adopt_counters(self, other: "ClosureBackend") -> None:
+        """Continue ``other``'s operation counters — for a closure that
+        replaces ``other`` (a bulk reseed), so what :meth:`counters`
+        reports stays monotone across the swap."""
+        self._inew, self._iknown, self._icycle = (
+            other._inew, other._iknown, other._icycle)
+        self._ncompact, self._nquery = other._ncompact, other._nquery
 
     # -- introspection -------------------------------------------------------
 
@@ -396,12 +403,6 @@ class PyBitsetClosure(ClosureBackend):
         # itself: paths through evicted vertices must stay edges.
         self.edges = list(self.rows)
         return old_to_new
-
-
-#: Historical name of the (then only) kernel; the online checker's
-#: module path ``repro.online.closure`` and existing call sites import
-#: this alias.
-IncrementalClosure = PyBitsetClosure
 
 
 # -- backend registry --------------------------------------------------------

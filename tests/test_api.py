@@ -274,7 +274,7 @@ class TestRegistryErrors:
 class TestCheckOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CheckOptions(closure="gpu")
+            CheckOptions(strategy="gpu")
         with pytest.raises(ValueError):
             CheckOptions(workers=0)
         with pytest.raises(ValueError):

@@ -61,6 +61,18 @@ EXPECTED_COMBOS = sorted([
     ("ser", "batch", "naive"),
 ])
 
+#: Every independently settable CheckOptions field (21: the `closure`
+#: seed-kernel switch had one value in use and became a constant).
+EXPECTED_OPTION_FIELDS = sorted([
+    "prune", "compact", "closure_backend", "check_axioms_first",
+    "initial_values",
+    "workers", "strategy", "oversubscribe", "early_cancel", "max_shards",
+    "solve_every", "max_live", "sessions",
+    "state_dir", "resume", "checkpoint_every",
+    "gpu", "max_states", "max_orders", "max_txns",
+    "trace",
+])
+
 #: The façade names re-exported at top level.
 EXPECTED_TOP_LEVEL_FACADE = ["CheckOptions", "Checker", "Report", "api",
                              "check"]
@@ -68,6 +80,11 @@ EXPECTED_TOP_LEVEL_FACADE = ["CheckOptions", "Checker", "Report", "api",
 
 def test_api_exports_snapshot():
     assert sorted(api.__all__) == EXPECTED_API_EXPORTS, SNAPSHOT_POLICY
+
+
+def test_check_options_fields_snapshot():
+    assert sorted(api.CheckOptions.field_names()) == EXPECTED_OPTION_FIELDS, (
+        SNAPSHOT_POLICY)
 
 
 def test_registered_engine_names_snapshot():

@@ -120,7 +120,6 @@ class TestCheckerOptions:
         {"prune": False},
         {"compact": False},
         {"prune": False, "compact": False},
-        {"closure": "numpy"},
         {"check_axioms_first": False},
     ])
     def test_variants_agree_on_catalog(self, options):
@@ -134,10 +133,6 @@ class TestCheckerOptions:
         checker = PolySIChecker(**options)
         for history, expected in cases:
             assert checker.check(history).satisfies_si == expected
-
-    def test_unknown_closure_rejected(self):
-        with pytest.raises(ValueError):
-            PolySIChecker(closure="gpu")
 
     def test_timings_present(self):
         res = verdict(serializable_history())

@@ -82,13 +82,15 @@ class TestParallelFlags:
     def test_check_parallel_valid_history(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         dump_history(serializable_history(), str(path))
-        assert main(["check", str(path), "--parallel", "2"]) == 0
+        assert main(["check", str(path), "--mode", "parallel",
+                     "--workers", "2"]) == 0
         assert "satisfies" in capsys.readouterr().out
 
     def test_check_parallel_violation(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         dump_history(long_fork_history(), str(path))
-        assert main(["check", str(path), "--parallel", "2", "--explain"]) == 1
+        assert main(["check", str(path), "--mode", "parallel",
+                     "--workers", "2", "--explain"]) == 1
         out = capsys.readouterr().out
         assert "violates" in out
         assert "anomaly class: long fork" in out
@@ -98,9 +100,10 @@ class TestParallelFlags:
         path = tmp_path / "h.json"
         dump_history(serializable_history(), str(path))
         with pytest.raises(SystemExit):
-            main(["check", str(path), "--parallel", value])
+            main(["check", str(path), "--mode", "parallel",
+                  "--workers", value])
         err = capsys.readouterr().err
-        assert "--parallel" in err
+        assert "--workers" in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_audit_parallel_rejects_bad_values(self, capsys, value):
@@ -108,12 +111,6 @@ class TestParallelFlags:
             main(["audit", "--profile", "mariadb-galera-sim",
                   "--parallel", value])
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_check_parallel_stream_conflict(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        dump_history(serializable_history(), str(path))
-        assert main(["check", str(path), "--stream", "--parallel", "2"]) == 2
-        assert "batch pipeline" in capsys.readouterr().err
 
     def test_audit_parallel_finds_violation(self, capsys):
         code = main([
@@ -188,7 +185,7 @@ class TestFacadeFlags:
         assert "dbcop" in capsys.readouterr().err
 
     def test_solve_every_is_ignored_outside_online(self, tmp_path, capsys):
-        """Pre-2.0 scripts passing --solve-every without --stream keep
+        """Pre-2.0 scripts passing --solve-every outside online mode keep
         working: the flag is ignored with a note, not a hard error."""
         path = self._dump(tmp_path, serializable_history())
         assert main(["check", path, "--solve-every", "8"]) == 0
@@ -196,18 +193,14 @@ class TestFacadeFlags:
         assert "satisfies" in captured.out
         assert "--solve-every" in captured.err
 
-    def test_stream_alias_maps_to_online(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--stream", "--parallel"])
+    def test_removed_aliases_are_rejected(self, tmp_path, capsys, flag):
+        """The pre-2.0 aliases are gone; argparse must not accept them
+        as abbreviations of anything either."""
         path = self._dump(tmp_path, serializable_history())
-        assert main(["check", path, "--stream"]) == 0
-        captured = capsys.readouterr()
-        assert "satisfies" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_stream_conflicts_with_explicit_mode(self, tmp_path, capsys):
-        path = self._dump(tmp_path, serializable_history())
-        assert main(["check", path, "--stream",
-                     "--mode", "parallel"]) == 2
-        assert "conflicts" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["check", path, flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_engines_listing(self, capsys):
         assert main(["engines"]) == 0
@@ -249,14 +242,6 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert needle in captured.err
         assert captured.err.startswith("error:") or "note:" in captured.err
-
-    def test_stream_parallel_conflict_is_two(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        dump_history(serializable_history(), str(path))
-        assert main(["check", str(path), "--stream",
-                     "--parallel", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
 
     def test_explain_requires_evidence_mode(self, tmp_path, capsys):
         path = tmp_path / "h.json"

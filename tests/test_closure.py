@@ -17,7 +17,6 @@ from repro.utils.closure import (
     CYCLE,
     KNOWN,
     NEW,
-    IncrementalClosure,
     available_closure_backends,
     resolve_closure_backend,
 )
@@ -155,15 +154,3 @@ class TestCompactEdgeCases:
         assert old_to_new == [-1, -1, 1, 0]
         assert inc.has(1, 0)  # old 2 ~> 3 is new 1 ~> 0
         assert not inc.has(0, 1)
-
-
-class TestCompatImports:
-    def test_online_path_still_importable(self):
-        from repro.online.closure import IncrementalClosure as OnlineAlias
-
-        assert OnlineAlias is IncrementalClosure
-
-    def test_utils_package_export(self):
-        from repro.utils import IncrementalClosure as UtilsAlias
-
-        assert UtilsAlias is IncrementalClosure

@@ -65,14 +65,6 @@ class TestPolySIAgainstOracle:
             == naive_check_si(history)
         )
 
-    @given(small_histories())
-    @settings(max_examples=80, deadline=None)
-    def test_numpy_closure(self, history):
-        assert (
-            PolySIChecker(closure="numpy").check(history).satisfies_si
-            == naive_check_si(history)
-        )
-
 
 class TestBaselinesAgainstOracle:
     @given(small_histories())

@@ -55,10 +55,11 @@ def test_readme_cli_excerpt_lists_every_subcommand():
         )
 
 
-def test_readme_mentions_parallel_and_stream_flags():
+def test_readme_mentions_parallel_and_online_flags():
     """The flags the quickstart historically omitted stay documented."""
     readme = _read(os.path.join(REPO_ROOT, "README.md"))
-    for flag in ("--parallel", "--stream", "repro watch", "repro collect"):
+    for flag in ("--parallel", "--mode online", "repro watch",
+                 "repro collect"):
         assert flag in readme, f"README quickstart omits {flag!r}"
 
 

@@ -1,6 +1,6 @@
 """Tests for the SAT encoding of the induced SI graph (repro.core.encoding)."""
 
-from repro.core.encoding import encode_polygraph, extract_violation_cycle
+from repro.core.encoding import encode_polygraph, graph_constraints
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import RW, WW, build_polygraph
 from repro.core.pruning import prune_constraints
@@ -74,7 +74,8 @@ class TestVariablePart:
         enc = encode_polygraph(graph)
         assert not enc.static_cycle
         assert not enc.solver.solve()
-        cycle = extract_violation_cycle(enc)
+        cycle = enc.violation_cycle(graph.known_edges,
+                                    graph_constraints(graph))
         assert cycle is not None
         # Figure 3(e): the witness alternates WR and RW over x and y.
         labels = [e[2] for e in cycle]
@@ -90,7 +91,8 @@ class TestVariablePart:
         enc = encode_polygraph(graph)
         assert not enc.static_cycle
         assert not enc.solver.solve()
-        cycle = extract_violation_cycle(enc)
+        cycle = enc.violation_cycle(graph.known_edges,
+                                    graph_constraints(graph))
         assert cycle is not None
 
     def test_resolved_edges_cover_known_and_branches(self):
@@ -98,7 +100,8 @@ class TestVariablePart:
         graph, _ = build_polygraph(h)
         enc = encode_polygraph(graph)
         assert enc.solver.solve()
-        edges = enc.resolved_edges(enc.solver)
+        edges = enc.resolved_edges(enc.solver, graph.known_edges,
+                                   graph_constraints(graph))
         ww = [e for e in edges if e[2] == WW]
         assert len(ww) == 1  # exactly one branch chosen
 
@@ -130,5 +133,6 @@ class TestInducedSelfLoops:
         # Still satisfiable: solver must pick WW(writer2 -> writer0)... or
         # the opposite; at least one branch avoids the loop.
         assert enc.solver.solve()
-        edges = enc.resolved_edges(enc.solver)
+        edges = enc.resolved_edges(enc.solver, graph.known_edges,
+                                   graph_constraints(graph))
         assert (0, 1, WW, "x") in edges or (1, 0, WW, "x") in edges

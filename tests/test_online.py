@@ -11,8 +11,8 @@ import pytest
 
 from repro.core.checker import check_snapshot_isolation
 from repro.core.history import ABORTED, DuplicateValueError, HistoryBuilder, R, W
-from repro.online import IncrementalClosure, OnlineChecker, WindowPolicy
-from repro.online.closure import CYCLE, KNOWN, NEW
+from repro.online import OnlineChecker, WindowPolicy
+from repro.utils.closure import CYCLE, KNOWN, NEW, PyBitsetClosure
 from repro.solver.monosat import AcyclicGraphSolver
 from repro.storage.client import run_workload, stream_workload
 from repro.storage.database import MVCCDatabase
@@ -258,7 +258,7 @@ class TestWindowEviction:
 
 class TestIncrementalClosure:
     def test_insert_and_query(self):
-        c = IncrementalClosure(4)
+        c = PyBitsetClosure(4)
         assert c.insert(0, 1) == NEW
         assert c.insert(1, 2) == NEW
         assert c.has(0, 2) and not c.has(2, 0)
@@ -266,7 +266,7 @@ class TestIncrementalClosure:
         assert c.insert(2, 0) == CYCLE
 
     def test_ancestors_updated(self):
-        c = IncrementalClosure(5)
+        c = PyBitsetClosure(5)
         c.insert(0, 1)
         c.insert(2, 3)
         c.insert(1, 2)          # joins the two chains
@@ -274,11 +274,11 @@ class TestIncrementalClosure:
         assert list(c.successors(0)) == [1, 2, 3]
 
     def test_self_loop_is_cycle(self):
-        c = IncrementalClosure(2)
+        c = PyBitsetClosure(2)
         assert c.insert(1, 1) == CYCLE
 
     def test_compact_preserves_transitive_paths(self):
-        c = IncrementalClosure(4)
+        c = PyBitsetClosure(4)
         c.insert(0, 1)
         c.insert(1, 2)
         c.insert(2, 3)
@@ -346,9 +346,10 @@ class TestOnlineCLI:
         bad = tmp_path / "bad.json"
         dump_history(serializable_history(), str(ok))
         dump_history(long_fork_history(), str(bad))
-        assert main(["check", str(ok), "--stream"]) == 0
-        assert main(["check", str(bad), "--stream"]) == 1
-        assert main(["check", str(ok), "--stream", "--solve-every", "4"]) == 0
+        assert main(["check", str(ok), "--mode", "online"]) == 0
+        assert main(["check", str(bad), "--mode", "online"]) == 1
+        assert main(["check", str(ok), "--mode", "online",
+                     "--solve-every", "4"]) == 0
 
 
 class TestDocsDeliverables:

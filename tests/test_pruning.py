@@ -1,13 +1,9 @@
 """Tests for constraint pruning (repro.core.pruning)."""
 
-import random
-
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import RW, WW, build_polygraph
 from repro.core.pruning import find_known_cycle, prune_constraints
-from repro.utils.reachability import transitive_closure_numpy
 from repro.workloads.generator import WorkloadParams, generate_history
-from repro.workloads.random_histories import random_history
 
 from _helpers import build, long_fork_history, lost_update_history
 
@@ -63,7 +59,7 @@ class TestBasicPruning:
         assert result.ok  # pruning resolves; it does not decide here
         assert result.constraints_before == 4
         assert result.constraints_after == 0
-        cycle = find_known_cycle(graph, [])
+        cycle = find_known_cycle(graph.known_edges)
         assert cycle is not None
         assert sorted(e[2] for e in cycle) == ["RW", "RW", "WR", "WR"]
 
@@ -131,34 +127,16 @@ class TestPruningViolations:
         assert res.decided_by == "pruning"
 
 
-class TestNumpyKernel:
-    def test_numpy_closure_equivalent(self, rng):
-        for seed in range(20):
-            local = random.Random(seed)
-            h = random_history(local, sessions=3, txns_per_session=2,
-                               max_ops=4, keys=3)
-            g1, v1 = build_polygraph(h)
-            g2, v2 = build_polygraph(h)
-            if v1:
-                continue
-            r1 = prune_constraints(g1)
-            r2 = prune_constraints(g2, closure=transitive_closure_numpy)
-            assert r1.ok == r2.ok
-            assert sorted(map(str, g1.known_edges)) == sorted(
-                map(str, g2.known_edges)
-            )
-
-
 class TestFindKnownCycle:
     def test_no_cycle_returns_none(self):
         h = build([W("x", 1)], [R("x", 1)])
         graph, _ = build_polygraph(h)
-        assert find_known_cycle(graph, []) is None
+        assert find_known_cycle(graph.known_edges) is None
 
     def test_extra_edges_close_cycle(self):
         h = build([W("x", 1)], [R("x", 1)])
         graph, _ = build_polygraph(h)
-        cycle = find_known_cycle(graph, [(1, 0, WW, "x")])
+        cycle = find_known_cycle(graph.known_edges, [(1, 0, WW, "x")])
         assert cycle is not None
         assert {(e[0], e[1]) for e in cycle} == {(0, 1), (1, 0)}
 
@@ -171,7 +149,7 @@ class TestFindKnownCycle:
         b.txn(2, [W("x", 2)])
         graph, _ = build_polygraph(b.build())
         cycle = find_known_cycle(
-            graph, [(1, 2, RW, "x"), (2, 0, WW, "x")]
+            graph.known_edges, [(1, 2, RW, "x"), (2, 0, WW, "x")]
         )
         assert cycle is not None
         labels = [e[2] for e in cycle]

@@ -159,6 +159,54 @@ class TestSnapshotRestoreEquivalence:
             checker.snapshot()
 
 
+class TestCheckpointWrittenByAnEarlierBuild:
+    """``tests/data/checkpoint_f8d5e43.json`` is
+    ``OnlineChecker.snapshot()`` output written by commit f8d5e43 — the
+    last build whose online checker carried its own SAT encoder —
+    mid-stream, with eight unresolved constraints and a live solver
+    (learned clauses, an and-gate, emitted-term tables), plus the rest
+    of the stream and the verdict that build reached after restoring
+    it.  The shared encoder must accept that payload as is."""
+
+    @staticmethod
+    def _fixture():
+        import json
+        import os
+
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "data", "checkpoint_f8d5e43.json")
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_restores_and_finishes_with_the_same_verdict(self):
+        from repro.core.history import Operation
+
+        fixture = self._fixture()
+        assert fixture["state"]["solver"]["and_cache"]
+        checker = OnlineChecker.restore(fixture["state"])
+        for session, ops, status in fixture["tail"]:
+            checker.add(session, [Operation(*op) for op in ops],
+                        status=status)
+        final = checker.finish()
+        expect = fixture["expect"]
+        assert final.satisfies_si == expect["satisfies_si"]
+        assert final.stats["known_edges"] == expect["known_edges"]
+        assert final.stats["accepted"] == expect["accepted"]
+
+    def test_payload_shape_is_unchanged(self):
+        from repro.online.checker import STATE_VERSION
+
+        fixture = self._fixture()["state"]
+        assert STATE_VERSION == fixture["v"] == 1
+        again = OnlineChecker.restore(fixture).snapshot()
+        assert set(again) == set(fixture)
+        assert set(again["solver"]) == set(fixture["solver"])
+        for table in ("dep_var", "rw_var", "choice_var", "and_cache",
+                      "emitted_branch", "emitted_terms", "clauses", "edges"):
+            assert (sorted(map(repr, again["solver"][table]))
+                    == sorted(map(repr, fixture["solver"][table]))), table
+
+
 class TestPersistentCheck:
     def test_interrupted_run_converges_to_uninterrupted_verdict(
             self, tmp_path):

@@ -129,15 +129,16 @@ class TestSegmentedChecking:
         result = check_segmented(run, prune=False)
         assert result.satisfies_si
 
-    def test_faster_than_whole_history_checking(self):
-        """The Section 6 motivation: segment cost beats whole-history cost
-        on longer runs."""
-        import time
-
+    def test_segments_are_smaller_than_the_whole_history(self):
+        """The Section 6 motivation: every segment's polygraph is
+        smaller than the whole history's, in vertices and in
+        constraints (what that buys in seconds is
+        ``benchmarks/bench_segmented.py``'s job to measure)."""
         run = make_run(sessions=6, txns=50, keys=60, snapshot_every=40)
         seg_result = check_segmented(run)
-        t0 = time.perf_counter()
-        check_snapshot_isolation(run.full_history())
-        full_seconds = time.perf_counter() - t0
+        full = PolySIChecker().check(run.full_history()).polygraph
         assert seg_result.satisfies_si
-        assert seg_result.total_seconds < full_seconds * 1.2
+        assert len(seg_result.segment_results) > 1
+        graphs = [r.polygraph for r in seg_result.segment_results]
+        assert max(g.num_vertices for g in graphs) < full.num_vertices
+        assert max(g.num_constraints for g in graphs) < full.num_constraints

@@ -70,6 +70,18 @@ def service():
         handle.stop()
 
 
+def _await_checked(client, tenant, events, timeout=5.0):
+    """Poll until the tenant's worker has checked ``events`` events (the
+    push is acknowledged at enqueue, before the worker runs)."""
+    import time
+
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if client.verdict(tenant)["events"] == events:
+            return
+        time.sleep(0.02)
+
+
 class TestEndpoints:
     def test_health_and_ready(self, service):
         _, _, client = service()
@@ -274,6 +286,8 @@ class TestObservability:
         run = collect_run(seed=1)
         client.push_events("alpha", run.iter_events(),
                            sessions=SMALL.sessions)
+        # Per-tenant series appear once the tenant worker has run.
+        _await_checked(client, "alpha", len(run.history))
         text = client.metrics_text()
         assert "# TYPE repro_service_http_requests counter" in text
         assert "repro_service_events_ingested" in text
@@ -281,17 +295,11 @@ class TestObservability:
         assert 'tenant="alpha"' in text
 
     def test_trace_endpoint_serves_live_chrome_trace(self, service):
-        import time
-
         _, _, client = service()
         run = collect_run(seed=1)
         client.push_events("traced", run.iter_events(),
                            sessions=SMALL.sessions)
-        deadline = time.time() + 5
-        while time.time() < deadline:
-            if client.verdict("traced")["events"] == len(run.history):
-                break
-            time.sleep(0.02)
+        _await_checked(client, "traced", len(run.history))
         document = client.trace("traced")
         assert document["traceEvents"], "expected live spans"
         payload = document["otherData"]["repro_trace"]
