@@ -32,21 +32,46 @@ backends.  End-to-end corpora are small graphs where python big-ints
 are competitive; the kernel trace is where the numpy backend earns its
 keep, and both are reported so neither story hides the other.
 
+The **classify** series isolates one fixpoint iteration's
+classification — every constraint of a read-heavy polygraph against
+one frozen closure — and times the shipped rule (bitset algebra on one
+closure row per branch, ``repro.core.pruning.branch_impossible``)
+against the rule it replaced (one ``has()`` call per Dep-predecessor,
+kept as the test oracle in ``tests/_helpers.py``), per registered
+backend, with identical decisions asserted (series
+``classify[<backend>]`` / ``classify-reference[<backend>]``, notes
+``classify_speedup`` / ``classify_bar_met`` for the resolved backend).
+ROADMAP's rule for a single-layer optimisation applies: below 1.3x at
+full scale the run fails, because the change is then to be reverted,
+not kept behind a flag.
+
 Run:  PYTHONPATH=../src python bench_prune.py
 """
 
+import os
+import sys
 import time
 
 import pytest
 
-from _common import note_stage_seconds, scaled
+from _common import SCALE, note_stage_seconds, scaled
 from repro.bench.harness import render_table
 from repro.bench.results import BenchReport
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import build_polygraph
-from repro.core.pruning import prune_constraints, prune_constraints_recompute
+from repro.core.pruning import (
+    PruneState,
+    classify_constraints,
+    prune_constraints,
+    prune_constraints_recompute,
+)
 from repro.utils.closure import available_closure_backends, resolve_closure_backend
 from repro.workloads.generator import WorkloadParams, generate_history
+
+# The replaced rule lives with the test oracles, its only other caller.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from _helpers import branch_impossible_reference  # noqa: E402
 
 #: Wall-clock best-of-N to damp scheduler noise.
 ROUNDS = 3
@@ -62,6 +87,10 @@ NUMPY_SPEEDUP_BAR = 3.0
 #: insert propagates ~n/2 ancestor rows on average — the regime batch
 #: pruning reaches on large histories, where the bulk row OR dominates.
 KERNEL_CASCADE_N = scaled(2048, minimum=256)
+
+#: ROADMAP's keep-or-revert line for an optimisation of one layer, applied
+#: to the mask classification rule at full scale.
+CLASSIFY_SPEEDUP_BAR = 1.3
 
 #: DESIGN.md S11 budget: the *disabled* observability path (no ambient
 #: tracer/registry installed — what every non-traced caller pays) must
@@ -105,6 +134,22 @@ def workload_history(read_proportion: float, seed: int = 1):
         ops_per_txn=scaled(8),
         read_proportion=read_proportion,
         keys=scaled(500),
+        distribution="zipfian",
+    )
+    return generate_history(params, seed=seed).history
+
+
+def read_heavy_history(seed: int = 1):
+    """The GeneralRH shape: 95 % reads over a zipfian key space, so hot
+    versions have many readers and every branch carries many RW edges
+    whose tails have many Dep-predecessors — the work per branch the
+    classification rule is judged on."""
+    params = WorkloadParams(
+        sessions=16,
+        txns_per_session=scaled(100),
+        ops_per_txn=8,
+        read_proportion=0.95,
+        keys=scaled(4000),
         distribution="zipfian",
     )
     return generate_history(params, seed=seed).history
@@ -169,6 +214,51 @@ def kernel_cascade(backend_name: str, n: int) -> tuple:
             closure.insert(i, i + 1)
         best = min(best, time.perf_counter() - start)
     return best, closure.int_rows()
+
+
+def classify_seconds(history, backend_name: str) -> tuple:
+    """(reference seconds, shipped seconds, constraints) for classifying
+    every constraint of ``history``'s polygraph once against its seeded
+    closure under ``backend_name`` — best of ROUNDS each, identical
+    decisions asserted."""
+    graph, violations = build_polygraph(history)
+    assert not violations
+    state = PruneState(graph, backend=backend_name)
+    reach, known = state.reach, state.known
+    constraints = graph.constraints
+
+    def reference():
+        dep_preds = known.dep_preds
+        return [
+            (branch_impossible_reference(cons.either, reach, dep_preds),
+             branch_impossible_reference(cons.orelse, reach, dep_preds))
+            for cons in constraints
+        ]
+
+    def shipped():
+        return classify_constraints(constraints, reach, known.pred_mask)
+
+    def best_call(fn) -> tuple:
+        best = float("inf")
+        for _ in range(ROUNDS):
+            start = time.perf_counter()
+            decisions = fn()
+            best = min(best, time.perf_counter() - start)
+        return best, decisions
+
+    reference_s, want = best_call(reference)
+    shipped_s, got = best_call(shipped)
+    assert got == want, (
+        f"mask rule diverged from the per-predecessor rule ({backend_name})"
+    )
+    return reference_s, shipped_s, len(constraints)
+
+
+@pytest.mark.parametrize("backend", available_closure_backends())
+def test_classify_rule_parity(backend):
+    reference, shipped, constraints = classify_seconds(
+        read_heavy_history(), backend)
+    assert constraints and reference > 0 and shipped > 0
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -262,6 +352,7 @@ def main():
         "closure_backends": backends,
         "numpy_speedup_bar": NUMPY_SPEEDUP_BAR,
         "kernel_cascade_n": KERNEL_CASCADE_N,
+        "classify_speedup_bar": CLASSIFY_SPEEDUP_BAR,
     })
     rows = []
     speedups = {}
@@ -321,6 +412,28 @@ def main():
         report.note("kernel_speedup_numpy", round(kernel_speedup, 2))
         report.note("numpy_bar_met", numpy_bar_met)
 
+    # The classification rule on its own: one iteration's worth of
+    # branches against one frozen closure, old rule vs shipped rule.
+    read_heavy = read_heavy_history()
+    resolved = resolve_closure_backend().name
+    classify_rows = []
+    classify_speedups = {}
+    for backend in backends:
+        reference, shipped, constraints = classify_seconds(
+            read_heavy, backend)
+        report.add_point(f"classify-reference[{backend}]", constraints,
+                         seconds=reference, axis="constraints")
+        report.add_point(f"classify[{backend}]", constraints,
+                         seconds=shipped, axis="constraints")
+        classify_speedups[backend] = reference / shipped
+        classify_rows.append([backend, constraints, f"{reference:.3f}",
+                              f"{shipped:.3f}",
+                              f"{reference / shipped:.2f}x"])
+    classify_bar_met = classify_speedups[resolved] >= CLASSIFY_SPEEDUP_BAR
+    report.note("classify_speedup", round(classify_speedups[resolved], 2))
+    report.note("classify_bar_met", classify_bar_met)
+    report.note("classify_parity", "ok")
+
     # Stage-level cost breakdown of one traced batch check (DESIGN S11).
     note_stage_seconds(report, CORPORA["cascade"]())
     # ... and the disabled-overhead budget gate: the no-op observability
@@ -357,8 +470,27 @@ def main():
               f"({bar} the {NUMPY_SPEEDUP_BAR:.0f}x bar)")
     print(f"disabled observability overhead: {overhead_pct:.3f}% of the "
           f"cascade fixpoint (budget {TRACE_OVERHEAD_BAR_PCT:.0f}%)")
+
+    print(f"\nClassification rule, one iteration over a read-heavy "
+          f"polygraph ({len(read_heavy)} txns, best of {ROUNDS}, seconds; "
+          "identical decisions asserted)")
+    print(render_table(
+        ["backend", "constraints", "per-predecessor", "mask", "speedup"],
+        classify_rows,
+    ))
+    bar = "meets" if classify_bar_met else "below"
+    print(f"classify speedup [{resolved}]: "
+          f"{classify_speedups[resolved]:.2f}x "
+          f"({bar} the {CLASSIFY_SPEEDUP_BAR}x keep-or-revert line)")
     path = report.write()
     print(f"results: {path}")
+    if SCALE >= 1.0:
+        assert classify_bar_met, (
+            f"mask classification is {classify_speedups[resolved]:.2f}x the "
+            f"per-predecessor rule under the {resolved} backend, below the "
+            f"{CLASSIFY_SPEEDUP_BAR}x line: revert it (ROADMAP, 'Spend the "
+            "measurement')"
+        )
 
 
 if __name__ == "__main__":

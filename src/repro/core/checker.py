@@ -238,6 +238,10 @@ class PolySIChecker:
             result = CheckResult()
 
         result.stats["closure_backend"] = self.closure_backend
+        # Whether pruning's closure already showed the known induced
+        # graph acyclic; then no later stage needs to ask again, for the
+        # whole graph or for any sub-polygraph of it.
+        known_acyclic = False
         if self.prune:
             t0 = time.perf_counter()
             with trace_span("prune", backend=self.closure_backend) as span:
@@ -257,6 +261,7 @@ class PolySIChecker:
             log.debug("pruned %d/%d constraints in %d iteration(s)",
                       prune_result.pruned, prune_result.constraints_before,
                       prune_result.iterations)
+            known_acyclic = prune_result.known_acyclic
 
         # Serial fast path: constraint-free components never reach the
         # solver.  Every edge (known or constrained) is intra-component,
@@ -272,7 +277,7 @@ class PolySIChecker:
         result.stats["solver_skipped_components"] = skipped
         result.timings["decompose"] = time.perf_counter() - t0
 
-        if skipped and skipped < len(components):
+        if skipped and skipped < len(components) and not known_acyclic:
             # Mixed graph: acyclicity-check the pure part on its own so
             # the encoding only ever sees constrained components.
             t0 = time.perf_counter()
@@ -294,7 +299,8 @@ class PolySIChecker:
             # Pure known graph: one acyclicity check decides everything.
             t0 = time.perf_counter()
             with trace_span("decompose", part="static"):
-                cycle = static_induced_cycle(graph)
+                cycle = (None if known_acyclic
+                         else static_induced_cycle(graph))
             result.timings["decompose"] += time.perf_counter() - t0
             if cycle is not None:
                 result.satisfies_si = False
@@ -305,18 +311,20 @@ class PolySIChecker:
             result.decided_by = "static"
             return result
 
+        enc_graph, enc_old = graph, None
         if skipped:
-            constrained_vertices = [
-                v for ci, comp in enumerate(components)
-                if constrained[ci] for v in comp
-            ]
-            enc_graph, enc_old = graph.subgraph(constrained_vertices)
-        else:
-            enc_graph, enc_old = graph, None
+            t0 = time.perf_counter()
+            with trace_span("decompose", part="constrained"):
+                constrained_vertices = [
+                    v for ci, comp in enumerate(components)
+                    if constrained[ci] for v in comp
+                ]
+                enc_graph, enc_old = graph.subgraph(constrained_vertices)
+            result.timings["decompose"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with trace_span("encode") as span:
-            encoding = encode_polygraph(enc_graph)
+            encoding = encode_polygraph(enc_graph, known_acyclic=known_acyclic)
             span.set(**encoding.stats())
         result.timings["encode"] = time.perf_counter() - t0
         result.encoding = encoding

@@ -286,17 +286,21 @@ class SIEncoding:
         return enc
 
 
-def encode_polygraph(graph: GeneralizedPolygraph) -> SIEncoding:
+def encode_polygraph(graph: GeneralizedPolygraph,
+                     known_acyclic: bool = False) -> SIEncoding:
     """Encode the (pruned) polygraph in one shot; returns the
     ready-to-solve instance.
 
     If the known induced graph is already cyclic, ``static_cycle`` is set
     and no solver is constructed — the caller reports the violation
-    straight from the known edges.
+    straight from the known edges.  A caller that already holds the
+    answer (pruning's closure, :attr:`PruneResult.known_acyclic
+    <repro.core.pruning.PruneResult.known_acyclic>`) passes
+    ``known_acyclic=True`` and the check is not repeated.
     """
     known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
     ki = known.induced_adjacency()
-    acyclic = is_acyclic(graph.num_vertices, ki)
+    acyclic = known_acyclic or is_acyclic(graph.num_vertices, ki)
     enc = SIEncoding(graph.num_vertices, ki if acyclic else None)
     enc.static_cycle = not acyclic
     enc.num_static_induced_edges = sum(len(row) for row in ki)

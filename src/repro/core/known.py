@@ -27,11 +27,22 @@ __all__ = ["KnownGraph"]
 Pair = Tuple[int, int]
 
 
+def _mask_of(vertices: Iterable[int]) -> int:
+    """The int bitset with bit ``v`` set for every ``v`` in ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 class KnownGraph:
     """The pair-level sets derived from the typed known edges.
 
     - ``dep[u]`` / ``antidep[u]`` — Dep / AntiDep successors of ``u``;
-    - ``dep_preds[v]`` — immediate Dep predecessors of ``v``.
+    - ``dep_preds[v]`` — immediate Dep predecessors of ``v``;
+    - ``pred_mask[v]`` — the same predecessors as an int bitset (bit
+      ``p`` set iff ``p in dep_preds[v]``), the form pruning intersects
+      with a closure row (:func:`repro.core.pruning.branch_impossible`).
 
     The typed edges themselves stay with whoever owns them (the
     polygraph, the online checker's edge table): several labels or keys
@@ -42,11 +53,12 @@ class KnownGraph:
     pairs one edge induces, :meth:`induced_adjacency` the whole relation.
     """
 
-    __slots__ = ("dep", "dep_preds", "antidep")
+    __slots__ = ("dep", "dep_preds", "pred_mask", "antidep")
 
     def __init__(self, num_vertices: int = 0):
         self.dep: List[Set[int]] = [set() for _ in range(num_vertices)]
         self.dep_preds: List[Set[int]] = [set() for _ in range(num_vertices)]
+        self.pred_mask: List[int] = [0] * num_vertices
         self.antidep: List[Set[int]] = [set() for _ in range(num_vertices)]
 
     @classmethod
@@ -64,6 +76,7 @@ class KnownGraph:
             else:
                 dep[u].add(v)
                 dep_preds[v].add(u)
+        out.pred_mask = [_mask_of(preds) for preds in dep_preds]
         return out
 
     @property
@@ -74,6 +87,7 @@ class KnownGraph:
         """Append an isolated vertex; returns its id."""
         for table in (self.dep, self.dep_preds, self.antidep):
             table.append(set())
+        self.pred_mask.append(0)
         return len(self.dep) - 1
 
     def add(self, edge: Edge) -> bool:
@@ -91,6 +105,7 @@ class KnownGraph:
             return False
         self.dep[u].add(v)
         self.dep_preds[v].add(u)
+        self.pred_mask[v] |= 1 << u
         return True
 
     def _through(self, mids: Iterable[int]) -> Set[int]:
@@ -140,4 +155,5 @@ class KnownGraph:
 
         self.dep = remap(self.dep)
         self.dep_preds = remap(self.dep_preds)
+        self.pred_mask = [_mask_of(preds) for preds in self.dep_preds]
         self.antidep = remap(self.antidep)

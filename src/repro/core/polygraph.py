@@ -257,14 +257,18 @@ class GeneralizedPolygraph:
         renumbering via :attr:`labels`.
         """
         order = sorted(vertices)
-        remap = {old: new for new, old in enumerate(order)}
-        needs_init = self.init_vertex is not None and any(
-            u == self.init_vertex and v in remap
+        # old id -> new id, -1 outside the selection.
+        remap = [-1] * self.num_vertices
+        for new, old in enumerate(order):
+            remap[old] = new
+        init = self.init_vertex
+        needs_init = init is not None and any(
+            u == init and remap[v] >= 0
             for u, v, _label, _key in self.known_edges
         )
         init_new = len(order) if needs_init else None
         if needs_init:
-            remap[self.init_vertex] = init_new
+            remap[init] = init_new
         sub = GeneralizedPolygraph(
             self.history, len(order) + (1 if needs_init else 0), init_new
         )
@@ -273,11 +277,17 @@ class GeneralizedPolygraph:
         if needs_init:
             sub.labels.append("T:init")
             sub._txn_of.append(None)
-        for u, v, label, key in self.known_edges:
-            if v in remap and u in remap:
-                sub.add_known((remap[u], remap[v], label, key))
+        # Known edges are unique and the renumbering is injective, so the
+        # renamed edges are unique too: assign them in bulk instead of
+        # deduplicating one add_known() call at a time.
+        sub.known_edges = [
+            (remap[u], remap[v], label, key)
+            for u, v, label, key in self.known_edges
+            if remap[v] >= 0 and remap[u] >= 0
+        ]
+        sub._known_set = set(sub.known_edges)
         for cons in self.constraints:
-            if cons.either[0][0] not in remap:
+            if remap[cons.either[0][0]] < 0:
                 continue
             sub.constraints.append(Constraint(
                 [(remap[u], remap[v], label, key)
@@ -289,13 +299,13 @@ class GeneralizedPolygraph:
                 if cons.pair is not None else None,
             ))
         for (writer, key), readers in self.readers_from.items():
-            if writer in remap:
-                kept = [remap[r] for r in readers if r in remap]
+            if remap[writer] >= 0:
+                kept = [remap[r] for r in readers if remap[r] >= 0]
                 if kept:
                     sub.readers_from[(remap[writer], key)] = kept
         old_of_new = list(order)
         if needs_init:
-            old_of_new.append(self.init_vertex)
+            old_of_new.append(init)
         return sub, old_of_new
 
     def __repr__(self) -> str:

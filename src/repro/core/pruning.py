@@ -11,6 +11,15 @@ part of the induced SI graph would close an undesired cycle:
   which, together with the path ``to ~> prec``, closes a cycle
   (Figure 4b).
 
+The first asks about one vertex and is one ``has`` lookup.  The second
+is a *set* question about one closure row and is evaluated as such:
+:func:`branch_impossible` fetches the row of the RW edges' shared head
+once and decides every RW edge of the branch by int-bitset arithmetic
+against the Dep-predecessor masks (:attr:`KnownGraph.pred_mask
+<repro.core.known.KnownGraph.pred_mask>`), so the cost of a branch does
+not depend on how many predecessors its readers have, nor on which
+closure backend holds the rows.
+
 When one branch is impossible the other becomes known; when both are, the
 history violates SI and a concrete witness cycle is reconstructed for the
 interpretation stage.  The process iterates to a fixpoint: newly-known
@@ -72,6 +81,7 @@ class PruneResult:
         "unknown_deps_after",
         "violation_cycle",
         "violation_constraint",
+        "known_acyclic",
     )
 
     def __init__(self) -> None:
@@ -84,6 +94,11 @@ class PruneResult:
         self.unknown_deps_after = 0
         self.violation_cycle: Optional[List[Edge]] = None
         self.violation_constraint: Optional[Constraint] = None
+        #: True when the fixpoint ended with a closure showing the known
+        #: induced graph of the *pruned* polygraph acyclic (no vertex
+        #: reaches itself).  False means "not established" — a cycle, a
+        #: violation, or a result not produced by a fixpoint.
+        self.known_acyclic = False
 
     def as_dict(self) -> dict:
         """Summary counters (the Table 3 columns)."""
@@ -160,9 +175,9 @@ class PruneState:
         return self._backend.name
 
     @property
-    def dep_preds(self) -> List[set]:
-        """Known immediate Dep-predecessors per vertex."""
-        return self.known.dep_preds
+    def pred_mask(self) -> List[int]:
+        """Known immediate Dep-predecessors per vertex, as int bitsets."""
+        return self.known.pred_mask
 
     @property
     def reach(self) -> ClosureBackend:
@@ -200,35 +215,51 @@ class PruneState:
 
 
 def branch_impossible(
-    edges: Tuple[Edge, ...],
+    edges: Sequence[Edge],
     reach: Reachability,
-    dep_preds: Sequence,
+    pred_mask: Sequence[int],
 ) -> bool:
-    """The paper's two impossibility rules (Section 4.3, Figure 4).
+    """The paper's two impossibility rules (Section 4.3, Figure 4); the
+    set-valued one as bitset algebra on one closure row per branch head.
 
-    ``reach`` is any oracle with ``has(u, v)`` — the batch
-    :class:`Reachability` or the online incremental closure;
-    ``dep_preds[v]`` iterates the known immediate Dep-predecessors of
-    ``v``.  Shared by batch and online pruning so the rules cannot
-    diverge.
+    ``reach`` is any oracle with ``has(u, v)`` and ``row(u)`` — the batch
+    :class:`Reachability` or an incremental closure of either backend;
+    ``pred_mask[v]`` is the int bitset of the known immediate
+    Dep-predecessors of ``v``.
+
+    - WW ``src -> dst`` is impossible iff ``dst`` reaches ``src``: one
+      bit, asked as ``has(dst, src)`` — a branch with no readers (most
+      branches of a write-heavy stream) never pays for a row;
+    - RW ``src -> dst`` is impossible iff ``dst`` reaches, *or is*, some
+      Dep-predecessor of ``src``.  With ``row`` the closure row of
+      ``dst``: ``row & pred_mask[src]`` is non-empty, or bit ``dst`` of
+      ``pred_mask[src]`` is set (the composed edge ``dst -> dst`` is
+      then a self-loop, which strict reachability does not record).
+
+    Every RW edge of a compact branch shares its head, so the row is
+    fetched once per branch however many readers it has.  Shared by
+    batch, parallel and online pruning so the rules cannot diverge.
     """
+    head = row = None
     for src, dst, label, _key in edges:
         if label == WW:
             if reach.has(dst, src):
                 return True
         else:  # RW
-            for prec in dep_preds[src]:
-                if prec == dst or reach.has(dst, prec):
-                    return True
+            if dst != head:
+                head, row = dst, reach.row(dst)
+            preds = pred_mask[src]
+            if preds >> dst & 1 or row & preds:
+                return True
     return False
 
 
 def prune_iteration_state(
     graph: GeneralizedPolygraph,
-) -> Tuple[Reachability, List[set]]:
+) -> Tuple[Reachability, List[int]]:
     """The read-only state one pruning iteration classifies against:
     reachability of the known induced graph plus the immediate
-    Dep-predecessor sets, rebuilt from scratch.  Never mutated during
+    Dep-predecessor masks, rebuilt from scratch.  Never mutated during
     an iteration, which is what makes classification shardable.  The
     incremental fixpoint carries the same state forward in a
     :class:`PruneState` instead; this from-scratch variant backs the
@@ -236,26 +267,26 @@ def prune_iteration_state(
     known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
     reach = transitive_closure_bits(graph.num_vertices,
                                     known.induced_adjacency())
-    return reach, known.dep_preds
+    return reach, known.pred_mask
 
 
 def classify_constraints(
     constraints: List[Constraint],
     reach: Reachability,
-    dep_preds: Sequence,
+    pred_mask: Sequence[int],
 ) -> List[Tuple[bool, bool]]:
     """Per-constraint ``(either_impossible, orelse_impossible)`` decisions
     against one iteration's read-only state.
 
     This is the shardable pruning entry point: classification reads only
-    ``reach`` and ``dep_preds`` (both frozen at iteration start), never
+    ``reach`` and ``pred_mask`` (both frozen at iteration start), never
     the graph, so any slice of the constraint list can be classified by
     any worker and the concatenated decisions are identical to a serial
     pass (see :mod:`repro.parallel.partition`).
     """
     return [
-        (branch_impossible(cons.either, reach, dep_preds),
-         branch_impossible(cons.orelse, reach, dep_preds))
+        (branch_impossible(cons.either, reach, pred_mask),
+         branch_impossible(cons.orelse, reach, pred_mask))
         for cons in constraints
     ]
 
@@ -340,13 +371,17 @@ def prune_constraints(
             result.iterations += 1
             with trace_span("classify", iteration=result.iterations):
                 decisions = classify(
-                    graph.constraints, state.reach, state.dep_preds
+                    graph.constraints, state.reach, state.pred_mask
                 )
             changed = apply_decisions(graph, decisions, result, state=state)
             if not result.ok or not changed:
                 break
         span.set(iterations=result.iterations, pruned=result.pruned)
-        _publish_closure_counters(state.reach, state.backend_name, span)
+        reach = state.reach
+        # The rows are the exact closure of the final KI, so its
+        # acyclicity is their diagonal — no second graph traversal.
+        result.known_acyclic = result.ok and not reach.has_cycle()
+        _publish_closure_counters(reach, state.backend_name, span)
 
     result.constraints_after = graph.num_constraints
     result.unknown_deps_after = graph.num_unknown_deps
@@ -379,8 +414,8 @@ def prune_constraints_recompute(graph: GeneralizedPolygraph) -> PruneResult:
 
     while True:
         result.iterations += 1
-        reach, dep_preds = prune_iteration_state(graph)
-        decisions = classify_constraints(graph.constraints, reach, dep_preds)
+        reach, pred_mask = prune_iteration_state(graph)
+        decisions = classify_constraints(graph.constraints, reach, pred_mask)
         changed = apply_decisions(graph, decisions, result)
         if not result.ok or not changed:
             break

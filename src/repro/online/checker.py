@@ -859,7 +859,7 @@ class OnlineChecker:
                 branch_edges(self._readers_from, key, s, t))
 
     def _prune_fixpoint(self) -> None:
-        reach, dep_preds = self._ki, self._known.dep_preds
+        reach, pred_mask = self._ki, self._known.pred_mask
         changed = True
         while changed and self._violation is None:
             changed = False
@@ -867,8 +867,8 @@ class OnlineChecker:
                 if ck not in self._unresolved or self._violation is not None:
                     continue
                 _ck, either, orelse = self._constraint(ck)
-                either_bad = branch_impossible(either, reach, dep_preds)
-                orelse_bad = branch_impossible(orelse, reach, dep_preds)
+                either_bad = branch_impossible(either, reach, pred_mask)
+                orelse_bad = branch_impossible(orelse, reach, pred_mask)
                 if either_bad and orelse_bad:
                     cycle = self._witness(either) or self._witness(orelse)
                     self._latch("pruning", cycle=cycle)

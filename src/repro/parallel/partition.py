@@ -5,7 +5,7 @@ contended workloads), the verdict itself cannot be sharded — but the
 dominant pruning cost can.  Each fixpoint iteration classifies every
 unresolved constraint against *read-only* state frozen at iteration
 start (the reachability closure of the known induced graph plus the
-immediate Dep-predecessor lists; see
+immediate Dep-predecessor masks; see
 :func:`repro.core.pruning.classify_constraints`).  Classification of one
 constraint never observes another's resolution within the iteration, so
 the constraint list can be split across workers that share that one
@@ -41,7 +41,7 @@ MIN_PARALLEL_CONSTRAINTS = 64
 
 def classify_shard(
     rows: List[int],
-    dep_preds: List[set],
+    pred_mask: List[int],
     constraints: List[Constraint],
 ) -> List[Tuple[bool, bool]]:
     """Worker body: classify one slice of the constraint list.
@@ -50,10 +50,11 @@ def classify_shard(
     closure's rows in the backend-independent int-bitset serialization
     (:meth:`~repro.utils.closure.ClosureBackend.int_rows` —
     arbitrary-precision ints, cheap to pickle, identical no matter
-    which closure backend the parent runs); the :class:`Reachability`
+    which closure backend the parent runs), and ``pred_mask`` the
+    Dep-predecessor bitsets in the same form; the :class:`Reachability`
     facade is rebuilt on the worker side.
     """
-    return classify_constraints(constraints, Reachability(rows), dep_preds)
+    return classify_constraints(constraints, Reachability(rows), pred_mask)
 
 
 def _chunks(items: list, parts: int) -> List[list]:
@@ -89,13 +90,13 @@ def prune_constraints_parallel(
     ships the state's current bitset rows to the workers instead of
     classifying in-process.
     """
-    def classify(constraints, reach, dep_preds):
+    def classify(constraints, reach, pred_mask):
         if (executor is None or workers <= 1
                 or len(constraints) < MIN_PARALLEL_CONSTRAINTS):
-            return classify_constraints(constraints, reach, dep_preds)
+            return classify_constraints(constraints, reach, pred_mask)
         rows = reach.int_rows()
         futures = [
-            executor.submit(classify_shard, rows, dep_preds, chunk)
+            executor.submit(classify_shard, rows, pred_mask, chunk)
             for chunk in _chunks(constraints, workers)
         ]
         return [d for future in futures for d in future.result()]

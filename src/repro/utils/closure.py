@@ -153,7 +153,9 @@ class ClosureBackend:
     def counters(self) -> Dict[str, int]:
         """Monotonic per-instance operation counters: inserts by outcome
         (``inserts_new`` / ``inserts_known`` / ``inserts_cycle``),
-        ``compacts``, and ``queries`` (``has`` + ``reaches_any`` calls).
+        ``compacts``, and ``queries`` — closure lookups issued: one per
+        ``has``, ``reaches_any`` or ``row`` call, however many pairs the
+        caller then decides from the answer.
 
         Deterministic across backends for identical operation scripts —
         the cross-backend differential suite holds every backend to the
@@ -221,6 +223,20 @@ class ClosureBackend:
         """``targets`` is an int bitmask of candidate vertices."""
         raise NotImplementedError
 
+    def row(self, u: int) -> int:
+        """The forward row of ``u`` as an int bitset (bit ``v`` set iff
+        ``has(u, v)``): one lookup that answers any number of
+        ``has(u, ·)`` / ``reaches_any(u, ·)`` questions by plain int
+        arithmetic — how pruning tests every reader of a constraint
+        branch."""
+        raise NotImplementedError
+
+    def has_cycle(self) -> bool:
+        """True iff some vertex reaches itself, i.e. the graph whose
+        closure this is contains a directed cycle.  The rows are exact,
+        so this is a read of their diagonal, not a search."""
+        raise NotImplementedError
+
     def has_edge(self, u: int, v: int) -> bool:
         """True iff ``u -> v`` was inserted as a direct edge."""
         raise NotImplementedError
@@ -264,7 +280,7 @@ class PyBitsetClosure(ClosureBackend):
 
     The reference backend: pure Python, no dependencies, and the
     differential baseline every accelerated backend is fuzzed against.
-    Compatible with the ``has``/``reaches_any`` query surface of
+    Compatible with the ``has``/``reaches_any``/``row`` query surface of
     :class:`repro.utils.reachability.Reachability`, so pruning logic can
     run against either oracle.
     """
@@ -332,6 +348,13 @@ class PyBitsetClosure(ClosureBackend):
     def reaches_any(self, u: int, targets: int) -> bool:
         self._nquery += 1
         return bool(self.rows[u] & targets)
+
+    def row(self, u: int) -> int:
+        self._nquery += 1
+        return self.rows[u]
+
+    def has_cycle(self) -> bool:
+        return any(row >> u & 1 for u, row in enumerate(self.rows))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.edges[u] >> v) & 1)

@@ -62,8 +62,9 @@ def _pack_int(value: int, words: int) -> np.ndarray:
 
 
 def _unpack_int(row: np.ndarray) -> int:
-    """Inverse of :func:`_pack_int` (row must be contiguous)."""
-    return int.from_bytes(np.ascontiguousarray(row).tobytes(), "little")
+    """Inverse of :func:`_pack_int` (``tobytes`` copies out in C order
+    whatever the row's layout)."""
+    return int.from_bytes(row.tobytes(), "little")
 
 
 class NumpyBitsetClosure(ClosureBackend):
@@ -189,6 +190,20 @@ class NumpyBitsetClosure(ClosureBackend):
         if u >= self._n:
             raise IndexError("vertex out of range")
         return bool(_unpack_int(self._rows[u]) & targets)
+
+    def row(self, u: int) -> int:
+        """See :meth:`~repro.utils.closure.ClosureBackend.row`."""
+        self._nquery += 1
+        if u >= self._n:
+            raise IndexError("vertex out of range")
+        # _unpack_int, inlined: pruning calls this once per branch.
+        return int.from_bytes(self._rows[u].tobytes(), "little")
+
+    def has_cycle(self) -> bool:
+        """See :meth:`~repro.utils.closure.ClosureBackend.has_cycle`."""
+        idx = np.arange(self._n)
+        diagonal = self._rows[idx, idx >> 6] >> (idx & 63).astype(np.uint64)
+        return bool(np.any(diagonal & _ONE))
 
     def has_edge(self, u: int, v: int) -> bool:
         """See :meth:`~repro.utils.closure.ClosureBackend.has_edge`."""

@@ -110,6 +110,10 @@ class Reachability:
         """``targets`` is a bitmask of candidate vertices."""
         return bool(self.rows[u] & targets)
 
+    def row(self, u: int) -> int:
+        """The forward row of ``u`` as an int bitset."""
+        return self.rows[u]
+
 
 def transitive_closure_bits(n: int, succ: Sequence[Iterable[int]]) -> Reachability:
     """Exact strict transitive closure using bitset rows.

@@ -11,8 +11,11 @@ else was collected.
 from __future__ import annotations
 
 from repro.core.history import History, HistoryBuilder, R, W
+from repro.core.polygraph import WW, Constraint, GeneralizedPolygraph
 
 __all__ = [
+    "branch_impossible_reference",
+    "subgraph_reference",
     "build",
     "long_fork_history",
     "lost_update_history",
@@ -86,3 +89,71 @@ def serializable_history() -> History:
     b.txn(0, [R("y", 2), W("x", 3)])
     b.txn(2, [R("x", 3), R("y", 2)])
     return b.build()
+
+
+# Reference implementations: the code the shipped versions replaced, kept
+# verbatim as differential oracles. -------------------------------------------
+
+
+def branch_impossible_reference(edges, reach, dep_preds) -> bool:
+    """The per-predecessor form of the paper's impossibility rules
+    (Section 4.3, Figure 4): one ``reach.has`` call per immediate
+    Dep-predecessor of every RW edge's tail.  The oracle for
+    :func:`repro.core.pruning.branch_impossible`, which decides the same
+    questions by bitset algebra on one closure row."""
+    for src, dst, label, _key in edges:
+        if label == WW:
+            if reach.has(dst, src):
+                return True
+        else:  # RW
+            for prec in dep_preds[src]:
+                if prec == dst or reach.has(dst, prec):
+                    return True
+    return False
+
+
+def subgraph_reference(graph, vertices):
+    """``GeneralizedPolygraph.subgraph`` as it was before the bulk
+    rewrite: a dict renumbering and one deduplicating ``add_known`` call
+    per edge.  The oracle for the shipped method's output."""
+    order = sorted(vertices)
+    remap = {old: new for new, old in enumerate(order)}
+    needs_init = graph.init_vertex is not None and any(
+        u == graph.init_vertex and v in remap
+        for u, v, _label, _key in graph.known_edges
+    )
+    init_new = len(order) if needs_init else None
+    if needs_init:
+        remap[graph.init_vertex] = init_new
+    sub = GeneralizedPolygraph(
+        graph.history, len(order) + (1 if needs_init else 0), init_new
+    )
+    sub.labels = [graph.vertex_name(old) for old in order]
+    sub._txn_of = [graph.vertex_txn(old) for old in order]
+    if needs_init:
+        sub.labels.append("T:init")
+        sub._txn_of.append(None)
+    for u, v, label, key in graph.known_edges:
+        if v in remap and u in remap:
+            sub.add_known((remap[u], remap[v], label, key))
+    for cons in graph.constraints:
+        if cons.either[0][0] not in remap:
+            continue
+        sub.constraints.append(Constraint(
+            [(remap[u], remap[v], label, key)
+             for u, v, label, key in cons.either],
+            [(remap[u], remap[v], label, key)
+             for u, v, label, key in cons.orelse],
+            key=cons.key,
+            pair=(remap[cons.pair[0]], remap[cons.pair[1]])
+            if cons.pair is not None else None,
+        ))
+    for (writer, key), readers in graph.readers_from.items():
+        if writer in remap:
+            kept = [remap[r] for r in readers if r in remap]
+            if kept:
+                sub.readers_from[(remap[writer], key)] = kept
+    old_of_new = list(order)
+    if needs_init:
+        old_of_new.append(graph.init_vertex)
+    return sub, old_of_new

@@ -181,3 +181,149 @@ class TestCheckerOptions:
         res = verdict(long_fork_history())
         labels = [e[2] for e in res.cycle]
         assert sorted(labels) == ["RW", "RW", "WR", "WR"]
+
+
+class TestClosureAnswersAcyclicity:
+    """After a successful fixpoint the pruning closure is the exact
+    closure of the final known induced graph, so a clean diagonal *is*
+    the acyclicity answer: the pure-part check and the encoder's
+    ``is_acyclic`` are skipped.  A dirty diagonal (or ``prune=False``)
+    runs the graph-walking path unchanged.  Forcing the diagonal dirty
+    therefore reproduces the pre-shortcut checker, and both must report
+    the same verdict, stage, witness and statistics."""
+
+    @staticmethod
+    def flow_cycle(b, tag, s0, s1):
+        """G1c on two fresh keys: a cycle of known WR edges."""
+        b.txn(s0, [R(f"{tag}y", 1), W(f"{tag}x", 1)])
+        b.txn(s1, [R(f"{tag}x", 1), W(f"{tag}y", 1)])
+
+    @staticmethod
+    def surviving_constraint(b, tag, s0, s1):
+        """Two blind writers of one key: nothing orders them, so the
+        constraint survives pruning and reaches the solver."""
+        b.txn(s0, [W(f"{tag}z", 1)])
+        b.txn(s1, [W(f"{tag}z", 2)])
+
+    def cyclic_only_in_a_pure_component(self):
+        b = HistoryBuilder()
+        self.flow_cycle(b, "p", 0, 1)
+        self.surviving_constraint(b, "c", 2, 3)
+        return b.build()
+
+    def cyclic_only_in_the_constrained_component(self):
+        b = HistoryBuilder()
+        # The cycle's first member also feeds a reader that races a
+        # blind writer, tying the constraint into the cyclic component.
+        b.txn(0, [R("y", 1), W("x", 1), W("w", 1)])
+        b.txn(1, [R("x", 1), W("y", 1)])
+        b.txn(2, [R("w", 1), W("z", 1)])
+        b.txn(3, [W("z", 2)])
+        b.txn(4, [W("q", 1)])               # a pure component besides
+        b.txn(5, [R("q", 1)])
+        return b.build()
+
+    def clean_and_mixed(self):
+        b = HistoryBuilder()
+        self.surviving_constraint(b, "c", 0, 1)
+        b.txn(2, [W("q", 1)])
+        b.txn(3, [R("q", 1)])
+        return b.build()
+
+    def clean_without_constraints(self):
+        b = HistoryBuilder()
+        b.txn(0, [W("q", 1)])
+        b.txn(1, [R("q", 1), W("q", 2)])
+        b.txn(2, [R("q", 2)])
+        return b.build()
+
+    @staticmethod
+    def fingerprint(result):
+        return {
+            "satisfies_si": result.satisfies_si,
+            "decided_by": result.decided_by,
+            "cycle": result.cycle,
+            "stats": result.stats,
+            "pruning": result.prune_result.as_dict(),
+            "encoding": result.encoding and result.encoding.stats(),
+            "solver": {k: v for k, v in result.solver_stats.items()
+                       if not k.endswith("seconds")},
+            "stages": sorted(result.timings),
+        }
+
+    CASES = {
+        "cyclic_only_in_a_pure_component": (False, "encoding", False),
+        "cyclic_only_in_the_constrained_component":
+            (False, "encoding", False),
+        "clean_and_mixed": (True, "solving", True),
+        "clean_without_constraints": (True, "static", True),
+    }
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_outcome_as_the_graph_walking_path(
+            self, case, backend, monkeypatch):
+        from repro.utils.closure import resolve_closure_backend
+
+        ok, stage, clean = self.CASES[case]
+        history = getattr(self, case)()
+        checker = PolySIChecker(closure_backend=backend)
+        shortcut = checker.check(history)
+        assert shortcut.satisfies_si is ok
+        assert shortcut.decided_by == stage
+        assert shortcut.prune_result.ok
+        assert shortcut.prune_result.known_acyclic is clean
+        assert (shortcut.cycle is None) == ok
+
+        monkeypatch.setattr(resolve_closure_backend(backend), "has_cycle",
+                            lambda self: True)
+        walked = checker.check(history)
+        assert walked.prune_result.known_acyclic is False
+        assert self.fingerprint(walked) == self.fingerprint(shortcut)
+
+    def test_clean_diagonal_skips_every_later_acyclicity_check(
+            self, monkeypatch):
+        import repro.core.checker as checker_module
+        import repro.core.encoding as encoding_module
+
+        calls = []
+
+        def counting(module):
+            original = module.is_acyclic
+
+            def wrapped(n, succ):
+                calls.append(module.__name__)
+                return original(n, succ)
+            monkeypatch.setattr(module, "is_acyclic", wrapped)
+
+        counting(checker_module)
+        counting(encoding_module)
+        for case in ("clean_and_mixed", "clean_without_constraints"):
+            assert verdict(getattr(self, case)()).satisfies_si
+        assert calls == []
+        # Without pruning there is no closure to ask: the walk runs.
+        assert verdict(self.clean_and_mixed(), prune=False).satisfies_si
+        assert sorted(set(calls)) == ["repro.core.checker",
+                                      "repro.core.encoding"]
+        calls.clear()
+        assert not verdict(
+            self.cyclic_only_in_a_pure_component()).satisfies_si
+        assert calls == ["repro.core.checker"]
+
+    def test_violating_prune_establishes_nothing(self):
+        result = verdict(causality_history())
+        assert result.decided_by == "pruning"
+        assert result.prune_result.known_acyclic is False
+        assert "known_acyclic" not in result.prune_result.as_dict()
+
+    def test_encode_polygraph_stands_alone(self):
+        from repro.core.encoding import encode_polygraph
+        from repro.core.polygraph import build_polygraph
+
+        graph, _ = build_polygraph(self.clean_and_mixed())
+        alone = encode_polygraph(graph)
+        told = encode_polygraph(graph, known_acyclic=True)
+        assert not alone.static_cycle and not told.static_cycle
+        assert alone.stats() == told.stats()
+        cyclic, _ = build_polygraph(self.cyclic_only_in_a_pure_component())
+        assert encode_polygraph(cyclic).static_cycle

@@ -146,10 +146,13 @@ class Replayer:
             c.has(u, v),
             c.has_edge(u, v),
             c.reaches_any(u, mask),
+            c.row(u),
+            c.has_cycle(),
             sorted(c.successors(u)),
             sorted(c.successors_direct(u)),
             c.int_rows(),
             c.co_rows,
+            c.counters(),
         )
 
 
@@ -291,7 +294,57 @@ class TestContractInvariants:
         with pytest.raises(IndexError):
             c.reaches_any(2, 1)
         with pytest.raises(IndexError):
+            c.row(2)
+        with pytest.raises(IndexError):
             c.insert(0, 2)
+
+    def test_row_is_the_int_row(self, backend):
+        """``row(u)`` is ``int_rows()[u]`` — a plain int whichever
+        backend holds it — and answers ``has``/``reaches_any`` by
+        arithmetic, through growth and compaction."""
+        rng = random.Random(11)
+        c = build_random(backend, rng, 70, 160)   # two uint64 words
+        c.add_vertex()
+        c.insert(3, 70)
+        for round_no in range(2):
+            rows = c.int_rows()
+            for u in range(c.num_vertices):
+                row = c.row(u)
+                assert type(row) is int and row == rows[u]
+                for v in range(c.num_vertices):
+                    assert bool(row >> v & 1) == c.has(u, v)
+            c.compact(sorted(rng.sample(range(c.num_vertices), 40)))
+
+    def test_lookups_count_once_each(self, backend):
+        """``queries`` counts closure lookups issued — ``has``,
+        ``reaches_any``, ``row`` — not what the caller derives from
+        them, identically on every backend."""
+        c = backend(4)
+        c.insert(0, 1)
+        c.has(0, 1)
+        c.reaches_any(0, 0b1110)
+        assert c.counters()["queries"] == 2
+        row = c.row(0)
+        assert row >> 1 & 1 and not row & 0b1100    # free: no lookups
+        assert c.counters()["queries"] == 3
+        c.has_cycle()
+        c.int_rows()
+        assert c.counters()["queries"] == 3
+
+    def test_has_cycle_reads_the_diagonal(self, backend):
+        c = backend(130)                              # three uint64 words
+        for u in range(129):
+            c.insert(u, u + 1)
+        assert not c.has_cycle()
+        assert c.insert(129, 64) == CYCLE
+        assert c.has_cycle()
+        assert [u for u in range(130) if c.has(u, u)] == list(range(64, 130))
+        # Evicting the cycle's members leaves an acyclic closure.
+        c.compact(range(64))
+        assert not c.has_cycle()
+        assert not backend(0).has_cycle()
+        assert not backend.from_rows([0b10, 0b00]).has_cycle()   # 0 -> 1
+        assert backend.from_rows([0b01]).has_cycle()             # 0 -> 0
 
     def test_int_rows_is_the_portable_serialization(self, backend):
         rng = random.Random(10)

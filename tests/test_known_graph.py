@@ -2,14 +2,16 @@
 
 ``KnownGraph`` is what batch pruning, the encoder, the static cycle
 check, interpretation and the online checker all derive
-``KI = Dep ∪ (Dep ; AntiDep)`` through, so its three contracts are
+``KI = Dep ∪ (Dep ; AntiDep)`` through, so its contracts are
 pinned against a brute-force reading of the definition:
 
 - ``from_edges`` ≡ feeding the same edges to ``add`` in any order — the
   same adjacency, and the same multiset of induced pairs;
 - a repeated edge, or another label on a known pair, changes nothing;
 - ``compact`` keeps every induced pair between survivors (with the
-  vertex it is composed through) and invents none.
+  vertex it is composed through) and invents none;
+- ``pred_mask`` is ``dep_preds`` as int bitsets after any interleaving
+  of ``add`` / ``add_vertex`` / ``compact``.
 """
 
 import random
@@ -176,3 +178,38 @@ class TestCompact:
         assert not graph.add((1, 2, SO, None))
         assert _add(graph, (0, 1, WW, "y")) == [(0, 1)]
         assert _add(graph, (1, 2, RW, "y")) == [(0, 2)]
+
+
+class TestPredMask:
+    """``pred_mask[v]`` is ``dep_preds[v]`` as an int bitset, kept in
+    step wherever the sets are: bulk build, ``add``, ``add_vertex``,
+    ``compact``."""
+
+    @staticmethod
+    def assert_in_step(graph):
+        assert graph.pred_mask == [
+            sum(1 << p for p in preds) for preds in graph.dep_preds]
+
+    @pytest.mark.parametrize("n,edges", list(_edge_sets()))
+    def test_bulk_build(self, n, edges):
+        self.assert_in_step(KnownGraph.from_edges(n, edges))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_interleaving_of_add_add_vertex_compact(self, seed):
+        rng = random.Random(seed)
+        graph = KnownGraph(2)
+        for _ in range(120):
+            n = graph.num_vertices
+            roll = rng.random()
+            if roll < 0.15 or n < 2:
+                assert graph.add_vertex() == n
+            elif roll < 0.9:
+                graph.add(_random_edges(rng, n, 1)[0])
+            else:
+                live = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+                old_to_new = [-1] * n
+                for new, old in enumerate(live):
+                    old_to_new[old] = new
+                graph.compact(old_to_new)
+            self.assert_in_step(graph)
+            assert len(graph.pred_mask) == graph.num_vertices

@@ -1,5 +1,7 @@
 """Tests for generalized polygraph construction (repro.core.polygraph)."""
 
+import pytest
+
 from repro.core.history import History, HistoryBuilder, R, W
 from repro.core.polygraph import (
     RW,
@@ -8,8 +10,11 @@ from repro.core.polygraph import (
     WW,
     build_polygraph,
 )
+from repro.core.pruning import prune_constraints
+from repro.workloads.corpus import make_anomaly
+from repro.workloads.generator import WorkloadParams, generate_history
 
-from _helpers import build, long_fork_history
+from _helpers import build, long_fork_history, subgraph_reference
 
 
 class TestKnownEdges:
@@ -144,3 +149,87 @@ class TestCompaction:
         graph.add_known((0, 0, SO, None))
         graph.add_known((0, 0, SO, None))
         assert len(graph.known_edges) == before + 1
+
+
+def _polygraph_state(graph):
+    """Everything a sub-polygraph carries, order included."""
+    return {
+        "num_vertices": graph.num_vertices,
+        "init_vertex": graph.init_vertex,
+        "history": graph.history,
+        "known_edges": list(graph.known_edges),
+        "known_set": set(graph._known_set),
+        "constraints": [(cons.either, cons.orelse, cons.key, cons.pair)
+                        for cons in graph.constraints],
+        "labels": graph.labels,
+        "txn_of": graph._txn_of,
+        "readers_from": list(graph.readers_from.items()),
+    }
+
+
+def _assert_same_subgraph(graph, vertices):
+    sub, old_of_new = graph.subgraph(vertices)
+    want, want_old = subgraph_reference(graph, vertices)
+    assert old_of_new == want_old
+    assert _polygraph_state(sub) == _polygraph_state(want)
+    # The bulk-assigned edge set keeps deduplicating later additions.
+    assert not any(sub.add_known(edge) for edge in sub.known_edges[:1])
+    return sub
+
+
+class TestSubgraphMatchesReference:
+    """``subgraph()`` renumbers through a list and assigns the known
+    edges in bulk; its output must equal, field for field and in order,
+    what the per-edge ``add_known`` implementation (kept in
+    ``_helpers``) builds."""
+
+    @staticmethod
+    def graphs():
+        for seed, keys in ((1, 6), (2, 40), (3, 200)):
+            history = generate_history(
+                WorkloadParams(sessions=5, txns_per_session=10,
+                               ops_per_txn=4, keys=keys,
+                               read_proportion=0.6),
+                seed=seed, isolation="snapshot",
+            ).history
+            graph, violations = build_polygraph(history)
+            assert not violations
+            yield graph
+            pruned = graph.copy()
+            assert prune_constraints(pruned).ok
+            yield pruned
+        # Reads of the initial state: fragments need a local init copy.
+        graph, _ = build_polygraph(
+            make_anomaly("long-fork", seed=4, padding_txns=30))
+        yield graph
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_components_unions_and_fragments_of_fragments(self, index):
+        graph = list(self.graphs())[index]
+        components, constraints_of = graph.constrained_components()
+        pure = [v for comp, cons in zip(components, constraints_of)
+                if not cons for v in comp]
+        constrained = [v for comp, cons in zip(components, constraints_of)
+                       if cons for v in comp]
+        selections = [comp for comp in components[:12]]
+        selections += [sel for sel in (pure, constrained) if sel]
+        selections.append([v for comp in components for v in comp])
+        for vertices in selections:
+            sub = _assert_same_subgraph(graph, vertices)
+            # A fragment (labels set, maybe a local init) subgraphs again.
+            inner = sub.weakly_connected_components()
+            if inner:
+                _assert_same_subgraph(sub, inner[0])
+
+    def test_history_free_fragment(self):
+        from repro.parallel.planner import component_payload, rebuild_component
+
+        graph, _ = build_polygraph(
+            make_anomaly("lost-update", seed=1, padding_txns=12))
+        sub, _old = graph.subgraph(
+            [v for comp in graph.weakly_connected_components()
+             for v in comp])
+        rebuilt = rebuild_component(component_payload(sub))
+        assert rebuilt.history is None
+        for comp in rebuilt.weakly_connected_components():
+            _assert_same_subgraph(rebuilt, comp)

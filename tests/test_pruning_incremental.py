@@ -202,19 +202,53 @@ class TestPruneState:
         graph, violations = build_polygraph(b.build())
         assert not violations
         state = PruneState(graph)
+        # Lookups issued, one per call whatever its kind.
         for i in range(5):
             state.reach.has(i, i + 1)
+        state.reach.reaches_any(0, 0b110)
+        state.reach.row(0)
         state.add_known((0, 1, WW, "k0"))
         before = state.reach.counters()      # small delta: one insert
-        assert before["queries"] == 5 and before["inserts_new"] == 1
+        assert before["queries"] == 7 and before["inserts_new"] == 1
         seeded = state.reach
         for i in range(1, 39):
             state.add_known((i, i + 1, WW, f"k{i}"))
         assert state.reach is not seeded     # large delta: reseeded
         after = state.reach.counters()
         assert all(after[name] >= before[name] for name in before), after
-        state.reach.has(0, 39)
-        assert state.reach.counters()["queries"] == 6
+        assert state.reach.row(0) >> 39 & 1
+        assert state.reach.counters()["queries"] == 8
+
+    def test_fixpoint_lookups_are_bounded_per_branch(self):
+        """Classification issues one ``has`` for a branch's WW edge and
+        at most one ``row`` for all its RW edges, so the published
+        ``closure.<backend>.queries`` over a fixpoint lies between one
+        and two per branch classified — and is the same number on every
+        backend."""
+        from repro.core.pruning import classify_constraints
+        from repro.obs import MetricsRegistry, use_metrics
+        from repro.utils.closure import available_closure_backends
+
+        published = {}
+        for backend in available_closure_backends():
+            graph, violations = build_polygraph(cascade_history(6))
+            assert not violations
+            branches = []
+
+            def counting(constraints, reach, pred_mask):
+                branches.append(2 * len(constraints))
+                return classify_constraints(constraints, reach, pred_mask)
+
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                result = prune_constraints(graph, backend=backend,
+                                           classify=counting)
+            assert result.ok and result.iterations == len(branches) > 2
+            queries = registry.snapshot()["counters"][
+                f"closure.{backend}.queries"]
+            assert sum(branches) < queries <= 2 * sum(branches)
+            published[backend] = queries
+        assert len(set(published.values())) == 1, published
 
     def test_cyclic_promotion_keeps_rows_exact(self):
         from repro.core.pruning import WW

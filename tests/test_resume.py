@@ -159,31 +159,46 @@ class TestSnapshotRestoreEquivalence:
             checker.snapshot()
 
 
+@pytest.mark.parametrize("build", ["f8d5e43", "80ea5ae"])
 class TestCheckpointWrittenByAnEarlierBuild:
-    """``tests/data/checkpoint_f8d5e43.json`` is
-    ``OnlineChecker.snapshot()`` output written by commit f8d5e43 — the
-    last build whose online checker carried its own SAT encoder —
-    mid-stream, with eight unresolved constraints and a live solver
-    (learned clauses, an and-gate, emitted-term tables), plus the rest
-    of the stream and the verdict that build reached after restoring
-    it.  The shared encoder must accept that payload as is."""
+    """``tests/data/checkpoint_<build>.json`` is
+    ``OnlineChecker.snapshot()`` output written by that commit
+    mid-stream, plus the rest of the stream and the verdict that build
+    reached after restoring it.
+
+    - ``f8d5e43`` — the last build whose online checker carried its own
+      SAT encoder: eight unresolved constraints and a live solver
+      (learned clauses, an and-gate, emitted-term tables).  The shared
+      encoder must accept that payload as is.
+    - ``80ea5ae`` — the last build that pruned one ``has()`` call per
+      Dep-predecessor: a windowed checker after its first compaction,
+      four unresolved constraints, a second compaction in the tail.
+      The Dep-predecessor masks pruning now reads are derived state and
+      must come back from the persisted known edges alone."""
 
     @staticmethod
-    def _fixture():
+    def _fixture(build):
         import json
         import os
 
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "data", "checkpoint_f8d5e43.json")
+                            "data", f"checkpoint_{build}.json")
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
 
-    def test_restores_and_finishes_with_the_same_verdict(self):
+    def test_restores_and_finishes_with_the_same_verdict(self, build):
         from repro.core.history import Operation
 
-        fixture = self._fixture()
-        assert fixture["state"]["solver"]["and_cache"]
+        fixture = self._fixture(build)
+        assert fixture["state"]["unresolved"]
+        assert fixture["state"]["solver"]["clauses"]
+        if build == "f8d5e43":
+            assert fixture["state"]["solver"]["and_cache"]
+        else:
+            assert fixture["state"]["window_stats"]["compactions"]
         checker = OnlineChecker.restore(fixture["state"])
+        assert checker._known.pred_mask == [
+            sum(1 << p for p in preds) for preds in checker._known.dep_preds]
         for session, ops, status in fixture["tail"]:
             checker.add(session, [Operation(*op) for op in ops],
                         status=status)
@@ -193,10 +208,10 @@ class TestCheckpointWrittenByAnEarlierBuild:
         assert final.stats["known_edges"] == expect["known_edges"]
         assert final.stats["accepted"] == expect["accepted"]
 
-    def test_payload_shape_is_unchanged(self):
+    def test_payload_shape_is_unchanged(self, build):
         from repro.online.checker import STATE_VERSION
 
-        fixture = self._fixture()["state"]
+        fixture = self._fixture(build)["state"]
         assert STATE_VERSION == fixture["v"] == 1
         again = OnlineChecker.restore(fixture).snapshot()
         assert set(again) == set(fixture)
