@@ -20,7 +20,16 @@ reports amortized per-transaction wall time for:
 Expected shape: the rebatch column grows roughly linearly with stream
 length (each re-check pays for the whole prefix), while the online
 columns stay flat — the incremental checker is asymptotically below any
-repeated-batch schedule.
+repeated-batch schedule.  That is asserted at the largest size: solving
+after *every* transaction must cost less per transaction than
+re-running the batch checker every 8th.
+
+``derived`` also records what keeps the online column flat:
+``solver_builds`` per mode (one instance per stream, plus one per window
+compaction — the solver is kept, not rebuilt) and
+``solve1_over_solve8``, the price of a verdict after every transaction
+relative to every 8th (near 1 when a re-solve on the kept instance is a
+handful of decisions).
 
 The BENCH JSON additionally carries per-closure-backend series for the
 solve-batched mode (``online/8[python]``, ``online/8[numpy]``): the
@@ -29,6 +38,7 @@ same stream checked with each registered
 either kernel are visible in the online path too.
 """
 
+import functools
 import time
 
 import pytest
@@ -72,10 +82,10 @@ def stream_txns(n_txns: int, seed: int = 11):
     return list(stream_workload(db, spec, seed=seed))
 
 
-def online_amortized(txns, *, solve_every: int = 1,
-                     windowed: bool = False,
-                     closure_backend: str = None) -> float:
-    """Amortized seconds per transaction, checking online."""
+def online_run(txns, *, solve_every: int = 1, windowed: bool = False,
+               closure_backend: str = None):
+    """Check ``txns`` online; returns amortized seconds per transaction
+    and the final result's stats."""
     window = WindowPolicy(max_live=64, gc_every=32) if windowed else None
     checker = OnlineChecker(
         solve_every=solve_every,
@@ -90,7 +100,12 @@ def online_amortized(txns, *, solve_every: int = 1,
     final = checker.finish()
     elapsed = time.perf_counter() - start
     assert final.satisfies_si
-    return elapsed / max(1, len(txns))
+    return elapsed / max(1, len(txns)), final.stats
+
+
+def online_amortized(txns, **kwargs) -> float:
+    """Amortized seconds per transaction, checking online."""
+    return online_run(txns, **kwargs)[0]
 
 
 def rebatch_amortized(txns, *, stride: int = REBATCH_STRIDE) -> float:
@@ -107,12 +122,15 @@ def rebatch_amortized(txns, *, stride: int = REBATCH_STRIDE) -> float:
     return elapsed / len(txns)
 
 
-MODES = {
-    "online": lambda h: online_amortized(h),
-    "online/8": lambda h: online_amortized(h, solve_every=8),
-    "online+win": lambda h: online_amortized(h, solve_every=8, windowed=True),
-    f"rebatch/{REBATCH_STRIDE}": lambda h: rebatch_amortized(h),
+ONLINE_MODES = {
+    "online": {},
+    "online/8": {"solve_every": 8},
+    "online+win": {"solve_every": 8, "windowed": True},
 }
+REBATCH = f"rebatch/{REBATCH_STRIDE}"
+MODES = {mode: functools.partial(online_amortized, **kwargs)
+         for mode, kwargs in ONLINE_MODES.items()}
+MODES[REBATCH] = rebatch_amortized
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -134,9 +152,15 @@ def main():
     for size in SIZES:
         txns = stream_txns(size)
         cells = [str(len(txns))]
-        for mode in ("online", "online/8", "online+win",
-                     f"rebatch/{REBATCH_STRIDE}"):
-            per_txn = MODES[mode](txns)
+        seconds, builds = {}, {}
+        for mode, kwargs in ONLINE_MODES.items():
+            seconds[mode], stats = online_run(txns, **kwargs)
+            builds[mode] = stats["solver_builds"]
+            assert builds[mode] <= stats["window"]["compactions"] + 1, (
+                f"{mode}: {builds[mode]} solver instances for "
+                f"{stats['window']['compactions']} compactions")
+        seconds[REBATCH] = rebatch_amortized(txns)
+        for mode, per_txn in seconds.items():
             cells.append(f"{per_txn * 1000:.2f}")
             report.add_point(mode, len(txns), seconds=per_txn, axis="txns")
             report.count_verdict("si")  # the mode runners assert validity
@@ -148,18 +172,27 @@ def main():
             report.add_point(f"online/8[{backend}]", len(txns),
                              seconds=per_txn, axis="txns")
         rows.append(cells)
+    # The last (largest) size is the headline.
+    report.note("solver_builds", builds)
+    report.note("solve1_over_solve8",
+                round(seconds["online"] / seconds["online/8"], 2))
     # Stage-level cost breakdown of one traced online replay (DESIGN S11).
     builder = HistoryBuilder()
     for session, ops, status in stream_txns(SIZES[0]):
         builder.txn(session, ops, status=status)
     note_stage_seconds(report, builder.build(), mode="online", solve_every=8)
     print("\nOnline vs repeated-batch checking (amortized ms per txn)")
-    print(render_table(
-        ["txns", "online", "online/8", "online+win",
-         f"rebatch/{REBATCH_STRIDE}"],
-        rows,
-    ))
+    print(render_table(["txns", *ONLINE_MODES, REBATCH], rows))
+    print(f"solver instances built at {rows[-1][0]} txns: {builds}; "
+          f"online / online/8 = {report.derived['solve1_over_solve8']}")
     print(f"results: {report.write()}")
+    assert seconds["online"] < seconds[REBATCH], (
+        f"at {rows[-1][0]} txns a verdict after every transaction costs "
+        f"{seconds['online'] * 1000:.2f} ms/txn online but "
+        f"{seconds[REBATCH] * 1000:.2f} ms/txn by re-running the batch "
+        f"checker every {REBATCH_STRIDE}th: the online checker has stopped "
+        "being incremental"
+    )
 
 
 if __name__ == "__main__":

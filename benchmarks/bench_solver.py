@@ -1,16 +1,28 @@
 """Micro-benchmarks for the solver substrate (the MonoSAT substitute) and
 the reachability kernels used by pruning.
 
-Not a paper figure, but the ablation data behind two engineering choices
-DESIGN.md calls out: the Pearce-Kelly dynamic topological order in the
-acyclicity theory, and the SCC-condensed bitset closure versus the naive
-and numpy kernels.
+Not a paper figure, but the ablation data behind three engineering
+choices DESIGN.md calls out: the Pearce-Kelly dynamic topological order
+in the acyclicity theory, the SCC-condensed bitset closure versus the
+naive and numpy kernels, and the search deciding constraint choices only
+(``search[choices]``, what ships: derived variables ``decision=False``,
+choice phases seeded from the topological order) versus deciding every
+variable with phase *false* (``search[all-vars]``, the search it
+replaced, rebuilt here by flipping the flags back) on the pruned
+polygraph of a GeneralRW-shaped history.  Both searches must agree, and
+at full scale the first must beat the second by ROADMAP's 1.3x
+keep-or-revert line (it reads 10x and more).
 """
 
 import random
+import time
 
 import pytest
 
+from _common import SCALE, scaled
+from repro.core.encoding import encode_polygraph
+from repro.core.polygraph import build_polygraph
+from repro.core.pruning import prune_constraints
 from repro.solver.cdcl import CDCLSolver
 from repro.solver.monosat import AcyclicGraphSolver
 from repro.utils.reachability import (
@@ -18,6 +30,12 @@ from repro.utils.reachability import (
     transitive_closure_numpy,
     transitive_closure_sets,
 )
+from repro.workloads.generator import WorkloadParams, generate_history
+
+#: ROADMAP, "Spend the measurement": a layer change keeps its place only
+#: at >= 1.3x on the layer, measured at full scale.
+SEARCH_SPEEDUP_BAR = 1.3
+SEARCH_ROUNDS = 3
 
 
 def random_3sat(num_vars: int, num_clauses: int, seed: int):
@@ -114,12 +132,54 @@ def test_closure_kernels(benchmark, kernel):
     benchmark.pedantic(KERNELS[kernel], args=(n, adj), rounds=3, iterations=1)
 
 
+def general_rw_polygraph(seed: int = 1):
+    """The pruned polygraph of a GeneralRW-shaped history (the e2e
+    ``general_rw`` unit: hundreds of constraints survive pruning)."""
+    history = generate_history(
+        WorkloadParams(sessions=scaled(16), txns_per_session=scaled(120),
+                       ops_per_txn=8, read_proportion=0.5, keys=scaled(3000),
+                       distribution="zipfian"),
+        seed=seed, isolation="snapshot").history
+    graph, violations = build_polygraph(history)
+    assert not violations and prune_constraints(graph).ok
+    return graph
+
+
+def search_seconds(graph, *, all_vars: bool):
+    """Best-of solve time of a fresh encoding of ``graph``; returns
+    ``(seconds, verdict, stats)``."""
+    best = None
+    for _ in range(SEARCH_ROUNDS):
+        solver = encode_polygraph(graph, known_acyclic=True).solver
+        if all_vars:
+            for var in range(1, solver.num_vars + 1):
+                solver.set_decision_var(var, False)
+        start = time.perf_counter()
+        verdict = solver.solve()
+        seconds = time.perf_counter() - start
+        if best is None or seconds < best[0]:
+            best = (seconds, verdict, solver.stats.as_dict())
+    return best
+
+
+@pytest.mark.parametrize("all_vars", [False, True],
+                         ids=["choices", "all-vars"])
+def test_search_over_choices_vs_all_vars(benchmark, all_vars):
+    graph = general_rw_polygraph()
+    _seconds, verdict, _stats = benchmark.pedantic(
+        search_seconds, args=(graph,), kwargs={"all_vars": all_vars},
+        rounds=1, iterations=1)
+    assert verdict
+
+
 def main():
     from repro.bench.harness import measure, render_table
     from repro.bench.results import BenchReport
 
     report = BenchReport("solver", config={
         "cnf_vars": 60, "dag": "20x25 layered", "closure_dag": "15x20 layered",
+        "search_instance": "GeneralRW 16x120x8, 3000 zipfian keys (scaled)",
+        "search_speedup_bar": SEARCH_SPEEDUP_BAR,
     })
     rows = []
     for label, ratio in [("easy-sat", 3.0), ("phase-transition", 4.26),
@@ -140,9 +200,35 @@ def main():
                          peak_mb=m.peak_mb, axis="kernel")
         rows.append([f"closure/{kernel}", f"{m.seconds:.4f}"])
 
+    graph = general_rw_polygraph()
+    searches = {}
+    for label, all_vars in (("choices", False), ("all-vars", True)):
+        seconds, verdict, stats = search_seconds(graph, all_vars=all_vars)
+        searches[label] = (seconds, verdict)
+        report.add_point(f"search[{label}]", len(graph.constraints),
+                         seconds=seconds, axis="constraints")
+        report.note(f"search_decisions[{label}]", stats["decisions"])
+        report.note(f"search_conflicts[{label}]", stats["conflicts"])
+        rows.append([f"search[{label}] ({len(graph.constraints)} constraints, "
+                     f"{stats['decisions']} decisions, "
+                     f"{stats['conflicts']} conflicts)", f"{seconds:.4f}"])
+    assert searches["choices"][1] == searches["all-vars"][1] is True, searches
+    report.count_verdict("si", 2)
+    speedup = searches["all-vars"][0] / searches["choices"][0]
+    report.note("search_speedup", round(speedup, 2))
+    report.note("search_speedup_bar_met", speedup >= SEARCH_SPEEDUP_BAR)
+
     print("\nSolver-substrate micro-benchmarks (seconds)")
     print(render_table(["case", "seconds"], rows))
+    print(f"search speedup, choices over all-vars: {speedup:.1f}x "
+          f"(keep-or-revert line {SEARCH_SPEEDUP_BAR}x, gated at full scale)")
     print(f"results: {report.write()}")
+    if SCALE >= 1.0:
+        assert speedup >= SEARCH_SPEEDUP_BAR, (
+            f"deciding choices only is {speedup:.2f}x the all-variable "
+            f"search, below the {SEARCH_SPEEDUP_BAR}x line: revert it "
+            "(ROADMAP, 'Spend the measurement')"
+        )
 
 
 if __name__ == "__main__":

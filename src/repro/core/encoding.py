@@ -1,6 +1,6 @@
 """SAT encoding of the induced SI graph (paper Section 4.4).
 
-The encoding follows Algorithm 2 (SAT-Encode) with three refinements that
+The encoding follows Algorithm 2 (SAT-Encode) with four refinements that
 keep it sound in corner cases and small in practice:
 
 - **Static/variable split.**  Known edges are facts: they need no Boolean
@@ -20,9 +20,15 @@ keep it sound in corner cases and small in practice:
 - **Implication-only constraint clauses.**  A constraint contributes a
   choice variable ``c`` with ``c -> either-edges`` and ``¬c -> or-edges``.
   Requiring the *absence* of the opposite branch is unnecessary (extra
-  edges only make acyclicity harder, and the solver prefers sparse
-  graphs) and would be unsound when an unrelated known edge shares a pair
-  with an opposite-branch edge.
+  edges only make acyclicity harder) and would be unsound when an
+  unrelated known edge shares a pair with an opposite-branch edge.
+- **The search decides choice variables only.**  Every typed-pair, and-gate
+  and or-gate variable is a function of the choices, so it is allocated
+  ``decision=False`` and left to unit propagation; with all choices
+  assigned, the derived variables propagation did not force are false,
+  which satisfies each of the five clause shapes emitted below and adds
+  no edge (DESIGN.md S4 has the argument).  A new choice's first phase
+  is the branch that agrees with the theory's current topological order.
 
 Induced edges with a variable part are defined by Tseitin translation
 over four derivation shapes: a constraint Dep edge itself, constraint-Dep
@@ -49,7 +55,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..solver.monosat import AcyclicGraphSolver
 from ..utils.reachability import is_acyclic
 from .known import KnownGraph
-from .polygraph import Edge, GeneralizedPolygraph, RW
+from .polygraph import Edge, GeneralizedPolygraph, RW, WW
 from .pruning import find_known_cycle
 
 __all__ = ["SIEncoding", "encode_polygraph", "graph_constraints"]
@@ -112,7 +118,8 @@ class SIEncoding:
         for ident, either, orelse in constraints:
             cvar = self.choice_var.get(ident)
             if cvar is None:
-                cvar = self.choice_var[ident] = solver.new_var()
+                cvar = self.choice_var[ident] = solver.new_var(
+                    phase=self._order_phase(either))
             emitted = self._emitted_branch.setdefault(ident, set())
             for tag, lit, branch in (("e", -cvar, either), ("o", cvar, orelse)):
                 for edge in branch:
@@ -121,12 +128,24 @@ class SIEncoding:
                                   else (self.dep_var, cur_dep))
                     var = table.get(pair)
                     if var is None:
-                        var = table[pair] = solver.new_var()
+                        var = table[pair] = solver.new_var(decision=False)
                     cur[pair] = var
                     if (tag, edge) not in emitted:
                         emitted.add((tag, edge))
                         solver.add_clause([lit, var])
         self._emit_gates(self._derive_terms(cur_dep, cur_rw, known, present))
+
+    def _order_phase(self, either: Iterable[Edge]) -> bool:
+        """Initial phase of a choice variable: the branch whose WW edge
+        agrees with the theory's current topological order (batch: a
+        Kahn order of KI; online: the order the last model left behind,
+        new transactions last) — taking it asserts edges that need no
+        reorder, so it is the cheap branch to try and, on histories a
+        real database produced, nearly always the right one."""
+        for u, v, label, _key in either:
+            if label == WW:
+                return self.solver.precedes(u, v)
+        return False
 
     def _derive_terms(self, cur_dep: Dict, cur_rw: Dict, known: KnownGraph,
                       present: Callable[[int, int], bool]) -> Dict:
@@ -179,12 +198,12 @@ class SIEncoding:
                     term_vars.append(term[1])
                     continue
                 _tag, a, b = term
-                aux = self.and_var[(a, b)] = solver.new_var()
+                aux = self.and_var[(a, b)] = solver.new_var(decision=False)
                 solver.add_clause([-aux, a])
                 solver.add_clause([-aux, b])
                 solver.add_clause([aux, -a, -b])
                 term_vars.append(aux)
-            gate = solver.new_var()
+            gate = solver.new_var(decision=False)
             for tvar in term_vars:
                 solver.add_clause([-tvar, gate])
             solver.add_clause([-gate] + term_vars)
@@ -271,7 +290,7 @@ class SIEncoding:
         caller's restored static substrate."""
         enc = cls(num_vertices)
         enc.solver = AcyclicGraphSolver.import_state(
-            state, num_vertices, static_adj=static_adj)
+            state, num_vertices, static_adj=static_adj, decision=False)
         enc.dep_var = {(u, v): var for u, v, var in state["dep_var"]}
         enc.rw_var = {(u, v): var for u, v, var in state["rw_var"]}
         enc.choice_var = {tuple(rec[:-1]): rec[-1]
@@ -283,6 +302,13 @@ class SIEncoding:
             for rec in state["emitted_branch"]}
         enc._emitted_terms = {(u, v): {tuple(term) for term in terms}
                               for u, v, terms in state["emitted_terms"]}
+        # Which variables the search decides, and which way first, is
+        # derived (never serialised): the choice variables, by the
+        # restored order.
+        for ident, cvar in enc.choice_var.items():
+            enc.solver.set_decision_var(cvar, enc._order_phase(
+                edge for tag, edge in enc._emitted_branch.get(ident, ())
+                if tag == "e"))
         return enc
 
 

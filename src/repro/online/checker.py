@@ -29,8 +29,9 @@ pipeline (:mod:`repro.core.checker`) recomputes from scratch:
   constraint clauses are added at the root level, and each call re-solves
   only what pruning left unresolved — *keeping the learned clauses of
   every previous call* (sound because clauses are only ever added; see
-  DESIGN.md, "Incremental solving").  This module keeps only the policy:
-  when to solve, and when a mostly-stale instance is dropped.
+  DESIGN.md, "Incremental solving").  This module keeps only the policy
+  of when to solve; the instance lives until a window compaction
+  renumbers the vertices under it.
 
 With a :class:`~repro.online.window.WindowPolicy` installed, closed-over
 transactions are evicted and the state periodically compacted, bounding
@@ -58,6 +59,7 @@ from ..core.known import KnownGraph
 from ..core.polygraph import Edge, RW, SO, WR, WW, branch_edges
 from ..core.pruning import branch_impossible, find_known_cycle
 from ..obs import current_metrics, get_logger, trace_span
+from ..solver.cdcl import SolverStats
 from ..utils.closure import CYCLE, resolve_closure_backend
 from .window import WindowPolicy, WindowStats
 
@@ -93,7 +95,8 @@ class OnlineResult:
         #: Cumulative per-stage seconds: ingest / prune / solve / gc.
         self.timings: Dict[str, float] = {}
         #: Stream counters: accepted, aborted, pending_reads,
-        #: unresolved_constraints, solves, window stats, solver stats.
+        #: unresolved_constraints, solves, solver_builds, window stats,
+        #: solver stats (cumulative over every instance built).
         self.stats: Dict[str, object] = {}
 
     @property
@@ -250,6 +253,10 @@ class OnlineChecker:
         self._resolved_dir: Dict[tuple, bool] = {}
 
         self._enc: Optional[SIEncoding] = None
+        # One set of solver counters for the whole stream: every
+        # instance built (one per compaction epoch) counts into it.
+        self._solver_stats = SolverStats()
+        self._solver_builds = 0
 
         self._violation: Optional[OnlineResult] = None
         self._solver_dirty = True
@@ -440,6 +447,8 @@ class OnlineChecker:
                 "seq": self._seq,
                 "live_count": self._live_count,
                 "solves": self._solves,
+                "solver_builds": self._solver_builds,
+                "solver": self._solver_stats.as_dict(),
             },
             "timings": dict(self._timings),
             "window_stats": self._wstats.as_dict(),
@@ -537,6 +546,10 @@ class OnlineChecker:
         self._seq = counters["seq"]
         self._live_count = counters["live_count"]
         self._solves = counters["solves"]
+        # Absent from checkpoints written before these were counted.
+        self._solver_builds = counters.get("solver_builds", 0)
+        for name, value in counters.get("solver", {}).items():
+            setattr(self._solver_stats, name, value)
         self._timings = dict(state["timings"])
         for name, value in state["window_stats"].items():
             setattr(self._wstats, name, value)
@@ -544,6 +557,7 @@ class OnlineChecker:
         if state["solver"] is not None:
             self._enc = SIEncoding.import_state(
                 state["solver"], self._n, self._solver_substrate())
+            self._enc.solver.stats = self._solver_stats
         self._solver_dirty = bool(state["solver_dirty"])
 
     # -- ingestion -----------------------------------------------------------
@@ -901,16 +915,16 @@ class OnlineChecker:
     def _solve_residue(self) -> None:
         """Encode whatever pruning left unresolved and re-solve.
 
-        The shared encoder adds only the delta; its solver instance — and
-        its learned clauses — carries over from previous calls.  A
-        mostly-stale instance (resolved constraints left behind
-        unassigned variables that every solve must still decide) is
-        dropped first and lazily rebuilt over the *current* residue
-        only: constraints resolved in the meantime live on as static
-        edges and need no re-encoding.  Learned clauses are reused
-        between drops and lost at them — the price of keeping the
-        variable pool proportional to the live residue rather than the
-        whole stream.
+        The shared encoder adds only the delta; its solver instance —
+        learned clauses, saved phases and the topological order the last
+        model left behind — carries over from previous calls, so a
+        re-solve after an event whose edges agree with that order is a
+        handful of decisions and no conflict.  Variables of constraints
+        resolved in the meantime stay behind but cost nothing: their
+        choice is pinned by a root unit and the rest are never decided.
+        Only :meth:`_compact` drops the instance (it renumbers the
+        vertices), which bounds the variable pool exactly as it bounds
+        the closure rows.
         """
         if self._violation is not None or not self._unresolved:
             return
@@ -919,18 +933,18 @@ class OnlineChecker:
         t0 = time.perf_counter()
         with trace_span("solve", unresolved=len(self._unresolved)) as span:
             enc = self._enc
-            if (enc is not None and enc.solver.num_vars > 64
-                    and enc.solver.num_vars > 3 * len(self._unresolved)):
-                enc = None
             if enc is None:
                 enc = self._enc = SIEncoding(
                     self._n, self._solver_substrate())
+                enc.solver.stats = self._solver_stats
+                self._solver_builds += 1
             constraints = [self._constraint(ck) for ck in self._unresolved]
             enc.encode(constraints, self._known, self._ki.has)
             sat = enc.solver.solve()
             span.set(sat=sat, vars=enc.solver.num_vars)
         self._solves += 1
         self._charge("solve", t0)
+        self._publish_metrics()
         if not sat:
             self._latch("solving", cycle=enc.violation_cycle(
                 self._known_edges, constraints))
@@ -975,12 +989,12 @@ class OnlineChecker:
             "unresolved_constraints": len(self._unresolved),
             "known_edges": len(self._known_edges),
             "solves": self._solves,
+            "solver_builds": self._solver_builds,
+            "solver": self._solver_stats.as_dict(),
             "window": self._wstats.as_dict(),
             "closure_backend": self.closure_backend,
         }
         out.stats["closure"] = self._ki.counters()
-        if self._enc is not None:
-            out.stats["solver"] = self._enc.solver.stats.as_dict()
 
     def _publish_metrics(self) -> None:
         """Mirror the live stream state into the ambient metrics
@@ -993,6 +1007,7 @@ class OnlineChecker:
         registry.gauge("online.unresolved").set(len(self._unresolved))
         registry.gauge("online.known_edges").set(len(self._known_edges))
         registry.gauge("online.solves").set(self._solves)
+        registry.gauge("online.solver_builds").set(self._solver_builds)
         registry.gauge("window.evicted").set(self._wstats.evicted)
         registry.gauge("window.gc_passes").set(self._wstats.gc_passes)
         registry.gauge("window.compactions").set(self._wstats.compactions)
@@ -1080,8 +1095,9 @@ class OnlineChecker:
 
     def _compact(self) -> None:
         """Renumber onto live vertices; rebuild derived state and drop the
-        solver (it is lazily rebuilt — learned clauses referencing retired
-        variables are intentionally discarded)."""
+        solver (its variables name the old vertex ids; the next solve
+        builds one over the live residue, and the learned clauses go
+        with the retired variables)."""
         live_ids = [v for v in range(self._n) if self._live[v]]
         old_to_new = self._ki.compact(live_ids)
         if self._dep_reach is not None:

@@ -1,16 +1,10 @@
 """SAT modulo graph-acyclicity: the MonoSAT substitute (DESIGN.md, S5)."""
 
-from .cnf import CNF, VarPool, neg, sign_of, var_of
 from .cdcl import CDCLSolver, SolverStats
 from .graph import AcyclicityTheory
 from .monosat import AcyclicGraphSolver
 
 __all__ = [
-    "CNF",
-    "VarPool",
-    "neg",
-    "sign_of",
-    "var_of",
     "CDCLSolver",
     "SolverStats",
     "AcyclicityTheory",

@@ -14,13 +14,19 @@ theory; if the theory reports a conflict — for the acyclicity theory, a set
 of edge variables forming a directed cycle — the conflict is turned into a
 clause and handled by the regular conflict analysis machinery.
 
-The default decision phase is *false*: in the PolySI encoding a variable
-means "this edge exists", and the solver should prefer sparse (hence
-acyclic) graphs, only adding edges when constraints force them.
+Variables carry MiniSat's two per-variable settings (``new_var``): whether
+the search may *decide* the variable, and the phase its first decision
+tries.  The PolySI encoder decides only its constraint-choice variables —
+every edge and gate variable is a function of those and is left to
+propagation — and seeds each choice's phase from the theory's topological
+order (DESIGN.md, substitution 1 and S4).  The defaults (decide every
+variable, try *false* first: a variable means "this edge exists", and
+sparse graphs are the acyclic ones) are what a plain CNF gets.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, List, Optional
 
 from ..obs import current_metrics
@@ -32,15 +38,12 @@ class SolverStats:
     """Counters exposed for the evaluation harness."""
 
     __slots__ = ("conflicts", "decisions", "propagations", "restarts",
-                 "theory_conflicts", "learned")
+                 "theory_conflicts", "learned", "theory_checks",
+                 "theory_reorders")
 
     def __init__(self) -> None:
-        self.conflicts = 0
-        self.decisions = 0
-        self.propagations = 0
-        self.restarts = 0
-        self.theory_conflicts = 0
-        self.learned = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -87,6 +90,7 @@ class CDCLSolver:
         self.reasons: List[Optional[list]] = [None]
         self.activity: List[float] = [0.0]
         self.phase: List[bool] = [False]
+        self.decision = bytearray(1)        # 1: the search may decide it
         self._seen = bytearray(1)
         # Watches indexed by literal encoding: lit -> list of clauses.
         self.watches: dict = {}
@@ -105,21 +109,44 @@ class CDCLSolver:
 
     # -- variable / clause management ---------------------------------------
 
-    def new_var(self) -> int:
-        """Allocate a fresh variable and return its index."""
+    def new_var(self, decision: bool = True, phase: bool = False) -> int:
+        """Allocate a fresh variable and return its index.
+
+        ``decision`` and ``phase`` have MiniSat's meaning: whether the
+        search may branch on the variable, and the value its first
+        decision tries (phase saving overwrites it with every later
+        assignment).  The search answers SAT once no *decision* variable
+        is unassigned, and an unassigned variable reads false
+        (:meth:`model_value`) — so the caller's contract for
+        ``decision=False`` is that propagation forces the variable
+        whenever its value matters: with every decision variable
+        assigned and propagation at fixpoint, setting the rest false
+        must satisfy every clause and assert nothing to the theory.
+        """
         self.num_vars += 1
         self.values.append(0)
         self.levels.append(0)
         self.reasons.append(None)
         self.activity.append(0.0)
-        self.phase.append(False)
+        self.phase.append(phase)
+        self.decision.append(decision)
         self._seen.append(0)
-        self._heap_push(self.num_vars)
+        if decision:
+            self._heap_push(self.num_vars)
         return self.num_vars
 
     def ensure_vars(self, n: int) -> None:
         while self.num_vars < n:
             self.new_var()
+
+    def set_decision_var(self, var: int, phase: bool = False) -> None:
+        """Make an existing variable a decision variable whose first
+        decision tries ``phase`` (MiniSat's ``setDecisionVar`` plus
+        ``setPolarity``)."""
+        self.phase[var] = phase
+        if not self.decision[var]:
+            self.decision[var] = 1
+            self._heap_push(var)
 
     def attach_theory(self, theory) -> None:
         """Attach a DPLL(T) theory (see :mod:`repro.solver.graph`)."""
@@ -183,7 +210,8 @@ class CDCLSolver:
         return value if lit > 0 else -value
 
     def model_value(self, var: int) -> bool:
-        """Value of ``var`` in the model found by the last successful solve."""
+        """Value of ``var`` in the model found by the last successful
+        solve (a non-decision variable left unassigned is false)."""
         return self.values[var] == 1
 
     def _enqueue(self, lit: int, reason: Optional[list]) -> bool:
@@ -328,7 +356,8 @@ class CDCLSolver:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        self._heap_push(var)
+        if self.decision[var]:
+            self._heap_push(var)
 
     def _decay(self) -> None:
         self.var_inc /= self.var_decay
@@ -343,7 +372,8 @@ class CDCLSolver:
             var = lit if lit > 0 else -lit
             self.values[var] = 0
             self.reasons[var] = None
-            self._heap_push(var)
+            if self.decision[var]:
+                self._heap_push(var)
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -354,18 +384,18 @@ class CDCLSolver:
     # -- decision heuristic -------------------------------------------------------
 
     def _heap_push(self, var: int) -> None:
-        import heapq
-
         heapq.heappush(self._order, (-self.activity[var], var))
 
     def _pick_branch_var(self) -> int:
-        import heapq
+        """The unassigned decision variable of highest activity, or 0.
 
+        The heap is lazy (stale and duplicate entries are skipped here)
+        but complete: only decision variables are ever pushed, and every
+        one that becomes unassigned is (``new_var``, ``_backtrack``), so
+        an empty heap means none is left.
+        """
         while self._order:
             _, var = heapq.heappop(self._order)
-            if self.values[var] == 0:
-                return var
-        for var in range(1, self.num_vars + 1):
             if self.values[var] == 0:
                 return var
         return 0
@@ -381,9 +411,24 @@ class CDCLSolver:
         """
         if self._unsat:
             return False
-        # Resolved once per solve call: the hot search loop below only
-        # touches metrics at restart boundaries and on return.
+        # Resolved once per solve call: the hot search loop only touches
+        # metrics at restart boundaries and on return.
         registry = current_metrics()
+        sat = self._search(registry)
+        self._publish(registry)
+        return sat
+
+    def _publish(self, registry) -> None:
+        """Drain the theory's own counters into the stats, then mirror
+        the stats into ``registry``."""
+        theory = self.theory
+        if theory is not None:
+            self.stats.theory_checks += theory.checks
+            self.stats.theory_reorders += theory.reorders
+            theory.checks = theory.reorders = 0
+        self.stats.publish(registry)
+
+    def _search(self, registry) -> bool:
         self._backtrack(0)
         if self.theory is not None:
             # Root-level theory assertions survive across calls (the
@@ -411,7 +456,6 @@ class CDCLSolver:
                     # Conflict among root-level facts: permanently UNSAT
                     # (latched, so repeated incremental solves stay False).
                     self._unsat = True
-                    self.stats.publish(registry)
                     return False
                 if max_level < self.decision_level:
                     self._backtrack(max_level)
@@ -420,7 +464,6 @@ class CDCLSolver:
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
                         self._unsat = True
-                        self.stats.publish(registry)
                         return False
                 else:
                     self.learned_clauses.append(learnt)
@@ -431,7 +474,7 @@ class CDCLSolver:
                 continue
             if conflicts_in_round >= conflicts_until_restart:
                 self.stats.restarts += 1
-                self.stats.publish(registry)
+                self._publish(registry)
                 restart_count += 1
                 conflicts_in_round = 0
                 conflicts_until_restart = self.RESTART_BASE * _luby(
@@ -441,8 +484,9 @@ class CDCLSolver:
                 continue
             var = self._pick_branch_var()
             if var == 0:
-                self.stats.publish(registry)
-                return True  # complete assignment, theory-consistent
+                # Every decision variable is assigned and propagation is
+                # at fixpoint: the rest read false (see new_var).
+                return True
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
             lit = var if self.phase[var] else -var

@@ -61,6 +61,8 @@ class AcyclicityTheory:
             [] for _ in range(num_vertices)
         ]
         self._stack: List[Tuple[int, int, int, int]] = []  # (u, v, var, pos)
+        # Edge assertions and local reorders since the solver last
+        # drained them into its SolverStats.
         self.checks = 0
         self.reorders = 0
 
@@ -134,13 +136,14 @@ class AcyclicityTheory:
     def watches_var(self, var: int) -> bool:
         return var in self.edge_of
 
-    # -- solver callbacks -------------------------------------------------------
+    def precedes(self, u: int, v: int) -> bool:
+        """Whether ``u`` comes before ``v`` in the current topological
+        order, i.e. asserting ``u -> v`` now would need no reorder.  The
+        order outlives backtracking, which makes it a free phase hint
+        for a choice between ``u -> v`` and ``v -> u``."""
+        return self.order[u] < self.order[v]
 
-    def reset(self) -> None:
-        """Drop all variable edges (called at the start of each solve)."""
-        self.var_out = [[] for _ in range(self.num_vertices)]
-        self.var_in = [[] for _ in range(self.num_vertices)]
-        self._stack = []
+    # -- solver callbacks -------------------------------------------------------
 
     def assert_var(self, var: int, trail_pos: int) -> Optional[List[int]]:
         """Called when an edge variable becomes true.

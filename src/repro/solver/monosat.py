@@ -44,11 +44,19 @@ class AcyclicGraphSolver:
 
     # -- construction -------------------------------------------------------
 
-    def new_var(self) -> int:
-        return self._solver.new_var()
+    def new_var(self, decision: bool = True, phase: bool = False) -> int:
+        """Allocate a variable; see :meth:`CDCLSolver.new_var` for the
+        contract a ``decision=False`` variable must meet."""
+        return self._solver.new_var(decision, phase)
 
-    def ensure_vars(self, n: int) -> None:
-        self._solver.ensure_vars(n)
+    def set_decision_var(self, var: int, phase: bool = False) -> None:
+        """See :meth:`CDCLSolver.set_decision_var`."""
+        self._solver.set_decision_var(var, phase)
+
+    def precedes(self, u: int, v: int) -> bool:
+        """Whether ``u`` is before ``v`` in the theory's current
+        topological order (:meth:`AcyclicityTheory.precedes`)."""
+        return self._theory.precedes(u, v)
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a CNF clause over previously allocated variables.
@@ -93,8 +101,8 @@ class AcyclicGraphSolver:
         }
 
     @classmethod
-    def import_state(cls, state: dict, num_vertices: int,
-                     static_adj=None) -> "AcyclicGraphSolver":
+    def import_state(cls, state: dict, num_vertices: int, static_adj=None,
+                     decision: bool = True) -> "AcyclicGraphSolver":
         """Rebuild an instance from :meth:`export_state` output.
 
         Edge variables are registered before any clause is added so
@@ -104,9 +112,15 @@ class AcyclicGraphSolver:
         "learned" means), so strengthening the clause database with
         them preserves the solution set while carrying the conflict
         knowledge across the restart.
+
+        Decision flags and phases are not part of the payload: every
+        variable comes back with ``decision`` as its flag, and a caller
+        that knows which ones the search must decide says so afterwards
+        (:meth:`set_decision_var`).
         """
         out = cls(num_vertices, static_adj)
-        out.ensure_vars(state["num_vars"])
+        for _ in range(state["num_vars"]):
+            out.new_var(decision)
         for var, u, v in state["edges"]:
             out.add_edge(var, u, v)
         for clause in state["clauses"]:
@@ -156,6 +170,12 @@ class AcyclicGraphSolver:
     @property
     def stats(self):
         return self._solver.stats
+
+    @stats.setter
+    def stats(self, stats) -> None:
+        """Count into a caller-owned :class:`SolverStats` (the online
+        checker keeps one across the instances it builds)."""
+        self._solver.stats = stats
 
     # -- solving ----------------------------------------------------------------
 

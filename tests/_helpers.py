@@ -10,12 +10,19 @@ else was collected.
 
 from __future__ import annotations
 
+import networkx as nx
+
 from repro.core.history import History, HistoryBuilder, R, W
-from repro.core.polygraph import WW, Constraint, GeneralizedPolygraph
+from repro.core.polygraph import RW, WW, Constraint, GeneralizedPolygraph
 
 __all__ = [
     "branch_impossible_reference",
     "subgraph_reference",
+    "decision_vars",
+    "all_decision_search",
+    "assert_completion_is_a_model",
+    "assert_valid_witness",
+    "solve_under_contract",
     "build",
     "long_fork_history",
     "lost_update_history",
@@ -157,3 +164,71 @@ def subgraph_reference(graph, vertices):
     if needs_init:
         old_of_new.append(graph.init_vertex)
     return sub, old_of_new
+
+
+# The solver's decision-variable contract (DESIGN.md S4): oracles that read
+# the solver's tables but share none of its code. ------------------------------
+
+
+def decision_vars(solver) -> set:
+    """The variables the search of an ``AcyclicGraphSolver`` may decide."""
+    cdcl = solver._solver
+    return {var for var in range(1, cdcl.num_vars + 1) if cdcl.decision[var]}
+
+
+def all_decision_search(encoding):
+    """Turn ``encoding``'s search into the one it replaced — every
+    variable a decision variable, every first phase *false* — and return
+    the encoding.  The differential reference for choices-only search;
+    it exists here only."""
+    solver = encoding.solver
+    for var in range(1, solver.num_vars + 1):
+        solver.set_decision_var(var, False)
+    return encoding
+
+
+def assert_completion_is_a_model(solver) -> None:
+    """After a SAT answer: every decision variable is assigned, and
+    reading each unassigned variable as *false* satisfies every original
+    and every learned clause while the static edges plus the edges of
+    true variables form an acyclic graph."""
+    cdcl = solver._solver
+    values = cdcl.values
+    assert all(values[var] != 0 for var in decision_vars(solver))
+
+    def holds(lit: int) -> bool:
+        return (values[abs(lit)] == 1) == (lit > 0)
+
+    for clause in solver._clauses + cdcl.learned_clauses:
+        assert any(holds(lit) for lit in clause), clause
+    graph = nx.DiGraph()
+    for u, row in enumerate(solver._theory.static_adj):
+        graph.add_edges_from((u, v) for v in row)
+    graph.add_edges_from(
+        edge for var, edge in solver._edges.items() if values[var] == 1)
+    assert nx.is_directed_acyclic_graph(graph)
+
+
+def assert_valid_witness(cycle, graph) -> None:
+    """A closed walk of known or constraint edges with no two adjacent
+    anti-dependencies — an undesired cycle of Theorem 6."""
+    assert cycle
+    allowed = set(graph.known_edges)
+    for cons in graph.constraints:
+        allowed.update(cons.either)
+        allowed.update(cons.orelse)
+    for edge, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        assert edge in allowed
+        assert edge[1] == nxt[0]
+        assert not (edge[2] == RW and nxt[2] == RW)
+
+
+def solve_under_contract(encoding, twin) -> bool:
+    """Solve ``encoding`` and hold the answer to the contract: on SAT
+    the completion property, and either way the answer of ``twin`` — a
+    second encoding of the same instance — searched over all variables."""
+    verdict = encoding.solver.solve()
+    if verdict:
+        assert_completion_is_a_model(encoding.solver)
+    assert all_decision_search(twin).solver.solve() == verdict
+    return verdict

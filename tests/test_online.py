@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.checker import check_snapshot_isolation
 from repro.core.history import ABORTED, DuplicateValueError, HistoryBuilder, R, W
+from repro.obs import MetricsRegistry, use_metrics
 from repro.online import OnlineChecker, WindowPolicy
 from repro.utils.closure import CYCLE, KNOWN, NEW, PyBitsetClosure
 from repro.solver.monosat import AcyclicGraphSolver
@@ -27,6 +28,26 @@ from _helpers import (
     serializable_history,
     write_skew_history,
 )
+
+def assert_same_decision(history, online):
+    """``online`` decided ``history`` the way the batch checker does:
+    same verdict, the same layer deciding it (axioms, or a cycle — the
+    two pipelines may find the same cycle at different stages), and on a
+    cycle a closed typed walk with no two adjacent anti-dependencies."""
+    batch = check_snapshot_isolation(history)
+    assert online.satisfies_si == batch.satisfies_si
+    if batch.satisfies_si:
+        return
+    assert (online.decided_by == "axioms") == (batch.decided_by == "axioms")
+    if online.decided_by == "axioms":
+        return
+    assert online.decided_by in ("pruning", "solving")
+    assert bool(online.cycle) == bool(batch.cycle)
+    cycle = online.cycle or []
+    for edge, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        assert edge[1] == nxt[0]
+        assert not (edge[2] == "RW" and nxt[2] == "RW")
+
 
 CANONICAL = {
     "long_fork": (long_fork_history, False),
@@ -70,9 +91,7 @@ class TestDifferentialCorpus:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_anomaly_corpus_replays(self, seed):
         for _name, history in known_anomaly_corpus(24, seed=seed):
-            batch = check_snapshot_isolation(history).satisfies_si
-            online = OnlineChecker().replay(history).satisfies_si
-            assert online == batch
+            assert_same_decision(history, OnlineChecker().replay(history))
 
     @pytest.mark.parametrize("isolation", ["snapshot", "read_committed"])
     def test_generated_workloads(self, isolation):
@@ -83,12 +102,106 @@ class TestDifferentialCorpus:
                 seed=seed, isolation=isolation,
             ).history
             batch = check_snapshot_isolation(history).satisfies_si
-            for checker in (OnlineChecker(),
-                            OnlineChecker(solve_every=8),
+            assert_same_decision(history, OnlineChecker().replay(history))
+            for checker in (OnlineChecker(solve_every=8),
                             OnlineChecker(window=WindowPolicy(max_live=20,
                                                               gc_every=8),
                                           sessions=range(4))):
                 assert checker.replay(history).satisfies_si == batch
+
+
+class TestSolverKeptAcrossSolves:
+    """One solver instance per compaction epoch: learned clauses, saved
+    phases and the theory's order carry from solve to solve, and the
+    verdict stays the batch checker's."""
+
+    SESSIONS = 6
+
+    def _prefix(self):
+        """A valid contended stream, long enough for 100+ solves."""
+        return generate_history(
+            WorkloadParams(sessions=self.SESSIONS, txns_per_session=50,
+                           ops_per_txn=5, keys=20, read_proportion=0.5),
+            seed=3, isolation="snapshot").history
+
+    def test_unwindowed_stream_builds_one_solver(self):
+        history = self._prefix()
+        checker = OnlineChecker()
+        instances = set()
+        for txn in history.transactions:
+            checker.add(txn.session, txn.ops, status=txn.status)
+            if checker._enc is not None:
+                instances.add(id(checker._enc))
+        result = checker.finish()
+        assert_same_decision(history, result)
+        assert result.satisfies_si
+        assert result.stats["solves"] >= 100
+        assert result.stats["solver_builds"] == len(instances) == 1
+        # Counters cover the whole stream, not the last instance's share.
+        assert result.stats["solver"]["decisions"] >= result.stats["solves"]
+        assert result.stats["solver"]["theory_checks"] > 0
+
+    def test_windowed_stream_builds_one_solver_per_compaction(self):
+        history = self._prefix()
+        checker = OnlineChecker(
+            window=WindowPolicy(max_live=24, gc_every=8),
+            sessions=range(self.SESSIONS))
+        before = []
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            for txn in history.transactions:
+                result = checker.add(txn.session, txn.ops, status=txn.status)
+                before.append(result.stats["solver"]["propagations"])
+            result = checker.finish()
+        assert result.satisfies_si
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["online.solver_builds"] == result.stats["solver_builds"]
+        for name, value in result.stats["solver"].items():
+            assert gauges[f"solver.{name}"] == value, name
+        compactions = result.stats["window"]["compactions"]
+        assert compactions > 0
+        assert 1 < result.stats["solver_builds"] <= compactions + 1
+        # Cumulative: a rebuild never resets the counters, and the key
+        # is there whether or not an instance is live.
+        assert before == sorted(before)
+
+    def test_known_edge_against_a_learned_root_level_edge(self):
+        """After 100+ solves on one instance, a known edge closes a cycle
+        through an edge only the *solver* knows is mandatory (a learned
+        unit): ``add_static_edge`` reports it and the verdict latches
+        without another solve.
+
+        t -WW-> s composes with s -RW-> j into t -> j, and j -SO-> t: the
+        search learns "not t -> s", which pins s -WW-> t at the root;
+        pruning's rules never look at that composition.  Then n (after
+        t in its session) reads the z that s overwrote: t -SO-> n -RW-> s."""
+        history = self._prefix()
+        a, b, c = self.SESSIONS, self.SESSIONS + 1, self.SESSIONS + 2
+        gadget = [
+            (a, [W("gy", 1), W("gz", 1)]),
+            (b, [R("gy", 1), W("gy", 2)]),                          # j
+            (b, [W("gx", 1)]),                                      # t
+            (c, [R("gy", 1), R("gz", 1), W("gz", 2), W("gx", 2)]),  # s
+            (b, [R("gz", 1)]),                                      # n
+        ]
+        checker = OnlineChecker()
+        for txn in history.transactions:
+            checker.add(txn.session, txn.ops, status=txn.status)
+        for session, ops in gadget[:-1]:
+            result = checker.add(session, ops)
+        assert result.satisfies_si and result.stats["solves"] >= 100
+        assert result.stats["solver_builds"] == 1
+        final = checker.add(*gadget[-1])
+        assert not final.satisfies_si
+        assert final.decided_by == "solving"
+        assert final.stats["solves"] == result.stats["solves"]
+
+        builder = HistoryBuilder()
+        for txn in history.transactions:
+            builder.txn(txn.session, txn.ops, status=txn.status)
+        for session, ops in gadget:
+            builder.txn(session, ops)
+        assert not check_snapshot_isolation(builder.build()).satisfies_si
 
 
 class TestStreaming:

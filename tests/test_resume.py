@@ -31,7 +31,7 @@ from repro.workloads import WorkloadParams, generate_history
 from repro.workloads.corpus import known_anomaly_corpus
 from repro.workloads.random_histories import random_history
 
-from _helpers import lost_update_history
+from _helpers import decision_vars, lost_update_history
 
 
 def _events_for(history):
@@ -151,6 +151,47 @@ class TestSnapshotRestoreEquivalence:
         assert (sorted(type(a).__name__ for a in result.anomalies)
                 == sorted(type(a).__name__ for a in expected.anomalies))
 
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_resumed_solver_decides_choices_only_and_is_kept(self, windowed):
+        """The restored instance is the one the stream goes on with — a
+        new one is built only after a compaction — and its search never
+        decides a derived variable: between two conflicts (or restarts)
+        each choice is decided at most once."""
+        events = _valid_events(5, sessions=5, txns=14)
+        kwargs = (dict(window=WindowPolicy(max_live=12, gc_every=4),
+                       sessions=range(5)) if windowed else {})
+        baseline = OnlineChecker(**kwargs)
+        expected = _drive(baseline, events)
+        choices = 0
+
+        def feed(checker, part):
+            nonlocal choices
+            for event in part:
+                checker.add(event[0], event[1], status=event[2])
+                if checker._enc is not None:
+                    choices = max(choices, len(checker._enc.choice_var))
+
+        split = len(events) // 2
+        first = OnlineChecker(**kwargs)
+        feed(first, events[:split])
+        assert first.unresolved_constraints and first._enc is not None
+        second = OnlineChecker.restore(first.snapshot())
+        restored = second._enc
+        assert decision_vars(restored.solver) == set(
+            restored.choice_var.values())
+        feed(second, events[split:])
+        result = second.finish()
+        assert _fingerprint(second, result) == _fingerprint(baseline, expected)
+        stats, solver = result.stats, result.stats["solver"]
+        assert stats["solver_builds"] == expected.stats["solver_builds"]
+        assert stats["solver_builds"] <= stats["window"]["compactions"] + 1
+        if windowed:
+            assert stats["window"]["compactions"] > 0
+        else:
+            assert second._enc is restored
+        assert 0 < solver["decisions"] <= choices * (
+            solver["conflicts"] + solver["restarts"] + stats["solves"])
+
     def test_snapshot_refuses_a_latched_violation(self):
         checker = OnlineChecker()
         result = _drive(checker, _events_for(lost_update_history()))
@@ -159,7 +200,7 @@ class TestSnapshotRestoreEquivalence:
             checker.snapshot()
 
 
-@pytest.mark.parametrize("build", ["f8d5e43", "80ea5ae"])
+@pytest.mark.parametrize("build", ["f8d5e43", "80ea5ae", "d90a0f0"])
 class TestCheckpointWrittenByAnEarlierBuild:
     """``tests/data/checkpoint_<build>.json`` is
     ``OnlineChecker.snapshot()`` output written by that commit
@@ -174,7 +215,12 @@ class TestCheckpointWrittenByAnEarlierBuild:
       Dep-predecessor: a windowed checker after its first compaction,
       four unresolved constraints, a second compaction in the tail.
       The Dep-predecessor masks pruning now reads are derived state and
-      must come back from the persisted known edges alone."""
+      must come back from the persisted known edges alone.
+    - ``d90a0f0`` — the last build whose search decided every variable:
+      eleven unresolved constraints, two learned clauses and three
+      and-gates.  Which variables the search decides (and which way
+      first) is derived state too: it must come back as exactly the
+      choice variables although the payload says nothing about it."""
 
     @staticmethod
     def _fixture(build):
@@ -192,13 +238,17 @@ class TestCheckpointWrittenByAnEarlierBuild:
         fixture = self._fixture(build)
         assert fixture["state"]["unresolved"]
         assert fixture["state"]["solver"]["clauses"]
-        if build == "f8d5e43":
-            assert fixture["state"]["solver"]["and_cache"]
-        else:
+        if build == "80ea5ae":
             assert fixture["state"]["window_stats"]["compactions"]
+        else:
+            assert fixture["state"]["solver"]["and_cache"]
+        if build == "d90a0f0":
+            assert fixture["state"]["solver"]["learned"]
         checker = OnlineChecker.restore(fixture["state"])
         assert checker._known.pred_mask == [
             sum(1 << p for p in preds) for preds in checker._known.dep_preds]
+        assert decision_vars(checker._enc.solver) == set(
+            checker._enc.choice_var.values())
         for session, ops, status in fixture["tail"]:
             checker.add(session, [Operation(*op) for op in ops],
                         status=status)
@@ -217,9 +267,13 @@ class TestCheckpointWrittenByAnEarlierBuild:
         assert set(again) == set(fixture)
         assert set(again["solver"]) == set(fixture["solver"])
         for table in ("dep_var", "rw_var", "choice_var", "and_cache",
-                      "emitted_branch", "emitted_terms", "clauses", "edges"):
+                      "emitted_branch", "emitted_terms", "edges"):
             assert (sorted(map(repr, again["solver"][table]))
                     == sorted(map(repr, fixture["solver"][table]))), table
+        # A restore re-adds learned clauses as ordinary ones.
+        assert (sorted(map(repr, again["solver"]["clauses"]))
+                == sorted(map(repr, fixture["solver"]["clauses"]
+                              + fixture["solver"]["learned"])))
 
 
 class TestPersistentCheck:

@@ -6,6 +6,10 @@ valid across arbitrary assert/backtrack sequences (removals keep any
 valid order valid; insertions locally reorder).  These tests drive random
 operation sequences and compare every answer against networkx on the
 reconstructed edge set.
+
+A last mode drives the theory through the real search the way the SI
+encoder does: every edge variable derived (``decision=False``), only
+choice variables decided.
 """
 
 import random
@@ -14,6 +18,7 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.solver.graph import AcyclicityTheory
+from repro.solver.monosat import AcyclicGraphSolver
 
 
 def _would_be_acyclic(edges, new_edge) -> bool:
@@ -145,3 +150,35 @@ class TestStaticSubstrateScripts:
                 theory.backtrack(level)
                 reference = [e for e in reference if e[2] < level]
                 trail_pos = max(trail_pos, level)
+
+
+class TestTheoryUnderNonDecisionEdges:
+    """Random edge sets through the real search: every edge variable
+    is derived (``decision=False``) from a per-edge choice variable,
+    which alone is decided."""
+
+    @given(st.integers(min_value=2, max_value=6),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.booleans()), min_size=1, max_size=14),
+           st.integers(min_value=0, max_value=1000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_networkx(self, n, raw_edges, seed):
+        rng = random.Random(seed)
+        edges = [(u % n, v % n, forced) for u, v, forced in raw_edges]
+        solver = AcyclicGraphSolver(n)
+        forced_edges = []
+        for u, v, forced in edges:
+            choice = solver.new_var(phase=rng.random() < 0.5)
+            edge = solver.new_var(decision=False)
+            solver.add_edge(edge, u, v)
+            solver.add_clause([-choice, edge])
+            if forced:
+                solver.add_clause([choice])
+                forced_edges.append((u, v))
+        want = nx.is_directed_acyclic_graph(nx.DiGraph(forced_edges)) \
+            and all(u != v for u, v in forced_edges)
+        assert solver.solve() == want
+        if want:
+            graph = nx.DiGraph([(u, v) for u, v, _var in solver.true_edges()])
+            assert nx.is_directed_acyclic_graph(graph)
+            assert set(forced_edges) <= set(graph.edges)
