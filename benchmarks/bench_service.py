@@ -19,15 +19,23 @@ The report pins the service-layer acceptance criteria:
 - **ingest throughput** (events/s across all collectors), **verdict
   latency** (per ``GET /verdict/<tenant>`` round trip, sampled during
   ingestion), and **eviction counts** under the global live-transaction
-  budget.
+  budget;
+- **one checker thread** — the threads the daemon runs
+  (``derived.daemon_threads``) are the same with one tenant as with
+  ``COLLECTORS + 1``, and ``derived.ctx_switches_per_event`` records
+  what handing events between them costs (``getrusage`` delta of this
+  process — the daemon's threads plus this script's sampling loop —
+  over the events served).
 
 Run:  PYTHONPATH=../src python bench_service.py
 """
 
 import multiprocessing
 import os
+import resource
 import statistics
 import sys
+import threading
 import time
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -36,6 +44,7 @@ from _common import scaled
 from repro.bench.harness import render_table
 from repro.bench.results import BenchReport
 from repro.collect import Collector, FaultyAdapter, SQLiteAdapter
+from repro.core.history import W
 from repro.service import ReproService, ServiceClient, ServiceConfig
 from repro.workloads.generator import WorkloadParams, generate_workload
 
@@ -52,6 +61,10 @@ MIN_LIVE_SHARE = 8
 
 #: The tenant fed through the anomaly-injecting adapter.
 FAULTY_TENANT = "collector-3"
+
+#: One event pushed before any collector starts, so the daemon's thread
+#: count is read once with a single tenant.
+WARM_UP_TENANT = "warm-up"
 
 PARAMS = WorkloadParams(
     sessions=4,
@@ -88,6 +101,11 @@ def _collector_main(name: str, seed: int, inject, http_port: int,
     })
 
 
+def _context_switches() -> int:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_nvcsw + usage.ru_nivcsw
+
+
 def main():
     report = BenchReport("service", config={
         "collectors": COLLECTORS,
@@ -105,7 +123,17 @@ def main():
         max_live_total=MAX_LIVE_TOTAL,
         min_live_share=MIN_LIVE_SHARE,
     ))
+    threads_before = threading.active_count()
     handle = service.start_in_thread()
+    client = ServiceClient("127.0.0.1", handle.http_port)
+    client.push_events(WARM_UP_TENANT, [(0, (W("warm-up", 1),), "committed")],
+                       sessions=1)
+    deadline = time.monotonic() + 30
+    while client.verdict(WARM_UP_TENANT)["events"] < 1:
+        assert time.monotonic() < deadline, "warm-up event never checked"
+        time.sleep(0.01)
+    threads_one_tenant = threading.active_count() - threads_before
+    switches_before = _context_switches()
     results: "multiprocessing.Queue" = multiprocessing.Queue()
     workers = []
     for i in range(COLLECTORS):
@@ -120,7 +148,6 @@ def main():
         w.start()
 
     # Sample verdict-query latency while ingestion is in flight.
-    client = ServiceClient("127.0.0.1", handle.http_port)
     verdict_latencies = []
     while any(w.is_alive() for w in workers):
         for name in client.tenants():
@@ -134,10 +161,17 @@ def main():
 
     collector_stats = [results.get() for _ in range(COLLECTORS)]
     assert all(w.exitcode == 0 for w in workers), "a collector crashed"
+    daemon_threads = threading.active_count() - threads_before
+    assert daemon_threads == threads_one_tenant, (
+        f"daemon threads depend on the tenant count: {threads_one_tenant} "
+        f"with one tenant, {daemon_threads} with {COLLECTORS + 1}"
+    )
 
     drain_start = time.perf_counter()
     verdicts = handle.drain()
     drain_seconds = time.perf_counter() - drain_start
+    switches = _context_switches() - switches_before
+    del verdicts[WARM_UP_TENANT]
     # Final-verdict latency: the polished read path after drain.
     for name in sorted(verdicts):
         t0 = time.perf_counter()
@@ -199,6 +233,8 @@ def main():
     report.note("verdict_latency_max_ms", round(
         1000 * max(verdict_latencies), 3))
     report.note("drain_seconds", round(drain_seconds, 3))
+    report.note("daemon_threads", daemon_threads)
+    report.note("ctx_switches_per_event", round(switches / served_total, 2))
 
     print(f"\n{COLLECTORS} concurrent collector processes -> one daemon "
           f"(queue_depth={QUEUE_DEPTH}, max_live_total={MAX_LIVE_TOTAL})")
@@ -213,6 +249,10 @@ def main():
           "and accepted — zero loss")
     print(f"window evictions under the {MAX_LIVE_TOTAL}-txn budget: "
           f"{evictions_total}")
+    print(f"daemon threads: {daemon_threads} (one tenant or "
+          f"{COLLECTORS + 1}); "
+          f"{report.derived['ctx_switches_per_event']} context switches "
+          "per event")
     print(f"verdict latency: p50 "
           f"{report.derived['verdict_latency_p50_ms']}ms, max "
           f"{report.derived['verdict_latency_max_ms']}ms")

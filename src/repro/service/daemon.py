@@ -15,11 +15,12 @@
   ``/metrics`` endpoint, health/readiness, per-tenant Chrome-trace
   snapshots, and graceful drain.
 
-Checking itself runs in per-tenant worker threads
-(:class:`~repro.service.tenants.TenantChecker`) behind bounded queues,
-so the event loop only parses, routes, and applies backpressure.  See
-``docs/service.md`` for the wire contract and DESIGN.md S13 for why the
-reject/stall discipline never weakens a verdict.
+Checking itself runs on the service's one checker thread
+(:class:`~repro.service.tenants.SessionRouter`), which takes batches of
+events off the tenants' bounded queues, so the event loop only parses,
+routes, and applies backpressure.  See ``docs/service.md`` for the wire
+contract and DESIGN.md S13 for why the reject/stall discipline never
+weakens a verdict.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class ReproService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        self.router = SessionRouter(self.config)
         self.metrics = MetricsRegistry()
+        self.router = SessionRouter(self.config, self.metrics)
         self.draining = False
         self.final_verdicts: Optional[Dict[str, dict]] = None
         self.http_port: Optional[int] = None
@@ -107,11 +108,13 @@ class ReproService:
             self.tcp_port = self._tcp_server.sockets[0].getsockname()[1]
 
     async def aclose(self) -> None:
-        """Close the listening servers and wait for them to finish."""
+        """Close the listening servers, wait for them to finish, and
+        let the checker thread go once it has nothing left to check."""
         for server in (self._tcp_server, self._http_server):
             if server is not None:
                 server.close()
                 await server.wait_closed()
+        self.router.close()
 
     async def serve_forever(self, on_ready=None) -> None:
         """Start, install signal handlers where possible, and serve
@@ -234,8 +237,9 @@ class ReproService:
             loop = self._loop
 
             def wake(loop=loop, event=event):
-                # The worker may dequeue during/after daemon shutdown;
-                # a closed loop just means nobody is left to wake.
+                # A batch may end during/after daemon shutdown; a
+                # closed loop just means nobody is left to wake.
+                self.metrics.counter("service.loop_wakeups").inc()
                 with contextlib.suppress(RuntimeError):
                     loop.call_soon_threadsafe(event.set)
 
@@ -245,14 +249,17 @@ class ReproService:
         return tenant
 
     async def _wait_for_space(self, tenant) -> None:
-        """Park until the tenant's worker dequeues something (with a
-        short timeout fallback covering the clear/set race)."""
+        """Park until a batch of the tenant's events has been checked
+        (with a short timeout fallback covering the clear/set race)."""
         self.metrics.counter("service.backpressure_waits").inc()
         event = self._space_events.get(tenant.name)
         if event is None:
             await asyncio.sleep(0.01)
             return
         event.clear()
+        # Ask before looking: a batch that ends after this line wakes
+        # us, one that ended before it shows up in free_slots().
+        tenant.space_wanted = True
         if tenant.free_slots() > 0:
             return
         with contextlib.suppress(asyncio.TimeoutError):

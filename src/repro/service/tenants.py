@@ -6,32 +6,34 @@ Each tenant (an isolation domain: one application, one keyspace) owns
   — the backpressure boundary.  Ingestion *offers* events; a full queue
   is reported to the producer (HTTP 429 / withheld TCP credit), never
   absorbed into unbounded buffering;
-- a **worker thread** draining the queue into an
-  :class:`~repro.online.OnlineChecker` — checking runs off the event
-  loop, so a slow solve in one tenant never stalls ingestion or the
-  HTTP API for the others;
+- an :class:`~repro.online.OnlineChecker` the queue drains into — off
+  the event loop, so a slow solve never stalls ingestion or the HTTP
+  API;
 - its own :class:`~repro.obs.Tracer` and
-  :class:`~repro.obs.MetricsRegistry`, installed ambiently inside the
-  worker thread: every event the checker processes becomes a root span
-  in the tenant's trace buffer, and the ``online.*`` / ``window.*``
+  :class:`~repro.obs.MetricsRegistry`, installed ambiently around each
+  batch of its events: every event the checker processes becomes a root
+  span in the tenant's trace buffer, and the ``online.*`` / ``window.*``
   gauges stay per-tenant instead of clobbering one another.
 
-The :class:`SessionRouter` holds the tenant table and the **global
-memory budget**: ``ServiceConfig.max_live_total`` live transactions are
+The :class:`SessionRouter` holds the tenant table, the **global memory
+budget** — ``ServiceConfig.max_live_total`` live transactions are
 divided across the windowed tenants, and every tenant's
 :class:`~repro.online.WindowPolicy` is re-targeted in place whenever a
-tenant joins — eviction pressure follows the service-wide budget, not a
-fixed per-checker count.
+tenant joins, so eviction pressure follows the service-wide budget, not
+a fixed per-checker count — and the service's **one checker thread**:
+ready tenants take turns, one bounded batch of queued events each
+(DESIGN.md S13, "One checker thread").
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
-import queue
 import re
 import threading
 import time
+from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..api import adapt_result
@@ -45,6 +47,15 @@ __all__ = ["TenantChecker", "SessionRouter", "TenantError",
            "tenant_store_path"]
 
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+_log = logging.getLogger(__name__)
+
+#: Events of one tenant the checker thread checks before it moves on to
+#: the next ready tenant — what bounds how long one tenant's backlog can
+#: keep the others waiting.  A constant, not an option: 16, 64 and 256
+#: measured inside each other's noise (docs/benchmarks.md, PR 18).
+BATCH_EVENTS = 64
+#: Queued behind a tenant's last event by ``drain``.
+_FINISH = object()
 
 
 class TenantError(ValueError):
@@ -58,16 +69,25 @@ def tenant_store_path(state_dir: str, name: str) -> str:
 
 
 class TenantChecker:
-    """One tenant's queue + worker thread + online checker."""
+    """One tenant's queue + online checker; ``schedule(tenant)`` puts
+    it in line for the checker thread (:class:`SessionRouter`)."""
 
-    def __init__(self, name: str, config: ServiceConfig, *,
+    def __init__(self, name: str, config: ServiceConfig,
+                 schedule: Callable[["TenantChecker"], None], *,
                  sessions: Optional[Iterable[int]] = None,
                  window: Optional[WindowPolicy] = None):
         self.name = name
         self.config = config
         self.sessions = frozenset(sessions) if sessions is not None else None
         self.window = window
-        self.queue: "queue.Queue" = queue.Queue(maxsize=config.queue_depth)
+        #: ``(event, offered_at)`` in offer order (``_FINISH`` for the
+        #: event last): appended under the offer lock, popped by the
+        #: checker thread.
+        self._pending: deque = deque()
+        #: In the checker thread's line or being run by it; flipped
+        #: under the offer lock, so no hand-off is missed.
+        self._scheduled = False
+        self._schedule = schedule
         self.tracer = Tracer(max_spans=config.max_spans)
         self.registry = MetricsRegistry()
         #: Per-tenant segment store (``config.state_dir`` set): every
@@ -126,29 +146,29 @@ class TenantChecker:
         # Resuming past a checkpoint skips the log prefix, so retention
         # (best-effort explanation state) restarts truncated.
         self.retention_truncated = self._retained is None
-        #: Called (from the worker thread) after every dequeue, so the
-        #: event loop can wake TCP producers stalled on a full queue.
+        #: Called (from the checker thread) at the end of a batch if
+        #: ``space_wanted`` — which the event loop sets before it parks
+        #: a TCP producer on a full queue — so it can wake them.
         self.on_space: Optional[Callable[[], None]] = None
-        #: Set (before the finish sentinel is enqueued) once a drain has
+        self.space_wanted = False
+        #: Set (before the finish marker is queued) once a drain has
         #: started: every later ``offer`` raises instead of slipping an
-        #: event behind the sentinel, where it would be acknowledged but
+        #: event behind the marker, where it would be acknowledged but
         #: never checked.
         self.draining = False
+        self._finish_queued = False
+        #: Set last of all, after the store is closed (lock released).
         self._finished = threading.Event()
         if self.store is not None:
             self._recover()
-        self._thread = threading.Thread(
-            target=self._run, name=f"tenant-{name}", daemon=True
-        )
-        self._thread.start()
 
     def _recover(self) -> None:
         """Replay the journaled log past the restored checkpoint —
         through the same per-event path live ingestion uses, so the
         counters and retention state match an uninterrupted run.  Runs
-        on the constructing thread, *before* the worker starts: by the
-        time the tenant is reachable its recovered verdict is already
-        queryable."""
+        on the constructing thread, *before* anything can be offered:
+        by the time the tenant is reachable its recovered verdict is
+        already queryable."""
         with use_tracer(self.tracer), use_metrics(self.registry):
             for _pos, event in self.store.iter_events(self._restored_at):
                 self._handle_event(event)
@@ -167,86 +187,94 @@ class TenantChecker:
         DESIGN.md S13).
 
         With a store attached, the event is journaled (appended +
-        flushed — SIGKILL-durable) before this returns ``True``: the
-        producer is never told "accepted" about an event a crash could
-        lose.  The offer lock pins journal order to queue order, so
-        recovery replays exactly the sequence the worker checked
-        (DESIGN.md S14).
+        flushed — SIGKILL-durable) before the checker thread can see it
+        and before this returns ``True``: no checkpoint describes an
+        event the journal lacks, and the producer is never told
+        "accepted" about an event a crash could lose.  The offer lock
+        pins journal order to queue order, so recovery replays exactly
+        the sequence that was checked (DESIGN.md S14).
+
+        ``event`` must have come out of the codec
+        (:func:`~repro.histories.codec.event_from_obj`, as both doors
+        do): it is journaled without being decoded a second time.
         """
-        if self.draining or self._finished.is_set():
-            raise TenantError(f"tenant {self.name!r} is drained")
-        if self._journal_error is not None:
-            raise TenantError(
-                f"tenant {self.name!r} journal failed: {self._journal_error}"
-            )
-        if self.store is None:
-            return self._enqueue(event)
         with self._offer_lock:
-            if not self._enqueue(event):
+            if self.draining or self._finished.is_set():
+                raise TenantError(f"tenant {self.name!r} is drained")
+            if self._journal_error is not None:
+                raise TenantError(f"tenant {self.name!r} journal failed: "
+                                  f"{self._journal_error}")
+            if len(self._pending) >= self.config.queue_depth:
+                self.events_rejected += 1
+                self.registry.counter("tenant.rejected").inc()
                 return False
-            try:
-                self.store.append_event(event)
-            except Exception as exc:  # noqa: BLE001 - poison, don't lie
-                # The event is queued (it will be checked) but not
-                # durable; latch the failure so the final verdict is an
-                # error instead of a resumable-looking journal that
-                # silently lost the tail.
-                self._journal_error = str(exc)
-                raise TenantError(
-                    f"tenant {self.name!r} journal failed: {exc}"
-                )
+            if self.store is not None:
+                try:
+                    self.store.append_decoded(event)
+                except Exception as exc:  # noqa: BLE001 - poison, don't lie
+                    # Nothing was queued or acknowledged; latch the
+                    # failure so the final verdict is an error instead
+                    # of a resumable-looking journal missing its tail.
+                    self._journal_error = str(exc)
+                    raise TenantError(
+                        f"tenant {self.name!r} journal failed: {exc}"
+                    )
+            self._hand_off((event, time.monotonic()))
         return True
 
-    def _enqueue(self, event: tuple) -> bool:
-        try:
-            self.queue.put_nowait(("event", event))
-        except queue.Full:
-            self.events_rejected += 1
-            self.registry.counter("tenant.rejected").inc()
-            return False
-        return True
+    def _hand_off(self, item) -> None:
+        """Make ``item`` visible to the checker thread (offer lock held)."""
+        self._pending.append(item)
+        if not self._scheduled:
+            self._scheduled = True
+            self._schedule(self)
 
     def free_slots(self) -> int:
         """Approximate free queue capacity (the TCP credit source)."""
-        return max(0, self.config.queue_depth - self.queue.qsize())
+        return max(0, self.config.queue_depth - len(self._pending))
 
-    # -- worker thread ------------------------------------------------------
+    # -- checker thread -----------------------------------------------------
 
-    def _run(self) -> None:
+    def run_batch(self) -> tuple:
+        """Check up to :data:`BATCH_EVENTS` queued events (checker
+        thread only).  Returns ``(checked, more)``: ``more`` means
+        events are still queued and the tenant keeps its place in line;
+        otherwise the next hand-off schedules it again."""
+        pending = self._pending
+        checked = 0
         try:
             with use_tracer(self.tracer), use_metrics(self.registry):
-                while True:
-                    kind, payload = self.queue.get()
-                    if kind == "finish":
-                        try:
-                            self._finish(payload)
-                        finally:
-                            self._finished.set()
-                        return
-                    self._handle_event(payload)
-                    on_space = self.on_space
-                    if on_space is not None:
-                        on_space()
-        except BaseException as exc:  # noqa: BLE001 - crash backstop
-            # The worker must never die silently: latch an error
-            # verdict, mark the tenant finished (so offer() rejects and
-            # drain() cannot block forever), and answer any finish
-            # sentinel already in the queue.
+                self.registry.histogram("tenant.queue_wait_s").observe(
+                    time.monotonic() - pending[0][1])
+                for _ in range(min(len(pending), BATCH_EVENTS)):
+                    event = pending.popleft()[0]
+                    if event is _FINISH:
+                        self._finish()
+                        break
+                    self._handle_event(event)
+                    checked += 1
+        except Exception as exc:  # noqa: BLE001 - one tenant's failure
+            # Nothing escapes to the thread every tenant shares: latch
+            # an error verdict and mark the tenant finished, so offer()
+            # rejects and drain() cannot block forever.
+            _log.exception("tenant %r crashed; its verdict is latched",
+                           self.name)
             self._crash(exc)
-            raise
+        if self.space_wanted and self.on_space is not None:
+            self.space_wanted = False
+            self.on_space()
+        with self._offer_lock:
+            self._scheduled = bool(pending)
+            return checked, self._scheduled
 
-    def _crash(self, exc: BaseException) -> None:
-        self.latest = self._error_result(f"tenant worker crashed: {exc!r}")
-        self.final_payload = self._fallback_payload()
-        self._close_store()
-        self._finished.set()
-        while True:
-            try:
-                kind, payload = self.queue.get_nowait()
-            except queue.Empty:
-                return
-            if kind == "finish":
-                payload.put(self.final_payload)
+    def _crash(self, exc: Exception) -> None:
+        with self._offer_lock:  # no offer lands between clear and set
+            self.latest = self._error_result(
+                f"tenant checker crashed: {exc!r}")
+            self.final_payload = self._fallback_payload()
+            self._pending.clear()
+            self._close_store()
+            self._finished.set()
 
     def _handle_event(self, event: tuple) -> None:
         session, ops, status = event[0], event[1], event[2]
@@ -264,18 +292,17 @@ class TenantChecker:
                 self.retention_truncated = True
         try:
             self.latest = self._checker.add(session, ops, status=status)
-        except Exception as exc:  # noqa: BLE001 - keep the worker alive
+        except Exception as exc:  # noqa: BLE001 - keep consuming
             # Undeclared session under a window, duplicate values, an
             # unhashable key the codec missed, ...: latch an error
-            # verdict instead of killing the worker (a dead worker
-            # acknowledges events without checking them).
+            # verdict and keep consuming (the events were acknowledged).
             if self._ingest_error is None:
                 self._ingest_error = str(exc)
             self.latest = self._error_result(self._ingest_error)
         self.registry.gauge("tenant.events").set(self.events_seen)
         self._maybe_checkpoint()
 
-    # -- checkpointing (worker thread) ---------------------------------------
+    # -- checkpointing (checker thread) --------------------------------------
 
     def _maybe_checkpoint(self) -> None:
         if (self.store is None or not self.config.checkpoint_every
@@ -287,7 +314,8 @@ class TenantChecker:
         """Snapshot the checker at the current consume position.
 
         ``events_seen`` equals the event's journal position + 1 (journal
-        order is pinned to queue order by the offer lock), so the
+        order is pinned to queue order by the offer lock, and an event
+        is journaled before it is queued), so the
         checkpoint is keyed exactly as the store expects: state after
         the first N log events.  Best-effort — a failed checkpoint only
         means recovery replays more of the journal.
@@ -323,7 +351,7 @@ class TenantChecker:
         out.stats = {"error": detail}
         return out
 
-    def _finish(self, reply: "queue.Queue") -> None:
+    def _finish(self) -> None:
         try:
             if self._journal_error is not None:
                 result = self._error_result(
@@ -342,12 +370,12 @@ class TenantChecker:
                     and self._retained is not None
                     and result.decided_by != "ingest-error"):
                 payload.update(self._recheck_classification())
-        except Exception as exc:  # noqa: BLE001 - reply must always land
+        except Exception as exc:  # noqa: BLE001 - drain must return
             self.latest = self._error_result(f"finish failed: {exc}")
             payload = self._fallback_payload()
         self.final_payload = payload
-        reply.put(payload)
         self._close_store()
+        self._finished.set()
 
     def _recheck_classification(self) -> dict:
         """Batch re-check of the retained event log, for an anomaly
@@ -370,43 +398,24 @@ class TenantChecker:
 
     def drain(self, timeout: Optional[float] = None) -> dict:
         """Flush the queue, finish the checker, return the final verdict
-        payload.  Blocking — call from a worker/executor thread.
+        payload.  Blocking — never call it from the checker thread.
 
-        ``draining`` flips *before* the finish sentinel is enqueued, so
-        no producer can slip an event behind the sentinel (it would be
-        acknowledged but never checked).  The wait polls ``_finished``
-        so a crashed worker yields an error verdict instead of a hang.
+        ``draining`` flips *before* the finish marker is queued, so no
+        producer can slip an event behind the marker (it would be
+        acknowledged but never checked).  Returns once the tenant is
+        *finished* — final payload latched (a crashed tenant's is its
+        error verdict) and the store closed, its lock released — or
+        raises :class:`TimeoutError` after ``timeout`` seconds.
         """
-        if self.final_payload is not None:
-            return self.final_payload
         self.draining = True
-        reply: "queue.Queue" = queue.Queue()
-        self.queue.put(("finish", reply))
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        while True:
-            try:
-                payload = reply.get(timeout=0.05)
-                break
-            except queue.Empty:
-                if self._finished.is_set():
-                    # The worker exited without answering *this*
-                    # sentinel — it crashed, or a concurrent drain's
-                    # sentinel won.  One last non-blocking check closes
-                    # the answered-just-after-timeout race, then fall
-                    # back to the latched verdict.
-                    try:
-                        payload = reply.get_nowait()
-                    except queue.Empty:
-                        payload = self.final_payload
-                        if payload is None:
-                            payload = self._fallback_payload()
-                            self.final_payload = payload
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-        self._thread.join(timeout=timeout)
-        return payload
+        with self._offer_lock:
+            if not self._finish_queued and not self._finished.is_set():
+                self._finish_queued = True
+                self._hand_off((_FINISH, time.monotonic()))
+        if not self._finished.wait(timeout):
+            raise TimeoutError(f"tenant {self.name!r} still draining "
+                               f"after {timeout} s")
+        return self.final_payload
 
     @property
     def drained(self) -> bool:
@@ -471,7 +480,7 @@ class TenantChecker:
             "tenant": self.name,
             "events": self.events_seen,
             "rejected": self.events_rejected,
-            "queue_depth": self.queue.qsize(),
+            "queue_depth": len(self._pending),
             "drained": self.drained,
             "window_share": (self.window.max_live
                              if self.window is not None else None),
@@ -487,12 +496,67 @@ class TenantChecker:
 
 
 class SessionRouter:
-    """Tenant table + global live-transaction budget."""
+    """Tenant table + global live-transaction budget + the service's
+    one checker thread.
 
-    def __init__(self, config: ServiceConfig):
+    One thread, because checking is pure Python: under the interpreter
+    lock a thread per tenant bought no parallelism and paid a lock
+    hand-off per event (two checker threads measured slower than one).
+    The trade is head-of-line: a slow solve in one tenant delays the
+    other tenants' *verdicts* — never ingestion, acknowledgements,
+    backpressure accounting or the HTTP API, which stay on the event
+    loop.  ``metrics`` receives the ``service.batch_events`` histogram.
+    """
+
+    def __init__(self, config: ServiceConfig,
+                 metrics: Optional[MetricsRegistry] = None):
         self.config = config
         self._tenants: Dict[str, TenantChecker] = {}
         self._lock = threading.Lock()
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Tenants with queued events, in the order they take their turn.
+        self._ready: deque = deque()
+        self._wake = threading.Condition()
+        self._thread: Optional[threading.Thread] = None
+        self._closed = False
+
+    def _schedule(self, tenant: TenantChecker) -> None:
+        """Put ``tenant`` at the end of the line (starting the checker
+        thread if none is running)."""
+        with self._wake:
+            self._ready.append(tenant)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._check_ready, name="repro-checker",
+                    daemon=True)
+                self._thread.start()
+            self._wake.notify()
+
+    def _check_ready(self) -> None:
+        """The checker thread: ready tenants round-robin, one bounded
+        batch each; exits once :meth:`close` was called and no tenant
+        is ready."""
+        batch_events = self._metrics.histogram("service.batch_events")
+        while True:
+            with self._wake:
+                while not self._ready:
+                    if self._closed:
+                        self._thread = None
+                        return
+                    self._wake.wait()
+                tenant = self._ready.popleft()
+            checked, more = tenant.run_batch()
+            batch_events.observe(checked)
+            if more:
+                self._ready.append(tenant)
+
+    def close(self) -> None:
+        """Let the checker thread exit once nothing is ready.  Tenants
+        scheduled later are still checked (by a thread started for
+        them), so closing never strands an acknowledged event."""
+        with self._wake:
+            self._closed = True
+            self._wake.notify()
 
     def get(self, name: str) -> Optional[TenantChecker]:
         with self._lock:
@@ -537,8 +601,8 @@ class SessionRouter:
             window = None
             if sessions is not None:
                 window = WindowPolicy(max_live=self.config.max_live_total)
-            tenant = TenantChecker(name, self.config, sessions=sessions,
-                                   window=window)
+            tenant = TenantChecker(name, self.config, self._schedule,
+                                   sessions=sessions, window=window)
             self._tenants[name] = tenant
             self._rebalance_locked()
             return tenant
@@ -565,8 +629,8 @@ class SessionRouter:
             return sorted(self._tenants)
 
     def drain_all(self, timeout: Optional[float] = None) -> Dict[str, dict]:
-        """Drain every tenant (flush queues, finish checkers); returns
-        final verdict payloads by tenant.  Blocking."""
+        """Drain every tenant (flush queues, finish checkers, close
+        stores); returns final verdict payloads by tenant.  Blocking."""
         tenants = self.tenants()
         # Flip every tenant's draining flag before flushing any of them,
         # so no producer can sneak an event into tenant B's queue while
@@ -578,6 +642,7 @@ class SessionRouter:
             verdicts[tenant.name] = tenant.drain(timeout=timeout)
         with self._lock:
             self._rebalance_locked()
+        self.close()
         return verdicts
 
     def totals(self) -> dict:

@@ -41,8 +41,8 @@ Design rules, and why:
   ``N..total``.  Only the newest ``keep_checkpoints`` are retained.
 
 All methods are thread-safe under one internal lock — the service
-daemon appends from its asyncio thread while each tenant worker thread
-writes checkpoints.
+daemon appends from its asyncio thread while its checker thread writes
+checkpoints.
 """
 
 from __future__ import annotations
@@ -323,15 +323,28 @@ class SegmentStore:
         flushed before return — after a SIGKILL the event is still in
         the log (``durability="fsync"`` extends that to power loss).
         """
-        try:
-            line = event_to_json(event)
-        except (AttributeError, TypeError, IndexError) as exc:
-            raise ValueError(f"unencodable event: {exc!r}") from exc
-        return self.append_line(line)
+        return self.append_line(self._encode(event))
+
+    def append_decoded(self, event: Sequence) -> int:
+        """:meth:`append_event` for an event that came *out of* the
+        codec (``event_from_obj`` / ``event_from_json`` — the service
+        door decodes every line it is sent): encoded once and not
+        decoded again to validate it."""
+        return self._append(self._encode(event))
 
     def append_line(self, line: str) -> int:
         """Append one pre-encoded ``repro-events/1`` line (validated)."""
         event_from_json(line)  # reject garbage before it hits the log
+        return self._append(line)
+
+    @staticmethod
+    def _encode(event: Sequence) -> str:
+        try:
+            return event_to_json(event)
+        except (AttributeError, TypeError, IndexError) as exc:
+            raise ValueError(f"unencodable event: {exc!r}") from exc
+
+    def _append(self, line: str) -> int:
         with self._lock:
             self._check_writable()
             handle = self._active()
