@@ -23,11 +23,9 @@ from typing import List, Optional
 
 from ..obs import get_logger, trace_span
 from ..utils.closure import resolve_closure_backend
-from ..utils.reachability import is_acyclic
 from .axioms import AxiomViolation, check_axioms
 from .encoding import SIEncoding, encode_polygraph, graph_constraints
 from .history import History
-from .known import KnownGraph
 from .polygraph import Edge, GeneralizedPolygraph, build_polygraph
 from .pruning import PruneResult, find_known_cycle, prune_constraints
 
@@ -35,7 +33,6 @@ __all__ = [
     "CheckResult",
     "PolySIChecker",
     "check_snapshot_isolation",
-    "static_induced_cycle",
 ]
 
 log = get_logger("core.checker")
@@ -58,8 +55,9 @@ class CheckResult:
         #: Stage timings in seconds: construct / prune / encode / solve.
         self.timings: dict = {}
         self.solver_stats: dict = {}
-        #: Structural counters: component decomposition, solver-skip fast
-        #: path, and (for parallel checking) shard/worker accounting.
+        #: Structural counters: closure backend, how many vertices the
+        #: solver was built over, and (for parallel checking) component
+        #: and shard/worker accounting.
         self.stats: dict = {}
 
     @property
@@ -222,120 +220,77 @@ class PolySIChecker:
         return graph
 
     def check_polygraph(
-        self, graph: GeneralizedPolygraph, result: Optional[CheckResult] = None
+        self, graph: GeneralizedPolygraph,
+        result: Optional[CheckResult] = None, *,
+        pruned: Optional[PruneResult] = None,
     ) -> CheckResult:
-        """The cycle-analysis stages (prune / decompose / encode / solve)
-        on an already-built polygraph.
+        """The cycle-analysis stages (prune / encode / solve) on an
+        already-built polygraph; also the per-shard worker body of the
+        parallel engine.
 
-        Components of the polygraph with no unresolved constraints cannot
-        contribute a model-dependent cycle: they only need one acyclicity
-        check of their known induced graph, so they are skipped by the
-        encode+solve stages entirely (``result.stats`` reports the skip
-        count).  Also the per-shard worker body of the parallel engine,
-        which feeds reconstructed component fragments through it.
+        Everything after the fixpoint asks the state it ended with
+        (:attr:`PruneResult.state`) instead of deriving the known graph
+        again: a clean closure diagonal with no constraint left is the
+        verdict ``static``, and otherwise the solver is built over the
+        cycle core only (:func:`encode_polygraph`).  ``pruned`` is a
+        fixpoint the caller already ran on ``graph`` (the parallel
+        engine's partitioned pruning).  Either way the state is dropped
+        before this returns: no result may pin the closure rows.
         """
         if result is None:
             result = CheckResult()
-
         result.stats["closure_backend"] = self.closure_backend
-        # Whether pruning's closure already showed the known induced
-        # graph acyclic; then no later stage needs to ask again, for the
-        # whole graph or for any sub-polygraph of it.
-        known_acyclic = False
-        if self.prune:
+        result.stats["solver_vertices"] = 0
+        if pruned is None and self.prune:
             t0 = time.perf_counter()
             with trace_span("prune", backend=self.closure_backend) as span:
-                prune_result = prune_constraints(
-                    graph, backend=self.closure_backend)
-                span.set(iterations=prune_result.iterations,
-                         pruned=prune_result.pruned)
+                pruned = prune_constraints(graph, backend=self.closure_backend)
+                span.set(iterations=pruned.iterations, pruned=pruned.pruned)
             result.timings["prune"] = time.perf_counter() - t0
-            result.prune_result = prune_result
-            if not prune_result.ok:
+        if pruned is not None:
+            result.prune_result = pruned
+            if not pruned.ok:
                 result.satisfies_si = False
                 result.decided_by = "pruning"
-                result.cycle = prune_result.violation_cycle
+                result.cycle = pruned.violation_cycle
                 log.info("violation decided by pruning (%d iterations)",
-                         prune_result.iterations)
+                         pruned.iterations)
                 return result
             log.debug("pruned %d/%d constraints in %d iteration(s)",
-                      prune_result.pruned, prune_result.constraints_before,
-                      prune_result.iterations)
-            known_acyclic = prune_result.known_acyclic
+                      pruned.pruned, pruned.constraints_before,
+                      pruned.iterations)
+        try:
+            return self._encode_and_solve(graph, result, pruned)
+        finally:
+            if pruned is not None:
+                pruned.state = None
 
-        # Serial fast path: constraint-free components never reach the
-        # solver.  Every edge (known or constrained) is intra-component,
-        # so a cycle lives entirely inside one component and the verdict
-        # is the conjunction of per-part verdicts.
-        t0 = time.perf_counter()
-        with trace_span("decompose") as span:
-            components, constraints_of = graph.constrained_components()
-            constrained = [bool(cons) for cons in constraints_of]
-            skipped = constrained.count(False)
-            span.set(components=len(components), skipped=skipped)
-        result.stats["components"] = len(components)
-        result.stats["solver_skipped_components"] = skipped
-        result.timings["decompose"] = time.perf_counter() - t0
-
-        if skipped and skipped < len(components) and not known_acyclic:
-            # Mixed graph: acyclicity-check the pure part on its own so
-            # the encoding only ever sees constrained components.
+    def _encode_and_solve(
+        self, graph: GeneralizedPolygraph, result: CheckResult,
+        pruned: Optional[PruneResult],
+    ) -> CheckResult:
+        if graph.constraints or not (pruned and pruned.known_acyclic):
             t0 = time.perf_counter()
-            with trace_span("decompose", part="pure"):
-                pure_vertices = [
-                    v for ci, comp in enumerate(components)
-                    if not constrained[ci] for v in comp
-                ]
-                pure, pure_old = graph.subgraph(pure_vertices)
-                cycle = static_induced_cycle(pure)
-            result.timings["decompose"] += time.perf_counter() - t0
-            if cycle is not None:
+            with trace_span("encode") as span:
+                encoding = encode_polygraph(graph, pruned)
+                span.set(solver_vertices=encoding.num_solver_vertices,
+                         **encoding.stats())
+            result.timings["encode"] = time.perf_counter() - t0
+            result.encoding = encoding
+            if encoding.static_cycle:
+                # The known induced graph is already cyclic: a violation
+                # exists however the remaining constraints resolve.
                 result.satisfies_si = False
                 result.decided_by = "encoding"
-                result.cycle = _map_cycle(cycle, pure_old)
+                result.cycle = find_known_cycle(graph.known_edges)
                 return result
-
         if not graph.constraints:
-            # Pure known graph: one acyclicity check decides everything.
-            t0 = time.perf_counter()
-            with trace_span("decompose", part="static"):
-                cycle = (None if known_acyclic
-                         else static_induced_cycle(graph))
-            result.timings["decompose"] += time.perf_counter() - t0
-            if cycle is not None:
-                result.satisfies_si = False
-                result.decided_by = "encoding"
-                result.cycle = cycle
-                return result
+            # The known induced graph is all there is, and it is
+            # acyclic: nothing for the solver to decide.
             result.satisfies_si = True
             result.decided_by = "static"
             return result
-
-        enc_graph, enc_old = graph, None
-        if skipped:
-            t0 = time.perf_counter()
-            with trace_span("decompose", part="constrained"):
-                constrained_vertices = [
-                    v for ci, comp in enumerate(components)
-                    if constrained[ci] for v in comp
-                ]
-                enc_graph, enc_old = graph.subgraph(constrained_vertices)
-            result.timings["decompose"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        with trace_span("encode") as span:
-            encoding = encode_polygraph(enc_graph, known_acyclic=known_acyclic)
-            span.set(**encoding.stats())
-        result.timings["encode"] = time.perf_counter() - t0
-        result.encoding = encoding
-        if encoding.static_cycle:
-            # The known induced graph is already cyclic: a violation exists
-            # independently of how the remaining constraints resolve.
-            result.satisfies_si = False
-            result.decided_by = "encoding"
-            result.cycle = _map_cycle(
-                find_known_cycle(enc_graph.known_edges), enc_old)
-            return result
+        result.stats["solver_vertices"] = encoding.num_solver_vertices
 
         t0 = time.perf_counter()
         with trace_span("solve") as span:
@@ -343,48 +298,18 @@ class PolySIChecker:
             span.set(acyclic=acyclic, **encoding.solver.stats.as_dict())
         result.timings["solve"] = time.perf_counter() - t0
         result.solver_stats = encoding.solver.stats.as_dict()
+        result.satisfies_si = acyclic
         result.decided_by = "solving"
         log.debug("solver verdict: %s (%d conflicts)",
                   "acyclic" if acyclic else "cyclic",
                   encoding.solver.stats.conflicts)
-        if acyclic:
-            result.satisfies_si = True
-            return result
-
-        result.satisfies_si = False
-        t0 = time.perf_counter()
-        with trace_span("explain"):
-            result.cycle = _map_cycle(
-                encoding.violation_cycle(enc_graph.known_edges,
-                                         graph_constraints(enc_graph)),
-                enc_old)
-        result.timings["explain"] = time.perf_counter() - t0
+        if not acyclic:
+            t0 = time.perf_counter()
+            with trace_span("explain"):
+                result.cycle = encoding.violation_cycle(
+                    graph.known_edges, graph_constraints(graph))
+            result.timings["explain"] = time.perf_counter() - t0
         return result
-
-
-def static_induced_cycle(graph: GeneralizedPolygraph) -> Optional[List[Edge]]:
-    """A concrete undesired cycle in the *known* induced graph
-    ``KI = Dep ∪ (Dep ; AntiDep)`` of ``graph``, or None when acyclic.
-
-    Ignores constraints entirely — this is the whole check a polygraph
-    (or component fragment) with no unresolved constraints needs, and
-    the static part of what :func:`encode_polygraph` would verify.
-    """
-    known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
-    if is_acyclic(graph.num_vertices, known.induced_adjacency()):
-        return None
-    return find_known_cycle(graph.known_edges)
-
-
-def _map_cycle(
-    cycle: Optional[List[Edge]], old_of_new: Optional[List[int]]
-) -> Optional[List[Edge]]:
-    """Translate a subgraph-local witness cycle back to parent vertex ids
-    (identity when the check ran on the parent graph itself)."""
-    if cycle is None or old_of_new is None:
-        return cycle
-    return [(old_of_new[u], old_of_new[v], label, key)
-            for u, v, label, key in cycle]
 
 
 def check_snapshot_isolation(history: History, **options) -> CheckResult:

@@ -11,7 +11,9 @@ keep it sound in corner cases and small in practice:
   theory as a transitive-closure substrate.  Only edges occurring in the
   *remaining constraints* — a few hundred after pruning (Table 3) — get
   variables, which is why PolySI's solving stage is cheap on pruned
-  polygraphs (Figure 9).
+  polygraphs (Figure 9).  After pruning none of it is computed anew:
+  the fixpoint's known graph and closure are handed over, and the
+  substrate is ``KI`` restricted to the :func:`cycle_core`.
 - **Typed pair variables.**  ``dep(u, v)`` means "some Dep-type edge
   (SO/WR/WW) from u to v is present" and ``rw(u, v)`` means "some RW edge
   from u to v is present".  One untyped variable per pair (the paper's
@@ -50,15 +52,18 @@ same encoder called once, and its output is the reference clause set.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..solver.monosat import AcyclicGraphSolver
+from ..utils.closure import iter_bits
 from ..utils.reachability import is_acyclic
-from .known import KnownGraph
-from .polygraph import Edge, GeneralizedPolygraph, RW, WW
-from .pruning import find_known_cycle
+from .known import KnownGraph, mask_of
+from .polygraph import Constraint, Edge, GeneralizedPolygraph, RW, WW
+from .pruning import PruneResult, find_known_cycle
 
-__all__ = ["SIEncoding", "encode_polygraph", "graph_constraints"]
+__all__ = ["SIEncoding", "cycle_core", "encode_polygraph",
+           "graph_constraints"]
 
 #: What the encoder consumes per constraint: a hashable identity tuple
 #: (stable across calls) and the two branches' typed edges.
@@ -93,8 +98,10 @@ class SIEncoding:
         #: True when the known induced graph already contains a cycle; the
         #: history violates SI without any solving.
         self.static_cycle = False
-        #: Size of KI when the instance was built (a harness counter).
+        #: Set by :func:`encode_polygraph`: size of the static substrate
+        #: the solver was built over, and the vertices it spans.
         self.num_static_induced_edges = 0
+        self.num_solver_vertices = 0
         self.dep_var: Dict[Tuple[int, int], int] = {}
         self.rw_var: Dict[Tuple[int, int], int] = {}
         self.choice_var: Dict[tuple, int] = {}
@@ -312,24 +319,70 @@ class SIEncoding:
         return enc
 
 
+def cycle_core(constraints: Iterable[Constraint], known: KnownGraph,
+               reach) -> int:
+    """The vertices a cycle through a constraint edge can visit, as an
+    int bitset; ``reach`` is the closure of an *acyclic* ``KI``.
+
+    ``tails`` / ``heads`` are the endpoints of every induced pair the
+    constraints can create (:meth:`SIEncoding._derive_terms`: a Dep edge
+    ``u -> k`` leaves ``u`` for ``k`` and its AntiDep successors, an RW
+    edge ``k -> j`` arrives at ``j`` from the Dep predecessors of ``k``).
+    A cycle is such pairs joined by known paths, so each of its vertices
+    is a tail, a head, or below a head and above a tail; the subgraph
+    induced on those has a cycle iff the whole graph has (DESIGN.md S4).
+    """
+    tails = heads = 0
+    for cons in constraints:
+        for u, v, label, _key in chain(cons.either, cons.orelse):
+            heads |= 1 << v
+            if label == RW:
+                tails |= known.pred_mask[u]
+            else:
+                tails |= 1 << u
+                heads |= mask_of(known.antidep[v])
+    down = heads
+    for head in iter_bits(heads):
+        down |= reach.row(head)
+    core = tails | heads
+    for v in iter_bits(down & ~core):
+        if reach.reaches_any(v, tails):
+            core |= 1 << v
+    return core
+
+
 def encode_polygraph(graph: GeneralizedPolygraph,
-                     known_acyclic: bool = False) -> SIEncoding:
+                     pruned: Optional[PruneResult] = None) -> SIEncoding:
     """Encode the (pruned) polygraph in one shot; returns the
     ready-to-solve instance.
 
-    If the known induced graph is already cyclic, ``static_cycle`` is set
-    and no solver is constructed — the caller reports the violation
-    straight from the known edges.  A caller that already holds the
-    answer (pruning's closure, :attr:`PruneResult.known_acyclic
-    <repro.core.pruning.PruneResult.known_acyclic>`) passes
-    ``known_acyclic=True`` and the check is not repeated.
+    With ``pruned`` — :func:`~repro.core.pruning.prune_constraints`'s
+    result for this graph, state (hence a clean closure diagonal) still
+    attached — nothing is derived twice: the known graph is the
+    fixpoint's own and the solver's static substrate is ``KI`` restricted
+    to the :func:`cycle_core` (same vertex ids, empty rows outside it).
+    Otherwise the known graph is derived from the typed edges and
+    walked, and every vertex is in the core — Algorithm 1 as written,
+    and the reference clause set.  If it is cyclic, ``static_cycle`` is
+    set and no solver built: the caller reports the known cycle.
     """
-    known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
-    ki = known.induced_adjacency()
-    acyclic = known_acyclic or is_acyclic(graph.num_vertices, ki)
-    enc = SIEncoding(graph.num_vertices, ki if acyclic else None)
-    enc.static_cycle = not acyclic
+    n = graph.num_vertices
+    state = pruned and pruned.state
+    if state is None:
+        known = KnownGraph.from_edges(n, graph.known_edges)
+        ki = known.induced_adjacency()
+        if not is_acyclic(n, ki):
+            enc = SIEncoding(n)
+            enc.static_cycle = True
+            return enc
+        core = range(n)
+    else:
+        known = state.known
+        core = set(iter_bits(
+            cycle_core(graph.constraints, known, state.reach)))
+        ki = known.induced_adjacency(core)
+    enc = SIEncoding(n, ki)
     enc.num_static_induced_edges = sum(len(row) for row in ki)
-    if acyclic:
-        enc.encode(graph_constraints(graph), known, lambda u, v: v in ki[u])
+    enc.num_solver_vertices = len(core)
+    enc.encode(graph_constraints(graph), known, lambda u, v: v in ki[u])
     return enc

@@ -18,16 +18,16 @@ policy and stays with the caller.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .polygraph import Edge, RW
 
-__all__ = ["KnownGraph"]
+__all__ = ["KnownGraph", "mask_of"]
 
 Pair = Tuple[int, int]
 
 
-def _mask_of(vertices: Iterable[int]) -> int:
+def mask_of(vertices: Iterable[int]) -> int:
     """The int bitset with bit ``v`` set for every ``v`` in ``vertices``."""
     mask = 0
     for v in vertices:
@@ -76,7 +76,7 @@ class KnownGraph:
             else:
                 dep[u].add(v)
                 dep_preds[v].add(u)
-        out.pred_mask = [_mask_of(preds) for preds in dep_preds]
+        out.pred_mask = [mask_of(preds) for preds in dep_preds]
         return out
 
     @property
@@ -133,9 +133,15 @@ class KnownGraph:
             return [(p, v) for p in self.dep_preds[u]]
         return [(u, w) for w in self._through((v,))]
 
-    def induced_adjacency(self) -> List[Set[int]]:
-        """``KI`` as fresh per-vertex successor sets."""
-        return [self._through(succs) for succs in self.dep]
+    def induced_adjacency(
+            self, within: Optional[Set[int]] = None) -> List[Set[int]]:
+        """``KI`` as fresh per-vertex successor sets; with ``within``,
+        its subgraph induced on those vertices (ids kept: every other
+        vertex has an empty row)."""
+        if within is None:
+            return [self._through(succs) for succs in self.dep]
+        return [self._through(succs) & within if u in within else set()
+                for u, succs in enumerate(self.dep)]
 
     def compact(self, old_to_new: Sequence[int]) -> None:
         """Renumber onto the survivors of a window compaction
@@ -155,5 +161,5 @@ class KnownGraph:
 
         self.dep = remap(self.dep)
         self.dep_preds = remap(self.dep_preds)
-        self.pred_mask = [_mask_of(preds) for preds in self.dep_preds]
+        self.pred_mask = [mask_of(preds) for preds in self.dep_preds]
         self.antidep = remap(self.antidep)

@@ -228,10 +228,10 @@ class GeneralizedPolygraph:
         ``constraints_of[i]`` lists the constraints whose edges live in
         ``components[i]`` (empty for pure known-graph components).
 
-        The single source of the pure-vs-constrained classification used
-        by both the serial fast path (:meth:`PolySIChecker.check_polygraph
-        <repro.core.checker.PolySIChecker.check_polygraph>`) and the shard
-        planner, so the two can never drift.
+        The shard planner's pure-vs-constrained classification
+        (:mod:`repro.parallel.planner`).  The serial checker does not
+        decompose: it reads which vertices a constraint cycle can visit
+        off pruning's closure (:func:`repro.core.encoding.cycle_core`).
         """
         components = self.weakly_connected_components()
         comp_of: Dict[int, int] = {}

@@ -82,6 +82,7 @@ class PruneResult:
         "violation_cycle",
         "violation_constraint",
         "known_acyclic",
+        "state",
     )
 
     def __init__(self) -> None:
@@ -99,6 +100,11 @@ class PruneResult:
         #: reaches itself).  False means "not established" — a cycle, a
         #: violation, or a result not produced by a fixpoint.
         self.known_acyclic = False
+        #: With :attr:`known_acyclic`, the fixpoint's final
+        #: :class:`PruneState` for the next stage to ask
+        #: (:func:`repro.core.encoding.encode_polygraph`).  n²/8 bytes of
+        #: rows: reset to None before the result is reported or pickled.
+        self.state: Optional["PruneState"] = None
 
     def as_dict(self) -> dict:
         """Summary counters (the Table 3 columns)."""
@@ -358,7 +364,8 @@ def prune_constraints(
     constraint has *both* branches impossible, i.e. the history violates
     SI.  ``result.violation_cycle`` then carries one concrete undesired
     cycle (the impossible either-branch edge closed against the known
-    graph), ready for the interpretation algorithm.
+    graph), ready for the interpretation algorithm.  An acyclic fixpoint
+    hands its state on (:attr:`PruneResult.state`) to ask, and to drop.
     """
     result = PruneResult()
     result.constraints_before = graph.num_constraints
@@ -383,6 +390,8 @@ def prune_constraints(
         result.known_acyclic = result.ok and not reach.has_cycle()
         _publish_closure_counters(reach, state.backend_name, span)
 
+    if result.known_acyclic:
+        result.state = state
     result.constraints_after = graph.num_constraints
     result.unknown_deps_after = graph.num_unknown_deps
     return result

@@ -2,7 +2,7 @@
 
 Runs PolySI's cycle-analysis stages
 (:meth:`repro.core.checker.PolySIChecker.check_polygraph`: prune,
-decompose, encode, solve) on the polygraph inferred by
+encode, solve) on the polygraph inferred by
 :mod:`repro.listappend.infer`.  Because list reads pin the
 version order of everything they observe, the polygraph arrives almost
 fully resolved and checking is fast across all workload shapes

@@ -35,16 +35,13 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional
 
-from ..core.checker import (
-    CheckResult,
-    PolySIChecker,
-    _map_cycle,
-    static_induced_cycle,
-)
+from ..core.checker import CheckResult, PolySIChecker
 from ..core.history import History, HistoryBuilder
+from ..core.known import KnownGraph
 from ..core.polygraph import Edge
-from ..core.pruning import PruneResult
+from ..core.pruning import PruneResult, find_known_cycle
 from ..obs import Tracer, current_tracer, get_logger, trace_span, use_tracer
+from ..utils.reachability import is_acyclic
 from .partition import MIN_PARALLEL_CONSTRAINTS, prune_constraints_parallel
 from .planner import Shard, ShardPlanner, rebuild_component
 
@@ -197,6 +194,17 @@ def _check_segment_shard(index: int, payload, options: dict) -> ShardResult:
 
 
 # -- merging ------------------------------------------------------------------------
+
+
+def _map_cycle(
+    cycle: Optional[List[Edge]], old_of_new: Optional[List[int]]
+) -> Optional[List[Edge]]:
+    """Translate a subgraph-local witness cycle back to parent vertex ids
+    (identity when the check ran on the parent graph itself)."""
+    if cycle is None or old_of_new is None:
+        return cycle
+    return [(old_of_new[u], old_of_new[v], label, key)
+            for u, v, label, key in cycle]
 
 
 def merge_results(
@@ -416,7 +424,9 @@ class ParallelChecker:
 
     def _check_partitioned(self, graph, result: CheckResult) -> None:
         """Single-component path: shared-closure parallel pruning, then
-        the serial fast-path/encode/solve tail."""
+        the serial checker's reading of that fixpoint — its violation,
+        or encode/solve on the state it left."""
+        prune_result = None
         if self._options["prune"] and graph.constraints:
             executor = None
             if (self.pool_workers > 1
@@ -433,27 +443,23 @@ class ParallelChecker:
                 span.set(iterations=prune_result.iterations,
                          pruned=prune_result.pruned)
             result.timings["prune"] = time.perf_counter() - t0
-            result.prune_result = prune_result
-            if not prune_result.ok:
-                result.satisfies_si = False
-                result.decided_by = "pruning"
-                result.cycle = prune_result.violation_cycle
-                return
-        tail = PolySIChecker(**dict(self._options, prune=False))
-        tail.check_polygraph(graph, result)
+        self._serial.check_polygraph(graph, result, pruned=prune_result)
 
     def _check_components(self, graph, plan, result: CheckResult) -> None:
         """Component path: pure components statically in the parent,
         constrained components as pool shards."""
         if plan.pure_vertices:
             t0 = time.perf_counter()
+            # No constraints: the known induced graph is all there is.
             pure, pure_old = graph.subgraph(plan.pure_vertices)
-            cycle = static_induced_cycle(pure)
+            acyclic = is_acyclic(pure.num_vertices, KnownGraph.from_edges(
+                pure.num_vertices, pure.known_edges).induced_adjacency())
             result.timings["decompose"] = time.perf_counter() - t0
-            if cycle is not None:
+            if not acyclic:
                 result.satisfies_si = False
                 result.decided_by = "encoding"
-                result.cycle = _map_cycle(cycle, pure_old)
+                result.cycle = _map_cycle(
+                    find_known_cycle(pure.known_edges), pure_old)
                 return
         if not plan.shards:
             result.satisfies_si = True

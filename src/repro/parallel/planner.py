@@ -96,7 +96,7 @@ def rebuild_component(payload: ComponentPayload) -> GeneralizedPolygraph:
     """Worker-side inverse of :func:`component_payload`.
 
     The rebuilt fragment has no ``History`` behind it — every stage after
-    construction (prune / decompose / encode / solve) only reads the
+    construction (prune / encode / solve) only reads the
     structural fields, so that is all a worker needs.
     """
     num_vertices, init_vertex, known_edges, constraints = payload

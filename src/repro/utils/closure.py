@@ -87,6 +87,7 @@ __all__ = [
     "KNOWN",
     "CYCLE",
     "BACKEND_ENV",
+    "iter_bits",
     "register_closure_backend",
     "available_closure_backends",
     "resolve_closure_backend",
@@ -102,7 +103,7 @@ CYCLE = "cycle"
 BACKEND_ENV = "REPRO_CLOSURE_BACKEND"
 
 
-def _iter_bits(mask: int) -> Iterable[int]:
+def iter_bits(mask: int) -> Iterable[int]:
     """Yield the set bit positions of ``mask`` (ascending)."""
     while mask:
         low = mask & -mask
@@ -315,7 +316,7 @@ class PyBitsetClosure(ClosureBackend):
             co: List[int] = [0] * len(self.rows)
             for u, row in enumerate(self.rows):
                 bit = 1 << u
-                for v in _iter_bits(row):
+                for v in iter_bits(row):
                     co[v] |= bit
             self._co_rows = co
         return self._co_rows
@@ -360,10 +361,10 @@ class PyBitsetClosure(ClosureBackend):
         return bool((self.edges[u] >> v) & 1)
 
     def successors(self, u: int) -> Iterable[int]:
-        return _iter_bits(self.rows[u])
+        return iter_bits(self.rows[u])
 
     def successors_direct(self, u: int) -> Iterable[int]:
-        return _iter_bits(self.edges[u])
+        return iter_bits(self.edges[u])
 
     # -- mutation ------------------------------------------------------------
 
@@ -384,10 +385,10 @@ class PyBitsetClosure(ClosureBackend):
                     rows[x] |= targets
             return self._insert_outcome(cyclic)
         sources = co[u] | (1 << u)
-        for x in _iter_bits(sources):
+        for x in iter_bits(sources):
             if targets & ~rows[x]:
                 rows[x] |= targets
-        for y in _iter_bits(targets):
+        for y in iter_bits(targets):
             if sources & ~co[y]:
                 co[y] |= sources
         return self._insert_outcome(cyclic)
@@ -413,7 +414,7 @@ class PyBitsetClosure(ClosureBackend):
 
         def remap(mask: int) -> int:
             out = 0
-            for bit in _iter_bits(mask):
+            for bit in iter_bits(mask):
                 mapped = old_to_new[bit]
                 if mapped >= 0:
                     out |= 1 << mapped

@@ -136,12 +136,14 @@ class TestCheckerOptions:
 
     def test_timings_present(self):
         res = verdict(serializable_history())
-        assert {"axioms", "construct", "prune", "decompose"} <= set(
-            res.timings
-        )
+        assert {"axioms", "construct", "prune"} <= set(res.timings)
+        # The serial checker asks the fixpoint's closure; it no longer
+        # decomposes the graph.
+        assert "decompose" not in res.timings
         # Pruning resolves every constraint here, so the fast path skips
         # encode+solve entirely and decides statically.
         assert res.decided_by == "static"
+        assert "encode" not in res.timings
         assert "solve" not in res.timings
         assert res.total_time >= 0
 
@@ -156,8 +158,8 @@ class TestCheckerOptions:
         )
 
     def test_fast_path_reports_skip_count(self):
-        # Two disjoint-key serializable islands: every component is
-        # constraint-free after pruning, so the solver never runs.
+        # Two disjoint-key serializable islands: no constraint survives
+        # pruning, so the solver never runs.
         b = HistoryBuilder()
         b.txn(0, [W("x", 1)])
         b.txn(1, [R("x", 1), W("x", 2)])
@@ -165,8 +167,19 @@ class TestCheckerOptions:
         b.txn(3, [R("y", 1), W("y", 2)])
         res = verdict(b.build())
         assert res.satisfies_si
-        assert res.stats["components"] == 2
-        assert res.stats["solver_skipped_components"] == 2
+        assert res.decided_by == "static"
+        assert res.stats["solver_vertices"] == 0
+        assert "components" not in res.stats
+        assert "solver_skipped_components" not in res.stats
+        # A third island of two blind writers: its constraint reaches
+        # the solver, and only its two vertices do.
+        b.txn(4, [W("z", 1)])
+        b.txn(5, [W("z", 2)])
+        res = verdict(b.build())
+        assert res.satisfies_si
+        assert res.decided_by == "solving"
+        assert res.polygraph.num_vertices == 6
+        assert res.stats["solver_vertices"] == 2
 
     def test_describe_valid(self):
         assert "satisfies" in verdict(serializable_history()).describe()
@@ -186,11 +199,14 @@ class TestCheckerOptions:
 class TestClosureAnswersAcyclicity:
     """After a successful fixpoint the pruning closure is the exact
     closure of the final known induced graph, so a clean diagonal *is*
-    the acyclicity answer: the pure-part check and the encoder's
-    ``is_acyclic`` are skipped.  A dirty diagonal (or ``prune=False``)
-    runs the graph-walking path unchanged.  Forcing the diagonal dirty
-    therefore reproduces the pre-shortcut checker, and both must report
-    the same verdict, stage, witness and statistics."""
+    the acyclicity answer: a constraint-free graph is decided on the
+    spot, and the encoder neither re-derives the known graph nor runs
+    ``is_acyclic`` — it builds the solver over the cycle core.  A dirty
+    diagonal (or ``prune=False``) derives the known graph from the typed
+    edges, walks it, and takes every vertex as the core.  Forcing the
+    diagonal dirty therefore reproduces Algorithm 1 as written, and both
+    must report the same verdict, stage, witness, pruning counters and
+    clause set."""
 
     @staticmethod
     def flow_cycle(b, tag, s0, s1):
@@ -239,16 +255,23 @@ class TestClosureAnswersAcyclicity:
 
     @staticmethod
     def fingerprint(result):
+        # What the two paths may differ in is how much of the known
+        # graph the solver was handed (``solver_vertices``, the static
+        # substrate's size) and whether a constraint-free graph needed
+        # the encoder's walk to be called acyclic; nothing else.
+        encoding = result.encoding.stats() if result.encoding else {}
         return {
             "satisfies_si": result.satisfies_si,
             "decided_by": result.decided_by,
             "cycle": result.cycle,
-            "stats": result.stats,
+            "stats": {k: v for k, v in result.stats.items()
+                      if k != "solver_vertices"},
             "pruning": result.prune_result.as_dict(),
-            "encoding": result.encoding and result.encoding.stats(),
+            "encoding": {k: encoding.get(k, 0) for k in (
+                "vars", "clauses", "induced_edges", "aux_vars")},
             "solver": {k: v for k, v in result.solver_stats.items()
                        if not k.endswith("seconds")},
-            "stages": sorted(result.timings),
+            "stages": sorted(set(result.timings) - {"encode"}),
         }
 
     CASES = {
@@ -280,35 +303,44 @@ class TestClosureAnswersAcyclicity:
         walked = checker.check(history)
         assert walked.prune_result.known_acyclic is False
         assert self.fingerprint(walked) == self.fingerprint(shortcut)
+        assert "decompose" not in walked.timings
+        if walked.decided_by == "solving":
+            assert (walked.stats["solver_vertices"]
+                    == walked.polygraph.num_vertices
+                    > shortcut.stats["solver_vertices"] > 0)
 
     def test_clean_diagonal_skips_every_later_acyclicity_check(
             self, monkeypatch):
-        import repro.core.checker as checker_module
         import repro.core.encoding as encoding_module
+        from repro.core.known import KnownGraph
 
         calls = []
 
-        def counting(module):
-            original = module.is_acyclic
+        def counting(owner, name):
+            original = getattr(owner, name)
 
-            def wrapped(n, succ):
-                calls.append(module.__name__)
-                return original(n, succ)
-            monkeypatch.setattr(module, "is_acyclic", wrapped)
+            def wrapped(*args):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapped)
 
-        counting(checker_module)
-        counting(encoding_module)
+        # The serial checker has one place left that walks the known
+        # graph or derives it from the typed edges: the encoder.
+        counting(encoding_module, "is_acyclic")
+        counting(KnownGraph, "from_edges")
         for case in ("clean_and_mixed", "clean_without_constraints"):
             assert verdict(getattr(self, case)()).satisfies_si
-        assert calls == []
+        # One derivation, by the fixpoint; the stages after it ask.
+        assert calls == ["from_edges"] * 2
+        calls.clear()
         # Without pruning there is no closure to ask: the walk runs.
         assert verdict(self.clean_and_mixed(), prune=False).satisfies_si
-        assert sorted(set(calls)) == ["repro.core.checker",
-                                      "repro.core.encoding"]
+        assert calls == ["from_edges", "is_acyclic"]
         calls.clear()
+        # Nor can a dirty diagonal name a witness: fixpoint, then walk.
         assert not verdict(
             self.cyclic_only_in_a_pure_component()).satisfies_si
-        assert calls == ["repro.core.checker"]
+        assert calls == ["from_edges", "from_edges", "is_acyclic"]
 
     def test_violating_prune_establishes_nothing(self):
         result = verdict(causality_history())
@@ -320,10 +352,21 @@ class TestClosureAnswersAcyclicity:
         from repro.core.encoding import encode_polygraph
         from repro.core.polygraph import build_polygraph
 
+        from repro.core.pruning import prune_constraints
+
         graph, _ = build_polygraph(self.clean_and_mixed())
+        pruned = prune_constraints(graph)
         alone = encode_polygraph(graph)
-        told = encode_polygraph(graph, known_acyclic=True)
+        told = encode_polygraph(graph, pruned)
         assert not alone.static_cycle and not told.static_cycle
-        assert alone.stats() == told.stats()
+        assert alone.num_solver_vertices == graph.num_vertices == 4
+        assert told.num_solver_vertices == 2
+        sizes = ("vars", "clauses", "induced_edges", "aux_vars")
+        assert ([alone.stats()[k] for k in sizes]
+                == [told.stats()[k] for k in sizes])
+        # A result whose state was dropped is no prune result at all.
+        pruned.state = None
+        assert encode_polygraph(graph, pruned).num_solver_vertices == 4
         cyclic, _ = build_polygraph(self.cyclic_only_in_a_pure_component())
         assert encode_polygraph(cyclic).static_cycle
+        assert encode_polygraph(cyclic, prune_constraints(cyclic)).static_cycle

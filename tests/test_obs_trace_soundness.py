@@ -40,7 +40,8 @@ MANDATORY_STAGES = {
     ("polysi", "si", "batch"): {"axioms", "construct", "prune"},
     ("timestamp", "si", "batch"): {"axioms", "validate"},
     ("polysi", "si", "online"): {"event"},
-    ("polysi", "si", "parallel"): {"decompose", "pool", "shard", "prune"},
+    ("polysi", "si", "parallel"): {"pool", "shard", "prune", "encode",
+                                   "solve"},
     ("polysi", "si", "segmented"): {"segment"},
 }
 
