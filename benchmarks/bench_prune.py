@@ -45,6 +45,19 @@ ROADMAP's rule for a single-layer optimisation applies: below 1.3x at
 full scale the run fails, because the change is then to be reverted,
 not kept behind a flag.
 
+The **reseed** series isolates the closure reseed the fixpoint's
+delta-adaptive flush falls back to: on the known graph as iteration 1
+leaves it — where ``KI = Dep ∪ (Dep ; AntiDep)`` has grown to several
+times the pairs of the two relations it composes — it times the shipped
+kernel (``KnownGraph.closure()``, which walks Dep and AntiDep through
+hop nodes) against the one it replaced (compose KI with
+``induced_adjacency()``, then close it), each wrapped into the resolved
+backend as ``PruneState._seed`` does, identical rows asserted (series
+``reseed[hop]`` / ``reseed[materialised]`` per shape, notes
+``reseed_<shape>`` with ``dep`` / ``antidep`` / ``ki`` pair counts,
+``reseed_speedup`` / ``reseed_bar_met`` for the write-heavy shape).
+The same 1.3x line applies at full scale.
+
 Run:  PYTHONPATH=../src python bench_prune.py
 """
 
@@ -60,12 +73,16 @@ from repro.bench.results import BenchReport
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import build_polygraph
 from repro.core.pruning import (
+    PruneResult,
     PruneState,
+    apply_decisions,
     classify_constraints,
     prune_constraints,
     prune_constraints_recompute,
 )
 from repro.utils.closure import available_closure_backends, resolve_closure_backend
+from repro.utils.gcpause import collector_paused
+from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.generator import WorkloadParams, generate_history
 
 # The replaced rule lives with the test oracles, its only other caller.
@@ -91,6 +108,9 @@ KERNEL_CASCADE_N = scaled(2048, minimum=256)
 #: ROADMAP's keep-or-revert line for an optimisation of one layer, applied
 #: to the mask classification rule at full scale.
 CLASSIFY_SPEEDUP_BAR = 1.3
+
+#: The same line for the hop-graph reseed kernel, on the write-heavy shape.
+RESEED_SPEEDUP_BAR = 1.3
 
 #: DESIGN.md S11 budget: the *disabled* observability path (no ambient
 #: tracer/registry installed — what every non-traced caller pays) must
@@ -155,6 +175,26 @@ def read_heavy_history(seed: int = 1):
     return generate_history(params, seed=seed).history
 
 
+def write_heavy_history(seed: int = 1):
+    """The GeneralRW shape: half the operations write, so iteration 1
+    promotes tens of thousands of edges and the fixpoint reseeds."""
+    params = WorkloadParams(
+        sessions=16,
+        txns_per_session=scaled(120),
+        ops_per_txn=8,
+        read_proportion=0.5,
+        keys=scaled(3000),
+        distribution="zipfian",
+    )
+    return generate_history(params, seed=seed).history
+
+
+RESEED_SHAPES = {
+    "general-RW": write_heavy_history,
+    "general-RH": read_heavy_history,
+}
+
+
 CORPORA = {
     "cascade": lambda: cascade_history(scaled(48, minimum=8)),
     "zipfian-RW": lambda: workload_history(0.5),
@@ -193,6 +233,16 @@ def best_of(fn, history) -> tuple:
         result = fn(graph)
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def best_call(fn) -> tuple:
+    """(best seconds, last return value) of ``fn()`` over ROUNDS calls."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, value
 
 
 def kernel_cascade(backend_name: str, n: int) -> tuple:
@@ -238,20 +288,57 @@ def classify_seconds(history, backend_name: str) -> tuple:
     def shipped():
         return classify_constraints(constraints, reach, known.pred_mask)
 
-    def best_call(fn) -> tuple:
-        best = float("inf")
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            decisions = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, decisions
-
     reference_s, want = best_call(reference)
     shipped_s, got = best_call(shipped)
     assert got == want, (
         f"mask rule diverged from the per-predecessor rule ({backend_name})"
     )
     return reference_s, shipped_s, len(constraints)
+
+
+@collector_paused  # as inside a check, where every reseed runs
+def reseed_seconds(history, backend_name: str) -> tuple:
+    """(materialised seconds, hop seconds, pair counts) for one closure
+    reseed over ``history``'s known graph as fixpoint iteration 1 leaves
+    it, under ``backend_name`` — best of ROUNDS each, identical rows
+    asserted."""
+    graph, violations = build_polygraph(history)
+    assert not violations
+    state = PruneState(graph, backend=backend_name)
+    decisions = classify_constraints(graph.constraints, state.reach,
+                                     state.pred_mask)
+    assert apply_decisions(graph, decisions, PruneResult(), state=state)
+    known, n = state.known, graph.num_vertices
+    backend = resolve_closure_backend(backend_name)
+
+    def materialised():
+        return backend.from_rows(
+            transitive_closure_bits(n, known.induced_adjacency()).rows)
+
+    def hop():
+        return backend.from_rows(known.closure().rows)
+
+    materialised_s, want = best_call(materialised)
+    hop_s, got = best_call(hop)
+    assert got.int_rows() == want.int_rows(), (
+        f"hop-graph closure diverged from the materialised KI ({backend_name})"
+    )
+    counts = {
+        "vertices": n,
+        "dep": sum(map(len, known.dep)),
+        "antidep": sum(map(len, known.antidep)),
+        "ki": sum(map(len, known.induced_adjacency())),
+    }
+    return materialised_s, hop_s, counts
+
+
+@pytest.mark.parametrize("shape", sorted(RESEED_SHAPES))
+@pytest.mark.parametrize("backend", available_closure_backends())
+def test_reseed_kernel_parity(backend, shape):
+    materialised, hop, counts = reseed_seconds(
+        RESEED_SHAPES[shape](), backend)
+    assert materialised > 0 and hop > 0
+    assert counts["ki"] > counts["dep"]
 
 
 @pytest.mark.parametrize("backend", available_closure_backends())
@@ -353,6 +440,7 @@ def main():
         "numpy_speedup_bar": NUMPY_SPEEDUP_BAR,
         "kernel_cascade_n": KERNEL_CASCADE_N,
         "classify_speedup_bar": CLASSIFY_SPEEDUP_BAR,
+        "reseed_speedup_bar": RESEED_SPEEDUP_BAR,
     })
     rows = []
     speedups = {}
@@ -434,6 +522,26 @@ def main():
     report.note("classify_bar_met", classify_bar_met)
     report.note("classify_parity", "ok")
 
+    # The reseed kernel on its own: the known graph iteration 1 leaves
+    # behind, closed through hop nodes vs composed first.
+    reseed_rows = []
+    reseed_speedups = {}
+    for shape, make in RESEED_SHAPES.items():
+        materialised, hop, counts = reseed_seconds(make(), resolved)
+        report.add_point("reseed[materialised]", shape,
+                         seconds=materialised, axis="shape")
+        report.add_point("reseed[hop]", shape, seconds=hop, axis="shape")
+        report.note(f"reseed_{shape}", counts)
+        reseed_speedups[shape] = materialised / hop
+        reseed_rows.append([shape, counts["vertices"], counts["dep"],
+                            counts["antidep"], counts["ki"],
+                            f"{materialised:.3f}", f"{hop:.3f}",
+                            f"{materialised / hop:.2f}x"])
+    reseed_bar_met = reseed_speedups["general-RW"] >= RESEED_SPEEDUP_BAR
+    report.note("reseed_speedup", round(reseed_speedups["general-RW"], 2))
+    report.note("reseed_bar_met", reseed_bar_met)
+    report.note("reseed_parity", "ok")
+
     # Stage-level cost breakdown of one traced batch check (DESIGN S11).
     note_stage_seconds(report, CORPORA["cascade"]())
     # ... and the disabled-overhead budget gate: the no-op observability
@@ -482,9 +590,26 @@ def main():
     print(f"classify speedup [{resolved}]: "
           f"{classify_speedups[resolved]:.2f}x "
           f"({bar} the {CLASSIFY_SPEEDUP_BAR}x keep-or-revert line)")
+    print(f"\nClosure reseed after fixpoint iteration 1 [{resolved}] "
+          f"(best of {ROUNDS}, seconds; identical rows asserted)")
+    print(render_table(
+        ["shape", "vertices", "|Dep|", "|AntiDep|", "|KI|", "materialised",
+         "hop", "speedup"],
+        reseed_rows,
+    ))
+    bar = "meets" if reseed_bar_met else "below"
+    print(f"reseed speedup [general-RW, {resolved}]: "
+          f"{reseed_speedups['general-RW']:.2f}x "
+          f"({bar} the {RESEED_SPEEDUP_BAR}x keep-or-revert line)")
     path = report.write()
     print(f"results: {path}")
     if SCALE >= 1.0:
+        assert reseed_bar_met, (
+            f"the hop-graph reseed is {reseed_speedups['general-RW']:.2f}x "
+            f"the materialised one on the write-heavy shape under the "
+            f"{resolved} backend, below the {RESEED_SPEEDUP_BAR}x line: "
+            "revert it (ROADMAP, 'Spend the measurement')"
+        )
         assert classify_bar_met, (
             f"mask classification is {classify_speedups[resolved]:.2f}x the "
             f"per-predecessor rule under the {resolved} backend, below the "

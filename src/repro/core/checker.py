@@ -23,6 +23,7 @@ from typing import List, Optional
 
 from ..obs import get_logger, trace_span
 from ..utils.closure import resolve_closure_backend
+from ..utils.gcpause import collector_paused
 from .axioms import AxiomViolation, check_axioms
 from .encoding import SIEncoding, encode_polygraph, graph_constraints
 from .history import History
@@ -169,8 +170,10 @@ class PolySIChecker:
         self.check_axioms_first = check_axioms_first
         self.initial_values = initial_values
 
+    @collector_paused
     def check(self, history: History) -> CheckResult:
-        """Run the full pipeline on ``history``."""
+        """Run the full pipeline on ``history`` (construct, prune,
+        encode, solve), with the cyclic collector paused throughout."""
         result = CheckResult()
         # Reported even on axiom-decided histories, so facade callers
         # always see which kernel a forced backend resolved to.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..utils.reachability import Reachability, transitive_closure_bits
 from .polygraph import Edge, RW
 
 __all__ = ["KnownGraph", "mask_of"]
@@ -50,7 +51,8 @@ class KnownGraph:
     same edge twice is harmless.
 
     ``KI`` itself is derived on demand: :meth:`induced_by` gives the
-    pairs one edge induces, :meth:`induced_adjacency` the whole relation.
+    pairs one edge induces, :meth:`induced_adjacency` the whole relation,
+    :meth:`closure` its reachability without building it.
     """
 
     __slots__ = ("dep", "dep_preds", "pred_mask", "antidep")
@@ -143,12 +145,36 @@ class KnownGraph:
         return [self._through(succs) & within if u in within else set()
                 for u, succs in enumerate(self.dep)]
 
+    def closure(self) -> Reachability:
+        """The strict closure of ``KI``, computed without composing it.
+
+        The kernel runs over a *hop graph*: every vertex ``m`` with an
+        AntiDep successor gets a hop node, which steps to ``m`` and to
+        each of those successors, and a Dep pair ``(u, m)`` makes ``u``
+        step to ``m``'s hop (to ``m`` itself when it has none).  A
+        vertex -> vertex step or vertex -> hop -> vertex 2-step is
+        exactly a KI edge, so reachability between vertices is KI's,
+        over at most ``|Dep| + |AntiDep| + n`` edges instead of ``|KI|``
+        composed pairs; only vertices get a bit and a row (``visible``).
+        Rows equal ``transitive_closure_bits(n, induced_adjacency()).rows``.
+        """
+        n = len(self.dep)
+        via = list(range(n))  # where a Dep step into m lands
+        hops: List[Sequence[int]] = []
+        for m, anti in enumerate(self.antidep):
+            if anti:
+                via[m] = n + len(hops)
+                hops.append((m, *anti))
+        succ = [[via[m] for m in mids] for mids in self.dep] + hops
+        return transitive_closure_bits(len(succ), succ, visible=n)
+
     def compact(self, old_to_new: Sequence[int]) -> None:
         """Renumber onto the survivors of a window compaction
         (``old_to_new[v]`` is -1 for an evicted vertex): pairs with an
-        evicted endpoint are dropped, everything else is renamed.  Induced pairs between survivors survive with the
-        vertex they are composed through; paths *through* an evicted
-        vertex are the closure's to remember, not this graph's."""
+        evicted endpoint are dropped, everything else is renamed.
+        Induced pairs between survivors survive with the vertex they
+        are composed through; paths *through* an evicted vertex are the
+        closure's to remember, not this graph's."""
         m = old_to_new
         size = sum(1 for new in m if new >= 0)
 

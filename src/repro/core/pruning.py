@@ -28,13 +28,15 @@ edges enable further pruning.
 Reachability of the known induced graph ``KI = Dep ∪ (Dep ; AntiDep)``
 is maintained *incrementally* across iterations: iteration 1 seeds the
 shared closure kernel (:class:`repro.utils.closure.ClosureBackend`)
-from one exact SCC-condensed bitset closure (the paper uses
-Floyd-Warshall; see ``repro.utils.reachability``), and every later
-iteration only propagates the edges the previous iteration promoted to
-known — the same maintenance the online checker performs per
-transaction.  :class:`PruneState` carries the closure plus the shared
-:class:`~repro.core.known.KnownGraph` (Dep / AntiDep adjacency,
-immediate Dep-predecessors and KI itself), all updated in place as
+from one exact SCC-condensed bitset closure that walks Dep and AntiDep
+through hop nodes instead of composing KI
+(:meth:`KnownGraph.closure <repro.core.known.KnownGraph.closure>`; the
+paper uses Floyd-Warshall), and every later iteration only propagates
+the edges the previous iteration promoted to known — the same
+maintenance the online checker performs per transaction.
+:class:`PruneState` carries the closure plus the shared
+:class:`~repro.core.known.KnownGraph` (Dep / AntiDep adjacency and
+immediate Dep-predecessors), all updated in place as
 :func:`apply_decisions` resolves constraints, so nothing is rebuilt
 from scratch after iteration 1.  This is sound in batch mode
 because edges are only ever *added* (no eviction): the incrementally
@@ -129,8 +131,9 @@ class PruneState:
     iteration:
 
     - construction pays for one batch closure
-      (:func:`~repro.utils.reachability.transitive_closure_bits`) and
-      wraps its rows into the shared incremental kernel;
+      (:meth:`KnownGraph.closure() <repro.core.known.KnownGraph.closure>`,
+      which never builds KI) and wraps its rows into the shared
+      incremental kernel;
     - :meth:`add_known` installs a newly-promoted typed edge into the
       graph (which dedups typed edges) and the known graph (cheap set
       updates) and queues it;
@@ -141,10 +144,10 @@ class PruneState:
       them through :meth:`~repro.utils.closure.ClosureBackend.insert` —
       the maintenance the online checker performs per arriving
       transaction.  A large delta (typically iteration 1 resolving most
-      constraints at once) instead reseeds the closure with one batch
-      kernel run over KI — never more expensive than the per-iteration
-      recompute it replaces, because the sets KI is derived from are
-      already current.  The
+      constraints at once) instead reseeds the closure with the same
+      batch kernel — cheaper than the per-iteration recompute it
+      replaces, because the Dep / AntiDep sets it walks are already
+      current.  The
       kernel's operation counters carry over a reseed, so they stay
       monotone for the whole fixpoint.
 
@@ -165,15 +168,19 @@ class PruneState:
         #: :func:`repro.utils.closure.resolve_closure_backend` for the
         #: selector semantics — None honours REPRO_CLOSURE_BACKEND).
         self._backend = resolve_closure_backend(backend)
-        self._reach = self._seed()
+        self._reach = self._seed(reseed=False)
         #: Promoted edges (each a new Dep/AntiDep pair) whose induced
         #: pairs are not yet in the closure.
         self._pending: List[Edge] = []
 
-    def _seed(self) -> ClosureBackend:
-        base = transitive_closure_bits(self.graph.num_vertices,
-                                       self.known.induced_adjacency())
-        return self._backend.from_rows(base.rows)
+    def _seed(self, reseed: bool) -> ClosureBackend:
+        known = self.known
+        with trace_span("closure-seed", reseed=reseed,
+                        vertices=known.num_vertices,
+                        dep=sum(map(len, known.dep)),
+                        antidep=sum(map(len, known.antidep))):
+            obs_counter(f"closure.{self._backend.name}.seeds").inc()
+            return self._backend.from_rows(known.closure().rows)
 
     @property
     def backend_name(self) -> str:
@@ -196,8 +203,8 @@ class PruneState:
         pending, self._pending = self._pending, []
         if len(pending) > max(16, self.graph.num_vertices // 8):
             # Large delta: one bulk reseed over the maintained adjacency
-            # costs what a single old-style recompute iteration did.
-            fresh = self._seed()
+            # costs less than a single old-style recompute iteration did.
+            fresh = self._seed(reseed=True)
             fresh.adopt_counters(self._reach)
             self._reach = fresh
             return

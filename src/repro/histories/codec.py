@@ -57,6 +57,7 @@ from ..core.history import (
     W,
 )
 from ..store.atomic import atomic_write_text
+from ..utils.gcpause import collector_paused
 
 __all__ = [
     "EVENTS_SCHEMA",
@@ -99,8 +100,10 @@ def history_to_json(history: History) -> str:
     return json.dumps({"sessions": sessions})
 
 
+@collector_paused
 def history_from_json(text: str) -> History:
-    """Parse a history from :func:`history_to_json` output."""
+    """Parse a history from :func:`history_to_json` output (a bounded
+    burst of acyclic allocations: the cyclic collector sits it out)."""
     data = json.loads(text)
     session_ops: List[List[List[Operation]]] = []
     aborted = set()

@@ -13,7 +13,7 @@ algorithmic role with a different constant factor.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -115,30 +115,35 @@ class Reachability:
         return self.rows[u]
 
 
-def transitive_closure_bits(n: int, succ: Sequence[Iterable[int]]) -> Reachability:
+def transitive_closure_bits(n: int, succ: Sequence[Iterable[int]],
+                            visible: Optional[int] = None) -> Reachability:
     """Exact strict transitive closure using bitset rows.
 
     Handles cyclic graphs by condensing SCCs first; members of a non-trivial
     SCC (or a vertex with a self-loop) reach themselves.
+
+    With ``visible``, only nodes ``0 .. visible-1`` get a bit and a row:
+    the rest are interior nodes that paths run through but that no row
+    records — the hop nodes of
+    :meth:`repro.core.known.KnownGraph.closure`.
     """
+    if visible is None:
+        visible = n
     sccs = tarjan_scc(n, succ)
     comp_of = [0] * n
-    for cid, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = cid
-
-    member_bits = [0] * len(sccs)
-    for cid, comp in enumerate(sccs):
-        bits = 0
-        for v in comp:
-            bits |= 1 << v
-        member_bits[cid] = bits
-
+    # Per component: ``reach`` is what it strictly reaches, ``closed``
+    # that plus its own members — what a predecessor component inherits.
     # Tarjan emits SCCs in reverse topological order: every successor
     # component of sccs[i] appears at an index < i, so one forward pass
     # suffices.
-    comp_reach = [0] * len(sccs)
+    reach = [0] * len(sccs)
+    closed = [0] * len(sccs)
     for cid, comp in enumerate(sccs):
+        members = 0
+        for v in comp:
+            comp_of[v] = cid
+            if v < visible:
+                members |= 1 << v
         row = 0
         internal = len(comp) > 1
         for v in comp:
@@ -147,13 +152,13 @@ def transitive_closure_bits(n: int, succ: Sequence[Iterable[int]]) -> Reachabili
                 if wc == cid:
                     internal = True  # self-loop or intra-SCC edge
                 else:
-                    row |= member_bits[wc] | comp_reach[wc]
+                    row |= closed[wc]
         if internal:
-            row |= member_bits[cid]
-        comp_reach[cid] = row
+            row |= members
+        reach[cid] = row
+        closed[cid] = row | members
 
-    rows = [comp_reach[comp_of[v]] for v in range(n)]
-    return Reachability(rows)
+    return Reachability([reach[comp_of[v]] for v in range(visible)])
 
 
 def transitive_closure_sets(n: int, succ: Sequence[Iterable[int]]) -> Reachability:

@@ -11,16 +11,25 @@ pinned against a brute-force reading of the definition:
 - ``compact`` keeps every induced pair between survivors (with the
   vertex it is composed through) and invents none;
 - ``pred_mask`` is ``dep_preds`` as int bitsets after any interleaving
-  of ``add`` / ``add_vertex`` / ``compact``.
+  of ``add`` / ``add_vertex`` / ``compact``;
+- ``closure()`` — the hop-graph kernel that never builds KI — gives the
+  rows of ``transitive_closure_bits(n, induced_adjacency())``, the
+  definition it is held to, on every shape the checker seeds from.
 """
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.known import KnownGraph
 from repro.core.polygraph import RW, SO, WR, WW, build_polygraph
+from repro.core.pruning import PruneState, prune_constraints
+from repro.listappend import build_list_polygraph, generate_list_history
+from repro.utils.closure import available_closure_backends
+from repro.utils.reachability import transitive_closure_bits
+from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 
 
@@ -213,3 +222,122 @@ class TestPredMask:
                 graph.compact(old_to_new)
             self.assert_in_step(graph)
             assert len(graph.pred_mask) == graph.num_vertices
+
+
+def _materialised_rows(known):
+    """The closure rows by the definition: compose KI, then close it."""
+    return transitive_closure_bits(
+        known.num_vertices, known.induced_adjacency()).rows
+
+
+def _seeds_of_fixpoint(graph, backend, monkeypatch):
+    """Run the pruning fixpoint on ``graph`` with the kernel checked
+    against the definition at every seed; returns one ``reseed`` flag
+    per seed taken."""
+    seeds = []
+    seed = PruneState._seed
+
+    def checked(self, reseed):
+        assert self.known.closure().rows == _materialised_rows(self.known)
+        seeds.append(reseed)
+        closure = seed(self, reseed)
+        assert closure.int_rows() == _materialised_rows(self.known)
+        return closure
+
+    monkeypatch.setattr(PruneState, "_seed", checked)
+    prune_constraints(graph, backend=backend)
+    return seeds
+
+
+#: The e2e benchmark's two batch shapes, a tenth of their size.
+SHAPES = {
+    "general_rh": dict(sessions=8, txns_per_session=32, ops_per_txn=8,
+                       read_proportion=0.95, keys=1000),
+    "general_rw": dict(sessions=8, txns_per_session=24, ops_per_txn=8,
+                       read_proportion=0.5, keys=300),
+}
+
+typed_edge_sets = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.sampled_from([SO, WR, WW, RW, RW]),
+                           st.just("k")),
+                 max_size=24) if n else st.just([]),
+        st.sampled_from(["mixed", "dep-only", "antidep-only"])))
+
+
+@pytest.mark.parametrize("backend", available_closure_backends())
+class TestClosureAtEverySeed:
+    """Before the fixpoint and at every reseed of it, under both
+    closure backends."""
+
+    @pytest.mark.parametrize("template", sorted(ANOMALY_TEMPLATES))
+    def test_corpus_templates(self, template, backend, monkeypatch):
+        graph, _anomalies = build_polygraph(
+            make_anomaly(template, seed=5, padding_txns=40))
+        assert _seeds_of_fixpoint(graph, backend, monkeypatch)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_shapes(self, shape, seed, backend, monkeypatch):
+        history = generate_history(
+            WorkloadParams(distribution="zipfian", **SHAPES[shape]),
+            seed=seed).history
+        graph, anomalies = build_polygraph(history)
+        assert not anomalies
+        seeds = _seeds_of_fixpoint(graph, backend, monkeypatch)
+        assert seeds[0] is False and True in seeds[1:], seeds
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_list_append(self, seed, backend, monkeypatch):
+        history = generate_list_history(
+            WorkloadParams(sessions=5, txns_per_session=12, ops_per_txn=5,
+                           keys=8, read_proportion=0.5), seed=seed)
+        graph, anomalies, _registers = build_list_polygraph(history)
+        assert not anomalies
+        assert _seeds_of_fixpoint(graph, backend, monkeypatch)
+
+
+class TestClosureKernel:
+    def test_corpus_templates_after_the_fixpoint(self):
+        """What the fixpoint ends with is where a template's KI is
+        cyclic: the kernel must condense it as the definition does."""
+        cyclic = 0
+        for template in sorted(ANOMALY_TEMPLATES):
+            graph, _anomalies = build_polygraph(make_anomaly(template))
+            prune_constraints(graph)
+            known = KnownGraph.from_edges(graph.num_vertices,
+                                          graph.known_edges)
+            rows = known.closure().rows
+            assert rows == _materialised_rows(known)
+            cyclic += any(row >> v & 1 for v, row in enumerate(rows))
+        assert cyclic
+
+    @given(typed_edge_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_typed_edge_sets(self, instance):
+        """Self-loops, isolated vertices, one relation missing, n of 0
+        and 1: the rows are the definition's, whichever way the
+        definition is written."""
+        n, edges, keep = instance
+        if keep != "mixed":
+            edges = [e for e in edges if (e[2] == RW) == (keep != "dep-only")]
+        known = KnownGraph.from_edges(n, edges)
+        rows = known.closure().rows
+        assert rows == _materialised_rows(known)
+        assert rows == transitive_closure_bits(
+            n, _reference_induced(n, edges)).rows
+
+    def test_antidep_without_a_dep_predecessor_induces_nothing(self):
+        known = KnownGraph.from_edges(3, [(0, 1, RW, "x"), (1, 2, RW, "x")])
+        assert known.closure().rows == [0, 0, 0]
+
+    def test_composed_self_loop_is_a_cycle_of_its_tail_only(self):
+        # 0 -WR-> 1 -RW-> 0 induces 0 -> 1 and 0 -> 0; 1 reaches nothing.
+        known = KnownGraph.from_edges(2, [(0, 1, WR, "x"), (1, 0, RW, "x")])
+        assert known.closure().rows == [0b11, 0]
+
+    def test_empty_and_single_vertex(self):
+        assert KnownGraph(0).closure().rows == []
+        assert KnownGraph(1).closure().rows == [0]

@@ -18,7 +18,11 @@ from repro.extensions.segmented import run_segmented_workload
 from repro.listappend import A, L, ListHistoryBuilder
 from repro.obs import span_tree, validate_trace
 from repro.storage.database import MVCCDatabase
-from repro.workloads.generator import WorkloadParams, generate_workload
+from repro.workloads.generator import (
+    WorkloadParams,
+    generate_history,
+    generate_workload,
+)
 
 from _helpers import serializable_history
 
@@ -170,6 +174,26 @@ def test_batch_trace_reports_closure_counters():
     prefixed = {name for name in counters
                 if name.startswith(f"closure.{backend}.")}
     assert prefixed, sorted(counters)
+
+
+def test_batch_trace_reports_every_closure_seed():
+    """One ``closure-seed`` span per kernel run — the first seed and
+    each reseed, which no stage timing separates — and a ``seeds``
+    counter that agrees with them."""
+    history = generate_history(
+        WorkloadParams(sessions=8, txns_per_session=24, ops_per_txn=8,
+                       read_proportion=0.5, keys=300,
+                       distribution="zipfian"), seed=1).history
+    report = check(history)
+    payload = validate_trace(report.stats["trace"])
+    seeds = [s for s in payload["spans"] if s["name"] == "closure-seed"]
+    assert [s["attrs"]["reseed"] for s in seeds][:2] == [False, True]
+    for span in seeds:
+        assert span["attrs"]["vertices"] == len(history) + 1
+        assert span["attrs"]["dep"] > 0 and span["attrs"]["antidep"] >= 0
+    backend = report.stats["closure_backend"]
+    counters = payload["metrics"]["counters"]
+    assert counters[f"closure.{backend}.seeds"] == len(seeds)
 
 
 def test_trace_false_omits_the_payload():

@@ -107,6 +107,20 @@ class TestClosures:
         dense = transitive_closure_numpy(n, adj)
         assert bits.rows == dense.rows
 
+    @given(digraphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_visible_prefix_is_the_full_closure_masked(self, instance, data):
+        """Nodes past ``visible`` carry paths but get no bit and no
+        row: what is left is the full closure's first rows, masked."""
+        n, edges = instance
+        adj = adj_from_edges(n, edges)
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        full = transitive_closure_bits(n, adj).rows
+        mask = (1 << k) - 1
+        got = transitive_closure_bits(n, adj, visible=k).rows
+        assert got == [row & mask for row in full[:k]]
+        assert transitive_closure_bits(n, adj, visible=n).rows == full
+
     def test_reaches_any_bitmask(self):
         reach = transitive_closure_bits(3, adj_from_edges(3, [(0, 1), (1, 2)]))
         assert reach.reaches_any(0, (1 << 2))
