@@ -17,8 +17,7 @@ from .registry import CheckerError, EngineSpec, register_engine
 __all__ = ["register_builtin_engines"]
 
 
-_PIPELINE_OPTIONS = ("prune", "compact", "closure_backend",
-                     "check_axioms_first", "initial_values")
+_PIPELINE_OPTIONS = ("prune", "compact", "closure_backend")
 
 
 def _expect(subject, kind: str, *, engine: str, mode: str):
@@ -69,7 +68,8 @@ def _run_polysi(subject, isolation: str, mode: str, options: CheckOptions):
     pipeline = options.subset(_PIPELINE_OPTIONS)
     if mode == "batch":
         _expect(subject, "history", engine="polysi", mode=mode)
-        return PolySIChecker(**pipeline).check(subject)
+        return PolySIChecker(initial_values=options.initial_values,
+                             **pipeline).check(subject)
     if mode == "online":
         window = (WindowPolicy(max_live=options.max_live)
                   if options.max_live else None)
@@ -109,11 +109,10 @@ def _run_polysi(subject, isolation: str, mode: str, options: CheckOptions):
         _expect(subject, "history", engine="polysi", mode=mode)
         with ParallelChecker(
             options.workers,
-            strategy=options.strategy,
             early_cancel=options.early_cancel,
             max_shards=options.max_shards,
             oversubscribe=options.oversubscribe,
-            **_strip_initial_values(pipeline),
+            **pipeline,
         ) as checker:
             return checker.check(subject)
     # mode == "segmented"
@@ -122,13 +121,8 @@ def _run_polysi(subject, isolation: str, mode: str, options: CheckOptions):
         subject,
         workers=options.workers or 1,
         oversubscribe=options.oversubscribe,
-        **_strip_initial_values(pipeline),
+        **pipeline,
     )
-
-
-def _strip_initial_values(pipeline: dict) -> dict:
-    """The parallel/segmented drivers set initial values per shard."""
-    return {k: v for k, v in pipeline.items() if k != "initial_values"}
 
 
 # -- timestamp ----------------------------------------------------------------------
@@ -201,10 +195,9 @@ def register_builtin_engines() -> None:
             ("listappend", "batch"),
         }),
         options=frozenset({
-            "prune", "compact", "closure_backend",
-            "check_axioms_first", "initial_values", "workers", "strategy",
-            "oversubscribe", "early_cancel", "max_shards", "solve_every",
-            "max_live", "sessions", "state_dir", "resume",
+            "prune", "compact", "closure_backend", "initial_values",
+            "workers", "oversubscribe", "early_cancel", "max_shards",
+            "solve_every", "max_live", "sessions", "state_dir", "resume",
             "checkpoint_every",
         }),
         runner=_run_polysi,
@@ -215,20 +208,20 @@ def register_builtin_engines() -> None:
         # only prune of the pipeline switches, and the parallel /
         # segmented drivers set initial values per shard themselves.
         options_for={
-            ("si", "batch"): frozenset(_PIPELINE_OPTIONS),
+            ("si", "batch"): frozenset(_PIPELINE_OPTIONS
+                                       + ("initial_values",)),
             ("si", "online"): frozenset({
                 "prune", "solve_every", "max_live", "sessions",
                 "initial_values", "closure_backend", "state_dir",
                 "resume", "checkpoint_every",
             }),
             ("si", "parallel"): frozenset({
-                "prune", "compact", "closure_backend",
-                "check_axioms_first", "workers", "strategy",
+                "prune", "compact", "closure_backend", "workers",
                 "oversubscribe", "early_cancel", "max_shards",
             }),
             ("si", "segmented"): frozenset({
-                "prune", "compact", "closure_backend",
-                "check_axioms_first", "workers", "oversubscribe",
+                "prune", "compact", "closure_backend", "workers",
+                "oversubscribe",
             }),
             ("causal", "batch"): frozenset(),
             ("ra", "batch"): frozenset(),
@@ -242,10 +235,10 @@ def register_builtin_engines() -> None:
                  "timestamps; timestamp-ambiguous residue clusters fall "
                  "back to the polysi pipeline"),
         combos=frozenset({("si", "batch")}),
-        # The fallback pipeline's switches; check_axioms_first and
-        # initial_values are deliberately not accepted (the fast path
-        # always runs the axiom pass and always reads plain initial
-        # values), so setting them is a typed error, not a silent no-op.
+        # The fallback pipeline's switches; initial_values is
+        # deliberately not accepted (the fast path always reads plain
+        # initial values), so setting it is a typed error, not a
+        # silent no-op.
         options=frozenset({"prune", "compact", "closure_backend"}),
         runner=_run_timestamp,
         inputs={("si", "batch"): "timestamped_history"},

@@ -2,7 +2,7 @@
 
 Every tunable that used to travel as scattered keyword arguments —
 ``PolySIChecker(prune=..., compact=...)``, ``OnlineChecker(solve_every=
-...)``, ``ParallelChecker(workers=..., strategy=...)``, ``DbcopChecker(
+...)``, ``ParallelChecker(workers=..., max_shards=...)``, ``DbcopChecker(
 max_states=...)`` — is a field of :class:`CheckOptions`.  The façade
 builds one from ``**kwargs``, and the engine registry validates it:
 setting an option the selected engine never reads, or one that only
@@ -28,7 +28,6 @@ FACADE_OPTIONS: frozenset = frozenset({"trace"})
 #: supports.
 MODE_OPTIONS: Dict[str, frozenset] = {
     "workers": frozenset({"parallel", "segmented"}),
-    "strategy": frozenset({"parallel"}),
     "oversubscribe": frozenset({"parallel", "segmented"}),
     "early_cancel": frozenset({"parallel"}),
     "max_shards": frozenset({"parallel"}),
@@ -47,10 +46,8 @@ OPTION_DOCS: Dict[str, str] = {
     "compact": "use generalized (compacted) constraints (default True)",
     "closure_backend": ('incremental-closure backend: "python", "numpy", '
                         "or None for REPRO_CLOSURE_BACKEND / auto"),
-    "check_axioms_first": "run the axiom stage before construction",
     "initial_values": "map key -> value considered initial (segmented runs)",
     "workers": "process count for parallel / segmented checking",
-    "strategy": 'shard strategy: "auto", "components", or "constraints"',
     "oversubscribe": "allow more pool processes than CPU cores",
     "early_cancel": "cancel queued shards once one shard violates",
     "max_shards": "soft cap on component shards (0: one per component)",
@@ -85,12 +82,10 @@ class CheckOptions:
     prune: bool = True
     compact: bool = True
     closure_backend: Optional[str] = None
-    check_axioms_first: bool = True
     initial_values: Optional[dict] = None
 
     # Parallel / segmented checking.
     workers: Optional[int] = None
-    strategy: str = "auto"
     oversubscribe: bool = False
     early_cancel: bool = True
     max_shards: Optional[int] = None
@@ -121,8 +116,6 @@ class CheckOptions:
             from ..utils.closure import resolve_closure_backend
 
             resolve_closure_backend(self.closure_backend)
-        if self.strategy not in ("auto", "components", "constraints"):
-            raise ValueError(f"unknown strategy: {self.strategy!r}")
         if self.solve_every < 1:
             raise ValueError("solve_every must be >= 1")
         if self.workers is not None and self.workers < 1:

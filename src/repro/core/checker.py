@@ -2,10 +2,10 @@
 
 ``CheckSI(H)``:
 
-1. axioms — reject histories failing Int / AbortedReads /
-   IntermediateReads (plus unjustified and future reads found while
-   matching reads to writers);
-2. construct — build the generalized polygraph;
+1. axioms — index every transaction's writes (Int, UniqueValue);
+2. construct — match every read against them (AbortedReads,
+   IntermediateReads, unjustified and future reads, known edges) and
+   generate the constraints;
 3. prune — resolve constraints whose branches would close undesired
    cycles (optional, on by default);
 4. encode — SAT-encode the induced SI graph;
@@ -24,10 +24,15 @@ from typing import List, Optional
 from ..obs import get_logger, trace_span
 from ..utils.closure import resolve_closure_backend
 from ..utils.gcpause import collector_paused
-from .axioms import AxiomViolation, check_axioms
+from .axioms import AxiomViolation
 from .encoding import SIEncoding, encode_polygraph, graph_constraints
 from .history import History
-from .polygraph import Edge, GeneralizedPolygraph, build_polygraph
+from .polygraph import (
+    Edge,
+    GeneralizedPolygraph,
+    index_history,
+    match_history,
+)
 from .pruning import PruneResult, find_known_cycle, prune_constraints
 
 __all__ = [
@@ -142,9 +147,6 @@ class PolySIChecker:
         ``REPRO_CLOSURE_BACKEND`` / auto-selection (see
         :func:`repro.utils.closure.resolve_closure_backend`).  The
         resolved name is reported in ``result.stats["closure_backend"]``.
-    check_axioms_first:
-        Skip the axiom stage when False (for harnesses that already
-        validated the history).
     initial_values:
         Optional map key -> value considered initial for this history
         (used by segmented checking; see
@@ -157,7 +159,6 @@ class PolySIChecker:
         prune: bool = True,
         compact: bool = True,
         closure_backend: Optional[str] = None,
-        check_axioms_first: bool = True,
         initial_values: Optional[dict] = None,
     ):
         self.prune = prune
@@ -167,7 +168,6 @@ class PolySIChecker:
         # if the environment changes mid-run.
         self.closure_backend: str = resolve_closure_backend(
             closure_backend).name
-        self.check_axioms_first = check_axioms_first
         self.initial_values = initial_values
 
     @collector_paused
@@ -183,49 +183,43 @@ class PolySIChecker:
             return result
         return self.check_polygraph(graph, result)
 
+    @collector_paused
     def construct(
         self, history: History, result: CheckResult
     ) -> Optional[GeneralizedPolygraph]:
-        """The pre-cycle stages: axioms plus polygraph construction.
+        """The pre-cycle stages: one pass of the polygraph builder,
+        timed as its two halves (module docstring, stages 1 and 2).
 
         Returns the polygraph to analyze, or None when the history is
-        already decided (axiom or construction anomalies — ``result``
-        then carries the verdict).  Shared by :meth:`check` and the
-        parallel checking engine, which shards the returned polygraph.
+        already decided (``result`` then carries the anomalies, grouped
+        by axiom).  Shared by :meth:`check` and the parallel checking
+        engine, which shards the returned polygraph.
         """
-        if self.check_axioms_first:
-            t0 = time.perf_counter()
-            with trace_span("axioms", txns=len(history)) as span:
-                anomalies = check_axioms(history)
-                span.set(violations=len(anomalies))
-            result.timings["axioms"] = time.perf_counter() - t0
-            if anomalies:
-                result.satisfies_si = False
-                result.anomalies = anomalies
-                result.decided_by = "axioms"
-                return None
+        t0 = time.perf_counter()
+        with trace_span("axioms", txns=len(history)) as span:
+            builder, graph = index_history(history, self.initial_values)
+            span.set(violations=len(builder.anomalies))
+        result.timings["axioms"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with trace_span("construct", txns=len(history)) as span:
-            graph, construction_anomalies = build_polygraph(
-                history, compact=self.compact,
-                initial_values=self.initial_values
-            )
+            anomalies = match_history(builder, graph, self.compact)
             span.set(vertices=graph.num_vertices,
-                     constraints=len(graph.constraints))
+                     constraints=len(graph.constraints),
+                     violations=len(anomalies))
         result.timings["construct"] = time.perf_counter() - t0
-        result.polygraph = graph.copy()
-        if construction_anomalies:
+        if anomalies:
             result.satisfies_si = False
-            result.anomalies = construction_anomalies
+            result.anomalies = anomalies
             result.decided_by = "axioms"
             return None
+        result.polygraph = graph.copy()
         return graph
 
+    @collector_paused
     def check_polygraph(
         self, graph: GeneralizedPolygraph,
-        result: Optional[CheckResult] = None, *,
-        pruned: Optional[PruneResult] = None,
+        result: Optional[CheckResult] = None,
     ) -> CheckResult:
         """The cycle-analysis stages (prune / encode / solve) on an
         already-built polygraph; also the per-shard worker body of the
@@ -235,22 +229,20 @@ class PolySIChecker:
         (:attr:`PruneResult.state`) instead of deriving the known graph
         again: a clean closure diagonal with no constraint left is the
         verdict ``static``, and otherwise the solver is built over the
-        cycle core only (:func:`encode_polygraph`).  ``pruned`` is a
-        fixpoint the caller already ran on ``graph`` (the parallel
-        engine's partitioned pruning).  Either way the state is dropped
-        before this returns: no result may pin the closure rows.
+        cycle core only (:func:`encode_polygraph`).  The state is
+        dropped before this returns: no result may pin the closure rows.
         """
         if result is None:
             result = CheckResult()
         result.stats["closure_backend"] = self.closure_backend
         result.stats["solver_vertices"] = 0
-        if pruned is None and self.prune:
+        pruned: Optional[PruneResult] = None
+        if self.prune:
             t0 = time.perf_counter()
             with trace_span("prune", backend=self.closure_backend) as span:
                 pruned = prune_constraints(graph, backend=self.closure_backend)
                 span.set(iterations=pruned.iterations, pruned=pruned.pruned)
             result.timings["prune"] = time.perf_counter() - t0
-        if pruned is not None:
             result.prune_result = pruned
             if not pruned.ok:
                 result.satisfies_si = False

@@ -22,10 +22,19 @@ plus one constraint per reader, following classic polygraphs
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .axioms import AxiomViolation
-from .history import History, INITIAL_VALUE, Transaction
+from .history import (
+    COMMITTED,
+    DuplicateValueError,
+    History,
+    INITIAL_VALUE,
+    Operation,
+    READ,
+    Transaction,
+)
 
 __all__ = [
     "SO",
@@ -36,7 +45,10 @@ __all__ = [
     "Edge",
     "Constraint",
     "GeneralizedPolygraph",
+    "PolygraphBuilder",
     "branch_edges",
+    "index_history",
+    "match_history",
     "build_polygraph",
 ]
 
@@ -316,6 +328,396 @@ class GeneralizedPolygraph:
         )
 
 
+_AXIOM_ORDER = {"Int": 0, "AbortedReads": 1, "IntermediateReads": 2}
+
+
+def _aborted_read(reader: Transaction, key, value, writer: str):
+    return AxiomViolation(
+        "AbortedReads", reader, key, value,
+        f"read {value!r} on {key!r} written by aborted {writer}")
+
+
+def _intermediate_read(reader: Transaction, key, value, writer: str):
+    return AxiomViolation(
+        "IntermediateReads", reader, key, value,
+        f"read intermediate {value!r} on {key!r} from {writer}")
+
+
+def _enc_txn(txn: Optional[Transaction]):
+    if txn is None:
+        return None
+    record = [txn.tid, txn.session, txn.index, txn.status,
+              [[op.kind, op.key, op.value] for op in txn.ops]]
+    if txn.start_ts is not None or txn.commit_ts is not None:
+        record.append([txn.start_ts, txn.commit_ts])
+    return record
+
+
+def _dec_txn(record) -> Transaction:
+    tid, session, index, status, ops = record[:5]
+    ts = record[5] if len(record) > 5 else (None, None)
+    return Transaction(
+        tid, [Operation(kind, key, value) for kind, key, value in ops],
+        session=session, index=index, status=status,
+        start_ts=ts[0], commit_ts=ts[1],
+    )
+
+
+class PolygraphBuilder:
+    """The front half of the checker, written once: which write does
+    each external read observe, and what does that force (Algorithm 1
+    line 2, Algorithm 2's CreateKnownGraph).
+
+    The builder owns the read-matching indexes and the only two
+    functions that touch them: :meth:`index_writes` (what a transaction
+    is, whatever it observed) and :meth:`match_reads` (what a committed
+    one observed).  Batch and online are two schedules of those calls —
+    :func:`build_polygraph` indexes every transaction before it matches
+    any, :class:`repro.online.checker.OnlineChecker` does both per
+    arrival — and agree at :meth:`finish` (DESIGN.md S4, "One front
+    half").  Known edges leave through ``emit(edge)``, anomalies collect
+    in :attr:`anomalies`; vertex ids are the caller's, ``init_vertex``
+    the virtual writer of every initial value.
+
+    :mod:`repro.core.axioms` states Int / AbortedReads /
+    IntermediateReads declaratively for the baselines and the oracle;
+    ``tests/test_front_half.py`` holds this class to it.
+    """
+
+    def __init__(self, emit: Callable[[Edge], object], init_vertex: int,
+                 initial_values: Optional[dict] = None):
+        self.emit = emit
+        self.init_vertex = init_vertex
+        self.initial_values = initial_values or {}
+        self.anomalies: List[AxiomViolation] = []
+        # Per committed vertex, until evicted: the transaction and the
+        # (writer, key) of each matched read.
+        self.txn_of: Dict[int, Transaction] = {}
+        self.reads_of: Dict[int, List[tuple]] = {}
+        self.session_tail: Dict[object, int] = {}
+        self.writer_index: Dict[tuple, int] = {}       # (key, v) -> writer
+        self.aborted_writes: Dict[tuple, tuple] = {}   # (key, v) -> (name, tid)
+        self.intermediate: Dict[tuple, tuple] = {}     # (key, v) -> (name, tid)
+        self.pending: Dict[tuple, List[int]] = {}      # (key, v) -> readers
+        self.writers_of: Dict[object, List[int]] = {}
+        self.readers_from: Dict[tuple, List[int]] = {}
+        self.init_keys: set = set()
+
+    # -- the two functions ----------------------------------------------------
+
+    def index_writes(self, txn: Transaction, vertex: int) -> None:
+        """Int, UniqueValue (raised before any index changes), SO from
+        the session tail, the value indexes — final, overwritten,
+        aborted — with the reads that were waiting for them, and the
+        writer's side of the init rule.  An aborted ``txn`` has no
+        vertex."""
+        committed = txn.status == COMMITTED
+        last_seen: dict = {}
+        finals: dict = {}
+        unreadable: dict = {}
+        for op in txn.ops:
+            key, value = op.key, op.value
+            if op.kind == READ:
+                if key in last_seen and value != last_seen[key]:
+                    self.anomalies.append(AxiomViolation(
+                        "Int", txn, key, value,
+                        f"read {value!r} after observing "
+                        f"{last_seen[key]!r} on {key!r}"))
+            elif not committed:
+                unreadable[(key, value)] = None
+            else:
+                if key in finals:
+                    unreadable[(key, finals[key])] = None
+                finals[key] = value
+            last_seen[key] = value
+        if not committed:
+            for kv in unreadable:
+                self._retract(self.aborted_writes, kv, txn, _aborted_read)
+            return
+
+        writer_index = self.writer_index
+        for key, value in finals.items():
+            prev = writer_index.get((key, value))
+            if prev is not None:
+                raise DuplicateValueError(
+                    f"value {value!r} written to key {key!r} by both "
+                    f"{self.txn_of[prev].name} and {txn.name}")
+        self.txn_of[vertex] = txn
+        self.reads_of[vertex] = []
+        emit, init, pending = self.emit, self.init_vertex, self.pending
+        tail = self.session_tail.get(txn.session)
+        if tail is not None:
+            emit((tail, vertex, SO, None))
+        self.session_tail[txn.session] = vertex
+        # Overwritten values first: a read waiting for one is an
+        # IntermediateReads anomaly even when the final write repeats it.
+        for kv in unreadable:
+            self._retract(self.intermediate, kv, txn, _intermediate_read)
+        for key, value in finals.items():
+            writer_index[(key, value)] = vertex
+            if pending:
+                for reader in pending.pop((key, value), ()):
+                    self._wr(vertex, key, reader)
+            self.writers_of.setdefault(key, []).append(vertex)
+            if key in self.init_keys:
+                # Init precedes every writer in every version order
+                # (Section 2.3): known edges, not a constraint.
+                emit((init, vertex, WW, key))
+                for reader in self.readers_from.get((init, key), ()):
+                    if reader != vertex:
+                        emit((reader, vertex, RW, key))
+
+    def match_reads(self, txn: Transaction, vertex: int) -> None:
+        """Each external read of committed ``txn`` (already indexed):
+        init rule, AbortedReads, IntermediateReads, FutureRead, a WR
+        edge, or pending until its writer is indexed."""
+        aborted_writes, intermediate = self.aborted_writes, self.intermediate
+        initial_values, writer_index = self.initial_values, self.writer_index
+        for key, value in txn.external_reads.items():
+            if value is INITIAL_VALUE:
+                self._init_read(key, vertex)
+                continue
+            kv = (key, value)
+            # Every axiom the read breaks is reported; evidence in the
+            # history outranks the caller's initial_values (DESIGN.md S4).
+            unreadable = aborted_writes.get(kv)
+            if unreadable is not None:
+                self.anomalies.append(
+                    _aborted_read(txn, key, value, unreadable[0]))
+            mid = intermediate.get(kv)
+            if mid is not None and mid[1] != txn.tid:
+                unreadable = mid
+                self.anomalies.append(
+                    _intermediate_read(txn, key, value, mid[0]))
+            if unreadable is not None:
+                continue
+            if key in initial_values and value == initial_values[key]:
+                self._init_read(key, vertex)
+                continue
+            writer = writer_index.get(kv)
+            if writer is None:
+                # Not indexed (yet): a stream delivers in commit order,
+                # not dependency order.  Also where a read of the
+                # transaction's own overwritten value ends up.
+                self.pending.setdefault(kv, []).append(vertex)
+            elif writer == vertex:
+                self.anomalies.append(AxiomViolation(
+                    "FutureRead", txn, key, value,
+                    f"read {value!r} on {key!r} before writing it itself"))
+            else:
+                self._wr(writer, key, vertex)
+
+    def finish(self) -> List[AxiomViolation]:
+        """End of input: a read still pending has no writer.  Returns
+        every anomaly found, in report order: the three axioms of
+        Algorithm 1 line 2, then the reads no write justifies — each
+        group by transaction."""
+        for (key, value), readers in self.pending.items():
+            for reader in readers:
+                self.anomalies.append(AxiomViolation(
+                    "UnjustifiedRead", self.txn_of[reader], key, value,
+                    f"read {value!r} on {key!r}, written by no committed "
+                    "transaction"))
+        self.anomalies.sort(
+            key=lambda a: (_AXIOM_ORDER.get(a.axiom, 3), a.txn.tid))
+        return self.anomalies
+
+    def waiting_readers(self) -> List[int]:
+        """The reader of every pending read (the window keeps them)."""
+        return [r for readers in self.pending.values() for r in readers]
+
+    def _wr(self, writer: int, key, reader: int) -> None:
+        self.emit((writer, reader, WR, key))
+        self.readers_from.setdefault((writer, key), []).append(reader)
+        self.reads_of[reader].append((writer, key))
+
+    def _init_read(self, key, reader: int) -> None:
+        """A read of the initial state: WR from init, and init first in
+        the key's version order against every writer indexed so far."""
+        init, emit = self.init_vertex, self.emit
+        self._wr(init, key, reader)
+        writers = self.writers_of.get(key, ())
+        if key not in self.init_keys:
+            self.init_keys.add(key)
+            for writer in writers:
+                emit((init, writer, WW, key))
+        for writer in writers:
+            if writer != reader:
+                emit((reader, writer, RW, key))
+
+    def _retract(self, index: dict, kv: tuple, txn: Transaction,
+                 anomaly) -> None:
+        """``kv`` turned out aborted or overwritten by ``txn``: index it,
+        and flag the reads that were waiting for it or were matched
+        without knowing — to a committed final write of the same value,
+        or to the caller's ``initial_values``."""
+        key, value = kv
+        name = txn.name
+        index[kv] = (name, txn.tid)
+        readers = self.pending.pop(kv, [])
+        writer = self.writer_index.get(kv)
+        if writer is not None:
+            readers = readers + self.readers_from.get((writer, key), [])
+        if key in self.initial_values and value == self.initial_values[key]:
+            readers = readers + [
+                r for r in self.readers_from.get((self.init_vertex, key), ())
+                if self.txn_of[r].external_reads[key] is not INITIAL_VALUE]
+        for reader in readers:
+            self.anomalies.append(
+                anomaly(self.txn_of[reader], key, value, name))
+
+    # -- a bounded window over an unbounded stream ----------------------------
+
+    def evict(self, vertex: int) -> None:
+        """Forget ``vertex``: the window proved no later read or write
+        can involve it."""
+        txn = self.txn_of.pop(vertex)
+        for key, value in txn.writes.items():
+            if self.writer_index.get((key, value)) == vertex:
+                del self.writer_index[(key, value)]
+            writers = self.writers_of.get(key)
+            if writers is not None and vertex in writers:
+                writers.remove(vertex)
+            self.readers_from.pop((vertex, key), None)
+        for writer, key in self.reads_of.pop(vertex):
+            readers = self.readers_from.get((writer, key))
+            if readers is not None and vertex in readers:
+                readers.remove(vertex)
+
+    def compact(self, old_to_new: Sequence[int]) -> None:
+        """Renumber the vertices (``old_to_new[v]`` is -1 for an evicted
+        one)."""
+        m = old_to_new.__getitem__
+        self.txn_of = {m(v): txn for v, txn in self.txn_of.items()}
+        self.reads_of = {
+            m(v): [(m(w), key) for (w, key) in reads if m(w) >= 0]
+            for v, reads in self.reads_of.items()
+        }
+        self.session_tail = {s: m(v) for s, v in self.session_tail.items()}
+        self.writer_index = {kv: m(v) for kv, v in self.writer_index.items()}
+        # An evicted vertex was already taken out of these lists.
+        self.writers_of = {
+            key: [m(v) for v in writers]
+            for key, writers in self.writers_of.items() if writers
+        }
+        self.readers_from = {
+            (m(w), key): [m(r) for r in readers]
+            for (w, key), readers in self.readers_from.items() if readers
+        }
+        self.pending = {
+            kv: [m(r) for r in readers]
+            for kv, readers in self.pending.items()
+        }
+        # Drop axiom indexes that predate the oldest live transaction: a
+        # later read of such a value surfaces as an unjustified read — the
+        # same verdict with a coarser label (DESIGN.md, window soundness).
+        horizon = min((t.tid for t in self.txn_of.values()), default=0)
+        self.aborted_writes = {
+            kv: rec for kv, rec in self.aborted_writes.items()
+            if rec[1] >= horizon
+        }
+        self.intermediate = {
+            kv: rec for kv, rec in self.intermediate.items()
+            if rec[1] >= horizon
+        }
+
+    # -- persistence (keys of the STATE_VERSION 1 checkpoint payload) ---------
+
+    def state(self, num_vertices: int) -> dict:
+        """The indexes as JSON-able lists (keys, values and session ids
+        must be JSON scalars); per-vertex tables as dense lists."""
+        vertices = range(num_vertices)
+        waiting = Counter(self.waiting_readers())
+        return {
+            "txns": [_enc_txn(self.txn_of.get(v)) for v in vertices],
+            "pending_count": [waiting[v] for v in vertices],
+            "reads_of": [[[w, key] for (w, key) in self.reads_of.get(v, ())]
+                         for v in vertices],
+            "session_tail": [[s, v] for s, v in self.session_tail.items()],
+            "writer_index": [[key, value, v] for (key, value), v in
+                             self.writer_index.items()],
+            "aborted_writes": [[key, value, name, tid]
+                               for (key, value), (name, tid) in
+                               self.aborted_writes.items()],
+            "intermediate": [[key, value, name, tid]
+                             for (key, value), (name, tid) in
+                             self.intermediate.items()],
+            "pending": [[key, value, list(readers)]
+                        for (key, value), readers in self.pending.items()],
+            "writers_of": [[key, list(writers)]
+                           for key, writers in self.writers_of.items()],
+            "readers_from": [[w, key, list(readers)]
+                             for (w, key), readers in
+                             self.readers_from.items()],
+            "init_keys": sorted(self.init_keys, key=repr),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Load what :meth:`state` wrote."""
+        self.txn_of = {v: _dec_txn(record)
+                       for v, record in enumerate(state["txns"])
+                       if record is not None}
+        self.reads_of = {v: [(w, key) for w, key in state["reads_of"][v]]
+                         for v in self.txn_of}
+        self.session_tail = {s: v for s, v in state["session_tail"]}
+        self.writer_index = {(key, value): v
+                             for key, value, v in state["writer_index"]}
+        self.aborted_writes = {
+            (key, value): (name, tid)
+            for key, value, name, tid in state["aborted_writes"]}
+        self.intermediate = {
+            (key, value): (name, tid)
+            for key, value, name, tid in state["intermediate"]}
+        self.pending = {(key, value): list(readers)
+                        for key, value, readers in state["pending"]}
+        self.writers_of = {key: list(writers)
+                           for key, writers in state["writers_of"]}
+        self.readers_from = {(w, key): list(readers)
+                             for w, key, readers in state["readers_from"]}
+        self.init_keys = set(state["init_keys"])
+
+
+def index_history(
+    history: History, initial_values: Optional[dict] = None,
+) -> Tuple[PolygraphBuilder, GeneralizedPolygraph]:
+    """First half of the bulk schedule: index every transaction's
+    writes, session by session (SO follows the session lists, not the
+    ids), so that no read matched afterwards pends on a writer the
+    history contains.  Int and UniqueValue are checked on the way."""
+    n = len(history.transactions)
+    graph = GeneralizedPolygraph(history, n, None)
+    builder = PolygraphBuilder(graph.add_known, n, initial_values)
+    graph.readers_from = builder.readers_from
+    for session in history.sessions:
+        for txn in session:
+            builder.index_writes(txn, txn.tid)
+    return builder, graph
+
+
+def match_history(
+    builder: PolygraphBuilder, graph: GeneralizedPolygraph,
+    compact: bool = True,
+) -> List[AxiomViolation]:
+    """Second half of the bulk schedule: match every committed
+    transaction's reads (known edges go straight into ``graph``), then
+    GenerateConstraints.  Returns every anomaly of both halves."""
+    for txn in graph.history.transactions:
+        if txn.committed:
+            builder.match_reads(txn, txn.tid)
+    anomalies = builder.finish()
+    if builder.init_keys:
+        graph.init_vertex = builder.init_vertex
+        graph.num_vertices += 1
+    # One generalized constraint per key per unordered writer pair.  Per
+    # key, not per arrival: the clause set would be the same but its
+    # order — and with it the search — would not (DESIGN.md S4).
+    for key, writers in builder.writers_of.items():
+        for i, t in enumerate(writers):
+            for s in writers[i + 1:]:
+                _emit_constraints(graph, key, t, s, compact)
+    return anomalies
+
+
 def build_polygraph(
     history: History,
     *,
@@ -323,103 +725,23 @@ def build_polygraph(
     initial_values: Optional[dict] = None,
 ) -> Tuple[GeneralizedPolygraph, List[AxiomViolation]]:
     """Construct the generalized polygraph of ``history`` (Algorithm 2,
-    CreateKnownGraph + GenerateConstraints).
+    CreateKnownGraph + GenerateConstraints): the bulk schedule of
+    :class:`PolygraphBuilder`.
 
-    Returns the polygraph together with any construction-time anomalies:
-    reads of values no committed transaction wrote ("unjustified reads",
-    which subsume reads from aborted transactions when the axioms were
-    skipped) and reads of a value the reader itself wrote later ("future
-    reads").  A non-empty anomaly list means the history violates SI
-    before any cycle analysis.
+    Returns the polygraph and the reads no committed final write
+    justifies (aborted, intermediate, unjustified and future reads): a
+    non-empty list means the history violates SI before any cycle
+    analysis.  Int says nothing about the polygraph and is left to
+    :class:`repro.core.checker.PolySIChecker`, which reports it from the
+    same pass.
 
     ``initial_values`` optionally maps keys to the value considered
     *initial* for this history — used by segmented checking (Section 6),
-    where a snapshot's observations seed the next segment.  Keys absent
-    from the map keep :data:`INITIAL_VALUE` as their initial value.
+    where a snapshot's observations seed the next segment.
     """
-    history.validate()
-    n = len(history.transactions)
-    writer_index = history.writer_index
-    initial_values = initial_values or {}
-
-    violations: List[AxiomViolation] = []
-    # (reader_vertex, key, writer_vertex) WR triples; writer -1 means init.
-    wr_edges: List[Tuple[int, object, int]] = []
-    init_needed = False
-    for txn in history.transactions:
-        if not txn.committed:
-            continue
-        for key, value in txn.external_reads.items():
-            if value == initial_values.get(key, INITIAL_VALUE) or (
-                value is INITIAL_VALUE
-            ):
-                init_needed = True
-                wr_edges.append((txn.tid, key, -1))
-                continue
-            writer = writer_index.get((key, value))
-            if writer is None:
-                violations.append(
-                    AxiomViolation(
-                        "UnjustifiedRead", txn, key, value,
-                        f"read {value!r} on {key!r}, written by no committed "
-                        "transaction",
-                    )
-                )
-            elif writer is txn:
-                violations.append(
-                    AxiomViolation(
-                        "FutureRead", txn, key, value,
-                        f"read {value!r} on {key!r} before writing it itself",
-                    )
-                )
-            else:
-                wr_edges.append((txn.tid, key, writer.tid))
-
-    init_vertex = n if init_needed else None
-    graph = GeneralizedPolygraph(
-        history, n + (1 if init_needed else 0), init_vertex
-    )
-
-    # Known SO edges: covering pairs per session (reachability-equivalent to
-    # the full session order and much sparser).
-    for a, b in history.session_order_pairs():
-        graph.add_known((a.tid, b.tid, SO, None))
-
-    # Known WR edges, and the reader index used to expand constraints.
-    for reader, key, writer in wr_edges:
-        src = init_vertex if writer == -1 else writer
-        graph.add_known((src, reader, WR, key))
-        graph.readers_from.setdefault((src, key), []).append(reader)
-
-    # Writers per key (committed final writes only).
-    writers_of: Dict[object, List[int]] = {}
-    for txn in history.transactions:
-        if not txn.committed:
-            continue
-        for key in txn.keys_written:
-            writers_of.setdefault(key, []).append(txn.tid)
-
-    # The init vertex is a known-first writer of every key read from the
-    # initial state: its version order w.r.t. real writers is certain, so it
-    # yields known WW and RW edges rather than constraints (Section 2.3).
-    if init_vertex is not None:
-        init_keys = {key for _, key, writer in wr_edges if writer == -1}
-        for key in init_keys:
-            readers = graph.readers_from.get((init_vertex, key), [])
-            for other in writers_of.get(key, []):
-                graph.add_known((init_vertex, other, WW, key))
-                for reader in readers:
-                    if reader != other:
-                        graph.add_known((reader, other, RW, key))
-
-    # Generalized constraints: one per key per unordered pair of writers.
-    for key, writers in writers_of.items():
-        for i in range(len(writers)):
-            for j in range(i + 1, len(writers)):
-                t, s = writers[i], writers[j]
-                _emit_constraints(graph, key, t, s, compact)
-
-    return graph, violations
+    builder, graph = index_history(history, initial_values)
+    anomalies = match_history(builder, graph, compact)
+    return graph, [a for a in anomalies if a.axiom != "Int"]
 
 
 def branch_edges(readers_from: Dict[Tuple[int, object], List[int]],

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import counter as obs_counter, trace_span
 from ..utils.closure import ClosureBackend, resolve_closure_backend
@@ -273,8 +273,7 @@ def prune_iteration_state(
     """The read-only state one pruning iteration classifies against:
     reachability of the known induced graph plus the immediate
     Dep-predecessor masks, rebuilt from scratch.  Never mutated during
-    an iteration, which is what makes classification shardable.  The
-    incremental fixpoint carries the same state forward in a
+    an iteration.  The incremental fixpoint carries the same state forward in a
     :class:`PruneState` instead; this from-scratch variant backs the
     :func:`prune_constraints_recompute` reference path."""
     known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
@@ -291,11 +290,9 @@ def classify_constraints(
     """Per-constraint ``(either_impossible, orelse_impossible)`` decisions
     against one iteration's read-only state.
 
-    This is the shardable pruning entry point: classification reads only
-    ``reach`` and ``pred_mask`` (both frozen at iteration start), never
-    the graph, so any slice of the constraint list can be classified by
-    any worker and the concatenated decisions are identical to a serial
-    pass (see :mod:`repro.parallel.partition`).
+    Classification reads only ``reach`` and ``pred_mask`` (both frozen
+    at iteration start), never the graph, so no decision observes
+    another's resolution within the iteration.
     """
     return [
         (branch_impossible(cons.either, reach, pred_mask),
@@ -323,9 +320,7 @@ def apply_decisions(
 
     On the first constraint with both branches impossible, ``result`` is
     marked violating (with a reconstructed witness cycle) and the
-    remaining decisions are not applied — exactly the serial behaviour,
-    so serial and sharded pruning produce identical graphs, counters,
-    and witnesses.
+    remaining decisions are not applied.
     """
     promote = graph.add_known_many if state is None else state.add_known_many
     remaining: List[Constraint] = []
@@ -354,7 +349,6 @@ def prune_constraints(
     graph: GeneralizedPolygraph,
     *,
     backend=None,
-    classify: Callable[..., List[Tuple[bool, bool]]] = classify_constraints,
 ) -> PruneResult:
     """Prune ``graph`` in place until no more constraints can be resolved.
 
@@ -363,9 +357,7 @@ def prune_constraints(
     front, and every iteration after the first only pays for the edges
     the previous one promoted — identical decisions, counters, and
     witnesses to :func:`prune_constraints_recompute`, without the
-    per-iteration closure rebuild.  ``classify`` is the per-iteration
-    classifier, called as :func:`classify_constraints` is; the parallel
-    engine passes one that shards the constraint list across workers.
+    per-iteration closure rebuild.
 
     Returns a :class:`PruneResult`; ``result.ok`` is False when some
     constraint has *both* branches impossible, i.e. the history violates
@@ -384,7 +376,7 @@ def prune_constraints(
         while True:
             result.iterations += 1
             with trace_span("classify", iteration=result.iterations):
-                decisions = classify(
+                decisions = classify_constraints(
                     graph.constraints, state.reach, state.pred_mask
                 )
             changed = apply_decisions(graph, decisions, result, state=state)

@@ -252,8 +252,8 @@ def _check_segmented(
     shards); the verdict and failing-segment index match the serial
     scan, per-segment result objects are history-free distillates.
     ``checker_options`` are per-segment pipeline knobs (``prune``,
-    ``compact``, ``closure_backend``, ``check_axioms_first``) and are
-    accepted identically at every worker count; ``oversubscribe`` (pool sizing,
+    ``compact``, ``closure_backend``) and are accepted identically at
+    every worker count; ``oversubscribe`` (pool sizing,
     see :class:`repro.parallel.ParallelChecker`) only applies when
     pooled.
     """

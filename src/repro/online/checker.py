@@ -4,15 +4,13 @@
 micro-batches) and maintains, incrementally, everything the batch
 pipeline (:mod:`repro.core.checker`) recomputes from scratch:
 
-- **axioms** — Int is checked per arriving transaction; AbortedReads,
-  IntermediateReads, unjustified and future reads are resolved against
-  running indexes.  A read whose writer has not arrived yet *pends*
-  until the writer shows up (streams deliver in commit order, not
-  dependency order); pending reads left over at :meth:`finish` are
-  unjustified, exactly as in the batch construction.
-- **polygraph** — each committed transaction adds its SO/WR edges and
-  one generalized constraint per existing writer of each key it wrote.
-  Constraint branches are materialized lazily from the reader index, so
+- **axioms and known edges** — the batch construction's
+  :class:`~repro.core.polygraph.PolygraphBuilder`, called per arrival
+  instead of in bulk: a read whose writer has not arrived yet *pends*
+  there, and reads still pending at :meth:`finish` are unjustified.
+- **constraints** — each committed transaction adds one generalized
+  constraint per existing writer of each key it wrote.  Branches are
+  materialized lazily from the builder's reader index, so
   a branch automatically reflects readers that arrive *after* the
   constraint was created; when a new reader observes a writer whose
   version order is already resolved, the implied anti-dependency edge is
@@ -44,19 +42,24 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..core.axioms import AxiomViolation, int_violations
+from ..core.axioms import AxiomViolation
 from ..core.encoding import SIEncoding
 from ..core.history import (
     ABORTED,
     COMMITTED,
-    DuplicateValueError,
     History,
-    INITIAL_VALUE,
     Operation,
     Transaction,
 )
 from ..core.known import KnownGraph
-from ..core.polygraph import Edge, RW, SO, WR, WW, branch_edges
+from ..core.polygraph import (
+    Edge,
+    PolygraphBuilder,
+    RW,
+    WR,
+    WW,
+    branch_edges,
+)
 from ..core.pruning import branch_impossible, find_known_cycle
 from ..obs import current_metrics, get_logger, trace_span
 from ..solver.cdcl import SolverStats
@@ -138,28 +141,6 @@ def _cons_key(key, a: int, b: int) -> tuple:
 STATE_VERSION = 1
 
 
-def _enc_txn(txn: Optional[Transaction]):
-    if txn is None:
-        return None
-    record = [txn.tid, txn.session, txn.index, txn.status,
-              [[op.kind, op.key, op.value] for op in txn.ops]]
-    if txn.start_ts is not None or txn.commit_ts is not None:
-        record.append([txn.start_ts, txn.commit_ts])
-    return record
-
-
-def _dec_txn(record) -> Optional[Transaction]:
-    if record is None:
-        return None
-    tid, session, index, status, ops = record[:5]
-    ts = record[5] if len(record) > 5 else (None, None)
-    return Transaction(
-        tid, [Operation(kind, key, value) for kind, key, value in ops],
-        session=session, index=index, status=status,
-        start_ts=ts[0], commit_ts=ts[1],
-    )
-
-
 class OnlineChecker:
     """Incremental snapshot-isolation checking over a transaction stream.
 
@@ -222,22 +203,14 @@ class OnlineChecker:
         self.sessions = frozenset(sessions) if sessions is not None else None
         self.initial_values = initial_values or {}
 
-        # Vertex 0 is the virtual init transaction.
+        # Vertex 0 is the virtual init transaction.  The front half is
+        # the batch pipeline's builder, called per arrival; one arrival's
+        # edges wait in ``_arrival`` until its anomalies are known.
         self._n = 1
-        self._txn_of: List[Optional[Transaction]] = [None]
-        self._live: List[bool] = [True]
-        self._pending_count: List[int] = [0]
-        self._reads_of: List[List[tuple]] = [[]]
-        self._session_tail: Dict[int, int] = {}
         self._session_count: Dict[int, int] = {}
-
-        self._writer_index: Dict[tuple, int] = {}
-        self._aborted_writes: Dict[tuple, tuple] = {}   # (key,v) -> (name, seq)
-        self._intermediate: Dict[tuple, tuple] = {}     # (key,v) -> (name, seq)
-        self._pending: Dict[tuple, List[int]] = {}      # (key,v) -> readers
-        self._writers_of: Dict[object, List[int]] = {}
-        self._readers_from: Dict[tuple, List[int]] = {}
-        self._init_keys: set = set()
+        self._arrival: List[Edge] = []
+        self._front = PolygraphBuilder(self._arrival.append, 0,
+                                       self.initial_values)
 
         self._known_edges: Dict[Edge, None] = {}    # insertion-ordered set
         self._known = KnownGraph(1)
@@ -319,18 +292,8 @@ class OnlineChecker:
     def finish(self) -> OnlineResult:
         """End-of-stream verdict: pending reads become unjustified reads
         (no writer will ever arrive), and any solver residue is solved."""
-        if self._violation is None and self._pending:
-            anomalies = []
-            for (key, value), readers in sorted(
-                    self._pending.items(), key=lambda item: str(item[0])):
-                for reader in readers:
-                    txn = self._txn_of[reader]
-                    anomalies.append(AxiomViolation(
-                        "UnjustifiedRead", txn, key, value,
-                        f"read {value!r} on {key!r}, written by no committed "
-                        "transaction",
-                    ))
-            self._latch("axioms", anomalies=anomalies)
+        if self._violation is None and self._front.finish():
+            self._latch("axioms", anomalies=self._front.anomalies)
         if self._violation is None:
             self._solve_residue()
         out = self.result()
@@ -343,6 +306,11 @@ class OnlineChecker:
         return self._live_count
 
     @property
+    def _writer_index(self) -> Dict[tuple, int]:
+        """The builder's ``(key, value) -> writer vertex`` index."""
+        return self._front.writer_index
+
+    @property
     def unresolved_constraints(self) -> int:
         """Generalized constraints pruning has not yet resolved."""
         return len(self._unresolved)
@@ -353,7 +321,9 @@ class OnlineChecker:
         """The checker's full state as a JSON-able dict.
 
         Captures everything a sound resume needs (DESIGN.md S14): the
-        transaction tables and axiom indexes, the known typed edges,
+        transaction tables and read-matching indexes (the builder's
+        :meth:`~repro.core.polygraph.PolygraphBuilder.state`), the known
+        typed edges,
         the induced-graph closure rows (through the backend-independent
         :meth:`~repro.utils.closure.ClosureBackend.int_rows`
         serialization, so a numpy-written checkpoint restores under the
@@ -403,32 +373,11 @@ class OnlineChecker:
                 "closure_backend": self.closure_backend,
             },
             "n": self._n,
-            "txns": [_enc_txn(t) for t in self._txn_of],
-            "live": [bool(x) for x in self._live],
-            "pending_count": list(self._pending_count),
-            "reads_of": [[[w, key] for (w, key) in reads]
-                         for reads in self._reads_of],
-            "session_tail": [[s, v]
-                             for s, v in self._session_tail.items()],
+            **self._front.state(self._n),
+            "live": [v == 0 or v in self._front.txn_of
+                     for v in range(self._n)],
             "session_count": [[s, c]
                               for s, c in self._session_count.items()],
-            "writer_index": [[key, value, v]
-                             for (key, value), v in
-                             self._writer_index.items()],
-            "aborted_writes": [[key, value, name, seq]
-                               for (key, value), (name, seq) in
-                               self._aborted_writes.items()],
-            "intermediate": [[key, value, name, seq]
-                             for (key, value), (name, seq) in
-                             self._intermediate.items()],
-            "pending": [[key, value, list(readers)]
-                        for (key, value), readers in self._pending.items()],
-            "writers_of": [[key, list(writers)]
-                           for key, writers in self._writers_of.items()],
-            "readers_from": [[w, key, list(readers)]
-                             for (w, key), readers in
-                             self._readers_from.items()],
-            "init_keys": sorted(self._init_keys, key=repr),
             "known_edges": [list(edge) for edge in self._known_edges],
             "ki_rows": [format(row, "x") for row in self._ki.int_rows()],
             "dep_rows": (
@@ -498,28 +447,8 @@ class OnlineChecker:
 
     def _restore_state(self, state: dict) -> None:
         self._n = state["n"]
-        self._txn_of = [_dec_txn(t) for t in state["txns"]]
-        self._live = [bool(x) for x in state["live"]]
-        self._pending_count = list(state["pending_count"])
-        self._reads_of = [[(w, key) for w, key in reads]
-                          for reads in state["reads_of"]]
-        self._session_tail = {s: v for s, v in state["session_tail"]}
+        self._front.restore(state)
         self._session_count = {s: c for s, c in state["session_count"]}
-        self._writer_index = {(key, value): v
-                              for key, value, v in state["writer_index"]}
-        self._aborted_writes = {
-            (key, value): (name, seq)
-            for key, value, name, seq in state["aborted_writes"]}
-        self._intermediate = {
-            (key, value): (name, seq)
-            for key, value, name, seq in state["intermediate"]}
-        self._pending = {(key, value): list(readers)
-                         for key, value, readers in state["pending"]}
-        self._writers_of = {key: list(writers)
-                            for key, writers in state["writers_of"]}
-        self._readers_from = {(w, key): list(readers)
-                              for w, key, readers in state["readers_from"]}
-        self._init_keys = set(state["init_keys"])
         self._known_edges = dict.fromkeys(
             tuple(edge) for edge in state["known_edges"])
         self._known = KnownGraph.from_edges(self._n, self._known_edges)
@@ -585,41 +514,40 @@ class OnlineChecker:
         txn = Transaction(self._seq, ops, session=session, index=index,
                           status=status)
 
-        anomalies = int_violations(txn)
+        # The front half, per arrival: the same two calls the batch
+        # construction makes in bulk.  A DuplicateValueError leaves
+        # before any index or vertex table has changed.
+        front = self._front
+        vertex = self._n
+        front.index_writes(txn, vertex)
         if status == ABORTED:
             self._aborted_seen += 1
-            anomalies.extend(self._register_aborted(txn))
+        else:
+            self._new_vertex()
+            front.match_reads(txn, vertex)
+        if front.anomalies or status == ABORTED:
             self._charge("ingest", t0)
-            if anomalies:
-                self._latch("axioms", anomalies=anomalies)
-            return
-
-        self._check_unique(txn)
-        vertex = self._new_vertex(txn)
-        resolved_pending = self._register_writes(txn, vertex, anomalies)
-        resolved, init_reads = self._scan_reads(txn, vertex, anomalies)
-        if anomalies:
-            self._charge("ingest", t0)
-            self._latch("axioms", anomalies=anomalies)
+            if front.anomalies:
+                self._latch("axioms", anomalies=front.anomalies)
             return
 
         self._accepted += 1
         self._live_count += 1
         self._wstats.peak_live = max(self._wstats.peak_live, self._live_count)
-
-        tail = self._session_tail.get(session)
-        if tail is not None:
-            self._add_known((tail, vertex, SO, None))
-        self._session_tail[session] = vertex
-
-        for writer, key in resolved:
-            self._record_wr(writer, key, vertex)
-        for key in init_reads:
-            self._record_init_read(key, vertex)
-        self._register_constraints(txn, vertex)
-        for key, reader in resolved_pending:
-            self._record_wr(vertex, key, reader)
-            self._pending_count[reader] -= 1
+        for edge in self._arrival:
+            self._add_known(edge)
+            if edge[2] == WR:
+                self._imply_resolved_rw(edge)
+        self._arrival.clear()
+        # One fresh generalized constraint per key per earlier writer
+        # (index_writes just put this one last).
+        for key in txn.keys_written:
+            for other in front.writers_of[key][:-1]:
+                self._unresolved[_cons_key(key, other, vertex)] = True
+                self._solver_dirty = True
+                for vert in (other, vertex):
+                    self._unresolved_touch[vert] = (
+                        self._unresolved_touch.get(vert, 0) + 1)
         self._charge("ingest", t0)
 
         if self.prune and self._violation is None:
@@ -634,148 +562,23 @@ class OnlineChecker:
             self._timings.get(stage, 0.0) + time.perf_counter() - since
         )
 
-    def _register_aborted(self, txn: Transaction) -> List[AxiomViolation]:
-        """Index an aborted transaction's writes; flag readers that already
-        observed one of its values (they were pending on the value)."""
-        violations: List[AxiomViolation] = []
-        for op in txn.ops:
-            if not op.is_write:
-                continue
-            self._aborted_writes[(op.key, op.value)] = (txn.name, self._seq)
-            for reader in self._pending.pop((op.key, op.value), ()):
-                self._pending_count[reader] -= 1
-                violations.append(AxiomViolation(
-                    "AbortedReads", self._txn_of[reader], op.key, op.value,
-                    f"read {op.value!r} on {op.key!r} written by aborted "
-                    f"{txn.name}",
-                ))
-            writer = self._writer_index.get((op.key, op.value))
-            if writer is not None:
-                # A committed transaction finally wrote the same value;
-                # its readers observed an aborted write under UniqueValue
-                # precedence (the batch axioms flag these first).
-                for reader in self._readers_from.get((writer, op.key), ()):
-                    violations.append(AxiomViolation(
-                        "AbortedReads", self._txn_of[reader], op.key, op.value,
-                        f"read {op.value!r} on {op.key!r} written by aborted "
-                        f"{txn.name}",
-                    ))
-        return violations
-
-    def _check_unique(self, txn: Transaction) -> None:
-        for key, value in txn.writes.items():
-            prev = self._writer_index.get((key, value))
-            if prev is not None:
-                raise DuplicateValueError(
-                    f"value {value!r} written to key {key!r} by both "
-                    f"{self._txn_of[prev].name} and {txn.name}"
-                )
-
-    def _new_vertex(self, txn: Transaction) -> int:
-        vertex = self._n
+    def _new_vertex(self) -> None:
         self._n += 1
-        self._txn_of.append(txn)
-        self._live.append(True)
-        self._pending_count.append(0)
-        self._reads_of.append([])
         self._known.add_vertex()
         self._ki.add_vertex()
         if self._dep_reach is not None:
             self._dep_reach.add_vertex()
         if self._enc is not None:
             self._enc.solver.add_vertex()
-        return vertex
-
-    def _register_writes(self, txn: Transaction, vertex: int,
-                         anomalies: List[AxiomViolation]) -> List[tuple]:
-        """Index final and intermediate writes; resolve reads that were
-        pending on them.  Returns ``(key, reader)`` pairs for new WR edges."""
-        resolved_pending: List[tuple] = []
-        # Intermediate values first: a pending read matching one is an
-        # IntermediateReads anomaly even when the same value is also the
-        # final write (the batch axioms run before read matching).
-        for key in txn.keys_written:
-            values = txn.all_write_values(key)
-            for value in values[:-1]:
-                self._intermediate[(key, value)] = (txn.name, self._seq)
-                for reader in self._pending.pop((key, value), ()):
-                    self._pending_count[reader] -= 1
-                    anomalies.append(AxiomViolation(
-                        "IntermediateReads", self._txn_of[reader], key, value,
-                        f"read intermediate {value!r} on {key!r} from "
-                        f"{txn.name}",
-                    ))
-                earlier = self._writer_index.get((key, value))
-                if earlier is not None and earlier != vertex:
-                    # An earlier committed transaction finally wrote this
-                    # value; its readers observed what is now known to be
-                    # an intermediate version.
-                    for reader in self._readers_from.get((earlier, key), ()):
-                        anomalies.append(AxiomViolation(
-                            "IntermediateReads", self._txn_of[reader], key,
-                            value,
-                            f"read intermediate {value!r} on {key!r} from "
-                            f"{txn.name}",
-                        ))
-        for key, value in txn.writes.items():
-            self._writer_index[(key, value)] = vertex
-            for reader in self._pending.pop((key, value), ()):
-                resolved_pending.append((key, reader))
-        return resolved_pending
-
-    def _scan_reads(self, txn: Transaction, vertex: int,
-                    anomalies: List[AxiomViolation]) -> tuple:
-        """Resolve the transaction's external reads against the running
-        indexes.  Returns ``(resolved, init_reads)``: matched
-        ``(writer_vertex, key)`` pairs and keys read from initial state."""
-        resolved: List[tuple] = []
-        init_reads: List[object] = []
-        for key, value in txn.external_reads.items():
-            if value == self.initial_values.get(key, INITIAL_VALUE) or (
-                    value is INITIAL_VALUE):
-                init_reads.append(key)
-                continue
-            aborted = self._aborted_writes.get((key, value))
-            if aborted is not None:
-                anomalies.append(AxiomViolation(
-                    "AbortedReads", txn, key, value,
-                    f"read {value!r} on {key!r} written by aborted {aborted[0]}",
-                ))
-                continue
-            mid = self._intermediate.get((key, value))
-            if mid is not None and mid[0] != txn.name:
-                anomalies.append(AxiomViolation(
-                    "IntermediateReads", txn, key, value,
-                    f"read intermediate {value!r} on {key!r} from {mid[0]}",
-                ))
-                continue
-            writer = self._writer_index.get((key, value))
-            if writer == vertex:
-                anomalies.append(AxiomViolation(
-                    "FutureRead", txn, key, value,
-                    f"read {value!r} on {key!r} before writing it itself",
-                ))
-            elif writer is not None:
-                resolved.append((writer, key))
-            else:
-                # No committed final writer yet: pend until one arrives
-                # (streams deliver in commit order, not dependency
-                # order).  This also covers reads of the transaction's
-                # *own* intermediate values, which the batch construction
-                # resolves against the global writer index the same way.
-                self._pending.setdefault((key, value), []).append(vertex)
-                self._pending_count[vertex] += 1
-        return resolved, init_reads
 
     # -- incremental polygraph -----------------------------------------------
 
-    def _record_wr(self, writer: int, key, reader: int) -> None:
-        """A new WR edge ``writer -> reader`` on ``key``, plus the
-        anti-dependencies implied by already-resolved version orders."""
-        self._add_known((writer, reader, WR, key))
-        self._readers_from.setdefault((writer, key), []).append(reader)
-        self._reads_of[reader].append((writer, key))
-        for other in self._writers_of.get(key, ()):
+    def _imply_resolved_rw(self, wr: Edge) -> None:
+        """A new reader of ``writer``: wherever pruning already put
+        ``writer`` first against another writer of the key, the reader's
+        anti-dependency on that writer is known too."""
+        writer, reader, _label, key = wr
+        for other in self._front.writers_of.get(key, ()):
             if other == writer or other == reader:
                 continue
             ck = _cons_key(key, writer, other)
@@ -785,39 +588,6 @@ class OnlineChecker:
             first = ck[1] if direction else ck[2]
             if first == writer:
                 self._add_known((reader, other, RW, key))
-
-    def _record_init_read(self, key, vertex: int) -> None:
-        """A read of the initial state: WR from the init vertex, known WW
-        from init to every writer of the key (init is first in every
-        version order), and the implied anti-dependencies."""
-        self._init_keys.add(key)
-        self._add_known((0, vertex, WR, key))
-        self._readers_from.setdefault((0, key), []).append(vertex)
-        self._reads_of[vertex].append((0, key))
-        for writer in self._writers_of.get(key, ()):
-            self._add_known((0, writer, WW, key))
-            if vertex != writer:
-                self._add_known((vertex, writer, RW, key))
-
-    def _register_constraints(self, txn: Transaction, vertex: int) -> None:
-        """One fresh generalized constraint per key per existing writer."""
-        for key in txn.keys_written:
-            if key in self._init_keys:
-                self._add_known((0, vertex, WW, key))
-                for reader in self._readers_from.get((0, key), ()):
-                    if reader != vertex:
-                        self._add_known((reader, vertex, RW, key))
-            for other in self._writers_of.get(key, ()):
-                ck = _cons_key(key, other, vertex)
-                self._unresolved[ck] = True
-                self._solver_dirty = True
-                self._unresolved_touch[other] = (
-                    self._unresolved_touch.get(other, 0) + 1
-                )
-                self._unresolved_touch[vertex] = (
-                    self._unresolved_touch.get(vertex, 0) + 1
-                )
-            self._writers_of.setdefault(key, []).append(vertex)
 
     def _add_known(self, edge: Edge) -> None:
         """Install a known typed edge and its induced-graph consequences."""
@@ -869,8 +639,9 @@ class OnlineChecker:
         ``(ck, either, orelse)``, branches materialized from the current
         reader index."""
         key, t, s = ck
-        return (ck, branch_edges(self._readers_from, key, t, s),
-                branch_edges(self._readers_from, key, s, t))
+        readers_from = self._front.readers_from
+        return (ck, branch_edges(readers_from, key, t, s),
+                branch_edges(readers_from, key, s, t))
 
     def _prune_fixpoint(self) -> None:
         reach, pred_mask = self._ki, self._known.pred_mask
@@ -976,7 +747,7 @@ class OnlineChecker:
     def _vertex_name(self, vertex: int) -> str:
         if vertex == 0:
             return "T:init"
-        txn = self._txn_of[vertex] if vertex < len(self._txn_of) else None
+        txn = self._front.txn_of.get(vertex)
         return txn.name if txn is not None else f"T:evicted({vertex})"
 
     def _fill_stats(self, out: OnlineResult) -> None:
@@ -985,7 +756,7 @@ class OnlineChecker:
             "accepted": self._accepted,
             "aborted": self._aborted_seen,
             "live": self._live_count,
-            "pending_reads": sum(len(v) for v in self._pending.values()),
+            "pending_reads": len(self._front.waiting_readers()),
             "unresolved_constraints": len(self._unresolved),
             "known_edges": len(self._known_edges),
             "solves": self._solves,
@@ -1040,12 +811,14 @@ class OnlineChecker:
         """Evict transactions no future undesired cycle can pass through
         (see :mod:`repro.online.window` for the four conditions)."""
         self._wstats.gc_passes += 1
-        if any(s not in self._session_tail for s in self.sessions):
+        front = self._front
+        if any(s not in front.session_tail for s in self.sessions):
             # A declared session has not committed anything yet: its
             # first transaction may still legally read any old version,
             # so nothing is evictable.
             return
-        tails = set(self._session_tail.values())
+        tails = set(front.session_tail.values())
+        waiting = set(front.waiting_readers())
         reach = self._dep_reach
         stable_cache: Dict[int, bool] = {}
 
@@ -1056,40 +829,27 @@ class OnlineChecker:
                 stable_cache[x] = got
             return got
 
-        for vertex in range(1, self._n):
-            if not self._live[vertex] or vertex in tails:
+        # Live means not evicted: the builder still holds the transaction.
+        txn_of = front.txn_of
+        for vertex, txn in list(txn_of.items()):
+            if vertex in tails:
                 continue
             if self._unresolved_touch.get(vertex):
                 continue
-            if self._pending_count[vertex]:
+            if vertex in waiting:
                 continue
-            txn = self._txn_of[vertex]
             superseded = True
             for key in txn.keys_written:
                 succs = self._ww_succ.get(vertex, {}).get(key, ())
-                if not any(self._live[s] and stable(s) for s in succs):
+                if not any(s in txn_of and stable(s) for s in succs):
                     superseded = False
                     break
             if superseded:
                 self._evict(vertex)
 
     def _evict(self, vertex: int) -> None:
-        txn = self._txn_of[vertex]
-        for key, value in txn.writes.items():
-            if self._writer_index.get((key, value)) == vertex:
-                del self._writer_index[(key, value)]
-            writers = self._writers_of.get(key)
-            if writers is not None and vertex in writers:
-                writers.remove(vertex)
-            self._readers_from.pop((vertex, key), None)
-        for writer, key in self._reads_of[vertex]:
-            readers = self._readers_from.get((writer, key))
-            if readers is not None and vertex in readers:
-                readers.remove(vertex)
+        self._front.evict(vertex)
         self._ww_succ.pop(vertex, None)
-        self._reads_of[vertex] = []
-        self._txn_of[vertex] = None
-        self._live[vertex] = False
         self._live_count -= 1
         self._wstats.evicted += 1
 
@@ -1098,41 +858,13 @@ class OnlineChecker:
         solver (its variables name the old vertex ids; the next solve
         builds one over the live residue, and the learned clauses go
         with the retired variables)."""
-        live_ids = [v for v in range(self._n) if self._live[v]]
+        live_ids = [0, *sorted(self._front.txn_of)]
         old_to_new = self._ki.compact(live_ids)
         if self._dep_reach is not None:
             self._dep_reach.compact(live_ids)
-
-        def m(v: int) -> int:
-            return old_to_new[v]
-
+        m = old_to_new.__getitem__
         self._n = len(live_ids)
-        self._txn_of = [self._txn_of[v] for v in live_ids]
-        self._live = [True] * self._n
-        self._pending_count = [self._pending_count[v] for v in live_ids]
-        self._reads_of = [
-            [(m(w), key) for (w, key) in self._reads_of[v] if m(w) >= 0]
-            for v in live_ids
-        ]
-        self._session_tail = {s: m(v) for s, v in self._session_tail.items()}
-        self._writer_index = {kv: m(v) for kv, v in self._writer_index.items()}
-        self._writers_of = {
-            key: [m(v) for v in writers if m(v) >= 0]
-            for key, writers in self._writers_of.items()
-        }
-        self._writers_of = {k: ws for k, ws in self._writers_of.items() if ws}
-        self._readers_from = {
-            (m(w), key): [m(r) for r in readers if m(r) >= 0]
-            for (w, key), readers in self._readers_from.items()
-            if m(w) >= 0
-        }
-        self._readers_from = {
-            wk: rs for wk, rs in self._readers_from.items() if rs
-        }
-        self._pending = {
-            kv: [m(r) for r in readers]
-            for kv, readers in self._pending.items()
-        }
+        self._front.compact(old_to_new)
         self._known_edges = dict.fromkeys(
             (m(u), m(v), label, key)
             for u, v, label, key in self._known_edges
@@ -1148,20 +880,6 @@ class OnlineChecker:
             (key, m(t), m(s)): d
             for (key, t, s), d in self._resolved_dir.items()
             if m(t) >= 0 and m(s) >= 0
-        }
-        # Drop axiom indexes that predate the oldest live transaction: a
-        # later read of such a value surfaces as an unjustified read — the
-        # same verdict with a coarser label (DESIGN.md, window soundness).
-        horizon = min(
-            (t.tid for t in self._txn_of if t is not None), default=0
-        )
-        self._aborted_writes = {
-            kv: rec for kv, rec in self._aborted_writes.items()
-            if rec[1] >= horizon
-        }
-        self._intermediate = {
-            kv: rec for kv, rec in self._intermediate.items()
-            if rec[1] >= horizon
         }
         self._enc = None
         self._solver_dirty = True

@@ -2,19 +2,17 @@
 
 The PolySI pipeline is a chain — axioms, construct, prune, encode,
 solve — but the *problem* decomposes: transactions on disjoint
-key/session footprints can never share an undesired cycle, segment
-barriers make inter-snapshot slices independently checkable, and one
-pruning iteration's classification work splits freely across a shared
-read-only closure.  This package exploits all three across processes:
+key/session footprints can never share an undesired cycle, and segment
+barriers make inter-snapshot slices independently checkable.  This
+package exploits both across processes:
 
 - :class:`ShardPlanner` — chooses the decomposition and builds
   picklable shard payloads;
 - :class:`ParallelChecker` — drives a process pool with early cancel
-  and merges per-shard results deterministically;
+  and merges per-shard results deterministically (a polygraph that
+  does not decompose is checked by the parent, serially);
 - :func:`merge_results` — the fold from shard verdicts to one
-  :class:`repro.core.checker.CheckResult`;
-- :mod:`repro.parallel.partition` — shared-closure constraint
-  partitioning for graphs that do not decompose.
+  :class:`repro.core.checker.CheckResult`.
 
 Quickstart::
 
@@ -30,7 +28,6 @@ from .checker import (
     check_snapshot_isolation_parallel,
     merge_results,
 )
-from .partition import prune_constraints_parallel
 from .planner import Shard, ShardPlan, ShardPlanner
 
 __all__ = [
@@ -41,5 +38,4 @@ __all__ = [
     "ShardResult",
     "check_snapshot_isolation_parallel",
     "merge_results",
-    "prune_constraints_parallel",
 ]

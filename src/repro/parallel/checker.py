@@ -9,9 +9,9 @@ process pool:
   to :class:`repro.core.checker.PolySIChecker`'s;
 - **component shards** run the whole prune/encode/solve tail per
   weakly-connected component, each in its own process;
-- **single-component graphs** fall back to constraint-partition pruning
-  (:mod:`repro.parallel.partition`) followed by the serial solve —
-  the verdict work is unshardable there, the pruning work is not;
+- **graphs with fewer than two constrained components** are checked
+  by the parent with the serial ``check_polygraph``: sharing out one
+  pruning iteration's classification cost more than it saved;
 - **early cancel**: the first violating shard cancels everything not
   yet started (any one violation already decides the verdict);
 - **deterministic merge**: :func:`merge_results` folds shard results in
@@ -42,7 +42,6 @@ from ..core.polygraph import Edge
 from ..core.pruning import PruneResult, find_known_cycle
 from ..obs import Tracer, current_tracer, get_logger, trace_span, use_tracer
 from ..utils.reachability import is_acyclic
-from .partition import MIN_PARALLEL_CONSTRAINTS, prune_constraints_parallel
 from .planner import Shard, ShardPlanner, rebuild_component
 
 log = get_logger("parallel")
@@ -285,12 +284,7 @@ class ParallelChecker:
     workers:
         Process count (>= 1).  ``1`` runs every shard in-process, in
         shard order — no pool, serial-identical including the witness.
-    strategy:
-        ``"auto"`` (default) picks ``"components"`` when the polygraph
-        decomposes into two or more constrained components and
-        ``"constraints"`` (shared-closure partitioned pruning + serial
-        solve) otherwise; both can be forced.
-    prune / compact / closure_backend / check_axioms_first:
+    prune / compact / closure_backend:
         Forwarded to the per-shard pipeline, same as PolySIChecker
         (``closure_backend`` is resolved once in the parent, so shards
         cannot diverge from it).
@@ -321,11 +315,9 @@ class ParallelChecker:
         self,
         workers: Optional[int] = None,
         *,
-        strategy: str = "auto",
         prune: bool = True,
         compact: bool = True,
         closure_backend: Optional[str] = None,
-        check_axioms_first: bool = True,
         early_cancel: bool = True,
         max_shards: Optional[int] = None,
         oversubscribe: bool = False,
@@ -334,17 +326,13 @@ class ParallelChecker:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if strategy not in ("auto", "components", "constraints"):
-            raise ValueError(f"unknown strategy: {strategy!r}")
         self.workers = workers
         self.pool_workers = (
             workers if oversubscribe else min(workers, os.cpu_count() or 1)
         )
-        self.strategy = strategy
         self.early_cancel = early_cancel
         self._options = {"prune": prune, "compact": compact,
-                         "closure_backend": closure_backend,
-                         "check_axioms_first": check_axioms_first}
+                         "closure_backend": closure_backend}
         # Validates the pipeline options immediately, and serves as the
         # parent-side stage runner.
         self._serial = PolySIChecker(**self._options)
@@ -395,10 +383,8 @@ class ParallelChecker:
         decomposition = graph.constrained_components()
         components, constraints_of = decomposition
         constrained_count = sum(1 for cons in constraints_of if cons)
-        strategy = self.strategy
-        if strategy == "auto":
-            strategy = ("components" if constrained_count >= 2
-                        else "constraints")
+        # The one rule: shards exist where the polygraph decomposes.
+        strategy = "components" if constrained_count >= 2 else "serial"
         result.stats["strategy"] = strategy
         log.debug(
             "strategy=%s components=%d constrained=%d workers=%d",
@@ -408,42 +394,16 @@ class ParallelChecker:
         result.stats["solver_skipped_components"] = (
             len(components) - constrained_count
         )
+        plan = (self.planner.plan_polygraph(graph, decomposition)
+                if strategy == "components" else None)
         result.timings["plan"] = time.perf_counter() - t0
 
-        if strategy == "constraints":
-            # Payload building is skipped entirely: the whole graph stays
-            # in the parent and only pruning work is farmed out.
-            self._check_partitioned(graph, result)
+        if plan is None:
+            self._serial.check_polygraph(graph, result)
         else:
-            t0 = time.perf_counter()
-            plan = self.planner.plan_polygraph(graph, decomposition)
-            result.timings["plan"] += time.perf_counter() - t0
             self._check_components(graph, plan, result)
         result.stats["wall_seconds"] = time.perf_counter() - wall
         return result
-
-    def _check_partitioned(self, graph, result: CheckResult) -> None:
-        """Single-component path: shared-closure parallel pruning, then
-        the serial checker's reading of that fixpoint — its violation,
-        or encode/solve on the state it left."""
-        prune_result = None
-        if self._options["prune"] and graph.constraints:
-            executor = None
-            if (self.pool_workers > 1
-                    and len(graph.constraints) >= MIN_PARALLEL_CONSTRAINTS):
-                executor = self._pool()
-            t0 = time.perf_counter()
-            with trace_span("prune", constraints=len(graph.constraints),
-                            workers=self.pool_workers,
-                            pooled=executor is not None) as span:
-                prune_result = prune_constraints_parallel(
-                    graph, executor, self.pool_workers,
-                    backend=self._serial.closure_backend,
-                )
-                span.set(iterations=prune_result.iterations,
-                         pruned=prune_result.pruned)
-            result.timings["prune"] = time.perf_counter() - t0
-        self._serial.check_polygraph(graph, result, pruned=prune_result)
 
     def _check_components(self, graph, plan, result: CheckResult) -> None:
         """Component path: pure components statically in the parent,
@@ -461,10 +421,6 @@ class ParallelChecker:
                 result.cycle = _map_cycle(
                     find_known_cycle(pure.known_edges), pure_old)
                 return
-        if not plan.shards:
-            result.satisfies_si = True
-            result.decided_by = "static"
-            return
         shard_results = self._run_shards(plan.shards, _check_component_shard)
         vertex_maps = {s.index: s.vertex_map for s in plan.shards}
         merge_results(shard_results, into=result, vertex_maps=vertex_maps)

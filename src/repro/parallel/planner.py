@@ -3,7 +3,7 @@
 A *shard* is a self-contained, picklable payload that a worker process
 can check without the parent's ``History`` or ``GeneralizedPolygraph``
 objects — only plain tuples, op lists, and small dicts cross the process
-boundary.  Three shard sources (see DESIGN.md, shard soundness):
+boundary.  Two shard sources (see DESIGN.md, shard soundness):
 
 - **component shards** — weakly-connected components of the generalized
   polygraph (over known edges *and* every constraint branch edge).
@@ -11,10 +11,7 @@ boundary.  Three shard sources (see DESIGN.md, shard soundness):
   satisfies SI iff every component fragment does;
 - **segment shards** — the inter-snapshot slices of a segmented run
   (:mod:`repro.extensions.segmented`): each segment is checked as its
-  own history seeded with the previous snapshot's observations;
-- **constraint partitions** — not shards of the *verdict* but of one
-  pruning iteration's classification work; planned and driven by
-  :mod:`repro.parallel.partition`.
+  own history seeded with the previous snapshot's observations.
 
 The planner never talks to a process pool — it only decides the
 decomposition and builds payloads; :class:`repro.parallel.ParallelChecker`
@@ -178,7 +175,7 @@ class ShardPlanner:
 
         ``decomposition`` is an optional precomputed
         ``graph.constrained_components()`` result (the engine passes the
-        one it used to pick the strategy, so nothing is decomposed
+        one it used to decide whether to shard, so nothing is decomposed
         twice).  One pass groups the known edges by component, so
         payload building is O(V + E) overall rather than one full-graph
         scan per shard.  Constraint-free components are *not* sharded —

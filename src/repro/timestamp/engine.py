@@ -46,10 +46,8 @@ __all__ = ["TimestampChecker", "TimestampResult", "PIPELINE_OPTIONS"]
 logger = get_logger("timestamp")
 
 #: Pipeline switches forwarded verbatim to the residue fallback's
-#: :class:`~repro.core.checker.PolySIChecker`.  ``check_axioms_first``
-#: and ``initial_values`` are deliberately absent: the fast path *needs*
-#: the global axiom pass (the timestamp conditions do not imply Int /
-#: AbortedReads / IntermediateReads) and always reads initial values as
+#: :class:`~repro.core.checker.PolySIChecker`.  ``initial_values`` is
+#: deliberately absent: the fast path always reads initial values as
 #: :data:`~repro.core.history.INITIAL_VALUE`.
 PIPELINE_OPTIONS = ("prune", "compact", "closure_backend")
 

@@ -7,12 +7,8 @@ One closure *contract* serves every checker in the codebase:
   from the SCC-condensed bitset closure on iteration 1 and then only
   propagates the edges each later iteration promotes to *known* —
   instead of recomputing the whole closure per iteration;
-- the **parallel** shard re-prune path
-  (:mod:`repro.parallel.partition`) ships its rows to classification
-  workers per iteration (through the backend-independent
-  :meth:`ClosureBackend.int_rows` serialization) and maintains it in
-  the parent;
-- **segmented** checking reuses the batch fixpoint per segment;
+- **parallel** component shards and **segmented** checking run the
+  batch fixpoint per shard / per segment;
 - the **online** checker (:mod:`repro.online.checker`) grows it one
   transaction at a time and additionally relies on cycle reporting and
   window compaction.
@@ -66,7 +62,7 @@ order: an explicit argument (a registered name or a
 :class:`ClosureBackend` subclass), the ``REPRO_CLOSURE_BACKEND``
 environment variable, then auto-selection (``numpy`` when importable,
 else ``python``).  Every entry point that owns a closure —
-``PruneState``, ``prune_constraints``, ``prune_constraints_parallel``,
+``PruneState``, ``prune_constraints``,
 ``PolySIChecker`` / ``ParallelChecker`` / segmented checking
 (``closure_backend=...``), ``OnlineChecker``, the façade
 (``repro.check(..., closure_backend=...)``), and the CLI
@@ -127,7 +123,7 @@ class ClosureBackend:
     :meth:`reaches_any` and lists returned by :meth:`int_rows` /
     :attr:`co_rows` are arbitrary-precision Python ints with bit ``v``
     standing for vertex ``v`` — the backend-independent serialization
-    (what the parallel engine ships to its workers).
+    (what a checkpoint stores).
     """
 
     __slots__ = ()
@@ -197,7 +193,7 @@ class ClosureBackend:
 
     def int_rows(self) -> List[int]:
         """The forward rows as a fresh list of int bitsets — the
-        backend-independent serialization used for row shipping and
+        backend-independent serialization used for checkpoints and
         cross-backend comparison."""
         raise NotImplementedError
 

@@ -6,8 +6,8 @@ and backward reachability rows stored as ``(capacity, words)`` numpy
 ``uint64`` matrices — bit ``v & 63`` of word ``v >> 6`` stands for
 vertex ``v``, LSB-first, so a row viewed as little-endian bytes *is*
 the int bitset the python backend keeps (that identity is what makes
-:meth:`~NumpyBitsetClosure.int_rows` and the parallel engine's row
-shipping backend-independent).
+:meth:`~NumpyBitsetClosure.int_rows` — the checkpoint's rows —
+backend-independent).
 
 The algorithm is the python backend's, verbatim — same lazy backward
 rows after ``from_rows``, same tri-state ``insert`` outcomes, same

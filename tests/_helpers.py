@@ -13,11 +13,19 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.core.history import History, HistoryBuilder, R, W
-from repro.core.polygraph import RW, WW, Constraint, GeneralizedPolygraph
+from repro.core.polygraph import (
+    RW,
+    SO,
+    WR,
+    WW,
+    Constraint,
+    GeneralizedPolygraph,
+)
 
 __all__ = [
     "branch_impossible_reference",
     "subgraph_reference",
+    "polygraph_reference",
     "decision_vars",
     "all_decision_search",
     "assert_completion_is_a_model",
@@ -117,6 +125,42 @@ def branch_impossible_reference(edges, reach, dep_preds) -> bool:
                 if prec == dst or reach.has(dst, prec):
                     return True
     return False
+
+
+def polygraph_reference(history, initial_values=None):
+    """Definition 9 transcribed (with the init vertex of Section 2.3),
+    for a history the non-cyclic axioms accept: ``(known edge set,
+    readers_from, constraints in order)`` with vertices = transaction
+    ids and init = ``len(history)``.  Shares no code with
+    :class:`repro.core.polygraph.PolygraphBuilder`."""
+    initial, init = initial_values or {}, len(history)
+    committed = [t for t in history.transactions if t.committed]
+    final = {(k, v): t.tid for t in committed for k, v in t.writes.items()}
+    wr = [(init if v is None or (k in initial and v == initial[k])
+           else final.get((k, v)), t.tid, k)
+          for t in committed for k, v in t.external_reads.items()]
+    wr = [(w, r, k) for w, r, k in wr if w is not None and w != r]
+    readers, writers = {}, {}
+    for w, r, k in wr:
+        readers.setdefault((w, k), []).append(r)
+    for t in committed:
+        for k in t.writes:
+            writers.setdefault(k, []).append(t.tid)
+    known = {(a.tid, b.tid, SO, None)
+             for a, b in history.session_order_pairs()}
+    known |= {(w, r, WR, k) for w, r, k in wr}
+    for (w, k), rs in readers.items():
+        for s in writers.get(k, ()) if w == init else ():
+            known |= {(init, s, WW, k)} | {(r, s, RW, k) for r in rs if r != s}
+
+    def branch(k, t, s):
+        return ((t, s, WW, k),) + tuple(
+            (r, s, RW, k) for r in readers.get((t, k), ()) if r != s)
+
+    return known, readers, [
+        (k, (t, s), branch(k, t, s), branch(k, s, t))
+        for k, ws in writers.items() for i, t in enumerate(ws)
+        for s in ws[i + 1:]]
 
 
 def subgraph_reference(graph, vertices):

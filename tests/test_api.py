@@ -274,8 +274,6 @@ class TestRegistryErrors:
 class TestCheckOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CheckOptions(strategy="gpu")
-        with pytest.raises(ValueError):
             CheckOptions(workers=0)
         with pytest.raises(ValueError):
             CheckOptions(solve_every=0)

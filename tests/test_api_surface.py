@@ -61,12 +61,13 @@ EXPECTED_COMBOS = sorted([
     ("ser", "batch", "naive"),
 ])
 
-#: Every independently settable CheckOptions field (21: the `closure`
-#: seed-kernel switch had one value in use and became a constant).
+#: Every independently settable CheckOptions field (19: `closure`,
+#: `check_axioms_first` and `strategy` each had one value in use — read
+#: classification is construction, and the polygraph decides whether to
+#: shard).
 EXPECTED_OPTION_FIELDS = sorted([
-    "prune", "compact", "closure_backend", "check_axioms_first",
-    "initial_values",
-    "workers", "strategy", "oversubscribe", "early_cancel", "max_shards",
+    "prune", "compact", "closure_backend", "initial_values",
+    "workers", "oversubscribe", "early_cancel", "max_shards",
     "solve_every", "max_live", "sessions",
     "state_dir", "resume", "checkpoint_every",
     "gpu", "max_states", "max_orders", "max_txns",

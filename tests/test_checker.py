@@ -120,7 +120,6 @@ class TestCheckerOptions:
         {"prune": False},
         {"compact": False},
         {"prune": False, "compact": False},
-        {"check_axioms_first": False},
     ])
     def test_variants_agree_on_catalog(self, options):
         cases = [

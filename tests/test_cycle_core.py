@@ -8,9 +8,8 @@ tests hold the core path to the whole-graph path (``encode_polygraph``
 with no prune result: Algorithm 1 as written), to the brute-force
 oracle, and to a definition of the core written with networkx that
 shares no code with it.  They also pin what rides on the hand-over:
-witnesses come back in the caller's vertex ids, the parallel engine's
-partitioned tail is the serial tail, and the closure does not outlive
-the check.
+witnesses come back in the caller's vertex ids, and the closure does
+not outlive the check.
 """
 
 import gc
@@ -34,7 +33,6 @@ from repro.core.encoding import (
 from repro.core.history import HistoryBuilder, Operation, R, W
 from repro.core.polygraph import RW, build_polygraph
 from repro.core.pruning import PruneState, prune_constraints
-from repro.parallel import ParallelChecker
 from repro.utils.closure import (
     ClosureBackend,
     available_closure_backends,
@@ -289,53 +287,6 @@ class TestBackendsAgreeOnTheCore:
         assert len(set(cores)) == 1 and cores[0]
 
 
-class TestPartitionedTailIsTheSerialTail:
-    """(iv) ``strategy="constraints"`` prunes in the pool and then runs
-    the serial encode/solve on the state that fixpoint left."""
-
-    @staticmethod
-    def outcome(result):
-        return (result.satisfies_si, result.decided_by, result.cycle,
-                result.prune_result and result.prune_result.as_dict(),
-                result.encoding and result.encoding.stats(),
-                result.stats.get("solver_vertices"))
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_random_and_corpus_histories(self, workers):
-        histories = [
-            random_history(random.Random(seed), sessions=3,
-                           txns_per_session=2, max_ops=3, keys=3)
-            for seed in range(30)
-        ] + [contended(seed) for seed in range(10)] + [
-            make_anomaly(template, seed=1, padding_txns=8)
-            for template in sorted(ANOMALY_TEMPLATES)]
-        stages = set()
-        with ParallelChecker(workers, strategy="constraints",
-                             oversubscribe=True) as parallel:
-            for history in histories:
-                serial = PolySIChecker().check(history)
-                sharded = parallel.check(history)
-                assert self.outcome(sharded) == self.outcome(serial)
-                assert "decompose" not in sharded.timings
-                stages.add(serial.decided_by)
-        assert {"static", "solving", "pruning", "encoding"} <= stages
-
-    def test_pooled_pruning_hands_its_state_over(self):
-        history = generate_history(
-            WorkloadParams(sessions=8, txns_per_session=20, ops_per_txn=6,
-                           keys=12, read_proportion=0.5),
-            seed=5, isolation="snapshot").history
-        serial = PolySIChecker().check(history)
-        with ParallelChecker(2, strategy="constraints",
-                             oversubscribe=True) as parallel:
-            sharded = parallel.check(history)
-        assert serial.decided_by == "solving"
-        assert self.outcome(sharded) == self.outcome(serial)
-        assert (0 < sharded.stats["solver_vertices"]
-                < sharded.polygraph.num_vertices)
-        assert sharded.prune_result.state is None
-
-
 class TestNoPruneResultIsTheReferenceClauseSet:
     """(v) the one-argument call is still the pinned reference, and the
     core changes no variable or clause."""
@@ -387,15 +338,17 @@ class TestTheClosureDoesNotOutliveTheCheck:
                            keys=12, read_proportion=0.5),
             seed=5, isolation="snapshot").history
 
-    @pytest.mark.parametrize("options", [
-        {},
-        {"mode": "parallel", "workers": 2, "strategy": "constraints"},
-        {"mode": "parallel", "workers": 2, "strategy": "components"},
-    ], ids=["serial", "partitioned", "components"])
-    def test_report_holds_no_closure(self, options):
-        report = repro.check(self.contended(), **options)
+    @pytest.mark.parametrize("islands, options, strategy", [
+        (1, {}, None),
+        (1, {"mode": "parallel", "workers": 2}, "serial"),
+        (2, {"mode": "parallel", "workers": 2}, "components"),
+    ], ids=["serial", "parallel-serial", "components"])
+    def test_report_holds_no_closure(self, islands, options, strategy):
+        history = side_by_side(*[self.contended()] * islands)
+        report = repro.check(history, **options)
         native = report.native
         assert report.ok and report.decided_by == "solving"
+        assert report.stats.get("strategy") == strategy
         assert native.prune_result.constraints_after > 0
         assert native.prune_result.state is None
         assert len(pickle.dumps(native.prune_result)) < 1024

@@ -6,19 +6,17 @@ worker count, :class:`ParallelChecker` must agree with
 differentially over the random-history corpus (violating and satisfying
 alike).  The rest covers the machinery those verdicts rest on:
 component decomposition, subgraph extraction, picklable shard payloads,
-shared-closure partitioned pruning, and the deterministic merge.
+and the deterministic merge.
 """
 
 import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.checker import PolySIChecker
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import build_polygraph
-from repro.core.pruning import prune_constraints
 from repro.interpret import interpret_violation
 from repro.parallel import (
     ParallelChecker,
@@ -26,7 +24,6 @@ from repro.parallel import (
     ShardResult,
     check_snapshot_isolation_parallel,
     merge_results,
-    prune_constraints_parallel,
 )
 from repro.parallel.planner import component_payload, rebuild_component
 
@@ -207,16 +204,23 @@ class TestParallelDifferential:
                     == [a.axiom for a in want.anomalies]
                 )
 
-    @pytest.mark.parametrize("strategy", ["components", "constraints"])
-    def test_forced_strategies_agree(self, strategy):
+    def test_the_polygraph_picks_the_path(self):
+        """Two or more constrained components are sharded; anything less
+        is the parent running the serial tail — same verdict either way."""
         serial = PolySIChecker()
-        with ParallelChecker(2, strategy=strategy,
-                             oversubscribe=True) as parallel:
+        with ParallelChecker(2, oversubscribe=True) as parallel:
             for history in corpus(10, seed=99):
-                assert (
-                    parallel.check(history).satisfies_si
-                    == serial.check(history).satisfies_si
-                )
+                got = parallel.check(history)
+                assert got.satisfies_si == serial.check(history).satisfies_si
+                if got.decided_by != "axioms":
+                    assert got.stats["strategy"] == "serial"
+                    assert "shards" not in got.stats
+            for violating in ((), (1,)):
+                history = islands_history(3, violating=violating)
+                got = parallel.check(history)
+                assert got.satisfies_si == serial.check(history).satisfies_si
+                assert got.stats["strategy"] == "components"
+                assert got.stats["shards"] == 3
 
     def test_multi_component_violation_maps_to_parent_ids(self):
         history = islands_history(3, violating=(2,))
@@ -265,52 +269,6 @@ class TestParallelDifferential:
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             ParallelChecker(0)
-        with pytest.raises(ValueError):
-            ParallelChecker(2, strategy="magic")
-
-
-class TestConstraintPartition:
-    @staticmethod
-    def contended_history(writers=9):
-        """One component, many blind writers: lots of constraints."""
-        b = HistoryBuilder()
-        b.txn(0, [W("x", 0), W("y", 0)])
-        for i in range(1, writers):
-            b.txn(i, [R("x", 0) if i % 2 else R("y", 0),
-                      W("x", i), W("y", i)])
-        return b.build()
-
-    def test_serial_identical_pruning(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.partition.MIN_PARALLEL_CONSTRAINTS", 1
-        )
-        history = self.contended_history()
-        serial_graph, _ = build_polygraph(history)
-        parallel_graph = serial_graph.copy()
-        want = prune_constraints(serial_graph)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            got = prune_constraints_parallel(parallel_graph, pool, 2)
-        assert got.as_dict() == want.as_dict()
-        assert parallel_graph.known_edges == serial_graph.known_edges
-        assert len(parallel_graph.constraints) == len(serial_graph.constraints)
-
-    def test_serial_identical_violation(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.partition.MIN_PARALLEL_CONSTRAINTS", 1
-        )
-        history = build(
-            [W("x", 1), W("y", 1)],
-            [R("x", 1), R("y", 2), W("x", 2)],
-            [R("y", 1), R("x", 2), W("y", 2)],
-        )
-        serial_graph, _ = build_polygraph(history)
-        parallel_graph = serial_graph.copy()
-        want = prune_constraints(serial_graph)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            got = prune_constraints_parallel(parallel_graph, pool, 2)
-        assert want.ok == got.ok
-        if not want.ok:
-            assert got.violation_cycle == want.violation_cycle
 
 
 class TestMergeDeterminism:

@@ -219,12 +219,13 @@ class TestPruneState:
         assert state.reach.row(0) >> 39 & 1
         assert state.reach.counters()["queries"] == 8
 
-    def test_fixpoint_lookups_are_bounded_per_branch(self):
+    def test_fixpoint_lookups_are_bounded_per_branch(self, monkeypatch):
         """Classification issues one ``has`` for a branch's WW edge and
         at most one ``row`` for all its RW edges, so the published
         ``closure.<backend>.queries`` over a fixpoint lies between one
         and two per branch classified — and is the same number on every
         backend."""
+        import repro.core.pruning as pruning_module
         from repro.core.pruning import classify_constraints
         from repro.obs import MetricsRegistry, use_metrics
         from repro.utils.closure import available_closure_backends
@@ -239,10 +240,11 @@ class TestPruneState:
                 branches.append(2 * len(constraints))
                 return classify_constraints(constraints, reach, pred_mask)
 
+            monkeypatch.setattr(pruning_module, "classify_constraints",
+                                counting)
             registry = MetricsRegistry()
             with use_metrics(registry):
-                result = prune_constraints(graph, backend=backend,
-                                           classify=counting)
+                result = prune_constraints(graph, backend=backend)
             assert result.ok and result.iterations == len(branches) > 2
             queries = registry.snapshot()["counters"][
                 f"closure.{backend}.queries"]
@@ -275,14 +277,6 @@ class TestSharedKernelRouting:
         graph, _ = build_polygraph(_tiny_history())
         state = PruneState(graph)
         assert isinstance(state.reach, ClosureBackend)
-
-    def test_parallel_partition_runs_the_serial_fixpoint(self):
-        import inspect
-
-        from repro.parallel import partition
-
-        source = inspect.getsource(partition.prune_constraints_parallel)
-        assert "prune_constraints(graph" in source
 
 
 def _tiny_history():
