@@ -29,7 +29,10 @@ re-running the batch checker every 8th.
 compaction — the solver is kept, not rebuilt) and
 ``solve1_over_solve8``, the price of a verdict after every transaction
 relative to every 8th (near 1 when a re-solve on the kept instance is a
-handful of decisions).
+handful of decisions); and two work counts that do not depend on the
+machine: ``prune_asked`` (constraints the pruning fixpoint evaluated)
+and ``gc_examined`` (vertices the window's eviction passes examined)
+per mode — the online checker asks only what an event changed.
 
 The BENCH JSON additionally carries per-closure-backend series for the
 solve-batched mode (``online/8[python]``, ``online/8[numpy]``): the
@@ -152,10 +155,12 @@ def main():
     for size in SIZES:
         txns = stream_txns(size)
         cells = [str(len(txns))]
-        seconds, builds = {}, {}
+        seconds, builds, asked, examined = {}, {}, {}, {}
         for mode, kwargs in ONLINE_MODES.items():
             seconds[mode], stats = online_run(txns, **kwargs)
             builds[mode] = stats["solver_builds"]
+            asked[mode] = stats["prune_asked"]
+            examined[mode] = stats["gc_examined"]
             assert builds[mode] <= stats["window"]["compactions"] + 1, (
                 f"{mode}: {builds[mode]} solver instances for "
                 f"{stats['window']['compactions']} compactions")
@@ -174,6 +179,8 @@ def main():
         rows.append(cells)
     # The last (largest) size is the headline.
     report.note("solver_builds", builds)
+    report.note("prune_asked", asked)
+    report.note("gc_examined", examined)
     report.note("solve1_over_solve8",
                 round(seconds["online"] / seconds["online/8"], 2))
     # Stage-level cost breakdown of one traced online replay (DESIGN S11).
@@ -185,6 +192,7 @@ def main():
     print(render_table(["txns", *ONLINE_MODES, REBATCH], rows))
     print(f"solver instances built at {rows[-1][0]} txns: {builds}; "
           f"online / online/8 = {report.derived['solve1_over_solve8']}")
+    print(f"constraints asked: {asked}; vertices examined: {examined}")
     print(f"results: {report.write()}")
     assert seconds["online"] < seconds[REBATCH], (
         f"at {rows[-1][0]} txns a verdict after every transaction costs "

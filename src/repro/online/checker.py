@@ -19,7 +19,10 @@ pipeline (:mod:`repro.core.checker`) recomputes from scratch:
   is extended edge by edge through the shared incremental-closure
   kernel (:class:`repro.utils.closure.ClosureBackend`); the
   paper's two impossibility rules (Section 4.3) run to fixpoint over the
-  surviving constraints only.  A cycle materializing in the known graph
+  surviving constraints only, and ask only the *dirty* ones — those a
+  change to the reader lists, Dep predecessors or closure rows they
+  read can have flipped since they were last asked (DESIGN.md S6, "What
+  an event can change").  A cycle materializing in the known graph
   is a violation the moment the closing edge arrives.
 - **solving** — one :class:`~repro.core.encoding.SIEncoding` (the same
   incremental encoder the batch pipeline calls once) and its solver
@@ -34,13 +37,19 @@ pipeline (:mod:`repro.core.checker`) recomputes from scratch:
 With a :class:`~repro.online.window.WindowPolicy` installed, closed-over
 transactions are evicted and the state periodically compacted, bounding
 memory on unbounded streams at the cost of coarser witnesses (the
-verdict is preserved; see the window module and DESIGN.md).
+verdict is preserved; see the window module and DESIGN.md).  An
+eviction pass examines only *candidates*: vertices one of whose
+blocking conditions an event may have cleared.
+
+``stats["prune_asked"]`` and ``stats["gc_examined"]`` count the
+constraints asked and the vertices examined; a compaction or a restore
+adds one full sweep of each.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..core.axioms import AxiomViolation
 from ..core.encoding import SIEncoding
@@ -51,11 +60,12 @@ from ..core.history import (
     Operation,
     Transaction,
 )
-from ..core.known import KnownGraph
+from ..core.known import KnownGraph, mask_of
 from ..core.polygraph import (
     Edge,
     PolygraphBuilder,
     RW,
+    SO,
     WR,
     WW,
     branch_edges,
@@ -63,7 +73,7 @@ from ..core.polygraph import (
 from ..core.pruning import branch_impossible, find_known_cycle
 from ..obs import current_metrics, get_logger, trace_span
 from ..solver.cdcl import SolverStats
-from ..utils.closure import CYCLE, resolve_closure_backend
+from ..utils.closure import CYCLE, NEW, iter_bits, resolve_closure_backend
 from .window import WindowPolicy, WindowStats
 
 log = get_logger("online")
@@ -98,8 +108,9 @@ class OnlineResult:
         #: Cumulative per-stage seconds: ingest / prune / solve / gc.
         self.timings: Dict[str, float] = {}
         #: Stream counters: accepted, aborted, pending_reads,
-        #: unresolved_constraints, solves, solver_builds, window stats,
-        #: solver stats (cumulative over every instance built).
+        #: unresolved_constraints, solves, solver_builds, prune_asked,
+        #: gc_examined, window stats, solver stats (cumulative over
+        #: every instance built).
         self.stats: Dict[str, object] = {}
 
     @property
@@ -224,6 +235,17 @@ class OnlineChecker:
         self._unresolved: Dict[tuple, bool] = {}
         self._unresolved_touch: Dict[int, int] = {}
         self._resolved_dir: Dict[tuple, bool] = {}
+
+        # What an event can change (DESIGN.md S6): the unresolved
+        # constraints whose answer may have moved since pruning last
+        # asked, the index finding them from a vertex, and the vertices
+        # the next eviction pass examines.  Derived, never persisted.
+        self._dirty: Set[tuple] = set()
+        self._watch: Dict[int, Set[tuple]] = {}
+        self._watched = 0                  # int bitset of _watch's keys
+        self._candidates: Set[int] = set()
+        self._prune_asked = 0
+        self._gc_examined = 0
 
         self._enc: Optional[SIEncoding] = None
         # One set of solver counters for the whole stream: every
@@ -398,6 +420,8 @@ class OnlineChecker:
                 "solves": self._solves,
                 "solver_builds": self._solver_builds,
                 "solver": self._solver_stats.as_dict(),
+                "prune_asked": self._prune_asked,
+                "gc_examined": self._gc_examined,
             },
             "timings": dict(self._timings),
             "window_stats": self._wstats.as_dict(),
@@ -465,7 +489,7 @@ class OnlineChecker:
 
         self._unresolved = {(key, t, s): True
                             for key, t, s in state["unresolved"]}
-        self._recount_touch()
+        self._reindex()
         self._resolved_dir = {(key, t, s): bool(d)
                               for key, t, s, d in state["resolved_dir"]}
 
@@ -477,6 +501,8 @@ class OnlineChecker:
         self._solves = counters["solves"]
         # Absent from checkpoints written before these were counted.
         self._solver_builds = counters.get("solver_builds", 0)
+        self._prune_asked = counters.get("prune_asked", 0)
+        self._gc_examined = counters.get("gc_examined", 0)
         for name, value in counters.get("solver", {}).items():
             setattr(self._solver_stats, name, value)
         self._timings = dict(state["timings"])
@@ -534,16 +560,26 @@ class OnlineChecker:
         self._accepted += 1
         self._live_count += 1
         self._wstats.peak_live = max(self._wstats.peak_live, self._live_count)
+        candidates = self._candidates
+        candidates.add(vertex)
         for edge in self._arrival:
             self._add_known(edge)
-            if edge[2] == WR:
-                self._imply_resolved_rw(edge)
+            if edge[2] == SO:
+                candidates.add(edge[0])     # no longer its session's tail
+            elif edge[2] == WR:
+                if edge[1] != vertex:
+                    candidates.add(edge[1])  # a read of it stopped pending
+                self._new_reader(edge)
         self._arrival.clear()
         # One fresh generalized constraint per key per earlier writer
         # (index_writes just put this one last).
         for key in txn.keys_written:
             for other in front.writers_of[key][:-1]:
-                self._unresolved[_cons_key(key, other, vertex)] = True
+                ck = _cons_key(key, other, vertex)
+                self._unresolved[ck] = True
+                self._dirty.add(ck)
+                for vert in self._watch_vertices(ck):
+                    self._add_watch(vert, ck)
                 self._solver_dirty = True
                 for vert in (other, vertex):
                     self._unresolved_touch[vert] = (
@@ -552,8 +588,11 @@ class OnlineChecker:
 
         if self.prune and self._violation is None:
             t1 = time.perf_counter()
-            with trace_span("prune", unresolved=len(self._unresolved)):
-                self._prune_fixpoint()
+            with trace_span("prune",
+                            unresolved=len(self._unresolved)) as span:
+                asked = self._prune_fixpoint()
+                span.set(asked=asked)
+            self._prune_asked += asked
             self._charge("prune", t1)
 
     def _charge(self, stage: str, since: float) -> None:
@@ -573,15 +612,22 @@ class OnlineChecker:
 
     # -- incremental polygraph -----------------------------------------------
 
-    def _imply_resolved_rw(self, wr: Edge) -> None:
-        """A new reader of ``writer``: wherever pruning already put
-        ``writer`` first against another writer of the key, the reader's
-        anti-dependency on that writer is known too."""
+    def _new_reader(self, wr: Edge) -> None:
+        """A new reader of ``writer``'s version: one more RW edge in a
+        branch of every unresolved constraint of that version, so it
+        joins their watch vertices and they are asked again; and
+        wherever pruning already put ``writer`` first against another
+        writer of the key, the reader's anti-dependency on that writer is
+        known too."""
         writer, reader, _label, key = wr
         for other in self._front.writers_of.get(key, ()):
             if other == writer or other == reader:
                 continue
             ck = _cons_key(key, writer, other)
+            if ck in self._unresolved:
+                self._add_watch(reader, ck)
+                self._dirty.add(ck)
+                continue
             direction = self._resolved_dir.get(ck)
             if direction is None:
                 continue
@@ -597,8 +643,11 @@ class OnlineChecker:
         self._note_ww(edge)
         if not self._known.add(edge):
             return
-        if edge[2] != RW and self._dep_reach is not None:
-            self._dep_reach.insert(edge[0], edge[1])
+        if edge[2] != RW:
+            # edge[1] gained a Dep predecessor: its pred_mask grew.
+            self._dirty.update(self._watch.get(edge[1], ()))
+            if self._dep_reach is not None:
+                self._dep_reach.insert(edge[0], edge[1])
         for a, b in self._known.induced_by(edge):
             self._add_ki(a, b)
             if self._violation is not None:
@@ -609,6 +658,7 @@ class OnlineChecker:
         u, v, label, key = edge
         if label == WW and u != 0:
             self._ww_succ.setdefault(u, {}).setdefault(key, set()).add(v)
+            self._candidates.add(u)
 
     def _rebuild_ww_succ(self) -> None:
         self._ww_succ = {}
@@ -624,6 +674,12 @@ class OnlineChecker:
         if status == CYCLE:
             self._latch("pruning", cycle=self._witness())
             return
+        if status == NEW:
+            # Every row that grew gained bits of these targets only; ask
+            # again whatever watches one of them.
+            hit = (self._ki.row(b) | 1 << b) & self._watched
+            for vert in iter_bits(hit):
+                self._dirty.update(self._watch[vert])
         if self._enc is not None:
             conflict = self._enc.solver.add_static_edge(a, b)
             if conflict is not None:
@@ -643,33 +699,72 @@ class OnlineChecker:
         return (ck, branch_edges(readers_from, key, t, s),
                 branch_edges(readers_from, key, s, t))
 
-    def _prune_fixpoint(self) -> None:
+    def _watch_vertices(self, ck: tuple) -> tuple:
+        """The vertices whose Dep predecessors or closure row a
+        constraint's answer reads: both writers and the readers of both
+        versions (DESIGN.md S6, "What an event can change")."""
+        key, t, s = ck
+        readers_from = self._front.readers_from
+        return (t, s, *readers_from.get((t, key), ()),
+                *readers_from.get((s, key), ()))
+
+    def _add_watch(self, vertex: int, ck: tuple) -> None:
+        watchers = self._watch.get(vertex)
+        if watchers is None:
+            watchers = self._watch[vertex] = set()
+            self._watched |= 1 << vertex
+        watchers.add(ck)
+
+    def _drop_watch(self, vertex: int) -> None:
+        if self._watch.pop(vertex, None) is not None:
+            self._watched &= ~(1 << vertex)
+
+    def _prune_fixpoint(self) -> int:
+        """The paper's fixpoint over the unresolved constraints, pass by
+        pass in their order, asking only the dirty ones: a constraint
+        nothing it reads has changed for since it was last asked answers
+        "neither branch impossible" again.  Returns how many were asked."""
         reach, pred_mask = self._ki, self._known.pred_mask
-        changed = True
-        while changed and self._violation is None:
-            changed = False
+        dirty = self._dirty
+        asked = 0
+        while dirty:
             for ck in list(self._unresolved):
-                if ck not in self._unresolved or self._violation is not None:
+                if not dirty:
+                    break
+                if ck not in dirty:
                     continue
+                dirty.discard(ck)
+                asked += 1
                 _ck, either, orelse = self._constraint(ck)
                 either_bad = branch_impossible(either, reach, pred_mask)
                 orelse_bad = branch_impossible(orelse, reach, pred_mask)
                 if either_bad and orelse_bad:
                     cycle = self._witness(either) or self._witness(orelse)
                     self._latch("pruning", cycle=cycle)
-                    return
-                if either_bad:
+                elif either_bad:
                     self._resolve(ck, t_first=False, edges=orelse)
-                    changed = True
                 elif orelse_bad:
                     self._resolve(ck, t_first=True, edges=either)
-                    changed = True
+                if self._violation is not None:
+                    return asked
+        return asked
 
     def _resolve(self, ck: tuple, *, t_first: bool, edges: List[Edge]) -> None:
         del self._unresolved[ck]
+        self._dirty.discard(ck)
         self._solver_dirty = True
+        for vert in self._watch_vertices(ck):
+            watchers = self._watch.get(vert)
+            if watchers is not None:
+                watchers.discard(ck)
+                if not watchers:
+                    self._drop_watch(vert)
+        touch = self._unresolved_touch
         for vert in (ck[1], ck[2]):
-            self._unresolved_touch[vert] -= 1
+            touch[vert] -= 1
+            if not touch[vert]:
+                del touch[vert]
+                self._candidates.add(vert)
         self._resolved_dir[ck] = t_first
         if self._enc is not None:
             self._enc.resolve(ck, t_first)
@@ -762,6 +857,8 @@ class OnlineChecker:
             "solves": self._solves,
             "solver_builds": self._solver_builds,
             "solver": self._solver_stats.as_dict(),
+            "prune_asked": self._prune_asked,
+            "gc_examined": self._gc_examined,
             "window": self._wstats.as_dict(),
             "closure_backend": self.closure_backend,
         }
@@ -779,8 +876,10 @@ class OnlineChecker:
         registry.gauge("online.known_edges").set(len(self._known_edges))
         registry.gauge("online.solves").set(self._solves)
         registry.gauge("online.solver_builds").set(self._solver_builds)
+        registry.gauge("online.prune_asked").set(self._prune_asked)
         registry.gauge("window.evicted").set(self._wstats.evicted)
         registry.gauge("window.gc_passes").set(self._wstats.gc_passes)
+        registry.gauge("window.gc_examined").set(self._gc_examined)
         registry.gauge("window.compactions").set(self._wstats.compactions)
         registry.gauge("window.peak_live").set(self._wstats.peak_live)
 
@@ -794,8 +893,10 @@ class OnlineChecker:
         t0 = time.perf_counter()
         with trace_span("gc", live=self._live_count) as span:
             evicted_before = self._wstats.evicted
-            self._evict_closed()
-            span.set(evicted=self._wstats.evicted - evicted_before)
+            examined = self._evict_closed()
+            self._gc_examined += examined
+            span.set(evicted=self._wstats.evicted - evicted_before,
+                     examined=examined)
             log.debug(
                 "gc pass %d: evicted %d (live=%d)", self._wstats.gc_passes,
                 self._wstats.evicted - evicted_before, self._live_count,
@@ -807,49 +908,64 @@ class OnlineChecker:
         self._charge("gc", t0)
         self._publish_metrics()
 
-    def _evict_closed(self) -> None:
+    def _evict_closed(self) -> int:
         """Evict transactions no future undesired cycle can pass through
-        (see :mod:`repro.online.window` for the four conditions)."""
+        (see :mod:`repro.online.window` for the four conditions),
+        examining the candidates in ascending vertex order.  A vertex
+        leaves the candidates when a condition fails that only an event
+        clears; one whose every written key still has a live successor
+        stays, since stability moves with the tails and the Dep closure.
+        Returns how many vertices were examined."""
         self._wstats.gc_passes += 1
         front = self._front
         if any(s not in front.session_tail for s in self.sessions):
             # A declared session has not committed anything yet: its
             # first transaction may still legally read any old version,
             # so nothing is evictable.
-            return
+            return 0
         tails = set(front.session_tail.values())
+        tail_mask = mask_of(tails)
         waiting = set(front.waiting_readers())
         reach = self._dep_reach
         stable_cache: Dict[int, bool] = {}
 
         def stable(x: int) -> bool:
+            # Is, or Dep-reaches, every session's tail: one closure row.
             got = stable_cache.get(x)
             if got is None:
-                got = all(x == t or reach.has(x, t) for t in tails)
+                got = not tail_mask & ~(reach.row(x) | 1 << x)
                 stable_cache[x] = got
             return got
 
         # Live means not evicted: the builder still holds the transaction.
         txn_of = front.txn_of
-        for vertex, txn in list(txn_of.items()):
-            if vertex in tails:
-                continue
-            if self._unresolved_touch.get(vertex):
-                continue
-            if vertex in waiting:
+        candidates = self._candidates
+        order = sorted(candidates)
+        for vertex in order:
+            if (vertex in tails or self._unresolved_touch.get(vertex)
+                    or vertex in waiting):
+                candidates.discard(vertex)
                 continue
             superseded = True
-            for key in txn.keys_written:
-                succs = self._ww_succ.get(vertex, {}).get(key, ())
-                if not any(s in txn_of and stable(s) for s in succs):
+            for key in txn_of[vertex].keys_written:
+                succs = [s for s in self._ww_succ.get(vertex, {}).get(key, ())
+                         if s in txn_of]
+                if not succs:
+                    # Only a new WW successor brings it back.
+                    candidates.discard(vertex)
                     superseded = False
                     break
+                if superseded and not any(stable(s) for s in succs):
+                    superseded = False
             if superseded:
                 self._evict(vertex)
+        return len(order)
 
     def _evict(self, vertex: int) -> None:
         self._front.evict(vertex)
         self._ww_succ.pop(vertex, None)
+        self._candidates.discard(vertex)
+        self._drop_watch(vertex)
         self._live_count -= 1
         self._wstats.evicted += 1
 
@@ -875,7 +991,7 @@ class OnlineChecker:
             (key, m(t), m(s)): True
             for (key, t, s) in self._unresolved
         }
-        self._recount_touch()
+        self._reindex()
         self._resolved_dir = {
             (key, m(t), m(s)): d
             for (key, t, s), d in self._resolved_dir.items()
@@ -885,9 +1001,18 @@ class OnlineChecker:
         self._solver_dirty = True
         self._wstats.compactions += 1
 
-    def _recount_touch(self) -> None:
-        """Per-vertex count of unresolved constraints touching it."""
-        self._unresolved_touch = {}
-        for (_key, t, s) in self._unresolved:
-            self._unresolved_touch[t] = self._unresolved_touch.get(t, 0) + 1
-            self._unresolved_touch[s] = self._unresolved_touch.get(s, 0) + 1
+    def _reindex(self) -> None:
+        """Rebuild the per-vertex indexes of the unresolved constraints
+        (how many touch each vertex, which watch it) — and, since the
+        vertex ids are new or were never seen, ask every constraint and
+        examine every live vertex once more."""
+        touch: Dict[int, int] = {}
+        self._watch, self._watched = {}, 0
+        for ck in self._unresolved:
+            for vert in (ck[1], ck[2]):
+                touch[vert] = touch.get(vert, 0) + 1
+            for vert in self._watch_vertices(ck):
+                self._add_watch(vert, ck)
+        self._unresolved_touch = touch
+        self._dirty = set(self._unresolved)
+        self._candidates = set(self._front.txn_of)

@@ -30,11 +30,20 @@ on a session's first transaction, so an unseen session could legally
 read any version ever written — nothing is evictable while one may
 still join.
 
+An eviction pass does not test every live transaction: the checker keeps
+*candidates* — a transaction becomes one when it arrives, when its
+session moves past it (3), when a pending read of it is matched (2),
+when its last unresolved constraint resolves (1), and when it gains a
+WW successor (4) — and drops a candidate that fails a condition only
+such an event can clear.  One that fails only (4) while each key it
+wrote still has a live successor stays: stability moves with every new
+tail and Dep edge (DESIGN.md, "What an event can change").
+
 The policy also decides when to *compact*: physically renumbering the
 surviving vertices, shrinking closure rows, and rebuilding the solver.
 Compaction drops learned clauses (they reference retired variable ids),
 so it runs only when enough slots have been logically evicted to pay for
-itself.
+itself; it makes every live transaction a candidate again.
 """
 
 from __future__ import annotations

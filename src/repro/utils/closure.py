@@ -368,11 +368,15 @@ class PyBitsetClosure(ClosureBackend):
         """See :meth:`ClosureBackend.insert`."""
         rows, co = self.rows, self._co_rows
         self.edges[u] |= 1 << v
+        # Cycle first: on a closure that is already cyclic an implied
+        # edge may close a cycle too.  Otherwise bit ``v`` of ``rows[u]``
+        # decides — the rows are transitively closed, so ``u`` reaching
+        # ``v`` means it reaches everything ``v`` does.
         cyclic = u == v or bool((rows[v] >> u) & 1)
-        targets = rows[v] | (1 << v)
-        if not cyclic and not (targets & ~rows[u]):
+        if not cyclic and (rows[u] >> v) & 1:
             self._iknown += 1
             return KNOWN
+        targets = rows[v] | (1 << v)
         if co is None:
             # Backward rows unmaterialized: scan for the ancestors of
             # ``u`` instead (O(n) cheap bit tests).

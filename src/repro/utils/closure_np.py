@@ -246,12 +246,14 @@ class NumpyBitsetClosure(ClosureBackend):
         wu, su = u >> 6, np.uint64(u & 63)
         wv, sv = v >> 6, np.uint64(v & 63)
         self._edges[u, wv] |= _ONE << sv
+        # The python backend's order: the cycle bit, then bit ``v`` of
+        # ``rows[u]`` — an implied edge costs two word reads.
         cyclic = u == v or bool(int(rows[v, wu]) >> (u & 63) & 1)
-        targets = rows[v].copy()
-        targets[wv] |= _ONE << sv
-        if not cyclic and not np.any(targets & ~rows[u]):
+        if not cyclic and int(rows[u, wv]) >> (v & 63) & 1:
             self._iknown += 1
             return KNOWN
+        targets = rows[v].copy()
+        targets[wv] |= _ONE << sv
         if self._co is None:
             # Backward rows unmaterialized: the ancestors of ``u`` are
             # one shifted column read away (the vectorized counterpart

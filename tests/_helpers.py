@@ -21,9 +21,12 @@ from repro.core.polygraph import (
     Constraint,
     GeneralizedPolygraph,
 )
+from repro.core.pruning import branch_impossible
 
 __all__ = [
     "branch_impossible_reference",
+    "prune_fixpoint_reference",
+    "evict_closed_reference",
     "subgraph_reference",
     "polygraph_reference",
     "decision_vars",
@@ -125,6 +128,61 @@ def branch_impossible_reference(edges, reach, dep_preds) -> bool:
                 if prec == dst or reach.has(dst, prec):
                     return True
     return False
+
+
+def prune_fixpoint_reference(checker) -> int:
+    """``OnlineChecker._prune_fixpoint`` before it kept dirty
+    constraints: every pass asks every unresolved constraint, until a
+    pass resolves nothing.  The oracle for the worklist fixpoint;
+    returns how many constraints it asked."""
+    reach, pred_mask = checker._ki, checker._known.pred_mask
+    asked = 0
+    changed = True
+    while changed and checker._violation is None:
+        changed = False
+        for ck in list(checker._unresolved):
+            if ck not in checker._unresolved or checker._violation is not None:
+                continue
+            asked += 1
+            _ck, either, orelse = checker._constraint(ck)
+            either_bad = branch_impossible(either, reach, pred_mask)
+            orelse_bad = branch_impossible(orelse, reach, pred_mask)
+            if either_bad and orelse_bad:
+                cycle = checker._witness(either) or checker._witness(orelse)
+                checker._latch("pruning", cycle=cycle)
+                return asked
+            if either_bad:
+                checker._resolve(ck, t_first=False, edges=orelse)
+                changed = True
+            elif orelse_bad:
+                checker._resolve(ck, t_first=True, edges=either)
+                changed = True
+    return asked
+
+
+def evict_closed_reference(checker) -> None:
+    """``OnlineChecker._evict_closed`` before it kept candidates: every
+    live vertex is tested against the four window conditions, in
+    ascending order.  The oracle for the candidate-set pass."""
+    front = checker._front
+    if any(s not in front.session_tail for s in checker.sessions):
+        return
+    tails = set(front.session_tail.values())
+    waiting = set(front.waiting_readers())
+    reach = checker._dep_reach
+
+    def stable(x):
+        return all(x == t or reach.has(x, t) for t in tails)
+
+    txn_of = front.txn_of
+    for vertex, txn in list(txn_of.items()):
+        if (vertex in tails or checker._unresolved_touch.get(vertex)
+                or vertex in waiting):
+            continue
+        if all(any(s in txn_of and stable(s)
+                   for s in checker._ww_succ.get(vertex, {}).get(key, ()))
+               for key in txn.keys_written):
+            checker._evict(vertex)
 
 
 def polygraph_reference(history, initial_values=None):

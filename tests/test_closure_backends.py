@@ -251,6 +251,25 @@ class TestContractInvariants:
             for v in range(3):
                 assert c.has(u, v)       # one big SCC
 
+    def test_a_cycle_outranks_an_implied_edge(self, backend):
+        """``insert`` asks whether the edge closes a cycle before whether
+        ``u`` already reaches ``v``: on a cyclic closure an implied edge
+        that closes a cycle is CYCLE, and counted as one."""
+        built = backend(3)
+        assert built.insert(0, 1) == NEW
+        assert built.insert(1, 0) == CYCLE
+        assert built.insert(1, 2) == NEW
+        rows = built.int_rows()
+        for c in (built, backend.from_rows(rows)):
+            before = c.counters()
+            assert c.insert(0, 1) == CYCLE     # implied, and closes 0-1-0
+            assert c.insert(1, 1) == CYCLE
+            assert c.insert(0, 2) == KNOWN     # implied, no way back
+            assert c.int_rows() == rows
+            after = c.counters()
+            assert after["inserts_cycle"] - before["inserts_cycle"] == 2
+            assert after["inserts_known"] - before["inserts_known"] == 1
+
     def test_reaches_any_matches_successors(self, backend):
         rng = random.Random(7)
         c = build_random(backend, rng, 16, 40)
