@@ -97,9 +97,23 @@ class Report:
             return lines[0][:-1] + " cycle " + "; ".join(parts)
         return lines[0][:-1]
 
-    def to_json(self) -> str:
-        """Machine-readable verdict (for CI pipelines and tooling)."""
+    def to_dict(self) -> dict:
+        """The machine-readable verdict as a JSON-shaped dict.
+
+        ``stats["trace"]`` is passed through by reference: the tracer
+        already builds the ``repro-trace/1`` payload in JSON shape, so
+        only the other ``stats`` entries go through :func:`_jsonable`.
+        """
         name = self.names or str
+        anomalies = []
+        for a in self.anomalies:
+            entry = {"axiom": getattr(a, "axiom", None),
+                     "txn": getattr(getattr(a, "txn", None), "name", None),
+                     "detail": getattr(a, "detail", repr(a))}
+            key = getattr(a, "key", None)
+            if key is not None:
+                entry["key"] = repr(key)
+            anomalies.append(entry)
         payload: dict = {
             "verdict": self.verdict,
             "isolation": self.isolation,
@@ -107,12 +121,7 @@ class Report:
             "engine": self.engine,
             "decided_by": self.decided_by,
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
-            "anomalies": [
-                {"axiom": getattr(a, "axiom", None),
-                 "txn": getattr(getattr(a, "txn", None), "name", None),
-                 "detail": getattr(a, "detail", repr(a))}
-                for a in self.anomalies
-            ],
+            "anomalies": anomalies,
         }
         if self.cycle:
             payload["cycle"] = [
@@ -120,9 +129,18 @@ class Report:
                  "key": repr(key) if key is not None else None}
                 for u, v, label, key in self.cycle
             ]
-        if self.stats:
-            payload["stats"] = _jsonable(self.stats)
-        return json.dumps(payload, indent=2)
+        stats = self.stats
+        if stats and all(isinstance(k, str) for k in stats):
+            payload["stats"] = {k: v if k == "trace" else _jsonable(v)
+                                for k, v in stats.items()}
+        elif stats:
+            payload["stats"] = _jsonable(stats)
+        return payload
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as one compact JSON line (for CI pipelines
+        and tooling; pretty-print with ``python -m json.tool``)."""
+        return _ENCODER.encode(self.to_dict())
 
     # -- interpretation ------------------------------------------------------
 
@@ -178,6 +196,12 @@ class Report:
             return None
 
 
+#: Compact, so the C encoder runs; ``repr`` for a stray non-JSON value
+#: (a numpy integer in a span attribute).  No circular-reference check:
+#: ``to_dict`` builds fresh containers around the tracer's tree.
+_ENCODER = json.JSONEncoder(default=repr, check_circular=False)
+
+
 def _jsonable(value):
     """Best-effort conversion of stats payloads to JSON-safe values.
 
@@ -188,6 +212,8 @@ def _jsonable(value):
     output is deterministic regardless of how the dict was built.
     All-string-keyed dicts keep their insertion order untouched.
     """
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
     if isinstance(value, dict):
         if all(isinstance(k, str) for k in value):
             return {k: _jsonable(v) for k, v in value.items()}
@@ -196,8 +222,6 @@ def _jsonable(value):
         return dict(items)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     return repr(value)
 
 

@@ -123,7 +123,7 @@ class CheckResult:
             payload["encoding"] = self.encoding.stats()
         if self.solver_stats:
             payload["solver"] = self.solver_stats
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, default=repr)
 
     def __repr__(self) -> str:
         verdict = "SI" if self.satisfies_si else f"VIOLATION({self.decided_by})"

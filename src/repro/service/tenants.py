@@ -27,7 +27,6 @@ ready tenants take turns, one bounded batch of queued events each
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -446,7 +445,7 @@ class TenantChecker:
     def _payload_for(self, result, *, final: bool) -> dict:
         report = adapt_result(result, isolation="si", mode="online",
                               engine="polysi")
-        body = json.loads(report.to_json())
+        body = report.to_dict()
         payload = {
             "tenant": self.name,
             "final": final,

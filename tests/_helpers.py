@@ -10,6 +10,8 @@ else was collected.
 
 from __future__ import annotations
 
+import json
+
 import networkx as nx
 
 from repro.core.history import History, HistoryBuilder, R, W
@@ -34,6 +36,7 @@ __all__ = [
     "assert_completion_is_a_model",
     "assert_valid_witness",
     "solve_under_contract",
+    "report_payload_reference",
     "build",
     "long_fork_history",
     "lost_update_history",
@@ -334,3 +337,39 @@ def solve_under_contract(encoding, twin) -> bool:
         assert_completion_is_a_model(encoding.solver)
     assert all_decision_search(twin).solver.solve() == verdict
     return verdict
+
+
+def report_payload_reference(report) -> str:
+    """``Report.to_json`` as it was before ``to_dict``: ``_jsonable``
+    over *all* of ``stats`` (the trace included), pretty-printed with
+    ``indent=2`` by the pure-Python encoder.  The one addition is the
+    anomaly ``key`` field, emitted when the anomaly has one."""
+    from repro.api.report import _jsonable
+
+    name = report.names or str
+    anomalies = []
+    for a in report.anomalies:
+        entry = {"axiom": getattr(a, "axiom", None),
+                 "txn": getattr(getattr(a, "txn", None), "name", None),
+                 "detail": getattr(a, "detail", repr(a))}
+        if getattr(a, "key", None) is not None:
+            entry["key"] = repr(a.key)
+        anomalies.append(entry)
+    payload = {
+        "verdict": report.verdict,
+        "isolation": report.isolation,
+        "mode": report.mode,
+        "engine": report.engine,
+        "decided_by": report.decided_by,
+        "timings": {k: round(v, 6) for k, v in report.timings.items()},
+        "anomalies": anomalies,
+    }
+    if report.cycle:
+        payload["cycle"] = [
+            {"from": name(u), "to": name(v), "type": label,
+             "key": repr(key) if key is not None else None}
+            for u, v, label, key in report.cycle
+        ]
+    if report.stats:
+        payload["stats"] = _jsonable(report.stats)
+    return json.dumps(payload, indent=2)

@@ -7,6 +7,8 @@ change in CHANGES.md in the same commit, because downstream users key
 off these names.
 """
 
+import dataclasses
+
 import repro
 import repro.api as api
 
@@ -74,6 +76,12 @@ EXPECTED_OPTION_FIELDS = sorted([
     "trace",
 ])
 
+#: Public methods and properties of ``Report`` (besides its fields).
+EXPECTED_REPORT_METHODS = sorted([
+    "counterexample", "describe", "interpret", "to_dict", "to_json",
+    "total_time", "verdict",
+])
+
 #: The façade names re-exported at top level.
 EXPECTED_TOP_LEVEL_FACADE = ["CheckOptions", "Checker", "Report", "api",
                              "check"]
@@ -86,6 +94,13 @@ def test_api_exports_snapshot():
 def test_check_options_fields_snapshot():
     assert sorted(api.CheckOptions.field_names()) == EXPECTED_OPTION_FIELDS, (
         SNAPSHOT_POLICY)
+
+
+def test_report_methods_snapshot():
+    fields = {f.name for f in dataclasses.fields(api.Report)}
+    methods = sorted(name for name in vars(api.Report)
+                     if not name.startswith("_") and name not in fields)
+    assert methods == EXPECTED_REPORT_METHODS, SNAPSHOT_POLICY
 
 
 def test_registered_engine_names_snapshot():

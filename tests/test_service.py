@@ -9,11 +9,13 @@ drain semantics.  Every daemon binds ephemeral ports, so the suite is
 parallel-safe.
 """
 
+import json
 import threading
 
 import pytest
 
 import repro
+from repro.api import adapt_result
 from repro.collect import Collector, FaultyAdapter, SQLiteAdapter
 from repro.core.history import HistoryBuilder, R, W
 from repro.obs import validate_trace
@@ -26,6 +28,8 @@ from repro.service import (
 )
 from repro.service.client import parse_sink
 from repro.workloads.generator import WorkloadParams, generate_workload
+
+from _helpers import report_payload_reference
 
 SMALL = WorkloadParams(
     sessions=4,
@@ -152,6 +156,36 @@ class TestHttpIngestion:
             client.push_events("t2", [(0, (W("x", 1),), "committed")])
 
 
+class TestVerdictBodies:
+    def test_bodies_equal_the_report_json_round_trip(self, service):
+        """``/verdict`` and ``/drain`` bodies decode to what they were
+        when the daemon round-tripped ``Report.to_json`` through
+        ``json.loads``: the reference rule applied to the same result."""
+        svc, _, client = service()
+        runs = {"clean": collect_run(seed=1),
+                "faulty": collect_run(seed=3, inject="lost-update")}
+        for name, run in runs.items():
+            client.push_events(name, run.iter_events(),
+                               sessions=SMALL.sessions)
+            _await_checked(client, name, len(run.history))
+
+        def reference(name):
+            tenant = svc.router.get(name)
+            body = dict(tenant.verdict_payload())
+            report = adapt_result(tenant.latest, isolation="si",
+                                  mode="online", engine="polysi")
+            body["report"] = json.loads(report_payload_reference(report))
+            return json.loads(json.dumps(body))
+
+        for name in runs:
+            assert client.verdict(name) == reference(name), name
+        verdicts = client.drain()
+        for name in runs:
+            assert verdicts[name]["final"] is True
+            assert verdicts[name] == reference(name), name
+        assert verdicts["faulty"]["report"]["verdict"] == "violated"
+
+
 class TestTcpIngestion:
     def test_tcp_matches_offline_verdict(self, service):
         _, handle, client = service()
@@ -176,7 +210,6 @@ class TestTcpIngestion:
 
     def test_bad_hello_is_refused(self, service):
         svc, _, client = service()
-        import json
         import socket
 
         with socket.create_connection(("127.0.0.1", svc.tcp_port),
@@ -428,7 +461,6 @@ class TestHardening:
         assert "too long" in data["error"]
 
     def test_oversized_tcp_line_is_a_protocol_error(self, service):
-        import json
         import socket
 
         svc, _, _ = service(max_line_bytes=2048)
@@ -442,7 +474,6 @@ class TestHardening:
     def test_tcp_end_reply_rejected_is_per_connection(self, service):
         """A collector's end reply must not leak other producers'
         backpressure: tenant-wide rejects stay out of it."""
-        import json
         import socket
 
         svc, _, client = service(queue_depth=2)
