@@ -15,7 +15,7 @@ Quickstart — one façade call for every checking scenario::
     assert report.ok
 
     check(history, isolation="ser", engine="cobra")   # serializability
-    check(history, mode="parallel", workers=4)        # sharded engine
+    check(run, mode="segmented", workers=4)           # segment pool
     check(history, mode="online")                     # incremental replay
 
 ``repro.api`` holds the façade: :class:`~repro.api.Checker`,
@@ -50,7 +50,6 @@ from .collect import (
     collect_history,
 )
 from .online import OnlineChecker, OnlineResult, WindowPolicy
-from .parallel import ParallelChecker, check_snapshot_isolation_parallel
 from .service import ReproService, ServiceClient, ServiceConfig
 
 __version__ = "2.0.0"
@@ -77,7 +76,6 @@ __all__ = [
     "Operation",
     "OnlineChecker",
     "OnlineResult",
-    "ParallelChecker",
     "PolySIChecker",
     "R",
     "ReproService",
@@ -87,6 +85,5 @@ __all__ = [
     "W",
     "WindowPolicy",
     "check_snapshot_isolation",
-    "check_snapshot_isolation_parallel",
     "__version__",
 ]

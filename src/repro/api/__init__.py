@@ -6,14 +6,13 @@ Every checking scenario in the repository is one call::
 
     report = check(history)                              # SI, batch, PolySI
     report = check(history, isolation="ser", engine="cobra")
-    report = check(history, mode="parallel", workers=4)
     report = check(history, mode="online", solve_every=8)
-    report = check(run, mode="segmented")                # a SegmentedRun
+    report = check(run, mode="segmented", workers=4)     # a SegmentedRun
     report = check(list_history, isolation="listappend")
 
 or, keeping configuration around for many histories::
 
-    checker = Checker(isolation="si", mode="parallel", workers=4)
+    checker = Checker(isolation="ser", engine="cobra")
     for history in histories:
         if not checker.check(history).ok:
             ...
@@ -93,8 +92,8 @@ class Checker:
         ``"si"`` (default), ``"ser"``, ``"causal"``, ``"ra"``, or
         ``"listappend"``.
     mode:
-        ``"batch"`` (default), ``"online"``, ``"parallel"``, or
-        ``"segmented"``.
+        ``"batch"`` (default), ``"online"``, or ``"segmented"``
+        (``"parallel"`` is a compatibility alias of ``"batch"``).
     engine:
         A registered engine name; None picks the first engine supporting
         the combo (``"polysi"`` everywhere it applies, ``"cobra"`` for

@@ -1,7 +1,7 @@
 """Builtin engine registrations.
 
 Each backend in the repository registers here: the paper's PolySI
-pipeline (with its online, parallel, and segmented drivers plus the
+pipeline (with its online and segmented drivers plus the
 weak-isolation and list-append front ends) and the Section 5.4 baselines
 (Cobra, CobraSI, dbcop, the naive oracles).  Adding a backend means
 writing a runner with the ``(subject, isolation, mode, options)``
@@ -53,7 +53,6 @@ def _run_polysi(subject, isolation: str, mode: str, options: CheckOptions):
     from ..listappend.checker import ListAppendChecker
     from ..online.checker import OnlineChecker
     from ..online.window import WindowPolicy
-    from ..parallel.checker import ParallelChecker
 
     if isolation == "causal":
         return _check_tcc(_expect(subject, "history", engine="polysi",
@@ -106,15 +105,11 @@ def _run_polysi(subject, isolation: str, mode: str, options: CheckOptions):
         )
         return checker.replay(subject)
     if mode == "parallel":
+        # Kept only for benchmarks/e2e/child.py's traced replay, which
+        # still asks for it; deleted with that replay.  It is batch
+        # checking: ``workers`` is accepted and ignored.
         _expect(subject, "history", engine="polysi", mode=mode)
-        with ParallelChecker(
-            options.workers,
-            early_cancel=options.early_cancel,
-            max_shards=options.max_shards,
-            oversubscribe=options.oversubscribe,
-            **pipeline,
-        ) as checker:
-            return checker.check(subject)
+        return PolySIChecker(**pipeline).check(subject)
     # mode == "segmented"
     _expect(subject, "segmented_run", engine="polysi", mode=mode)
     return _check_segmented(
@@ -186,8 +181,8 @@ def register_builtin_engines() -> None:
     register_engine(EngineSpec(
         name="polysi",
         summary=("the paper's pipeline: axioms -> polygraph -> prune -> "
-                 "encode -> MonoSAT-style solve; online, parallel, and "
-                 "segmented drivers; TCC/RA and list-append front ends"),
+                 "encode -> MonoSAT-style solve; online and segmented "
+                 "drivers; TCC/RA and list-append front ends"),
         combos=frozenset({
             ("si", "batch"), ("si", "online"), ("si", "parallel"),
             ("si", "segmented"),
@@ -196,7 +191,7 @@ def register_builtin_engines() -> None:
         }),
         options=frozenset({
             "prune", "compact", "closure_backend", "initial_values",
-            "workers", "oversubscribe", "early_cancel", "max_shards",
+            "workers", "oversubscribe",
             "solve_every", "max_live", "sessions", "state_dir", "resume",
             "checkpoint_every",
         }),
@@ -205,8 +200,9 @@ def register_builtin_engines() -> None:
                 ("listappend", "batch"): "list_history"},
         # What each combo actually forwards (mirrors _run_polysi): the
         # weak-isolation checkers take no options, the online driver
-        # only prune of the pipeline switches, and the parallel /
-        # segmented drivers set initial values per shard themselves.
+        # only prune of the pipeline switches, the segmented driver sets
+        # initial values per segment itself, and the parallel alias
+        # takes (and ignores) workers.
         options_for={
             ("si", "batch"): frozenset(_PIPELINE_OPTIONS
                                        + ("initial_values",)),
@@ -215,10 +211,8 @@ def register_builtin_engines() -> None:
                 "initial_values", "closure_backend", "state_dir",
                 "resume", "checkpoint_every",
             }),
-            ("si", "parallel"): frozenset({
-                "prune", "compact", "closure_backend", "workers",
-                "oversubscribe", "early_cancel", "max_shards",
-            }),
+            ("si", "parallel"): frozenset(_PIPELINE_OPTIONS
+                                          + ("workers",)),
             ("si", "segmented"): frozenset({
                 "prune", "compact", "closure_backend", "workers",
                 "oversubscribe",

@@ -2,8 +2,8 @@
 
 Every tunable that used to travel as scattered keyword arguments —
 ``PolySIChecker(prune=..., compact=...)``, ``OnlineChecker(solve_every=
-...)``, ``ParallelChecker(workers=..., max_shards=...)``, ``DbcopChecker(
-max_states=...)`` — is a field of :class:`CheckOptions`.  The façade
+...)``, ``DbcopChecker(max_states=...)`` — is a field of
+:class:`CheckOptions`.  The façade
 builds one from ``**kwargs``, and the engine registry validates it:
 setting an option the selected engine never reads, or one that only
 makes sense in another mode, is a typed error instead of a silent no-op
@@ -27,10 +27,9 @@ FACADE_OPTIONS: frozenset = frozenset({"trace"})
 #: option absent from this table applies to every mode its engine
 #: supports.
 MODE_OPTIONS: Dict[str, frozenset] = {
+    # ``parallel`` accepts workers and ignores it (see its runner).
     "workers": frozenset({"parallel", "segmented"}),
-    "oversubscribe": frozenset({"parallel", "segmented"}),
-    "early_cancel": frozenset({"parallel"}),
-    "max_shards": frozenset({"parallel"}),
+    "oversubscribe": frozenset({"segmented"}),
     "solve_every": frozenset({"online"}),
     "max_live": frozenset({"online"}),
     "sessions": frozenset({"online"}),
@@ -47,10 +46,8 @@ OPTION_DOCS: Dict[str, str] = {
     "closure_backend": ('incremental-closure backend: "python", "numpy", '
                         "or None for REPRO_CLOSURE_BACKEND / auto"),
     "initial_values": "map key -> value considered initial (segmented runs)",
-    "workers": "process count for parallel / segmented checking",
+    "workers": "process count for segmented checking's segment pool",
     "oversubscribe": "allow more pool processes than CPU cores",
-    "early_cancel": "cancel queued shards once one shard violates",
-    "max_shards": "soft cap on component shards (0: one per component)",
     "solve_every": "online mode: solve the SAT residue every N txns",
     "max_live": "online mode: bound live transactions (windowed eviction)",
     "sessions": "online mode: session universe (required for windowing)",
@@ -84,11 +81,9 @@ class CheckOptions:
     closure_backend: Optional[str] = None
     initial_values: Optional[dict] = None
 
-    # Parallel / segmented checking.
+    # Segmented checking's segment pool.
     workers: Optional[int] = None
     oversubscribe: bool = False
-    early_cancel: bool = True
-    max_shards: Optional[int] = None
 
     # Online checking.
     solve_every: int = 1

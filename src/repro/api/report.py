@@ -206,7 +206,7 @@ def _jsonable(value):
     """Best-effort conversion of stats payloads to JSON-safe values.
 
     JSON objects only take string keys, so non-string dict keys (int
-    shard ids, tuple combo keys, ...) are stringified — and because the
+    segment ids, tuple combo keys, ...) are stringified — and because the
     source dict's insertion order then no longer means anything, mixed
     or non-string keys are emitted in sorted (stringified) order so the
     output is deterministic regardless of how the dict was built.

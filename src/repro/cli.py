@@ -3,8 +3,8 @@
 Commands:
 
 - ``check HISTORY``     — check a history file through the unified
-  façade: ``--isolation si|ser|causal|ra``, ``--mode
-  batch|online|parallel``, ``--engine polysi|cobra|cobrasi|dbcop|naive``.
+  façade: ``--isolation si|ser|causal|ra``, ``--mode batch|online``,
+  ``--engine polysi|cobra|cobrasi|dbcop|naive``.
 - ``engines``           — list every registered engine with its
   supported isolation x mode combinations (``--json`` for tooling).
 - ``watch``             — run a workload against a (possibly faulty)
@@ -153,19 +153,13 @@ def _explain_report(report, dot_path: Optional[str]):
 def _render_report(report, *, explain: bool = False,
                    dot: Optional[str] = None) -> int:
     """The one verdict renderer (check / watch / collect all use it):
-    verdict paragraph, stage timings, shard summary for parallel runs,
-    optional interpretation.  Returns the exit code for the verdict."""
+    verdict paragraph, stage timings, optional interpretation.  Returns
+    the exit code for the verdict."""
     print(report.describe())
     if report.timings:
         print("stages (s): " + ", ".join(
             f"{k}={v:.3f}" for k, v in report.timings.items()
         ))
-    if report.mode == "parallel":
-        stats = report.stats
-        print(f"checked with {stats.get('workers', '?')} worker(s): "
-              f"{stats.get('strategy', 'trivial')} strategy, "
-              f"{stats.get('components', 0)} component(s), "
-              f"{stats.get('shards', 0)} shard(s)")
     if report.ok:
         return 0
     if explain or dot:
@@ -216,11 +210,6 @@ def cmd_check(args) -> int:
 
     store_input = is_store_dir(args.history)
     if store_input:
-        if args.mode == "parallel":
-            raise CLIError(
-                "a state directory is replayed through the online "
-                "checker; drop --mode parallel"
-            )
         if args.isolation != "si":
             raise CLIError(
                 "state-directory checking is SI-only (--isolation si)"
@@ -238,11 +227,9 @@ def cmd_check(args) -> int:
     if (args.explain or args.dot) and args.mode == "online":
         raise CLIError(
             "--explain/--dot require an evidence-carrying mode; re-run "
-            "with --mode batch or --mode parallel"
+            "with --mode batch"
         )
     options = {"prune": not args.no_prune}
-    if args.workers is not None:
-        options["workers"] = args.workers
     if args.closure_backend is not None:
         options["closure_backend"] = args.closure_backend
     if args.mode == "online":
@@ -452,7 +439,7 @@ def _collect_adapter(args):
 
 def cmd_collect(args) -> int:
     """``repro collect``: workload -> live database -> recorded history,
-    with an optional same-shot verdict (``--check`` / ``--parallel N``)."""
+    with an optional same-shot verdict (``--check``)."""
     spec = generate_workload(_params(args), seed=args.seed)
     adapter = _collect_adapter(args)
     options = CollectOptions(retries=args.retries,
@@ -481,15 +468,9 @@ def cmd_collect(args) -> int:
             f"{args.tenant!r} ({stats.rejected_retries} backpressure "
             f"retries, {stats.credit_waits} credit waits)"
         )
-    if args.trace and not (args.check or args.parallel):
-        args.check = True
-    if not args.check and not args.parallel:
+    if not args.check and not args.trace:
         return 0
-    if args.parallel:
-        report = facade_check(run.history, mode="parallel",
-                              workers=args.parallel)
-    else:
-        report = facade_check(run.history)
+    report = facade_check(run.history)
     if args.trace:
         _write_trace(report, args.trace)
     return _render_report(report, explain=not report.ok, dot=args.dot)
@@ -673,12 +654,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["si", "ser", "causal", "ra"],
                    help="isolation level to check (default: si)")
     p.add_argument("--mode", default="batch",
-                   choices=["batch", "online", "parallel"],
+                   choices=["batch", "online"],
                    help="checking mode (default: batch)")
     p.add_argument("--engine", default=None, choices=engine_names(),
                    help="checking backend (default: per isolation level)")
-    p.add_argument("--workers", type=_positive_int, metavar="N",
-                   help="worker processes for --mode parallel")
     p.add_argument("--no-prune", action="store_true",
                    help="disable constraint pruning")
     p.add_argument("--solve-every", type=int, default=1,
@@ -781,8 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="json", choices=["json", "text"])
     p.add_argument("--check", action="store_true",
                    help="check the collected history in the same shot")
-    p.add_argument("--parallel", type=_positive_int, metavar="N",
-                   help="check with N worker processes (implies --check)")
     p.add_argument("--dot", help="write the counterexample DOT here")
     p.add_argument("--trace", metavar="OUT",
                    help="write the check's span trace as Chrome "

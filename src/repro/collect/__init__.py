@@ -8,7 +8,7 @@ closes the loop before that, the way PolySI/dbcop drive live systems:
    a small :class:`~repro.collect.adapter.Adapter` contract
    (begin/read/write/commit/abort),
 3. record the observed values as a :class:`~repro.core.history.History`
-   that flows straight into the batch, online, and parallel checkers.
+   that flows straight into the batch and online checkers.
 
 Backends: stdlib SQLite (:class:`SQLiteAdapter`, runs everywhere
 including CI), any DB-API 2.0 driver (:class:`DBAPIAdapter` — point it

@@ -8,8 +8,7 @@ session with one connection each, and records every operation's
 :class:`~repro.core.history.History` — the same object the batch
 (:class:`~repro.core.checker.PolySIChecker`), online
 (:class:`~repro.online.OnlineChecker` via ``replay`` or the commit-order
-``events``) and parallel (:class:`~repro.parallel.ParallelChecker`)
-checkers consume — plus retry/abort accounting.
+``events``) checkers consume — plus retry/abort accounting.
 
 Abort accounting (the soundness-critical part, see DESIGN.md S8):
 

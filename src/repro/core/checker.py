@@ -61,9 +61,8 @@ class CheckResult:
         #: Stage timings in seconds: construct / prune / encode / solve.
         self.timings: dict = {}
         self.solver_stats: dict = {}
-        #: Structural counters: closure backend, how many vertices the
-        #: solver was built over, and (for parallel checking) component
-        #: and shard/worker accounting.
+        #: Structural counters: the closure backend and how many
+        #: vertices the solver was built over.
         self.stats: dict = {}
 
     @property
@@ -164,8 +163,8 @@ class PolySIChecker:
         self.prune = prune
         self.compact = compact
         # Resolve eagerly: an unknown name fails at construction, and
-        # every shard / stage of one check uses the same backend even
-        # if the environment changes mid-run.
+        # every stage of one check uses the same backend even if the
+        # environment changes mid-run.
         self.closure_backend: str = resolve_closure_backend(
             closure_backend).name
         self.initial_values = initial_values
@@ -183,7 +182,6 @@ class PolySIChecker:
             return result
         return self.check_polygraph(graph, result)
 
-    @collector_paused
     def construct(
         self, history: History, result: CheckResult
     ) -> Optional[GeneralizedPolygraph]:
@@ -192,8 +190,7 @@ class PolySIChecker:
 
         Returns the polygraph to analyze, or None when the history is
         already decided (``result`` then carries the anomalies, grouped
-        by axiom).  Shared by :meth:`check` and the parallel checking
-        engine, which shards the returned polygraph.
+        by axiom).
         """
         t0 = time.perf_counter()
         with trace_span("axioms", txns=len(history)) as span:
@@ -222,8 +219,7 @@ class PolySIChecker:
         result: Optional[CheckResult] = None,
     ) -> CheckResult:
         """The cycle-analysis stages (prune / encode / solve) on an
-        already-built polygraph; also the per-shard worker body of the
-        parallel engine.
+        already-built polygraph.
 
         Everything after the fixpoint asks the state it ended with
         (:attr:`PruneResult.state`) instead of deriving the known graph

@@ -150,11 +150,6 @@ class GeneralizedPolygraph:
             return "T:init"
         if self.labels is not None:
             return self.labels[v]
-        if self.history is None:
-            # History-free fragment (a worker-rebuilt shard): stable
-            # fallback names so further subgraphing never dereferences
-            # the absent history.
-            return f"T{v}"
         return self.history.transactions[v].name
 
     def vertex_txn(self, v: int) -> Optional[Transaction]:
@@ -163,8 +158,6 @@ class GeneralizedPolygraph:
             return None
         if self._txn_of is not None:
             return self._txn_of[v]
-        if self.history is None:
-            return None
         return self.history.transactions[v]
 
     def copy(self) -> "GeneralizedPolygraph":
@@ -195,8 +188,7 @@ class GeneralizedPolygraph:
         disjoint key/session footprints therefore land in different
         components, and no undesired cycle can span two components —
         every edge the cycle could use is intra-component by
-        construction.  This is what makes per-component checking exact
-        (see DESIGN.md, shard soundness).
+        construction.  This is what makes per-component checking exact.
         """
         parent = list(range(self.num_vertices))
 
@@ -240,10 +232,9 @@ class GeneralizedPolygraph:
         ``constraints_of[i]`` lists the constraints whose edges live in
         ``components[i]`` (empty for pure known-graph components).
 
-        The shard planner's pure-vs-constrained classification
-        (:mod:`repro.parallel.planner`).  The serial checker does not
-        decompose: it reads which vertices a constraint cycle can visit
-        off pruning's closure (:func:`repro.core.encoding.cycle_core`).
+        The checker does not decompose: it reads which vertices a
+        constraint cycle can visit off pruning's closure
+        (:func:`repro.core.encoding.cycle_core`).
         """
         components = self.weakly_connected_components()
         comp_of: Dict[int, int] = {}

@@ -251,7 +251,7 @@ def branch_impossible(
 
     Every RW edge of a compact branch shares its head, so the row is
     fetched once per branch however many readers it has.  Shared by
-    batch, parallel and online pruning so the rules cannot diverge.
+    batch and online pruning so the rules cannot diverge.
     """
     head = row = None
     for src, dst, label, _key in edges:

@@ -28,15 +28,23 @@ snapshot at least as fresh as the barrier state.  A violation inside a
 segment is a violation of the full history; cross-segment anomalies
 (e.g. a stale snapshot reaching behind the barrier) surface as
 unjustified reads in the segment where they occur.
+
+The same barrier makes segments independent of each other, so with
+``workers > 1`` they are checked concurrently on a process pool (the
+segment pool, :func:`_check_pooled`).  It changes only *when* each
+segment is checked, never against what initial values: the verdict and
+the reported ``failing_segment`` equal the serial scan's.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.checker import CheckResult, PolySIChecker
-from ..obs import trace_span
+from ..obs import Tracer, current_tracer, get_logger, trace_span, use_tracer
 from ..core.history import (
     ABORTED,
     COMMITTED,
@@ -46,6 +54,9 @@ from ..core.history import (
     W,
 )
 from ..storage.database import MVCCDatabase
+from ..utils.closure import resolve_closure_backend
+
+log = get_logger("extensions.segmented")
 
 __all__ = [
     "Segment",
@@ -206,13 +217,84 @@ def run_segmented_workload(
     return run
 
 
-def _segment_history(segment: Segment) -> Optional[History]:
-    if not segment.txns:
-        return None
+def _check_segment(segment: Segment, options: dict) -> CheckResult:
+    """Check one segment as its own history, seeded with the previous
+    snapshot's observations."""
     builder = HistoryBuilder()
     for session, ops, status in segment.txns:
         builder.txn(session, ops, status=status)
-    return builder.build()
+    checker = PolySIChecker(initial_values=segment.initial_values, **options)
+    with trace_span("segment", index=segment.index,
+                    txns=len(segment.txns)) as span:
+        result = checker.check(builder.build())
+        span.set(satisfies_si=result.satisfies_si)
+    return result
+
+
+def _pooled_segment(segment: Segment, options: dict, traced: bool):
+    """Pool worker body: check ``segment`` and ship back a picklable
+    distillate — no encoding, and the polygraph only for a violating
+    segment, whose witness interpretation needs it — plus the spans a
+    worker-local tracer recorded and the worker pid.
+
+    ``traced``, not the ambient state, decides whether spans are
+    recorded: a fork-started worker inherits the parent's ambient
+    tracer, but spans recorded there would die with the fork's copy."""
+    if traced:
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = _check_segment(segment, options)
+        spans = tracer.export_spans()
+    else:
+        result, spans = _check_segment(segment, options), []
+    result.encoding = None
+    if result.satisfies_si:
+        result.polygraph = None
+    return result, spans, os.getpid()
+
+
+def _check_pooled(segments: List[Segment], pool_workers: int,
+                  options: dict) -> List[Tuple[Segment, CheckResult]]:
+    """Check ``segments`` on a process pool; returns ``(segment,
+    result)`` in segment order for every segment that ran.
+
+    Segments are submitted in order.  The first violation cancels every
+    segment not yet started (its result could only confirm the verdict);
+    segments already in flight are drained.  Because the pool starts work
+    in submission order, every segment before a violating one has started
+    by then, so the lowest violating segment is always among the results
+    — the one the serial scan stops at.
+    """
+    # Pin the resolved backend so no worker can resolve another one.
+    options = dict(options, closure_backend=resolve_closure_backend(
+        options.get("closure_backend")).name)
+    tracer = current_tracer()
+    pool = ProcessPoolExecutor(max_workers=pool_workers)
+    try:
+        with trace_span("pool", segments=len(segments),
+                        workers=pool_workers) as pool_span:
+            futures = [pool.submit(_pooled_segment, segment, options,
+                                   tracer is not None)
+                       for segment in segments]
+            pending = set(futures)
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                if any(not f.result()[0].satisfies_si for f in done):
+                    log.info("violating segment; cancelling %d queued "
+                             "segment(s)", len(pending))
+                    for future in pending:
+                        future.cancel()
+                    break
+            ran = [(segment, future.result())
+                   for segment, future in zip(segments, futures)
+                   if not future.cancelled()]
+    finally:
+        # A segment that raised leaves the rest queued: drop them.
+        pool.shutdown(cancel_futures=True)
+    for _segment, (_result, spans, pid) in ran:
+        if spans:
+            tracer.adopt(spans, parent=pool_span, worker=pid)
+    return [(segment, result) for segment, (result, _spans, _pid) in ran]
 
 
 def check_segmented(
@@ -247,35 +329,27 @@ def _check_segmented(
     evidence); a fully clean run reports per-segment results for all
     segments.
 
-    ``workers > 1`` checks the segments concurrently through the
-    parallel engine's process pool (segments are the engine's segment
-    shards); the verdict and failing-segment index match the serial
-    scan, per-segment result objects are history-free distillates.
-    ``checker_options`` are per-segment pipeline knobs (``prune``,
-    ``compact``, ``closure_backend``) and are accepted identically at
-    every worker count; ``oversubscribe`` (pool sizing,
-    see :class:`repro.parallel.ParallelChecker`) only applies when
-    pooled.
+    ``workers > 1`` checks the segments concurrently on the segment pool
+    (:func:`_check_pooled`); the verdict and failing-segment index match
+    the serial scan, and per-segment results are distillates.  The pool
+    is capped at ``os.cpu_count()`` processes — segment checks are
+    CPU-bound — unless ``oversubscribe``; one process, or one non-empty
+    segment, is checked in-process.  ``checker_options`` are per-segment
+    pipeline knobs (``prune``, ``compact``, ``closure_backend``) and are
+    accepted identically at every worker count.
     """
-    if workers > 1:
-        from ..parallel import ParallelChecker
-
-        with ParallelChecker(workers, oversubscribe=oversubscribe,
-                             **checker_options) as checker:
-            return checker.check_segments(run)
-    result = SegmentedCheckResult()
     start = time.perf_counter()
-    for segment in run.segments:
-        history = _segment_history(segment)
-        if history is None:
-            continue
-        checker = PolySIChecker(
-            initial_values=segment.initial_values, **checker_options
-        )
-        with trace_span("segment", index=segment.index,
-                        txns=len(segment.txns)) as span:
-            segment_result = checker.check(history)
-            span.set(satisfies_si=segment_result.satisfies_si)
+    segments = [segment for segment in run.segments if segment.txns]
+    if not oversubscribe:
+        workers = min(workers, os.cpu_count() or 1)
+    if workers > 1 and len(segments) > 1:
+        checked = _check_pooled(segments, workers, checker_options)
+    else:
+        # Lazy, so the scan checks nothing past the first violation.
+        checked = ((segment, _check_segment(segment, checker_options))
+                   for segment in segments)
+    result = SegmentedCheckResult()
+    for segment, segment_result in checked:
         result.segment_results.append(segment_result)
         if not segment_result.satisfies_si:
             result.satisfies_si = False

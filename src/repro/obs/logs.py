@@ -20,7 +20,7 @@ _DATE_FORMAT = "%H:%M:%S"
 
 def get_logger(name: str) -> logging.Logger:
     """A logger under the ``repro.`` namespace.  Accepts either a bare
-    module suffix (``"parallel"``) or a full dotted name (typically
+    module suffix (``"online"``) or a full dotted name (typically
     ``__name__``, which already starts with ``repro.``)."""
     if name != ROOT and not name.startswith(ROOT + "."):
         name = f"{ROOT}.{name}"

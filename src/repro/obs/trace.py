@@ -18,10 +18,11 @@ just total wall clock.  This module provides:
   in Perfetto / ``chrome://tracing``, with the schema payload embedded
   under ``otherData`` so consumers can round-trip it.
 
-Worker processes (the parallel engine) record into a *local* tracer,
-ship ``export_spans()`` (plain dicts, picklable) back with their shard
-result, and the parent re-parents them under its pool span with
-:meth:`Tracer.adopt` — worker attribution lands on every adopted span.
+Worker processes (segmented checking's segment pool) record into a
+*local* tracer, ship ``export_spans()`` (plain dicts, picklable) back
+with their segment result, and the parent re-parents them under its
+pool span with :meth:`Tracer.adopt` — worker attribution lands on every
+adopted span.
 """
 
 import json

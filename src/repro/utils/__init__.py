@@ -4,8 +4,7 @@ Two complementary closure layers live here: the batch SCC-condensed
 bitset closure (:mod:`repro.utils.reachability`) used to *seed*
 reachability from scratch, and the incremental closure
 (:mod:`repro.utils.closure`) that maintains it under edge insertion —
-shared by batch pruning, the parallel engine, segmented checking, and
-the online checker.  The incremental closure is pluggable: a
+shared by batch pruning, segmented checking, and the online checker.  The incremental closure is pluggable: a
 :class:`~repro.utils.closure.ClosureBackend` contract with a pure-
 Python reference implementation (:class:`PyBitsetClosure`) and a
 vectorized numpy implementation

@@ -7,13 +7,12 @@ One closure *contract* serves every checker in the codebase:
   from the SCC-condensed bitset closure on iteration 1 and then only
   propagates the edges each later iteration promotes to *known* —
   instead of recomputing the whole closure per iteration;
-- **parallel** component shards and **segmented** checking run the
-  batch fixpoint per shard / per segment;
+- **segmented** checking runs the batch fixpoint per segment;
 - the **online** checker (:mod:`repro.online.checker`) grows it one
   transaction at a time and additionally relies on cycle reporting and
   window compaction.
 
-Because four engines share this one kernel, a fast-but-wrong
+Because three engines share this one kernel, a fast-but-wrong
 implementation would silently corrupt every mode.  The kernel is
 therefore split into an abstract contract (:class:`ClosureBackend`),
 a reference implementation (:class:`PyBitsetClosure`, arbitrary-
@@ -63,7 +62,7 @@ order: an explicit argument (a registered name or a
 environment variable, then auto-selection (``numpy`` when importable,
 else ``python``).  Every entry point that owns a closure —
 ``PruneState``, ``prune_constraints``,
-``PolySIChecker`` / ``ParallelChecker`` / segmented checking
+``PolySIChecker`` / segmented checking
 (``closure_backend=...``), ``OnlineChecker``, the façade
 (``repro.check(..., closure_backend=...)``), and the CLI
 (``repro check --closure-backend``) — threads a ``backend`` selector

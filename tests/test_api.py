@@ -87,8 +87,8 @@ class TestEveryRegisteredCombo:
         json.loads(report.to_json())
 
     def test_to_json_serializes_non_string_stat_keys_deterministically(self):
-        """Regression: stats may carry int-keyed dicts (per-shard maps
-        from the parallel engine); ``to_json`` must stringify and sort
+        """Regression: stats may carry int-keyed dicts (per-segment
+        maps, say); ``to_json`` must stringify and sort
         them instead of raising or depending on insertion order."""
         report = check(serializable_history())
         report.stats["per_shard"] = {3: {"txns": 5}, 1: {"txns": 7}}
@@ -327,13 +327,6 @@ class TestDeprecatedEntryPoints:
         with pytest.warns(DeprecationWarning):
             result = repro.check_snapshot_isolation(long_fork_history())
         assert isinstance(result, CheckResult)
-        assert not result.satisfies_si
-
-    def test_check_snapshot_isolation_parallel(self):
-        with pytest.warns(DeprecationWarning):
-            result = repro.check_snapshot_isolation_parallel(
-                long_fork_history(), workers=1
-            )
         assert not result.satisfies_si
 
     def test_check_segmented(self):

@@ -96,3 +96,18 @@ def test_padded_corpus_slice_agrees_with_serial_polysi(engine, mode):
         report = check(history, "si", mode, engine,
                        **_options(engine, mode))
         assert report.ok == expected, (engine, mode, name)
+
+
+@pytest.mark.parametrize("name", sorted(ANOMALY_TEMPLATES))
+def test_parallel_mode_is_batch(name):
+    """``mode="parallel"`` is kept only as a compatibility alias of
+    ``mode="batch"``: everything it reports but the trace is batch's."""
+    history = make_anomaly(name, seed=7)
+    batch = check(history, "si", "batch")
+    alias = check(history, "si", "parallel", workers=2)
+    assert (alias.ok, alias.decided_by, alias.cycle) == (
+        batch.ok, batch.decided_by, batch.cycle)
+    assert [repr(a) for a in alias.anomalies] == [
+        repr(a) for a in batch.anomalies]
+    assert ({k: v for k, v in alias.stats.items() if k != "trace"}
+            == {k: v for k, v in batch.stats.items() if k != "trace"})

@@ -63,13 +63,14 @@ EXPECTED_COMBOS = sorted([
     ("ser", "batch", "naive"),
 ])
 
-#: Every independently settable CheckOptions field (19: `closure`,
+#: Every independently settable CheckOptions field (17: `closure`,
 #: `check_axioms_first` and `strategy` each had one value in use — read
-#: classification is construction, and the polygraph decides whether to
-#: shard).
+#: classification is construction — and `early_cancel` / `max_shards`
+#: went with component shards; `workers` / `oversubscribe` size the
+#: segment pool).
 EXPECTED_OPTION_FIELDS = sorted([
     "prune", "compact", "closure_backend", "initial_values",
-    "workers", "oversubscribe", "early_cancel", "max_shards",
+    "workers", "oversubscribe",
     "solve_every", "max_live", "sessions",
     "state_dir", "resume", "checkpoint_every",
     "gpu", "max_states", "max_orders", "max_txns",

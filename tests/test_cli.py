@@ -79,31 +79,15 @@ class TestGenerate:
 
 
 class TestParallelFlags:
-    def test_check_parallel_valid_history(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        dump_history(serializable_history(), str(path))
-        assert main(["check", str(path), "--mode", "parallel",
-                     "--workers", "2"]) == 0
-        assert "satisfies" in capsys.readouterr().out
+    """``audit --parallel`` is a pool over seeds; ``check`` has no
+    worker flag (``--mode parallel`` and ``--workers`` are gone)."""
 
-    def test_check_parallel_violation(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        dump_history(long_fork_history(), str(path))
-        assert main(["check", str(path), "--mode", "parallel",
-                     "--workers", "2", "--explain"]) == 1
-        out = capsys.readouterr().out
-        assert "violates" in out
-        assert "anomaly class: long fork" in out
-
-    @pytest.mark.parametrize("value", ["0", "-3", "nope"])
-    def test_check_parallel_rejects_bad_values(self, tmp_path, capsys, value):
+    def test_check_has_no_parallel_mode(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         dump_history(serializable_history(), str(path))
         with pytest.raises(SystemExit):
-            main(["check", str(path), "--mode", "parallel",
-                  "--workers", value])
-        err = capsys.readouterr().err
-        assert "--workers" in err
+            main(["check", str(path), "--mode", "parallel"])
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_audit_parallel_rejects_bad_values(self, capsys, value):
@@ -159,14 +143,6 @@ class TestFacadeFlags:
         assert main(["check", path, "--mode", "online"]) == 1
         assert "violates" in capsys.readouterr().out
 
-    def test_mode_parallel_workers(self, tmp_path, capsys):
-        path = self._dump(tmp_path, long_fork_history())
-        assert main(["check", path, "--mode", "parallel",
-                     "--workers", "2", "--explain"]) == 1
-        out = capsys.readouterr().out
-        assert "2 worker(s)" in out
-        assert "anomaly class: long fork" in out
-
     def test_engine_alternatives_agree(self, tmp_path):
         path = self._dump(tmp_path, long_fork_history())
         for engine in ("polysi", "cobrasi", "dbcop", "naive"):
@@ -193,10 +169,11 @@ class TestFacadeFlags:
         assert "satisfies" in captured.out
         assert "--solve-every" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--stream", "--parallel"])
+    @pytest.mark.parametrize("flag", ["--stream", "--parallel", "--workers"])
     def test_removed_aliases_are_rejected(self, tmp_path, capsys, flag):
-        """The pre-2.0 aliases are gone; argparse must not accept them
-        as abbreviations of anything either."""
+        """The pre-2.0 aliases and the component-shard worker count are
+        gone; argparse must not accept them as abbreviations of anything
+        either."""
         path = self._dump(tmp_path, serializable_history())
         with pytest.raises(SystemExit):
             main(["check", path, flag])

@@ -4,8 +4,7 @@ The SQLite adapter is the reference backend: WAL-mode SQLite serializes
 transactions, so every collected history must satisfy SI — any
 violation indicts the harness, not the database.  The suite checks the
 adapters individually, the threaded collector's accounting, the codec
-round trip, verdict agreement across the batch/online/parallel
-checkers, and the anomaly-injecting wrapper's violation path.
+round trip, verdict agreement across the batch and online checkers, and the anomaly-injecting wrapper's violation path.
 """
 
 import os
@@ -31,7 +30,7 @@ from repro.core.history import ABORTED, COMMITTED, INITIAL_VALUE
 from repro.histories.codec import history_from_json, history_to_json
 from repro.interpret import interpret_violation
 from repro.online import OnlineChecker
-from repro.parallel import ParallelChecker
+from repro.api import check
 from repro.workloads.generator import WorkloadParams, generate_workload
 
 SMALL = WorkloadParams(
@@ -301,8 +300,7 @@ class TestRoundTrip:
         assert checker.finish().satisfies_si
 
     def test_parallel_verdict_agrees(self, collected):
-        with ParallelChecker(workers=2) as checker:
-            assert checker.check(collected.history).satisfies_si
+        assert check(collected.history, mode="parallel", workers=2).ok
 
 
 class TestFaultyAdapter:
@@ -339,8 +337,7 @@ class TestFaultyAdapter:
         reloaded = history_from_json(history_to_json(run.history))
         assert not check_snapshot_isolation(reloaded).satisfies_si
         assert not OnlineChecker().replay(reloaded).satisfies_si
-        with ParallelChecker(workers=2) as checker:
-            assert not checker.check(reloaded).satisfies_si
+        assert not check(reloaded, mode="parallel", workers=2).ok
 
 
 class TestCollectCLI:
@@ -378,16 +375,6 @@ class TestCollectCLI:
         ]) == 0
         capsys.readouterr()
         assert main(["check", str(path)]) == 0
-
-    def test_collect_parallel_check(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "collect", "--sessions", "4", "--txns", "6",
-            "--parallel", "2",
-        ])
-        assert code == 0
-        assert "satisfies" in capsys.readouterr().out
 
     def test_dbapi_requires_driver(self, capsys):
         from repro.cli import main

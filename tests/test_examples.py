@@ -21,7 +21,6 @@ CASES = {
     "compare_checkers.py": ["sessions"],
     "collect_sqlite.py": ["satisfies SI", "anomaly class"],
     "online_monitoring.py": ["ms/txn amortized", "violation detected"],
-    "parallel_checking.py": ["verdicts agree", "anomaly class"],
 }
 
 

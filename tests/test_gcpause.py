@@ -175,7 +175,7 @@ def test_unbounded_layers_do_not_touch_the_collector():
     assert _uses_the_collector(os.path.join(root, "core", "checker.py"))
     assert _uses_the_collector(os.path.join(root, "histories", "codec.py"))
     offenders = []
-    for package in ("service", "online", "store", "parallel"):
+    for package in ("service", "online", "store"):
         for folder, _dirs, files in os.walk(os.path.join(root, package)):
             offenders += [os.path.join(folder, name) for name in files
                           if name.endswith(".py")

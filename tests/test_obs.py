@@ -269,7 +269,8 @@ class TestMetricsRegistry:
 
 class TestLogging:
     def test_get_logger_namespaces_under_repro(self):
-        assert get_logger("parallel").name == "repro.parallel"
+        assert (get_logger("extensions.segmented").name
+                == "repro.extensions.segmented")
         assert get_logger("repro.online").name == "repro.online"
         assert get_logger("repro").name == "repro"
 
@@ -295,8 +296,9 @@ class TestLogging:
 
     def test_library_modules_never_attach_handlers(self):
         import repro.core.checker  # noqa: F401 -- imported for the side check
+        import repro.extensions.segmented  # noqa: F401
         import repro.online.checker  # noqa: F401
-        import repro.parallel.checker  # noqa: F401
 
-        for name in ("repro.core.checker", "repro.online", "repro.parallel"):
+        for name in ("repro.core.checker", "repro.online",
+                     "repro.extensions.segmented"):
             assert logging.getLogger(name).handlers == []

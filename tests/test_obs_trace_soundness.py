@@ -13,7 +13,6 @@ silently shrinking the trace.
 import pytest
 
 from repro.api import check, get_engine, list_engines
-from repro.core.history import HistoryBuilder, R, W
 from repro.extensions.segmented import run_segmented_workload
 from repro.listappend import A, L, ListHistoryBuilder
 from repro.obs import span_tree, validate_trace
@@ -44,24 +43,9 @@ MANDATORY_STAGES = {
     ("polysi", "si", "batch"): {"axioms", "construct", "prune"},
     ("timestamp", "si", "batch"): {"axioms", "validate"},
     ("polysi", "si", "online"): {"event"},
-    ("polysi", "si", "parallel"): {"pool", "shard", "prune", "encode",
-                                   "solve"},
+    ("polysi", "si", "parallel"): {"axioms", "construct", "prune"},
     ("polysi", "si", "segmented"): {"segment"},
 }
-
-
-def two_component_history():
-    """Two transactions-disjoint key groups, each with a pair of
-    unordered writers (a real constraint), so the parallel engine plans
-    two *constrained* component shards and dispatches them through the
-    pool — pure components would be checked statically in the parent."""
-    b = HistoryBuilder()
-    for group, key in enumerate(("a", "b")):
-        base = group * 3
-        b.txn(base, [W(key, f"{key}1")])
-        b.txn(base + 1, [W(key, f"{key}2")])
-        b.txn(base + 2, [R(key, f"{key}1")])
-    return b.build()
 
 
 def _segmented_run():
@@ -90,19 +74,13 @@ def subject_for(engine, isolation, mode):
     if kind == "timestamped_history":
         from repro.timestamp import stamp_serial
         return stamp_serial(serializable_history())
-    if mode == "parallel":
-        return two_component_history()
     return serializable_history()
 
 
 def options_for(mode):
-    # oversubscribe forces the real process pool even on 1-CPU runners,
-    # so the parallel trace exercises worker-span adoption.
-    if mode == "parallel":
-        return {"workers": 2, "oversubscribe": True}
-    if mode == "segmented":
-        return {}
-    return {}
+    # The parallel alias still takes the worker count its one caller
+    # passes (and ignores it).
+    return {"workers": 2} if mode == "parallel" else {}
 
 
 @pytest.mark.parametrize("engine,isolation,mode", all_combos())
@@ -131,37 +109,6 @@ def test_every_registered_combo_emits_a_sound_trace(engine, isolation, mode):
 
     for key in ("counters", "gauges", "histograms"):
         assert isinstance(payload["metrics"].get(key), dict)
-
-
-def test_parallel_trace_attributes_worker_spans():
-    """Pooled shards re-parent their spans under the pool span with a
-    worker id on every adopted span."""
-    report = check(two_component_history(), "si", "parallel", "polysi",
-                   workers=2, oversubscribe=True)
-    payload = validate_trace(report.stats["trace"])
-    by_id = {s["id"]: s for s in payload["spans"]}
-    pool = [s for s in payload["spans"] if s["name"] == "pool"]
-    shards = [s for s in payload["spans"] if s["name"] == "shard"]
-    assert len(pool) == 1
-    assert len(shards) >= 2
-    for shard in shards:
-        assert shard["parent"] == pool[0]["id"]
-        assert shard["worker"] is not None
-    # shard children (the per-shard pipeline) carry the same attribution
-    adopted_children = [s for s in payload["spans"]
-                        if s["parent"] in {sh["id"] for sh in shards}]
-    assert adopted_children, "per-shard stage spans must ride along"
-    for child in adopted_children:
-        assert child["worker"] == by_id[child["parent"]]["worker"]
-
-
-def test_pooled_segmented_trace_attributes_segment_spans():
-    report = check(_segmented_run(), "si", "segmented", "polysi",
-                   workers=2, oversubscribe=True)
-    payload = validate_trace(report.stats["trace"])
-    segments = [s for s in payload["spans"] if s["name"] == "segment"]
-    assert segments, "segmented checking must emit per-segment spans"
-    assert all(s["worker"] is not None for s in segments)
 
 
 def test_batch_trace_reports_closure_counters():

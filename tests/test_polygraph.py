@@ -221,15 +221,91 @@ class TestSubgraphMatchesReference:
             if inner:
                 _assert_same_subgraph(sub, inner[0])
 
-    def test_history_free_fragment(self):
-        from repro.parallel.planner import component_payload, rebuild_component
 
-        graph, _ = build_polygraph(
-            make_anomaly("lost-update", seed=1, padding_txns=12))
-        sub, _old = graph.subgraph(
-            [v for comp in graph.weakly_connected_components()
-             for v in comp])
-        rebuilt = rebuild_component(component_payload(sub))
-        assert rebuilt.history is None
-        for comp in rebuilt.weakly_connected_components():
-            _assert_same_subgraph(rebuilt, comp)
+def islands_history(groups=3, violating=()):
+    """``groups`` disjoint-key, disjoint-session islands.
+
+    Groups listed in ``violating`` get a lost-update anomaly; the rest
+    are valid and keep one blind write-write pair (a real constraint).
+    """
+    b = HistoryBuilder()
+    for g in range(groups):
+        key, s = f"k{g}", 3 * g
+        if g in violating:
+            b.txn(s, [W(key, (g, 4))])
+            b.txn(s + 1, [R(key, (g, 4)), W(key, (g, 5))])
+            b.txn(s + 2, [R(key, (g, 4)), W(key, (g, 13))])
+        else:
+            b.txn(s, [W(key, (g, 1))])
+            b.txn(s + 1, [W(key, (g, 2))])
+            b.txn(s + 2, [R(key, (g, 2))])
+    return b.build()
+
+
+class TestComponentDecomposition:
+    """Weakly-connected components and subgraphs: no undesired cycle
+    spans two components, so a fragment checks like its island."""
+
+    def test_disjoint_islands_are_components(self):
+        graph, anomalies = build_polygraph(islands_history(4))
+        assert not anomalies
+        components = graph.weakly_connected_components()
+        assert len(components) == 4
+        # Each component is one island's three transactions.
+        assert [len(c) for c in components] == [3, 3, 3, 3]
+        assert components[0] == [0, 1, 2]
+
+    def test_shared_key_merges_components(self):
+        h = build(
+            [W("x", 1), W("shared", 10)],
+            [W("y", 2), W("shared", 11)],
+        )
+        graph, _ = build_polygraph(h)
+        assert len(graph.weakly_connected_components()) == 1
+
+    def test_init_vertex_does_not_merge_components(self):
+        # Both sessions read key z's initial state: WR edges from the
+        # virtual init vertex must not glue the islands together.
+        h = build(
+            [R("z", None), W("a", 1)],
+            [R("z", None), W("b", 1)],
+        )
+        graph, _ = build_polygraph(h)
+        assert graph.init_vertex is not None
+        components = graph.weakly_connected_components()
+        assert len(components) == 2
+        assert graph.init_vertex not in [v for c in components for v in c]
+
+    def test_init_rw_edge_does_merge(self):
+        # A real RW edge (reader of initial z -> writer of z) connects
+        # transactions even though it was derived via init.
+        h = build([R("z", None)], [W("z", 9)])
+        graph, _ = build_polygraph(h)
+        assert len(graph.weakly_connected_components()) == 1
+
+    def test_subgraph_fragments_check_like_the_island(self):
+        from repro.core.checker import PolySIChecker
+
+        h = islands_history(3, violating=(1,))
+        graph, _ = build_polygraph(h)
+        checker = PolySIChecker()
+        verdicts = []
+        for comp in graph.weakly_connected_components():
+            sub, old = graph.subgraph(comp)
+            assert [sub.vertex_name(i) for i in range(len(old))] == [
+                graph.vertex_name(v) for v in old
+            ]
+            verdicts.append(checker.check_polygraph(sub).satisfies_si)
+        assert verdicts == [True, False, True]
+
+    def test_subgraph_keeps_init_edges(self):
+        h = build(
+            [R("z", None), W("a", 1)],
+            [W("z", 9)],
+        )
+        graph, _ = build_polygraph(h)
+        comp = graph.weakly_connected_components()[0]
+        sub, old = graph.subgraph(comp)
+        assert sub.init_vertex is not None
+        assert old[sub.init_vertex] == graph.init_vertex
+        assert any(u == sub.init_vertex for u, _v, _l, _k in sub.known_edges)

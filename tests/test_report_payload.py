@@ -103,8 +103,8 @@ def test_every_combo_carries_the_reference_payload(isolation, mode, engine,
     assert payload["stats"]["trace"]["schema"] == "repro-trace/1"
 
 
-def test_parallel_stats_with_non_string_keys():
-    report = check(long_fork_history(), mode="parallel", workers=2)
+def test_stats_with_non_string_keys():
+    report = check(long_fork_history())
     report.stats["per_shard"] = {3: {"txns": 5}, (1, 2): {"txns": 7},
                                  "0": [(1, 2)]}
     payload = assert_same_payload(report)

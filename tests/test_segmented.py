@@ -1,13 +1,17 @@
 """Tests for segmented checking (repro.extensions.segmented)."""
 
+import os
+
 import pytest
 
-from repro import check_snapshot_isolation
+from repro import check, check_snapshot_isolation
 from repro.core.checker import PolySIChecker
 from repro.core.history import HistoryBuilder, R, W
 from repro.extensions import check_segmented, run_segmented_workload
+from repro.interpret import interpret_violation
+from repro.obs import validate_trace
 from repro.storage.database import MVCCDatabase
-from repro.storage.faults import FaultConfig
+from repro.storage.faults import DATABASE_PROFILES, FaultConfig
 from repro.workloads.generator import WorkloadParams, generate_workload
 
 
@@ -142,3 +146,126 @@ class TestSegmentedChecking:
         graphs = [r.polygraph for r in seg_result.segment_results]
         assert max(g.num_vertices for g in graphs) < full.num_vertices
         assert max(g.num_constraints for g in graphs) < full.num_constraints
+
+
+def stale_run(seed, txns, snapshot_every):
+    """Four sessions behind a store serving stale snapshots, with a
+    barrier every few commits: many segments, several of them
+    violating."""
+    return make_run(faults=FaultConfig(stale_snapshot_prob=0.1,
+                                       stale_snapshot_depth=30),
+                    seed=seed, sessions=4, txns=txns, ops=4, keys=10,
+                    snapshot_every=snapshot_every)
+
+
+#: The segment pool, forced to real processes on any host.
+POOLED = {"mode": "segmented", "workers": 2, "oversubscribe": True}
+
+
+class TestSegmentPool:
+    """``workers > 1`` checks segments on a process pool; what it
+    reports equals the serial scan."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_lowest_failing_segment_at_every_worker_count(self, workers):
+        # Segments 5, 6 and 7 of this run's 8 all violate: the report must
+        # name 5 however the pool's completions interleave.
+        run = stale_run(seed=4, txns=30, snapshot_every=8)
+        serial = check_segmented(run)
+        assert serial.failing_segment == 5
+        pooled = check_segmented(run, workers=workers, oversubscribe=True)
+        assert not pooled.satisfies_si
+        assert pooled.failing_segment == serial.failing_segment
+        assert len(pooled.segment_results) == len(serial.segment_results)
+        want, got = serial.segment_results[-1], pooled.segment_results[-1]
+        assert got.decided_by == want.decided_by
+        assert (interpret_violation(got).classification
+                == interpret_violation(want).classification)
+
+    def test_early_cancel_skips_queued_segments(self):
+        run = stale_run(seed=7, txns=120, snapshot_every=4)
+        segments = [s for s in run.segments if s.txns]
+        assert len(segments) > 50
+        report = check(run, **POOLED)
+        assert report.stats["failing_segment"] == 0
+        checked = [s for s in report.stats["trace"]["spans"]
+                   if s["name"] == "segment"]
+        assert len(checked) < len(segments)
+
+    def test_violating_segment_interprets_like_serial(self):
+        # Regression: pooled segment results must carry the segment's
+        # polygraph, or interpret_violation misclassifies the witness
+        # as an axiom violation.
+        faults = DATABASE_PROFILES["mariadb-galera-sim"]["faults"]
+        params = WorkloadParams(sessions=5, txns_per_session=10,
+                                ops_per_txn=4, keys=6, read_proportion=0.5)
+        spec = generate_workload(params, seed=0)
+        run = run_segmented_workload(MVCCDatabase(faults=faults, seed=0),
+                                     spec, snapshot_every=6, seed=0)
+        serial = check_segmented(run)
+        assert not serial.satisfies_si  # seed 0 violates within segment 0
+        pooled = check_segmented(run, workers=2, oversubscribe=True)
+        assert not pooled.satisfies_si
+        assert pooled.failing_segment == serial.failing_segment
+        want = interpret_violation(serial.segment_results[-1])
+        got = interpret_violation(pooled.segment_results[-1])
+        assert got.classification == want.classification
+
+    def test_workers_match_serial_verdict(self):
+        params = WorkloadParams(
+            sessions=4, txns_per_session=10, ops_per_txn=4,
+            keys=10, read_proportion=0.5,
+        )
+        for isolation in ("snapshot", "read_committed"):
+            spec = generate_workload(params, seed=5)
+            db = MVCCDatabase(isolation=isolation, seed=5)
+            run = run_segmented_workload(db, spec, snapshot_every=8, seed=5)
+            serial = check_segmented(run)
+            pooled = check_segmented(run, workers=2, oversubscribe=True)
+            assert pooled.satisfies_si == serial.satisfies_si
+            assert pooled.failing_segment == serial.failing_segment
+
+    def test_a_raising_segment_raises_through_the_pool(self):
+        from repro.core.history import COMMITTED, DuplicateValueError
+        from repro.extensions.segmented import Segment, SegmentedRun
+
+        run = SegmentedRun()
+        for index in range(4):
+            segment = Segment(index, {})
+            # Segment 1 writes one value twice: a broken precondition.
+            values = [1, 1] if index == 1 else [10 * index]
+            segment.txns = [(session, [W("x", value)], COMMITTED)
+                            for session, value in enumerate(values)]
+            run.segments.append(segment)
+        with pytest.raises(DuplicateValueError):
+            check(run, **POOLED)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        """On one CPU the segments run in-process unless
+        ``oversubscribe`` asks for the pool anyway."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        run = make_run(snapshot_every=20)
+        capped = check(run, mode="segmented", workers=2)
+        names = [s["name"] for s in capped.stats["trace"]["spans"]]
+        assert "pool" not in names and "segment" in names
+        pooled = check(run, **POOLED)
+        assert pooled.ok
+        names = [s["name"] for s in pooled.stats["trace"]["spans"]]
+        assert names.count("pool") == 1
+
+    def test_worker_spans_are_adopted_under_the_pool_span(self):
+        report = check(make_run(snapshot_every=20), **POOLED)
+        payload = validate_trace(report.stats["trace"])
+        by_id = {s["id"]: s for s in payload["spans"]}
+        (pool,) = [s for s in payload["spans"] if s["name"] == "pool"]
+        segments = [s for s in payload["spans"] if s["name"] == "segment"]
+        assert len(segments) == len(report.native.segment_results) > 1
+        for segment in segments:
+            assert segment["parent"] == pool["id"]
+            assert segment["worker"] not in (None, os.getpid())
+        # The per-segment pipeline rides along with the same attribution.
+        stages = [s for s in payload["spans"]
+                  if s["parent"] in {seg["id"] for seg in segments}]
+        assert {"axioms", "construct", "prune"} <= {s["name"] for s in stages}
+        for stage in stages:
+            assert stage["worker"] == by_id[stage["parent"]]["worker"]

@@ -11,11 +11,16 @@ transaction can be given a start and a commit timestamp such that
   (first-committer-wins);
 - a transaction starts after its session predecessor committed.
 
+Requiring every transaction to start where it commits (no concurrency at
+all) turns the same search into (strong session) serializability.
+
 The decider imports nothing from ``repro`` and reads a history only
 through attributes (``sessions``, ``ops``, ``status``, ``kind``, ``key``,
-``value``).  The sweep below feeds it every history in a small scope,
+``value``).  The sweep below feeds it every history in two small scopes,
 built with ``HistoryBuilder``, and holds every SI engine x mode that
-checks a plain ``History`` to its answer.
+checks a plain ``History`` — and the batch pipeline with pruning off and
+under each closure backend — to its answer; the second scope also holds
+every serializability engine to the serializable variant.
 """
 
 import itertools
@@ -23,24 +28,31 @@ import itertools
 import pytest
 
 from repro.api import Checker, list_engines
-from repro.core.history import HistoryBuilder, R, W
+from repro.core.history import ABORTED, COMMITTED, HistoryBuilder, R, W
 
-#: The exhaustive scope: transactions (one session each), operations per
-#: transaction (1..MAX_OPS), and keys.  Written values are unique; a read
-#: returns the initial value or any value written to its key.
-SCOPE_TXNS = 3
+#: Both exhaustive scopes draw transactions of 1..MAX_OPS operations on
+#: KEYS.  Written values are unique; a read returns the initial value or
+#: any value written to its key.
 MAX_OPS = 2
 KEYS = ("x", "y")
+#: Scope one: SCOPE_TXNS committed transactions, one per session.
+#: Scope two: up to SCOPE_TXNS transactions over SCOPE_SESSIONS sessions
+#: (none empty) with at most SCOPE_OPS operations in all, any one writing
+#: transaction of which may abort.
+SCOPE_TXNS = 3
+SCOPE_SESSIONS = 2
+SCOPE_OPS = 4
 
 
-def si_by_timestamps(history) -> bool:
+def si_by_timestamps(history, serializable=False) -> bool:
     """Brute-force SI: search start/commit timestamp assignments.
 
     Only the relative order of events matters, so a commit timestamp is
     a position in a commit order and a start timestamp is a slot between
     commits: ``start`` = how many transactions committed before it.
     Given the commit order, every condition above involves one
-    transaction's start only, so each transaction picks its own slot.
+    transaction's start only, so each transaction picks its own slot —
+    or, ``serializable``, must take the slot it commits in.
     """
     committed = [t for session in history.sessions for t in session
                  if t.status == "committed"]
@@ -51,7 +63,8 @@ def si_by_timestamps(history) -> bool:
             session_pred[id(after)] = before
     for order in itertools.permutations(committed):
         position = {id(t): i for i, t in enumerate(order)}
-        if all(_has_start(t, order, position, session_pred) for t in order):
+        if all(_has_start(t, order, position, session_pred, serializable)
+               for t in order):
             return True
     return False
 
@@ -64,7 +77,7 @@ def _final_writes(txn):
     return {op.key: op.value for op in txn.ops if op.kind == "w"}
 
 
-def _has_start(txn, order, position, session_pred):
+def _has_start(txn, order, position, session_pred, serializable):
     """Some start slot (0..own commit position) satisfies every rule."""
     mine = position[id(txn)]
     lowest = 0
@@ -76,7 +89,7 @@ def _has_start(txn, order, position, session_pred):
     for other in order[:mine]:
         if _writes(other) & _writes(txn):
             lowest = max(lowest, position[id(other)] + 1)
-    for start in range(lowest, mine + 1):
+    for start in range(mine if serializable else lowest, mine + 1):
         snapshot = {}
         for earlier in order[:start]:
             snapshot.update(_final_writes(earlier))
@@ -104,77 +117,154 @@ def _shapes():
         yield from itertools.product(ops, repeat=length)
 
 
-def _swap_keys(combo):
+def _canonical(layout):
+    """A layout (sessions of transaction shapes) with its interchangeable
+    sessions in a fixed order: longest first, then by content."""
+    return tuple(sorted(layout, key=lambda session: (-len(session), session)))
+
+
+def _is_representative(layout):
+    """Whether ``layout`` is the one kept of its class under reordering
+    the sessions and renaming the two keys."""
     swap = dict(zip(KEYS, reversed(KEYS)))
-    return tuple(sorted(tuple((kind, swap[key]) for kind, key in shape)
-                        for shape in combo))
+    renamed = tuple(tuple(tuple((kind, swap[key]) for kind, key in shape)
+                          for shape in session) for session in layout)
+    return layout == _canonical(layout) <= _canonical(renamed)
 
 
 def scope_histories():
-    """Every history in scope, up to the order of its (interchangeable,
+    """Scope one, up to the order of its (interchangeable,
     one-per-session) transactions and a renaming of the two keys."""
     shapes = sorted(_shapes())
     for combo in itertools.combinations_with_replacement(shapes,
                                                          SCOPE_TXNS):
-        if _swap_keys(combo) < combo:
-            continue
-        written = {key: [] for key in KEYS}
-        for shape in combo:
-            for kind, key in shape:
-                if kind == "w":
-                    written[key].append(sum(map(len, written.values())) + 1)
-        reads = [key for shape in combo for kind, key in shape if kind == "r"]
-        for values in itertools.product(
-                *[[None] + written[key] for key in reads]):
-            yield _build(combo, iter(values))
+        layout = tuple((shape,) for shape in combo)
+        if _is_representative(layout):
+            yield from _histories(layout)
 
 
-def _build(combo, read_values):
-    builder = HistoryBuilder()
-    value = 0
-    for session, shape in enumerate(combo):
-        ops = []
+def session_scope_histories():
+    """Scope two, up to the order of the sessions and a renaming of the
+    two keys."""
+    shapes = sorted(_shapes())
+    for txns in range(1, SCOPE_TXNS + 1):
+        for sizes in itertools.product(range(1, txns + 1),
+                                       repeat=SCOPE_SESSIONS):
+            if sum(sizes) != txns or list(sizes) != sorted(sizes,
+                                                           reverse=True):
+                continue
+            for flat in itertools.product(shapes, repeat=txns):
+                if sum(map(len, flat)) > SCOPE_OPS:
+                    continue
+                layout, start = [], 0
+                for size in sizes:
+                    layout.append(flat[start:start + size])
+                    start += size
+                layout = tuple(layout)
+                if not _is_representative(layout):
+                    continue
+                writers = [i for i, shape in enumerate(flat)
+                           if any(kind == "w" for kind, _key in shape)]
+                for aborted in [None] + writers:
+                    yield from _histories(layout, aborted)
+
+
+def _histories(layout, aborted=None):
+    """Every assignment of read values to ``layout``, the ``aborted``-th
+    transaction (counting across sessions in order) aborting."""
+    flat = [shape for session in layout for shape in session]
+    written = {key: [] for key in KEYS}
+    for shape in flat:
         for kind, key in shape:
             if kind == "w":
-                value += 1
-                ops.append(W(key, value))
-            else:
-                ops.append(R(key, next(read_values)))
-        builder.txn(session, ops)
+                written[key].append(sum(map(len, written.values())) + 1)
+    reads = [key for shape in flat for kind, key in shape if kind == "r"]
+    for values in itertools.product(*[[None] + written[key]
+                                      for key in reads]):
+        yield _build(layout, aborted, iter(values))
+
+
+def _build(layout, aborted, read_values):
+    builder = HistoryBuilder()
+    value = index = 0
+    for session, shapes in enumerate(layout):
+        for shape in shapes:
+            ops = []
+            for kind, key in shape:
+                if kind == "w":
+                    value += 1
+                    ops.append(W(key, value))
+                else:
+                    ops.append(R(key, next(read_values)))
+            builder.txn(session, ops,
+                        status=ABORTED if index == aborted else COMMITTED)
+            index += 1
     return builder.build()
 
 
 # -- the sweep -----------------------------------------------------------------
 
 
-def _columns():
-    """Every registered SI engine x mode whose input is a plain History."""
+def _columns(isolation):
+    """Every registered engine x mode checking ``isolation`` on a plain
+    History."""
     for spec in list_engines():
-        for isolation, mode in sorted(spec.combos):
-            if isolation == "si" and spec.input_kind(isolation,
-                                                     mode) == "history":
-                yield f"{spec.name}-{mode}", (spec.name, mode)
+        for level, mode in sorted(spec.combos):
+            if level == isolation and spec.input_kind(level,
+                                                      mode) == "history":
+                options = {"workers": 2} if mode == "parallel" else {}
+                yield f"{spec.name}-{mode}", (spec.name, mode, options)
 
 
-COLUMNS = dict(_columns())
+#: The SI columns, then the batch pipeline with pruning off and under
+#: each closure backend.
+COLUMNS = dict(_columns("si"))
+COLUMNS["polysi-batch[prune=False]"] = ("polysi", "batch", {"prune": False})
+for _backend in ("python", "numpy"):
+    COLUMNS[f'polysi-batch[closure_backend="{_backend}"]'] = (
+        "polysi", "batch", {"closure_backend": _backend})
+SER_COLUMNS = dict(_columns("ser"))
 
 
-def reads_intermediate(history) -> bool:
-    """Some read returns a value its writer overwrote before committing."""
-    overwritten = set()
-    for txn in history.transactions:
-        final = _final_writes(txn)
-        overwritten.update((op.key, op.value) for op in txn.ops
-                           if op.kind == "w" and final[op.key] != op.value)
-    return any(op.kind == "r" and (op.key, op.value) in overwritten
+def reads_uncommitted(history) -> bool:
+    """Some read returns a value no committed transaction installed: one
+    its writer overwrote before committing, or an aborted write."""
+    installed = {(key, value) for txn in history.transactions
+                 if txn.status == "committed"
+                 for key, value in _final_writes(txn).items()}
+    written = {(op.key, op.value) for txn in history.transactions
+               for op in txn.ops if op.kind == "w"}
+    return any(op.kind == "r" and (op.key, op.value) in written - installed
                for txn in history.transactions for op in txn.ops)
 
 
 #: Documented incompleteness, per engine: dbcop, faithful to the original
-#: tool, does not detect intermediate reads (``repro.baselines.dbcop``).
-#: Such an engine may accept a non-SI history in the named class, and
-#: must agree with the oracle everywhere else.
-KNOWN_GAPS = {"dbcop": reads_intermediate}
+#: tool, detects neither intermediate nor aborted reads
+#: (``repro.baselines.dbcop``).  Such an engine may accept a non-SI
+#: history in the named class, and must agree with the oracle everywhere
+#: else.
+KNOWN_GAPS = {"dbcop": reads_uncommitted}
+
+
+def aborted_fails_int(history) -> bool:
+    """An aborted transaction reads a key back and gets a value other
+    than the one it last wrote or read there."""
+    for txn in history.transactions:
+        if txn.status == "committed":
+            continue
+        seen = {}
+        for op in txn.ops:
+            if op.kind == "r" and seen.get(op.key, op.value) != op.value:
+                return True
+            seen[op.key] = op.value
+    return False
+
+
+#: Where every engine departs from the decider: the engines apply the Int
+#: axiom to aborted transactions too, while the decider, like the
+#: textbook definition, constrains committed transactions only.  An
+#: engine may reject such a history; it must agree everywhere else.
+ENGINES_REJECT = aborted_fails_int
 
 
 @pytest.fixture(scope="module")
@@ -183,25 +273,65 @@ def ground_truth():
             for history in scope_histories()]
 
 
+@pytest.fixture(scope="module")
+def session_histories():
+    return list(session_scope_histories())
+
+
+@pytest.fixture(scope="module")
+def session_ground_truth(session_histories):
+    return [(history, si_by_timestamps(history))
+            for history in session_histories]
+
+
+@pytest.fixture(scope="module")
+def session_ser_truth(session_histories):
+    return [(history, si_by_timestamps(history, serializable=True))
+            for history in session_histories]
+
+
 def test_scope_covers_both_verdicts(ground_truth):
     verdicts = [ok for _, ok in ground_truth]
     assert len(verdicts) > 5000
     assert any(verdicts) and not all(verdicts)
 
 
-@pytest.mark.parametrize("column", sorted(COLUMNS))
-def test_engine_agrees_with_the_oracle(column, ground_truth):
-    engine, mode = COLUMNS[column]
-    options = {"workers": 2} if mode == "parallel" else {}
-    checker = Checker("si", mode, engine, trace=False, **options)
+def test_session_scope_covers_sessions_and_aborts(session_ground_truth):
+    histories = [history for history, _ in session_ground_truth]
+    assert len(histories) > 3000
+    verdicts = [ok for _, ok in session_ground_truth]
+    assert any(verdicts) and not all(verdicts)
+    for shape in (lambda h: any(len(s) > 1 for s in h.sessions),
+                  lambda h: any(t.status == "aborted"
+                                for t in h.transactions)):
+        assert {ok for history, ok in session_ground_truth
+                if shape(history)} == {True, False}
+
+
+def assert_agrees(column, truth, isolation="si"):
+    engine, mode, options = (COLUMNS if isolation == "si"
+                             else SER_COLUMNS)[column]
+    checker = Checker(isolation, mode, engine, trace=False, **options)
     gap = KNOWN_GAPS.get(engine, lambda history: False)
-    wrong = [history for history, ok in ground_truth
+    wrong = [history for history, ok in truth
              if checker.check(history).ok != ok
-             and not (ok is False and gap(history))]
+             and not (ok is False and gap(history))
+             and not (ok is True and ENGINES_REJECT(history))]
     assert not wrong, (
         f"{len(wrong)} disagreement(s); first: "
-        + "; ".join(f"s{t.session}:{list(t.ops)}"
+        + "; ".join(f"s{t.session}:{list(t.ops)}:{t.status}"
                     for t in wrong[0].transactions))
+
+
+@pytest.mark.parametrize("column", sorted(COLUMNS))
+def test_engine_agrees_with_the_oracle(column, ground_truth):
+    assert_agrees(column, ground_truth)
+
+
+@pytest.mark.parametrize("column", sorted(COLUMNS))
+def test_engine_agrees_with_the_oracle_across_sessions(column,
+                                                       session_ground_truth):
+    assert_agrees(column, session_ground_truth)
 
 
 class TestTheDecider:
@@ -237,3 +367,9 @@ class TestTheDecider:
         assert not si_by_timestamps(self.history(
             (0, [W("x", 1), W("x", 2)]), (1, [R("x", 1)])))
         assert not si_by_timestamps(self.history((0, [R("x", 1), W("x", 1)])))
+
+
+@pytest.mark.parametrize("column", sorted(SER_COLUMNS))
+def test_serializability_engine_agrees_with_the_oracle(column,
+                                                       session_ser_truth):
+    assert_agrees(column, session_ser_truth, isolation="ser")
