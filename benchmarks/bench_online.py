@@ -13,6 +13,10 @@ reports amortized per-transaction wall time for:
 - ``online``      — incremental, solving after every transaction;
 - ``online/8``    — incremental, solving every 8th transaction;
 - ``online+win``  — incremental with a bounded window (eviction on);
+- ``batch/1``, ``batch/64`` — windowed, a verdict after every batch:
+  one ``add`` per transaction against one ``extend`` per 64-transaction
+  slice (the service daemon's batch), which prunes, evicts and solves
+  once per slice;
 - ``rebatch/8``   — batch re-check of the prefix every 8th transaction
   (a *conservative* stand-in for per-transaction re-checking, which
   would be 8x slower again).
@@ -32,7 +36,10 @@ relative to every 8th (near 1 when a re-solve on the kept instance is a
 handful of decisions); and two work counts that do not depend on the
 machine: ``prune_asked`` (constraints the pruning fixpoint evaluated)
 and ``gc_examined`` (vertices the window's eviction passes examined)
-per mode — the online checker asks only what an event changed.
+per mode — the online checker asks only what an event changed; and
+``batch_speedup``, ``batch/1`` over ``batch/64``, asserted at 1.2x or
+more at full scale (both runs must reach the same verdict, accepted
+count and evictions).
 
 The BENCH JSON additionally carries per-closure-backend series for the
 solve-batched mode (``online/8[python]``, ``online/8[numpy]``): the
@@ -46,7 +53,7 @@ import time
 
 import pytest
 
-from _common import note_stage_seconds, scaled
+from _common import SCALE, note_stage_seconds, scaled
 from repro.bench.harness import render_table
 from repro.bench.results import BenchReport
 from repro.utils.closure import available_closure_backends
@@ -86,9 +93,10 @@ def stream_txns(n_txns: int, seed: int = 11):
 
 
 def online_run(txns, *, solve_every: int = 1, windowed: bool = False,
-               closure_backend: str = None):
-    """Check ``txns`` online; returns amortized seconds per transaction
-    and the final result's stats."""
+               closure_backend: str = None, batch: int = 1):
+    """Check ``txns`` online, ``batch`` transactions per call (``add``
+    for one, ``extend`` for more); returns amortized seconds per
+    transaction and the final result's stats."""
     window = WindowPolicy(max_live=64, gc_every=32) if windowed else None
     checker = OnlineChecker(
         solve_every=solve_every,
@@ -97,9 +105,14 @@ def online_run(txns, *, solve_every: int = 1, windowed: bool = False,
         closure_backend=closure_backend,
     )
     start = time.perf_counter()
-    for session, ops, status in txns:
-        result = checker.add(session, ops, status=status)
-        assert result.satisfies_si, "benchmark streams are SI-valid"
+    if batch == 1:
+        for session, ops, status in txns:
+            result = checker.add(session, ops, status=status)
+            assert result.satisfies_si, "benchmark streams are SI-valid"
+    else:
+        for at in range(0, len(txns), batch):
+            result = checker.extend(txns[at:at + batch])
+            assert result.satisfies_si, "benchmark streams are SI-valid"
     final = checker.finish()
     elapsed = time.perf_counter() - start
     assert final.satisfies_si
@@ -129,7 +142,11 @@ ONLINE_MODES = {
     "online": {},
     "online/8": {"solve_every": 8},
     "online+win": {"solve_every": 8, "windowed": True},
+    "batch/1": {"windowed": True},
+    "batch/64": {"windowed": True, "batch": 64},
 }
+#: Asserted at full scale: ``batch/1`` over ``batch/64`` seconds.
+MIN_BATCH_SPEEDUP = 1.2
 REBATCH = f"rebatch/{REBATCH_STRIDE}"
 MODES = {mode: functools.partial(online_amortized, **kwargs)
          for mode, kwargs in ONLINE_MODES.items()}
@@ -155,9 +172,10 @@ def main():
     for size in SIZES:
         txns = stream_txns(size)
         cells = [str(len(txns))]
-        seconds, builds, asked, examined = {}, {}, {}, {}
+        seconds, builds, asked, examined, settled = {}, {}, {}, {}, {}
         for mode, kwargs in ONLINE_MODES.items():
             seconds[mode], stats = online_run(txns, **kwargs)
+            settled[mode] = (stats["accepted"], stats["window"]["evicted"])
             builds[mode] = stats["solver_builds"]
             asked[mode] = stats["prune_asked"]
             examined[mode] = stats["gc_examined"]
@@ -183,6 +201,9 @@ def main():
     report.note("gc_examined", examined)
     report.note("solve1_over_solve8",
                 round(seconds["online"] / seconds["online/8"], 2))
+    assert settled["batch/1"] == settled["batch/64"], settled
+    batch_speedup = round(seconds["batch/1"] / seconds["batch/64"], 2)
+    report.note("batch_speedup", batch_speedup)
     # Stage-level cost breakdown of one traced online replay (DESIGN S11).
     builder = HistoryBuilder()
     for session, ops, status in stream_txns(SIZES[0]):
@@ -193,6 +214,7 @@ def main():
     print(f"solver instances built at {rows[-1][0]} txns: {builds}; "
           f"online / online/8 = {report.derived['solve1_over_solve8']}")
     print(f"constraints asked: {asked}; vertices examined: {examined}")
+    print(f"batch/1 / batch/64 = {batch_speedup}")
     print(f"results: {report.write()}")
     assert seconds["online"] < seconds[REBATCH], (
         f"at {rows[-1][0]} txns a verdict after every transaction costs "
@@ -201,6 +223,12 @@ def main():
         f"checker every {REBATCH_STRIDE}th: the online checker has stopped "
         "being incremental"
     )
+    if SCALE >= 1.0:
+        assert batch_speedup >= MIN_BATCH_SPEEDUP, (
+            f"at {rows[-1][0]} txns one extend per 64-transaction slice is "
+            f"only {batch_speedup}x faster than one add per transaction "
+            f"(want {MIN_BATCH_SPEEDUP}x): the batch no longer settles once"
+        )
 
 
 if __name__ == "__main__":

@@ -789,7 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="global live-transaction budget divided across "
                         "windowed tenants")
     p.add_argument("--solve-every", type=_positive_int, default=8,
-                   help="solve each tenant's SAT residue every N txns")
+                   help="solve each tenant's SAT residue at the end of "
+                        "a batch that crossed a multiple of N txns")
     p.add_argument("--retain-events", type=int, default=50_000,
                    help="events retained per tenant for drain-time "
                         "classification (0: disable)")

@@ -1,8 +1,11 @@
 """The online incremental SI checker.
 
-:class:`OnlineChecker` accepts transactions one at a time (or in
-micro-batches) and maintains, incrementally, everything the batch
-pipeline (:mod:`repro.core.checker`) recomputes from scratch:
+:class:`OnlineChecker` accepts transactions in batches (:meth:`extend`;
+:meth:`add` is a batch of one) and maintains, incrementally, everything
+the batch pipeline (:mod:`repro.core.checker`) recomputes from scratch.
+Each arrival runs the front half and the known-edge inserts; pruning,
+eviction and solving settle once at the batch end (DESIGN.md S6,
+"Settling at a batch boundary"):
 
 - **axioms and known edges** — the batch construction's
   :class:`~repro.core.polygraph.PolygraphBuilder`, called per arrival
@@ -158,11 +161,12 @@ class OnlineChecker:
     Parameters
     ----------
     prune:
-        Run the incremental pruning fixpoint after each transaction
+        Run the incremental pruning fixpoint at the end of each batch
         (recommended; without it every constraint goes to the solver).
     solve_every:
-        Solve the SAT residue every N accepted transactions (1 = every
-        transaction).  Between solves the verdict is provisional.
+        Solve the SAT residue at the end of a batch that crossed a
+        multiple of N accepted transactions (1 = every batch that
+        accepted one).  Between solves the verdict is provisional.
     window:
         Optional :class:`WindowPolicy` bounding memory on unbounded
         streams via verdict-preserving eviction.  Requires ``sessions``.
@@ -183,8 +187,8 @@ class OnlineChecker:
     Typical use::
 
         checker = OnlineChecker()
-        for session, ops, status in stream:
-            r = checker.add(session, ops, status=status)
+        for batch in stream:        # lists of (session, ops, status)
+            r = checker.extend(batch)
             if not r.satisfies_si:
                 break
         final = checker.finish()
@@ -267,40 +271,34 @@ class OnlineChecker:
 
     def add(self, session: int, ops: Sequence[Operation],
             *, status: str = COMMITTED) -> OnlineResult:
-        """Feed one transaction; returns the (provisional) verdict."""
-        self._ingest(session, ops, status)
-        if self._violation is None and status == COMMITTED:
-            self._maybe_collect()
-            if self._accepted % self.solve_every == 0:
-                self._solve_residue()
-        return self.result()
+        """Feed one transaction; returns the (provisional) verdict.  The
+        same as ``extend([(session, ops, status)])``."""
+        return self.extend(((session, ops, status),))
 
     def extend(self, txns: Iterable[tuple]) -> OnlineResult:
-        """Feed a micro-batch of ``(session, ops[, status])`` tuples.
+        """Feed a batch of ``(session, ops[, status])`` tuples; returns
+        the (provisional) verdict at its end.
 
-        Structural updates and pruning run per transaction; the solver
-        runs once at the end of the batch, amortizing its cost.
+        Each arrival runs the front half and inserts its known edges, so
+        a cycle latches on the edge that closes it.  The rest runs once,
+        at the end of a batch that accepted a committed transaction: the
+        pruning fixpoint, an eviction pass (over ``max_live``, or when
+        the batch crossed a ``gc_every`` multiple of accepted
+        transactions), a solve (when it crossed a ``solve_every``
+        multiple) and the metrics — DESIGN.md S6, "Settling at a batch
+        boundary".  A batch of one is the per-event checker.
         """
-        for item in txns:
-            session, ops = item[0], item[1]
-            status = item[2] if len(item) > 2 else COMMITTED
-            self._ingest(session, ops, status)
-            if self._violation is not None:
-                return self.result()
-        self._maybe_collect()
-        self._solve_residue()
+        self._feed(txns)
         return self.result()
 
     def replay(self, history: History) -> OnlineResult:
-        """Feed a recorded :class:`History` in transaction-id order and
-        finish — the online equivalent of one batch check."""
+        """Feed a recorded :class:`History` in transaction-id order, one
+        transaction per batch, and finish — the online equivalent of one
+        batch check."""
         for txn in history.transactions:
-            self._ingest(txn.session, txn.ops, txn.status)
+            self._feed(((txn.session, txn.ops, txn.status),))
             if self._violation is not None:
-                return self.finish()
-            self._maybe_collect()
-            if self._accepted % self.solve_every == 0:
-                self._solve_residue()
+                break
         return self.finish()
 
     def result(self) -> OnlineResult:
@@ -318,6 +316,7 @@ class OnlineChecker:
             self._latch("axioms", anomalies=self._front.anomalies)
         if self._violation is None:
             self._solve_residue()
+        self._publish_metrics()
         out = self.result()
         out.final = True
         return out
@@ -517,11 +516,40 @@ class OnlineChecker:
 
     # -- ingestion -----------------------------------------------------------
 
-    def _ingest(self, session: int, ops: Sequence[Operation], status: str) -> None:
-        if self._violation is not None:
-            return
-        with trace_span("event", session=session, status=status):
-            self._ingest_event(session, ops, status)
+    def _feed(self, txns: Iterable[tuple]) -> None:
+        """The one ingestion path: every arrival of the batch, then — even
+        if one raised — one settling of what the batch accepted."""
+        before = self._accepted
+        try:
+            for item in txns:
+                if self._violation is not None:
+                    break
+                status = item[2] if len(item) > 2 else COMMITTED
+                with trace_span("event", session=item[0], status=status):
+                    self._ingest_event(item[0], item[1], status)
+        finally:
+            if self._accepted != before:
+                self._settle(before)
+
+    def _settle(self, before: int) -> None:
+        """Batch end, given the accepted count at its start: the pruning
+        fixpoint over what the batch dirtied, then the eviction pass and
+        the solve if their cadence was crossed, then the gauges."""
+        if self.prune and self._violation is None:
+            t0 = time.perf_counter()
+            with trace_span("prune",
+                            unresolved=len(self._unresolved)) as span:
+                asked = self._prune_fixpoint()
+                span.set(asked=asked)
+            self._prune_asked += asked
+            self._charge("prune", t0)
+        after = self._accepted
+        if (self.window is not None and self._violation is None
+                and self.window.should_collect(self._live_count,
+                                               before, after)):
+            self._collect()
+        if before // self.solve_every != after // self.solve_every:
+            self._solve_residue()
         self._publish_metrics()
 
     def _ingest_event(self, session: int, ops: Sequence[Operation],
@@ -585,15 +613,6 @@ class OnlineChecker:
                     self._unresolved_touch[vert] = (
                         self._unresolved_touch.get(vert, 0) + 1)
         self._charge("ingest", t0)
-
-        if self.prune and self._violation is None:
-            t1 = time.perf_counter()
-            with trace_span("prune",
-                            unresolved=len(self._unresolved)) as span:
-                asked = self._prune_fixpoint()
-                span.set(asked=asked)
-            self._prune_asked += asked
-            self._charge("prune", t1)
 
     def _charge(self, stage: str, since: float) -> None:
         """Add the seconds since ``since`` to a stage's cumulative time."""
@@ -810,7 +829,6 @@ class OnlineChecker:
             span.set(sat=sat, vars=enc.solver.num_vars)
         self._solves += 1
         self._charge("solve", t0)
-        self._publish_metrics()
         if not sat:
             self._latch("solving", cycle=enc.violation_cycle(
                 self._known_edges, constraints))
@@ -885,11 +903,7 @@ class OnlineChecker:
 
     # -- windowing ---------------------------------------------------------------
 
-    def _maybe_collect(self) -> None:
-        if self.window is None or self._violation is not None:
-            return
-        if not self.window.should_collect(self._live_count, self._accepted):
-            return
+    def _collect(self) -> None:
         t0 = time.perf_counter()
         with trace_span("gc", live=self._live_count) as span:
             evicted_before = self._wstats.evicted
@@ -906,7 +920,6 @@ class OnlineChecker:
                     self._compact()
                 log.debug("compacted to %d vertices", self._n)
         self._charge("gc", t0)
-        self._publish_metrics()
 
     def _evict_closed(self) -> int:
         """Evict transactions no future undesired cycle can pass through

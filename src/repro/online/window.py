@@ -60,9 +60,10 @@ class WindowPolicy:
         Soft bound on live (non-evicted) transactions; a GC pass runs
         whenever the live count exceeds it.
     gc_every:
-        Also run a GC pass every this many accepted transactions, even
-        below ``max_live`` (keeps eviction latency predictable).  0
-        disables the periodic trigger.
+        Also run a GC pass at the end of a batch that crossed a multiple
+        of this many accepted transactions, even below ``max_live``
+        (keeps eviction latency predictable).  0 disables the periodic
+        trigger.
     compact_fraction:
         Compact once evicted slots exceed this fraction of all slots.
     """
@@ -77,11 +78,13 @@ class WindowPolicy:
         self.gc_every = gc_every
         self.compact_fraction = compact_fraction
 
-    def should_collect(self, live: int, accepted: int) -> bool:
-        """Whether to run an eviction pass now."""
+    def should_collect(self, live: int, before: int, after: int) -> bool:
+        """Whether to run an eviction pass at the end of a batch that
+        took the accepted count from ``before`` to ``after``."""
         if live > self.max_live:
             return True
-        return bool(self.gc_every) and accepted % self.gc_every == 0
+        return (bool(self.gc_every)
+                and before // self.gc_every != after // self.gc_every)
 
     def should_compact(self, live: int, total_slots: int) -> bool:
         """Whether enough slots are evicted to justify renumbering."""

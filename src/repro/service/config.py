@@ -41,7 +41,8 @@ class ServiceConfig:
     #: Floor of any single tenant's window share (a share too small
     #: thrashes the GC without bounding anything meaningful).
     min_live_share: int = 32
-    #: Online checker: solve the SAT residue every N transactions.
+    #: Online checker: solve the SAT residue at the end of a batch that
+    #: crossed a multiple of N accepted transactions.
     solve_every: int = 8
     #: Closure backend name forwarded to every tenant's checker
     #: (None: honour REPRO_CLOSURE_BACKEND / auto-selection).

@@ -12,8 +12,9 @@ Each tenant (an isolation domain: one application, one keyspace) owns
 - its own :class:`~repro.obs.Tracer` and
   :class:`~repro.obs.MetricsRegistry`, installed ambiently around each
   batch of its events: every event the checker processes becomes a root
-  span in the tenant's trace buffer, and the ``online.*`` / ``window.*``
-  gauges stay per-tenant instead of clobbering one another.
+  ``event`` span in the tenant's trace buffer, each batch adds its root
+  ``prune`` / ``gc`` / ``solve`` spans, and the ``online.*`` /
+  ``window.*`` gauges stay per-tenant instead of clobbering one another.
 
 The :class:`SessionRouter` holds the tenant table, the **global memory
 budget** — ``ServiceConfig.max_live_total`` live transactions are
@@ -21,7 +22,8 @@ divided across the windowed tenants, and every tenant's
 :class:`~repro.online.WindowPolicy` is re-targeted in place whenever a
 tenant joins, so eviction pressure follows the service-wide budget, not
 a fixed per-checker count — and the service's **one checker thread**:
-ready tenants take turns, one bounded batch of queued events each
+ready tenants take turns, one bounded batch of queued events each,
+checked by one :meth:`~repro.online.OnlineChecker.extend` call
 (DESIGN.md S13, "One checker thread").
 """
 
@@ -48,10 +50,11 @@ __all__ = ["TenantChecker", "SessionRouter", "TenantError",
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 _log = logging.getLogger(__name__)
 
-#: Events of one tenant the checker thread checks before it moves on to
-#: the next ready tenant — what bounds how long one tenant's backlog can
-#: keep the others waiting.  A constant, not an option: 16, 64 and 256
-#: measured inside each other's noise (docs/benchmarks.md, PR 18).
+#: Events of one tenant the checker thread checks, as one batch, before
+#: it moves on to the next ready tenant — what bounds how long one
+#: tenant's backlog can keep the others waiting.  A constant, not an
+#: option: 16, 64 and 256 measured inside each other's noise
+#: (docs/benchmarks.md, "one checker thread for all tenants").
 BATCH_EVENTS = 64
 #: Queued behind a tenant's last event by ``drain``.
 _FINISH = object()
@@ -125,7 +128,7 @@ class TenantChecker:
                 closure_backend=config.closure_backend,
             )
         #: Latest verdict snapshot, replaced (never mutated) by the
-        #: worker after each event — HTTP readers take the reference
+        #: worker after each batch — HTTP readers take the reference
         #: without locking.
         self.latest = self._checker.result()
         self.final_payload: Optional[dict] = None
@@ -163,14 +166,21 @@ class TenantChecker:
 
     def _recover(self) -> None:
         """Replay the journaled log past the restored checkpoint —
-        through the same per-event path live ingestion uses, so the
-        counters and retention state match an uninterrupted run.  Runs
-        on the constructing thread, *before* anything can be offered:
-        by the time the tenant is reachable its recovered verdict is
-        already queryable."""
+        through the same batch path live ingestion uses, sliced by the
+        same rule, so the verdict, counters, checkpoints and retention
+        state match an uninterrupted run.  Runs on the constructing
+        thread, *before* anything can be offered: by the time the
+        tenant is reachable its recovered verdict is already
+        queryable."""
         with use_tracer(self.tracer), use_metrics(self.registry):
+            batch: List[tuple] = []
             for _pos, event in self.store.iter_events(self._restored_at):
-                self._handle_event(event)
+                batch.append(event)
+                if len(batch) == self._slice_limit():
+                    self._handle_batch(batch)
+                    batch = []
+            if batch:
+                self._handle_batch(batch)
         self.recovered_events = self.events_seen
         if self.recovered_events:
             self.registry.gauge("tenant.recovered").set(
@@ -235,23 +245,29 @@ class TenantChecker:
     # -- checker thread -----------------------------------------------------
 
     def run_batch(self) -> tuple:
-        """Check up to :data:`BATCH_EVENTS` queued events (checker
-        thread only).  Returns ``(checked, more)``: ``more`` means
-        events are still queued and the tenant keeps its place in line;
-        otherwise the next hand-off schedules it again."""
+        """Check one slice of queued events as one batch (checker thread
+        only): up to :data:`BATCH_EVENTS`, cut at the finish marker and
+        at the next checkpoint position.  Returns ``(checked, more)``:
+        ``more`` means events are still queued and the tenant keeps its
+        place in line; otherwise the next hand-off schedules it again."""
         pending = self._pending
         checked = 0
         try:
             with use_tracer(self.tracer), use_metrics(self.registry):
                 self.registry.histogram("tenant.queue_wait_s").observe(
                     time.monotonic() - pending[0][1])
-                for _ in range(min(len(pending), BATCH_EVENTS)):
+                batch, limit, finish = [], self._slice_limit(), False
+                while pending and len(batch) < limit:
                     event = pending.popleft()[0]
                     if event is _FINISH:
-                        self._finish()
+                        finish = True
                         break
-                    self._handle_event(event)
-                    checked += 1
+                    batch.append(event)
+                checked = len(batch)
+                if batch:
+                    self._handle_batch(batch)
+                if finish:
+                    self._finish()
         except Exception as exc:  # noqa: BLE001 - one tenant's failure
             # Nothing escapes to the thread every tenant shares: latch
             # an error verdict and mark the tenant finished, so offer()
@@ -275,29 +291,45 @@ class TenantChecker:
             self._close_store()
             self._finished.set()
 
-    def _handle_event(self, event: tuple) -> None:
-        session, ops, status = event[0], event[1], event[2]
-        ts = event[3] if len(event) > 3 else None
-        self.events_seen += 1
-        if status == "committed":
-            self.committed_seen += 1
-            if ts is not None and ts[0] is not None and ts[1] is not None:
-                self.stamped_seen += 1
-        if self._retained is not None:
-            if len(self._retained) < self.config.retain_events:
-                self._retained.append(event)
-            else:
-                self._retained = None
-                self.retention_truncated = True
-        try:
-            self.latest = self._checker.add(session, ops, status=status)
-        except Exception as exc:  # noqa: BLE001 - keep consuming
-            # Undeclared session under a window, duplicate values, an
-            # unhashable key the codec missed, ...: latch an error
-            # verdict and keep consuming (the events were acknowledged).
-            if self._ingest_error is None:
+    def _slice_limit(self) -> int:
+        """Events the next slice may hold: :data:`BATCH_EVENTS`, cut at
+        the next ``checkpoint_every`` multiple, so every checkpoint falls
+        on a slice end — where it fell when events were checked one by
+        one."""
+        every = self.config.checkpoint_every
+        if self.store is None or not every:
+            return BATCH_EVENTS
+        return min(BATCH_EVENTS, every - self.events_seen % every)
+
+    def _handle_batch(self, events: List[tuple]) -> None:
+        """Check one slice: the per-event bookkeeping, one
+        :meth:`~repro.online.OnlineChecker.extend` call, one checkpoint
+        decision."""
+        for event in events:
+            if event[2] == "committed":
+                self.committed_seen += 1
+                ts = event[3] if len(event) > 3 else None
+                if ts is not None and ts[0] is not None and ts[1] is not None:
+                    self.stamped_seen += 1
+            if self._retained is not None:
+                if len(self._retained) < self.config.retain_events:
+                    self._retained.append(event)
+                else:
+                    self._retained = None
+                    self.retention_truncated = True
+        # After an ingest failure the checker is fed nothing more: the
+        # error is the verdict, and a clean event must not replace it.
+        if self._ingest_error is None:
+            try:
+                self.latest = self._checker.extend(events)
+            except Exception as exc:  # noqa: BLE001 - keep consuming
+                # Undeclared session under a window, duplicate values, an
+                # unhashable key the codec missed, ...: latch an error
+                # verdict and keep consuming (the events were
+                # acknowledged).
                 self._ingest_error = str(exc)
-            self.latest = self._error_result(self._ingest_error)
+                self.latest = self._error_result(self._ingest_error)
+        self.events_seen += len(events)
         self.registry.gauge("tenant.events").set(self.events_seen)
         self._maybe_checkpoint()
 

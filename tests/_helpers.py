@@ -24,6 +24,9 @@ from repro.core.polygraph import (
     GeneralizedPolygraph,
 )
 from repro.core.pruning import branch_impossible
+from repro.storage.client import stream_workload
+from repro.storage.database import MVCCDatabase
+from repro.workloads.generator import WorkloadParams, generate_workload
 
 __all__ = [
     "branch_impossible_reference",
@@ -43,6 +46,8 @@ __all__ = [
     "write_skew_history",
     "causality_history",
     "serializable_history",
+    "simulated",
+    "delayed",
 ]
 
 
@@ -110,6 +115,39 @@ def serializable_history() -> History:
     b.txn(0, [R("y", 2), W("x", 3)])
     b.txn(2, [R("x", 3), R("y", 2)])
     return b.build()
+
+
+# Online streams. ---------------------------------------------------------------
+
+
+def simulated(seed, count, isolation="snapshot", **shape):
+    """The first ``count`` events of a simulator run, commit order;
+    ``shape`` holds the ``WorkloadParams`` fields but
+    ``txns_per_session``."""
+    params = WorkloadParams(
+        txns_per_session=-(-count // shape["sessions"]) + 8, **shape)
+    spec = generate_workload(params, seed=seed)
+    db = MVCCDatabase(isolation=isolation, seed=seed + 1)
+    events = []
+    for event in stream_workload(db, spec, seed=seed + 2):
+        events.append(event)
+        if len(events) == count:
+            break
+    return events
+
+
+def delayed(events, index, distance):
+    """Move event ``index`` later past at most ``distance`` events of
+    other sessions: reads of what it writes arrive before their writer."""
+    events = list(events)
+    index %= len(events)
+    moving = events.pop(index)
+    to = index
+    while (to < len(events) and to < index + distance
+           and events[to][0] != moving[0]):
+        to += 1
+    events.insert(to, moving)
+    return events
 
 
 # Reference implementations: the code the shipped versions replaced, kept

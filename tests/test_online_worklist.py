@@ -27,48 +27,21 @@ from repro.core.known import mask_of
 from repro.histories.codec import history_to_events
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.online import OnlineChecker, WindowPolicy
-from repro.storage.client import stream_workload
-from repro.storage.database import MVCCDatabase
 from repro.utils.closure import available_closure_backends
 from repro.workloads.corpus import make_anomaly
-from repro.workloads.generator import WorkloadParams, generate_workload
 
-from _helpers import evict_closed_reference, prune_fixpoint_reference
+from _helpers import (
+    delayed,
+    evict_closed_reference,
+    prune_fixpoint_reference,
+    simulated,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BACKENDS = available_closure_backends()
 
 
-def simulated(seed, count, **shape):
-    """The first ``count`` events of an SI simulator run, commit order."""
-    sessions = shape["sessions"]
-    params = WorkloadParams(txns_per_session=-(-count // sessions) + 8,
-                            **shape)
-    spec = generate_workload(params, seed=seed)
-    db = MVCCDatabase(isolation="snapshot", seed=seed + 1)
-    events = []
-    for event in stream_workload(db, spec, seed=seed + 2):
-        events.append(event)
-        if len(events) == count:
-            break
-    return events
-
-
 # -- no skipped question mattered ---------------------------------------------
-
-
-def delayed(events, index, distance):
-    """Move event ``index`` later past at most ``distance`` events of
-    other sessions: reads of what it writes arrive before their writer."""
-    events = list(events)
-    index %= len(events)
-    moving = events.pop(index)
-    to = index
-    while (to < len(events) and to < index + distance
-           and events[to][0] != moving[0]):
-        to += 1
-    events.insert(to, moving)
-    return events
 
 
 @st.composite

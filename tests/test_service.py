@@ -433,7 +433,7 @@ class TestHardening:
         def boom(*args, **kwargs):
             raise TypeError("unhashable type: 'list'")
 
-        tenant._checker.add = boom
+        tenant._checker.extend = boom
         client.push_events("t", [(1, (W("y", 1),), "committed")])
         deadline = time.time() + 5
         while time.time() < deadline:
@@ -443,6 +443,24 @@ class TestHardening:
         assert client.verdict("t")["report"]["decided_by"] == "ingest-error"
         verdicts = handle.drain()  # must not hang on the poisoned tenant
         assert verdicts["t"]["report"]["verdict"] == "violated"
+
+    def test_ingest_error_stays_the_verdict_before_drain(self, service):
+        """A duplicate value poisons the stream: a clean event checked
+        after it must not turn the provisional verdict back into
+        ``satisfied``."""
+        _, handle, client = service()
+        client.push_events("t", [(0, (W("x", 1),), "committed"),
+                                 (1, (W("x", 1),), "committed")], sessions=2)
+        _await_checked(client, "t", 2)
+        assert client.verdict("t")["report"]["decided_by"] == "ingest-error"
+        client.push_events("t", [(0, (W("y", 1),), "committed")])
+        _await_checked(client, "t", 3)
+        verdict = client.verdict("t")
+        assert verdict["events"] == 3
+        assert verdict["final"] is False
+        assert verdict["report"]["decided_by"] == "ingest-error"
+        assert verdict["report"]["verdict"] == "violated"
+        assert handle.drain()["t"]["report"]["decided_by"] == "ingest-error"
 
     def test_offer_after_drain_flag_raises(self, service):
         """The drain flag flips before the finish sentinel is enqueued,

@@ -131,19 +131,20 @@ def stats_of(client, tenant):
 
 
 class Gate:
-    """Stand-in for ``OnlineChecker.add`` that holds the checking side
-    still until opened, then defers to the real ``add``."""
+    """Stand-in for ``OnlineChecker.extend`` — the one call the checker
+    thread makes per batch — that holds the checking side still until
+    opened, then defers to the real ``extend``."""
 
     def __init__(self, tenant):
         self.open = threading.Event()
         self.entered = threading.Event()
-        self._add = tenant._checker.add
-        tenant._checker.add = self
+        self._extend = tenant._checker.extend
+        tenant._checker.extend = self
 
     def __call__(self, *args, **kwargs):
         self.entered.set()
         assert self.open.wait(30), "gate never opened"
-        return self._add(*args, **kwargs)
+        return self._extend(*args, **kwargs)
 
 
 class TestOneCheckerThread:
@@ -242,13 +243,13 @@ class TestFairness:
         client.push_events("slow", unique_writes(1), sessions=2)
         slow = svc.router.get("slow")
         assert wait_until(lambda: slow.events_seen == 1)
-        real_add = slow._checker.add
+        real_extend = slow._checker.extend
 
-        def slow_add(*args, **kwargs):
-            time.sleep(0.005)
-            return real_add(*args, **kwargs)
+        def slow_extend(events):
+            time.sleep(0.005 * len(events))   # 5 ms per event
+            return real_extend(events)
 
-        slow._checker.add = slow_add
+        slow._checker.extend = slow_extend
         stats = client.push_events_tcp(
             "slow", unique_writes(self.SLOW_EVENTS, tag="s"))
         assert stats.accepted == self.SLOW_EVENTS
@@ -267,7 +268,7 @@ class TestFairness:
 
 class TestCrashIsolation:
     @pytest.mark.parametrize("escapes", [False, True],
-                             ids=["add-raises", "escapes-the-event"])
+                             ids=["extend-raises", "escapes-the-batch"])
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_one_tenants_crash_does_not_stop_the_others(self, service,
@@ -281,11 +282,11 @@ class TestCrashIsolation:
             raise TypeError("unhashable type: 'list'")
 
         if escapes:
-            # Outside the per-event guard: whatever runs the tenant's
-            # events has to contain this one itself.
+            # Outside the per-batch guard: whatever runs the tenant's
+            # batches has to contain this one itself.
             a._maybe_checkpoint = boom
         else:
-            a._checker.add = boom
+            a._checker.extend = boom
         client.push_events("a", unique_writes(1, tag="poison"))
         assert wait_until(lambda: client.verdict("a")["report"]
                           ["decided_by"] == "ingest-error")

@@ -18,8 +18,9 @@ The decider imports nothing from ``repro`` and reads a history only
 through attributes (``sessions``, ``ops``, ``status``, ``kind``, ``key``,
 ``value``).  The sweep below feeds it every history in two small scopes,
 built with ``HistoryBuilder``, and holds every SI engine x mode that
-checks a plain ``History`` — and the batch pipeline with pruning off and
-under each closure backend — to its answer; the second scope also holds
+checks a plain ``History`` — the batch pipeline with pruning off and
+under each closure backend, and the online checker fed one ``extend``
+batch or two split anywhere — to its answer; the second scope also holds
 every serializability engine to the serializable variant.
 """
 
@@ -29,6 +30,7 @@ import pytest
 
 from repro.api import Checker, list_engines
 from repro.core.history import ABORTED, COMMITTED, HistoryBuilder, R, W
+from repro.online import OnlineChecker
 
 #: Both exhaustive scopes draw transactions of 1..MAX_OPS operations on
 #: KEYS.  Written values are unique; a read returns the initial value or
@@ -308,19 +310,36 @@ def test_session_scope_covers_sessions_and_aborts(session_ground_truth):
                 if shape(history)} == {True, False}
 
 
-def assert_agrees(column, truth, isolation="si"):
-    engine, mode, options = (COLUMNS if isolation == "si"
-                             else SER_COLUMNS)[column]
-    checker = Checker(isolation, mode, engine, trace=False, **options)
-    gap = KNOWN_GAPS.get(engine, lambda history: False)
+def assert_decides(verdicts, truth, gap=lambda history: False):
+    """Every verdict ``verdicts(history)`` yields matches the oracle's,
+    outside the engine's documented ``gap`` and ``ENGINES_REJECT``."""
     wrong = [history for history, ok in truth
-             if checker.check(history).ok != ok
+             if any(verdict != ok for verdict in verdicts(history))
              and not (ok is False and gap(history))
              and not (ok is True and ENGINES_REJECT(history))]
     assert not wrong, (
         f"{len(wrong)} disagreement(s); first: "
         + "; ".join(f"s{t.session}:{list(t.ops)}:{t.status}"
                     for t in wrong[0].transactions))
+
+
+def assert_agrees(column, truth, isolation="si"):
+    engine, mode, options = (COLUMNS if isolation == "si"
+                             else SER_COLUMNS)[column]
+    checker = Checker(isolation, mode, engine, trace=False, **options)
+    assert_decides(lambda history: [checker.check(history).ok], truth,
+                   KNOWN_GAPS.get(engine, lambda history: False))
+
+
+def online_extend_verdicts(history):
+    """``OnlineChecker`` fed the history as one ``extend`` batch, then as
+    two batches split at every point."""
+    items = [(t.session, t.ops, t.status) for t in history.transactions]
+    for cut in range(len(items)):
+        checker = OnlineChecker()
+        checker.extend(items[:cut])
+        checker.extend(items[cut:])
+        yield checker.finish().satisfies_si
 
 
 @pytest.mark.parametrize("column", sorted(COLUMNS))
@@ -332,6 +351,13 @@ def test_engine_agrees_with_the_oracle(column, ground_truth):
 def test_engine_agrees_with_the_oracle_across_sessions(column,
                                                        session_ground_truth):
     assert_agrees(column, session_ground_truth)
+
+
+@pytest.mark.parametrize("scope", ["ground_truth", "session_ground_truth"])
+def test_online_extend_agrees_with_the_oracle(scope, request):
+    """The ``polysi-online[extend]`` column: batch boundaries anywhere in
+    the stream leave the verdict the decider's."""
+    assert_decides(online_extend_verdicts, request.getfixturevalue(scope))
 
 
 class TestTheDecider:
