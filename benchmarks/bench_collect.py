@@ -31,8 +31,7 @@ from repro.collect import Collector, SQLiteAdapter
 from repro.core.checker import PolySIChecker
 from repro.workloads.generator import WorkloadParams, generate_workload
 
-# The class API, bound once (the deprecated check_snapshot_isolation
-# wrapper warns on every call, which would pollute benchmark output).
+# The class API, bound once.
 _check_si = PolySIChecker().check
 
 SESSION_COUNTS = [2, 4, 8]

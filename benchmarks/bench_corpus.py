@@ -24,8 +24,7 @@ from repro.interpret import interpret_violation
 from repro.workloads.corpus import ANOMALY_TEMPLATES, known_anomaly_corpus
 from repro.workloads.generator import WorkloadParams, generate_history
 
-# The class API, bound once (the deprecated check_snapshot_isolation
-# wrapper warns on every call, which would pollute benchmark output).
+# The class API, bound once.
 _check_si = PolySIChecker().check
 
 #: Full paper-scale corpus by default; scale down via the environment for

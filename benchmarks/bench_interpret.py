@@ -12,8 +12,7 @@ from repro.core.checker import PolySIChecker
 from repro.interpret import interpret_violation
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 
-# The class API, bound once (the deprecated check_snapshot_isolation
-# wrapper warns on every call, which would pollute benchmark output).
+# The class API, bound once.
 _check_si = PolySIChecker().check
 
 CYCLIC_CLASSES = [

@@ -64,8 +64,7 @@ from repro.storage.client import stream_workload
 from repro.storage.database import MVCCDatabase
 from repro.workloads.generator import WorkloadParams, generate_workload
 
-# The class API, bound once (the deprecated check_snapshot_isolation
-# wrapper warns on every call, which would pollute benchmark output).
+# The class API, bound once.
 _check_si = PolySIChecker().check
 
 SESSIONS = 6

@@ -24,8 +24,9 @@ import pytest
 from _common import note_stage_seconds, record_sweep_verdicts, scaled
 from repro.bench.harness import Sweep, measure, render_series, render_table
 from repro.bench.results import BenchReport
+from repro import check
 from repro.core.checker import PolySIChecker
-from repro.extensions import check_segmented, run_segmented_workload
+from repro.extensions import run_segmented_workload
 from repro.storage.database import MVCCDatabase
 from repro.workloads.generator import WorkloadParams, generate_workload
 
@@ -36,6 +37,11 @@ POOL_SNAPSHOT_EVERY = scaled(540)
 POOL_WORKERS = [1, 2]
 #: Best-of-N wall clock for the pooled series.
 POOL_ROUNDS = 3
+
+
+def check_segments(run, **options):
+    """The native segmented verdict, through the facade untraced."""
+    return check(run, mode="segmented", trace=False, **options).native
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,7 +71,7 @@ def pooled_seconds(run, workers: int) -> float:
     slow the in-process side."""
     best = float("inf")
     for _ in range(POOL_ROUNDS):
-        m = measure(check_segmented, run, workers=workers,
+        m = measure(check_segments, run, workers=workers,
                     oversubscribe=True, trace_memory=False)
         assert m.result.satisfies_si
         best = min(best, m.seconds)
@@ -76,7 +82,7 @@ def pooled_seconds(run, workers: int) -> float:
 def test_segmented_checking(benchmark, txns):
     run = segmented_run(txns)
     result = benchmark.pedantic(
-        check_segmented, args=(run,), rounds=1, iterations=1
+        check_segments, args=(run,), rounds=1, iterations=1
     )
     assert result.satisfies_si
     benchmark.extra_info["segments"] = len(run.segments)
@@ -104,7 +110,7 @@ def test_segmented_wins_on_long_histories():
     from repro.bench.harness import measure
 
     run = segmented_run(TXNS_PER_SESSION[-1])
-    seg = measure(check_segmented, run)
+    seg = measure(check_segments, run)
     whole = measure(PolySIChecker().check, run.full_history())
     assert seg.result.satisfies_si and whole.result.satisfies_si
     assert seg.seconds < whole.seconds
@@ -115,7 +121,7 @@ def main():
     whole_sweep = Sweep("whole-history")
     for txns in TXNS_PER_SESSION:
         run = segmented_run(txns)
-        seg_sweep.run(txns, check_segmented, run)
+        seg_sweep.run(txns, check_segments, run)
         whole_sweep.run(txns, PolySIChecker().check, run.full_history())
     print(f"\nSection 6 extension: segmented vs whole-history checking "
           f"(snapshot every {SNAPSHOT_EVERY} commits)")

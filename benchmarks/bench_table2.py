@@ -20,8 +20,7 @@ from repro.interpret import interpret_violation
 from repro.storage.faults import DATABASE_PROFILES
 from repro.workloads.generator import WorkloadParams, generate_history
 
-# The class API, bound once (the deprecated check_snapshot_isolation
-# wrapper warns on every call, which would pollute benchmark output).
+# The class API, bound once.
 _check_si = PolySIChecker().check
 
 PARAMS = WorkloadParams(

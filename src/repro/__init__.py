@@ -38,7 +38,6 @@ from .core import (
     R,
     Transaction,
     W,
-    check_snapshot_isolation,
 )
 from .collect import (
     CollectionRun,
@@ -84,6 +83,5 @@ __all__ = [
     "Transaction",
     "W",
     "WindowPolicy",
-    "check_snapshot_isolation",
     "__version__",
 ]

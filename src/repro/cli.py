@@ -68,10 +68,11 @@ from .collect import (
 )
 from .core.checker import PolySIChecker
 from .histories.codec import dump_history, load_history
-from .online import OnlineChecker, WindowPolicy
+from .online import WindowPolicy
 from .storage.client import run_workload, stream_workload
 from .storage.database import MVCCDatabase
 from .storage.faults import DATABASE_PROFILES
+from .store import PersistentCheck
 from .utils.closure import available_closure_backends
 from .workloads.corpus import known_anomaly_corpus
 from .workloads.generator import WorkloadParams, generate_workload
@@ -321,58 +322,37 @@ def cmd_watch(args) -> int:
     tracer = Tracer() if args.trace else None
     registry = (MetricsRegistry()
                 if args.trace or args.stats_interval else None)
-    seen = 0
-    violated = False
     last_stats = time.monotonic()
     with contextlib.ExitStack() as stack:
         if tracer is not None:
             stack.enter_context(use_tracer(tracer))
         if registry is not None:
             stack.enter_context(use_metrics(registry))
-        persistent = None
-        skip = 0
-        if args.state_dir:
-            from .store import PersistentCheck
-
-            persistent = PersistentCheck(
-                args.state_dir,
-                resume=not args.no_resume,
-                checkpoint_every=args.checkpoint_every,
-                solve_every=args.solve_every,
-                window=window,
-                sessions=range(args.sessions) if window else None,
-                closure_backend=args.closure_backend,
-            )
-            stack.callback(persistent.close)
-            checker = persistent.checker
+        persistent = PersistentCheck(
+            args.state_dir or None,
+            resume=not args.no_resume,
+            checkpoint_every=args.checkpoint_every,
+            solve_every=args.solve_every,
+            window=window,
+            sessions=range(args.sessions) if window else None,
+            closure_backend=args.closure_backend,
+        )
+        stack.callback(persistent.close)
+        checker = persistent.checker
+        result = persistent.result()
+        violated = not result.satisfies_si
+        if persistent.recovered_events:
+            print(f"resumed from {args.state_dir}: "
+                  f"{persistent.resumed_from} event(s) restored, "
+                  f"{persistent.replayed} replayed")
+        if not violated:
             # The stream is seed-deterministic: regenerate it and skip
             # the prefix the store already holds (those events were
             # re-checked by checkpoint restore + tail replay).
-            skip = persistent.recovered_events
-            result = persistent.result()
-            violated = not result.satisfies_si
-            if skip:
-                print(f"resumed from {args.state_dir}: "
-                      f"{persistent.resumed_from} event(s) restored, "
-                      f"{persistent.replayed} replayed")
-        else:
-            checker = OnlineChecker(
-                solve_every=args.solve_every,
-                window=window,
-                sessions=range(args.sessions) if window else None,
-                closure_backend=args.closure_backend,
-            )
-            result = checker.result()
-        if not violated:
-            for session, ops, status in stream_workload(db, spec,
-                                                        seed=args.seed):
-                seen += 1
-                if seen <= skip:
-                    continue
-                if persistent is not None:
-                    result = persistent.feed(session, ops, status=status)
-                else:
-                    result = checker.add(session, ops, status=status)
+            for session, ops, status in persistent.unjournaled(
+                    stream_workload(db, spec, seed=args.seed)):
+                result = persistent.feed(session, ops, status=status)
+                seen = persistent.events
                 if not result.satisfies_si:
                     violated = True
                     break
@@ -390,8 +370,7 @@ def cmd_watch(args) -> int:
                         "ms/txn)"
                     )
         if not violated:
-            result = (persistent.finish() if persistent is not None
-                      else checker.finish())
+            result = persistent.finish()
     report = adapt_result(result, isolation="si", mode="online",
                           engine="polysi")
     if tracer is not None:
@@ -401,7 +380,7 @@ def cmd_watch(args) -> int:
         )
         _write_trace(report, args.trace)
     if violated:
-        print(f"violation after {max(seen, skip)} transaction(s):")
+        print(f"violation after {persistent.events} transaction(s):")
         code = _render_report(report)
         _print_persistence_line(result.stats)
         return code

@@ -31,7 +31,7 @@ from .polygraph import (
 )
 from .pruning import PruneResult, prune_constraints, find_known_cycle
 from .encoding import SIEncoding, encode_polygraph
-from .checker import CheckResult, PolySIChecker, check_snapshot_isolation
+from .checker import CheckResult, PolySIChecker
 
 __all__ = [
     "ABORTED",
@@ -64,5 +64,4 @@ __all__ = [
     "encode_polygraph",
     "CheckResult",
     "PolySIChecker",
-    "check_snapshot_isolation",
 ]

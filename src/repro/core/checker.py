@@ -38,7 +38,6 @@ from .pruning import PruneResult, find_known_cycle, prune_constraints
 __all__ = [
     "CheckResult",
     "PolySIChecker",
-    "check_snapshot_isolation",
 ]
 
 log = get_logger("core.checker")
@@ -301,13 +300,3 @@ class PolySIChecker:
                     graph.known_edges, graph_constraints(graph))
             result.timings["explain"] = time.perf_counter() - t0
         return result
-
-
-def check_snapshot_isolation(history: History, **options) -> CheckResult:
-    """Deprecated alias for the façade: use ``repro.check(history)``
-    instead, which returns the unified :class:`repro.api.Report` (this
-    wrapper keeps returning the native :class:`CheckResult`)."""
-    from ..deprecation import warn_deprecated
-
-    warn_deprecated("check_snapshot_isolation()", "repro.check(history)")
-    return PolySIChecker(**options).check(history)

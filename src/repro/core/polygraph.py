@@ -602,14 +602,20 @@ class PolygraphBuilder:
         # Drop axiom indexes that predate the oldest live transaction: a
         # later read of such a value surfaces as an unjustified read — the
         # same verdict with a coarser label (DESIGN.md, window soundness).
+        # Not a value the caller declared initial: a read of that one
+        # would match the init rule instead, and pass.
         horizon = min((t.tid for t in self.txn_of.values()), default=0)
+        initial = self.initial_values
+
+        def keep(kv, rec) -> bool:
+            return (rec[1] >= horizon
+                    or (kv[0] in initial and initial[kv[0]] == kv[1]))
+
         self.aborted_writes = {
-            kv: rec for kv, rec in self.aborted_writes.items()
-            if rec[1] >= horizon
+            kv: rec for kv, rec in self.aborted_writes.items() if keep(kv, rec)
         }
         self.intermediate = {
-            kv: rec for kv, rec in self.intermediate.items()
-            if rec[1] >= horizon
+            kv: rec for kv, rec in self.intermediate.items() if keep(kv, rec)
         }
 
     # -- persistence (keys of the STATE_VERSION 1 checkpoint payload) ---------

@@ -4,22 +4,14 @@ from .segmented import (
     Segment,
     SegmentedCheckResult,
     SegmentedRun,
-    check_segmented,
     run_segmented_workload,
 )
-from .causal import (
-    WeakCheckResult,
-    check_read_atomicity,
-    check_transactional_causal_consistency,
-)
+from .causal import WeakCheckResult
 
 __all__ = [
     "Segment",
     "SegmentedCheckResult",
     "SegmentedRun",
-    "check_segmented",
     "run_segmented_workload",
     "WeakCheckResult",
-    "check_read_atomicity",
-    "check_transactional_causal_consistency",
 ]

@@ -41,11 +41,7 @@ from ..core.axioms import AxiomViolation, check_axioms
 from ..core.history import History, INITIAL_VALUE
 from ..utils.reachability import Reachability, transitive_closure_bits
 
-__all__ = [
-    "WeakCheckResult",
-    "check_transactional_causal_consistency",
-    "check_read_atomicity",
-]
+__all__ = ["WeakCheckResult"]
 
 
 class WeakCheckResult:
@@ -106,28 +102,6 @@ def _causal_order(history: History,
         if writer >= 0:
             succ[writer].append(reader)
     return transitive_closure_bits(n, succ)
-
-
-def check_transactional_causal_consistency(history: History) -> WeakCheckResult:
-    """Deprecated alias for the façade: use
-    ``repro.check(history, isolation="causal")`` instead (this wrapper
-    keeps returning the native :class:`WeakCheckResult`)."""
-    from ..deprecation import warn_deprecated
-
-    warn_deprecated("check_transactional_causal_consistency()",
-                    'repro.check(history, isolation="causal")')
-    return _check_tcc(history)
-
-
-def check_read_atomicity(history: History) -> WeakCheckResult:
-    """Deprecated alias for the façade: use
-    ``repro.check(history, isolation="ra")`` instead (this wrapper keeps
-    returning the native :class:`WeakCheckResult`)."""
-    from ..deprecation import warn_deprecated
-
-    warn_deprecated("check_read_atomicity()",
-                    'repro.check(history, isolation="ra")')
-    return _check_ra(history)
 
 
 def _check_tcc(history: History) -> WeakCheckResult:

@@ -16,11 +16,12 @@ The protocol implemented here:
    client-side barrier), then issues a read-only snapshot transaction
    over every key written so far and records the observed values as the
    segment boundary.
-2. :func:`check_segmented` checks each segment independently: the
-   previous snapshot's observations become the segment's *initial
-   values* (``PolySIChecker(initial_values=...)``), so reads of
-   pre-segment state resolve to the virtual init transaction, and reads
-   of anything else stale are flagged.
+2. ``repro.check(run, mode="segmented")`` checks each segment
+   independently (:func:`_check_segmented`): the previous snapshot's
+   observations become the segment's *initial values*
+   (``PolySIChecker(initial_values=...)``), so reads of pre-segment
+   state resolve to the virtual init transaction, and reads of anything
+   else stale are flagged.
 
 Soundness relies on the barrier: because no transaction straddles a
 boundary, a correct SI database serves every post-snapshot transaction a
@@ -63,7 +64,6 @@ __all__ = [
     "SegmentedRun",
     "SegmentedCheckResult",
     "run_segmented_workload",
-    "check_segmented",
 ]
 
 
@@ -295,25 +295,6 @@ def _check_pooled(segments: List[Segment], pool_workers: int,
         if spans:
             tracer.adopt(spans, parent=pool_span, worker=pid)
     return [(segment, result) for segment, (result, _spans, _pid) in ran]
-
-
-def check_segmented(
-    run: SegmentedRun,
-    *,
-    workers: int = 1,
-    oversubscribe: bool = False,
-    **checker_options,
-) -> SegmentedCheckResult:
-    """Deprecated alias for the façade: use
-    ``repro.check(run, mode="segmented", workers=N)`` instead, which
-    returns the unified :class:`repro.api.Report` (this wrapper keeps
-    returning the native :class:`SegmentedCheckResult`)."""
-    from ..deprecation import warn_deprecated
-
-    warn_deprecated("check_segmented()",
-                    'repro.check(run, mode="segmented", workers=N)')
-    return _check_segmented(run, workers=workers,
-                            oversubscribe=oversubscribe, **checker_options)
 
 
 def _check_segmented(

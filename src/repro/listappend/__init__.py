@@ -11,7 +11,7 @@ from .model import (
     ListTransaction,
 )
 from .infer import build_list_polygraph, register_view
-from .checker import ListAppendChecker, check_list_history
+from .checker import ListAppendChecker
 from .generator import (
     generate_list_history,
     generate_list_workload,
@@ -30,7 +30,6 @@ __all__ = [
     "build_list_polygraph",
     "register_view",
     "ListAppendChecker",
-    "check_list_history",
     "generate_list_history",
     "generate_list_workload",
     "run_list_workload",

@@ -17,7 +17,7 @@ from ..core.checker import CheckResult, PolySIChecker
 from .infer import build_list_polygraph
 from .model import ListHistory
 
-__all__ = ["ListAppendChecker", "check_list_history"]
+__all__ = ["ListAppendChecker"]
 
 
 class ListAppendChecker:
@@ -41,15 +41,3 @@ class ListAppendChecker:
             return result
 
         return PolySIChecker(prune=self.prune).check_polygraph(graph, result)
-
-
-def check_list_history(history: ListHistory, **options) -> CheckResult:
-    """Deprecated alias for the façade: use ``repro.check(history,
-    isolation="listappend")`` instead, which returns the unified
-    :class:`repro.api.Report` (this wrapper keeps returning the native
-    :class:`CheckResult`)."""
-    from ..deprecation import warn_deprecated
-
-    warn_deprecated("check_list_history()",
-                    'repro.check(history, isolation="listappend")')
-    return ListAppendChecker(**options).check(history)

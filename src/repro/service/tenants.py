@@ -8,7 +8,9 @@ Each tenant (an isolation domain: one application, one keyspace) owns
   absorbed into unbounded buffering;
 - an :class:`~repro.online.OnlineChecker` the queue drains into — off
   the event loop, so a slow solve never stalls ingestion or the HTTP
-  API;
+  API — driven by a :class:`~repro.store.PersistentCheck`, which with
+  ``ServiceConfig.state_dir`` also journals, checkpoints and recovers
+  it (DESIGN.md S14);
 - its own :class:`~repro.obs.Tracer` and
   :class:`~repro.obs.MetricsRegistry`, installed ambiently around each
   batch of its events: every event the checker processes becomes a root
@@ -40,8 +42,8 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..api import adapt_result
 from ..histories.codec import history_from_events
 from ..obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-from ..online import OnlineChecker, WindowPolicy
-from ..store.segments import SegmentStore
+from ..online import WindowPolicy
+from ..store.resume import PersistentCheck, ingest_error
 from .config import ServiceConfig
 
 __all__ = ["TenantChecker", "SessionRouter", "TenantError",
@@ -50,12 +52,6 @@ __all__ = ["TenantChecker", "SessionRouter", "TenantError",
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 _log = logging.getLogger(__name__)
 
-#: Events of one tenant the checker thread checks, as one batch, before
-#: it moves on to the next ready tenant — what bounds how long one
-#: tenant's backlog can keep the others waiting.  A constant, not an
-#: option: 16, 64 and 256 measured inside each other's noise
-#: (docs/benchmarks.md, "one checker thread for all tenants").
-BATCH_EVENTS = 64
 #: Queued behind a tenant's last event by ``drain``.
 _FINISH = object()
 
@@ -81,7 +77,6 @@ class TenantChecker:
         self.name = name
         self.config = config
         self.sessions = frozenset(sessions) if sessions is not None else None
-        self.window = window
         #: ``(event, offered_at)`` in offer order (``_FINISH`` for the
         #: event last): appended under the offer lock, popped by the
         #: checker thread.
@@ -92,62 +87,53 @@ class TenantChecker:
         self._schedule = schedule
         self.tracer = Tracer(max_spans=config.max_spans)
         self.registry = MetricsRegistry()
-        #: Per-tenant segment store (``config.state_dir`` set): every
-        #: accepted event is journaled there before it is acknowledged,
-        #: and the checker is checkpointed every
-        #: ``config.checkpoint_every`` consumed events (DESIGN.md S14).
-        self.store: Optional[SegmentStore] = None
-        self.checkpoints_written = 0
-        self.recovered_events = 0
-        self._restored_at = 0
         self._journal_error: Optional[str] = None
         self._offer_lock = threading.Lock()
-        checkpoint = None
-        if config.state_dir:
-            self.store = SegmentStore.open_or_create(
-                tenant_store_path(config.state_dir, name),
-                meta={"tenant": name,
-                      "sessions": (sorted(self.sessions)
-                                   if self.sessions is not None else None)},
-            )
-            checkpoint = self.store.latest_checkpoint_payload()
-        extra = {}
-        if checkpoint is not None:
-            self._checker = OnlineChecker.restore(checkpoint["checker"])
-            self._restored_at = checkpoint["events"]
-            extra = checkpoint.get("extra") or {}
-            # The router re-targets ``self.window`` in place when the
-            # global budget is re-divided; the restored checker rebuilt
-            # its own policy object, so adopt that one.
-            self.window = self._checker.window
-        else:
-            self._checker = OnlineChecker(
+        self.final_payload: Optional[dict] = None
+        self.events_rejected = 0
+        #: The checked events, in check order, for the drain-time
+        #: reclassification — dropped once they overflow
+        #: ``retain_events``.
+        self._retained: Optional[List[tuple]] = (
+            [] if config.retain_events > 0 else None)
+        #: The S14 driver (DESIGN.md S14): with ``config.state_dir``,
+        #: every accepted event is journaled to the tenant's segment
+        #: store before it is acknowledged, the checker is checkpointed
+        #: every ``config.checkpoint_every`` checked events, and this
+        #: constructor restores the newest checkpoint and replays the
+        #: journal's tail — on the constructing thread, before anything
+        #: can be offered, so a recovered verdict is queryable by the
+        #: time the tenant is reachable.
+        with use_tracer(self.tracer), use_metrics(self.registry):
+            self.persistent = PersistentCheck(
+                (tenant_store_path(config.state_dir, name)
+                 if config.state_dir else None),
+                checkpoint_every=config.checkpoint_every,
+                store_kwargs={"meta": {
+                    "tenant": name,
+                    "sessions": (sorted(self.sessions)
+                                 if self.sessions is not None else None),
+                }},
+                on_batch=self._retain,
                 solve_every=config.solve_every,
                 window=window,
                 sessions=self.sessions if window is not None else None,
                 closure_backend=config.closure_backend,
             )
+        # Resuming past a checkpoint skips the log prefix, so retention
+        # (best-effort explanation state) restarts truncated.
+        if self.persistent.resumed_from:
+            self._retained = None
+        self.retention_truncated = self._retained is None
+        # The router re-targets ``self.window`` in place when the global
+        # budget is re-divided: it must be the policy the checker
+        # consults, which a restored checker rebuilt.
+        self.window = self.persistent.checker.window
         #: Latest verdict snapshot, replaced (never mutated) by the
         #: worker after each batch — HTTP readers take the reference
         #: without locking.
-        self.latest = self._checker.result()
-        self.final_payload: Optional[dict] = None
-        self.events_seen = self._restored_at
-        self.events_rejected = 0
-        self.committed_seen = int(extra.get("committed_seen", 0))
-        self.stamped_seen = int(extra.get("stamped_seen", 0))
-        self._retained: Optional[List[tuple]] = (
-            [] if config.retain_events > 0 and self._restored_at == 0
-            else None
-        )
-        #: First ingest failure, latched: an event that was acknowledged
-        #: but not absorbed poisons the stream, so the *final* verdict
-        #: must stay the error — ``_checker.finish()`` alone would
-        #: happily report on the partial stream it did absorb.
-        self._ingest_error: Optional[str] = None
-        # Resuming past a checkpoint skips the log prefix, so retention
-        # (best-effort explanation state) restarts truncated.
-        self.retention_truncated = self._retained is None
+        self.latest = self.persistent.latest
+        self.registry.gauge("tenant.events").set(self.events_seen)
         #: Called (from the checker thread) at the end of a batch if
         #: ``space_wanted`` — which the event loop sets before it parks
         #: a TCP producer on a full queue — so it can wake them.
@@ -161,30 +147,11 @@ class TenantChecker:
         self._finish_queued = False
         #: Set last of all, after the store is closed (lock released).
         self._finished = threading.Event()
-        if self.store is not None:
-            self._recover()
 
-    def _recover(self) -> None:
-        """Replay the journaled log past the restored checkpoint —
-        through the same batch path live ingestion uses, sliced by the
-        same rule, so the verdict, counters, checkpoints and retention
-        state match an uninterrupted run.  Runs on the constructing
-        thread, *before* anything can be offered: by the time the
-        tenant is reachable its recovered verdict is already
-        queryable."""
-        with use_tracer(self.tracer), use_metrics(self.registry):
-            batch: List[tuple] = []
-            for _pos, event in self.store.iter_events(self._restored_at):
-                batch.append(event)
-                if len(batch) == self._slice_limit():
-                    self._handle_batch(batch)
-                    batch = []
-            if batch:
-                self._handle_batch(batch)
-        self.recovered_events = self.events_seen
-        if self.recovered_events:
-            self.registry.gauge("tenant.recovered").set(
-                self.recovered_events)
+    @property
+    def events_seen(self) -> int:
+        """Events checked (recovered ones included)."""
+        return self.persistent.events
 
     # -- ingestion side (event loop / HTTP handler threads) -----------------
 
@@ -195,7 +162,7 @@ class TenantChecker:
         is the producer's to resend, so nothing is silently lost (see
         DESIGN.md S13).
 
-        With a store attached, the event is journaled (appended +
+        With a state directory, the event is journaled (appended +
         flushed — SIGKILL-durable) before the checker thread can see it
         and before this returns ``True``: no checkpoint describes an
         event the journal lacks, and the producer is never told
@@ -217,17 +184,16 @@ class TenantChecker:
                 self.events_rejected += 1
                 self.registry.counter("tenant.rejected").inc()
                 return False
-            if self.store is not None:
-                try:
-                    self.store.append_decoded(event)
-                except Exception as exc:  # noqa: BLE001 - poison, don't lie
-                    # Nothing was queued or acknowledged; latch the
-                    # failure so the final verdict is an error instead
-                    # of a resumable-looking journal missing its tail.
-                    self._journal_error = str(exc)
-                    raise TenantError(
-                        f"tenant {self.name!r} journal failed: {exc}"
-                    )
+            try:
+                self.persistent.journal(event, decoded=True)
+            except Exception as exc:  # noqa: BLE001 - poison, don't lie
+                # Nothing was queued or acknowledged, and the driver has
+                # latched the failure as the verdict; refuse what follows
+                # instead of a resumable-looking journal missing its tail.
+                self._journal_error = str(exc)
+                raise TenantError(
+                    f"tenant {self.name!r} journal failed: {exc}"
+                )
             self._hand_off((event, time.monotonic()))
         return True
 
@@ -246,17 +212,20 @@ class TenantChecker:
 
     def run_batch(self) -> tuple:
         """Check one slice of queued events as one batch (checker thread
-        only): up to :data:`BATCH_EVENTS`, cut at the finish marker and
-        at the next checkpoint position.  Returns ``(checked, more)``:
-        ``more`` means events are still queued and the tenant keeps its
-        place in line; otherwise the next hand-off schedules it again."""
+        only): up to :data:`~repro.store.resume.BATCH_EVENTS`, cut at the
+        finish marker and at the next checkpoint position
+        (:meth:`~repro.store.PersistentCheck.slice_limit`).  Returns
+        ``(checked, more)``: ``more`` means events are still queued and
+        the tenant keeps its place in line; otherwise the next hand-off
+        schedules it again."""
         pending = self._pending
         checked = 0
         try:
             with use_tracer(self.tracer), use_metrics(self.registry):
                 self.registry.histogram("tenant.queue_wait_s").observe(
                     time.monotonic() - pending[0][1])
-                batch, limit, finish = [], self._slice_limit(), False
+                batch, finish = [], False
+                limit = self.persistent.slice_limit()
                 while pending and len(batch) < limit:
                     event = pending.popleft()[0]
                     if event is _FINISH:
@@ -265,7 +234,9 @@ class TenantChecker:
                     batch.append(event)
                 checked = len(batch)
                 if batch:
-                    self._handle_batch(batch)
+                    self.latest = self.persistent.check(batch)
+                    self.registry.gauge("tenant.events").set(
+                        self.events_seen)
                 if finish:
                     self._finish()
         except Exception as exc:  # noqa: BLE001 - one tenant's failure
@@ -284,128 +255,43 @@ class TenantChecker:
 
     def _crash(self, exc: Exception) -> None:
         with self._offer_lock:  # no offer lands between clear and set
-            self.latest = self._error_result(
-                f"tenant checker crashed: {exc!r}")
+            self.latest = ingest_error(f"tenant checker crashed: {exc!r}")
             self.final_payload = self._fallback_payload()
             self._pending.clear()
-            self._close_store()
+            self._close()
             self._finished.set()
 
-    def _slice_limit(self) -> int:
-        """Events the next slice may hold: :data:`BATCH_EVENTS`, cut at
-        the next ``checkpoint_every`` multiple, so every checkpoint falls
-        on a slice end — where it fell when events were checked one by
-        one."""
-        every = self.config.checkpoint_every
-        if self.store is None or not every:
-            return BATCH_EVENTS
-        return min(BATCH_EVENTS, every - self.events_seen % every)
-
-    def _handle_batch(self, events: List[tuple]) -> None:
-        """Check one slice: the per-event bookkeeping, one
-        :meth:`~repro.online.OnlineChecker.extend` call, one checkpoint
-        decision."""
-        for event in events:
-            if event[2] == "committed":
-                self.committed_seen += 1
-                ts = event[3] if len(event) > 3 else None
-                if ts is not None and ts[0] is not None and ts[1] is not None:
-                    self.stamped_seen += 1
-            if self._retained is not None:
-                if len(self._retained) < self.config.retain_events:
-                    self._retained.append(event)
-                else:
-                    self._retained = None
-                    self.retention_truncated = True
-        # After an ingest failure the checker is fed nothing more: the
-        # error is the verdict, and a clean event must not replace it.
-        if self._ingest_error is None:
-            try:
-                self.latest = self._checker.extend(events)
-            except Exception as exc:  # noqa: BLE001 - keep consuming
-                # Undeclared session under a window, duplicate values, an
-                # unhashable key the codec missed, ...: latch an error
-                # verdict and keep consuming (the events were
-                # acknowledged).
-                self._ingest_error = str(exc)
-                self.latest = self._error_result(self._ingest_error)
-        self.events_seen += len(events)
-        self.registry.gauge("tenant.events").set(self.events_seen)
-        self._maybe_checkpoint()
-
-    # -- checkpointing (checker thread) --------------------------------------
-
-    def _maybe_checkpoint(self) -> None:
-        if (self.store is None or not self.config.checkpoint_every
-                or self.events_seen % self.config.checkpoint_every):
+    def _retain(self, events: List[tuple]) -> None:
+        """Keep a checked slice for the drain-time reclassification
+        (the driver's ``on_batch``, so replayed slices count too)."""
+        if self._retained is None:
             return
-        self._write_checkpoint()
+        if len(self._retained) + len(events) <= self.config.retain_events:
+            self._retained.extend(events)
+        else:
+            self._retained = None
+            self.retention_truncated = True
 
-    def _write_checkpoint(self) -> None:
-        """Snapshot the checker at the current consume position.
-
-        ``events_seen`` equals the event's journal position + 1 (journal
-        order is pinned to queue order by the offer lock, and an event
-        is journaled before it is queued), so the
-        checkpoint is keyed exactly as the store expects: state after
-        the first N log events.  Best-effort — a failed checkpoint only
-        means recovery replays more of the journal.
-        """
-        if (not self.latest.satisfies_si or self._ingest_error is not None
-                or self._journal_error is not None):
-            return
+    def _close(self) -> None:
         try:
-            state = self._checker.snapshot()
-            self.store.save_checkpoint(self.events_seen, state, extra={
-                "committed_seen": self.committed_seen,
-                "stamped_seen": self.stamped_seen,
-            })
-            self.checkpoints_written += 1
-            self.registry.counter("tenant.checkpoints").inc()
-        except Exception:  # noqa: BLE001 - the journal stays the record
-            self.registry.counter("tenant.checkpoint_errors").inc()
-
-    def _close_store(self) -> None:
-        if self.store is not None:
-            try:
-                self.store.close()
-            except Exception:  # noqa: BLE001 - nothing left to protect
-                pass
-
-    def _error_result(self, detail: str):
-        from ..online.checker import OnlineResult
-
-        out = OnlineResult()
-        out.satisfies_si = False
-        out.final = True
-        out.decided_by = "ingest-error"
-        out.stats = {"error": detail}
-        return out
+            self.persistent.close()
+        except Exception:  # noqa: BLE001 - nothing left to protect
+            pass
 
     def _finish(self) -> None:
         try:
-            if self._journal_error is not None:
-                result = self._error_result(
-                    f"journal failed: {self._journal_error}")
-            elif self._ingest_error is not None:
-                result = self._error_result(self._ingest_error)
-            else:
-                result = self._checker.finish()
-            self.latest = result
-            if result.satisfies_si:
-                # Final checkpoint: a restart after a clean drain
-                # recovers the verdict without replaying anything.
-                self._write_checkpoint()
+            self.persistent.finish()
+            result = self.latest = self.persistent.latest
             payload = self._payload_for(result, final=True)
             if (not result.satisfies_si and self.config.explain_on_drain
                     and self._retained is not None
                     and result.decided_by != "ingest-error"):
                 payload.update(self._recheck_classification())
         except Exception as exc:  # noqa: BLE001 - drain must return
-            self.latest = self._error_result(f"finish failed: {exc}")
+            self.latest = ingest_error(f"finish failed: {exc}")
             payload = self._fallback_payload()
         self.final_payload = payload
-        self._close_store()
+        self._close()
         self._finished.set()
 
     def _recheck_classification(self) -> dict:
@@ -478,26 +364,22 @@ class TenantChecker:
         report = adapt_result(result, isolation="si", mode="online",
                               engine="polysi")
         body = report.to_dict()
+        persistent = self.persistent
         payload = {
             "tenant": self.name,
             "final": final,
             "events": self.events_seen,
             "rejected": self.events_rejected,
             "timestamped_fraction": (
-                round(self.stamped_seen / self.committed_seen, 6)
-                if self.committed_seen else 0.0
+                round(persistent.stamped_seen / persistent.committed_seen, 6)
+                if persistent.committed_seen else 0.0
             ),
             "retention_truncated": self.retention_truncated,
             "report": body,
         }
-        if self.store is not None:
-            payload["persistence"] = {
-                "state_dir": self.store.path,
-                "journaled_events": self.store.total_events,
-                "recovered_events": self.recovered_events,
-                "resumed_from": self._restored_at,
-                "checkpoints_written": self.checkpoints_written,
-            }
+        persistence = persistent.persistence()
+        if persistence is not None:
+            payload["persistence"] = persistence
         if not report.ok:
             example = report.counterexample
             if example is not None:
@@ -519,10 +401,11 @@ class TenantChecker:
             "window": stats.get("window", {}),
             "satisfies_si": self.latest.satisfies_si,
         }
-        if self.store is not None:
-            out["journaled_events"] = self.store.total_events
-            out["checkpoints_written"] = self.checkpoints_written
-            out["recovered_events"] = self.recovered_events
+        persistence = self.persistent.persistence()
+        if persistence is not None:
+            for key in ("journaled_events", "checkpoints_written",
+                        "recovered_events"):
+                out[key] = persistence[key]
         return out
 
 

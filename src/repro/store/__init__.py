@@ -8,9 +8,11 @@ Three layers, bottom up:
   on-disk event log in ``repro-events/1`` JSONL segments with a
   versioned manifest, per-segment CRCs, advisory locking, and
   checkpoint snapshots (``repro-checkpoint/1``) at segment boundaries.
-- :mod:`repro.store.resume` — the resumable online-check driver that
-  the CLI (``watch``/``check``), the facade (``CheckOptions``
-  persistence options) and the service daemon all share.
+- :mod:`repro.store.resume` — :class:`PersistentCheck`, the one
+  driver of the journal/checkpoint/resume protocol: the CLI
+  (``watch``/``check``), the facade (``CheckOptions`` persistence
+  options) and every service-daemon tenant check through it, and
+  nothing else reads or writes a checkpoint.
 
 ``repro.histories.codec`` imports :mod:`repro.store.atomic` while
 :mod:`repro.store.segments` imports the codec, so this package resolves

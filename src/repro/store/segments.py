@@ -418,6 +418,12 @@ class SegmentStore:
         Reads a stable prefix: events appended concurrently (by this
         same process) after the call may or may not be seen.
         """
+        for position, line in self.iter_lines(start):
+            yield position, event_from_json(line)
+
+    def iter_lines(self, start: int = 0) -> Iterator[Tuple[int, str]]:
+        """:meth:`iter_events` without the decoding: ``(position,
+        line)``, each line as journaled (no trailing newline)."""
         with self._lock:
             plan = [(record["name"], record["events"])
                     for record in self._sealed]
@@ -438,7 +444,7 @@ class SegmentStore:
                     if i >= count:
                         break
                     if position >= start:
-                        yield position, event_from_json(line)
+                        yield position, line.rstrip("\n")
                     position += 1
 
     # -- checkpoints ---------------------------------------------------------
@@ -488,13 +494,6 @@ class SegmentStore:
             except ValueError:
                 continue
         return out
-
-    def latest_checkpoint(self) -> Optional[Tuple[int, dict]]:
-        """Newest *loadable* checkpoint as ``(events, checker_state)``."""
-        payload = self.latest_checkpoint_payload()
-        if payload is None:
-            return None
-        return payload["events"], payload["checker"]
 
     def latest_checkpoint_payload(self) -> Optional[dict]:
         """Newest *loadable* checkpoint payload (``events``, ``checker``,

@@ -1,15 +1,13 @@
 """Tests for the unified checking façade (repro.api).
 
 One ``Checker`` / ``repro.check`` call per scenario, one ``Report``
-type out, registry-driven capability errors, and deprecation shims on
-every pre-façade entry point.
+type out, and registry-driven capability errors.
 """
 
 import json
 
 import pytest
 
-import repro
 from repro.api import (
     Checker,
     CheckerError,
@@ -318,48 +316,6 @@ class TestRegistryExtension:
             assert report.ok and report.decided_by == "oracle"
         finally:
             del _REGISTRY["test-always-ok"]
-
-
-class TestDeprecatedEntryPoints:
-    """Every pre-façade convenience entry point still works and warns."""
-
-    def test_check_snapshot_isolation(self):
-        with pytest.warns(DeprecationWarning):
-            result = repro.check_snapshot_isolation(long_fork_history())
-        assert isinstance(result, CheckResult)
-        assert not result.satisfies_si
-
-    def test_check_segmented(self):
-        from repro.extensions import check_segmented
-
-        with pytest.warns(DeprecationWarning):
-            result = check_segmented(_segmented_run())
-        assert result.satisfies_si
-
-    def test_weak_isolation_checkers(self):
-        from repro.extensions import (
-            check_read_atomicity,
-            check_transactional_causal_consistency,
-        )
-
-        with pytest.warns(DeprecationWarning):
-            assert check_transactional_causal_consistency(
-                serializable_history()
-            ).satisfies
-        with pytest.warns(DeprecationWarning):
-            assert check_read_atomicity(serializable_history()).satisfies
-
-    def test_check_list_history(self):
-        from repro.listappend import check_list_history
-
-        with pytest.warns(DeprecationWarning):
-            assert check_list_history(_list_history()).satisfies_si
-
-    def test_deprecated_wrappers_agree_with_facade(self):
-        with pytest.warns(DeprecationWarning):
-            old = repro.check_snapshot_isolation(lost_update_history())
-        new = repro.check(lost_update_history())
-        assert old.satisfies_si == new.ok
 
 
 class TestAdaptResult:

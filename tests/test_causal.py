@@ -10,12 +10,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.checker import check_snapshot_isolation
+from repro import check
+from repro.core.checker import PolySIChecker
 from repro.core.history import ABORTED, HistoryBuilder, R, W
-from repro.extensions import (
-    check_read_atomicity,
-    check_transactional_causal_consistency,
-)
 from repro.storage.faults import FaultConfig
 from repro.workloads.corpus import make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
@@ -31,34 +28,44 @@ from _helpers import (
 )
 
 
+def check_tcc(history):
+    """The native TCC verdict (:class:`~repro.extensions.WeakCheckResult`)."""
+    return check(history, isolation="causal", trace=False).native
+
+
+def check_ra(history):
+    """The native Read Atomicity verdict."""
+    return check(history, isolation="ra", trace=False).native
+
+
 class TestLevelSeparations:
     """The classic anomalies land exactly between the levels."""
 
     def test_long_fork_separates_si_from_tcc(self):
         h = long_fork_history()
-        assert not check_snapshot_isolation(h).satisfies_si
-        assert check_transactional_causal_consistency(h).satisfies
+        assert not PolySIChecker().check(h).satisfies_si
+        assert check_tcc(h).satisfies
 
     def test_lost_update_separates_si_from_tcc(self):
         h = lost_update_history()
-        assert not check_snapshot_isolation(h).satisfies_si
-        assert check_transactional_causal_consistency(h).satisfies
+        assert not PolySIChecker().check(h).satisfies_si
+        assert check_tcc(h).satisfies
 
     def test_causality_violation_separates_tcc_from_ra(self):
         h = causality_history()
-        assert not check_transactional_causal_consistency(h).satisfies
-        assert check_read_atomicity(h).satisfies
+        assert not check_tcc(h).satisfies
+        assert check_ra(h).satisfies
 
     def test_fractured_read_violates_ra(self):
         h = make_anomaly("read-skew", seed=1)
-        result = check_read_atomicity(h)
+        result = check_ra(h)
         assert not result.satisfies
         assert any(a.axiom == "FracturedRead" for a in result.anomalies)
 
     def test_valid_histories_pass_everything(self):
         for h in (serializable_history(), write_skew_history()):
-            assert check_transactional_causal_consistency(h).satisfies
-            assert check_read_atomicity(h).satisfies
+            assert check_tcc(h).satisfies
+            assert check_ra(h).satisfies
 
 
 class TestTccBadPatterns:
@@ -69,7 +76,7 @@ class TestTccBadPatterns:
         b.txn(1, [R("x", 1), W("x", 2), W("m", 1)])  # w' observed w
         b.txn(2, [R("m", 1)])                  # r causally after w'
         b.txn(2, [R("x", 1)])                  # ...but reads w's version
-        result = check_transactional_causal_consistency(b.build())
+        result = check_tcc(b.build())
         assert not result.satisfies
         assert any(a.axiom == "WriteCORead" for a in result.anomalies)
 
@@ -78,13 +85,13 @@ class TestTccBadPatterns:
         b.txn(0, [W("x", 1), W("m", 1)])
         b.txn(1, [R("m", 1)])        # causally after the writer
         b.txn(1, [R("x", None)])     # yet reads the initial state
-        result = check_transactional_causal_consistency(b.build())
+        result = check_tcc(b.build())
         assert not result.satisfies
         assert any(a.axiom == "WriteCOInitRead" for a in result.anomalies)
 
     def test_cyclic_information_flow_fails_tcc(self):
         h = build([R("y", 2), W("x", 1)], [R("x", 1), W("y", 2)])
-        result = check_transactional_causal_consistency(h)
+        result = check_tcc(h)
         assert not result.satisfies
         assert any(a.axiom == "CyclicCO" for a in result.anomalies)
 
@@ -92,12 +99,12 @@ class TestTccBadPatterns:
         b = HistoryBuilder()
         b.txn(0, [W("x", 1)], status=ABORTED)
         b.txn(1, [R("x", 1)])
-        result = check_transactional_causal_consistency(b.build())
+        result = check_tcc(b.build())
         assert not result.satisfies
         assert result.anomalies[0].axiom == "AbortedReads"
 
     def test_describe(self):
-        result = check_transactional_causal_consistency(causality_history())
+        result = check_tcc(causality_history())
         assert "violates TCC" in result.describe()
 
 
@@ -107,7 +114,7 @@ class TestRaDetails:
         b = HistoryBuilder()
         b.txn(0, [W("x", 1), W("y", 1)])
         b.txn(1, [R("x", 1), R("y", None)])
-        result = check_read_atomicity(b.build())
+        result = check_ra(b.build())
         assert not result.satisfies
 
     def test_reading_newer_other_key_allowed(self):
@@ -116,11 +123,11 @@ class TestRaDetails:
         b.txn(0, [W("x", 1), W("y", 1)])
         b.txn(1, [R("y", 1), W("y", 2)])
         b.txn(2, [R("x", 1), R("y", 2)])
-        assert check_read_atomicity(b.build()).satisfies
+        assert check_ra(b.build()).satisfies
 
     def test_single_key_reads_never_fractured(self):
         h = causality_history()
-        assert check_read_atomicity(h).satisfies
+        assert check_ra(h).satisfies
 
 
 class TestHierarchyProperties:
@@ -130,9 +137,9 @@ class TestHierarchyProperties:
         rng = random.Random(seed)
         h = random_history(rng, sessions=3, txns_per_session=2,
                            max_ops=4, keys=3, abort_prob=0.1)
-        si = check_snapshot_isolation(h).satisfies_si
-        tcc = check_transactional_causal_consistency(h).satisfies
-        ra = check_read_atomicity(h).satisfies
+        si = PolySIChecker().check(h).satisfies_si
+        tcc = check_tcc(h).satisfies
+        ra = check_ra(h).satisfies
         if si:
             assert tcc, "SI history failed TCC"
         if tcc:
@@ -144,8 +151,8 @@ class TestHierarchyProperties:
                                 ops_per_txn=5, keys=10,
                                 distribution="uniform")
         run = generate_history(params, seed=seed)
-        assert check_transactional_causal_consistency(run.history).satisfies
-        assert check_read_atomicity(run.history).satisfies
+        assert check_tcc(run.history).satisfies
+        assert check_ra(run.history).satisfies
 
     def test_no_fcw_store_is_still_causal(self):
         """Dropping first-committer-wins yields lost updates (SI broken)
@@ -159,11 +166,9 @@ class TestHierarchyProperties:
                 params, seed=seed,
                 faults=FaultConfig(no_first_committer_wins=True),
             )
-            if not check_snapshot_isolation(run.history).satisfies_si:
+            if not PolySIChecker().check(run.history).satisfies_si:
                 si_broken += 1
-            if not check_transactional_causal_consistency(
-                run.history
-            ).satisfies:
+            if not check_tcc(run.history).satisfies:
                 tcc_broken += 1
         assert si_broken > 0
         assert tcc_broken == 0
@@ -179,9 +184,7 @@ class TestHierarchyProperties:
                 faults=FaultConfig(stale_snapshot_prob=0.5,
                                    stale_snapshot_depth=10),
             )
-            if not check_transactional_causal_consistency(
-                run.history
-            ).satisfies:
+            if not check_tcc(run.history).satisfies:
                 found = True
                 break
         assert found

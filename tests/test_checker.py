@@ -3,7 +3,7 @@ every canonical non-anomaly, including the paper's own figures."""
 
 import pytest
 
-from repro.core.checker import CheckResult, PolySIChecker, check_snapshot_isolation
+from repro.core.checker import CheckResult, PolySIChecker
 from repro.core.history import ABORTED, HistoryBuilder, R, W
 
 from _helpers import (
@@ -17,7 +17,7 @@ from _helpers import (
 
 
 def verdict(history, **options) -> CheckResult:
-    return check_snapshot_isolation(history, **options)
+    return PolySIChecker(**options).check(history)
 
 
 class TestValidHistories:

@@ -110,14 +110,14 @@ class TestFileIO:
 
     def test_verdict_survives_roundtrip(self):
         """Serialization must not change the checker's verdict."""
-        from repro import check_snapshot_isolation
+        from repro import PolySIChecker
         from _helpers import long_fork_history
 
         h = long_fork_history()
         back = history_from_json(history_to_json(h))
         assert (
-            check_snapshot_isolation(h).satisfies_si
-            == check_snapshot_isolation(back).satisfies_si
+            PolySIChecker().check(h).satisfies_si
+            == PolySIChecker().check(back).satisfies_si
             == False  # noqa: E712
         )
 

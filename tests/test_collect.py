@@ -25,7 +25,7 @@ from repro.collect import (
     collect_history,
     make_adapter,
 )
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.core.history import ABORTED, COMMITTED, INITIAL_VALUE
 from repro.histories.codec import history_from_json, history_to_json
 from repro.interpret import interpret_violation
@@ -130,7 +130,7 @@ class TestDBAPIAdapter:
         adapter = DBAPIAdapter("sqlite3", dsn=str(tmp_path / "kv.db"))
         run = collect_history(adapter, SMALL, seed=5)
         assert len(run.history) > 0
-        assert check_snapshot_isolation(run.history).satisfies_si
+        assert PolySIChecker().check(run.history).satisfies_si
 
 
 class TestAdapterRegistry:
@@ -243,8 +243,8 @@ class TestCollectorFailureModes:
             second = collector.run(spec)
             # Leftover values from run 1 must not surface in run 2 as
             # reads of values nobody wrote.
-            assert check_snapshot_isolation(first.history).satisfies_si
-            assert check_snapshot_isolation(second.history).satisfies_si
+            assert PolySIChecker().check(first.history).satisfies_si
+            assert PolySIChecker().check(second.history).satisfies_si
         finally:
             adapter.close()
 
@@ -282,12 +282,12 @@ class TestRoundTrip:
 
     def test_history_is_valid_and_si(self, collected):
         collected.history.validate()
-        assert check_snapshot_isolation(collected.history).satisfies_si
+        assert PolySIChecker().check(collected.history).satisfies_si
 
     def test_codec_round_trip_preserves_verdict(self, collected):
         reloaded = history_from_json(history_to_json(collected.history))
         assert len(reloaded) == len(collected.history)
-        assert check_snapshot_isolation(reloaded).satisfies_si
+        assert PolySIChecker().check(reloaded).satisfies_si
 
     def test_online_verdict_agrees(self, collected):
         result = OnlineChecker().replay(collected.history)
@@ -325,7 +325,7 @@ class TestFaultyAdapter:
     def test_injection_yields_classified_violation(self, profile):
         adapter = FaultyAdapter(SQLiteAdapter(), profile=profile, seed=1)
         run = collect_history(adapter, HOTSPOT, seed=3)
-        result = check_snapshot_isolation(run.history)
+        result = PolySIChecker().check(run.history)
         assert not result.satisfies_si
         example = interpret_violation(result)
         assert example.classification
@@ -335,7 +335,7 @@ class TestFaultyAdapter:
                                 seed=1)
         run = collect_history(adapter, HOTSPOT, seed=3)
         reloaded = history_from_json(history_to_json(run.history))
-        assert not check_snapshot_isolation(reloaded).satisfies_si
+        assert not PolySIChecker().check(reloaded).satisfies_si
         assert not OnlineChecker().replay(reloaded).satisfies_si
         assert not check(reloaded, mode="parallel", workers=2).ok
 
@@ -434,5 +434,5 @@ class TestIterEvents:
         for session, ops, status, _ts in run.iter_events():
             checker.add(session, ops, status=status)
         online = checker.finish()
-        batch = check_snapshot_isolation(run.history)
+        batch = PolySIChecker().check(run.history)
         assert online.satisfies_si == batch.satisfies_si

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.interpret import interpret_violation
 from repro.workloads.corpus import (
     ANOMALY_TEMPLATES,
@@ -26,20 +26,20 @@ class TestTemplates:
     def test_every_template_violates_si(self, name):
         for seed in range(3):
             history = make_anomaly(name, seed=seed)
-            result = check_snapshot_isolation(history)
+            result = PolySIChecker().check(history)
             assert not result.satisfies_si, (name, seed)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_CLASS))
     def test_classification_matches_template(self, name):
         history = make_anomaly(name, seed=1)
-        result = check_snapshot_isolation(history)
+        result = PolySIChecker().check(history)
         example = interpret_violation(result)
         assert example.classification == EXPECTED_CLASS[name], name
 
     @pytest.mark.parametrize("name", sorted(ANOMALY_TEMPLATES))
     def test_padding_does_not_hide_anomalies(self, name):
         history = make_anomaly(name, seed=2, padding_txns=12)
-        assert not check_snapshot_isolation(history).satisfies_si
+        assert not PolySIChecker().check(history).satisfies_si
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ValueError):
@@ -68,6 +68,6 @@ class TestCorpusStream:
         missed = [
             name
             for name, history in known_anomaly_corpus(90, seed=7)
-            if check_snapshot_isolation(history).satisfies_si
+            if PolySIChecker().check(history).satisfies_si
         ]
         assert missed == []

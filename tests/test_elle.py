@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.listappend import check_list_history
+from repro.listappend import ListAppendChecker
 from repro.listappend.elle import EdnParseError, parse_edn, parse_elle_history
 
 
@@ -66,7 +66,7 @@ class TestElleHistories:
 
     def test_sample_satisfies_si(self):
         history = parse_elle_history(ELLE_SAMPLE)
-        assert check_list_history(history).satisfies_si
+        assert ListAppendChecker().check(history).satisfies_si
 
     def test_vector_form(self):
         text = '[{:type :ok :process 0 :value [[:append 1 10]]}]'
@@ -81,7 +81,7 @@ class TestElleHistories:
         {:type :ok, :process 3, :value [[:r 7 [2 1]]]}
         """
         history = parse_elle_history(text)
-        result = check_list_history(history)
+        result = ListAppendChecker().check(history)
         assert not result.satisfies_si  # incompatible prefixes
 
     def test_lost_append_detected(self):
@@ -93,7 +93,7 @@ class TestElleHistories:
         {:type :ok, :process 2, :value [[:r 7 [1 2]]]}
         """
         history = parse_elle_history(text)
-        assert not check_list_history(history).satisfies_si
+        assert not ListAppendChecker().check(history).satisfies_si
 
     def test_unsupported_micro_op(self):
         with pytest.raises(EdnParseError):

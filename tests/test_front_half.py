@@ -232,6 +232,25 @@ class TestScheduleIndependence:
                 if final.satisfies_si:
                     self.same_known_edges(history, initial, checker)
 
+    def test_a_compaction_keeps_an_aborted_write_of_an_initial_value(self):
+        """Found by the property above: once the aborted writer of
+        ``z=6`` predates the window, a later read of 6 must not fall
+        back to the caller's ``initial_values={"z": 6}`` and pass."""
+        txns = [([W("x", 100)], COMMITTED),
+                ([W("z", 6), W("y", 102), R("z", 6)], ABORTED),
+                ([W("x", 103), R("z", None), W("y", 104)], COMMITTED),
+                ([R("z", 6)], COMMITTED)]
+        initial = {"x": 5, "z": 6}
+        assert not PolySIChecker(initial_values=initial).check(
+            history_of([txns])).satisfies_si
+        checker = OnlineChecker(initial_values=initial, sessions=range(1),
+                                window=WindowPolicy(max_live=3, gc_every=1))
+        for ops, status in txns:
+            checker.add(0, ops, status=status)
+        final = checker.finish()
+        assert final.stats["window"]["compactions"]
+        assert final.satisfies_si is False
+
     @staticmethod
     def same_known_edges(history, initial, checker):
         graph, _ = build_polygraph(history, initial_values=initial)

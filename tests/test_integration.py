@@ -6,7 +6,6 @@ from repro import (
     PolySIChecker,
     R,
     W,
-    check_snapshot_isolation,
 )
 from repro.baselines.cobrasi import CobraSIChecker
 from repro.baselines.dbcop import DbcopChecker
@@ -25,7 +24,7 @@ class TestFullPipeline:
         b.txn(0, [W("account", 10)])
         b.txn(1, [R("account", 10), W("account", 60)])   # Dan's deposit
         b.txn(2, [R("account", 10), W("account", 61)])   # Emma's deposit
-        result = check_snapshot_isolation(b.build())
+        result = PolySIChecker().check(b.build())
         assert not result.satisfies_si
         example = interpret_violation(result)
         assert example.classification == "lost update"
@@ -40,8 +39,8 @@ class TestFullPipeline:
         run = run_workload(db, spec, seed=9)
         restored = history_from_json(history_to_json(run.history))
         assert (
-            check_snapshot_isolation(restored).satisfies_si
-            == check_snapshot_isolation(run.history).satisfies_si
+            PolySIChecker().check(restored).satisfies_si
+            == PolySIChecker().check(run.history).satisfies_si
         )
 
     def test_three_checkers_agree_on_simulated_bug(self):
@@ -56,7 +55,7 @@ class TestFullPipeline:
             spec = generate_workload(params, seed=seed)
             db = MVCCDatabase(faults=faults, seed=seed)
             run = run_workload(db, spec, seed=seed)
-            poly = check_snapshot_isolation(run.history)
+            poly = PolySIChecker().check(run.history)
             if not poly.satisfies_si:
                 assert not CobraSIChecker().check(run.history).satisfies_si
                 # dbcop sees cyclic anomalies only; lost update is cyclic.
@@ -86,7 +85,7 @@ class TestFullPipeline:
             spec = generate_workload(params, seed=seed)
             db = MVCCDatabase(faults=faults, seed=seed)
             run = run_workload(db, spec, seed=seed)
-            result = check_snapshot_isolation(run.history)
+            result = PolySIChecker().check(run.history)
             if not result.satisfies_si:
                 example = interpret_violation(result)
                 assert example.classification

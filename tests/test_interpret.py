@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.core.history import ABORTED, HistoryBuilder, R, W
 from repro.core.polygraph import RW, SO, WR, WW
 from repro.interpret import (
@@ -21,7 +21,7 @@ from _helpers import (
 
 
 def interpret(history):
-    result = check_snapshot_isolation(history)
+    result = PolySIChecker().check(history)
     assert not result.satisfies_si
     return interpret_violation(result)
 
@@ -97,7 +97,7 @@ class TestOtherScenarios:
 
 class TestApiContract:
     def test_valid_history_rejected(self):
-        result = check_snapshot_isolation(serializable_history())
+        result = PolySIChecker().check(serializable_history())
         with pytest.raises(InterpretationError):
             interpret_violation(result)
 

@@ -1,6 +1,6 @@
 """White-box tests for the interpretation algorithm internals."""
 
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import RW, WW, build_polygraph
 from repro.interpret.interpretation import (
@@ -75,7 +75,7 @@ class TestShortestCycleThrough:
 
 class TestAdjoiningCycles:
     def test_acs_contains_primary_cycle(self):
-        result = check_snapshot_isolation(lost_update_history())
+        result = PolySIChecker().check(lost_update_history())
         example = interpret_violation(result)
         assert example.acs_cycles
         assert example.acs_cycles[0] == list(result.cycle)
@@ -84,7 +84,7 @@ class TestAdjoiningCycles:
         """For each constraint used by the primary cycle, an adjoining
         cycle exercising the opposite branch must be present (Appendix E:
         minimal violations are complete adjoining cycle sets)."""
-        result = check_snapshot_isolation(lost_update_history())
+        result = PolySIChecker().check(lost_update_history())
         example = interpret_violation(result)
         graph = result.polygraph
         index = _index_constraints(graph)
@@ -110,14 +110,14 @@ class TestAdjoiningCycles:
 
 class TestStageMonotonicity:
     def test_certain_edges_never_downgraded(self):
-        result = check_snapshot_isolation(long_fork_history())
+        result = PolySIChecker().check(long_fork_history())
         example = interpret_violation(result)
         for edge, status in example.recovered.items():
             if status == "certain":
                 assert example.resolved.get(edge) == "certain"
 
     def test_finalized_subset_of_certain(self):
-        result = check_snapshot_isolation(long_fork_history())
+        result = PolySIChecker().check(long_fork_history())
         example = interpret_violation(result)
         for edge in example.finalized:
             assert example.resolved.get(edge, "certain") == "certain"

@@ -11,7 +11,6 @@ from repro.listappend import (
     ListAppendChecker,
     ListHistoryBuilder,
     build_list_polygraph,
-    check_list_history,
     generate_list_history,
     generate_list_workload,
     register_view,
@@ -116,7 +115,7 @@ class TestInference:
 class TestChecker:
     def test_valid_history(self):
         h = lh([A("x", 1)], [A("x", 2)], [L("x", (1, 2))], [L("x", (1,))])
-        assert check_list_history(h).satisfies_si
+        assert ListAppendChecker().check(h).satisfies_si
 
     def test_long_fork_on_lists(self):
         h = lh(
@@ -125,7 +124,7 @@ class TestChecker:
             [L("x", (1,)), L("y", ())],
             [L("x", ()), L("y", (2,))],
         )
-        res = check_list_history(h)
+        res = ListAppendChecker().check(h)
         assert not res.satisfies_si
 
     def test_lost_update_on_lists(self):
@@ -136,7 +135,7 @@ class TestChecker:
             [L("x", ()), A("x", 2)],
             [L("x", (1, 2))],
         )
-        assert not check_list_history(h).satisfies_si
+        assert not ListAppendChecker().check(h).satisfies_si
 
     def test_causality_violation_on_lists(self):
         h = lh(
@@ -145,7 +144,7 @@ class TestChecker:
             (2, [L("x", (1, 2))]),
             (2, [L("x", (1,))]),  # session goes back in time
         )
-        assert not check_list_history(h).satisfies_si
+        assert not ListAppendChecker().check(h).satisfies_si
 
     def test_no_prune_variant_agrees(self):
         histories = [
@@ -180,7 +179,7 @@ class TestGeneratorAndStore:
             distribution="uniform",
         )
         h = generate_list_history(params, seed=seed)
-        res = check_list_history(h)
+        res = ListAppendChecker().check(h)
         assert res.satisfies_si, res.describe()
 
     def test_faulty_store_detectable(self):
@@ -194,7 +193,7 @@ class TestGeneratorAndStore:
                 params, seed=seed,
                 faults=FaultConfig(no_first_committer_wins=True),
             )
-            if not check_list_history(h).satisfies_si:
+            if not ListAppendChecker().check(h).satisfies_si:
                 found = True
                 break
         assert found
@@ -202,7 +201,7 @@ class TestGeneratorAndStore:
     def test_list_verdict_implies_register_verdict(self):
         """If the list checker accepts, the register checker (with strictly
         less information) must accept the register view too."""
-        from repro import check_snapshot_isolation
+        from repro import PolySIChecker
 
         params = WorkloadParams(
             sessions=3, txns_per_session=5, ops_per_txn=4, keys=4,
@@ -210,6 +209,6 @@ class TestGeneratorAndStore:
         )
         for seed in range(5):
             h = generate_list_history(params, seed=seed)
-            if check_list_history(h).satisfies_si:
+            if ListAppendChecker().check(h).satisfies_si:
                 reg = register_view(h)
-                assert check_snapshot_isolation(reg).satisfies_si
+                assert PolySIChecker().check(reg).satisfies_si

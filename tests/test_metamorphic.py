@@ -10,13 +10,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.core.history import History, Operation
 from repro.workloads.random_histories import random_history
 
 
 def _verdict(history: History) -> bool:
-    return check_snapshot_isolation(history).satisfies_si
+    return PolySIChecker().check(history).satisfies_si
 
 
 def _history(seed: int) -> History:
@@ -110,7 +110,7 @@ class TestCheckerDeterminism:
     @settings(max_examples=40, deadline=None)
     def test_repeated_checks_agree(self, seed):
         history = _history(seed)
-        first = check_snapshot_isolation(history)
-        second = check_snapshot_isolation(history)
+        first = PolySIChecker().check(history)
+        second = PolySIChecker().check(history)
         assert first.satisfies_si == second.satisfies_si
         assert first.decided_by == second.decided_by

@@ -2,14 +2,14 @@
 
 The core property is *differential*: replaying any history through
 :class:`OnlineChecker` must reach the same verdict as the batch
-``check_snapshot_isolation`` — for accepting and violating histories,
+``PolySIChecker`` — for accepting and violating histories,
 with and without micro-batched solving, and (given a declared session
 universe) with windowed eviction.
 """
 
 import pytest
 
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.core.history import ABORTED, DuplicateValueError, HistoryBuilder, R, W
 from repro.obs import MetricsRegistry, use_metrics
 from repro.online import OnlineChecker, WindowPolicy
@@ -34,7 +34,7 @@ def assert_same_decision(history, online):
     same verdict, the same layer deciding it (axioms, or a cycle — the
     two pipelines may find the same cycle at different stages), and on a
     cycle a closed typed walk with no two adjacent anti-dependencies."""
-    batch = check_snapshot_isolation(history)
+    batch = PolySIChecker().check(history)
     assert online.satisfies_si == batch.satisfies_si
     if batch.satisfies_si:
         return
@@ -63,7 +63,7 @@ class TestDifferentialCanonical:
     def test_matches_batch(self, name):
         make, expected = CANONICAL[name]
         history = make()
-        assert check_snapshot_isolation(history).satisfies_si == expected
+        assert PolySIChecker().check(history).satisfies_si == expected
         result = OnlineChecker().replay(history)
         assert result.satisfies_si == expected
         assert result.final
@@ -101,7 +101,7 @@ class TestDifferentialCorpus:
                                ops_per_txn=5, keys=8, read_proportion=0.4),
                 seed=seed, isolation=isolation,
             ).history
-            batch = check_snapshot_isolation(history).satisfies_si
+            batch = PolySIChecker().check(history).satisfies_si
             assert_same_decision(history, OnlineChecker().replay(history))
             for checker in (OnlineChecker(solve_every=8),
                             OnlineChecker(window=WindowPolicy(max_live=20,
@@ -201,7 +201,7 @@ class TestSolverKeptAcrossSolves:
             builder.txn(txn.session, txn.ops, status=txn.status)
         for session, ops in gadget:
             builder.txn(session, ops)
-        assert not check_snapshot_isolation(builder.build()).satisfies_si
+        assert not PolySIChecker().check(builder.build()).satisfies_si
 
 
 class TestStreaming:
@@ -349,7 +349,7 @@ class TestWindowEviction:
             b.txn(0, [W("x", i)])
             b.txn(1, [R("x", i)])
         b.txn(1, [R("x", 0)])
-        assert not check_snapshot_isolation(b.build()).satisfies_si
+        assert not PolySIChecker().check(b.build()).satisfies_si
 
     def test_compaction_keeps_checking_correct(self):
         policy = WindowPolicy(max_live=4, gc_every=1, compact_fraction=0.1)

@@ -7,7 +7,7 @@ reproduce the paper's conclusions on them.
 
 import json
 
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import build_polygraph
 from repro.interpret import interpret_violation
@@ -37,7 +37,7 @@ class TestFigure2:
         assert graph.num_constraints == 3
 
     def test_history_satisfies_si(self):
-        assert check_snapshot_isolation(self._history()).satisfies_si
+        assert PolySIChecker().check(self._history()).satisfies_si
 
 
 class TestFigure3LongFork:
@@ -54,17 +54,17 @@ class TestFigure3LongFork:
         return b.build()
 
     def test_violation_detected(self):
-        assert not check_snapshot_isolation(self._history()).satisfies_si
+        assert not PolySIChecker().check(self._history()).satisfies_si
 
     def test_witness_is_figure_3e_cycle(self):
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         vertices = {result.polygraph.vertex_name(e[0]) for e in result.cycle}
         # T1, T2, T3, T4 — not T0 or T5.
         assert vertices == {"T:(1,0)", "T:(2,0)", "T:(3,0)", "T:(4,0)"}
         assert sorted(e[2] for e in result.cycle) == ["RW", "RW", "WR", "WR"]
 
     def test_classified_as_long_fork(self):
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         assert interpret_violation(result).classification == "long fork"
 
 
@@ -81,13 +81,13 @@ class TestFigure5MariaDBGalera:
         return b.build()
 
     def test_lost_update_detected_and_classified(self):
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         assert not result.satisfies_si
         example = interpret_violation(result)
         assert example.classification == "lost update"
 
     def test_finalized_scenario_matches_figure_5d(self):
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         example = interpret_violation(result)
         kinds = sorted(e[2] for e in example.finalized if e[2] != "SO")
         # Figure 5(d): two WR, two WW, two RW edges.
@@ -114,11 +114,11 @@ class TestFigure12Dgraph:
         return b.build()
 
     def test_violation_detected(self):
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         assert not result.satisfies_si
 
     def test_interpretation_completes(self):
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         example = interpret_violation(result)
         assert example.classification in (
             "causality violation", "SI violation (cycle)", "long fork",
@@ -141,17 +141,17 @@ class TestFigure13YugabyteDB:
         return b.build()
 
     def test_violation_detected(self):
-        assert not check_snapshot_isolation(self._history()).satisfies_si
+        assert not PolySIChecker().check(self._history()).satisfies_si
 
     def test_classified_as_causality_violation(self):
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         example = interpret_violation(result)
         assert example.classification == "causality violation"
 
     def test_missing_participant_restored(self):
         """The paper restores T:(0,9) (alternatively the cycle may already
         contain it); the finalized scenario must involve both sessions."""
-        result = check_snapshot_isolation(self._history())
+        result = PolySIChecker().check(self._history())
         example = interpret_violation(result)
         sessions = set()
         for edge in example.finalized:
@@ -164,7 +164,7 @@ class TestFigure13YugabyteDB:
 
 class TestResultJson:
     def test_verdict_json_roundtrips(self):
-        result = check_snapshot_isolation(
+        result = PolySIChecker().check(
             TestFigure5MariaDBGalera()._history()
         )
         payload = json.loads(result.to_json())
@@ -175,5 +175,5 @@ class TestResultJson:
     def test_valid_json(self):
         b = HistoryBuilder()
         b.txn(0, [W("x", 1)])
-        payload = json.loads(check_snapshot_isolation(b.build()).to_json())
+        payload = json.loads(PolySIChecker().check(b.build()).to_json())
         assert payload["satisfies_si"] is True

@@ -120,9 +120,9 @@ class TestPruningViolations:
             assert not (a == RW and b == RW)
 
     def test_checker_reports_pruning_stage(self):
-        from repro.core.checker import check_snapshot_isolation
+        from repro.core.checker import PolySIChecker
 
-        res = check_snapshot_isolation(both_branches_impossible_history())
+        res = PolySIChecker().check(both_branches_impossible_history())
         assert not res.satisfies_si
         assert res.decided_by == "pruning"
 

@@ -389,6 +389,75 @@ class TestFacadeAndCli:
         out = capsys.readouterr().out
         assert "state dir" in out
 
+    def test_rechecking_a_history_on_its_state_dir_appends_nothing(
+            self, tmp_path):
+        """A re-check of the history a journal holds skips it; any other
+        subject is refused before a byte is appended, so the journal
+        stays checkable."""
+        from repro.cli import main
+        from repro.core.history import HistoryBuilder, R, W
+        from repro.store import SegmentStore
+
+        def history(*txns):
+            builder = HistoryBuilder()
+            for session, ops in txns:
+                builder.txn(session, ops)
+            return builder.build()
+
+        state = str(tmp_path / "s")
+        three = history((0, [W("x", 1)]), (1, [R("x", 1), W("y", 2)]),
+                        (0, [R("y", 2)]))
+        # The second check restores the first one's final checkpoint,
+        # which already describes the stream's end: nothing to write.
+        for written in (1, 0):
+            report = repro.check(three, mode="online", state_dir=state)
+            assert report.ok
+            persistence = report.stats["persistence"]
+            assert persistence["journaled_events"] == 3
+            assert persistence["checkpoints_written"] == written
+        assert repro.check(None, mode="online", state_dir=state).ok
+        assert main(["check", state]) == 0
+        with pytest.raises(CheckerError, match="different stream"):
+            repro.check(history((0, [W("z", 1)])), mode="online",
+                        state_dir=state)
+        with SegmentStore(state, readonly=True) as store:
+            assert store.total_events == 3
+
+    def test_a_stream_ending_on_a_checkpoint_position_counts_both(
+            self, tmp_path):
+        """The final checkpoint is written even where a periodic one
+        just was (the count a tenant reports is unchanged); only a run
+        that checked nothing past its restored checkpoint skips it."""
+        events = _events_for(lost_update_history())[:2]
+        state = str(tmp_path / "s")
+        with PersistentCheck(state, checkpoint_every=2) as check:
+            check.feed_events(events)
+            assert check.finish().stats["persistence"][
+                "checkpoints_written"] == 2
+        with PersistentCheck(state, checkpoint_every=2) as check:
+            assert check.resumed_from == 2
+            assert check.finish().stats["persistence"][
+                "checkpoints_written"] == 0
+
+    def test_a_journal_line_spelled_otherwise_still_matches(self, tmp_path):
+        """The prefix match compares events, not bytes: a line another
+        writer spelled with spaces and reordered keys is still the
+        subject's event."""
+        import json
+
+        from repro.histories.codec import event_to_json
+        from repro.store import SegmentStore
+
+        events = _events_for(lost_update_history())
+        state = str(tmp_path / "s")
+        with SegmentStore.create(state) as store:
+            record = json.loads(event_to_json(events[0]))
+            store.append_line(json.dumps(dict(reversed(record.items()))))
+            assert store.total_events == 1
+        with PersistentCheck(state) as check:
+            rest = list(check.unjournaled(events))
+        assert rest == events[1:]
+
     def test_cli_watch_state_dir_resumes_without_rejournaling(
             self, tmp_path, capsys):
         from repro.cli import main
@@ -408,3 +477,41 @@ class TestFacadeAndCli:
         assert f"resumed from {state}" in out
         with SegmentStore(state, readonly=True) as store:
             assert store.total_events == journaled
+
+
+def test_only_the_driver_touches_checkpoints():
+    """``PersistentCheck`` is the one S14 driver: nothing else under
+    ``src/`` writes or reads a checkpoint or restores a checker from
+    one, and the service's tenant keeps no store of its own."""
+    import ast
+    import os
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "repro")
+    calls = set()
+    for folder, _dirs, names in os.walk(src):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)):
+                    continue
+                attr, owner = node.func.attr, node.func.value
+                if (attr == "save_checkpoint"
+                        or attr.startswith("latest_checkpoint")
+                        or (attr == "restore" and isinstance(owner, ast.Name)
+                            and owner.id == "OnlineChecker")):
+                    calls.add((os.path.relpath(path, src), attr))
+    assert calls == {("store/resume.py", "save_checkpoint"),
+                     ("store/resume.py", "latest_checkpoint_payload"),
+                     ("store/resume.py", "restore")}
+    with open(os.path.join(src, "service", "tenants.py"),
+              encoding="utf-8") as handle:
+        tenants = handle.read()
+    for name in ("SegmentStore", "OnlineChecker(", "_recover",
+                 "_slice_limit", "_maybe_checkpoint", "_write_checkpoint"):
+        assert name not in tenants, name

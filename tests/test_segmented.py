@@ -4,15 +4,20 @@ import os
 
 import pytest
 
-from repro import check, check_snapshot_isolation
+from repro import check
 from repro.core.checker import PolySIChecker
 from repro.core.history import HistoryBuilder, R, W
-from repro.extensions import check_segmented, run_segmented_workload
+from repro.extensions import run_segmented_workload
 from repro.interpret import interpret_violation
 from repro.obs import validate_trace
 from repro.storage.database import MVCCDatabase
 from repro.storage.faults import DATABASE_PROFILES, FaultConfig
 from repro.workloads.generator import WorkloadParams, generate_workload
+
+
+def check_segments(run, **options):
+    """The native segmented verdict, per-segment results included."""
+    return check(run, mode="segmented", trace=False, **options).native
 
 
 def make_run(*, faults=None, seed=0, snapshot_every=25,
@@ -36,7 +41,7 @@ class TestInitialValues:
         b.txn(0, [R("x", 41)])     # 41 was written in a previous segment
         b.txn(1, [W("x", 42)])
         history = b.build()
-        assert not check_snapshot_isolation(history).satisfies_si
+        assert not PolySIChecker().check(history).satisfies_si
         checker = PolySIChecker(initial_values={"x": 41})
         assert checker.check(history).satisfies_si
 
@@ -88,14 +93,14 @@ class TestSegmentedChecking:
     @pytest.mark.parametrize("seed", range(5))
     def test_correct_store_passes(self, seed):
         run = make_run(seed=seed)
-        result = check_segmented(run)
+        result = check_segments(run)
         assert result.satisfies_si, result
 
     def test_verdict_matches_whole_history(self):
         for seed in range(4):
             run = make_run(seed=seed)
-            seg = check_segmented(run).satisfies_si
-            full = check_snapshot_isolation(run.full_history()).satisfies_si
+            seg = check_segments(run).satisfies_si
+            full = PolySIChecker().check(run.full_history()).satisfies_si
             assert seg == full
 
     def test_faulty_store_caught(self):
@@ -105,7 +110,7 @@ class TestSegmentedChecking:
                 faults=FaultConfig(no_first_committer_wins=True),
                 seed=seed, keys=6,
             )
-            result = check_segmented(run)
+            result = check_segments(run)
             if not result.satisfies_si:
                 found = True
                 assert result.failing_segment is not None
@@ -123,14 +128,14 @@ class TestSegmentedChecking:
                 ),
                 seed=seed, keys=6,
             )
-            if not check_segmented(run).satisfies_si:
+            if not check_segments(run).satisfies_si:
                 found = True
                 break
         assert found
 
     def test_checker_options_forwarded(self):
         run = make_run()
-        result = check_segmented(run, prune=False)
+        result = check_segments(run, prune=False)
         assert result.satisfies_si
 
     def test_segments_are_smaller_than_the_whole_history(self):
@@ -139,7 +144,7 @@ class TestSegmentedChecking:
         constraints (what that buys in seconds is
         ``benchmarks/bench_segmented.py``'s job to measure)."""
         run = make_run(sessions=6, txns=50, keys=60, snapshot_every=40)
-        seg_result = check_segmented(run)
+        seg_result = check_segments(run)
         full = PolySIChecker().check(run.full_history()).polygraph
         assert seg_result.satisfies_si
         assert len(seg_result.segment_results) > 1
@@ -171,9 +176,9 @@ class TestSegmentPool:
         # Segments 5, 6 and 7 of this run's 8 all violate: the report must
         # name 5 however the pool's completions interleave.
         run = stale_run(seed=4, txns=30, snapshot_every=8)
-        serial = check_segmented(run)
+        serial = check_segments(run)
         assert serial.failing_segment == 5
-        pooled = check_segmented(run, workers=workers, oversubscribe=True)
+        pooled = check_segments(run, workers=workers, oversubscribe=True)
         assert not pooled.satisfies_si
         assert pooled.failing_segment == serial.failing_segment
         assert len(pooled.segment_results) == len(serial.segment_results)
@@ -202,9 +207,9 @@ class TestSegmentPool:
         spec = generate_workload(params, seed=0)
         run = run_segmented_workload(MVCCDatabase(faults=faults, seed=0),
                                      spec, snapshot_every=6, seed=0)
-        serial = check_segmented(run)
+        serial = check_segments(run)
         assert not serial.satisfies_si  # seed 0 violates within segment 0
-        pooled = check_segmented(run, workers=2, oversubscribe=True)
+        pooled = check_segments(run, workers=2, oversubscribe=True)
         assert not pooled.satisfies_si
         assert pooled.failing_segment == serial.failing_segment
         want = interpret_violation(serial.segment_results[-1])
@@ -220,8 +225,8 @@ class TestSegmentPool:
             spec = generate_workload(params, seed=5)
             db = MVCCDatabase(isolation=isolation, seed=5)
             run = run_segmented_workload(db, spec, snapshot_every=8, seed=5)
-            serial = check_segmented(run)
-            pooled = check_segmented(run, workers=2, oversubscribe=True)
+            serial = check_segments(run)
+            pooled = check_segments(run, workers=2, oversubscribe=True)
             assert pooled.satisfies_si == serial.satisfies_si
             assert pooled.failing_segment == serial.failing_segment
 

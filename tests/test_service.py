@@ -433,7 +433,7 @@ class TestHardening:
         def boom(*args, **kwargs):
             raise TypeError("unhashable type: 'list'")
 
-        tenant._checker.extend = boom
+        tenant.persistent.checker.extend = boom
         client.push_events("t", [(1, (W("y", 1),), "committed")])
         deadline = time.time() + 5
         while time.time() < deadline:

@@ -138,8 +138,8 @@ class Gate:
     def __init__(self, tenant):
         self.open = threading.Event()
         self.entered = threading.Event()
-        self._extend = tenant._checker.extend
-        tenant._checker.extend = self
+        self._extend = tenant.persistent.checker.extend
+        tenant.persistent.checker.extend = self
 
     def __call__(self, *args, **kwargs):
         self.entered.set()
@@ -207,7 +207,7 @@ class TestOrder:
                         assert stats.accepted == stats.sent == chunk
                         # Acknowledged means journaled (S14).
                         tenant = svc.router.get(name)
-                        assert (tenant.store.total_events
+                        assert (tenant.persistent.store.total_events
                                 >= (r + 1) * chunk)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
@@ -243,13 +243,13 @@ class TestFairness:
         client.push_events("slow", unique_writes(1), sessions=2)
         slow = svc.router.get("slow")
         assert wait_until(lambda: slow.events_seen == 1)
-        real_extend = slow._checker.extend
+        real_extend = slow.persistent.checker.extend
 
         def slow_extend(events):
             time.sleep(0.005 * len(events))   # 5 ms per event
             return real_extend(events)
 
-        slow._checker.extend = slow_extend
+        slow.persistent.checker.extend = slow_extend
         stats = client.push_events_tcp(
             "slow", unique_writes(self.SLOW_EVENTS, tag="s"))
         assert stats.accepted == self.SLOW_EVENTS
@@ -284,9 +284,9 @@ class TestCrashIsolation:
         if escapes:
             # Outside the per-batch guard: whatever runs the tenant's
             # batches has to contain this one itself.
-            a._maybe_checkpoint = boom
+            a.persistent._maybe_checkpoint = boom
         else:
-            a._checker.extend = boom
+            a.persistent.checker.extend = boom
         client.push_events("a", unique_writes(1, tag="poison"))
         assert wait_until(lambda: client.verdict("a")["report"]
                           ["decided_by"] == "ingest-error")
@@ -396,7 +396,7 @@ class TestJournalBeforeHandoff:
         svc, handle, _ = service(state_dir=service.state_dir,
                                  checkpoint_every=1, queue_depth=4)
         tenant = svc.router.get_or_create("t", range(2))
-        store = tenant.store
+        store = tenant.persistent.store
         append, save = store.append_event, store.save_checkpoint
         seen = []
 
@@ -425,7 +425,10 @@ class TestJournalBeforeHandoff:
         assert ahead == []
 
     def test_journal_failure_leaves_nothing_queued(self, service):
-        """A failed append is not acknowledged and not checked either."""
+        """A failed append is not acknowledged and not checked either,
+        and the final verdict is the journal failure even when every
+        journaled event was checked before the append broke (drain then
+        checks no batch)."""
         from repro.service import TenantError
 
         svc, handle, _ = service(state_dir=service.state_dir)
@@ -433,11 +436,13 @@ class TestJournalBeforeHandoff:
         good = unique_writes(3)
         for event in good:
             assert tenant.offer(event)
+        assert wait_until(lambda: tenant.events_seen == len(good))
 
         def broken(event):
             raise OSError("disk full")
 
-        tenant.store.append_event = tenant.store.append_decoded = broken
+        store = tenant.persistent.store
+        store.append_event = store.append_decoded = broken
         with pytest.raises(TenantError, match="journal failed"):
             tenant.offer(unique_writes(1, tag="lost")[0])
         with pytest.raises(TenantError, match="journal failed"):

@@ -8,8 +8,10 @@ verdict (restoring the newest checkpoint and replaying the log tail)
 without any client resending anything it was acked for.
 """
 
+import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -19,8 +21,13 @@ import pytest
 
 import repro
 from repro.core.history import R, W
+from repro.online import WindowPolicy
 from repro.service import ReproService, ServiceClient, ServiceConfig
-from repro.store import StoreLocked
+from repro.service.tenants import SessionRouter
+from repro.storage.client import stream_workload
+from repro.storage.database import MVCCDatabase
+from repro.store import PersistentCheck, SegmentStore, StoreLocked
+from repro.workloads.generator import WorkloadParams, generate_workload
 
 
 def clean_events(n, *, start=0, sessions=3):
@@ -73,6 +80,17 @@ class TestTenantPersistence:
         assert persistence["checkpoints_written"] == 3
         assert os.path.isdir(os.path.join(service.state_dir, "tenants",
                                           "alpha"))
+
+    def test_store_metrics_carry_the_tenant_label(self, service):
+        _, first, client = service(checkpoint_every=5)
+        client.push_events("alpha", clean_events(12), sessions=3)
+        first.drain()
+        text = client.metrics_text()
+        assert re.search(r'^repro_store_checkpoints\{tenant="alpha"\} 3\b',
+                         text, re.M), text
+        assert re.search(r'^repro_store_resumes\{tenant="alpha"\} 1\b',
+                         text, re.M), text
+        assert "repro_tenant_checkpoints" not in text
 
     def test_clean_restart_recovers_every_tenant(self, service):
         _, first, client = service(checkpoint_every=5)
@@ -213,3 +231,167 @@ class TestCrashRecovery:
             state_dir, "tenants", "alpha"))
         assert report.ok
         assert report.stats["persistence"]["journaled_events"] == 30
+
+
+# -- one driver ----------------------------------------------------------------
+
+
+def stamped_stream(count=30, seed=3):
+    """``count`` commit-order events of an SI simulator run, every other
+    one carrying (start, commit) timestamps."""
+    params = WorkloadParams(sessions=3, txns_per_session=count // 3 + 4,
+                            ops_per_txn=4, keys=10, read_proportion=0.5,
+                            distribution="uniform")
+    spec = generate_workload(params, seed=seed)
+    db = MVCCDatabase(isolation="snapshot", seed=seed)
+    events = []
+    for i, (session, ops, status) in enumerate(
+            stream_workload(db, spec, seed=seed)):
+        events.append((session, ops, status,
+                       (10 * i, 10 * i + 5) if i % 2 else None))
+        if len(events) == count:
+            return events
+    raise AssertionError("simulator ran out of events")
+
+
+def driver_config(state_dir):
+    """A daemon whose one windowed tenant gets a window of exactly 8."""
+    return ServiceConfig(http_port=0, tcp_port=None, state_dir=state_dir,
+                         checkpoint_every=4, max_live_total=8,
+                         min_live_share=4)
+
+
+def watch_driver(path, config, windowed):
+    """What ``repro watch --state-dir`` builds, with the daemon's rules."""
+    return PersistentCheck(
+        path, checkpoint_every=config.checkpoint_every,
+        solve_every=config.solve_every,
+        window=WindowPolicy(max_live=8) if windowed else None,
+        sessions=range(3) if windowed else None)
+
+
+def run_tenant(config, events, *, name="t", sessions=None):
+    """Offer ``events`` to one daemon tenant (recovering whatever its
+    store holds), drain it, return the final payload."""
+    router = SessionRouter(config)
+    try:
+        tenant = router.get_or_create(name, sessions)
+        for event in events:
+            assert tenant.offer(event)
+        return tenant.drain(timeout=60)
+    finally:
+        router.close()
+
+
+@pytest.fixture
+def checkpoint_log(monkeypatch):
+    """``{store directory name: [checkpoint positions]}``, as written."""
+    log = {}
+    save = SegmentStore.save_checkpoint
+
+    def spying_save(self, events, state, extra=None):
+        log.setdefault(os.path.basename(self.path), []).append(events)
+        return save(self, events, state, extra=extra)
+
+    monkeypatch.setattr(SegmentStore, "save_checkpoint", spying_save)
+    return log
+
+
+@pytest.mark.parametrize("windowed", [False, True],
+                         ids=["unwindowed", "windowed"])
+class TestOneDriver:
+    """A daemon tenant and ``PersistentCheck.feed`` are one protocol:
+    the same checkpoints, the same verdict, and each one's store resumes
+    under the other."""
+
+    def test_tenant_and_feed_checkpoint_alike(self, tmp_path, windowed,
+                                              checkpoint_log):
+        events = stamped_stream()
+        config = driver_config(str(tmp_path / "daemon"))
+        payload = run_tenant(config, events,
+                             sessions=range(3) if windowed else None)
+        with watch_driver(str(tmp_path / "w"), config, windowed) as check:
+            check.feed_events(events)
+            fed = check.finish()
+            extra = check.store.latest_checkpoint_payload()["extra"]
+        positions = [*range(4, len(events) + 1, 4), len(events)]
+        assert checkpoint_log == {"t": positions, "w": positions}
+        assert payload["report"]["verdict"] == "satisfied" and fed.satisfies_si
+        assert payload["events"] == len(events)
+        assert (payload["persistence"]["checkpoints_written"]
+                == fed.stats["persistence"]["checkpoints_written"])
+        store = os.path.join(config.state_dir, "tenants", "t")
+        with SegmentStore.open(store, readonly=True) as journal:
+            assert journal.latest_checkpoint_payload()["extra"] == extra
+        assert payload["timestamped_fraction"] == round(
+            extra["stamped_seen"] / extra["committed_seen"], 6)
+
+    def test_a_tenant_resumes_a_watch_directory(self, tmp_path, windowed):
+        events = stamped_stream()
+        config = driver_config(str(tmp_path / "daemon"))
+        split = 18
+        # A watch run "crashes" after 18 events: checkpoint at 16.
+        with watch_driver(str(tmp_path / "w"), config, windowed) as check:
+            check.feed_events(events[:split])
+        shutil.copytree(str(tmp_path / "w"),
+                        os.path.join(config.state_dir, "tenants", "w"),
+                        ignore=shutil.ignore_patterns("LOCK"))
+        resumed = run_tenant(config, events[split:], name="w")
+        uninterrupted = run_tenant(driver_config(str(tmp_path / "fresh")),
+                                   events,
+                                   sessions=range(3) if windowed else None)
+        assert resumed["persistence"]["resumed_from"] == 16
+        assert resumed["persistence"]["recovered_events"] == split
+        for key in ("events", "timestamped_fraction"):
+            assert resumed[key] == uninterrupted[key]
+        assert (resumed["report"]["verdict"]
+                == uninterrupted["report"]["verdict"] == "satisfied")
+
+    def test_repro_check_audits_a_tenant_directory(self, tmp_path, windowed,
+                                                   capsys):
+        from repro.cli import main
+
+        events = stamped_stream()
+        config = driver_config(str(tmp_path / "daemon"))
+        payload = run_tenant(config, events,
+                             sessions=range(3) if windowed else None)
+        store = os.path.join(config.state_dir, "tenants", "t")
+        assert main(["check", store]) == 0
+        assert f"state dir {store}: {len(events)} event(s)" in (
+            capsys.readouterr().out)
+        assert payload["report"]["verdict"] == "satisfied"
+
+
+def test_a_tenant_directory_of_an_earlier_daemon_recovers(tmp_path):
+    """``tests/data/tenant_42f23ad`` is a windowed tenant's store as the
+    daemon of ``42f23ad`` — the last build with a second copy of the
+    recovery protocol — left it mid-stream: checkpoints at 24 and 32
+    carrying ``extra`` counts, and a six-event tail.  Its recovery must
+    report what that daemon reported."""
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    with open(os.path.join(data, "tenant_42f23ad.json"),
+              encoding="utf-8") as handle:
+        expect = json.load(handle)
+    state_dir = str(tmp_path / "state")
+    shutil.copytree(os.path.join(data, "tenant_42f23ad"),
+                    os.path.join(state_dir, "tenants", "t"))
+    config = ServiceConfig(http_port=0, tcp_port=None, state_dir=state_dir,
+                           checkpoint_every=8, max_live_total=16,
+                           min_live_share=8, solve_every=2)
+    svc = ReproService(config)
+    handle = svc.start_in_thread()
+    try:
+        recovered = svc.router.get("t").verdict_payload()
+        assert recovered["persistence"]["resumed_from"] == 32
+        assert recovered["persistence"]["recovered_events"] == 38
+        final = handle.drain()["t"]
+    finally:
+        handle.stop()
+    for payload in (recovered, final):
+        assert payload["events"] == expect["events"]
+        assert payload["timestamped_fraction"] == (
+            expect["timestamped_fraction"])
+        assert payload["report"]["verdict"] == expect["verdict"]
+    assert recovered["report"]["decided_by"] == expect["decided_by"]
+    assert (recovered["report"]["stats"]["window"]["evicted"]
+            == expect["evicted"])

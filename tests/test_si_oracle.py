@@ -20,11 +20,14 @@ through attributes (``sessions``, ``ops``, ``status``, ``kind``, ``key``,
 built with ``HistoryBuilder``, and holds every SI engine x mode that
 checks a plain ``History`` — the batch pipeline with pruning off and
 under each closure backend, and the online checker fed one ``extend``
-batch or two split anywhere — to its answer; the second scope also holds
+batch or two split anywhere, or (on a seeded sample) snapshotted and
+restored at every split — to its answer; the second scope also holds
 every serializability engine to the serializable variant.
 """
 
 import itertools
+import json
+import random
 
 import pytest
 
@@ -342,6 +345,29 @@ def online_extend_verdicts(history):
         yield checker.finish().satisfies_si
 
 
+#: Histories of each scope the ``polysi-online[restore]`` column checks,
+#: and the seed that draws them (a snapshot/restore per split point costs
+#: far more than a batch check, so the column samples).
+RESTORE_SAMPLE = 400
+RESTORE_SEED = 29
+
+
+def online_restore_verdicts(history):
+    """``OnlineChecker`` snapshotted after every prefix the stream has
+    not yet violated, restored from the snapshot's JSON, and fed the rest
+    as one ``extend`` batch — what a resumed journal replay does."""
+    items = [(t.session, t.ops, t.status) for t in history.transactions]
+    for cut in range(len(items)):
+        checker = OnlineChecker()
+        if not checker.extend(items[:cut]).satisfies_si:
+            yield False
+            continue
+        state = json.loads(json.dumps(checker.snapshot()))
+        restored = OnlineChecker.restore(state)
+        restored.extend(items[cut:])
+        yield restored.finish().satisfies_si
+
+
 @pytest.mark.parametrize("column", sorted(COLUMNS))
 def test_engine_agrees_with_the_oracle(column, ground_truth):
     assert_agrees(column, ground_truth)
@@ -358,6 +384,16 @@ def test_online_extend_agrees_with_the_oracle(scope, request):
     """The ``polysi-online[extend]`` column: batch boundaries anywhere in
     the stream leave the verdict the decider's."""
     assert_decides(online_extend_verdicts, request.getfixturevalue(scope))
+
+
+@pytest.mark.parametrize("scope", ["ground_truth", "session_ground_truth"])
+def test_online_restore_agrees_with_the_oracle(scope, request):
+    """The ``polysi-online[restore]`` column: a snapshot/restore at any
+    split point leaves the verdict the decider's."""
+    truth = request.getfixturevalue(scope)
+    sample = random.Random(RESTORE_SEED).sample(truth, RESTORE_SAMPLE)
+    assert {ok for _, ok in sample} == {True, False}
+    assert_decides(online_restore_verdicts, sample)
 
 
 class TestTheDecider:

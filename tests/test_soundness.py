@@ -5,7 +5,7 @@ miniature, with fixed seeds)."""
 import pytest
 
 from repro.baselines.cobra import CobraChecker
-from repro.core.checker import check_snapshot_isolation
+from repro.core.checker import PolySIChecker
 from repro.storage.faults import DATABASE_PROFILES, FaultConfig
 from repro.workloads.generator import WorkloadParams, generate_history
 
@@ -25,7 +25,7 @@ class TestCorrectStores:
     @pytest.mark.parametrize("seed", range(8))
     def test_si_store_histories_satisfy_si(self, seed):
         run = generate_history(small_params(), seed=seed)
-        result = check_snapshot_isolation(run.history)
+        result = PolySIChecker().check(run.history)
         assert result.satisfies_si, result.describe()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -40,14 +40,14 @@ class TestCorrectStores:
         run = generate_history(
             small_params(), seed=seed, isolation="serializable"
         )
-        assert check_snapshot_isolation(run.history).satisfies_si
+        assert PolySIChecker().check(run.history).satisfies_si
 
     @pytest.mark.parametrize("distribution", ["uniform", "zipfian", "hotspot"])
     def test_si_store_all_distributions(self, distribution):
         run = generate_history(
             small_params(distribution=distribution), seed=11
         )
-        assert check_snapshot_isolation(run.history).satisfies_si
+        assert PolySIChecker().check(run.history).satisfies_si
 
     def test_aborted_transactions_do_not_confuse_checker(self):
         run = generate_history(
@@ -55,7 +55,7 @@ class TestCorrectStores:
             faults=FaultConfig(abort_prob=0.4),
         )
         assert run.aborted > 0
-        assert check_snapshot_isolation(run.history).satisfies_si
+        assert PolySIChecker().check(run.history).satisfies_si
 
 
 class TestFaultyStores:
@@ -64,7 +64,7 @@ class TestFaultyStores:
             run = generate_history(
                 small_params(keys=keys), seed=seed, faults=faults
             )
-            result = check_snapshot_isolation(run.history)
+            result = PolySIChecker().check(run.history)
             if not result.satisfies_si:
                 return result
         return None
@@ -103,7 +103,7 @@ class TestFaultyStores:
         found = False
         for seed in range(15):
             run = generate_history(params, seed=seed, faults=faults)
-            if not check_snapshot_isolation(run.history).satisfies_si:
+            if not PolySIChecker().check(run.history).satisfies_si:
                 found = True
                 break
         assert found

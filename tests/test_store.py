@@ -230,6 +230,12 @@ class TestSegmentLog:
         assert store_meta(str(tmp_path)) == {}
 
 
+def _latest(store):
+    """The newest loadable checkpoint as ``(events, checker_state)``."""
+    payload = store.latest_checkpoint_payload()
+    return payload["events"], payload["checker"]
+
+
 class TestCheckpoints:
     def _store_with_checkpoints(self, tmp_path, counts,
                                 keep_checkpoints=2):
@@ -244,7 +250,7 @@ class TestCheckpoints:
     def test_retention_keeps_only_the_newest(self, tmp_path):
         with self._store_with_checkpoints(tmp_path, [5, 10, 15]) as store:
             assert store.checkpoints() == [10, 15]
-            events, state = store.latest_checkpoint()
+            events, state = _latest(store)
         assert events == 15 and state["at"] == 15
 
     def test_torn_checkpoint_falls_back_to_the_older_one(self, tmp_path):
@@ -252,7 +258,7 @@ class TestCheckpoints:
             newest = os.path.join(str(tmp_path / "s"), "checkpoints",
                                   "ckpt-0000000010.json")
             open(newest, "w").write('{"torn')
-            events, state = store.latest_checkpoint()
+            events, state = _latest(store)
             assert events == 5 and state["at"] == 5
 
     def test_checkpoint_ahead_of_the_log_is_skipped(self, tmp_path):
@@ -266,7 +272,7 @@ class TestCheckpoints:
             with open(os.path.join(ckpt_dir, "ckpt-0000000999.json"),
                       "w", encoding="utf-8") as handle:
                 json.dump(future, handle)
-            events, _state = store.latest_checkpoint()
+            events, _state = _latest(store)
             assert events == 5
 
     def test_checkpoint_payload_carries_extra(self, tmp_path):

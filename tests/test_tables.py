@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import check_snapshot_isolation
+from repro import PolySIChecker
 from repro.storage.client import run_workload
 from repro.storage.database import MVCCDatabase
 from repro.storage.faults import FaultConfig
@@ -114,7 +114,7 @@ class TestCompiledTableWorkloads:
         kv_spec = compile_table_spec(self._spec())
         db = MVCCDatabase(seed=1)
         run = run_workload(db, kv_spec, seed=1)
-        assert check_snapshot_isolation(run.history).satisfies_si
+        assert PolySIChecker().check(run.history).satisfies_si
 
     def test_buggy_store_fails_checker(self):
         # Contended RMW on one row cell across many sessions.
@@ -132,7 +132,7 @@ class TestCompiledTableWorkloads:
                 faults=FaultConfig(no_first_committer_wins=True), seed=seed
             )
             run = run_workload(db, kv_spec, seed=seed)
-            if not check_snapshot_isolation(run.history).satisfies_si:
+            if not PolySIChecker().check(run.history).satisfies_si:
                 found = True
                 break
         assert found

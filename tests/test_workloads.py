@@ -207,12 +207,12 @@ class TestBenchmarkMixes:
             assert len(written) == len(set(written)), factory.__name__
 
     def test_benchmarks_run_clean_on_si_store(self):
-        from repro import check_snapshot_isolation
+        from repro import PolySIChecker
 
         for factory in (rubis_workload, tpcc_workload, ctwitter_workload):
             spec = factory(sessions=4, total_txns=30, seed=5)
             db = MVCCDatabase(seed=5)
             run = run_workload(db, spec, seed=5)
-            assert check_snapshot_isolation(run.history).satisfies_si, (
+            assert PolySIChecker().check(run.history).satisfies_si, (
                 factory.__name__
             )
