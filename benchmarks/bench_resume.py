@@ -22,7 +22,8 @@ increasing length:
 - ``resume``   — reopening with ``resume=True``: restore the final
   checkpoint, replay nothing.  The bar: **>= 5x faster than recheck**
   at the largest scale (and growing with it — replay is O(journal),
-  restore is O(state)).
+  restore is O(state)).  ``recheck`` and ``resume`` are each the best
+  of three reopens of the same directory.
 
 Both bars are asserted, so CI fails if durability gets expensive or
 resume stops paying for itself.
@@ -47,6 +48,8 @@ SIZES = [scaled(150), scaled(300), scaled(600)]
 CHECKPOINT_EVERY = 64
 RESUME_SPEEDUP_BAR = 5.0
 JOURNAL_OVERHEAD_BAR = 0.05
+#: Reopens per timed recovery path; the best one counts.
+REOPENS = 3
 
 
 def stream_txns(n_txns: int, seed: int = 17):
@@ -145,8 +148,12 @@ def main():
             ckpt_path = os.path.join(workdir, f"ckpt-{n}")
             checkpoint = persistent_seconds(
                 txns, ckpt_path, checkpoint_every=CHECKPOINT_EVERY)
-            recheck = reopen_seconds(ckpt_path, resume=False)
-            resume = reopen_seconds(ckpt_path, resume=True)
+            # Best of three reopens each, as for append-only: one noisy
+            # sample must not decide the speedup bar.
+            recheck = min(reopen_seconds(ckpt_path, resume=False)
+                          for _ in range(REOPENS))
+            resume = min(reopen_seconds(ckpt_path, resume=True)
+                         for _ in range(REOPENS))
 
             overhead = append_only / plain
             speedup = recheck / max(resume, 1e-9)

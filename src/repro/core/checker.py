@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from ..obs import get_logger, trace_span
+from ..obs import counter as obs_counter, get_logger, trace_span
 from ..utils.closure import resolve_closure_backend
 from ..utils.gcpause import collector_paused
 from .axioms import AxiomViolation
@@ -41,6 +41,20 @@ __all__ = [
 ]
 
 log = get_logger("core.checker")
+
+
+def _built_edges(constraints) -> int:
+    """Typed branch edges built so far for ``constraints``: construct and
+    prune build them for explicit constraints and for a pruning witness,
+    encode for the constraints that reach the solver."""
+    return sum(cons.built_edges for cons in constraints)
+
+
+def _publish_branch_edges(built: int) -> int:
+    if built:
+        obs_counter("polygraph.branch_edges").inc(built)
+    return built
+
 
 class CheckResult:
     """Verdict and evidence for one history."""
@@ -235,8 +249,11 @@ class PolySIChecker:
         if self.prune:
             t0 = time.perf_counter()
             with trace_span("prune", backend=self.closure_backend) as span:
+                constraints = graph.constraints
                 pruned = prune_constraints(graph, backend=self.closure_backend)
-                span.set(iterations=pruned.iterations, pruned=pruned.pruned)
+                span.set(iterations=pruned.iterations, pruned=pruned.pruned,
+                         branch_edges=_publish_branch_edges(
+                             _built_edges(constraints)))
             result.timings["prune"] = time.perf_counter() - t0
             result.prune_result = pruned
             if not pruned.ok:
@@ -262,8 +279,11 @@ class PolySIChecker:
         if graph.constraints or not (pruned and pruned.known_acyclic):
             t0 = time.perf_counter()
             with trace_span("encode") as span:
+                before = _built_edges(graph.constraints)
                 encoding = encode_polygraph(graph, pruned)
                 span.set(solver_vertices=encoding.num_solver_vertices,
+                         branch_edges=_publish_branch_edges(
+                             _built_edges(graph.constraints) - before),
                          **encoding.stats())
             result.timings["encode"] = time.perf_counter() - t0
             result.encoding = encoding

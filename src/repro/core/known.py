@@ -99,16 +99,38 @@ class KnownGraph:
         on a pair already known, changes no derived state."""
         u, v, label, _key = edge
         if label == RW:
-            if v in self.antidep[u]:
-                return False
-            self.antidep[u].add(v)
-            return True
+            return self.add_antidep(u, v)
+        return self.add_dep(u, v)
+
+    def add_dep(self, u: int, v: int) -> bool:
+        """Install the Dep pair ``u -> v``; True when it is new."""
         if v in self.dep[u]:
             return False
         self.dep[u].add(v)
         self.dep_preds[v].add(u)
         self.pred_mask[v] |= 1 << u
         return True
+
+    def add_antidep(self, u: int, v: int) -> bool:
+        """Install the AntiDep pair ``u -> v``; True when it is new."""
+        if v in self.antidep[u]:
+            return False
+        self.antidep[u].add(v)
+        return True
+
+    def add_antideps(self, tails: Iterable[int], head: int) -> List[int]:
+        """Install the AntiDep pair ``t -> head`` for every ``t`` in
+        ``tails`` other than ``head`` (a compact branch's RW edges);
+        returns, in order, the tails whose pair was new."""
+        antidep = self.antidep
+        new = []
+        for tail in tails:
+            if tail != head:
+                succ = antidep[tail]
+                if head not in succ:
+                    succ.add(head)
+                    new.append(tail)
+        return new
 
     def _through(self, mids: Iterable[int]) -> Set[int]:
         """KI successors of a vertex whose Dep successors are ``mids``:

@@ -71,9 +71,19 @@ class Constraint:
 
     Exactly one of the two branches holds in any dependency graph
     extending the history: all edges of the chosen branch are present.
+
+    An *explicit* constraint is built from its two edge lists.  A
+    *compact* one (:meth:`compact`, what ``build_polygraph`` generates
+    by default) is its key, its writer pair ``(t, s)`` and the two
+    reader lists it reads, ``readers_from[(t, key)]`` and
+    ``readers_from[(s, key)]`` (:attr:`readers`); each branch is built
+    from them on first access and kept.  The lists are final before any
+    constraint exists, so a late build equals an eager one (DESIGN.md
+    S4).  Pruning answers a compact constraint from its pair and reader
+    lists without building either branch.
     """
 
-    __slots__ = ("either", "orelse", "key", "pair")
+    __slots__ = ("key", "pair", "readers", "_either", "_orelse")
 
     def __init__(
         self,
@@ -83,17 +93,74 @@ class Constraint:
         key=None,
         pair: Optional[Tuple[int, int]] = None,
     ):
-        self.either = tuple(either)
-        self.orelse = tuple(orelse)
+        self._either = tuple(either)
+        self._orelse = tuple(orelse)
         self.key = key
         self.pair = pair
+        #: ``(readers of t, readers of s)`` for a compact constraint,
+        #: None for an explicit one.
+        self.readers: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+
+    @classmethod
+    def compact(cls, key, t: int, s: int, readers_t: Sequence[int],
+                readers_s: Sequence[int]) -> "Constraint":
+        """The generalized constraint of writers ``t`` and ``s`` of
+        ``key``, over the reader lists of their two versions."""
+        cons = cls.__new__(cls)
+        cons.key = key
+        cons.pair = (t, s)
+        cons.readers = (readers_t, readers_s)
+        cons._either = cons._orelse = None
+        return cons
+
+    @property
+    def either(self) -> Tuple[Edge, ...]:
+        """The branch in which ``t`` precedes ``s``."""
+        if self._either is None:
+            t, s = self.pair
+            self._either = _branch(self.readers[0], self.key, t, s)
+        return self._either
+
+    @property
+    def orelse(self) -> Tuple[Edge, ...]:
+        """The branch in which ``s`` precedes ``t``."""
+        if self._orelse is None:
+            t, s = self.pair
+            self._orelse = _branch(self.readers[1], self.key, s, t)
+        return self._orelse
 
     @property
     def num_unknown_deps(self) -> int:
-        return len(self.either) + len(self.orelse)
+        """Typed edges in both branches, counted without building them."""
+        if self.readers is None:
+            return len(self._either) + len(self._orelse)
+        t, s = self.pair
+        readers_t, readers_s = self.readers
+        return (2 + len(readers_t) - readers_t.count(s)
+                + len(readers_s) - readers_s.count(t))
+
+    @property
+    def built_edges(self) -> int:
+        """How many typed branch edges exist for this constraint: both
+        branches of an explicit one, those asked for of a compact one."""
+        either, orelse = self._either, self._orelse
+        return ((0 if either is None else len(either))
+                + (0 if orelse is None else len(orelse)))
+
+    def __reduce__(self):
+        # A compact constraint pickles as its pair and its two reader
+        # lists: never a built branch, never the whole reader index.
+        if self.readers is not None:
+            return (Constraint.compact, (self.key, *self.pair, *self.readers))
+        return (_explicit_constraint,
+                (self._either, self._orelse, self.key, self.pair))
 
     def __repr__(self) -> str:
         return f"Constraint(key={self.key!r}, either={self.either}, or={self.orelse})"
+
+
+def _explicit_constraint(either, orelse, key, pair) -> Constraint:
+    return Constraint(either, orelse, key=key, pair=pair)
 
 
 class GeneralizedPolygraph:
@@ -104,8 +171,11 @@ class GeneralizedPolygraph:
         self.history = history
         self.num_vertices = num_vertices
         self.init_vertex = init_vertex
-        self.known_edges: List[Edge] = []
+        self._known_edges: List[Edge] = []
         self._known_set: set = set()
+        #: Promoted branches not yet written into the known edges, as
+        #: ``(constraint, either_wins)`` in promotion order (:meth:`promote`).
+        self._promoted: List[Tuple[Constraint, bool]] = []
         self.constraints: List[Constraint] = []
         # (writer_vertex, key) -> list of reader vertices (from WR edges).
         self.readers_from: Dict[Tuple[int, object], List[int]] = {}
@@ -120,17 +190,50 @@ class GeneralizedPolygraph:
         """Add a known (certain) edge, deduplicating repeats; returns
         whether the edge was actually new (callers maintaining derived
         state, e.g. :class:`repro.core.pruning.PruneState`, key off it)."""
+        if self._promoted:
+            self._write_promoted()
         if edge in self._known_set:
             return False
         self._known_set.add(edge)
-        self.known_edges.append(edge)
+        self._known_edges.append(edge)
         return True
 
     def add_known_many(self, edges: Sequence[Edge]) -> None:
         for edge in edges:
             self.add_known(edge)
 
+    def promote(self, cons: Constraint, either_wins: bool) -> None:
+        """Make one branch of ``cons`` known, lazily: the branch's edges
+        join :attr:`known_edges` the first time anything reads it, in
+        promotion order and deduplicated — the list ``add_known_many``
+        per promotion would have built.  A check that never reads the
+        list (a satisfied one) never builds the branch."""
+        self._promoted.append((cons, either_wins))
+
+    def _write_promoted(self) -> None:
+        log, self._promoted = self._promoted, []
+        seen, edges = self._known_set, self._known_edges
+        for cons, either_wins in log:
+            for edge in cons.either if either_wins else cons.orelse:
+                if edge not in seen:
+                    seen.add(edge)
+                    edges.append(edge)
+
     # -- views ------------------------------------------------------------------
+
+    @property
+    def known_edges(self) -> List[Edge]:
+        """The known edges in the order they became known."""
+        if self._promoted:
+            self._write_promoted()
+        return self._known_edges
+
+    @property
+    def known_set(self) -> set:
+        """:attr:`known_edges` as a set."""
+        if self._promoted:
+            self._write_promoted()
+        return self._known_set
 
     def known_by_label(self, *labels: str) -> List[Edge]:
         wanted = set(labels)
@@ -161,15 +264,16 @@ class GeneralizedPolygraph:
         return self.history.transactions[v]
 
     def copy(self) -> "GeneralizedPolygraph":
-        """Shallow copy: shares edges/constraints (immutable tuples) but can
-        be pruned independently."""
+        """Shallow copy: shares edges/constraints (immutable tuples) and
+        the reader index (final once constraints exist, and read by the
+        compact ones) but can be pruned independently."""
         out = GeneralizedPolygraph(
             self.history, self.num_vertices, self.init_vertex
         )
-        out.known_edges = list(self.known_edges)
+        out._known_edges = list(self.known_edges)
         out._known_set = set(self._known_set)
         out.constraints = list(self.constraints)
-        out.readers_from = {k: list(v) for k, v in self.readers_from.items()}
+        out.readers_from = self.readers_from
         out.labels = list(self.labels) if self.labels is not None else None
         out._txn_of = list(self._txn_of) if self._txn_of is not None else None
         return out
@@ -243,7 +347,7 @@ class GeneralizedPolygraph:
                 comp_of[v] = ci
         constraints_of: List[List[Constraint]] = [[] for _ in components]
         for cons in self.constraints:
-            constraints_of[comp_of[cons.either[0][0]]].append(cons)
+            constraints_of[comp_of[_anchor(cons)]].append(cons)
         return components, constraints_of
 
     def subgraph(
@@ -283,14 +387,27 @@ class GeneralizedPolygraph:
         # Known edges are unique and the renumbering is injective, so the
         # renamed edges are unique too: assign them in bulk instead of
         # deduplicating one add_known() call at a time.
-        sub.known_edges = [
+        sub._known_edges = [
             (remap[u], remap[v], label, key)
             for u, v, label, key in self.known_edges
             if remap[v] >= 0 and remap[u] >= 0
         ]
-        sub._known_set = set(sub.known_edges)
+        sub._known_set = set(sub._known_edges)
+        for (writer, key), readers in self.readers_from.items():
+            if remap[writer] >= 0:
+                kept = [remap[r] for r in readers if remap[r] >= 0]
+                if kept:
+                    sub.readers_from[(remap[writer], key)] = kept
         for cons in self.constraints:
-            if remap[cons.either[0][0]] < 0:
+            if remap[_anchor(cons)] < 0:
+                continue
+            if cons.readers is not None:
+                # Every reader of a selected writer is selected (a WR
+                # edge joins them), so the renamed lists are complete.
+                t, s = remap[cons.pair[0]], remap[cons.pair[1]]
+                sub.constraints.append(Constraint.compact(
+                    cons.key, t, s, sub.readers_from.get((t, cons.key), ()),
+                    sub.readers_from.get((s, cons.key), ())))
                 continue
             sub.constraints.append(Constraint(
                 [(remap[u], remap[v], label, key)
@@ -301,11 +418,6 @@ class GeneralizedPolygraph:
                 pair=(remap[cons.pair[0]], remap[cons.pair[1]])
                 if cons.pair is not None else None,
             ))
-        for (writer, key), readers in self.readers_from.items():
-            if remap[writer] >= 0:
-                kept = [remap[r] for r in readers if remap[r] >= 0]
-                if kept:
-                    sub.readers_from[(remap[writer], key)] = kept
         old_of_new = list(order)
         if needs_init:
             old_of_new.append(init)
@@ -707,11 +819,24 @@ def match_history(
         graph.num_vertices += 1
     # One generalized constraint per key per unordered writer pair.  Per
     # key, not per arrival: the clause set would be the same but its
-    # order — and with it the search — would not (DESIGN.md S4).
+    # order — and with it the search — would not (DESIGN.md S4).  Every
+    # read is matched by now, so the reader lists a compact constraint
+    # keeps are final.
+    readers_from = graph.readers_from
+    append = graph.constraints.append
     for key, writers in builder.writers_of.items():
+        if len(writers) < 2:
+            continue
+        if not compact:
+            for i, t in enumerate(writers):
+                for s in writers[i + 1:]:
+                    _emit_explicit(graph, key, t, s)
+            continue
+        readers = [readers_from.get((w, key), ()) for w in writers]
         for i, t in enumerate(writers):
-            for s in writers[i + 1:]:
-                _emit_constraints(graph, key, t, s, compact)
+            for j in range(i + 1, len(writers)):
+                append(Constraint.compact(key, t, writers[j], readers[i],
+                                          readers[j]))
     return anomalies
 
 
@@ -742,29 +867,33 @@ def build_polygraph(
 
 
 def branch_edges(readers_from: Dict[Tuple[int, object], List[int]],
-                 key, first: int, second: int) -> List[Edge]:
+                 key, first: int, second: int) -> Tuple[Edge, ...]:
     """Edges forced when ``first`` precedes ``second`` in the version order
     of ``key``: the WW edge plus one RW edge per reader of ``first``
     (``readers_from`` maps ``(writer, key)`` to the readers).  Shared by
     batch construction and the online checker, which materializes
     branches lazily from its running reader index."""
-    edges: List[Edge] = [(first, second, WW, key)]
-    for reader in readers_from.get((first, key), ()):
-        if reader != second:
-            edges.append((reader, second, RW, key))
-    return edges
+    return _branch(readers_from.get((first, key), ()), key, first, second)
 
 
-def _emit_constraints(
-    graph: GeneralizedPolygraph, key, t: int, s: int, compact: bool
-) -> None:
+def _branch(readers: Sequence[int], key, first: int,
+            second: int) -> Tuple[Edge, ...]:
+    """The branch "``first`` before ``second``" over ``first``'s
+    ``readers`` of ``key``."""
+    return ((first, second, WW, key),
+            *[(reader, second, RW, key) for reader in readers
+              if reader != second])
+
+
+def _anchor(cons: Constraint) -> int:
+    """A vertex of ``cons``, whose component (and subgraph) the
+    constraint belongs to."""
+    return cons.pair[0] if cons.pair is not None else cons.either[0][0]
+
+
+def _emit_explicit(graph: GeneralizedPolygraph, key, t: int, s: int) -> None:
     either = branch_edges(graph.readers_from, key, t, s)
     orelse = branch_edges(graph.readers_from, key, s, t)
-    if compact:
-        graph.constraints.append(
-            Constraint(either, orelse, key=key, pair=(t, s))
-        )
-        return
     # Non-compacted construction (Definition 8 style): the WW direction
     # choice plus one constraint per reader.  Shared pair-level variables in
     # the encoding keep the decomposition semantically equivalent.

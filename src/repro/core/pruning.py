@@ -18,12 +18,19 @@ once and decides every RW edge of the branch by int-bitset arithmetic
 against the Dep-predecessor masks (:attr:`KnownGraph.pred_mask
 <repro.core.known.KnownGraph.pred_mask>`), so the cost of a branch does
 not depend on how many predecessors its readers have, nor on which
-closure backend holds the rows.
+closure backend holds the rows.  A compact constraint is asked the same
+two questions in *pair form* (:func:`pair_impossible`): from its writer
+pair and the reader list of the earlier version, without building the
+branch.
 
 When one branch is impossible the other becomes known; when both are, the
 history violates SI and a concrete witness cycle is reconstructed for the
 interpretation stage.  The process iterates to a fixpoint: newly-known
-edges enable further pruning.
+edges enable further pruning.  A promoted compact branch goes into the
+known graph pair by pair (:meth:`PruneState.promote`); its typed edges
+are written into ``graph.known_edges`` only if something reads that list
+(:meth:`GeneralizedPolygraph.promote
+<repro.core.polygraph.GeneralizedPolygraph.promote>`).
 
 Reachability of the known induced graph ``KI = Dep ∪ (Dep ; AntiDep)``
 is maintained *incrementally* across iterations: iteration 1 seeds the
@@ -61,6 +68,7 @@ __all__ = [
     "PruneResult",
     "PruneState",
     "branch_impossible",
+    "pair_impossible",
     "classify_constraints",
     "apply_decisions",
     "prune_iteration_state",
@@ -134,9 +142,11 @@ class PruneState:
       (:meth:`KnownGraph.closure() <repro.core.known.KnownGraph.closure>`,
       which never builds KI) and wraps its rows into the shared
       incremental kernel;
-    - :meth:`add_known` installs a newly-promoted typed edge into the
-      graph (which dedups typed edges) and the known graph (cheap set
-      updates) and queues it;
+    - :meth:`promote` installs a resolved constraint's winning branch
+      into the known graph pair by pair (cheap set updates), queues each
+      new pair, and logs the branch on the graph, which writes its typed
+      edges only if read; :meth:`add_known` does the same for one typed
+      edge, written into the graph at once;
     - reading :attr:`reach` flushes the queued delta into the closure,
       *adaptively*.  A small delta (the typical late fixpoint
       iteration) expands each queued edge into the KI pairs it induces
@@ -158,7 +168,8 @@ class PruneState:
     the SCC-condensed kernel).
     """
 
-    __slots__ = ("graph", "known", "_backend", "_reach", "_pending")
+    __slots__ = ("graph", "known", "_backend", "_reach", "_pending",
+                 "_queued", "_reseed_above")
 
     def __init__(self, graph: GeneralizedPolygraph, *, backend=None):
         self.graph = graph
@@ -169,8 +180,12 @@ class PruneState:
         #: selector semantics — None honours REPRO_CLOSURE_BACKEND).
         self._backend = resolve_closure_backend(backend)
         self._reach = self._seed(reseed=False)
-        #: Promoted edges (each a new Dep/AntiDep pair) whose induced
-        #: pairs are not yet in the closure.
+        #: How many promoted pairs (each a new Dep/AntiDep pair) are not
+        #: yet in the closure.  Past ``_reseed_above`` the next flush
+        #: reseeds, so only the first ``_reseed_above`` are recorded, as
+        #: typed edges, in ``_pending``.
+        self._queued = 0
+        self._reseed_above = max(16, graph.num_vertices // 8)
         self._pending: List[Edge] = []
 
     def _seed(self, reseed: bool) -> ClosureBackend:
@@ -195,13 +210,14 @@ class PruneState:
     @property
     def reach(self) -> ClosureBackend:
         """The KI closure, with any queued delta flushed in."""
-        if self._pending:
+        if self._queued:
             self._flush()
         return self._reach
 
     def _flush(self) -> None:
-        pending, self._pending = self._pending, []
-        if len(pending) > max(16, self.graph.num_vertices // 8):
+        pending, queued = self._pending, self._queued
+        self._pending, self._queued = [], 0
+        if queued > self._reseed_above:
             # Large delta: one bulk reseed over the maintained adjacency
             # costs less than a single old-style recompute iteration did.
             fresh = self._seed(reseed=True)
@@ -216,15 +232,53 @@ class PruneState:
             for u, v in self.known.induced_by(edge):
                 insert(u, v)
 
+    def _queue(self, edge: Edge) -> None:
+        self._queued += 1
+        if self._queued <= self._reseed_above:
+            self._pending.append(edge)
+
     def add_known(self, edge: Edge) -> None:
         """Promote one typed edge: into the graph, the known graph, and
         the (queued) incremental KI closure."""
         if self.graph.add_known(edge) and self.known.add(edge):
-            self._pending.append(edge)
+            self._queue(edge)
 
-    def add_known_many(self, edges: Sequence[Edge]) -> None:
-        for edge in edges:
-            self.add_known(edge)
+    def promote(self, cons: Constraint, either_wins: bool) -> None:
+        """Make the winning branch of ``cons`` known.
+
+        A compact branch goes in pair by pair — the WW pair of its
+        writers, the AntiDep pair of each reader of the earlier version —
+        without being built; an explicit one edge by edge.  Either way
+        the known graph gains, and the closure queue records, exactly
+        the new pairs ``add_known`` over the branch's typed edges would
+        have added: an edge already typed-known has its pair known too.
+        The graph only logs the branch (:meth:`GeneralizedPolygraph.promote
+        <repro.core.polygraph.GeneralizedPolygraph.promote>`)."""
+        self.graph.promote(cons, either_wins)
+        known = self.known
+        if cons.readers is None:
+            for edge in cons.either if either_wins else cons.orelse:
+                if known.add(edge):
+                    self._queue(edge)
+            return
+        key = cons.key
+        if either_wins:
+            first, second = cons.pair
+            readers = cons.readers[0]
+        else:
+            second, first = cons.pair
+            readers = cons.readers[1]
+        if known.add_dep(first, second):
+            self._queue((first, second, WW, key))
+        new = known.add_antideps(readers, second)
+        if new:
+            # Past the reseed threshold nothing is recorded, which is
+            # where a large promotion adds most of its pairs.
+            room = self._reseed_above - self._queued
+            if room > 0:
+                self._pending.extend((reader, second, RW, key)
+                                     for reader in new[:room])
+            self._queued += len(new)
 
 
 def branch_impossible(
@@ -250,8 +304,10 @@ def branch_impossible(
       then a self-loop, which strict reachability does not record).
 
     Every RW edge of a compact branch shares its head, so the row is
-    fetched once per branch however many readers it has.  Shared by
-    batch and online pruning so the rules cannot diverge.
+    fetched once per branch however many readers it has.  The pair form
+    of the same rules, :func:`pair_impossible`, answers compact
+    constraints in batch and online; this edge-list form answers
+    explicit ones.
     """
     head = row = None
     for src, dst, label, _key in edges:
@@ -265,6 +321,35 @@ def branch_impossible(
             if preds >> dst & 1 or row & preds:
                 return True
     return False
+
+
+def pair_impossible(
+    first: int,
+    second: int,
+    readers: Iterable[int],
+    reach: Reachability,
+    pred_mask: Sequence[int],
+) -> bool:
+    """:func:`branch_impossible` of the compact branch "``first``
+    precedes ``second``", asked without building it; ``readers`` are
+    ``first``'s readers of the key.
+
+    The WW edge is one ``has(second, first)``.  The branch's RW edges
+    ``r -> second`` (every reader ``r`` other than ``second``) share
+    their head, so they are one question: does ``second``'s closure
+    row, or ``second`` itself, meet the union of the readers'
+    Dep-predecessor masks?  Same lookups, in the same order, as the
+    edge-list form.
+    """
+    if reach.has(second, first):
+        return True
+    preds = 0
+    some = False
+    for reader in readers:
+        if reader != second:
+            preds |= pred_mask[reader]
+            some = True
+    return some and bool((reach.row(second) | 1 << second) & preds)
 
 
 def prune_iteration_state(
@@ -292,13 +377,22 @@ def classify_constraints(
 
     Classification reads only ``reach`` and ``pred_mask`` (both frozen
     at iteration start), never the graph, so no decision observes
-    another's resolution within the iteration.
+    another's resolution within the iteration.  A compact constraint is
+    asked in pair form, an explicit one over its edge lists.
     """
-    return [
-        (branch_impossible(cons.either, reach, pred_mask),
-         branch_impossible(cons.orelse, reach, pred_mask))
-        for cons in constraints
-    ]
+    decisions = []
+    for cons in constraints:
+        if cons.readers is None:
+            decisions.append(
+                (branch_impossible(cons.either, reach, pred_mask),
+                 branch_impossible(cons.orelse, reach, pred_mask)))
+            continue
+        t, s = cons.pair
+        readers_t, readers_s = cons.readers
+        decisions.append(
+            (pair_impossible(t, s, readers_t, reach, pred_mask),
+             pair_impossible(s, t, readers_s, reach, pred_mask)))
+    return decisions
 
 
 def apply_decisions(
@@ -310,10 +404,10 @@ def apply_decisions(
     """Apply one iteration's classification to ``graph`` in constraint
     order; returns whether anything was resolved.
 
-    With a :class:`PruneState`, promoted edges go through
-    :meth:`PruneState.add_known`, so the closure and adjacency are
+    With a :class:`PruneState`, a winning branch goes through
+    :meth:`PruneState.promote`, so the closure and adjacency are
     maintained in place for the next iteration; without one (the
-    recompute reference path) they land on the graph directly.
+    recompute reference path) its edges land on the graph directly.
     Decisions were classified against the state frozen at iteration
     start, so mutating the closure mid-application cannot change them —
     the two paths resolve identical constraints.
@@ -322,7 +416,11 @@ def apply_decisions(
     marked violating (with a reconstructed witness cycle) and the
     remaining decisions are not applied.
     """
-    promote = graph.add_known_many if state is None else state.add_known_many
+    if state is None:
+        def promote(cons: Constraint, either_wins: bool) -> None:
+            graph.add_known_many(cons.either if either_wins else cons.orelse)
+    else:
+        promote = state.promote
     remaining: List[Constraint] = []
     changed = False
     for cons, (either_bad, orelse_bad) in zip(graph.constraints, decisions):
@@ -332,11 +430,11 @@ def apply_decisions(
             result.violation_cycle = _violation_cycle(graph, cons)
             return changed
         if either_bad:
-            promote(cons.orelse)
+            promote(cons, False)
             result.pruned += 1
             changed = True
         elif orelse_bad:
-            promote(cons.either)
+            promote(cons, True)
             result.pruned += 1
             changed = True
         else:

@@ -205,7 +205,7 @@ def _restore(
         if edge not in recovered or recovered[edge] == "uncertain":
             recovered[edge] = status
 
-    known_set = graph._known_set
+    known_set = graph.known_set
     for edge in example.cycle:
         add(edge, "certain" if edge in known_set else "uncertain")
 

@@ -73,7 +73,7 @@ from ..core.polygraph import (
     WW,
     branch_edges,
 )
-from ..core.pruning import branch_impossible, find_known_cycle
+from ..core.pruning import find_known_cycle, pair_impossible
 from ..obs import current_metrics, get_logger, trace_span
 from ..solver.cdcl import SolverStats
 from ..utils.closure import CYCLE, NEW, iter_bits, resolve_closure_backend
@@ -742,8 +742,11 @@ class OnlineChecker:
         """The paper's fixpoint over the unresolved constraints, pass by
         pass in their order, asking only the dirty ones: a constraint
         nothing it reads has changed for since it was last asked answers
-        "neither branch impossible" again.  Returns how many were asked."""
+        "neither branch impossible" again.  Each is asked in pair form;
+        only a winning branch, or a witness, is built.  Returns how many
+        were asked."""
         reach, pred_mask = self._ki, self._known.pred_mask
+        readers_from = self._front.readers_from
         dirty = self._dirty
         asked = 0
         while dirty:
@@ -754,21 +757,27 @@ class OnlineChecker:
                     continue
                 dirty.discard(ck)
                 asked += 1
-                _ck, either, orelse = self._constraint(ck)
-                either_bad = branch_impossible(either, reach, pred_mask)
-                orelse_bad = branch_impossible(orelse, reach, pred_mask)
+                key, t, s = ck
+                either_bad = pair_impossible(
+                    t, s, readers_from.get((t, key), ()), reach, pred_mask)
+                orelse_bad = pair_impossible(
+                    s, t, readers_from.get((s, key), ()), reach, pred_mask)
                 if either_bad and orelse_bad:
+                    _ck, either, orelse = self._constraint(ck)
                     cycle = self._witness(either) or self._witness(orelse)
                     self._latch("pruning", cycle=cycle)
                 elif either_bad:
-                    self._resolve(ck, t_first=False, edges=orelse)
+                    self._resolve(ck, t_first=False, edges=branch_edges(
+                        readers_from, key, s, t))
                 elif orelse_bad:
-                    self._resolve(ck, t_first=True, edges=either)
+                    self._resolve(ck, t_first=True, edges=branch_edges(
+                        readers_from, key, t, s))
                 if self._violation is not None:
                     return asked
         return asked
 
-    def _resolve(self, ck: tuple, *, t_first: bool, edges: List[Edge]) -> None:
+    def _resolve(self, ck: tuple, *, t_first: bool,
+                 edges: Sequence[Edge]) -> None:
         del self._unresolved[ck]
         self._dirty.discard(ck)
         self._solver_dirty = True

@@ -1,0 +1,170 @@
+"""What the batch checker answers, pinned to a parent commit's answers.
+
+``tests/data/batch_fingerprint_9aaf820.json`` was written by commit
+``9aaf820`` running this file as a script (before constraints stayed
+compact through pruning).  For each unit — small seeded histories shaped
+like the ``general_rh`` and ``general_rw`` benchmark workloads, plus
+every corpus template with padding — and each closure backend, it holds
+the verdict, ``decided_by``, the witness cycle, the classification, the
+pruning counters, the ``closure.<backend>.*`` counters, the encoding and
+solver stats, and a digest of the pruned graph's known edges *in
+order*.  The test holds the current build to every field; a second
+test holds the ``polygraph.branch_edges`` work counter to what each
+polygraph form builds.
+
+Regenerate (only ever from the commit the file name records)::
+
+    PYTHONPATH=src python tests/test_batch_fingerprint.py OUT.json
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+import repro
+from repro.core.checker import CheckResult, PolySIChecker
+from repro.interpret import interpret_violation
+from repro.obs import MetricsRegistry, use_metrics
+from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
+from repro.workloads.generator import WorkloadParams, generate_history
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "data", "batch_fingerprint_9aaf820.json")
+BACKENDS = ("python", "numpy")
+
+#: The benchmark's batch shapes, scaled down to a fraction of a second.
+GENERAL = {
+    "general_rh": dict(sessions=8, txns_per_session=40, ops_per_txn=8,
+                       read_proportion=0.95, keys=1_000,
+                       distribution="zipfian"),
+    "general_rw": dict(sessions=8, txns_per_session=30, ops_per_txn=8,
+                       read_proportion=0.5, keys=300, distribution="zipfian"),
+}
+GENERAL_SEEDS = (1, 3, 4242)
+CORPUS = dict(seed=7, padding_txns=40)
+
+
+def unit_history(unit):
+    kind, name = unit.split("/", 1)
+    if kind == "corpus":
+        return make_anomaly(name, **CORPUS)
+    return generate_history(WorkloadParams(**GENERAL[kind]), seed=int(name),
+                            isolation="snapshot").history
+
+
+def units():
+    return ([f"{kind}/{seed}" for kind in sorted(GENERAL)
+             for seed in GENERAL_SEEDS]
+            + [f"corpus/{name}" for name in sorted(ANOMALY_TEMPLATES)])
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def fingerprint(unit, backend):
+    """One unit checked through the checker's own two stages, so the
+    pruned polygraph stays reachable for the known-edge digest."""
+    checker = PolySIChecker(closure_backend=backend)
+    result = CheckResult()
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        graph = checker.construct(unit_history(unit), result)
+        if graph is not None:
+            checker.check_polygraph(graph, result)
+    counters = registry.snapshot()["counters"]
+    out = {
+        "satisfies_si": result.satisfies_si,
+        "decided_by": result.decided_by,
+        "cycle": [[u, v, label, repr(key)]
+                  for u, v, label, key in result.cycle or ()],
+        "pruning": (result.prune_result.as_dict()
+                    if result.prune_result is not None else None),
+        "closure": {name: value for name, value in counters.items()
+                    if name.startswith("closure.")},
+        "encoding": (result.encoding.stats()
+                     if result.encoding is not None else None),
+        "solver": result.solver_stats,
+        "solver_vertices": result.stats.get("solver_vertices"),
+        "known_edges": (None if graph is None else
+                        [len(graph.known_edges), digest(graph.known_edges)]),
+        "classification": None,
+        "finalized": None,
+    }
+    if not result.satisfies_si:
+        example = interpret_violation(result)
+        out["classification"] = example.classification
+        out["finalized"] = digest(example.finalized)
+    return out
+
+
+def all_fingerprints():
+    return {f"{unit}@{backend}": fingerprint(unit, backend)
+            for unit in units() for backend in BACKENDS}
+
+
+if os.path.exists(DATA):
+    with open(DATA, encoding="utf-8") as _handle:
+        PARENT = json.load(_handle)
+else:  # pragma: no cover - only while writing the file
+    PARENT = {}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("unit", units())
+def test_answers_written_by_the_parent_commit(unit, backend):
+    want = PARENT[f"{unit}@{backend}"]
+    got = json.loads(json.dumps(fingerprint(unit, backend)))
+    for field in want:
+        assert got[field] == want[field], (unit, backend, field)
+    assert got == want
+
+
+def test_the_units_exercise_what_they_pin():
+    """Both batch shapes satisfy SI and keep a solver's worth of
+    constraints somewhere; the corpus violates in pruning and solving."""
+    assert set(PARENT) == {f"{unit}@{backend}" for unit in units()
+                           for backend in BACKENDS}
+    general = [fp for name, fp in PARENT.items()
+               if name.startswith("general")]
+    assert all(fp["satisfies_si"] for fp in general)
+    assert any(fp["decided_by"] == "solving" for fp in general)
+    corpus = [fp for name, fp in PARENT.items() if name.startswith("corpus")]
+    assert not any(fp["satisfies_si"] for fp in corpus)
+    assert {"pruning", "solving"} <= {fp["decided_by"] for fp in corpus}
+
+
+@pytest.mark.parametrize("compact", [True, False])
+@pytest.mark.parametrize("unit", ["general_rh/3", "general_rw/1",
+                                  "corpus/read-skew"])
+def test_branch_edges_counts_what_was_built(unit, compact):
+    """``polygraph.branch_edges`` on the ``prune`` and ``encode`` spans
+    and in the metrics: a compact polygraph builds the branches of the
+    constraints that reach the encoder (or of a pruning witness), an
+    explicit one every branch, up front."""
+    report = repro.check(unit_history(unit), compact=compact)
+    pruning = report.native.prune_result
+    spans = {span["name"]: span["attrs"].get("branch_edges")
+             for span in report.stats["trace"]["spans"]
+             if span["name"] in ("prune", "encode")}
+    counted = report.stats["trace"]["metrics"]["counters"].get(
+        "polygraph.branch_edges", 0)
+    assert counted == sum(spans.values())
+    if not compact:
+        assert spans["prune"] == pruning.unknown_deps_before
+    elif report.ok:
+        assert spans["prune"] == 0
+        assert spans.get("encode", 0) == pruning.unknown_deps_after
+    else:
+        witness = pruning.violation_constraint
+        assert 0 < witness.num_unknown_deps <= spans["prune"]
+        assert spans["prune"] < pruning.unknown_deps_before
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1], "w", encoding="utf-8") as handle:
+        json.dump(all_fingerprints(), handle, indent=1, sort_keys=True)
+        handle.write("\n")

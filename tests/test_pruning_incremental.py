@@ -175,7 +175,10 @@ class TestPruneState:
         bulk = PruneState(bulk_graph)
         for i in range(39):
             bulk.add_known((i, i + 1, WW, f"k{i}"))
-        assert len(bulk._pending) == 39  # over the bulk threshold
+        # Over the bulk threshold: queued, but past the threshold no
+        # longer recorded — the flush reseeds.
+        assert bulk._queued == 39 > bulk._reseed_above
+        assert len(bulk._pending) == bulk._reseed_above
         rows_bulk = bulk.reach.int_rows()
 
         step_graph = chain_graph()

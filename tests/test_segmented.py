@@ -1,6 +1,7 @@
 """Tests for segmented checking (repro.extensions.segmented)."""
 
 import os
+import pickle
 
 import pytest
 
@@ -257,6 +258,43 @@ class TestSegmentPool:
         assert pooled.ok
         names = [s["name"] for s in pooled.stats["trace"]["spans"]]
         assert names.count("pool") == 1
+
+    def test_compact_constraints_pickle_small(self):
+        """The pool ships a violating segment's polygraph back: each
+        compact constraint crosses as its pair and its two reader lists,
+        with equal branches on the other side, and never as its built
+        branches or the whole reader index."""
+        run = stale_run(seed=4, txns=30, snapshot_every=8)
+        graph = max((result.polygraph
+                     for result in check_segments(run).segment_results
+                     if result.polygraph is not None),
+                    key=lambda graph: graph.num_constraints)
+        compact = [cons for cons in graph.constraints
+                   if cons.readers is not None]
+        assert compact and any(any(cons.readers) for cons in compact)
+        index_size = len(pickle.dumps(graph.readers_from))
+        for cons in compact:
+            t, s = cons.pair
+            lists = (graph.readers_from.get((t, cons.key), ()),
+                     graph.readers_from.get((s, cons.key), ()))
+            assert cons.readers == lists
+            assert cons.either and cons.orelse    # built, yet not shipped
+            data = pickle.dumps(cons)
+            assert len(data) <= len(pickle.dumps(
+                (cons.key, t, s, *lists))) + 128
+            assert len(data) < index_size
+            clone = pickle.loads(data)
+            assert clone.readers == lists and clone._either is None
+            assert (clone.key, clone.pair) == (cons.key, cons.pair)
+            assert (clone.either, clone.orelse) == (cons.either, cons.orelse)
+        # A whole polygraph ships each reader list once: its constraints
+        # and its reader index share them on the other side too.
+        clone = pickle.loads(pickle.dumps(graph))
+        for cons in clone.constraints:
+            t, s = cons.pair
+            for writer, readers in zip((t, s), cons.readers):
+                if readers:
+                    assert readers is clone.readers_from[(writer, cons.key)]
 
     def test_worker_spans_are_adopted_under_the_pool_span(self):
         report = check(make_run(snapshot_every=20), **POOLED)

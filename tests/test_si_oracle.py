@@ -18,8 +18,9 @@ The decider imports nothing from ``repro`` and reads a history only
 through attributes (``sessions``, ``ops``, ``status``, ``kind``, ``key``,
 ``value``).  The sweep below feeds it every history in two small scopes,
 built with ``HistoryBuilder``, and holds every SI engine x mode that
-checks a plain ``History`` — the batch pipeline with pruning off and
-under each closure backend, and the online checker fed one ``extend``
+checks a plain ``History`` — the batch pipeline with pruning off, with
+explicit constraints and under each closure backend, and the online
+checker fed one ``extend``
 batch or two split anywhere, or (on a seeded sample) snapshotted and
 restored at every split — to its answer; the second scope also holds
 every serializability engine to the serializable variant.
@@ -221,10 +222,13 @@ def _columns(isolation):
                 yield f"{spec.name}-{mode}", (spec.name, mode, options)
 
 
-#: The SI columns, then the batch pipeline with pruning off and under
-#: each closure backend.
+#: The SI columns, then the batch pipeline with pruning off, with
+#: explicit (edge-list) constraints — the path compact constraints no
+#: longer take by default — and under each closure backend.
 COLUMNS = dict(_columns("si"))
 COLUMNS["polysi-batch[prune=False]"] = ("polysi", "batch", {"prune": False})
+COLUMNS["polysi-batch[compact=False]"] = ("polysi", "batch",
+                                          {"compact": False})
 for _backend in ("python", "numpy"):
     COLUMNS[f'polysi-batch[closure_backend="{_backend}"]'] = (
         "polysi", "batch", {"closure_backend": _backend})
