@@ -26,7 +26,11 @@ length (each re-check pays for the whole prefix), while the online
 columns stay flat — the incremental checker is asymptotically below any
 repeated-batch schedule.  That is asserted at the largest size: solving
 after *every* transaction must cost less per transaction than
-re-running the batch checker every 8th.
+re-running the batch checker every 8th.  Every cell is the fastest
+of ``REPEATS`` rounds, each round running every series once, the two
+asserted ones back to back: scheduling noise on a shared machine only
+ever adds time, and a slow spell that lands on only one side of that
+comparison could otherwise decide it at smoke scale.
 
 ``derived`` also records what keeps the online column flat:
 ``solver_builds`` per mode (one instance per stream, plus one per window
@@ -40,12 +44,6 @@ per mode — the online checker asks only what an event changed; and
 ``batch_speedup``, ``batch/1`` over ``batch/64``, asserted at 1.2x or
 more at full scale (both runs must reach the same verdict, accepted
 count and evictions).
-
-The BENCH JSON additionally carries per-closure-backend series for the
-solve-batched mode (``online/8[python]``, ``online/8[numpy]``): the
-same stream checked with each registered
-:class:`repro.utils.closure.ClosureBackend` forced, so regressions in
-either kernel are visible in the online path too.
 """
 
 import functools
@@ -56,7 +54,6 @@ import pytest
 from _common import SCALE, note_stage_seconds, scaled
 from repro.bench.harness import render_table
 from repro.bench.results import BenchReport
-from repro.utils.closure import available_closure_backends
 from repro.core.checker import PolySIChecker
 from repro.core.history import HistoryBuilder
 from repro.online import OnlineChecker, WindowPolicy
@@ -70,6 +67,8 @@ _check_si = PolySIChecker().check
 SESSIONS = 6
 SIZES = [scaled(120), scaled(240), scaled(480)]
 REBATCH_STRIDE = 8
+#: Each timed cell is the fastest of this many rounds.
+REPEATS = 5
 
 
 def stream_txns(n_txns: int, seed: int = 11):
@@ -92,7 +91,7 @@ def stream_txns(n_txns: int, seed: int = 11):
 
 
 def online_run(txns, *, solve_every: int = 1, windowed: bool = False,
-               closure_backend: str = None, batch: int = 1):
+               batch: int = 1):
     """Check ``txns`` online, ``batch`` transactions per call (``add``
     for one, ``extend`` for more); returns amortized seconds per
     transaction and the final result's stats."""
@@ -101,7 +100,6 @@ def online_run(txns, *, solve_every: int = 1, windowed: bool = False,
         solve_every=solve_every,
         window=window,
         sessions=range(SESSIONS) if windowed else None,
-        closure_backend=closure_backend,
     )
     start = time.perf_counter()
     if batch == 1:
@@ -150,6 +148,8 @@ REBATCH = f"rebatch/{REBATCH_STRIDE}"
 MODES = {mode: functools.partial(online_amortized, **kwargs)
          for mode, kwargs in ONLINE_MODES.items()}
 MODES[REBATCH] = rebatch_amortized
+#: The order of one timing round: the asserted pair back to back.
+ROUND = ("online", REBATCH, *(m for m in ONLINE_MODES if m != "online"))
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -161,38 +161,37 @@ def test_online_amortized(benchmark, mode):
 
 
 def main():
-    backends = available_closure_backends()
     report = BenchReport("online", config={
         "sessions": SESSIONS, "sizes": SIZES, "modes": sorted(MODES),
         "seconds_meaning": "amortized per transaction",
-        "closure_backends": backends,
+        "repeats": REPEATS,
     })
     rows = []
     for size in SIZES:
         txns = stream_txns(size)
         cells = [str(len(txns))]
-        seconds, builds, asked, examined, settled = {}, {}, {}, {}, {}
-        for mode, kwargs in ONLINE_MODES.items():
-            seconds[mode], stats = online_run(txns, **kwargs)
-            settled[mode] = (stats["accepted"], stats["window"]["evicted"])
-            builds[mode] = stats["solver_builds"]
-            asked[mode] = stats["prune_asked"]
-            examined[mode] = stats["gc_examined"]
-            assert builds[mode] <= stats["window"]["compactions"] + 1, (
-                f"{mode}: {builds[mode]} solver instances for "
-                f"{stats['window']['compactions']} compactions")
-        seconds[REBATCH] = rebatch_amortized(txns)
+        runs = {mode: [] for mode in (*ONLINE_MODES, REBATCH)}
+        builds, asked, examined, settled = {}, {}, {}, {}
+        for _ in range(REPEATS):
+            for mode in ROUND:
+                if mode == REBATCH:
+                    runs[mode].append(rebatch_amortized(txns))
+                    continue
+                per_txn, stats = online_run(txns, **ONLINE_MODES[mode])
+                runs[mode].append(per_txn)
+                settled[mode] = (stats["accepted"],
+                                 stats["window"]["evicted"])
+                builds[mode] = stats["solver_builds"]
+                asked[mode] = stats["prune_asked"]
+                examined[mode] = stats["gc_examined"]
+                assert builds[mode] <= stats["window"]["compactions"] + 1, (
+                    f"{mode}: {builds[mode]} solver instances for "
+                    f"{stats['window']['compactions']} compactions")
+        seconds = {mode: min(times) for mode, times in runs.items()}
         for mode, per_txn in seconds.items():
             cells.append(f"{per_txn * 1000:.2f}")
             report.add_point(mode, len(txns), seconds=per_txn, axis="txns")
             report.count_verdict("si")  # the mode runners assert validity
-        # Per-backend series for the solve-batched online mode: same
-        # stream, each registered closure backend forced in turn.
-        for backend in backends:
-            per_txn = online_amortized(txns, solve_every=8,
-                                       closure_backend=backend)
-            report.add_point(f"online/8[{backend}]", len(txns),
-                             seconds=per_txn, axis="txns")
         rows.append(cells)
     # The last (largest) size is the headline.
     report.note("solver_builds", builds)

@@ -18,29 +18,24 @@ pins both:
   corpora (2-6 iterations) are reported alongside as the realistic
   shallow-fixpoint baseline.
 
-Since the closure-backend registry the bench additionally reports
-**per-backend** series: every end-to-end corpus runs the incremental
-fixpoint once per registered backend (series ``incremental[python]``,
-``incremental[numpy]``), and a *kernel cascade* — an ascending chain
-insertion trace driven straight into the closure kernel, the
-deep-fixpoint shape at a size where vectorization pays (every insert
-propagates one new target into all ancestors) — gates the numpy
-backend at >= 3x over the python backend (series
-``kernel-cascade[<backend>]``, notes ``kernel_speedup_numpy`` /
-``numpy_bar_met``), with byte-identical rows asserted between
-backends.  End-to-end corpora are small graphs where python big-ints
-are competitive; the kernel trace is where the numpy backend earns its
-keep, and both are reported so neither story hides the other.
+The incremental fixpoint runs on batch pruning's kernel, the python
+int-bitset closure (DESIGN.md S10).  A *kernel cascade* — an ascending
+chain insertion trace driven straight into each closure kernel, built
+directly, the insert-bound shape at a size where vectorization pays
+(every insert propagates one new target into all ancestors) — gates the
+numpy kernel, the online checker's, at >= 3x over the python one
+(series ``kernel-cascade[<kernel>]``, notes ``kernel_speedup_numpy`` /
+``numpy_bar_met``), with byte-identical rows asserted between kernels.
 
 The **classify** series isolates one fixpoint iteration's
 classification — every constraint of a read-heavy polygraph against
 one frozen closure — and times the shipped rule (bitset algebra on one
 closure row per branch, ``repro.core.pruning.branch_impossible``)
 against the rule it replaced (one ``has()`` call per Dep-predecessor,
-kept as the test oracle in ``tests/_helpers.py``), per registered
-backend, with identical decisions asserted (series
-``classify[<backend>]`` / ``classify-reference[<backend>]``, notes
-``classify_speedup`` / ``classify_bar_met`` for the resolved backend).
+kept as the test oracle in ``tests/_helpers.py``), on batch pruning's
+kernel, with identical decisions asserted (series ``classify[python]``
+/ ``classify-reference[python]``, notes ``classify_speedup`` /
+``classify_bar_met``).
 ROADMAP's rule for a single-layer optimisation applies: below 1.3x at
 full scale the run fails, because the change is then to be reverted,
 not kept behind a flag.
@@ -51,8 +46,8 @@ leaves it — where ``KI = Dep ∪ (Dep ; AntiDep)`` has grown to several
 times the pairs of the two relations it composes — it times the shipped
 kernel (``KnownGraph.closure()``, which walks Dep and AntiDep through
 hop nodes) against the one it replaced (compose KI with
-``induced_adjacency()``, then close it), each wrapped into the resolved
-backend as ``PruneState._seed`` does, identical rows asserted (series
+``induced_adjacency()``, then close it), each wrapped into batch
+pruning's kernel as ``PruneState._seed`` does, identical rows asserted (series
 ``reseed[hop]`` / ``reseed[materialised]`` per shape, notes
 ``reseed_<shape>`` with ``dep`` / ``antidep`` / ``ki`` pair counts,
 ``reseed_speedup`` / ``reseed_bar_met`` for the write-heavy shape).
@@ -80,7 +75,8 @@ from repro.core.pruning import (
     prune_constraints,
     prune_constraints_recompute,
 )
-from repro.utils.closure import available_closure_backends, resolve_closure_backend
+from repro.utils.closure import PyBitsetClosure
+from repro.utils.closure_np import NumpyBitsetClosure
 from repro.utils.gcpause import collector_paused
 from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.generator import WorkloadParams, generate_history
@@ -96,7 +92,11 @@ ROUNDS = 3
 #: The repo's acceptance bar on the deep-fixpoint corpus.
 SPEEDUP_BAR = 2.0
 
-#: Bar for the numpy closure backend over the python reference on the
+#: Both closure kernels by name: batch pruning's, then the online
+#: checker's.
+KERNELS = {"python": PyBitsetClosure, "numpy": NumpyBitsetClosure}
+
+#: Bar for the numpy closure kernel over the python reference on the
 #: kernel-cascade trace (the deep-fixpoint shape at kernel scale).
 NUMPY_SPEEDUP_BAR = 3.0
 
@@ -245,16 +245,16 @@ def best_call(fn) -> tuple:
     return best, value
 
 
-def kernel_cascade(backend_name: str, n: int) -> tuple:
+def kernel_cascade(kernel: str, n: int) -> tuple:
     """(best seconds, final int rows) for the chain insertion trace
     ``insert(i, i+1)`` on a fresh eager closure of ``n`` vertices.
 
     This drives the closure kernel directly (no polygraph, no
-    classification), isolating exactly the work the backend registry
-    exists to accelerate: every insert unions the new target into all
-    ancestors of ``i`` — O(n^2/2) row ORs over the whole trace.
+    classification), isolating exactly the insert-bound work the numpy
+    kernel exists to accelerate: every insert unions the new target
+    into all ancestors of ``i`` — O(n^2/2) row ORs over the whole trace.
     """
-    backend = resolve_closure_backend(backend_name)
+    backend = KERNELS[kernel]
     best = float("inf")
     closure = None
     for _ in range(ROUNDS):
@@ -266,14 +266,13 @@ def kernel_cascade(backend_name: str, n: int) -> tuple:
     return best, closure.int_rows()
 
 
-def classify_seconds(history, backend_name: str) -> tuple:
+def classify_seconds(history) -> tuple:
     """(reference seconds, shipped seconds, constraints) for classifying
     every constraint of ``history``'s polygraph once against its seeded
-    closure under ``backend_name`` — best of ROUNDS each, identical
-    decisions asserted."""
+    closure — best of ROUNDS each, identical decisions asserted."""
     graph, violations = build_polygraph(history)
     assert not violations
-    state = PruneState(graph, backend=backend_name)
+    state = PruneState(graph)
     reach, known = state.reach, state.known
     constraints = graph.constraints
 
@@ -290,38 +289,34 @@ def classify_seconds(history, backend_name: str) -> tuple:
 
     reference_s, want = best_call(reference)
     shipped_s, got = best_call(shipped)
-    assert got == want, (
-        f"mask rule diverged from the per-predecessor rule ({backend_name})"
-    )
+    assert got == want, "mask rule diverged from the per-predecessor rule"
     return reference_s, shipped_s, len(constraints)
 
 
 @collector_paused  # as inside a check, where every reseed runs
-def reseed_seconds(history, backend_name: str) -> tuple:
+def reseed_seconds(history) -> tuple:
     """(materialised seconds, hop seconds, pair counts) for one closure
     reseed over ``history``'s known graph as fixpoint iteration 1 leaves
-    it, under ``backend_name`` — best of ROUNDS each, identical rows
-    asserted."""
+    it — best of ROUNDS each, identical rows asserted."""
     graph, violations = build_polygraph(history)
     assert not violations
-    state = PruneState(graph, backend=backend_name)
+    state = PruneState(graph)
     decisions = classify_constraints(graph.constraints, state.reach,
                                      state.pred_mask)
     assert apply_decisions(graph, decisions, PruneResult(), state=state)
     known, n = state.known, graph.num_vertices
-    backend = resolve_closure_backend(backend_name)
 
     def materialised():
-        return backend.from_rows(
+        return PyBitsetClosure.from_rows(
             transitive_closure_bits(n, known.induced_adjacency()).rows)
 
     def hop():
-        return backend.from_rows(known.closure().rows)
+        return PyBitsetClosure.from_rows(known.closure().rows)
 
     materialised_s, want = best_call(materialised)
     hop_s, got = best_call(hop)
     assert got.int_rows() == want.int_rows(), (
-        f"hop-graph closure diverged from the materialised KI ({backend_name})"
+        "hop-graph closure diverged from the materialised KI"
     )
     counts = {
         "vertices": n,
@@ -333,18 +328,14 @@ def reseed_seconds(history, backend_name: str) -> tuple:
 
 
 @pytest.mark.parametrize("shape", sorted(RESEED_SHAPES))
-@pytest.mark.parametrize("backend", available_closure_backends())
-def test_reseed_kernel_parity(backend, shape):
-    materialised, hop, counts = reseed_seconds(
-        RESEED_SHAPES[shape](), backend)
+def test_reseed_kernel_parity(shape):
+    materialised, hop, counts = reseed_seconds(RESEED_SHAPES[shape]())
     assert materialised > 0 and hop > 0
     assert counts["ki"] > counts["dep"]
 
 
-@pytest.mark.parametrize("backend", available_closure_backends())
-def test_classify_rule_parity(backend):
-    reference, shipped, constraints = classify_seconds(
-        read_heavy_history(), backend)
+def test_classify_rule_parity():
+    reference, shipped, constraints = classify_seconds(read_heavy_history())
     assert constraints and reference > 0 and shipped > 0
 
 
@@ -372,7 +363,7 @@ def test_cascade_is_prune_heavy():
     assert result.constraints_after == 0
 
 
-@pytest.mark.parametrize("backend", available_closure_backends())
+@pytest.mark.parametrize("backend", sorted(KERNELS))
 def test_closure_backends_cascade(benchmark, backend):
     seconds, rows = benchmark.pedantic(
         kernel_cascade, args=(backend, scaled(512, minimum=64)),
@@ -383,9 +374,8 @@ def test_closure_backends_cascade(benchmark, backend):
 
 
 def test_kernel_cascade_backends_agree():
-    """Byte-identical rows between backends on the kernel trace."""
-    rows = {b: kernel_cascade(b, 96)[1]
-            for b in available_closure_backends()}
+    """Byte-identical rows between kernels on the kernel trace."""
+    rows = {b: kernel_cascade(b, 96)[1] for b in KERNELS}
     reference = rows.pop("python")
     for backend, got in rows.items():
         assert got == reference, backend
@@ -431,12 +421,11 @@ def disabled_trace_overhead_pct(history) -> float:
 
 
 def main():
-    backends = available_closure_backends()
     report = BenchReport("prune", config={
         "rounds": ROUNDS,
         "corpora": sorted(CORPORA),
         "speedup_bar": SPEEDUP_BAR,
-        "closure_backends": backends,
+        "closure_backends": list(KERNELS),
         "numpy_speedup_bar": NUMPY_SPEEDUP_BAR,
         "kernel_cascade_n": KERNEL_CASCADE_N,
         "classify_speedup_bar": CLASSIFY_SPEEDUP_BAR,
@@ -453,14 +442,6 @@ def main():
             seconds, result = best_of(fn, history)
             timings[variant] = seconds
             report.add_point(variant, corpus, seconds=seconds, axis="corpus")
-        # Per-backend incremental series: same fixpoint, each registered
-        # closure backend forced in turn.
-        for backend in backends:
-            seconds, _result = best_of(
-                lambda g, b=backend: prune_constraints(g, backend=b), history
-            )
-            report.add_point(f"incremental[{backend}]", corpus,
-                             seconds=seconds, axis="corpus")
         speedup = timings["recompute"] / timings["incremental"]
         speedups[corpus] = speedup
         report.note(f"speedup_{corpus}", round(speedup, 2))
@@ -476,11 +457,11 @@ def main():
     report.note("speedup_bar_met", speedups["cascade"] >= SPEEDUP_BAR)
     report.note("parity", "ok")
 
-    # The kernel-cascade trace: the perf gate for the numpy backend.
+    # The kernel-cascade trace: the perf gate for the numpy kernel.
     kernel_rows = []
     kernel_seconds = {}
     kernel_int_rows = {}
-    for backend in backends:
+    for backend in KERNELS:
         seconds, final_rows = kernel_cascade(backend, KERNEL_CASCADE_N)
         kernel_seconds[backend] = seconds
         kernel_int_rows[backend] = final_rows
@@ -489,36 +470,28 @@ def main():
         kernel_rows.append([backend, KERNEL_CASCADE_N, f"{seconds:.3f}"])
     for backend, final_rows in kernel_int_rows.items():
         assert final_rows == kernel_int_rows["python"], (
-            f"backend {backend} diverged from the python reference"
+            f"kernel {backend} diverged from the python reference"
         )
     report.note("kernel_parity", "ok")
-    numpy_bar_met = None
-    if "numpy" in kernel_seconds:
-        kernel_speedup = (kernel_seconds["python"]
-                         / kernel_seconds["numpy"])
-        numpy_bar_met = kernel_speedup >= NUMPY_SPEEDUP_BAR
-        report.note("kernel_speedup_numpy", round(kernel_speedup, 2))
-        report.note("numpy_bar_met", numpy_bar_met)
+    kernel_speedup = kernel_seconds["python"] / kernel_seconds["numpy"]
+    numpy_bar_met = kernel_speedup >= NUMPY_SPEEDUP_BAR
+    report.note("kernel_speedup_numpy", round(kernel_speedup, 2))
+    report.note("numpy_bar_met", numpy_bar_met)
 
     # The classification rule on its own: one iteration's worth of
     # branches against one frozen closure, old rule vs shipped rule.
     read_heavy = read_heavy_history()
-    resolved = resolve_closure_backend().name
-    classify_rows = []
-    classify_speedups = {}
-    for backend in backends:
-        reference, shipped, constraints = classify_seconds(
-            read_heavy, backend)
-        report.add_point(f"classify-reference[{backend}]", constraints,
-                         seconds=reference, axis="constraints")
-        report.add_point(f"classify[{backend}]", constraints,
-                         seconds=shipped, axis="constraints")
-        classify_speedups[backend] = reference / shipped
-        classify_rows.append([backend, constraints, f"{reference:.3f}",
-                              f"{shipped:.3f}",
-                              f"{reference / shipped:.2f}x"])
-    classify_bar_met = classify_speedups[resolved] >= CLASSIFY_SPEEDUP_BAR
-    report.note("classify_speedup", round(classify_speedups[resolved], 2))
+    kernel = PyBitsetClosure.name
+    reference, shipped, constraints = classify_seconds(read_heavy)
+    report.add_point(f"classify-reference[{kernel}]", constraints,
+                     seconds=reference, axis="constraints")
+    report.add_point(f"classify[{kernel}]", constraints,
+                     seconds=shipped, axis="constraints")
+    classify_speedup = reference / shipped
+    classify_rows = [[kernel, constraints, f"{reference:.3f}",
+                      f"{shipped:.3f}", f"{classify_speedup:.2f}x"]]
+    classify_bar_met = classify_speedup >= CLASSIFY_SPEEDUP_BAR
+    report.note("classify_speedup", round(classify_speedup, 2))
     report.note("classify_bar_met", classify_bar_met)
     report.note("classify_parity", "ok")
 
@@ -527,7 +500,7 @@ def main():
     reseed_rows = []
     reseed_speedups = {}
     for shape, make in RESEED_SHAPES.items():
-        materialised, hop, counts = reseed_seconds(make(), resolved)
+        materialised, hop, counts = reseed_seconds(make())
         report.add_point("reseed[materialised]", shape,
                          seconds=materialised, axis="shape")
         report.add_point("reseed[hop]", shape, seconds=hop, axis="shape")
@@ -570,12 +543,10 @@ def main():
 
     print(f"\nClosure kernel cascade ({KERNEL_CASCADE_N} vertices, "
           f"best of {ROUNDS}, seconds; identical rows asserted)")
-    print(render_table(["backend", "vertices", "seconds"], kernel_rows))
-    if numpy_bar_met is not None:
-        bar = "meets" if numpy_bar_met else "below"
-        print(f"numpy kernel speedup: "
-              f"{kernel_seconds['python'] / kernel_seconds['numpy']:.2f}x "
-              f"({bar} the {NUMPY_SPEEDUP_BAR:.0f}x bar)")
+    print(render_table(["kernel", "vertices", "seconds"], kernel_rows))
+    bar = "meets" if numpy_bar_met else "below"
+    print(f"numpy kernel speedup: {kernel_speedup:.2f}x "
+          f"({bar} the {NUMPY_SPEEDUP_BAR:.0f}x bar)")
     print(f"disabled observability overhead: {overhead_pct:.3f}% of the "
           f"cascade fixpoint (budget {TRACE_OVERHEAD_BAR_PCT:.0f}%)")
 
@@ -583,14 +554,13 @@ def main():
           f"polygraph ({len(read_heavy)} txns, best of {ROUNDS}, seconds; "
           "identical decisions asserted)")
     print(render_table(
-        ["backend", "constraints", "per-predecessor", "mask", "speedup"],
+        ["kernel", "constraints", "per-predecessor", "mask", "speedup"],
         classify_rows,
     ))
     bar = "meets" if classify_bar_met else "below"
-    print(f"classify speedup [{resolved}]: "
-          f"{classify_speedups[resolved]:.2f}x "
+    print(f"classify speedup [{kernel}]: {classify_speedup:.2f}x "
           f"({bar} the {CLASSIFY_SPEEDUP_BAR}x keep-or-revert line)")
-    print(f"\nClosure reseed after fixpoint iteration 1 [{resolved}] "
+    print(f"\nClosure reseed after fixpoint iteration 1 [{kernel}] "
           f"(best of {ROUNDS}, seconds; identical rows asserted)")
     print(render_table(
         ["shape", "vertices", "|Dep|", "|AntiDep|", "|KI|", "materialised",
@@ -598,7 +568,7 @@ def main():
         reseed_rows,
     ))
     bar = "meets" if reseed_bar_met else "below"
-    print(f"reseed speedup [general-RW, {resolved}]: "
+    print(f"reseed speedup [general-RW, {kernel}]: "
           f"{reseed_speedups['general-RW']:.2f}x "
           f"({bar} the {RESEED_SPEEDUP_BAR}x keep-or-revert line)")
     path = report.write()
@@ -606,13 +576,13 @@ def main():
     if SCALE >= 1.0:
         assert reseed_bar_met, (
             f"the hop-graph reseed is {reseed_speedups['general-RW']:.2f}x "
-            f"the materialised one on the write-heavy shape under the "
-            f"{resolved} backend, below the {RESEED_SPEEDUP_BAR}x line: "
+            f"the materialised one on the write-heavy shape on the "
+            f"{kernel} kernel, below the {RESEED_SPEEDUP_BAR}x line: "
             "revert it (ROADMAP, 'Spend the measurement')"
         )
         assert classify_bar_met, (
-            f"mask classification is {classify_speedups[resolved]:.2f}x the "
-            f"per-predecessor rule under the {resolved} backend, below the "
+            f"mask classification is {classify_speedup:.2f}x the "
+            f"per-predecessor rule on the {kernel} kernel, below the "
             f"{CLASSIFY_SPEEDUP_BAR}x line: revert it (ROADMAP, 'Spend the "
             "measurement')"
         )

@@ -4,7 +4,7 @@ the reachability kernels used by pruning.
 Not a paper figure, but the ablation data behind three engineering
 choices DESIGN.md calls out: the Pearce-Kelly dynamic topological order
 in the acyclicity theory, the SCC-condensed bitset closure versus the
-naive and numpy kernels, and the search deciding constraint choices only
+naive set-based kernel, and the search deciding constraint choices only
 (``search[choices]``, what ships: derived variables ``decision=False``,
 choice phases seeded from the topological order) versus deciding every
 variable with phase *false* (``search[all-vars]``, the search it
@@ -27,7 +27,6 @@ from repro.solver.cdcl import CDCLSolver
 from repro.solver.monosat import AcyclicGraphSolver
 from repro.utils.reachability import (
     transitive_closure_bits,
-    transitive_closure_numpy,
     transitive_closure_sets,
 )
 from repro.workloads.generator import WorkloadParams, generate_history
@@ -119,7 +118,6 @@ def test_acyclicity_theory_with_static_substrate(benchmark):
 KERNELS = {
     "bits": transitive_closure_bits,
     "sets": transitive_closure_sets,
-    "numpy": transitive_closure_numpy,
 }
 
 

@@ -17,7 +17,7 @@ from .registry import CheckerError, EngineSpec, register_engine
 __all__ = ["register_builtin_engines"]
 
 
-_PIPELINE_OPTIONS = ("prune", "compact", "closure_backend")
+_PIPELINE_OPTIONS = ("prune", "compact")
 
 
 def _expect(subject, kind: str, *, engine: str, mode: str):
@@ -92,7 +92,6 @@ def _run_polysi(subject, isolation: str, mode: str, options: CheckOptions):
                 window=window,
                 sessions=options.sessions,
                 initial_values=options.initial_values,
-                closure_backend=options.closure_backend,
             )
         _expect(subject, "history", engine="polysi", mode=mode)
         checker = OnlineChecker(
@@ -101,7 +100,6 @@ def _run_polysi(subject, isolation: str, mode: str, options: CheckOptions):
             window=window,
             sessions=options.sessions,
             initial_values=options.initial_values,
-            closure_backend=options.closure_backend,
         )
         return checker.replay(subject)
     if mode == "parallel":
@@ -190,7 +188,7 @@ def register_builtin_engines() -> None:
             ("listappend", "batch"),
         }),
         options=frozenset({
-            "prune", "compact", "closure_backend", "initial_values",
+            "prune", "compact", "initial_values",
             "workers", "oversubscribe",
             "solve_every", "max_live", "sessions", "state_dir", "resume",
             "checkpoint_every",
@@ -208,14 +206,13 @@ def register_builtin_engines() -> None:
                                        + ("initial_values",)),
             ("si", "online"): frozenset({
                 "prune", "solve_every", "max_live", "sessions",
-                "initial_values", "closure_backend", "state_dir",
+                "initial_values", "state_dir",
                 "resume", "checkpoint_every",
             }),
             ("si", "parallel"): frozenset(_PIPELINE_OPTIONS
                                           + ("workers",)),
             ("si", "segmented"): frozenset({
-                "prune", "compact", "closure_backend", "workers",
-                "oversubscribe",
+                "prune", "compact", "workers", "oversubscribe",
             }),
             ("causal", "batch"): frozenset(),
             ("ra", "batch"): frozenset(),
@@ -233,7 +230,7 @@ def register_builtin_engines() -> None:
         # deliberately not accepted (the fast path always reads plain
         # initial values), so setting it is a typed error, not a
         # silent no-op.
-        options=frozenset({"prune", "compact", "closure_backend"}),
+        options=frozenset({"prune", "compact"}),
         runner=_run_timestamp,
         inputs={("si", "batch"): "timestamped_history"},
     ))

@@ -43,8 +43,6 @@ MODE_OPTIONS: Dict[str, frozenset] = {
 OPTION_DOCS: Dict[str, str] = {
     "prune": "apply constraint pruning before encoding (default True)",
     "compact": "use generalized (compacted) constraints (default True)",
-    "closure_backend": ('incremental-closure backend: "python", "numpy", '
-                        "or None for REPRO_CLOSURE_BACKEND / auto"),
     "initial_values": "map key -> value considered initial (segmented runs)",
     "workers": "process count for segmented checking's segment pool",
     "oversubscribe": "allow more pool processes than CPU cores",
@@ -57,7 +55,7 @@ OPTION_DOCS: Dict[str, str] = {
                "and replay only the log tail (default True)"),
     "checkpoint_every": ("online mode: checkpoint every N journaled "
                          "events (0 disables periodic checkpoints)"),
-    "gpu": "Cobra: use the dense-matrix closure kernel (the GPU stand-in)",
+    "gpu": "Cobra: use the SCC-condensed bitset closure (the GPU stand-in)",
     "max_states": "dbcop: frontier-search state budget",
     "max_orders": "naive SI oracle: version-order enumeration budget",
     "max_txns": "naive SER oracle: transaction-count budget",
@@ -78,7 +76,6 @@ class CheckOptions:
     # Pipeline switches (PolySI and Cobra-family engines).
     prune: bool = True
     compact: bool = True
-    closure_backend: Optional[str] = None
     initial_values: Optional[dict] = None
 
     # Segmented checking's segment pool.
@@ -106,11 +103,6 @@ class CheckOptions:
     trace: bool = True
 
     def __post_init__(self) -> None:
-        if self.closure_backend is not None:
-            # Delegate to the registry so the error lists what exists.
-            from ..utils.closure import resolve_closure_backend
-
-            resolve_closure_backend(self.closure_backend)
         if self.solve_every < 1:
             raise ValueError("solve_every must be >= 1")
         if self.workers is not None and self.workers < 1:

@@ -292,8 +292,8 @@ def _adapt_segmented(native: SegmentedCheckResult, report: Report) -> None:
         "segments": len(native.segment_results),
         "failing_segment": native.failing_segment,
     }
-    # Every segment runs the same pinned closure backend; surface it
-    # from the first segment that got far enough to record one.
+    # Every segment runs batch pruning's closure kernel; surface it
+    # from the first segment that recorded one.
     for segment_result in native.segment_results:
         backend = segment_result.stats.get("closure_backend")
         if backend is not None:

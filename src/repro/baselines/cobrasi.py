@@ -3,8 +3,8 @@
 The paper builds this baseline by implementing the incremental SI -> SER
 reduction of Biswas & Enea [7, Section 4.3] on top of Cobra [44].  Two
 variants are evaluated: with and without GPU acceleration of Cobra's
-reachability matrices; here "GPU" selects the numpy dense-matrix closure
-kernel (DESIGN.md, substitution 3).
+reachability matrices; here "GPU" selects the SCC-condensed bitset
+closure kernel (DESIGN.md, substitution 3).
 
 The pipeline is: non-cyclic axioms on the original history (the reduction
 only preserves cyclic anomalies), then :func:`split_history`, then the

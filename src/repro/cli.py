@@ -73,7 +73,6 @@ from .storage.client import run_workload, stream_workload
 from .storage.database import MVCCDatabase
 from .storage.faults import DATABASE_PROFILES
 from .store import PersistentCheck
-from .utils.closure import available_closure_backends
 from .workloads.corpus import known_anomaly_corpus
 from .workloads.generator import WorkloadParams, generate_workload
 
@@ -231,8 +230,6 @@ def cmd_check(args) -> int:
             "with --mode batch"
         )
     options = {"prune": not args.no_prune}
-    if args.closure_backend is not None:
-        options["closure_backend"] = args.closure_backend
     if args.mode == "online":
         options["solve_every"] = args.solve_every
         if args.state_dir:
@@ -335,7 +332,6 @@ def cmd_watch(args) -> int:
             solve_every=args.solve_every,
             window=window,
             sessions=range(args.sessions) if window else None,
-            closure_backend=args.closure_backend,
         )
         stack.callback(persistent.close)
         checker = persistent.checker
@@ -471,7 +467,6 @@ def cmd_serve(args) -> int:
         max_live_total=args.max_live_total,
         solve_every=args.solve_every,
         retain_events=args.retain_events,
-        closure_backend=args.closure_backend,
         max_line_bytes=args.max_line_bytes,
         state_dir=args.state_dir,
         checkpoint_every=args.checkpoint_every,
@@ -644,10 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explain", action="store_true",
                    help="run the interpretation algorithm on violations")
     p.add_argument("--dot", help="write the counterexample DOT here")
-    p.add_argument("--closure-backend", default=None,
-                   choices=available_closure_backends(),
-                   help="incremental-closure kernel (default: "
-                        "$REPRO_CLOSURE_BACKEND, else numpy if available)")
     p.add_argument("--trace", metavar="OUT",
                    help="write the check's span trace as Chrome "
                         "trace_event JSON (open in Perfetto)")
@@ -687,10 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound live transactions (windowed eviction)")
     p.add_argument("--report-every", type=int, default=25,
                    help="print a status line every N transactions (0: off)")
-    p.add_argument("--closure-backend", default=None,
-                   choices=available_closure_backends(),
-                   help="incremental-closure kernel (default: "
-                        "$REPRO_CLOSURE_BACKEND, else numpy if available)")
     p.add_argument("--trace", metavar="OUT",
                    help="write the stream's span trace as Chrome "
                         "trace_event JSON (open in Perfetto)")
@@ -773,9 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retain-events", type=int, default=50_000,
                    help="events retained per tenant for drain-time "
                         "classification (0: disable)")
-    p.add_argument("--closure-backend", default=None,
-                   choices=available_closure_backends(),
-                   help="incremental-closure kernel for every tenant")
     p.add_argument("--max-line-bytes", type=_positive_int,
                    default=1_048_576,
                    help="longest accepted wire line (event / HTTP "

@@ -22,7 +22,6 @@ import time
 from typing import List, Optional
 
 from ..obs import counter as obs_counter, get_logger, trace_span
-from ..utils.closure import resolve_closure_backend
 from ..utils.gcpause import collector_paused
 from .axioms import AxiomViolation
 from .encoding import SIEncoding, encode_polygraph, graph_constraints
@@ -33,6 +32,7 @@ from .polygraph import (
     index_history,
     match_history,
 )
+from . import pruning
 from .pruning import PruneResult, find_known_cycle, prune_constraints
 
 __all__ = [
@@ -74,7 +74,7 @@ class CheckResult:
         #: Stage timings in seconds: construct / prune / encode / solve.
         self.timings: dict = {}
         self.solver_stats: dict = {}
-        #: Structural counters: the closure backend and how many
+        #: Structural counters: the closure kernel and how many
         #: vertices the solver was built over.
         self.stats: dict = {}
 
@@ -153,12 +153,6 @@ class PolySIChecker:
     compact:
         Use generalized (compacted) constraints; False decomposes them
         into classic per-reader constraints (Figure 10's "w/o C+P").
-    closure_backend:
-        Incremental-closure backend for pruning: a registered name
-        (``"python"``, ``"numpy"``) or None to honour
-        ``REPRO_CLOSURE_BACKEND`` / auto-selection (see
-        :func:`repro.utils.closure.resolve_closure_backend`).  The
-        resolved name is reported in ``result.stats["closure_backend"]``.
     initial_values:
         Optional map key -> value considered initial for this history
         (used by segmented checking; see
@@ -170,16 +164,10 @@ class PolySIChecker:
         *,
         prune: bool = True,
         compact: bool = True,
-        closure_backend: Optional[str] = None,
         initial_values: Optional[dict] = None,
     ):
         self.prune = prune
         self.compact = compact
-        # Resolve eagerly: an unknown name fails at construction, and
-        # every stage of one check uses the same backend even if the
-        # environment changes mid-run.
-        self.closure_backend: str = resolve_closure_backend(
-            closure_backend).name
         self.initial_values = initial_values
 
     @collector_paused
@@ -187,9 +175,9 @@ class PolySIChecker:
         """Run the full pipeline on ``history`` (construct, prune,
         encode, solve), with the cyclic collector paused throughout."""
         result = CheckResult()
-        # Reported even on axiom-decided histories, so facade callers
-        # always see which kernel a forced backend resolved to.
-        result.stats["closure_backend"] = self.closure_backend
+        # Reported even on axiom-decided histories: the provenance of
+        # every batch verdict names pruning's kernel.
+        result.stats["closure_backend"] = pruning.KERNEL.name
         graph = self.construct(history, result)
         if graph is None:
             return result
@@ -243,14 +231,14 @@ class PolySIChecker:
         """
         if result is None:
             result = CheckResult()
-        result.stats["closure_backend"] = self.closure_backend
+        result.stats["closure_backend"] = pruning.KERNEL.name
         result.stats["solver_vertices"] = 0
         pruned: Optional[PruneResult] = None
         if self.prune:
             t0 = time.perf_counter()
-            with trace_span("prune", backend=self.closure_backend) as span:
+            with trace_span("prune", backend=pruning.KERNEL.name) as span:
                 constraints = graph.constraints
-                pruned = prune_constraints(graph, backend=self.closure_backend)
+                pruned = prune_constraints(graph)
                 span.set(iterations=pruned.iterations, pruned=pruned.pruned,
                          branch_edges=_publish_branch_edges(
                              _built_edges(constraints)))

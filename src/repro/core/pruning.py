@@ -17,11 +17,10 @@ is a *set* question about one closure row and is evaluated as such:
 once and decides every RW edge of the branch by int-bitset arithmetic
 against the Dep-predecessor masks (:attr:`KnownGraph.pred_mask
 <repro.core.known.KnownGraph.pred_mask>`), so the cost of a branch does
-not depend on how many predecessors its readers have, nor on which
-closure backend holds the rows.  A compact constraint is asked the same
-two questions in *pair form* (:func:`pair_impossible`): from its writer
-pair and the reader list of the earlier version, without building the
-branch.
+not depend on how many predecessors its readers have.  A compact
+constraint is asked the same two questions in *pair form*
+(:func:`pair_impossible`): from its writer pair and the reader list of
+the earlier version, without building the branch.
 
 When one branch is impossible the other becomes known; when both are, the
 history violates SI and a concrete witness cycle is reconstructed for the
@@ -34,7 +33,7 @@ are written into ``graph.known_edges`` only if something reads that list
 
 Reachability of the known induced graph ``KI = Dep ∪ (Dep ; AntiDep)``
 is maintained *incrementally* across iterations: iteration 1 seeds the
-shared closure kernel (:class:`repro.utils.closure.ClosureBackend`)
+int-bitset closure kernel (:class:`repro.utils.closure.PyBitsetClosure`)
 from one exact SCC-condensed bitset closure that walks Dep and AntiDep
 through hop nodes instead of composing KI
 (:meth:`KnownGraph.closure <repro.core.known.KnownGraph.closure>`; the
@@ -59,10 +58,14 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import counter as obs_counter, trace_span
-from ..utils.closure import ClosureBackend, resolve_closure_backend
+from ..utils.closure import PyBitsetClosure
 from ..utils.reachability import Reachability, transitive_closure_bits
 from .known import KnownGraph
 from .polygraph import Constraint, Edge, GeneralizedPolygraph, RW, WW
+
+#: The closure kernel batch pruning builds (DESIGN S10): lookup-bound,
+#: so the int-bitset one, whose rows are ints already.
+KERNEL = PyBitsetClosure
 
 __all__ = [
     "PruneResult",
@@ -140,8 +143,10 @@ class PruneState:
 
     - construction pays for one batch closure
       (:meth:`KnownGraph.closure() <repro.core.known.KnownGraph.closure>`,
-      which never builds KI) and wraps its rows into the shared
-      incremental kernel;
+      which never builds KI) and wraps its rows into the int-bitset
+      incremental kernel (:class:`~repro.utils.closure.PyBitsetClosure`:
+      pruning is lookup-bound, one ``row()`` per question, and int rows
+      answer without conversion — DESIGN.md S10);
     - :meth:`promote` installs a resolved constraint's winning branch
       into the known graph pair by pair (cheap set updates), queues each
       new pair, and logs the branch on the graph, which writes its typed
@@ -151,7 +156,7 @@ class PruneState:
       *adaptively*.  A small delta (the typical late fixpoint
       iteration) expands each queued edge into the KI pairs it induces
       (:meth:`~repro.core.known.KnownGraph.induced_by`) and propagates
-      them through :meth:`~repro.utils.closure.ClosureBackend.insert` —
+      them through :meth:`~repro.utils.closure.PyBitsetClosure.insert` —
       the maintenance the online checker performs per arriving
       transaction.  A large delta (typically iteration 1 resolving most
       constraints at once) instead reseeds the closure with the same
@@ -168,17 +173,13 @@ class PruneState:
     the SCC-condensed kernel).
     """
 
-    __slots__ = ("graph", "known", "_backend", "_reach", "_pending",
+    __slots__ = ("graph", "known", "_reach", "_pending",
                  "_queued", "_reseed_above")
 
-    def __init__(self, graph: GeneralizedPolygraph, *, backend=None):
+    def __init__(self, graph: GeneralizedPolygraph):
         self.graph = graph
         self.known = KnownGraph.from_edges(graph.num_vertices,
                                            graph.known_edges)
-        #: Incremental-closure backend class (see
-        #: :func:`repro.utils.closure.resolve_closure_backend` for the
-        #: selector semantics — None honours REPRO_CLOSURE_BACKEND).
-        self._backend = resolve_closure_backend(backend)
         self._reach = self._seed(reseed=False)
         #: How many promoted pairs (each a new Dep/AntiDep pair) are not
         #: yet in the closure.  Past ``_reseed_above`` the next flush
@@ -188,19 +189,14 @@ class PruneState:
         self._reseed_above = max(16, graph.num_vertices // 8)
         self._pending: List[Edge] = []
 
-    def _seed(self, reseed: bool) -> ClosureBackend:
+    def _seed(self, reseed: bool) -> PyBitsetClosure:
         known = self.known
         with trace_span("closure-seed", reseed=reseed,
                         vertices=known.num_vertices,
                         dep=sum(map(len, known.dep)),
                         antidep=sum(map(len, known.antidep))):
-            obs_counter(f"closure.{self._backend.name}.seeds").inc()
-            return self._backend.from_rows(known.closure().rows)
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the closure backend in use."""
-        return self._backend.name
+            obs_counter(f"closure.{KERNEL.name}.seeds").inc()
+            return KERNEL.from_rows(known.closure().rows)
 
     @property
     def pred_mask(self) -> List[int]:
@@ -208,7 +204,7 @@ class PruneState:
         return self.known.pred_mask
 
     @property
-    def reach(self) -> ClosureBackend:
+    def reach(self) -> PyBitsetClosure:
         """The KI closure, with any queued delta flushed in."""
         if self._queued:
             self._flush()
@@ -290,7 +286,7 @@ def branch_impossible(
     set-valued one as bitset algebra on one closure row per branch head.
 
     ``reach`` is any oracle with ``has(u, v)`` and ``row(u)`` — the batch
-    :class:`Reachability` or an incremental closure of either backend;
+    :class:`Reachability` or an incremental closure of either kernel;
     ``pred_mask[v]`` is the int bitset of the known immediate
     Dep-predecessors of ``v``.
 
@@ -443,11 +439,7 @@ def apply_decisions(
     return changed
 
 
-def prune_constraints(
-    graph: GeneralizedPolygraph,
-    *,
-    backend=None,
-) -> PruneResult:
+def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
     """Prune ``graph`` in place until no more constraints can be resolved.
 
     Incremental fixpoint: one :class:`PruneState` (a single batch
@@ -468,8 +460,8 @@ def prune_constraints(
     result.constraints_before = graph.num_constraints
     result.unknown_deps_before = graph.num_unknown_deps
 
-    state = PruneState(graph, backend=backend)
-    with trace_span("prune-fixpoint", backend=state.backend_name,
+    state = PruneState(graph)
+    with trace_span("prune-fixpoint", backend=KERNEL.name,
                     constraints=result.constraints_before) as span:
         while True:
             result.iterations += 1
@@ -485,7 +477,7 @@ def prune_constraints(
         # The rows are the exact closure of the final KI, so its
         # acyclicity is their diagonal — no second graph traversal.
         result.known_acyclic = result.ok and not reach.has_cycle()
-        _publish_closure_counters(reach, state.backend_name, span)
+        _publish_closure_counters(reach, span)
 
     if result.known_acyclic:
         result.state = state
@@ -494,14 +486,14 @@ def prune_constraints(
     return result
 
 
-def _publish_closure_counters(reach, backend_name, span) -> None:
+def _publish_closure_counters(reach, span) -> None:
     """Snapshot the closure kernel's insert/compact/query counters onto
     the enclosing span and the ambient metrics registry."""
     counters = reach.counters()
     span.set(**{f"closure_{k}": v for k, v in counters.items()})
     for name, value in counters.items():
         if value:
-            obs_counter(f"closure.{backend_name}.{name}").inc(value)
+            obs_counter(f"closure.{reach.name}.{name}").inc(value)
 
 
 def prune_constraints_recompute(graph: GeneralizedPolygraph) -> PruneResult:

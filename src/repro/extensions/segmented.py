@@ -55,7 +55,6 @@ from ..core.history import (
     W,
 )
 from ..storage.database import MVCCDatabase
-from ..utils.closure import resolve_closure_backend
 
 log = get_logger("extensions.segmented")
 
@@ -265,9 +264,6 @@ def _check_pooled(segments: List[Segment], pool_workers: int,
     by then, so the lowest violating segment is always among the results
     — the one the serial scan stops at.
     """
-    # Pin the resolved backend so no worker can resolve another one.
-    options = dict(options, closure_backend=resolve_closure_backend(
-        options.get("closure_backend")).name)
     tracer = current_tracer()
     pool = ProcessPoolExecutor(max_workers=pool_workers)
     try:
@@ -316,7 +312,7 @@ def _check_segmented(
     is capped at ``os.cpu_count()`` processes — segment checks are
     CPU-bound — unless ``oversubscribe``; one process, or one non-empty
     segment, is checked in-process.  ``checker_options`` are per-segment
-    pipeline knobs (``prune``, ``compact``, ``closure_backend``) and are
+    pipeline knobs (``prune``, ``compact``) and are
     accepted identically at every worker count.
     """
     start = time.perf_counter()

@@ -19,13 +19,14 @@ eviction and solving settle once at the batch end (DESIGN.md S6,
   version order is already resolved, the implied anti-dependency edge is
   emitted immediately.
 - **pruning** — the known induced graph ``KI = Dep ∪ (Dep ; AntiDep)``
-  is extended edge by edge through the shared incremental-closure
-  kernel (:class:`repro.utils.closure.ClosureBackend`); the
-  paper's two impossibility rules (Section 4.3) run to fixpoint over the
-  surviving constraints only, and ask only the *dirty* ones — those a
-  change to the reader lists, Dep predecessors or closure rows they
-  read can have flipped since they were last asked (DESIGN.md S6, "What
-  an event can change").  A cycle materializing in the known graph
+  is extended edge by edge through the vectorized incremental-closure
+  kernel (:class:`repro.utils.closure_np.NumpyBitsetClosure`: the
+  checker is insert-bound, where bulk-OR propagation wins — DESIGN.md
+  S10); the paper's two impossibility rules (Section 4.3) run to
+  fixpoint over the surviving constraints only, and ask only the
+  *dirty* ones — those a change to the reader lists, Dep predecessors
+  or closure rows they read can have flipped since they were last
+  asked (DESIGN.md S6, "What an event can change").  A cycle materializing in the known graph
   is a violation the moment the closing edge arrives.
 - **solving** — one :class:`~repro.core.encoding.SIEncoding` (the same
   incremental encoder the batch pipeline calls once) and its solver
@@ -76,7 +77,8 @@ from ..core.polygraph import (
 from ..core.pruning import find_known_cycle, pair_impossible
 from ..obs import current_metrics, get_logger, trace_span
 from ..solver.cdcl import SolverStats
-from ..utils.closure import CYCLE, NEW, iter_bits, resolve_closure_backend
+from ..utils.closure import CYCLE, NEW, iter_bits
+from ..utils.closure_np import NumpyBitsetClosure
 from .window import WindowPolicy, WindowStats
 
 log = get_logger("online")
@@ -179,10 +181,6 @@ class OnlineChecker:
         "Window soundness").
     initial_values:
         Map key -> value considered initial (as in the batch checker).
-    closure_backend:
-        Incremental-closure backend name (``"python"``, ``"numpy"``) or
-        None to honour ``REPRO_CLOSURE_BACKEND`` / auto-selection; the
-        resolved name is reported in ``stats["closure_backend"]``.
 
     Typical use::
 
@@ -202,7 +200,6 @@ class OnlineChecker:
         window: Optional[WindowPolicy] = None,
         sessions: Optional[Iterable[int]] = None,
         initial_values: Optional[dict] = None,
-        closure_backend: Optional[str] = None,
     ):
         if solve_every < 1:
             raise ValueError("solve_every must be >= 1")
@@ -231,10 +228,8 @@ class OnlineChecker:
         self._known = KnownGraph(1)
         self._ww_succ: Dict[int, Dict[object, set]] = {}
 
-        backend_cls = resolve_closure_backend(closure_backend)
-        self.closure_backend = backend_cls.name
-        self._ki = backend_cls(1)
-        self._dep_reach = backend_cls(1) if window else None
+        self._ki = NumpyBitsetClosure(1)
+        self._dep_reach = NumpyBitsetClosure(1) if window else None
 
         self._unresolved: Dict[tuple, bool] = {}
         self._unresolved_touch: Dict[int, int] = {}
@@ -345,10 +340,9 @@ class OnlineChecker:
         transaction tables and read-matching indexes (the builder's
         :meth:`~repro.core.polygraph.PolygraphBuilder.state`), the known
         typed edges,
-        the induced-graph closure rows (through the backend-independent
+        the induced-graph closure rows (through the kernel-independent
         :meth:`~repro.utils.closure.ClosureBackend.int_rows`
-        serialization, so a numpy-written checkpoint restores under the
-        python backend and vice versa), the unresolved/resolved
+        serialization), the unresolved/resolved
         constraints, the solver's clauses *including learned CDCL
         clauses*, window metadata, and every counter that feeds
         ``Report.stats``.
@@ -391,7 +385,9 @@ class OnlineChecker:
                              if self.sessions is not None else None),
                 "initial_values": [
                     [k, v] for k, v in self.initial_values.items()],
-                "closure_backend": self.closure_backend,
+                # Written for builds that still read it; restore
+                # ignores it (the online checker has one kernel).
+                "closure_backend": NumpyBitsetClosure.name,
             },
             "n": self._n,
             **self._front.state(self._n),
@@ -440,7 +436,11 @@ class OnlineChecker:
         known edges — and the closure comes back through ``from_rows``,
         so direct-edge bookkeeping collapses onto the closure exactly
         as it does post-compaction (the soundness argument of DESIGN.md
-        S14 builds on the S9 window argument for this reason).
+        S14 builds on the S9 window argument for this reason).  The rows
+        are kernel-independent int bitsets, so a checkpoint whose
+        ``config.closure_backend`` names the python kernel (written
+        before the online checker owned the numpy one) continues on
+        numpy; the field is not read.
         """
         version = state.get("v")
         if version != STATE_VERSION:
@@ -458,7 +458,6 @@ class OnlineChecker:
             window=window,
             sessions=cfg["sessions"],
             initial_values={k: v for k, v in cfg["initial_values"]},
-            closure_backend=cfg["closure_backend"],
         )
         with trace_span("restore",
                         accepted=state["counters"]["accepted"]):
@@ -477,11 +476,10 @@ class OnlineChecker:
         self._known = KnownGraph.from_edges(self._n, self._known_edges)
         self._rebuild_ww_succ()
 
-        backend_cls = resolve_closure_backend(self.closure_backend)
-        self._ki = backend_cls.from_rows(
+        self._ki = NumpyBitsetClosure.from_rows(
             [int(row, 16) for row in state["ki_rows"]])
         self._dep_reach = (
-            backend_cls.from_rows(
+            NumpyBitsetClosure.from_rows(
                 [int(row, 16) for row in state["dep_rows"]])
             if state["dep_rows"] is not None else None
         )
@@ -887,7 +885,7 @@ class OnlineChecker:
             "prune_asked": self._prune_asked,
             "gc_examined": self._gc_examined,
             "window": self._wstats.as_dict(),
-            "closure_backend": self.closure_backend,
+            "closure_backend": NumpyBitsetClosure.name,
         }
         out.stats["closure"] = self._ki.counters()
 

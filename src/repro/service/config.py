@@ -44,9 +44,6 @@ class ServiceConfig:
     #: Online checker: solve the SAT residue at the end of a batch that
     #: crossed a multiple of N accepted transactions.
     solve_every: int = 8
-    #: Closure backend name forwarded to every tenant's checker
-    #: (None: honour REPRO_CLOSURE_BACKEND / auto-selection).
-    closure_backend: Optional[str] = None
     #: Retain up to this many events per tenant so a final violation can
     #: be re-checked in batch for a classification at drain time; 0
     #: disables retention.  Retention is best-effort explanation state —

@@ -118,7 +118,6 @@ class TenantChecker:
                 solve_every=config.solve_every,
                 window=window,
                 sessions=self.sessions if window is not None else None,
-                closure_backend=config.closure_backend,
             )
         # Resuming past a checkpoint skips the log prefix, so retention
         # (best-effort explanation state) restarts truncated.

@@ -49,7 +49,7 @@ logger = get_logger("timestamp")
 #: :class:`~repro.core.checker.PolySIChecker`.  ``initial_values`` is
 #: deliberately absent: the fast path always reads initial values as
 #: :data:`~repro.core.history.INITIAL_VALUE`.
-PIPELINE_OPTIONS = ("prune", "compact", "closure_backend")
+PIPELINE_OPTIONS = ("prune", "compact")
 
 
 class TimestampResult:
@@ -94,13 +94,8 @@ class TimestampChecker:
         *,
         prune: bool = True,
         compact: bool = True,
-        closure_backend: Optional[str] = None,
     ):
-        self._pipeline = {
-            "prune": prune,
-            "compact": compact,
-            "closure_backend": closure_backend,
-        }
+        self._pipeline = {"prune": prune, "compact": compact}
 
     # -- the check ---------------------------------------------------------
 
@@ -177,9 +172,7 @@ class TimestampChecker:
         result.timings["fallback"] = time.perf_counter() - t0
         result.fallback_result = fallback
         result.stats["fallback_decided_by"] = fallback.decided_by
-        backend = fallback.stats.get("closure_backend")
-        if backend is not None:
-            result.stats["closure_backend"] = backend
+        result.stats["closure_backend"] = fallback.stats["closure_backend"]
         if fallback.satisfies_si:
             result.decided_by = "fallback"
         else:

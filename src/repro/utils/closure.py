@@ -1,29 +1,27 @@
-"""The shared incremental transitive-closure kernel, behind a backend
-registry.
+"""The incremental transitive-closure kernel: one contract, two kernels.
 
-One closure *contract* serves every checker in the codebase:
+One closure *contract* (:class:`ClosureBackend`) serves every checker
+in the codebase, and each checker owns the kernel that suits its access
+pattern (DESIGN.md S10):
 
-- the **batch** pruning fixpoint (:mod:`repro.core.pruning`) seeds it
-  from the SCC-condensed bitset closure on iteration 1 and then only
-  propagates the edges each later iteration promotes to *known* —
-  instead of recomputing the whole closure per iteration;
-- **segmented** checking runs the batch fixpoint per segment;
-- the **online** checker (:mod:`repro.online.checker`) grows it one
-  transaction at a time and additionally relies on cycle reporting and
-  window compaction.
+- the **batch** pruning fixpoint (:mod:`repro.core.pruning`) — and
+  with it segmented checking and the timestamp engine's fallback —
+  seeds :class:`PyBitsetClosure` (arbitrary-precision-int bitsets) from
+  the SCC-condensed bitset closure on iteration 1 and then only
+  propagates the edges each later iteration promotes to *known*.  It is
+  lookup-bound: one ``row()`` per pair-form question, which an int row
+  answers without conversion;
+- the **online** checker (:mod:`repro.online.checker`) grows
+  :class:`~repro.utils.closure_np.NumpyBitsetClosure` (packed ``uint64``
+  matrices) one transaction at a time and additionally relies on cycle
+  reporting and window compaction.  It is insert-bound, where numpy's
+  bulk-OR propagation wins.
 
-Because three engines share this one kernel, a fast-but-wrong
-implementation would silently corrupt every mode.  The kernel is
-therefore split into an abstract contract (:class:`ClosureBackend`),
-a reference implementation (:class:`PyBitsetClosure`, arbitrary-
-precision-int bitsets — the differential baseline, retained the same
-way ``prune_constraints_recompute`` is), and a registry through which
-accelerated implementations plug in
-(:class:`~repro.utils.closure_np.NumpyBitsetClosure` registers itself
-when numpy is importable).  ``tests/test_closure_backends.py`` replays
-identical operation scripts against every registered backend and
-asserts identical observable behaviour — the soundness argument for
-swapping kernels (DESIGN.md S10).
+Because two kernels serve the same contract, a fast-but-wrong kernel
+would silently corrupt a mode.  :class:`PyBitsetClosure` is therefore
+also the reference: ``tests/test_closure_backends.py`` replays
+identical operation scripts against both kernels and asserts identical
+observable behaviour, counters included.
 
 The kernel maintains *both* directions of the closure:
 
@@ -53,27 +51,14 @@ them eagerly and pays O(|ancestors|) per insert as before.
 preserved, because the rows already contain the closed-over reachability
 rather than raw adjacency.
 
-Backend selection
------------------
-
-:func:`resolve_closure_backend` picks the implementation, in priority
-order: an explicit argument (a registered name or a
-:class:`ClosureBackend` subclass), the ``REPRO_CLOSURE_BACKEND``
-environment variable, then auto-selection (``numpy`` when importable,
-else ``python``).  Every entry point that owns a closure —
-``PruneState``, ``prune_constraints``,
-``PolySIChecker`` / segmented checking
-(``closure_backend=...``), ``OnlineChecker``, the façade
-(``repro.check(..., closure_backend=...)``), and the CLI
-(``repro check --closure-backend``) — threads a ``backend`` selector
-down to this resolver, and the chosen backend's name is reported in
-``Report.stats["closure_backend"]``.
+Each kernel's :attr:`~ClosureBackend.name` (``"python"``, ``"numpy"``)
+is reported in ``Report.stats["closure_backend"]`` and names its
+``closure.<name>.*`` counters, as provenance.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Type, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "ClosureBackend",
@@ -81,21 +66,13 @@ __all__ = [
     "NEW",
     "KNOWN",
     "CYCLE",
-    "BACKEND_ENV",
     "iter_bits",
-    "register_closure_backend",
-    "available_closure_backends",
-    "resolve_closure_backend",
 ]
 
 # Insertion outcomes.
 NEW = "new"
 KNOWN = "known"
 CYCLE = "cycle"
-
-#: Environment variable consulted by :func:`resolve_closure_backend`
-#: when no explicit backend is passed.
-BACKEND_ENV = "REPRO_CLOSURE_BACKEND"
 
 
 def iter_bits(mask: int) -> Iterable[int]:
@@ -107,16 +84,16 @@ def iter_bits(mask: int) -> Iterable[int]:
 
 
 class ClosureBackend:
-    """The incremental-closure contract every backend must honour.
+    """The incremental-closure contract both kernels honour.
 
     All behaviour observable through this surface must be identical
-    across backends — the differential suite
+    across kernels — the differential suite
     (``tests/test_closure_backends.py``) replays identical operation
-    scripts against every registered backend and asserts exactly that,
+    scripts against both and asserts exactly that,
     and the property suite checks the closure invariants (transitivity,
     insert idempotence, ``reaches_any``/``successors`` consistency,
     ``compact`` preserving live reachability) against this abstract
-    spec, so any future backend inherits both for free.
+    spec.
 
     Vertices are dense ids ``0..num_vertices-1``.  Bit masks passed to
     :meth:`reaches_any` and lists returned by :meth:`int_rows` /
@@ -127,7 +104,7 @@ class ClosureBackend:
 
     __slots__ = ()
 
-    #: Registry name of the backend (``"python"``, ``"numpy"``, ...).
+    #: Kernel name (``"python"``, ``"numpy"``), reported as provenance.
     name: str = "abstract"
 
     def __init__(self, n: int = 0):
@@ -153,9 +130,9 @@ class ClosureBackend:
         ``has``, ``reaches_any`` or ``row`` call, however many pairs the
         caller then decides from the answer.
 
-        Deterministic across backends for identical operation scripts —
-        the cross-backend differential suite holds every backend to the
-        python reference, counters included.  Backends maintain the
+        Deterministic across kernels for identical operation scripts —
+        the differential suite holds the numpy kernel to the python
+        reference, counters included.  Kernels maintain the
         ``_inew`` / ``_iknown`` / ``_icycle`` / ``_ncompact`` /
         ``_nquery`` int slots this default implementation reads.
         """
@@ -274,9 +251,9 @@ class PyBitsetClosure(ClosureBackend):
     """Strict reachability under incremental edge insertion, rows as
     arbitrary-precision-int bitsets.
 
-    The reference backend: pure Python, no dependencies, and the
-    differential baseline every accelerated backend is fuzzed against.
-    Compatible with the ``has``/``reaches_any``/``row`` query surface of
+    Batch pruning's kernel, and the reference: pure Python, no
+    dependencies, and the differential baseline the numpy kernel is
+    fuzzed against.  Compatible with the ``has``/``reaches_any``/``row`` query surface of
     :class:`repro.utils.reachability.Reachability`, so pruning logic can
     run against either oracle.
     """
@@ -426,64 +403,3 @@ class PyBitsetClosure(ClosureBackend):
         # itself: paths through evicted vertices must stay edges.
         self.edges = list(self.rows)
         return old_to_new
-
-
-# -- backend registry --------------------------------------------------------
-
-_BACKENDS: Dict[str, Type[ClosureBackend]] = {}
-
-BackendSelector = Union[None, str, Type[ClosureBackend], ClosureBackend]
-
-
-def register_closure_backend(backend: Type[ClosureBackend]) -> None:
-    """Register ``backend`` (a :class:`ClosureBackend` subclass) under
-    its :attr:`~ClosureBackend.name`.  Re-registration under the same
-    name replaces the entry (idempotent for the builtins)."""
-    _BACKENDS[backend.name] = backend
-
-
-def available_closure_backends() -> List[str]:
-    """Registered backend names, in registration order (``python``
-    always first; ``numpy`` present when importable)."""
-    return list(_BACKENDS)
-
-
-def resolve_closure_backend(
-    backend: BackendSelector = None,
-) -> Type[ClosureBackend]:
-    """Resolve a backend selector to a :class:`ClosureBackend` subclass.
-
-    Priority: an explicit ``backend`` argument (registered name,
-    backend class, or instance), the ``REPRO_CLOSURE_BACKEND``
-    environment variable, then auto-selection — ``numpy`` when that
-    backend registered (numpy importable), else ``python``.  ``"auto"``
-    is accepted as an explicit request for the auto-selection rule.
-    An unknown name raises ``ValueError`` listing the registry.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or None
-    if backend is None or backend == "auto":
-        return _BACKENDS.get("numpy") or _BACKENDS["python"]
-    if isinstance(backend, ClosureBackend):
-        return type(backend)
-    if isinstance(backend, type) and issubclass(backend, ClosureBackend):
-        return backend
-    try:
-        return _BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown closure backend: {backend!r} (available: "
-            f"{', '.join(available_closure_backends())})"
-        ) from None
-
-
-def _register_builtin_backends() -> None:
-    register_closure_backend(PyBitsetClosure)
-    try:
-        from .closure_np import NumpyBitsetClosure
-    except ImportError:  # pragma: no cover - numpy absent
-        return
-    register_closure_backend(NumpyBitsetClosure)
-
-
-_register_builtin_backends()

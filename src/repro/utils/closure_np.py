@@ -27,9 +27,10 @@ read) instead of a Python bit scan.  One insert into a closure with
 ``a`` ancestors costs O(a * n / 64) bytes of C-loop work with no
 Python-level per-ancestor iteration — on deep cascades (the
 ``bench_prune`` kernel-cascade corpus) this is the >=3x win the
-benchmark gates; on tiny graphs the per-call numpy overhead can lose
-to python ints, which is why the python backend remains registered and
-selectable.
+benchmark gates, and the online checker's insert-bound growth is
+where it pays.  Lookups cost more than on python ints, since every
+``row()`` converts a matrix row back to an int, which is why lookup-bound
+batch pruning keeps the python kernel (DESIGN.md S10).
 
 Capacity management doubles the matrix (rows *and* words grow
 together, since vertex ids are also bit positions) so ``add_vertex``

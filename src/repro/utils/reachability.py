@@ -4,23 +4,18 @@ The paper computes reachability of the known induced graph with
 Floyd–Warshall (O(n^3)).  In Python that is prohibitively slow, so the
 default kernel condenses strongly connected components (iterative Tarjan)
 and propagates *bitset* reachability rows (arbitrary-precision ints) in
-reverse topological order — O(n * E / 64) in practice and exact.
-
-A numpy dense boolean-matrix variant is provided as the stand-in for
-Cobra's GPU-accelerated closure (see DESIGN.md, substitution 3): the same
-algorithmic role with a different constant factor.
+reverse topological order — O(n * E / 64) in practice and exact.  It
+also stands in for Cobra's GPU-accelerated closure (see DESIGN.md,
+substitution 3).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "tarjan_scc",
     "transitive_closure_bits",
-    "transitive_closure_numpy",
     "transitive_closure_sets",
     "is_acyclic",
     "Reachability",
@@ -182,33 +177,5 @@ def transitive_closure_sets(n: int, succ: Sequence[Iterable[int]]) -> Reachabili
         row = 0
         for node in seen:
             row |= 1 << node
-        rows.append(row)
-    return Reachability(rows)
-
-
-def transitive_closure_numpy(n: int, succ: Sequence[Iterable[int]]) -> Reachability:
-    """Dense boolean-matrix closure by repeated squaring (GPU stand-in).
-
-    Same result as :func:`transitive_closure_bits`; used by the
-    "CobraSI w/ GPU" baseline variant and the pruning-kernel ablation.
-    """
-    if n == 0:
-        return Reachability([])
-    mat = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        for v in succ[u]:
-            mat[u, v] = True
-    reach = mat.copy()
-    # (A + A^2 + ...) converges within ceil(log2(n)) squarings.
-    while True:
-        nxt = reach | (reach @ reach)
-        if (nxt == reach).all():
-            break
-        reach = nxt
-    rows = []
-    for u in range(n):
-        row = 0
-        for v in np.flatnonzero(reach[u]):
-            row |= 1 << int(v)
         rows.append(row)
     return Reachability(rows)

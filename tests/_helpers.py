@@ -26,6 +26,8 @@ from repro.core.polygraph import (
 from repro.core.pruning import branch_impossible
 from repro.storage.client import stream_workload
 from repro.storage.database import MVCCDatabase
+from repro.utils.closure import PyBitsetClosure
+from repro.utils.closure_np import NumpyBitsetClosure
 from repro.workloads.generator import WorkloadParams, generate_workload
 
 __all__ = [
@@ -48,6 +50,9 @@ __all__ = [
     "serializable_history",
     "simulated",
     "delayed",
+    "KERNELS",
+    "batch_on_kernel",
+    "online_on_kernel",
 ]
 
 
@@ -148,6 +153,28 @@ def delayed(events, index, distance):
         to += 1
     events.insert(to, moving)
     return events
+
+
+# Closure kernels. ---------------------------------------------------------------
+
+#: Both closure kernels by name.  Batch pruning builds the python one and
+#: the online checker the numpy one; the python kernel is the reference
+#: the numpy one is held to.
+KERNELS = {"python": PyBitsetClosure, "numpy": NumpyBitsetClosure}
+
+
+def batch_on_kernel(monkeypatch, kernel):
+    """Have batch pruning (and so the checker's provenance) build the
+    ``kernel`` named in :data:`KERNELS` for the rest of the test, so the
+    other kernel answers the batch fixpoint's own insert and reseed
+    sequence.  A test-only swap: the checker has no such option."""
+    monkeypatch.setattr("repro.core.pruning.KERNEL", KERNELS[kernel])
+
+
+def online_on_kernel(monkeypatch, kernel):
+    """As :func:`batch_on_kernel`, for the online checker's closures."""
+    monkeypatch.setattr("repro.online.checker.NumpyBitsetClosure",
+                        KERNELS[kernel])
 
 
 # Reference implementations: the code the shipped versions replaced, kept

@@ -63,13 +63,14 @@ EXPECTED_COMBOS = sorted([
     ("ser", "batch", "naive"),
 ])
 
-#: Every independently settable CheckOptions field (17: `closure`,
+#: Every independently settable CheckOptions field (16: `closure`,
 #: `check_axioms_first` and `strategy` each had one value in use — read
-#: classification is construction — and `early_cancel` / `max_shards`
-#: went with component shards; `workers` / `oversubscribe` size the
-#: segment pool).
+#: classification is construction — `early_cancel` / `max_shards`
+#: went with component shards, and `closure_backend` went when each
+#: checker came to own its closure kernel; `workers` / `oversubscribe`
+#: size the segment pool).
 EXPECTED_OPTION_FIELDS = sorted([
-    "prune", "compact", "closure_backend", "initial_values",
+    "prune", "compact", "initial_values",
     "workers", "oversubscribe",
     "solve_every", "max_live", "sessions",
     "state_dir", "resume", "checkpoint_every",

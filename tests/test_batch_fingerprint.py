@@ -4,13 +4,17 @@
 ``9aaf820`` running this file as a script (before constraints stayed
 compact through pruning).  For each unit — small seeded histories shaped
 like the ``general_rh`` and ``general_rw`` benchmark workloads, plus
-every corpus template with padding — and each closure backend, it holds
-the verdict, ``decided_by``, the witness cycle, the classification, the
-pruning counters, the ``closure.<backend>.*`` counters, the encoding and
-solver stats, and a digest of the pruned graph's known edges *in
-order*.  The test holds the current build to every field; a second
-test holds the ``polygraph.branch_edges`` work counter to what each
-polygraph form builds.
+every corpus template with padding — and each closure kernel (``unit@python``,
+``unit@numpy``), it holds the verdict, ``decided_by``, the witness
+cycle, the classification, the pruning counters, the
+``closure.<kernel>.*`` counters, the encoding and solver stats, and a
+digest of the pruned graph's known edges *in order*.  The test holds the
+current build to every field: the ``@python`` rows as batch pruning
+ships, the ``@numpy`` rows with the numpy kernel swapped into the
+fixpoint (``_helpers.batch_on_kernel``), so the numpy kernel answers the
+batch fixpoint's own insert and reseed sequence as the parent's did.  A
+second test holds the ``polygraph.branch_edges`` work counter to what
+each polygraph form builds.
 
 Regenerate (only ever from the commit the file name records)::
 
@@ -31,9 +35,11 @@ from repro.obs import MetricsRegistry, use_metrics
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 
+from _helpers import KERNELS, batch_on_kernel
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data", "batch_fingerprint_9aaf820.json")
-BACKENDS = ("python", "numpy")
+KERNEL_NAMES = tuple(KERNELS)
 
 #: The benchmark's batch shapes, scaled down to a fraction of a second.
 GENERAL = {
@@ -65,13 +71,14 @@ def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def fingerprint(unit, backend):
+def fingerprint(unit, kernel):
     """One unit checked through the checker's own two stages, so the
     pruned polygraph stays reachable for the known-edge digest."""
-    checker = PolySIChecker(closure_backend=backend)
+    checker = PolySIChecker()
     result = CheckResult()
     registry = MetricsRegistry()
-    with use_metrics(registry):
+    with pytest.MonkeyPatch.context() as patch, use_metrics(registry):
+        batch_on_kernel(patch, kernel)
         graph = checker.construct(unit_history(unit), result)
         if graph is not None:
             checker.check_polygraph(graph, result)
@@ -102,8 +109,8 @@ def fingerprint(unit, backend):
 
 
 def all_fingerprints():
-    return {f"{unit}@{backend}": fingerprint(unit, backend)
-            for unit in units() for backend in BACKENDS}
+    return {f"{unit}@{kernel}": fingerprint(unit, kernel)
+            for unit in units() for kernel in KERNEL_NAMES}
 
 
 if os.path.exists(DATA):
@@ -113,21 +120,21 @@ else:  # pragma: no cover - only while writing the file
     PARENT = {}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("unit", units())
-def test_answers_written_by_the_parent_commit(unit, backend):
-    want = PARENT[f"{unit}@{backend}"]
-    got = json.loads(json.dumps(fingerprint(unit, backend)))
+def test_answers_written_by_the_parent_commit(unit, kernel):
+    want = PARENT[f"{unit}@{kernel}"]
+    got = json.loads(json.dumps(fingerprint(unit, kernel)))
     for field in want:
-        assert got[field] == want[field], (unit, backend, field)
+        assert got[field] == want[field], (unit, kernel, field)
     assert got == want
 
 
 def test_the_units_exercise_what_they_pin():
     """Both batch shapes satisfy SI and keep a solver's worth of
     constraints somewhere; the corpus violates in pruning and solving."""
-    assert set(PARENT) == {f"{unit}@{backend}" for unit in units()
-                           for backend in BACKENDS}
+    assert set(PARENT) == {f"{unit}@{kernel}" for unit in units()
+                           for kernel in KERNEL_NAMES}
     general = [fp for name, fp in PARENT.items()
                if name.startswith("general")]
     assert all(fp["satisfies_si"] for fp in general)

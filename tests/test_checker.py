@@ -7,6 +7,8 @@ from repro.core.checker import CheckResult, PolySIChecker
 from repro.core.history import ABORTED, HistoryBuilder, R, W
 
 from _helpers import (
+    KERNELS,
+    batch_on_kernel,
     build,
     causality_history,
     long_fork_history,
@@ -281,23 +283,23 @@ class TestClosureAnswersAcyclicity:
         "clean_without_constraints": (True, "static", True),
     }
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_outcome_as_the_graph_walking_path(
-            self, case, backend, monkeypatch):
-        from repro.utils.closure import resolve_closure_backend
-
+            self, case, kernel, monkeypatch):
+        batch_on_kernel(monkeypatch, kernel)
         ok, stage, clean = self.CASES[case]
         history = getattr(self, case)()
-        checker = PolySIChecker(closure_backend=backend)
+        checker = PolySIChecker()
         shortcut = checker.check(history)
+        assert shortcut.stats["closure_backend"] == kernel
         assert shortcut.satisfies_si is ok
         assert shortcut.decided_by == stage
         assert shortcut.prune_result.ok
         assert shortcut.prune_result.known_acyclic is clean
         assert (shortcut.cycle is None) == ok
 
-        monkeypatch.setattr(resolve_closure_backend(backend), "has_cycle",
+        monkeypatch.setattr(KERNELS[kernel], "has_cycle",
                             lambda self: True)
         walked = checker.check(history)
         assert walked.prune_result.known_acyclic is False

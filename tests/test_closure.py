@@ -3,9 +3,9 @@
 The online checker's behavioural coverage lives in test_online.py; these
 pin the kernel properties the *batch* pruning path newly relies on:
 ``from_rows`` seeding, lazy backward rows, and row-exactness under mixed
-insertion orders and cycles.  Every test runs against every registered
-:class:`~repro.utils.closure.ClosureBackend` via the ``backend``
-fixture — the cross-backend differential suite proper lives in
+insertion orders and cycles.  Every test runs against both
+:class:`~repro.utils.closure.ClosureBackend` kernels via the ``backend``
+fixture — the cross-kernel differential suite proper lives in
 test_closure_backends.py.
 """
 
@@ -13,20 +13,16 @@ import random
 
 import pytest
 
-from repro.utils.closure import (
-    CYCLE,
-    KNOWN,
-    NEW,
-    available_closure_backends,
-    resolve_closure_backend,
-)
+from repro.utils.closure import CYCLE, KNOWN, NEW
 from repro.utils.reachability import transitive_closure_bits
 
+from _helpers import KERNELS
 
-@pytest.fixture(params=available_closure_backends())
+
+@pytest.fixture(params=list(KERNELS))
 def backend(request):
-    """Each registered closure backend class, by registry name."""
-    return resolve_closure_backend(request.param)
+    """Each closure kernel class, by name."""
+    return KERNELS[request.param]
 
 
 def closure_rows(n, edges):

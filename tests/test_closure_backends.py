@@ -1,57 +1,56 @@
-"""Cross-backend differential suite for the closure kernel.
+"""Cross-kernel differential suite for the closure contract.
 
-The soundness argument for swapping closure backends (DESIGN.md S10) is
-not a proof — it is this file: every registered
-:class:`~repro.utils.closure.ClosureBackend` replays *identical*
+Batch pruning runs the int-bitset kernel and the online checker the
+numpy one (DESIGN.md S10).  That both are the same closure is not a
+proof — it is this file: both
+:class:`~repro.utils.closure.ClosureBackend` kernels replay *identical*
 operation scripts and must produce *identical observables* at every
 step.  Three layers:
 
 1. **Differential fuzz** — ~200 seeded random scripts (DAG-biased and
    cyclic, constructor-seeded and ``from_rows``-seeded) interleaving
    ``add_vertex`` / ``insert`` / ``compact`` with the full query
-   surface, replayed in lockstep against every backend with the python
-   reference as the oracle.  ``int_rows`` / ``co_rows`` must be
+   surface, replayed in lockstep against the numpy kernel with the
+   python reference as the oracle.  ``int_rows`` / ``co_rows`` must be
    byte-identical integers, ``insert`` must return the same tri-state,
    queries the same answers, ``co_materialized`` the same laziness.
-2. **Property-based invariants** — each backend checked against the
+2. **Property-based invariants** — each kernel checked against the
    *abstract* contract, independent of any reference implementation:
    transitivity of the closure, idempotence of known inserts,
    ``reaches_any`` / ``successors`` consistency, and compaction
    preserving reachability among survivors.
-3. **End-to-end parity** — ``repro.check`` over the anomaly corpus and
-   valid workloads with each backend forced: identical verdicts,
-   identical prune counters, valid witnesses, and the backend name
-   reported in ``Report.stats``.
+3. **Each checker owns its kernel** — batch, segmented and the
+   timestamp engine's fallback report ``python``, online checking
+   ``numpy`` (service tenants: ``test_service.py``); nothing selects a
+   kernel any more.
 """
 
+import pathlib
 import random
 
 import pytest
 
 import repro
+from repro.api import UnsupportedOptionError
+from repro.cli import main
 from repro.core.polygraph import RW, build_polygraph
-from repro.core.pruning import prune_constraints
-from repro.utils.closure import (
-    BACKEND_ENV,
-    CYCLE,
-    KNOWN,
-    NEW,
-    ClosureBackend,
-    PyBitsetClosure,
-    available_closure_backends,
-    resolve_closure_backend,
-)
+from repro.core.pruning import prune_constraints, prune_constraints_recompute
+from repro.histories.codec import dump_history
+from repro.timestamp import map_timestamps, stamp_serial
+from repro.utils.closure import CYCLE, KNOWN, NEW, PyBitsetClosure
 from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 
-BACKENDS = available_closure_backends()
+from _helpers import KERNELS, serializable_history
+
+BACKENDS = list(KERNELS)
 OTHER_BACKENDS = [b for b in BACKENDS if b != "python"]
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    return resolve_closure_backend(request.param)
+    return KERNELS[request.param]
 
 
 def bits_of(mask):
@@ -160,16 +159,14 @@ class Replayer:
 @pytest.mark.parametrize("seed_from_rows", [False, True])
 @pytest.mark.parametrize("block", range(5))
 def test_differential_fuzz(cyclic, seed_from_rows, block):
-    """~200 scripts x every backend vs the python reference, observable
-    by observable.  (5 blocks x 10 seeds x 4 script shapes.)"""
-    if not OTHER_BACKENDS:
-        pytest.skip("only the reference backend is registered")
+    """~200 scripts x the numpy kernel vs the python reference,
+    observable by observable.  (5 blocks x 10 seeds x 4 script shapes.)"""
     for seed in range(block * 10, block * 10 + 10):
         rng = random.Random((seed, cyclic, seed_from_rows).__hash__())
         script = random_script(rng, cyclic=cyclic,
                                seed_from_rows=seed_from_rows)
         ref = Replayer(PyBitsetClosure, rng_seed=seed)
-        others = [(name, Replayer(resolve_closure_backend(name), seed))
+        others = [(name, Replayer(KERNELS[name], seed))
                   for name in OTHER_BACKENDS]
         for step_no, op in enumerate(script):
             want = ref.step(op)
@@ -186,7 +183,7 @@ def test_differential_rows_after_dense_inserts():
     edges = sorted({(rng.randrange(n), rng.randrange(n))
                     for _ in range(300)})
     adj = [set() for _ in range(n)]
-    closures = {name: resolve_closure_backend(name)(n) for name in BACKENDS}
+    closures = {name: KERNELS[name](n) for name in BACKENDS}
     for u, v in edges:
         adj[u].add(v)
         returns = {name: c.insert(u, v) for name, c in closures.items()}
@@ -374,41 +371,7 @@ class TestContractInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Registry resolution.
-# ---------------------------------------------------------------------------
-
-
-class TestBackendRegistry:
-    def test_names_and_classes_resolve(self):
-        for name in BACKENDS:
-            cls = resolve_closure_backend(name)
-            assert issubclass(cls, ClosureBackend)
-            assert cls.name == name
-            assert resolve_closure_backend(cls) is cls
-            assert resolve_closure_backend(cls(2)) is cls
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_closure_backend() is PyBitsetClosure
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        for name in BACKENDS:
-            assert resolve_closure_backend(name).name == name
-
-    def test_auto_prefers_numpy_when_registered(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        expected = "numpy" if "numpy" in BACKENDS else "python"
-        assert resolve_closure_backend().name == expected
-        assert resolve_closure_backend("auto").name == expected
-
-    def test_unknown_name_lists_registry(self):
-        with pytest.raises(ValueError, match="python"):
-            resolve_closure_backend("fortran")
-
-
-# ---------------------------------------------------------------------------
-# 3. End-to-end parity: repro.check with each backend forced.
+# 3. Each checker owns its kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -422,14 +385,10 @@ def assert_witness_valid(cycle):
         assert not (a == RW and b == RW), cycle
 
 
-def comparable(report):
-    """Everything that must match across backends: the verdict, the
-    deciding stage, evidence, and every stat except the backend name
-    and the trace payload (span wall/cpu times are never replayable)."""
-    stats = {k: v for k, v in report.stats.items()
-             if k not in ("closure_backend", "trace")}
-    return (report.ok, report.decided_by, report.cycle,
-            [repr(a) for a in report.anomalies], stats)
+def small_history(seed=2):
+    params = WorkloadParams(sessions=4, txns_per_session=15,
+                            ops_per_txn=5, keys=50)
+    return generate_history(params, seed=seed).history
 
 
 class TestEndToEndParity:
@@ -437,59 +396,87 @@ class TestEndToEndParity:
     def test_anomaly_corpus_batch(self, name):
         for seed in (0, 3):
             history = make_anomaly(name, seed=seed, padding_txns=5)
-            reports = {}
-            for b in BACKENDS:
-                report = repro.check(history, closure_backend=b)
-                assert not report.ok, (name, b)
-                assert report.stats["closure_backend"] == b
-                if report.cycle:
-                    assert_witness_valid(report.cycle)
-                reports[b] = comparable(report)
-            assert len(set(map(repr, reports.values()))) == 1, reports
+            report = repro.check(history)
+            assert not report.ok, name
+            assert report.stats["closure_backend"] == "python"
+            if report.cycle:
+                assert_witness_valid(report.cycle)
 
     def test_valid_workload_all_modes(self):
-        params = WorkloadParams(sessions=4, txns_per_session=15,
-                                ops_per_txn=5, keys=50)
-        history = generate_history(params, seed=2).history
-        for mode in ("batch", "online"):
-            reports = {}
-            for b in BACKENDS:
-                report = repro.check(history, mode=mode, closure_backend=b)
-                assert report.ok, (mode, b)
-                assert report.stats["closure_backend"] == b
-                reports[b] = comparable(report)
-            assert len(set(map(repr, reports.values()))) == 1, (mode, reports)
+        history = small_history()
+        for mode, kernel in (("batch", "python"), ("online", "numpy")):
+            report = repro.check(history, mode=mode)
+            assert report.ok, mode
+            assert report.stats["closure_backend"] == kernel
 
     def test_online_anomaly_parity(self):
         history = make_anomaly("lost-update", seed=1, padding_txns=4)
-        reports = {}
-        for b in BACKENDS:
-            report = repro.check(history, mode="online", closure_backend=b)
-            assert not report.ok, b
-            assert report.stats["closure_backend"] == b
-            reports[b] = comparable(report)
-        assert len(set(map(repr, reports.values()))) == 1, reports
+        report = repro.check(history, mode="online")
+        assert not report.ok
+        assert report.stats["closure_backend"] == "numpy"
+        assert repro.check(history).ok == report.ok
 
     def test_prune_counters_identical(self):
-        """PruneResult counters (not just verdicts) must agree."""
+        """The incremental fixpoint on the python kernel and the
+        recompute-per-iteration reference agree counter for counter."""
         for name in ("long-fork", "lost-update", "read-skew"):
             history = make_anomaly(name, seed=5, padding_txns=8)
-            results = {}
-            for b in BACKENDS:
-                graph, violations = build_polygraph(history)
-                if violations:
-                    break
-                results[b] = prune_constraints(graph, backend=b).as_dict()
-            if results:
-                assert len({repr(r) for r in results.values()}) == 1, results
+            graph, violations = build_polygraph(history)
+            if violations:
+                continue
+            reference, _ = build_polygraph(history)
+            assert (prune_constraints(graph).as_dict()
+                    == prune_constraints_recompute(reference).as_dict())
 
-    def test_default_backend_reported(self):
-        history = generate_history(
-            WorkloadParams(sessions=3, txns_per_session=8, ops_per_txn=4,
-                           keys=30), seed=4).history
-        report = repro.check(history)
-        assert report.stats["closure_backend"] in BACKENDS
 
-    def test_checker_rejects_unknown_backend(self):
-        with pytest.raises(Exception, match="fortran"):
-            repro.Checker(closure_backend="fortran")
+class TestEachCheckerOwnsItsKernel:
+    def test_batch_reports_python(self):
+        assert repro.check(small_history(4)).stats[
+            "closure_backend"] == "python"
+
+    def test_segmented_reports_python(self):
+        from repro.extensions.segmented import run_segmented_workload
+        from repro.storage.database import MVCCDatabase
+        from repro.workloads.generator import generate_workload
+
+        spec = generate_workload(
+            WorkloadParams(sessions=3, txns_per_session=6, ops_per_txn=4,
+                           keys=8), seed=1)
+        run = run_segmented_workload(MVCCDatabase(seed=1), spec,
+                                     snapshot_every=6, seed=1)
+        report = repro.check(run, mode="segmented")
+        assert report.stats["closure_backend"] == "python"
+
+    def test_timestamp_fallback_reports_python(self):
+        stamped = stamp_serial(serializable_history())
+        victim = next(t for t in stamped.transactions if t.committed).tid
+        partial = map_timestamps(
+            stamped,
+            lambda t: None if t.tid == victim
+            else (t.start_ts, t.commit_ts) if t.timestamped else None,
+        )
+        report = repro.check(partial, engine="timestamp")
+        assert report.decided_by == "fallback"
+        assert report.stats["closure_backend"] == "python"
+
+    def test_online_reports_numpy(self):
+        report = repro.check(small_history(4), mode="online")
+        assert report.stats["closure_backend"] == "numpy"
+
+    def test_facade_rejects_the_option(self):
+        with pytest.raises(UnsupportedOptionError, match="closure_backend"):
+            repro.check(small_history(4), closure_backend="numpy")
+
+    def test_cli_rejects_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        dump_history(serializable_history(), str(path))
+        with pytest.raises(SystemExit) as exited:
+            main(["check", str(path), "--closure-backend", "numpy"])
+        assert exited.value.code == 2
+        assert "--closure-backend" in capsys.readouterr().err
+
+    def test_no_source_reads_the_environment_variable(self):
+        src = pathlib.Path(repro.__file__).parent
+        readers = [str(path.relative_to(src)) for path in src.rglob("*.py")
+                   if "REPRO_CLOSURE_BACKEND" in path.read_text()]
+        assert readers == []

@@ -33,17 +33,16 @@ from repro.core.encoding import (
 from repro.core.history import HistoryBuilder, Operation, R, W
 from repro.core.polygraph import RW, build_polygraph
 from repro.core.pruning import PruneState, prune_constraints
-from repro.utils.closure import (
-    ClosureBackend,
-    available_closure_backends,
-    iter_bits,
-)
+from repro.utils.closure import ClosureBackend, iter_bits
+from repro.utils.closure_np import NumpyBitsetClosure
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 from repro.workloads.random_histories import random_history
 
 from _helpers import (
+    KERNELS,
     assert_valid_witness,
+    batch_on_kernel,
     causality_history,
     solve_under_contract,
 )
@@ -109,7 +108,7 @@ def small_histories(draw):
     return side_by_side(*parts)
 
 
-def after_fixpoint(history, backend=None):
+def after_fixpoint(history):
     """``(graph, prune result)`` of a history that gets as far as the
     encoder with a clean closure diagonal, else None."""
     if check_axioms(history):
@@ -117,7 +116,7 @@ def after_fixpoint(history, backend=None):
     graph, anomalies = build_polygraph(history)
     if anomalies:
         return None
-    pruned = prune_constraints(graph, backend=backend)
+    pruned = prune_constraints(graph)
     if not (pruned.ok and pruned.known_acyclic):
         return None
     return graph, pruned
@@ -238,8 +237,9 @@ class TestWitnessesNeedNoMapping:
     """(ii) through the checker: a violation the solver finds in one
     island of many is reported in the history's own vertex ids."""
 
-    @pytest.mark.parametrize("backend", sorted(available_closure_backends()))
-    def test_lost_update_among_islands(self, backend):
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_lost_update_among_islands(self, kernel, monkeypatch):
+        batch_on_kernel(monkeypatch, kernel)
         b = HistoryBuilder()
         for c in range(5):          # ten vertices before the anomaly
             b.txn(c, [W(f"pad{c}", 1)])
@@ -247,12 +247,21 @@ class TestWitnessesNeedNoMapping:
         b.txn(50, [W("k", 4)])
         b.txn(51, [R("k", 4), W("k", 5)])
         b.txn(52, [R("k", 4), W("k", 13)])
-        result = PolySIChecker(closure_backend=backend).check(b.build())
+        result = PolySIChecker().check(b.build())
         assert not result.satisfies_si
         assert result.decided_by == "solving"
         assert result.stats["solver_vertices"] == 2
         assert_valid_witness(result.cycle, result.polygraph)
         assert {v for edge in result.cycle for v in edge[:2]} == {11, 12}
+
+
+def cores_over_both_kernels(graph, pruned):
+    """The core over the fixpoint's own (python) closure and over the
+    same rows held by the numpy kernel."""
+    state = pruned.state
+    return {cycle_core(graph.constraints, state.known, reach)
+            for reach in (state.reach, NumpyBitsetClosure.from_rows(
+                state.reach.int_rows()))}
 
 
 class TestBackendsAgreeOnTheCore:
@@ -262,29 +271,20 @@ class TestBackendsAgreeOnTheCore:
     @given(small_histories())
     @settings(max_examples=100, deadline=None)
     def test_same_bitset(self, history):
-        cores = set()
-        for backend in sorted(available_closure_backends()):
-            reached = after_fixpoint(history, backend)
-            if reached is None:
-                return
-            graph, pruned = reached
-            assert pruned.state.backend_name == backend
-            cores.add(cycle_core(graph.constraints, pruned.state.known,
-                                 pruned.state.reach))
-        assert len(cores) == 1
+        reached = after_fixpoint(history)
+        if reached is None:
+            return
+        assert len(cores_over_both_kernels(*reached)) == 1
 
     def test_contended_workload(self):
         history = generate_history(
             WorkloadParams(sessions=6, txns_per_session=12, ops_per_txn=6,
                            keys=8, read_proportion=0.5),
             seed=2, isolation="snapshot").history
-        cores = []
-        for backend in sorted(available_closure_backends()):
-            graph, pruned = after_fixpoint(history, backend)
-            assert graph.constraints
-            cores.append(cycle_core(graph.constraints, pruned.state.known,
-                                    pruned.state.reach))
-        assert len(set(cores)) == 1 and cores[0]
+        graph, pruned = after_fixpoint(history)
+        assert graph.constraints
+        cores = cores_over_both_kernels(graph, pruned)
+        assert len(cores) == 1 and next(iter(cores))
 
 
 class TestNoPruneResultIsTheReferenceClauseSet:

@@ -27,10 +27,11 @@ from repro.core.known import KnownGraph
 from repro.core.polygraph import RW, SO, WR, WW, build_polygraph
 from repro.core.pruning import PruneState, prune_constraints
 from repro.listappend import build_list_polygraph, generate_list_history
-from repro.utils.closure import available_closure_backends
 from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
+
+from _helpers import KERNELS, batch_on_kernel
 
 
 def _random_edges(rng, n, count):
@@ -230,10 +231,11 @@ def _materialised_rows(known):
         known.num_vertices, known.induced_adjacency()).rows
 
 
-def _seeds_of_fixpoint(graph, backend, monkeypatch):
-    """Run the pruning fixpoint on ``graph`` with the kernel checked
+def _seeds_of_fixpoint(graph, kernel, monkeypatch):
+    """Run the pruning fixpoint on ``graph`` with ``kernel`` checked
     against the definition at every seed; returns one ``reseed`` flag
     per seed taken."""
+    batch_on_kernel(monkeypatch, kernel)
     seeds = []
     seed = PruneState._seed
 
@@ -245,7 +247,7 @@ def _seeds_of_fixpoint(graph, backend, monkeypatch):
         return closure
 
     monkeypatch.setattr(PruneState, "_seed", checked)
-    prune_constraints(graph, backend=backend)
+    prune_constraints(graph)
     return seeds
 
 
@@ -267,36 +269,36 @@ typed_edge_sets = st.integers(min_value=0, max_value=7).flatmap(
         st.sampled_from(["mixed", "dep-only", "antidep-only"])))
 
 
-@pytest.mark.parametrize("backend", available_closure_backends())
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 class TestClosureAtEverySeed:
-    """Before the fixpoint and at every reseed of it, under both
-    closure backends."""
+    """Before the fixpoint and at every reseed of it, on batch pruning's
+    python kernel and with the numpy kernel swapped in."""
 
     @pytest.mark.parametrize("template", sorted(ANOMALY_TEMPLATES))
-    def test_corpus_templates(self, template, backend, monkeypatch):
+    def test_corpus_templates(self, template, kernel, monkeypatch):
         graph, _anomalies = build_polygraph(
             make_anomaly(template, seed=5, padding_txns=40))
-        assert _seeds_of_fixpoint(graph, backend, monkeypatch)
+        assert _seeds_of_fixpoint(graph, kernel, monkeypatch)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_benchmark_shapes(self, shape, seed, backend, monkeypatch):
+    def test_benchmark_shapes(self, shape, seed, kernel, monkeypatch):
         history = generate_history(
             WorkloadParams(distribution="zipfian", **SHAPES[shape]),
             seed=seed).history
         graph, anomalies = build_polygraph(history)
         assert not anomalies
-        seeds = _seeds_of_fixpoint(graph, backend, monkeypatch)
+        seeds = _seeds_of_fixpoint(graph, kernel, monkeypatch)
         assert seeds[0] is False and True in seeds[1:], seeds
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_list_append(self, seed, backend, monkeypatch):
+    def test_list_append(self, seed, kernel, monkeypatch):
         history = generate_list_history(
             WorkloadParams(sessions=5, txns_per_session=12, ops_per_txn=5,
                            keys=8, read_proportion=0.5), seed=seed)
         graph, anomalies, _registers = build_list_polygraph(history)
         assert not anomalies
-        assert _seeds_of_fixpoint(graph, backend, monkeypatch)
+        assert _seeds_of_fixpoint(graph, kernel, monkeypatch)
 
 
 class TestClosureKernel:

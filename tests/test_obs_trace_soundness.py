@@ -112,11 +112,12 @@ def test_every_registered_combo_emits_a_sound_trace(engine, isolation, mode):
 
 
 def test_batch_trace_reports_closure_counters():
-    """The per-backend closure counters surface in the payload metrics
-    under the resolved backend's name."""
+    """The closure counters surface in the payload metrics under the
+    name of batch pruning's kernel."""
     report = check(serializable_history())
     payload = report.stats["trace"]
     backend = report.stats["closure_backend"]
+    assert backend == "python"
     counters = payload["metrics"]["counters"]
     prefixed = {name for name in counters
                 if name.startswith(f"closure.{backend}.")}

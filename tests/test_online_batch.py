@@ -4,7 +4,7 @@
 per arrival, and prunes, evicts and solves once at the batch end
 (DESIGN.md S6, "Settling at a batch boundary"); ``add`` is a batch of
 one.  On hypothesis-drawn streams — aborts, reads of the initial state,
-delayed writers, small windows, each closure backend — the batched
+delayed writers, small windows — the batched
 checker is held to the per-event one:
 
 - on a clean stream, every batch boundary shows the same verdict and
@@ -24,11 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.history import ABORTED, COMMITTED, R, W
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.online import OnlineChecker, WindowPolicy
-from repro.utils.closure import available_closure_backends
 
 from _helpers import delayed, simulated
-
-BACKENDS = available_closure_backends()
 
 
 @st.composite
@@ -63,7 +60,6 @@ def streams(draw):
         "batches": sorted(cuts) + [len(events)],
         "window": draw(st.one_of(st.none(), st.tuples(
             st.integers(2, 10), st.sampled_from([0, 2, 5])))),
-        "backend": draw(st.sampled_from(BACKENDS)),
         "solve_every": draw(st.sampled_from([1, 4])),
     }
 
@@ -73,8 +69,7 @@ def new_checker(stream):
     return OnlineChecker(
         solve_every=stream["solve_every"],
         window=WindowPolicy(*window) if window else None,
-        sessions=range(stream["sessions"]) if window else None,
-        closure_backend=stream["backend"])
+        sessions=range(stream["sessions"]) if window else None)
 
 
 def observed(checker, result):

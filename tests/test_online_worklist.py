@@ -27,18 +27,19 @@ from repro.core.known import mask_of
 from repro.histories.codec import history_to_events
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.online import OnlineChecker, WindowPolicy
-from repro.utils.closure import available_closure_backends
 from repro.workloads.corpus import make_anomaly
 
 from _helpers import (
+    KERNELS,
     delayed,
     evict_closed_reference,
     prune_fixpoint_reference,
+    online_on_kernel,
     simulated,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-BACKENDS = available_closure_backends()
+KERNEL_NAMES = sorted(KERNELS)
 
 
 # -- no skipped question mattered ---------------------------------------------
@@ -71,7 +72,6 @@ def streams(draw):
         "gc_every": draw(st.sampled_from([0, 2, 5])),
         "restore_at": draw(st.one_of(st.none(),
                                      st.integers(1, len(events)))),
-        "backend": draw(st.sampled_from(BACKENDS)),
         "solve_every": draw(st.sampled_from([1, 4])),
     }
 
@@ -95,8 +95,7 @@ def test_the_references_resolve_and_evict_nothing_more(stream):
         solve_every=stream["solve_every"],
         window=WindowPolicy(max_live=stream["max_live"],
                             gc_every=stream["gc_every"]),
-        sessions=range(stream["sessions"]),
-        closure_backend=stream["backend"])
+        sessions=range(stream["sessions"]))
     for seen, (session, ops, status) in enumerate(stream["events"], 1):
         if not checker.add(session, ops, status=status).satisfies_si:
             return
@@ -122,20 +121,22 @@ LAST_CONSTRAINT_RESOLVES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_a_vertex_whose_last_constraint_resolves_is_examined_again(
-        backend):
+        kernel, monkeypatch):
+    online_on_kernel(monkeypatch, kernel)
     checker = OnlineChecker(window=WindowPolicy(max_live=2, gc_every=0),
-                            sessions=range(4), closure_backend=backend)
+                            sessions=range(4))
     for session, ops in LAST_CONSTRAINT_RESOLVES:
         if not checker.add(session, ops).satisfies_si:
             break
         assert_nothing_skipped_mattered(checker)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_an_event_asks_only_the_constraints_it_touched(backend):
-    checker = OnlineChecker(closure_backend=backend)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+def test_an_event_asks_only_the_constraints_it_touched(kernel, monkeypatch):
+    online_on_kernel(monkeypatch, kernel)
+    checker = OnlineChecker()
 
     def asked_by(session, ops, status=COMMITTED):
         before = checker.result().stats["prune_asked"]
@@ -153,14 +154,16 @@ def test_an_event_asks_only_the_constraints_it_touched(backend):
     assert checker.unresolved_constraints == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_dep_predecessor_that_moves_no_row_still_asks_again(backend):
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+def test_a_dep_predecessor_that_moves_no_row_still_asks_again(
+        kernel, monkeypatch):
     """Pruning puts S' before R on y, and the WW edge S' -> R is a new
     Dep pair whose KI pair was already in the closure (S' -SO-> Q -RW->
     R): no closure row moves, only R's Dep predecessors.  That alone
     makes "T before S" on x impossible — S reaches S', a Dep predecessor
     of T's reader R — so the constraint must be asked again."""
-    checker = OnlineChecker(closure_backend=backend)
+    online_on_kernel(monkeypatch, kernel)
+    checker = OnlineChecker()
     checker.add(2, [W("x", 1)])                            # T  = 1
     checker.add(0, [W("x", 2)])                            # S  = 2
     checker.add(0, [W("y", 1)])                            # S' = 3
@@ -213,19 +216,19 @@ def tenant_events(name, seed):
     return events, sessions
 
 
-def tenant_checker(name, sessions, backend=None):
+def tenant_checker(name, sessions):
     """A checker configured the way the daemon configures a tenant's."""
     return OnlineChecker(
         solve_every=8, window=WindowPolicy(max_live=TENANTS[name]["share"]),
-        sessions=range(sessions), closure_backend=backend)
+        sessions=range(sessions))
 
 
-def trail(name, seed, backend=None):
+def trail(name, seed):
     """Per event: verdict, unresolved constraints, known edges, a hash
     of the known-edge order, solves, live transactions; then the final
     summary."""
     events, sessions = tenant_events(name, seed)
-    checker = tenant_checker(name, sessions, backend)
+    checker = tenant_checker(name, sessions)
     rows = []
     for session, ops, status in events:
         result = checker.add(session, ops, status=status)
@@ -253,8 +256,8 @@ def trail(name, seed, backend=None):
     }
 
 
-def all_trails(backend=None):
-    return {f"{name}/{seed}": trail(name, seed, backend)
+def all_trails():
+    return {f"{name}/{seed}": trail(name, seed)
             for name in TENANTS for seed in TRAIL_SEEDS}
 
 
@@ -263,14 +266,16 @@ with open(os.path.join(HERE, "data", "online_trail_2db6a61.json"),
     PARENT = json.load(_handle)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("tenant", sorted(PARENT))
-def test_trails_written_by_the_full_rescan_build(tenant, backend):
+def test_trails_written_by_the_full_rescan_build(tenant, kernel, monkeypatch):
     """``tests/data/online_trail_2db6a61.json`` holds what that commit,
     which asked every constraint and examined every live vertex, did on
-    each event — the worklist build must do the same."""
+    each event — the worklist build must do the same, on the online
+    checker's numpy kernel and with the python kernel swapped in."""
+    online_on_kernel(monkeypatch, kernel)
     name, seed = tenant.split("/")
-    got = trail(name, int(seed), backend)
+    got = trail(name, int(seed))
     want = PARENT[tenant]
     for event, (mine, theirs) in enumerate(zip(got["trail"], want["trail"])):
         assert mine == theirs, (tenant, event)
@@ -373,11 +378,13 @@ def assert_indexes_are_tight(checker):
     assert set(checker._unresolved_touch) <= live
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("name", sorted(TENANTS))
-def test_no_entry_outlives_its_vertex_or_constraint(name, backend):
+def test_no_entry_outlives_its_vertex_or_constraint(name, kernel,
+                                                    monkeypatch):
+    online_on_kernel(monkeypatch, kernel)
     events, sessions = tenant_events(name, TRAIL_SEEDS[0])
-    checker = tenant_checker(name, sessions, backend)
+    checker = tenant_checker(name, sessions)
     for session, ops, status in events:
         assert checker.add(session, ops, status=status).satisfies_si
         assert_indexes_are_tight(checker)

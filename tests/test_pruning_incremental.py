@@ -195,7 +195,7 @@ class TestPruneState:
     def test_counters_are_monotone_across_a_bulk_reseed(self):
         """Regression: the large-delta flush swaps in a fresh closure;
         its operation counters must continue the old one's, or the
-        ``closure.<backend>.*`` metrics under-report every fixpoint
+        ``closure.<kernel>.*`` metrics under-report every fixpoint
         whose first iteration resolves most constraints."""
         from repro.core.pruning import WW
 
@@ -225,35 +225,27 @@ class TestPruneState:
     def test_fixpoint_lookups_are_bounded_per_branch(self, monkeypatch):
         """Classification issues one ``has`` for a branch's WW edge and
         at most one ``row`` for all its RW edges, so the published
-        ``closure.<backend>.queries`` over a fixpoint lies between one
-        and two per branch classified — and is the same number on every
-        backend."""
+        ``closure.python.queries`` over a fixpoint lies between one and
+        two per branch classified."""
         import repro.core.pruning as pruning_module
         from repro.core.pruning import classify_constraints
         from repro.obs import MetricsRegistry, use_metrics
-        from repro.utils.closure import available_closure_backends
 
-        published = {}
-        for backend in available_closure_backends():
-            graph, violations = build_polygraph(cascade_history(6))
-            assert not violations
-            branches = []
+        graph, violations = build_polygraph(cascade_history(6))
+        assert not violations
+        branches = []
 
-            def counting(constraints, reach, pred_mask):
-                branches.append(2 * len(constraints))
-                return classify_constraints(constraints, reach, pred_mask)
+        def counting(constraints, reach, pred_mask):
+            branches.append(2 * len(constraints))
+            return classify_constraints(constraints, reach, pred_mask)
 
-            monkeypatch.setattr(pruning_module, "classify_constraints",
-                                counting)
-            registry = MetricsRegistry()
-            with use_metrics(registry):
-                result = prune_constraints(graph, backend=backend)
-            assert result.ok and result.iterations == len(branches) > 2
-            queries = registry.snapshot()["counters"][
-                f"closure.{backend}.queries"]
-            assert sum(branches) < queries <= 2 * sum(branches)
-            published[backend] = queries
-        assert len(set(published.values())) == 1, published
+        monkeypatch.setattr(pruning_module, "classify_constraints", counting)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = prune_constraints(graph)
+        assert result.ok and result.iterations == len(branches) > 2
+        queries = registry.snapshot()["counters"]["closure.python.queries"]
+        assert sum(branches) < queries <= 2 * sum(branches)
 
     def test_cyclic_promotion_keeps_rows_exact(self):
         from repro.core.pruning import WW

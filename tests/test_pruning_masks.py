@@ -29,18 +29,18 @@ from repro.core.pruning import (
 from repro.histories.codec import history_to_events
 from repro.listappend import build_list_polygraph, generate_list_history
 from repro.online import OnlineChecker, WindowPolicy
-from repro.utils.closure import (
-    available_closure_backends,
-    resolve_closure_backend,
-)
 from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 from repro.workloads.random_histories import random_history
 
-from _helpers import branch_impossible_reference, lost_update_history
-
-BACKENDS = available_closure_backends()
+from _helpers import (
+    KERNELS,
+    batch_on_kernel,
+    branch_impossible_reference,
+    lost_update_history,
+    online_on_kernel,
+)
 
 
 def reference_decisions(constraints, reach, dep_preds):
@@ -49,11 +49,11 @@ def reference_decisions(constraints, reach, dep_preds):
             for cons in constraints]
 
 
-def assert_fixpoint_parity(graph, backend):
+def assert_fixpoint_parity(graph):
     """Run the pruning fixpoint on ``graph`` by hand, classifying every
     iteration with both rules.  Returns how many iterations classified
     against a cyclic closure, so callers can require that shape."""
-    state = PruneState(graph, backend=backend)
+    state = PruneState(graph)
     result = PruneResult()
     cyclic_iterations = 0
     while True:
@@ -77,22 +77,29 @@ def workload(seed, read_proportion=0.5):
     ).history
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 class TestFixpointParity:
-    def test_anomaly_corpus(self, backend):
+    """Batch pruning's fixpoint on its python kernel and with the numpy
+    kernel swapped in."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self, kernel, monkeypatch):
+        batch_on_kernel(monkeypatch, kernel)
+
+    def test_anomaly_corpus(self):
         for index, name in enumerate(sorted(ANOMALY_TEMPLATES)):
             graph, violations = build_polygraph(
                 make_anomaly(name, seed=index, padding_txns=8))
             if not violations:
-                assert_fixpoint_parity(graph, backend)
+                assert_fixpoint_parity(graph)
 
-    def test_valid_workloads(self, backend):
+    def test_valid_workloads(self):
         for seed, reads in ((1, 0.5), (2, 0.3), (3, 0.9)):
             graph, violations = build_polygraph(workload(seed, reads))
             assert not violations
-            assert_fixpoint_parity(graph, backend)
+            assert_fixpoint_parity(graph)
 
-    def test_random_histories_include_cyclic_known_graphs(self, backend):
+    def test_random_histories_include_cyclic_known_graphs(self):
         """About half of these violate SI; the ones whose known graph is
         cyclic classify against self-reaching rows."""
         cyclic = 0
@@ -101,19 +108,19 @@ class TestFixpointParity:
                 random.Random(seed), sessions=4, txns_per_session=4,
                 max_ops=4, keys=4))
             if not violations:
-                cyclic += assert_fixpoint_parity(graph, backend)
+                cyclic += assert_fixpoint_parity(graph)
         assert cyclic >= 5
 
-    def test_non_compact_construction(self, backend):
+    def test_non_compact_construction(self):
         for seed in (1, 2):
             graph, violations = build_polygraph(workload(seed),
                                                 compact=False)
             assert not violations
             assert any(len(cons.either) != len(cons.orelse)
                        for cons in graph.constraints)
-            assert_fixpoint_parity(graph, backend)
+            assert_fixpoint_parity(graph)
 
-    def test_list_append_polygraphs(self, backend):
+    def test_list_append_polygraphs(self):
         for seed in (1, 2, 3):
             history = generate_list_history(
                 WorkloadParams(sessions=4, txns_per_session=8,
@@ -121,7 +128,7 @@ class TestFixpointParity:
                 seed=seed)
             graph, violations, _registers = build_list_polygraph(history)
             assert not violations
-            assert_fixpoint_parity(graph, backend)
+            assert_fixpoint_parity(graph)
 
 
 # -- the rule itself, on graphs aimed at its corner cases ---------------------
@@ -148,10 +155,10 @@ def random_branch(rng, n):
         for _ in range(rng.randrange(1, 6)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(KERNELS))
 class TestRuleOnArbitraryGraphs:
     def test_random_branches_on_random_cyclic_graphs(self, backend):
-        cls = resolve_closure_backend(backend)
+        cls = KERNELS[backend]
         rng = random.Random(2024)
         outcomes = set()
         for _ in range(150):
@@ -168,7 +175,7 @@ class TestRuleOnArbitraryGraphs:
         assert len(outcomes) == 4
 
     def test_one_bit_for_ww_one_row_per_distinct_rw_head(self, backend):
-        reach = resolve_closure_backend(backend)(6)
+        reach = KERNELS[backend](6)
         masks = [0] * 6
 
         def lookups():
@@ -202,7 +209,7 @@ class TestPredecessorIsTheHead:
         assert not violations
         (cons,) = graph.constraints
         assert cons.pair == (0, 1)
-        state = PruneState(graph, backend="python")
+        state = PruneState(graph)
         # "B before A" forces RW reader -> A, and A -WR(y)-> reader.
         assert (2, 0, RW, "x") in cons.orelse
         assert state.pred_mask[2] >> 0 & 1
@@ -221,9 +228,8 @@ class TestPredecessorIsTheHead:
         for cons in graph.constraints:
             for u, v, _label, _key in cons.either + cons.orelse:
                 assert u != v
-        for backend in BACKENDS:
-            fresh, _ = build_polygraph(lost_update_history())
-            assert_fixpoint_parity(fresh, backend)
+        fresh, _ = build_polygraph(lost_update_history())
+        assert_fixpoint_parity(fresh)
 
 
 # -- the online checker: after compaction, after restore ----------------------
@@ -258,13 +264,14 @@ def contended_events(seed):
     return history_to_events(history)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_online_checker_across_compaction_and_restore(backend):
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_online_checker_across_compaction_and_restore(kernel, monkeypatch):
+    online_on_kernel(monkeypatch, kernel)
     compared = 0
     for seed in (3, 7):
         checker = OnlineChecker(
             window=WindowPolicy(max_live=10, gc_every=4),
-            sessions=range(4), closure_backend=backend)
+            sessions=range(4))
         for session, ops, status, *_ in contended_events(seed):
             result = checker.add(session, ops, status=status)
             assert result.satisfies_si

@@ -7,7 +7,6 @@ from repro.utils.reachability import (
     is_acyclic,
     tarjan_scc,
     transitive_closure_bits,
-    transitive_closure_numpy,
 )
 
 
@@ -98,15 +97,6 @@ class TestClosures:
             got = {v for v in range(n) if reach.has(u, v)}
             assert got == want[u], (edges, u)
 
-    @given(digraphs())
-    @settings(max_examples=100, deadline=None)
-    def test_numpy_matches_bits(self, instance):
-        n, edges = instance
-        adj = adj_from_edges(n, edges)
-        bits = transitive_closure_bits(n, adj)
-        dense = transitive_closure_numpy(n, adj)
-        assert bits.rows == dense.rows
-
     @given(digraphs(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_visible_prefix_is_the_full_closure_masked(self, instance, data):
@@ -125,6 +115,3 @@ class TestClosures:
         reach = transitive_closure_bits(3, adj_from_edges(3, [(0, 1), (1, 2)]))
         assert reach.reaches_any(0, (1 << 2))
         assert not reach.reaches_any(2, (1 << 0) | (1 << 1))
-
-    def test_empty_numpy(self):
-        assert transitive_closure_numpy(0, []).rows == []

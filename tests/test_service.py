@@ -131,6 +131,13 @@ class TestHttpIngestion:
         assert payload["report"]["verdict"] == offline.verdict == "satisfied"
         assert 0.0 <= payload["timestamped_fraction"] <= 1.0
 
+    def test_tenants_check_on_the_online_kernel(self, service):
+        _, handle, client = service()
+        run = collect_run(seed=2)
+        client.push_events("k", run.iter_events(), sessions=SMALL.sessions)
+        stats = handle.drain()["k"]["report"]["stats"]
+        assert stats["closure_backend"] == "numpy"
+
     def test_backpressure_rejects_are_counted_not_dropped(self, service):
         """A tiny queue forces 429s; the client resends and the verdict
         still matches the offline check — zero loss under backpressure."""

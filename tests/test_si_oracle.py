@@ -19,8 +19,9 @@ through attributes (``sessions``, ``ops``, ``status``, ``kind``, ``key``,
 ``value``).  The sweep below feeds it every history in two small scopes,
 built with ``HistoryBuilder``, and holds every SI engine x mode that
 checks a plain ``History`` — the batch pipeline with pruning off, with
-explicit constraints and under each closure backend, and the online
-checker fed one ``extend``
+explicit constraints and with the numpy closure kernel swapped in, the
+online checker with the python kernel swapped in, and the online checker
+fed one ``extend``
 batch or two split anywhere, or (on a seeded sample) snapshotted and
 restored at every split — to its answer; the second scope also holds
 every serializability engine to the serializable variant.
@@ -35,6 +36,8 @@ import pytest
 from repro.api import Checker, list_engines
 from repro.core.history import ABORTED, COMMITTED, HistoryBuilder, R, W
 from repro.online import OnlineChecker
+
+from _helpers import batch_on_kernel, online_on_kernel
 
 #: Both exhaustive scopes draw transactions of 1..MAX_OPS operations on
 #: KEYS.  Written values are unique; a read returns the initial value or
@@ -222,16 +225,22 @@ def _columns(isolation):
                 yield f"{spec.name}-{mode}", (spec.name, mode, options)
 
 
-#: The SI columns, then the batch pipeline with pruning off, with
+#: The SI columns, then the batch pipeline with pruning off and with
 #: explicit (edge-list) constraints — the path compact constraints no
-#: longer take by default — and under each closure backend.
+#: longer take by default — and each checker on the other's closure
+#: kernel.
 COLUMNS = dict(_columns("si"))
 COLUMNS["polysi-batch[prune=False]"] = ("polysi", "batch", {"prune": False})
 COLUMNS["polysi-batch[compact=False]"] = ("polysi", "batch",
                                           {"compact": False})
-for _backend in ("python", "numpy"):
-    COLUMNS[f'polysi-batch[closure_backend="{_backend}"]'] = (
-        "polysi", "batch", {"closure_backend": _backend})
+COLUMNS["polysi-batch[kernel=numpy]"] = ("polysi", "batch", {})
+COLUMNS["polysi-online[kernel=python]"] = ("polysi", "online", {})
+
+#: The columns that swap a checker's kernel, and the swap.
+KERNEL_SWAPS = {
+    "polysi-batch[kernel=numpy]": (batch_on_kernel, "numpy"),
+    "polysi-online[kernel=python]": (online_on_kernel, "python"),
+}
 SER_COLUMNS = dict(_columns("ser"))
 
 
@@ -334,6 +343,10 @@ def assert_agrees(column, truth, isolation="si"):
     engine, mode, options = (COLUMNS if isolation == "si"
                              else SER_COLUMNS)[column]
     checker = Checker(isolation, mode, engine, trace=False, **options)
+    if column in KERNEL_SWAPS:
+        history = truth[0][0]
+        assert (checker.check(history).stats["closure_backend"]
+                == KERNEL_SWAPS[column][1])
     assert_decides(lambda history: [checker.check(history).ok], truth,
                    KNOWN_GAPS.get(engine, lambda history: False))
 
@@ -372,14 +385,24 @@ def online_restore_verdicts(history):
         yield restored.finish().satisfies_si
 
 
+def swap_kernel(column, monkeypatch):
+    """Apply ``column``'s kernel swap, if it has one."""
+    if column in KERNEL_SWAPS:
+        swap, kernel = KERNEL_SWAPS[column]
+        swap(monkeypatch, kernel)
+
+
 @pytest.mark.parametrize("column", sorted(COLUMNS))
-def test_engine_agrees_with_the_oracle(column, ground_truth):
+def test_engine_agrees_with_the_oracle(column, ground_truth, monkeypatch):
+    swap_kernel(column, monkeypatch)
     assert_agrees(column, ground_truth)
 
 
 @pytest.mark.parametrize("column", sorted(COLUMNS))
 def test_engine_agrees_with_the_oracle_across_sessions(column,
-                                                       session_ground_truth):
+                                                       session_ground_truth,
+                                                       monkeypatch):
+    swap_kernel(column, monkeypatch)
     assert_agrees(column, session_ground_truth)
 
 
