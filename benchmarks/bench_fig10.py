@@ -9,6 +9,9 @@ constraints / 3.6M unknown dependencies.
 
 The unpruned variants are drastically slower, so this bench uses its own
 reduced sizes (``FRACTION`` of the shared workload scale).
+
+``main()`` is also a smoke gate on the ablation: every variant must
+answer SI, within the budget, on every workload.
 """
 
 import pytest
@@ -101,6 +104,11 @@ def main():
     report.add_sweeps(sweeps, axis="workload", xs=WORKLOADS)
     record_sweep_verdicts(report, sweeps)
     print(f"results: {report.write()}")
+    for sweep in sweeps:
+        for workload, m in sweep.points.items():
+            assert not m.timed_out and m.result is True, (
+                f"{sweep.name} on {workload}: "
+                + ("no verdict in budget" if m.timed_out else "not SI"))
 
 
 if __name__ == "__main__":

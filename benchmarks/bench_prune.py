@@ -30,7 +30,7 @@ numpy kernel, the online checker's, at >= 3x over the python one
 The **classify** series isolates one fixpoint iteration's
 classification — every constraint of a read-heavy polygraph against
 one frozen closure — and times the shipped rule (bitset algebra on one
-closure row per branch, ``repro.core.pruning.branch_impossible``)
+closure row per branch, ``repro.core.pruning.pair_impossible``)
 against the rule it replaced (one ``has()`` call per Dep-predecessor,
 kept as the test oracle in ``tests/_helpers.py``), on batch pruning's
 kernel, with identical decisions asserted (series ``classify[python]``
@@ -73,7 +73,6 @@ from repro.core.pruning import (
     apply_decisions,
     classify_constraints,
     prune_constraints,
-    prune_constraints_recompute,
 )
 from repro.utils.closure import PyBitsetClosure
 from repro.utils.closure_np import NumpyBitsetClosure
@@ -81,10 +80,13 @@ from repro.utils.gcpause import collector_paused
 from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.generator import WorkloadParams, generate_history
 
-# The replaced rule lives with the test oracles, its only other caller.
+# The replaced rule and fixpoint live with the test oracles.
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
-from _helpers import branch_impossible_reference  # noqa: E402
+from _helpers import (  # noqa: E402
+    branch_impossible_reference,
+    prune_constraints_recompute,
+)
 
 #: Wall-clock best-of-N to damp scheduler noise.
 ROUNDS = 3

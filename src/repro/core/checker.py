@@ -44,9 +44,9 @@ log = get_logger("core.checker")
 
 
 def _built_edges(constraints) -> int:
-    """Typed branch edges built so far for ``constraints``: construct and
-    prune build them for explicit constraints and for a pruning witness,
-    encode for the constraints that reach the solver."""
+    """Typed branch edges built so far for ``constraints``: prune builds
+    them for a pruning witness, encode for the constraints that reach
+    the solver."""
     return sum(cons.built_edges for cons in constraints)
 
 

@@ -43,7 +43,7 @@ class KnownGraph:
     - ``dep_preds[v]`` — immediate Dep predecessors of ``v``;
     - ``pred_mask[v]`` — the same predecessors as an int bitset (bit
       ``p`` set iff ``p in dep_preds[v]``), the form pruning intersects
-      with a closure row (:func:`repro.core.pruning.branch_impossible`).
+      with a closure row (:func:`repro.core.pruning.pair_impossible`).
 
     The typed edges themselves stay with whoever owns them (the
     polygraph, the online checker's edge table): several labels or keys
@@ -120,7 +120,7 @@ class KnownGraph:
 
     def add_antideps(self, tails: Iterable[int], head: int) -> List[int]:
         """Install the AntiDep pair ``t -> head`` for every ``t`` in
-        ``tails`` other than ``head`` (a compact branch's RW edges);
+        ``tails`` other than ``head`` (a branch's RW edges);
         returns, in order, the tails whose pair was new."""
         antidep = self.antidep
         new = []

@@ -17,7 +17,9 @@ dependency graphs that could extend a history:
 the "PolySI w/o compaction" ablation (Figure 10): each generalized
 constraint is decomposed into one WW-direction constraint per writer pair
 plus one constraint per reader, following classic polygraphs
-(Definition 8) while remaining complete for SI.
+(Definition 8) while remaining complete for SI.  Both constructions emit
+the one :class:`Constraint` form — a writer pair and two reader lists —
+so everything downstream handles a single shape.
 """
 
 from __future__ import annotations
@@ -72,46 +74,29 @@ class Constraint:
     Exactly one of the two branches holds in any dependency graph
     extending the history: all edges of the chosen branch are present.
 
-    An *explicit* constraint is built from its two edge lists.  A
-    *compact* one (:meth:`compact`, what ``build_polygraph`` generates
-    by default) is its key, its writer pair ``(t, s)`` and the two
-    reader lists it reads, ``readers_from[(t, key)]`` and
-    ``readers_from[(s, key)]`` (:attr:`readers`); each branch is built
-    from them on first access and kept.  The lists are final before any
-    constraint exists, so a late build equals an eager one (DESIGN.md
-    S4).  Pruning answers a compact constraint from its pair and reader
+    A constraint is its key, its writer pair ``(t, s)`` (:attr:`pair`)
+    and the two reader lists its branches carry (:attr:`readers`):
+    ``either`` is "``t`` before ``s``" — WW ``t -> s`` plus RW
+    ``r -> s`` for each ``r`` in ``readers_t`` other than ``s`` — and
+    ``orelse`` the mirror image over ``readers_s``.  ``build_polygraph``
+    passes ``readers_from[(t, key)]`` and ``readers_from[(s, key)]``;
+    the ablation's Definition 8 pieces carry one reader or none (DESIGN.md
+    S4).  Each branch is built from them on first access and kept.  The
+    lists are final before any constraint exists, so a late build equals
+    an eager one.  Pruning answers a constraint from its pair and reader
     lists without building either branch.
     """
 
     __slots__ = ("key", "pair", "readers", "_either", "_orelse")
 
-    def __init__(
-        self,
-        either: Sequence[Edge],
-        orelse: Sequence[Edge],
-        *,
-        key=None,
-        pair: Optional[Tuple[int, int]] = None,
-    ):
-        self._either = tuple(either)
-        self._orelse = tuple(orelse)
+    def __init__(self, key, t: int, s: int, readers_t: Sequence[int] = (),
+                 readers_s: Sequence[int] = ()):
         self.key = key
-        self.pair = pair
-        #: ``(readers of t, readers of s)`` for a compact constraint,
-        #: None for an explicit one.
-        self.readers: Optional[Tuple[Sequence[int], Sequence[int]]] = None
-
-    @classmethod
-    def compact(cls, key, t: int, s: int, readers_t: Sequence[int],
-                readers_s: Sequence[int]) -> "Constraint":
-        """The generalized constraint of writers ``t`` and ``s`` of
-        ``key``, over the reader lists of their two versions."""
-        cons = cls.__new__(cls)
-        cons.key = key
-        cons.pair = (t, s)
-        cons.readers = (readers_t, readers_s)
-        cons._either = cons._orelse = None
-        return cons
+        self.pair = (t, s)
+        #: ``(readers of t, readers of s)`` the two branches carry.
+        self.readers = (readers_t, readers_s)
+        self._either: Optional[Tuple[Edge, ...]] = None
+        self._orelse: Optional[Tuple[Edge, ...]] = None
 
     @property
     def either(self) -> Tuple[Edge, ...]:
@@ -132,8 +117,6 @@ class Constraint:
     @property
     def num_unknown_deps(self) -> int:
         """Typed edges in both branches, counted without building them."""
-        if self.readers is None:
-            return len(self._either) + len(self._orelse)
         t, s = self.pair
         readers_t, readers_s = self.readers
         return (2 + len(readers_t) - readers_t.count(s)
@@ -141,26 +124,19 @@ class Constraint:
 
     @property
     def built_edges(self) -> int:
-        """How many typed branch edges exist for this constraint: both
-        branches of an explicit one, those asked for of a compact one."""
+        """How many typed branch edges exist for this constraint: those
+        asked for."""
         either, orelse = self._either, self._orelse
         return ((0 if either is None else len(either))
                 + (0 if orelse is None else len(orelse)))
 
     def __reduce__(self):
-        # A compact constraint pickles as its pair and its two reader
-        # lists: never a built branch, never the whole reader index.
-        if self.readers is not None:
-            return (Constraint.compact, (self.key, *self.pair, *self.readers))
-        return (_explicit_constraint,
-                (self._either, self._orelse, self.key, self.pair))
+        # Pickles as its pair and its two reader lists: never a built
+        # branch, never the whole reader index.
+        return (Constraint, (self.key, *self.pair, *self.readers))
 
     def __repr__(self) -> str:
         return f"Constraint(key={self.key!r}, either={self.either}, or={self.orelse})"
-
-
-def _explicit_constraint(either, orelse, key, pair) -> Constraint:
-    return Constraint(either, orelse, key=key, pair=pair)
 
 
 class GeneralizedPolygraph:
@@ -265,8 +241,8 @@ class GeneralizedPolygraph:
 
     def copy(self) -> "GeneralizedPolygraph":
         """Shallow copy: shares edges/constraints (immutable tuples) and
-        the reader index (final once constraints exist, and read by the
-        compact ones) but can be pruned independently."""
+        the reader index (final once constraints exist, and shared with
+        their reader lists) but can be pruned independently."""
         out = GeneralizedPolygraph(
             self.history, self.num_vertices, self.init_vertex
         )
@@ -315,11 +291,7 @@ class GeneralizedPolygraph:
             # Unioning the writer pair covers every branch edge: a branch
             # RW edge runs reader -> other-writer, and the reader is
             # already connected to its writer by a known WR edge.
-            if cons.pair is not None:
-                union(cons.pair[0], cons.pair[1])
-            else:
-                for u, v, _label, _key in list(cons.either) + list(cons.orelse):
-                    union(u, v)
+            union(*cons.pair)
 
         groups: Dict[int, List[int]] = {}
         for v in range(self.num_vertices):
@@ -347,7 +319,7 @@ class GeneralizedPolygraph:
                 comp_of[v] = ci
         constraints_of: List[List[Constraint]] = [[] for _ in components]
         for cons in self.constraints:
-            constraints_of[comp_of[_anchor(cons)]].append(cons)
+            constraints_of[comp_of[cons.pair[0]]].append(cons)
         return components, constraints_of
 
     def subgraph(
@@ -393,31 +365,30 @@ class GeneralizedPolygraph:
             if remap[v] >= 0 and remap[u] >= 0
         ]
         sub._known_set = set(sub._known_edges)
+        # Each reader list is renamed once, keyed by the source list's
+        # identity, so constraints keep sharing the reader index's lists.
+        renamed: Dict[int, List[int]] = {}
         for (writer, key), readers in self.readers_from.items():
             if remap[writer] >= 0:
                 kept = [remap[r] for r in readers if remap[r] >= 0]
+                renamed[id(readers)] = kept
                 if kept:
                     sub.readers_from[(remap[writer], key)] = kept
+
+        def rename(readers):
+            kept = renamed.get(id(readers))
+            if kept is None:    # the ablation's own one-reader lists
+                kept = [remap[r] for r in readers if remap[r] >= 0]
+            return kept
+
         for cons in self.constraints:
-            if remap[_anchor(cons)] < 0:
-                continue
-            if cons.readers is not None:
+            t, s = cons.pair
+            if remap[t] >= 0:
                 # Every reader of a selected writer is selected (a WR
                 # edge joins them), so the renamed lists are complete.
-                t, s = remap[cons.pair[0]], remap[cons.pair[1]]
-                sub.constraints.append(Constraint.compact(
-                    cons.key, t, s, sub.readers_from.get((t, cons.key), ()),
-                    sub.readers_from.get((s, cons.key), ())))
-                continue
-            sub.constraints.append(Constraint(
-                [(remap[u], remap[v], label, key)
-                 for u, v, label, key in cons.either],
-                [(remap[u], remap[v], label, key)
-                 for u, v, label, key in cons.orelse],
-                key=cons.key,
-                pair=(remap[cons.pair[0]], remap[cons.pair[1]])
-                if cons.pair is not None else None,
-            ))
+                sub.constraints.append(Constraint(
+                    cons.key, remap[t], remap[s],
+                    *(rename(readers) for readers in cons.readers)))
         old_of_new = list(order)
         if needs_init:
             old_of_new.append(init)
@@ -820,8 +791,8 @@ def match_history(
     # One generalized constraint per key per unordered writer pair.  Per
     # key, not per arrival: the clause set would be the same but its
     # order — and with it the search — would not (DESIGN.md S4).  Every
-    # read is matched by now, so the reader lists a compact constraint
-    # keeps are final.
+    # read is matched by now, so the reader lists a constraint keeps are
+    # final.
     readers_from = graph.readers_from
     append = graph.constraints.append
     for key, writers in builder.writers_of.items():
@@ -835,8 +806,8 @@ def match_history(
         readers = [readers_from.get((w, key), ()) for w in writers]
         for i, t in enumerate(writers):
             for j in range(i + 1, len(writers)):
-                append(Constraint.compact(key, t, writers[j], readers[i],
-                                          readers[j]))
+                append(Constraint(key, t, writers[j], readers[i],
+                                  readers[j]))
     return anomalies
 
 
@@ -870,9 +841,9 @@ def branch_edges(readers_from: Dict[Tuple[int, object], List[int]],
                  key, first: int, second: int) -> Tuple[Edge, ...]:
     """Edges forced when ``first`` precedes ``second`` in the version order
     of ``key``: the WW edge plus one RW edge per reader of ``first``
-    (``readers_from`` maps ``(writer, key)`` to the readers).  Shared by
-    batch construction and the online checker, which materializes
-    branches lazily from its running reader index."""
+    (``readers_from`` maps ``(writer, key)`` to the readers).  The
+    online checker materializes its branches with it, lazily, from its
+    running reader index; a batch :class:`Constraint` builds its own."""
     return _branch(readers_from.get((first, key), ()), key, first, second)
 
 
@@ -885,28 +856,14 @@ def _branch(readers: Sequence[int], key, first: int,
               if reader != second])
 
 
-def _anchor(cons: Constraint) -> int:
-    """A vertex of ``cons``, whose component (and subgraph) the
-    constraint belongs to."""
-    return cons.pair[0] if cons.pair is not None else cons.either[0][0]
-
-
 def _emit_explicit(graph: GeneralizedPolygraph, key, t: int, s: int) -> None:
-    either = branch_edges(graph.readers_from, key, t, s)
-    orelse = branch_edges(graph.readers_from, key, s, t)
     # Non-compacted construction (Definition 8 style): the WW direction
-    # choice plus one constraint per reader.  Shared pair-level variables in
-    # the encoding keep the decomposition semantically equivalent.
-    ww_ts: Edge = (t, s, WW, key)
-    ww_st: Edge = (s, t, WW, key)
-    graph.constraints.append(
-        Constraint([ww_ts], [ww_st], key=key, pair=(t, s))
-    )
-    for edge in either[1:]:
-        graph.constraints.append(
-            Constraint([ww_ts, edge], [ww_st], key=key, pair=(t, s))
-        )
-    for edge in orelse[1:]:
-        graph.constraints.append(
-            Constraint([ww_st, edge], [ww_ts], key=key, pair=(t, s))
-        )
+    # choice plus one constraint per reader, each still a writer pair
+    # with at most one reader.  Shared pair-level variables in the
+    # encoding keep the decomposition semantically equivalent.
+    append = graph.constraints.append
+    append(Constraint(key, t, s))
+    for first, second in ((t, s), (s, t)):
+        for reader in graph.readers_from.get((first, key), ()):
+            if reader != second:
+                append(Constraint(key, first, second, [reader]))

@@ -11,21 +11,22 @@ part of the induced SI graph would close an undesired cycle:
   which, together with the path ``to ~> prec``, closes a cycle
   (Figure 4b).
 
-The first asks about one vertex and is one ``has`` lookup.  The second
-is a *set* question about one closure row and is evaluated as such:
-:func:`branch_impossible` fetches the row of the RW edges' shared head
-once and decides every RW edge of the branch by int-bitset arithmetic
-against the Dep-predecessor masks (:attr:`KnownGraph.pred_mask
-<repro.core.known.KnownGraph.pred_mask>`), so the cost of a branch does
-not depend on how many predecessors its readers have.  A compact
-constraint is asked the same two questions in *pair form*
-(:func:`pair_impossible`): from its writer pair and the reader list of
-the earlier version, without building the branch.
+Every constraint is a writer pair with two reader lists
+(:class:`~repro.core.polygraph.Constraint`), so a branch is "``first``
+precedes ``second``": one WW edge and the RW edges of ``first``'s
+readers, all sharing the head ``second``.  :func:`pair_impossible` asks
+both questions of it without building it.  The first is about one
+vertex and is one ``has`` lookup.  The second is a *set* question about
+one closure row and is evaluated as such: the row of ``second`` is
+fetched once and meets the union of the readers' Dep-predecessor masks
+(:attr:`KnownGraph.pred_mask <repro.core.known.KnownGraph.pred_mask>`)
+in int-bitset arithmetic, so the cost of a branch does not depend on
+how many predecessors its readers have.
 
 When one branch is impossible the other becomes known; when both are, the
 history violates SI and a concrete witness cycle is reconstructed for the
 interpretation stage.  The process iterates to a fixpoint: newly-known
-edges enable further pruning.  A promoted compact branch goes into the
+edges enable further pruning.  A promoted branch goes into the
 known graph pair by pair (:meth:`PruneState.promote`); its typed edges
 are written into ``graph.known_edges`` only if something reads that list
 (:meth:`GeneralizedPolygraph.promote
@@ -47,8 +48,8 @@ immediate Dep-predecessors), all updated in place as
 from scratch after iteration 1.  This is sound in batch mode
 because edges are only ever *added* (no eviction): the incrementally
 maintained rows equal what a recompute over the current known edges
-would produce, which :func:`prune_constraints_recompute` — the pre-PR
-reference implementation — pins differentially in the tests.
+would produce, which the recompute-per-iteration reference fixpoint in
+``tests/_helpers.py`` pins differentially.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import counter as obs_counter, trace_span
 from ..utils.closure import PyBitsetClosure
-from ..utils.reachability import Reachability, transitive_closure_bits
+from ..utils.reachability import Reachability
 from .known import KnownGraph
 from .polygraph import Constraint, Edge, GeneralizedPolygraph, RW, WW
 
@@ -70,13 +71,10 @@ KERNEL = PyBitsetClosure
 __all__ = [
     "PruneResult",
     "PruneState",
-    "branch_impossible",
     "pair_impossible",
     "classify_constraints",
     "apply_decisions",
-    "prune_iteration_state",
     "prune_constraints",
-    "prune_constraints_recompute",
     "find_known_cycle",
 ]
 
@@ -242,21 +240,16 @@ class PruneState:
     def promote(self, cons: Constraint, either_wins: bool) -> None:
         """Make the winning branch of ``cons`` known.
 
-        A compact branch goes in pair by pair — the WW pair of its
-        writers, the AntiDep pair of each reader of the earlier version —
-        without being built; an explicit one edge by edge.  Either way
-        the known graph gains, and the closure queue records, exactly
-        the new pairs ``add_known`` over the branch's typed edges would
-        have added: an edge already typed-known has its pair known too.
-        The graph only logs the branch (:meth:`GeneralizedPolygraph.promote
+        The branch goes in pair by pair — the WW pair of its writers,
+        the AntiDep pair of each reader of the earlier version — without
+        being built.  The known graph gains, and the closure queue
+        records, exactly the new pairs ``add_known`` over the branch's
+        typed edges would have added: an edge already typed-known has
+        its pair known too.  The graph only logs the branch
+        (:meth:`GeneralizedPolygraph.promote
         <repro.core.polygraph.GeneralizedPolygraph.promote>`)."""
         self.graph.promote(cons, either_wins)
         known = self.known
-        if cons.readers is None:
-            for edge in cons.either if either_wins else cons.orelse:
-                if known.add(edge):
-                    self._queue(edge)
-            return
         key = cons.key
         if either_wins:
             first, second = cons.pair
@@ -277,48 +270,6 @@ class PruneState:
             self._queued += len(new)
 
 
-def branch_impossible(
-    edges: Sequence[Edge],
-    reach: Reachability,
-    pred_mask: Sequence[int],
-) -> bool:
-    """The paper's two impossibility rules (Section 4.3, Figure 4); the
-    set-valued one as bitset algebra on one closure row per branch head.
-
-    ``reach`` is any oracle with ``has(u, v)`` and ``row(u)`` — the batch
-    :class:`Reachability` or an incremental closure of either kernel;
-    ``pred_mask[v]`` is the int bitset of the known immediate
-    Dep-predecessors of ``v``.
-
-    - WW ``src -> dst`` is impossible iff ``dst`` reaches ``src``: one
-      bit, asked as ``has(dst, src)`` — a branch with no readers (most
-      branches of a write-heavy stream) never pays for a row;
-    - RW ``src -> dst`` is impossible iff ``dst`` reaches, *or is*, some
-      Dep-predecessor of ``src``.  With ``row`` the closure row of
-      ``dst``: ``row & pred_mask[src]`` is non-empty, or bit ``dst`` of
-      ``pred_mask[src]`` is set (the composed edge ``dst -> dst`` is
-      then a self-loop, which strict reachability does not record).
-
-    Every RW edge of a compact branch shares its head, so the row is
-    fetched once per branch however many readers it has.  The pair form
-    of the same rules, :func:`pair_impossible`, answers compact
-    constraints in batch and online; this edge-list form answers
-    explicit ones.
-    """
-    head = row = None
-    for src, dst, label, _key in edges:
-        if label == WW:
-            if reach.has(dst, src):
-                return True
-        else:  # RW
-            if dst != head:
-                head, row = dst, reach.row(dst)
-            preds = pred_mask[src]
-            if preds >> dst & 1 or row & preds:
-                return True
-    return False
-
-
 def pair_impossible(
     first: int,
     second: int,
@@ -326,16 +277,26 @@ def pair_impossible(
     reach: Reachability,
     pred_mask: Sequence[int],
 ) -> bool:
-    """:func:`branch_impossible` of the compact branch "``first``
-    precedes ``second``", asked without building it; ``readers`` are
-    ``first``'s readers of the key.
+    """The paper's two impossibility rules (Section 4.3, Figure 4) for
+    the branch "``first`` precedes ``second``", asked without building
+    it; ``readers`` are ``first``'s readers of the key.
 
-    The WW edge is one ``has(second, first)``.  The branch's RW edges
-    ``r -> second`` (every reader ``r`` other than ``second``) share
-    their head, so they are one question: does ``second``'s closure
-    row, or ``second`` itself, meet the union of the readers'
-    Dep-predecessor masks?  Same lookups, in the same order, as the
-    edge-list form.
+    ``reach`` is any oracle with ``has(u, v)`` and ``row(u)`` — the batch
+    :class:`Reachability` or an incremental closure of either kernel;
+    ``pred_mask[v]`` is the int bitset of the known immediate
+    Dep-predecessors of ``v``.
+
+    - WW ``first -> second`` is impossible iff ``second`` reaches
+      ``first``: one bit, asked as ``has(second, first)`` — a branch
+      with no readers (most branches of a write-heavy stream) never pays
+      for a row;
+    - RW ``r -> second`` (every reader ``r`` other than ``second``) is
+      impossible iff ``second`` reaches, *or is*, some Dep-predecessor
+      of ``r``.  The edges share their head, so they are one question:
+      does ``second``'s closure row, or ``second`` itself (the composed
+      edge ``second -> second`` is a self-loop, which strict
+      reachability does not record), meet the union of the readers'
+      masks?
     """
     if reach.has(second, first):
         return True
@@ -348,21 +309,6 @@ def pair_impossible(
     return some and bool((reach.row(second) | 1 << second) & preds)
 
 
-def prune_iteration_state(
-    graph: GeneralizedPolygraph,
-) -> Tuple[Reachability, List[int]]:
-    """The read-only state one pruning iteration classifies against:
-    reachability of the known induced graph plus the immediate
-    Dep-predecessor masks, rebuilt from scratch.  Never mutated during
-    an iteration.  The incremental fixpoint carries the same state forward in a
-    :class:`PruneState` instead; this from-scratch variant backs the
-    :func:`prune_constraints_recompute` reference path."""
-    known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
-    reach = transitive_closure_bits(graph.num_vertices,
-                                    known.induced_adjacency())
-    return reach, known.pred_mask
-
-
 def classify_constraints(
     constraints: List[Constraint],
     reach: Reachability,
@@ -373,16 +319,10 @@ def classify_constraints(
 
     Classification reads only ``reach`` and ``pred_mask`` (both frozen
     at iteration start), never the graph, so no decision observes
-    another's resolution within the iteration.  A compact constraint is
-    asked in pair form, an explicit one over its edge lists.
+    another's resolution within the iteration.
     """
     decisions = []
     for cons in constraints:
-        if cons.readers is None:
-            decisions.append(
-                (branch_impossible(cons.either, reach, pred_mask),
-                 branch_impossible(cons.orelse, reach, pred_mask)))
-            continue
         t, s = cons.pair
         readers_t, readers_s = cons.readers
         decisions.append(
@@ -395,28 +335,22 @@ def apply_decisions(
     graph: GeneralizedPolygraph,
     decisions: List[Tuple[bool, bool]],
     result: PruneResult,
-    state: Optional[PruneState] = None,
+    state: PruneState,
 ) -> bool:
     """Apply one iteration's classification to ``graph`` in constraint
     order; returns whether anything was resolved.
 
-    With a :class:`PruneState`, a winning branch goes through
-    :meth:`PruneState.promote`, so the closure and adjacency are
-    maintained in place for the next iteration; without one (the
-    recompute reference path) its edges land on the graph directly.
-    Decisions were classified against the state frozen at iteration
-    start, so mutating the closure mid-application cannot change them —
-    the two paths resolve identical constraints.
+    A winning branch goes through :meth:`PruneState.promote`, so the
+    closure and adjacency are maintained in place for the next
+    iteration.  Decisions were classified against the state frozen at
+    iteration start, so mutating the closure mid-application cannot
+    change them.
 
     On the first constraint with both branches impossible, ``result`` is
     marked violating (with a reconstructed witness cycle) and the
     remaining decisions are not applied.
     """
-    if state is None:
-        def promote(cons: Constraint, either_wins: bool) -> None:
-            graph.add_known_many(cons.either if either_wins else cons.orelse)
-    else:
-        promote = state.promote
+    promote = state.promote
     remaining: List[Constraint] = []
     changed = False
     for cons, (either_bad, orelse_bad) in zip(graph.constraints, decisions):
@@ -446,8 +380,8 @@ def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
     closure, wrapped into the shared incremental kernel) is built up
     front, and every iteration after the first only pays for the edges
     the previous one promoted — identical decisions, counters, and
-    witnesses to :func:`prune_constraints_recompute`, without the
-    per-iteration closure rebuild.
+    witnesses to a fixpoint that rebuilds the closure every iteration,
+    without the rebuild.
 
     Returns a :class:`PruneResult`; ``result.ok`` is False when some
     constraint has *both* branches impossible, i.e. the history violates
@@ -494,33 +428,6 @@ def _publish_closure_counters(reach, span) -> None:
     for name, value in counters.items():
         if value:
             obs_counter(f"closure.{reach.name}.{name}").inc(value)
-
-
-def prune_constraints_recompute(graph: GeneralizedPolygraph) -> PruneResult:
-    """The recompute-per-iteration reference fixpoint.
-
-    Rebuilds the adjacency, Dep-predecessor lists, and the whole KI
-    closure from ``graph.known_edges`` at the top of every iteration —
-    the pre-incremental implementation, kept as the differential
-    baseline (``tests/test_pruning_incremental.py`` pins
-    :func:`prune_constraints` against it over the workload corpus) and
-    as the comparison leg of ``benchmarks/bench_prune.py``.
-    """
-    result = PruneResult()
-    result.constraints_before = graph.num_constraints
-    result.unknown_deps_before = graph.num_unknown_deps
-
-    while True:
-        result.iterations += 1
-        reach, pred_mask = prune_iteration_state(graph)
-        decisions = classify_constraints(graph.constraints, reach, pred_mask)
-        changed = apply_decisions(graph, decisions, result)
-        if not result.ok or not changed:
-            break
-
-    result.constraints_after = graph.num_constraints
-    result.unknown_deps_after = graph.num_unknown_deps
-    return result
 
 
 # -- witness-cycle reconstruction -------------------------------------------------

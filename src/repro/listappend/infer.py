@@ -262,12 +262,7 @@ def build_list_polygraph(
         for i in range(len(unobserved)):
             for j in range(i + 1, len(unobserved)):
                 t, s = unobserved[i], unobserved[j]
-                graph.constraints.append(
-                    Constraint(
-                        [(t, s, WW, key)], [(s, t, WW, key)],
-                        key=key, pair=(t, s),
-                    )
-                )
+                graph.constraints.append(Constraint(key, t, s))
         # WR and RW edges from every observer of the key.
         for txn in history.transactions:
             if not txn.committed or key not in txn.external_reads:

@@ -11,6 +11,7 @@ else was collected.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import networkx as nx
 
@@ -20,19 +21,27 @@ from repro.core.polygraph import (
     SO,
     WR,
     WW,
-    Constraint,
     GeneralizedPolygraph,
 )
-from repro.core.pruning import branch_impossible
+from repro.core.known import KnownGraph
+from repro.core.pruning import (
+    PruneResult,
+    apply_decisions,
+    classify_constraints,
+)
 from repro.storage.client import stream_workload
 from repro.storage.database import MVCCDatabase
 from repro.utils.closure import PyBitsetClosure
 from repro.utils.closure_np import NumpyBitsetClosure
+from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.generator import WorkloadParams, generate_workload
 
 __all__ = [
     "branch_impossible_reference",
+    "prune_iteration_state",
+    "prune_constraints_recompute",
     "prune_fixpoint_reference",
+    "explicit_constraints_reference",
     "evict_closed_reference",
     "subgraph_reference",
     "polygraph_reference",
@@ -184,9 +193,10 @@ def online_on_kernel(monkeypatch, kernel):
 def branch_impossible_reference(edges, reach, dep_preds) -> bool:
     """The per-predecessor form of the paper's impossibility rules
     (Section 4.3, Figure 4): one ``reach.has`` call per immediate
-    Dep-predecessor of every RW edge's tail.  The oracle for
-    :func:`repro.core.pruning.branch_impossible`, which decides the same
-    questions by bitset algebra on one closure row."""
+    Dep-predecessor of every RW edge's tail, over a branch's typed
+    edges.  The oracle for :func:`repro.core.pruning.pair_impossible`,
+    which decides the same questions from the writer pair and reader
+    list by bitset algebra on one closure row."""
     for src, dst, label, _key in edges:
         if label == WW:
             if reach.has(dst, src):
@@ -203,7 +213,7 @@ def prune_fixpoint_reference(checker) -> int:
     constraints: every pass asks every unresolved constraint, until a
     pass resolves nothing.  The oracle for the worklist fixpoint;
     returns how many constraints it asked."""
-    reach, pred_mask = checker._ki, checker._known.pred_mask
+    reach, dep_preds = checker._ki, checker._known.dep_preds
     asked = 0
     changed = True
     while changed and checker._violation is None:
@@ -213,8 +223,8 @@ def prune_fixpoint_reference(checker) -> int:
                 continue
             asked += 1
             _ck, either, orelse = checker._constraint(ck)
-            either_bad = branch_impossible(either, reach, pred_mask)
-            orelse_bad = branch_impossible(orelse, reach, pred_mask)
+            either_bad = branch_impossible_reference(either, reach, dep_preds)
+            orelse_bad = branch_impossible_reference(orelse, reach, dep_preds)
             if either_bad and orelse_bad:
                 cycle = checker._witness(either) or checker._witness(orelse)
                 checker._latch("pruning", cycle=cycle)
@@ -226,6 +236,71 @@ def prune_fixpoint_reference(checker) -> int:
                 checker._resolve(ck, t_first=True, edges=either)
                 changed = True
     return asked
+
+
+def prune_iteration_state(graph):
+    """The read-only state one pruning iteration classifies against,
+    rebuilt from scratch: reachability of the known induced graph (its
+    ``rows`` are the closure) plus the immediate Dep-predecessor masks.
+    The incremental fixpoint carries the same state forward in a
+    :class:`repro.core.pruning.PruneState` instead."""
+    known = KnownGraph.from_edges(graph.num_vertices, graph.known_edges)
+    reach = transitive_closure_bits(graph.num_vertices,
+                                    known.induced_adjacency())
+    return reach, known.pred_mask
+
+
+class _DirectPromotion:
+    """What :func:`repro.core.pruning.apply_decisions` promotes through
+    on the recompute path: a winning branch's edges land on the graph
+    directly, and the next iteration rebuilds everything from them."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def promote(self, cons, either_wins):
+        self.graph.add_known_many(cons.either if either_wins else cons.orelse)
+
+
+def prune_constraints_recompute(graph):
+    """The recompute-per-iteration fixpoint that
+    :func:`repro.core.pruning.prune_constraints` replaced: the
+    adjacency, the Dep-predecessor masks and the whole KI closure are
+    rebuilt from ``graph.known_edges`` at the top of every iteration.
+    The differential baseline the incremental fixpoint is pinned to
+    (``test_pruning_incremental.py``) and the comparison leg of
+    ``benchmarks/bench_prune.py``."""
+    result = PruneResult()
+    result.constraints_before = graph.num_constraints
+    result.unknown_deps_before = graph.num_unknown_deps
+    promotion = _DirectPromotion(graph)
+    while True:
+        result.iterations += 1
+        reach, pred_mask = prune_iteration_state(graph)
+        decisions = classify_constraints(graph.constraints, reach, pred_mask)
+        changed = apply_decisions(graph, decisions, result, promotion)
+        if not result.ok or not changed:
+            break
+    result.constraints_after = graph.num_constraints
+    result.unknown_deps_after = graph.num_unknown_deps
+    return result
+
+
+def explicit_constraints_reference(constraints):
+    """The non-compacted (Definition 8) construction as it was written
+    with explicit edge lists, from the generalized constraints
+    ``(key, either, orelse)`` of the same history, in order: for each,
+    the WW-direction constraint ``<[t->s], [s->t]>``, then
+    ``<[t->s, r->s], [s->t]>`` per RW edge of ``either``, then
+    ``<[s->t, r->t], [t->s]>`` per RW edge of ``orelse``.  Returns
+    ``[(key, either, orelse)]``."""
+    out = []
+    for key, either, orelse in constraints:
+        ww_ts, ww_st = either[0], orelse[0]
+        out.append((key, (ww_ts,), (ww_st,)))
+        out.extend((key, (ww_ts, edge), (ww_st,)) for edge in either[1:])
+        out.extend((key, (ww_st, edge), (ww_ts,)) for edge in orelse[1:])
+    return out
 
 
 def evict_closed_reference(checker) -> None:
@@ -313,18 +388,18 @@ def subgraph_reference(graph, vertices):
     for u, v, label, key in graph.known_edges:
         if v in remap and u in remap:
             sub.add_known((remap[u], remap[v], label, key))
+    # Constraints as plain records of their branch edges renamed one by
+    # one, never rebuilt from reader lists the way the shipped method does.
     for cons in graph.constraints:
-        if cons.either[0][0] not in remap:
+        t, s = cons.pair
+        if t not in remap:
             continue
-        sub.constraints.append(Constraint(
-            [(remap[u], remap[v], label, key)
-             for u, v, label, key in cons.either],
-            [(remap[u], remap[v], label, key)
-             for u, v, label, key in cons.orelse],
-            key=cons.key,
-            pair=(remap[cons.pair[0]], remap[cons.pair[1]])
-            if cons.pair is not None else None,
-        ))
+        sub.constraints.append(SimpleNamespace(
+            key=cons.key, pair=(remap[t], remap[s]),
+            either=tuple((remap[u], remap[v], label, key)
+                         for u, v, label, key in cons.either),
+            orelse=tuple((remap[u], remap[v], label, key)
+                         for u, v, label, key in cons.orelse)))
     for (writer, key), readers in graph.readers_from.items():
         if writer in remap:
             kept = [remap[r] for r in readers if r in remap]

@@ -14,7 +14,11 @@ ships, the ``@numpy`` rows with the numpy kernel swapped into the
 fixpoint (``_helpers.batch_on_kernel``), so the numpy kernel answers the
 batch fixpoint's own insert and reseed sequence as the parent's did.  A
 second test holds the ``polygraph.branch_edges`` work counter to what
-each polygraph form builds.
+each polygraph form builds: the branches asked for, in either form.  A
+third pins the ``compact=False`` ablation polygraph, edge for edge, to
+the construction that wrote explicit edge lists
+(``_helpers.explicit_constraints_reference``), on every unit, on
+random histories and on the Fig. 10 ablation workloads.
 
 Regenerate (only ever from the commit the file name records)::
 
@@ -24,18 +28,35 @@ Regenerate (only ever from the commit the file name records)::
 import hashlib
 import json
 import os
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.core.axioms import check_axioms
 from repro.core.checker import CheckResult, PolySIChecker
+from repro.core.polygraph import build_polygraph
 from repro.interpret import interpret_violation
 from repro.obs import MetricsRegistry, use_metrics
+from repro.storage.client import run_workload
+from repro.storage.database import MVCCDatabase
+from repro.workloads.benchmarks import (
+    ctwitter_workload,
+    rubis_workload,
+    tpcc_workload,
+)
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
+from repro.workloads.random_histories import random_history
 
-from _helpers import KERNELS, batch_on_kernel
+from _helpers import (
+    KERNELS,
+    batch_on_kernel,
+    explicit_constraints_reference,
+    polygraph_reference,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data", "batch_fingerprint_9aaf820.json")
@@ -149,9 +170,9 @@ def test_the_units_exercise_what_they_pin():
                                   "corpus/read-skew"])
 def test_branch_edges_counts_what_was_built(unit, compact):
     """``polygraph.branch_edges`` on the ``prune`` and ``encode`` spans
-    and in the metrics: a compact polygraph builds the branches of the
-    constraints that reach the encoder (or of a pruning witness), an
-    explicit one every branch, up front."""
+    and in the metrics: either polygraph form builds the branches of the
+    constraints that reach the encoder (or of a pruning witness), and
+    no others."""
     report = repro.check(unit_history(unit), compact=compact)
     pruning = report.native.prune_result
     spans = {span["name"]: span["attrs"].get("branch_edges")
@@ -160,15 +181,71 @@ def test_branch_edges_counts_what_was_built(unit, compact):
     counted = report.stats["trace"]["metrics"]["counters"].get(
         "polygraph.branch_edges", 0)
     assert counted == sum(spans.values())
-    if not compact:
-        assert spans["prune"] == pruning.unknown_deps_before
-    elif report.ok:
+    if report.ok:
         assert spans["prune"] == 0
         assert spans.get("encode", 0) == pruning.unknown_deps_after
     else:
         witness = pruning.violation_constraint
         assert 0 < witness.num_unknown_deps <= spans["prune"]
         assert spans["prune"] < pruning.unknown_deps_before
+
+
+def assert_ablation_pinned(history):
+    """``build_polygraph(compact=False)`` emits, in order, the explicit
+    Definition 8 constraints of the compact polygraph's — and of the
+    Definition 9 transcription's, where the axioms let it apply — with
+    the counts the decomposition implies: ``U - C`` constraints and
+    ``3U - 4C`` unknown dependencies for ``C``, ``U`` of the compact
+    polygraph."""
+    compact, _ = build_polygraph(history)
+    explicit, _ = build_polygraph(history, compact=False)
+    got = [(c.key, c.either, c.orelse) for c in explicit.constraints]
+    assert got == explicit_constraints_reference(
+        [(c.key, c.either, c.orelse) for c in compact.constraints])
+    if not check_axioms(history):
+        _known, _readers, definition_9 = polygraph_reference(history)
+        assert got == explicit_constraints_reference(
+            [(key, either, orelse)
+             for key, _pair, either, orelse in definition_9])
+    c, u = compact.num_constraints, compact.num_unknown_deps
+    assert explicit.num_constraints == u - c
+    assert explicit.num_unknown_deps == 3 * u - 4 * c
+
+
+@pytest.mark.parametrize("unit", units())
+def test_ablation_polygraph_is_the_explicit_construction(unit):
+    assert_ablation_pinned(unit_history(unit))
+
+
+def fig10_history(name):
+    """A Fig. 10 ablation workload at a size the suite affords: the three
+    application workloads run on the MVCC store, and the write-heavy
+    general shape the units lack."""
+    if name == "GeneralWH":
+        return generate_history(WorkloadParams(
+            sessions=4, txns_per_session=10, ops_per_txn=8,
+            read_proportion=0.3, keys=60, distribution="zipfian"),
+            seed=1).history
+    workload = {"RUBiS": rubis_workload, "TPC-C": tpcc_workload,
+                "C-Twitter": ctwitter_workload}[name]
+    spec = workload(sessions=4, total_txns=80, seed=1)
+    return run_workload(MVCCDatabase(seed=1), spec, seed=1).history
+
+
+@pytest.mark.parametrize("name", ["RUBiS", "TPC-C", "C-Twitter", "GeneralWH"])
+def test_ablation_polygraph_on_fig10_workloads(name):
+    assert_ablation_pinned(fig10_history(name))
+
+
+@given(seed=st.integers(0, 10_000_000), sessions=st.integers(1, 4),
+       txns=st.integers(1, 4), keys=st.integers(1, 3),
+       abort=st.sampled_from([0.0, 0.15]))
+@settings(max_examples=150, deadline=None)
+def test_ablation_polygraph_on_random_histories(seed, sessions, txns, keys,
+                                                abort):
+    assert_ablation_pinned(random_history(
+        random.Random(seed), sessions=sessions, txns_per_session=txns,
+        max_ops=4, keys=keys, abort_prob=abort))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ import repro
 from repro.api import UnsupportedOptionError
 from repro.cli import main
 from repro.core.polygraph import RW, build_polygraph
-from repro.core.pruning import prune_constraints, prune_constraints_recompute
+from repro.core.pruning import prune_constraints
 from repro.histories.codec import dump_history
 from repro.timestamp import map_timestamps, stamp_serial
 from repro.utils.closure import CYCLE, KNOWN, NEW, PyBitsetClosure
@@ -42,7 +42,11 @@ from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 
-from _helpers import KERNELS, serializable_history
+from _helpers import (
+    KERNELS,
+    prune_constraints_recompute,
+    serializable_history,
+)
 
 BACKENDS = list(KERNELS)
 OTHER_BACKENDS = [b for b in BACKENDS if b != "python"]

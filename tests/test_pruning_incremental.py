@@ -1,5 +1,5 @@
 """Differential parity: incremental fixpoint pruning vs the
-recompute-per-iteration reference path (repro.core.pruning).
+recompute-per-iteration reference path (``tests/_helpers.py``).
 
 The incremental fixpoint (``prune_constraints`` + ``PruneState``) must be
 *indistinguishable* from ``prune_constraints_recompute`` — identical
@@ -16,16 +16,13 @@ import pytest
 
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.polygraph import RW, build_polygraph
-from repro.core.pruning import (
-    PruneState,
-    prune_constraints,
-    prune_constraints_recompute,
-    prune_iteration_state,
-)
+from repro.core.pruning import PruneState, prune_constraints
 from repro.utils.closure import ClosureBackend
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 from repro.workloads.random_histories import random_history
+
+from _helpers import prune_constraints_recompute, prune_iteration_state
 
 
 def cascade_history(pairs: int):

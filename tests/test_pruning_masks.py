@@ -1,14 +1,15 @@
-"""The mask form of the pruning rule decides what the loop form decided.
+"""The pair form of the pruning rule decides what the loop form decided.
 
-``branch_impossible`` answers the paper's two impossibility questions
-(Section 4.3, Figure 4) by int-bitset algebra on one closure row per
-branch head.  The per-predecessor loop it replaced lives on in
-``tests/_helpers.py`` as the oracle; every test here classifies the same
-branches against the same state both ways and requires identical
-``(either, orelse)`` decisions — over whole fixpoints (so every
-intermediate state is compared, cyclic ones included), over hand-made
-graphs aimed at the rule's corner cases, and inside the online checker
-across window compaction and snapshot/restore.
+``pair_impossible`` answers the paper's two impossibility questions
+(Section 4.3, Figure 4) for a branch given by its writer pair and reader
+list, by int-bitset algebra on one closure row.  The per-predecessor
+loop over the branch's typed edges lives on in ``tests/_helpers.py`` as
+the oracle; every test here classifies the same branches against the
+same state both ways and requires identical ``(either, orelse)``
+decisions — over whole fixpoints (so every intermediate state is
+compared, cyclic ones included), over hand-made graphs aimed at the
+rule's corner cases, and inside the online checker across window
+compaction and snapshot/restore.
 """
 
 import json
@@ -18,13 +19,13 @@ import pytest
 
 from repro.core.history import HistoryBuilder, R, W
 from repro.core.known import KnownGraph
-from repro.core.polygraph import RW, SO, WR, WW, build_polygraph
+from repro.core.polygraph import RW, SO, WR, WW, branch_edges, build_polygraph
 from repro.core.pruning import (
     PruneResult,
     PruneState,
     apply_decisions,
-    branch_impossible,
     classify_constraints,
+    pair_impossible,
 )
 from repro.histories.codec import history_to_events
 from repro.listappend import build_list_polygraph, generate_list_history
@@ -148,11 +149,11 @@ def random_state(rng, n, edge_count, backend):
 
 
 def random_branch(rng, n):
-    """Typed branch edges with no structure at all: mixed heads, tails
-    equal to heads, repeated edges."""
-    return tuple(
-        (rng.randrange(n), rng.randrange(n), rng.choice([WW, RW]), "k")
-        for _ in range(rng.randrange(1, 6)))
+    """A pair-form branch with no further structure: ``(first, second,
+    readers)`` where the writers may coincide and the readers may
+    repeat, include either writer, or be absent."""
+    readers = [rng.randrange(n) for _ in range(rng.randrange(0, 5))]
+    return rng.randrange(n), rng.randrange(n), readers
 
 
 @pytest.mark.parametrize("backend", sorted(KERNELS))
@@ -165,30 +166,30 @@ class TestRuleOnArbitraryGraphs:
             n = rng.randrange(2, 70)
             known, reach = random_state(rng, n, rng.randrange(0, 3 * n), cls)
             for _ in range(20):
-                branch = random_branch(rng, n)
+                first, second, readers = random_branch(rng, n)
+                edges = branch_edges({(first, "k"): readers}, "k", first,
+                                     second)
                 want = branch_impossible_reference(
-                    branch, reach, known.dep_preds)
-                assert branch_impossible(
-                    branch, reach, known.pred_mask) == want, branch
+                    edges, reach, known.dep_preds)
+                assert pair_impossible(first, second, readers, reach,
+                                       known.pred_mask) == want, edges
                 outcomes.add((want, reach.has_cycle()))
         # Both answers, on cyclic and acyclic graphs alike.
         assert len(outcomes) == 4
 
-    def test_one_bit_for_ww_one_row_per_distinct_rw_head(self, backend):
+    def test_one_bit_for_ww_one_row_per_head(self, backend):
         reach = KERNELS[backend](6)
         masks = [0] * 6
 
         def lookups():
             return reach.counters()["queries"]
 
-        assert not branch_impossible(((0, 5, WW, "k"),), reach, masks)
+        assert not pair_impossible(0, 5, (), reach, masks)
         assert lookups() == 1                   # has(5, 0); no row
-        compact_branch = ((0, 5, WW, "k"), (1, 5, RW, "k"), (2, 5, RW, "k"))
-        assert not branch_impossible(compact_branch, reach, masks)
-        assert lookups() == 1 + 2               # has + one shared row
-        mixed = ((0, 5, WW, "k"), (1, 4, RW, "k"), (2, 5, RW, "k"))
-        assert not branch_impossible(mixed, reach, masks)
-        assert lookups() == 3 + 3               # has + row(4) + row(5)
+        assert not pair_impossible(0, 5, [5], reach, masks)
+        assert lookups() == 2                   # the head reads nothing
+        assert not pair_impossible(0, 5, [1, 2], reach, masks)
+        assert lookups() == 2 + 2               # has + one shared row
 
 
 class TestPredecessorIsTheHead:
@@ -235,22 +236,23 @@ class TestPredecessorIsTheHead:
 # -- the online checker: after compaction, after restore ----------------------
 
 
-def online_decisions(checker, rule, preds):
-    out = {}
-    for ck in checker._unresolved:
-        _ck, either, orelse = checker._constraint(ck)
-        out[ck] = (rule(either, checker._ki, preds),
-                   rule(orelse, checker._ki, preds))
-    return out
-
-
 def assert_online_parity(checker):
-    known = checker._known
+    """The online checker's unresolved constraints, asked in pair form
+    from its reader index and by the oracle over their branches."""
+    known, reach = checker._known, checker._ki
     assert known.pred_mask == [
         sum(1 << p for p in preds) for preds in known.dep_preds]
-    new = online_decisions(checker, branch_impossible, known.pred_mask)
-    old = online_decisions(checker, branch_impossible_reference,
-                           known.dep_preds)
+    readers_from = checker._front.readers_from
+    new, old = {}, {}
+    for ck in checker._unresolved:
+        key, t, s = ck
+        new[ck] = tuple(
+            pair_impossible(first, second, readers_from.get((first, key), ()),
+                            reach, known.pred_mask)
+            for first, second in ((t, s), (s, t)))
+        _ck, either, orelse = checker._constraint(ck)
+        old[ck] = (branch_impossible_reference(either, reach, known.dep_preds),
+                   branch_impossible_reference(orelse, reach, known.dep_preds))
     assert new == old
     return new
 

@@ -261,7 +261,7 @@ class TestSegmentPool:
 
     def test_compact_constraints_pickle_small(self):
         """The pool ships a violating segment's polygraph back: each
-        compact constraint crosses as its pair and its two reader lists,
+        constraint crosses as its pair and its two reader lists,
         with equal branches on the other side, and never as its built
         branches or the whole reader index."""
         run = stale_run(seed=4, txns=30, snapshot_every=8)
@@ -269,11 +269,10 @@ class TestSegmentPool:
                      for result in check_segments(run).segment_results
                      if result.polygraph is not None),
                     key=lambda graph: graph.num_constraints)
-        compact = [cons for cons in graph.constraints
-                   if cons.readers is not None]
-        assert compact and any(any(cons.readers) for cons in compact)
+        constraints = graph.constraints
+        assert constraints and any(any(cons.readers) for cons in constraints)
         index_size = len(pickle.dumps(graph.readers_from))
-        for cons in compact:
+        for cons in constraints:
             t, s = cons.pair
             lists = (graph.readers_from.get((t, cons.key), ()),
                      graph.readers_from.get((s, cons.key), ()))
@@ -289,12 +288,19 @@ class TestSegmentPool:
             assert (clone.either, clone.orelse) == (cons.either, cons.orelse)
         # A whole polygraph ships each reader list once: its constraints
         # and its reader index share them on the other side too.
-        clone = pickle.loads(pickle.dumps(graph))
-        for cons in clone.constraints:
-            t, s = cons.pair
-            for writer, readers in zip((t, s), cons.readers):
-                if readers:
-                    assert readers is clone.readers_from[(writer, cons.key)]
+        # So does a sub-polygraph: subgraph() renames each shared list
+        # once, and its constraints hold the renamed index's lists.
+        component = max(graph.weakly_connected_components(), key=len)
+        sub, _ = graph.subgraph(component)
+        assert any(any(cons.readers) for cons in sub.constraints)
+        for shipped in (graph, sub):
+            clone = pickle.loads(pickle.dumps(shipped))
+            for cons in clone.constraints:
+                t, s = cons.pair
+                for writer, readers in zip((t, s), cons.readers):
+                    if readers:
+                        assert readers is clone.readers_from[
+                            (writer, cons.key)]
 
     def test_worker_spans_are_adopted_under_the_pool_span(self):
         report = check(make_run(snapshot_every=20), **POOLED)
