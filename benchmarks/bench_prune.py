@@ -51,7 +51,12 @@ pruning's kernel as ``PruneState._seed`` does, identical rows asserted (series
 ``reseed[hop]`` / ``reseed[materialised]`` per shape, notes
 ``reseed_<shape>`` with ``dep`` / ``antidep`` / ``ki`` pair counts,
 ``reseed_speedup`` / ``reseed_bar_met`` for the write-heavy shape).
-The same 1.3x line applies at full scale.
+The same 1.3x line applies at full scale.  Both close the pair
+projection of the typed known edges (``KnownGraph.from_edges``); the
+``reseed[reduced]`` row closes the graph promotion actually installs,
+which skips the pairs the rest of an iteration implies (DESIGN.md S9),
+with its pair counts (``reduced_dep`` / ``reduced_antidep`` in the
+``reseed_<shape>`` note) and identical rows asserted.
 
 Run:  PYTHONPATH=../src python bench_prune.py
 """
@@ -66,6 +71,7 @@ from _common import SCALE, note_stage_seconds, scaled
 from repro.bench.harness import render_table
 from repro.bench.results import BenchReport
 from repro.core.history import HistoryBuilder, R, W
+from repro.core.known import KnownGraph
 from repro.core.polygraph import build_polygraph
 from repro.core.pruning import (
     PruneResult,
@@ -297,43 +303,57 @@ def classify_seconds(history) -> tuple:
 
 @collector_paused  # as inside a check, where every reseed runs
 def reseed_seconds(history) -> tuple:
-    """(materialised seconds, hop seconds, pair counts) for one closure
-    reseed over ``history``'s known graph as fixpoint iteration 1 leaves
-    it — best of ROUNDS each, identical rows asserted."""
+    """(materialised seconds, hop seconds, reduced seconds, pair counts)
+    for one closure reseed over ``history``'s known graph as fixpoint
+    iteration 1 leaves it — best of ROUNDS each, identical rows
+    asserted.  The first two close the pair projection of every typed
+    known edge; the third the graph promotion installed, which skips
+    the pairs the rest of the iteration implies."""
     graph, violations = build_polygraph(history)
     assert not violations
     state = PruneState(graph)
     decisions = classify_constraints(graph.constraints, state.reach,
                                      state.pred_mask)
     assert apply_decisions(graph, decisions, PruneResult(), state=state)
-    known, n = state.known, graph.num_vertices
+    n = graph.num_vertices
+    known = KnownGraph.from_edges(n, graph.known_edges)
+    reduced = state.known
 
     def materialised():
         return PyBitsetClosure.from_rows(
             transitive_closure_bits(n, known.induced_adjacency()).rows)
 
-    def hop():
-        return PyBitsetClosure.from_rows(known.closure().rows)
+    def hop(of=known):
+        return PyBitsetClosure.from_rows(of.closure().rows)
 
     materialised_s, want = best_call(materialised)
     hop_s, got = best_call(hop)
+    reduced_s, got_reduced = best_call(lambda: hop(reduced))
     assert got.int_rows() == want.int_rows(), (
         "hop-graph closure diverged from the materialised KI"
+    )
+    assert got_reduced.int_rows() == want.int_rows(), (
+        "the installed graph's closure diverged from the typed edges'"
     )
     counts = {
         "vertices": n,
         "dep": sum(map(len, known.dep)),
         "antidep": sum(map(len, known.antidep)),
         "ki": sum(map(len, known.induced_adjacency())),
+        "reduced_dep": sum(map(len, reduced.dep)),
+        "reduced_antidep": sum(map(len, reduced.antidep)),
     }
-    return materialised_s, hop_s, counts
+    return materialised_s, hop_s, reduced_s, counts
 
 
 @pytest.mark.parametrize("shape", sorted(RESEED_SHAPES))
 def test_reseed_kernel_parity(shape):
-    materialised, hop, counts = reseed_seconds(RESEED_SHAPES[shape]())
-    assert materialised > 0 and hop > 0
+    materialised, hop, reduced, counts = reseed_seconds(
+        RESEED_SHAPES[shape]())
+    assert materialised > 0 and hop > 0 and reduced > 0
     assert counts["ki"] > counts["dep"]
+    assert counts["reduced_dep"] <= counts["dep"]
+    assert counts["reduced_antidep"] < counts["antidep"]
 
 
 def test_classify_rule_parity():
@@ -500,18 +520,24 @@ def main():
     # The reseed kernel on its own: the known graph iteration 1 leaves
     # behind, closed through hop nodes vs composed first.
     reseed_rows = []
+    reduced_rows = []
     reseed_speedups = {}
     for shape, make in RESEED_SHAPES.items():
-        materialised, hop, counts = reseed_seconds(make())
+        materialised, hop, reduced, counts = reseed_seconds(make())
         report.add_point("reseed[materialised]", shape,
                          seconds=materialised, axis="shape")
         report.add_point("reseed[hop]", shape, seconds=hop, axis="shape")
+        report.add_point("reseed[reduced]", shape, seconds=reduced,
+                         axis="shape")
         report.note(f"reseed_{shape}", counts)
         reseed_speedups[shape] = materialised / hop
         reseed_rows.append([shape, counts["vertices"], counts["dep"],
                             counts["antidep"], counts["ki"],
                             f"{materialised:.3f}", f"{hop:.3f}",
                             f"{materialised / hop:.2f}x"])
+        reduced_rows.append([shape, counts["reduced_dep"],
+                             counts["reduced_antidep"], f"{hop:.3f}",
+                             f"{reduced:.3f}", f"{hop / reduced:.2f}x"])
     reseed_bar_met = reseed_speedups["general-RW"] >= RESEED_SPEEDUP_BAR
     report.note("reseed_speedup", round(reseed_speedups["general-RW"], 2))
     report.note("reseed_bar_met", reseed_bar_met)
@@ -573,6 +599,13 @@ def main():
     print(f"reseed speedup [general-RW, {kernel}]: "
           f"{reseed_speedups['general-RW']:.2f}x "
           f"({bar} the {RESEED_SPEEDUP_BAR}x keep-or-revert line)")
+    print(f"\nThe same reseed over the graph promotion installed [{kernel}] "
+          f"(best of {ROUNDS}, seconds; identical rows asserted)")
+    print(render_table(
+        ["shape", "|Dep| installed", "|AntiDep| installed", "hop",
+         "reduced", "speedup"],
+        reduced_rows,
+    ))
     path = report.write()
     print(f"results: {path}")
     if SCALE >= 1.0:

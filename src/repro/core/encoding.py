@@ -36,7 +36,9 @@ Induced edges with a variable part are defined by Tseitin translation
 over four derivation shapes: a constraint Dep edge itself, constraint-Dep
 composed with known-RW, known-Dep composed with constraint-RW, and
 constraint-Dep composed with constraint-RW.  Pairs already present in the
-known induced graph are skipped — they are permanently true.
+known induced graph are skipped — they are permanently true; after
+pruning, so are the pairs it already *reaches*, whose edge adds no
+cycle the known path in its place does not.
 
 There is one encoder, and it is *incremental*: :meth:`SIEncoding.encode`
 may be called any number of times with the constraints currently
@@ -359,8 +361,10 @@ def encode_polygraph(graph: GeneralizedPolygraph,
     With ``pruned`` — :func:`~repro.core.pruning.prune_constraints`'s
     result for this graph, state (hence a clean closure diagonal) still
     attached — nothing is derived twice: the known graph is the
-    fixpoint's own and the solver's static substrate is ``KI`` restricted
-    to the :func:`cycle_core` (same vertex ids, empty rows outside it).
+    fixpoint's own — reachability-equivalent to the typed edges' pairs,
+    over fewer of them — the solver's static substrate is its ``KI``
+    restricted to the :func:`cycle_core` (same vertex ids, empty rows
+    outside it), and a pair the closure already has gets no gate.
     Otherwise the known graph is derived from the typed edges and
     walked, and every vertex is in the core — Algorithm 1 as written,
     and the reference clause set.  If it is cyclic, ``static_cycle`` is
@@ -384,5 +388,6 @@ def encode_polygraph(graph: GeneralizedPolygraph,
     enc = SIEncoding(n, ki)
     enc.num_static_induced_edges = sum(len(row) for row in ki)
     enc.num_solver_vertices = len(core)
-    enc.encode(graph_constraints(graph), known, lambda u, v: v in ki[u])
+    enc.encode(graph_constraints(graph), known,
+               (lambda u, v: v in ki[u]) if state is None else state.reach.has)
     return enc

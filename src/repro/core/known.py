@@ -53,6 +53,13 @@ class KnownGraph:
     ``KI`` itself is derived on demand: :meth:`induced_by` gives the
     pairs one edge induces, :meth:`induced_adjacency` the whole relation,
     :meth:`closure` its reachability without building it.
+
+    Built by :meth:`from_edges` or :meth:`add`, the graph is the pair
+    projection of the typed edges.  Batch pruning's graph is not: its
+    promotion skips the pairs the rest of an iteration implies
+    (:meth:`PruneState.promote <repro.core.pruning.PruneState.promote>`),
+    so it is *reachability-equivalent* to that projection — the same
+    :meth:`closure` over fewer pairs.
     """
 
     __slots__ = ("dep", "dep_preds", "pred_mask", "antidep")

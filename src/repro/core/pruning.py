@@ -26,9 +26,12 @@ how many predecessors its readers have.
 When one branch is impossible the other becomes known; when both are, the
 history violates SI and a concrete witness cycle is reconstructed for the
 interpretation stage.  The process iterates to a fixpoint: newly-known
-edges enable further pruning.  A promoted branch goes into the
-known graph pair by pair (:meth:`PruneState.promote`); its typed edges
-are written into ``graph.known_edges`` only if something reads that list
+edges enable further pruning.  An iteration's promoted branches go
+into the known graph pair by pair, key by key, leaving out the pairs
+the rest of them imply (:meth:`PruneState.promote`: the graph keeps
+the closure it would have had, over a fraction of the pairs); their
+typed edges are all written into ``graph.known_edges``, but only if
+something reads that list
 (:meth:`GeneralizedPolygraph.promote
 <repro.core.polygraph.GeneralizedPolygraph.promote>`).
 
@@ -145,11 +148,12 @@ class PruneState:
       incremental kernel (:class:`~repro.utils.closure.PyBitsetClosure`:
       pruning is lookup-bound, one ``row()`` per question, and int rows
       answer without conversion — DESIGN.md S10);
-    - :meth:`promote` installs a resolved constraint's winning branch
-      into the known graph pair by pair (cheap set updates), queues each
-      new pair, and logs the branch on the graph, which writes its typed
-      edges only if read; :meth:`add_known` does the same for one typed
-      edge, written into the graph at once;
+    - :meth:`promote` installs an iteration's winning branches into
+      the known graph pair by pair (cheap set updates), each key's as
+      the chain of its version order, queues each new pair, and logs the
+      branches on the graph, which writes their typed edges only if
+      read; :meth:`add_known` does the same for one typed edge, written
+      into the graph at once;
     - reading :attr:`reach` flushes the queued delta into the closure,
       *adaptively*.  A small delta (the typical late fixpoint
       iteration) expands each queued edge into the KI pairs it induces
@@ -168,10 +172,12 @@ class PruneState:
     iterations sound: edges are only ever added, so the incremental rows
     always equal a from-scratch closure of the current known edges (a
     cyclic insertion leaves the cycle's members self-reaching, matching
-    the SCC-condensed kernel).
+    the SCC-condensed kernel).  :attr:`known` is reachability-equivalent
+    to those edges' pair projection, not equal to it: it lacks the
+    :attr:`pairs_implied` its own closure implies.
     """
 
-    __slots__ = ("graph", "known", "_reach", "_pending",
+    __slots__ = ("graph", "known", "pairs_implied", "_reach", "_pending",
                  "_queued", "_reseed_above")
 
     def __init__(self, graph: GeneralizedPolygraph):
@@ -186,6 +192,9 @@ class PruneState:
         self._queued = 0
         self._reseed_above = max(16, graph.num_vertices // 8)
         self._pending: List[Edge] = []
+        #: Pairs :meth:`promote` skipped because the pairs it installed
+        #: with them imply them.
+        self.pairs_implied = 0
 
     def _seed(self, reseed: bool) -> PyBitsetClosure:
         known = self.known
@@ -237,37 +246,117 @@ class PruneState:
         if self.graph.add_known(edge) and self.known.add(edge):
             self._queue(edge)
 
-    def promote(self, cons: Constraint, either_wins: bool) -> None:
-        """Make the winning branch of ``cons`` known.
+    def promote(self, winners: Sequence[Tuple[Constraint, bool]]) -> None:
+        """Make the winning branches of one iteration known.
 
-        The branch goes in pair by pair — the WW pair of its writers,
-        the AntiDep pair of each reader of the earlier version — without
-        being built.  The known graph gains, and the closure queue
-        records, exactly the new pairs ``add_known`` over the branch's
-        typed edges would have added: an edge already typed-known has
-        its pair known too.  The graph only logs the branch
+        ``winners`` are ``(constraint, either_wins)`` in constraint
+        order.  Each branch is logged on the graph in that order
         (:meth:`GeneralizedPolygraph.promote
-        <repro.core.polygraph.GeneralizedPolygraph.promote>`)."""
-        self.graph.promote(cons, either_wins)
+        <repro.core.polygraph.GeneralizedPolygraph.promote>`), which
+        writes its typed edges only if read.  The known graph gains,
+        key by key, only the pairs the rest of the iteration's winners
+        do not already imply (:meth:`_install`); the closure queue
+        records the pairs it gains."""
+        by_key: Dict[object, Dict[Tuple[int, int], List[Sequence[int]]]] = {}
+        graph_promote = self.graph.promote
+        for cons, either_wins in winners:
+            graph_promote(cons, either_wins)
+            t, s = cons.pair
+            if either_wins:
+                arc, readers = (t, s), cons.readers[0]
+            else:
+                arc, readers = (s, t), cons.readers[1]
+            by_key.setdefault(cons.key, {}).setdefault(arc, []).append(
+                readers)
+        for key, arcs in by_key.items():
+            self._install(key, arcs)
+
+    def _install(self, key,
+                 arcs: Dict[Tuple[int, int], List[Sequence[int]]]) -> None:
+        """Install one key's winning WW pairs ``first -> second``, each
+        with the RW pairs ``r -> second`` of the readers of ``first``,
+        skipping every pair the others imply (DESIGN.md S9).
+
+        A WW pair is skipped when ``first`` reaches ``second`` through
+        another successor ``c`` among the pairs, and its RW pairs with
+        it: the installed chain ``first -> c ~> second`` carries
+        everything they would induce.  That needs every pair of
+        ``first`` to come with the same readers (a compact polygraph's
+        reader list); pairs that came with different ones (the
+        ablation's one-reader pieces) go in as they are, and so do
+        winners that close a cycle among themselves
+        (:func:`_chain_masks`).
+        """
+        if len(arcs) == 1:  # nothing to skip: most keys past iteration 1
+            for (first, second), lists in arcs.items():
+                self._add_pairs(key, first, second, lists)
+            return
+        bit, via = _chain_masks(arcs)
+        by_first: Dict[int, List[Tuple[int, List[Sequence[int]]]]] = {}
+        for (first, second), reader_lists in arcs.items():
+            by_first.setdefault(first, []).append((second, reader_lists))
+        for first, out in by_first.items():
+            shared = out[0][1][0]
+            reducible = all(len(lists) == 1 and lists[0] is shared
+                            for _second, lists in out)
+            for second, lists in out:
+                if reducible and via[first] & bit[second]:
+                    self.pairs_implied += (1 + len(shared)
+                                           - shared.count(second))
+                else:
+                    self._add_pairs(key, first, second, lists)
+
+    def _add_pairs(self, key, first: int, second: int,
+                   lists: Sequence[Sequence[int]]) -> None:
+        """Install the WW pair ``first -> second`` and the RW pair
+        ``r -> second`` of every reader in ``lists``, queueing the pairs
+        that are new."""
         known = self.known
-        key = cons.key
-        if either_wins:
-            first, second = cons.pair
-            readers = cons.readers[0]
-        else:
-            second, first = cons.pair
-            readers = cons.readers[1]
         if known.add_dep(first, second):
             self._queue((first, second, WW, key))
-        new = known.add_antideps(readers, second)
-        if new:
-            # Past the reseed threshold nothing is recorded, which is
-            # where a large promotion adds most of its pairs.
-            room = self._reseed_above - self._queued
-            if room > 0:
-                self._pending.extend((reader, second, RW, key)
-                                     for reader in new[:room])
-            self._queued += len(new)
+        for readers in lists:
+            new = known.add_antideps(readers, second)
+            if new:
+                # Past the reseed threshold nothing is recorded, which
+                # is where a large promotion adds most of its pairs.
+                room = self._reseed_above - self._queued
+                if room > 0:
+                    self._pending.extend((reader, second, RW, key)
+                                         for reader in new[:room])
+                self._queued += len(new)
+
+
+def _chain_masks(arcs: Iterable[Tuple[int, int]]):
+    """For one key's winning WW pairs ``(first, second)``: a bit per
+    writer, and per writer the bits of those it reaches through two or
+    more of the pairs (``via``).  When the pairs close a cycle every
+    mask is 0, so nothing is skipped."""
+    succ: Dict[int, List[int]] = {}
+    indegree: Dict[int, int] = {}
+    for first, second in arcs:
+        succ.setdefault(first, []).append(second)
+        indegree.setdefault(first, 0)
+        indegree[second] = indegree.get(second, 0) + 1
+    order = [v for v, degree in indegree.items() if not degree]
+    for v in order:  # Kahn's algorithm: the list grows as it is walked
+        for w in succ.get(v, ()):
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) < len(indegree):
+        none = dict.fromkeys(indegree, 0)
+        return none, none
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    below: Dict[int, int] = {}  # reached through one or more pairs
+    via: Dict[int, int] = {}
+    for v in reversed(order):
+        heads = through = 0
+        for w in succ.get(v, ()):
+            heads |= bit[w]
+            through |= below[w]
+        below[v] = heads | through
+        via[v] = through
+    return bit, via
 
 
 def pair_impossible(
@@ -340,37 +429,37 @@ def apply_decisions(
     """Apply one iteration's classification to ``graph`` in constraint
     order; returns whether anything was resolved.
 
-    A winning branch goes through :meth:`PruneState.promote`, so the
-    closure and adjacency are maintained in place for the next
-    iteration.  Decisions were classified against the state frozen at
-    iteration start, so mutating the closure mid-application cannot
-    change them.
+    The winning branches are collected and handed, in constraint order,
+    to one :meth:`PruneState.promote`, which keeps the closure and
+    adjacency current for the next iteration.  Decisions were classified
+    against the state frozen at iteration start, so promoting them
+    together cannot change them.
 
-    On the first constraint with both branches impossible, ``result`` is
-    marked violating (with a reconstructed witness cycle) and the
-    remaining decisions are not applied.
+    On the first constraint with both branches impossible, the winners
+    before it are promoted, ``result`` is marked violating (with a
+    witness cycle reconstructed over the known edges, theirs included)
+    and the remaining decisions are not applied.
     """
-    promote = state.promote
+    winners: List[Tuple[Constraint, bool]] = []
     remaining: List[Constraint] = []
-    changed = False
     for cons, (either_bad, orelse_bad) in zip(graph.constraints, decisions):
         if either_bad and orelse_bad:
+            # The witness is searched over the known edges, the earlier
+            # winners' included.
+            state.promote(winners)
+            result.pruned += len(winners)
             result.ok = False
             result.violation_constraint = cons
             result.violation_cycle = _violation_cycle(graph, cons)
-            return changed
-        if either_bad:
-            promote(cons, False)
-            result.pruned += 1
-            changed = True
-        elif orelse_bad:
-            promote(cons, True)
-            result.pruned += 1
-            changed = True
+            return bool(winners)
+        if either_bad or orelse_bad:
+            winners.append((cons, not either_bad))
         else:
             remaining.append(cons)
+    state.promote(winners)
+    result.pruned += len(winners)
     graph.constraints = remaining
-    return changed
+    return bool(winners)
 
 
 def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
@@ -407,6 +496,7 @@ def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
             if not result.ok or not changed:
                 break
         span.set(iterations=result.iterations, pruned=result.pruned)
+        _publish_pair_counters(state, span)
         reach = state.reach
         # The rows are the exact closure of the final KI, so its
         # acyclicity is their diagonal — no second graph traversal.
@@ -418,6 +508,22 @@ def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
     result.constraints_after = graph.num_constraints
     result.unknown_deps_after = graph.num_unknown_deps
     return result
+
+
+def _publish_pair_counters(state: PruneState, span) -> None:
+    """Snapshot the size of the known graph the fixpoint ended with, and
+    the pairs its promotions skipped, onto the enclosing span and the
+    ambient metrics registry."""
+    known = state.known
+    pairs = {
+        "known_dep_pairs": sum(map(len, known.dep)),
+        "known_antidep_pairs": sum(map(len, known.antidep)),
+        "pairs_implied": state.pairs_implied,
+    }
+    span.set(**pairs)
+    for name, value in pairs.items():
+        if value:
+            obs_counter(f"prune.{name}").inc(value)
 
 
 def _publish_closure_counters(reach, span) -> None:

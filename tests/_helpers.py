@@ -258,8 +258,10 @@ class _DirectPromotion:
     def __init__(self, graph):
         self.graph = graph
 
-    def promote(self, cons, either_wins):
-        self.graph.add_known_many(cons.either if either_wins else cons.orelse)
+    def promote(self, winners):
+        for cons, either_wins in winners:
+            self.graph.add_known_many(
+                cons.either if either_wins else cons.orelse)
 
 
 def prune_constraints_recompute(graph):

@@ -163,8 +163,9 @@ def assert_core_is_exact(history):
     assert not on_core.static_cycle and not on_all.static_cycle
     assert on_core.num_solver_vertices == bin(core).count("1")
     assert on_all.num_solver_vertices == graph.num_vertices
-    assert ([on_core.stats()[k] for k in SIZES]
-            == [on_all.stats()[k] for k in SIZES])
+    # The core path encodes against the fixpoint's reduced known graph
+    # and skips every pair the closure already has: never more.
+    assert all(on_core.stats()[k] <= on_all.stats()[k] for k in SIZES)
     # No static edge leaves the core, and none inside it is missing.
     whole = state.known.induced_adjacency()
     for u, row in enumerate(on_core.solver._theory.static_adj):
@@ -289,7 +290,7 @@ class TestBackendsAgreeOnTheCore:
 
 class TestNoPruneResultIsTheReferenceClauseSet:
     """(v) the one-argument call is still the pinned reference, and the
-    core changes no variable or clause."""
+    core path adds no variable or clause to it."""
 
     @pytest.mark.parametrize("seed", sorted(PINNED_GENERATED))
     def test_generated_workloads(self, seed):
@@ -302,7 +303,7 @@ class TestNoPruneResultIsTheReferenceClauseSet:
         told = encode_polygraph(graph, pruned)
         assert (alone["vars"], alone["clauses"]) == \
             PINNED_GENERATED[seed]["pruned"]
-        assert [alone[k] for k in SIZES] == [told.stats()[k] for k in SIZES]
+        assert all(told.stats()[k] <= alone[k] for k in SIZES)
         assert told.num_solver_vertices < graph.num_vertices
 
 
