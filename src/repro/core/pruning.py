@@ -287,10 +287,6 @@ class PruneState:
         winners that close a cycle among themselves
         (:func:`_chain_masks`).
         """
-        if len(arcs) == 1:  # nothing to skip: most keys past iteration 1
-            for (first, second), lists in arcs.items():
-                self._add_pairs(key, first, second, lists)
-            return
         bit, via = _chain_masks(arcs)
         by_first: Dict[int, List[Tuple[int, List[Sequence[int]]]]] = {}
         for (first, second), reader_lists in arcs.items():

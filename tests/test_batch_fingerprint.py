@@ -12,8 +12,9 @@ digest of the pruned graph's known edges *in order*.  The test holds the
 current build to the answers and the pruning work byte for byte —
 verdict, ``decided_by``, witness, classification, finalized digest,
 pruning counters, known-edge digest and every ``closure.<kernel>.*``
-counter but ``inserts_known`` — and the encoding's ``vars``,
-``clauses`` and ``static_induced_edges`` to at most the parent's.
+counter but ``inserts_known`` — and every encoding size (``vars``,
+``clauses``, ``induced_edges``, ``static_induced_edges``, ``aux_vars``)
+to at most the parent's.
 Since promotion installs each key's version order as a chain
 (DESIGN.md S9), the closure flushes insert fewer already-known pairs
 and the encoder sees a smaller known graph, so ``inserts_known``,
@@ -156,7 +157,8 @@ IDENTICAL = ("satisfies_si", "decided_by", "cycle", "pruning", "known_edges",
 #: Encoding sizes held at or below the parent's: promotion installs
 #: only the pairs the rest of an iteration does not imply, so the
 #: solver's substrate and the terms derived against it can only shrink.
-AT_MOST = ("vars", "clauses", "static_induced_edges")
+AT_MOST = ("vars", "clauses", "induced_edges", "static_induced_edges",
+           "aux_vars")
 #: Closure counters that count pairs inserted, so depend on how many
 #: pairs promotion installs: recorded, not held.
 UNHELD_CLOSURE = ("inserts_known",)
@@ -182,6 +184,7 @@ def test_answers_written_by_the_parent_commit(unit, kernel):
     if want["encoding"] is None:
         assert got["encoding"] is None, (unit, kernel)
     else:
+        assert set(got["encoding"]) == set(want["encoding"]) == set(AT_MOST)
         for name in AT_MOST:
             assert got["encoding"][name] <= want["encoding"][name], (
                 unit, kernel, name)
