@@ -58,6 +58,20 @@ which skips the pairs the rest of an iteration implies (DESIGN.md S9),
 with its pair counts (``reduced_dep`` / ``reduced_antidep`` in the
 ``reseed_<shape>`` note) and identical rows asserted.
 
+The **iteration1** series isolates the fixpoint's first iteration on
+the GeneralRW and GeneralRH shapes, from an unbuilt compact polygraph
+and its seeded closure: the shipped keyed iteration
+(``repro.core.pruning.order_writers``: each key's writer pairs decided
+from its writers' rows, a ``Constraint`` built only for a pair they
+leave unordered) against the per-pair one it replaced (build the
+constraint list, classify every constraint, apply), identical state
+asserted — remaining constraints, counters, installed pairs, closure
+queue and known edges (``tests/_helpers.first_iteration``; series
+``iteration1[keyed]`` / ``iteration1[per-pair]`` per shape, notes
+``iteration1_<shape>`` with ``pairs_ordered`` and
+``constraints_built``, ``iteration1_speedup`` / ``iteration1_bar_met``
+for GeneralRW).  Below 2x on GeneralRW at full scale the run fails.
+
 Run:  PYTHONPATH=../src python bench_prune.py
 """
 
@@ -78,6 +92,7 @@ from repro.core.pruning import (
     PruneState,
     apply_decisions,
     classify_constraints,
+    order_writers,
     prune_constraints,
 )
 from repro.utils.closure import PyBitsetClosure
@@ -91,6 +106,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 from _helpers import (  # noqa: E402
     branch_impossible_reference,
+    first_iteration,
     prune_constraints_recompute,
 )
 
@@ -119,6 +135,10 @@ CLASSIFY_SPEEDUP_BAR = 1.3
 
 #: The same line for the hop-graph reseed kernel, on the write-heavy shape.
 RESEED_SPEEDUP_BAR = 1.3
+
+#: The bar for the keyed first iteration over the per-pair one on the
+#: write-heavy shape, at full scale.
+ITERATION1_SPEEDUP_BAR = 2.0
 
 #: DESIGN.md S11 budget: the *disabled* observability path (no ambient
 #: tracer/registry installed — what every non-traced caller pays) must
@@ -346,6 +366,41 @@ def reseed_seconds(history) -> tuple:
     return materialised_s, hop_s, reduced_s, counts
 
 
+@collector_paused  # as inside a check
+def iteration1_seconds(history) -> tuple:
+    """(per-pair seconds, keyed seconds, counts) for pruning's first
+    iteration over ``history``'s unbuilt polygraph — best of ROUNDS
+    each, from a fresh polygraph and seeded closure every round,
+    identical state asserted.  ``counts``: writer pairs, the pairs the
+    keyed iteration ordered and the constraints it built."""
+    best = {}
+    states = {}
+    for keyed in (False, True):
+        best[keyed] = float("inf")
+        for _ in range(ROUNDS):
+            graph, violations = build_polygraph(history)
+            assert not violations
+            pairs = graph.num_constraints
+            states[keyed], seconds = first_iteration(graph, keyed)
+            best[keyed] = min(best[keyed], seconds)
+    assert states[True] == states[False], (
+        "the keyed first iteration diverged from the per-pair one"
+    )
+    graph, _violations = build_polygraph(history)
+    state = PruneState(graph)
+    order_writers(graph, state, PruneResult())
+    counts = {"pairs": pairs, "pairs_ordered": state.pairs_ordered,
+              "constraints_built": state.constraints_built}
+    return best[False], best[True], counts
+
+
+@pytest.mark.parametrize("shape", sorted(RESEED_SHAPES))
+def test_iteration1_parity(shape):
+    per_pair, keyed, counts = iteration1_seconds(RESEED_SHAPES[shape]())
+    assert per_pair > 0 and keyed > 0
+    assert counts["pairs_ordered"] > counts["constraints_built"]
+
+
 @pytest.mark.parametrize("shape", sorted(RESEED_SHAPES))
 def test_reseed_kernel_parity(shape):
     materialised, hop, reduced, counts = reseed_seconds(
@@ -452,6 +507,7 @@ def main():
         "kernel_cascade_n": KERNEL_CASCADE_N,
         "classify_speedup_bar": CLASSIFY_SPEEDUP_BAR,
         "reseed_speedup_bar": RESEED_SPEEDUP_BAR,
+        "iteration1_speedup_bar": ITERATION1_SPEEDUP_BAR,
     })
     rows = []
     speedups = {}
@@ -543,6 +599,29 @@ def main():
     report.note("reseed_bar_met", reseed_bar_met)
     report.note("reseed_parity", "ok")
 
+    # The first iteration on its own: each key decided in bulk from its
+    # writers' rows vs every constraint built and classified.
+    iteration1_rows = []
+    iteration1_speedups = {}
+    for shape, make in RESEED_SHAPES.items():
+        per_pair, keyed, counts = iteration1_seconds(make())
+        report.add_point("iteration1[per-pair]", shape, seconds=per_pair,
+                         axis="shape")
+        report.add_point("iteration1[keyed]", shape, seconds=keyed,
+                         axis="shape")
+        report.note(f"iteration1_{shape}", counts)
+        iteration1_speedups[shape] = per_pair / keyed
+        iteration1_rows.append([shape, counts["pairs"],
+                                counts["pairs_ordered"],
+                                counts["constraints_built"],
+                                f"{per_pair:.3f}", f"{keyed:.3f}",
+                                f"{per_pair / keyed:.2f}x"])
+    iteration1_speedup = iteration1_speedups["general-RW"]
+    iteration1_bar_met = iteration1_speedup >= ITERATION1_SPEEDUP_BAR
+    report.note("iteration1_speedup", round(iteration1_speedup, 2))
+    report.note("iteration1_bar_met", iteration1_bar_met)
+    report.note("iteration1_parity", "ok")
+
     # Stage-level cost breakdown of one traced batch check (DESIGN S11).
     note_stage_seconds(report, CORPORA["cascade"]())
     # ... and the disabled-overhead budget gate: the no-op observability
@@ -606,9 +685,25 @@ def main():
          "reduced", "speedup"],
         reduced_rows,
     ))
+    print(f"\nFixpoint iteration 1 from an unbuilt polygraph [{kernel}] "
+          f"(best of {ROUNDS}, seconds; identical state asserted)")
+    print(render_table(
+        ["shape", "writer pairs", "ordered", "constraints built",
+         "per-pair", "keyed", "speedup"],
+        iteration1_rows,
+    ))
+    bar = "meets" if iteration1_bar_met else "below"
+    print(f"iteration 1 speedup [general-RW, {kernel}]: "
+          f"{iteration1_speedup:.2f}x "
+          f"({bar} the {ITERATION1_SPEEDUP_BAR:.0f}x bar)")
     path = report.write()
     print(f"results: {path}")
     if SCALE >= 1.0:
+        assert iteration1_bar_met, (
+            f"the keyed first iteration is {iteration1_speedup:.2f}x the "
+            f"per-pair one on the write-heavy shape, below the "
+            f"{ITERATION1_SPEEDUP_BAR:.0f}x bar"
+        )
         assert reseed_bar_met, (
             f"the hop-graph reseed is {reseed_speedups['general-RW']:.2f}x "
             f"the materialised one on the write-heavy shape on the "

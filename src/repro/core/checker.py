@@ -44,10 +44,20 @@ log = get_logger("core.checker")
 
 
 def _built_edges(constraints) -> int:
-    """Typed branch edges built so far for ``constraints``: prune builds
-    them for a pruning witness, encode for the constraints that reach
-    the solver."""
+    """Typed branch edges built so far for ``constraints``: encode
+    builds them for the constraints that reach the solver."""
     return sum(cons.built_edges for cons in constraints)
+
+
+def _pruning_built_edges(graph: GeneralizedPolygraph,
+                         pruned: PruneResult, written: int) -> int:
+    """Typed branch edges pruning built: the winners' the promotion log
+    wrote since ``written`` (only if something read the known edges: a
+    witness search), and the witness constraint's own — counted without
+    walking, or building, the constraints."""
+    witness = pruned.violation_constraint
+    return (graph.branch_edges_written - written
+            + (witness.built_edges if witness is not None else 0))
 
 
 def _publish_branch_edges(built: int) -> int:
@@ -203,7 +213,7 @@ class PolySIChecker:
         with trace_span("construct", txns=len(history)) as span:
             anomalies = match_history(builder, graph, self.compact)
             span.set(vertices=graph.num_vertices,
-                     constraints=len(graph.constraints),
+                     constraints=graph.num_constraints,
                      violations=len(anomalies))
         result.timings["construct"] = time.perf_counter() - t0
         if anomalies:
@@ -237,11 +247,11 @@ class PolySIChecker:
         if self.prune:
             t0 = time.perf_counter()
             with trace_span("prune", backend=pruning.KERNEL.name) as span:
-                constraints = graph.constraints
+                written = graph.branch_edges_written
                 pruned = prune_constraints(graph)
                 span.set(iterations=pruned.iterations, pruned=pruned.pruned,
                          branch_edges=_publish_branch_edges(
-                             _built_edges(constraints)))
+                             _pruning_built_edges(graph, pruned, written)))
             result.timings["prune"] = time.perf_counter() - t0
             result.prune_result = pruned
             if not pruned.ok:

@@ -139,6 +139,44 @@ class Constraint:
         return f"Constraint(key={self.key!r}, either={self.either}, or={self.orelse})"
 
 
+class KeyOrder:
+    """One key's winners of pruning's first iteration, decided without
+    a :class:`Constraint` each (DESIGN.md S9): the writer pairs the
+    seeded closure orders (``after[i]``: the bits of the writers
+    ``writers[i]`` reaches) and the unordered pairs ``(i, j)`` the RW
+    rule decided (``decided``: whether ``writers[i]`` goes first).
+    Logged on the graph in place of one entry per winner
+    (:meth:`GeneralizedPolygraph.promote_key`)."""
+
+    __slots__ = ("key", "writers", "readers", "after", "decided")
+
+    def __init__(self, key, writers: Sequence[int],
+                 readers: Sequence[Sequence[int]], after: Sequence[int],
+                 decided: Dict[Tuple[int, int], bool]):
+        self.key = key
+        self.writers = writers
+        #: ``readers[i]``: the readers of ``writers[i]``.
+        self.readers = readers
+        self.after = after
+        self.decided = decided
+
+    def branches(self):
+        """The winning branches, in the key's pair order."""
+        key, writers, readers, after = (self.key, self.writers,
+                                        self.readers, self.after)
+        decided = self.decided
+        for i, t in enumerate(writers):
+            for j in range(i + 1, len(writers)):
+                s = writers[j]
+                if after[i] >> s & 1:
+                    yield _branch(readers[i], key, t, s)
+                elif after[j] >> t & 1:
+                    yield _branch(readers[j], key, s, t)
+                elif (i, j) in decided:
+                    yield (_branch(readers[i], key, t, s) if decided[(i, j)]
+                           else _branch(readers[j], key, s, t))
+
+
 class GeneralizedPolygraph:
     """Vertices, known edges, and generalized constraints for a history."""
 
@@ -149,10 +187,20 @@ class GeneralizedPolygraph:
         self.init_vertex = init_vertex
         self._known_edges: List[Edge] = []
         self._known_set: set = set()
-        #: Promoted branches not yet written into the known edges, as
-        #: ``(constraint, either_wins)`` in promotion order (:meth:`promote`).
-        self._promoted: List[Tuple[Constraint, bool]] = []
-        self.constraints: List[Constraint] = []
+        #: Promoted branches not yet written into the known edges, in
+        #: promotion order: ``(constraint, either_wins)`` per winning
+        #: constraint (:meth:`promote`), or one key's :class:`KeyOrder`
+        #: (:meth:`promote_key`).
+        self._promoted: List[object] = []
+        #: Typed branch edges the promotion log has written so far.
+        self.branch_edges_written = 0
+        #: None while the constraints are only implied by
+        #: :attr:`writers_of` (:attr:`constraints`).
+        self._constraints: Optional[List[Constraint]] = []
+        #: Each key's writers, where two or more write it; with a
+        #: compact polygraph's constraints still unbuilt, the one
+        #: description of them (:attr:`writer_lists`).
+        self.writers_of: Dict[object, List[int]] = {}
         # (writer_vertex, key) -> list of reader vertices (from WR edges).
         self.readers_from: Dict[Tuple[int, object], List[int]] = {}
         # Set on subgraphs (whose dense vertex ids no longer index the
@@ -186,14 +234,29 @@ class GeneralizedPolygraph:
         list (a satisfied one) never builds the branch."""
         self._promoted.append((cons, either_wins))
 
+    def promote_key(self, order: "KeyOrder") -> None:
+        """As :meth:`promote`, for every winner of one key decided
+        without a :class:`Constraint` (:class:`KeyOrder`): their
+        branches are written in pair order when read."""
+        self._promoted.append(order)
+
     def _write_promoted(self) -> None:
         log, self._promoted = self._promoted, []
         seen, edges = self._known_set, self._known_edges
-        for cons, either_wins in log:
-            for edge in cons.either if either_wins else cons.orelse:
-                if edge not in seen:
-                    seen.add(edge)
-                    edges.append(edge)
+        written = 0
+        for entry in log:
+            if type(entry) is KeyOrder:
+                branches = entry.branches()
+            else:
+                cons, either_wins = entry
+                branches = (cons.either if either_wins else cons.orelse,)
+            for branch in branches:
+                written += len(branch)
+                for edge in branch:
+                    if edge not in seen:
+                        seen.add(edge)
+                        edges.append(edge)
+        self.branch_edges_written += written
 
     # -- views ------------------------------------------------------------------
 
@@ -216,12 +279,62 @@ class GeneralizedPolygraph:
         return [e for e in self.known_edges if e[2] in wanted]
 
     @property
+    def constraints(self) -> List[Constraint]:
+        """The constraints, in order.  A compact polygraph builds them
+        from :attr:`writers_of` the first time this is read: per key,
+        one per unordered writer pair (DESIGN.md S4)."""
+        if self._constraints is None:
+            self._constraints = [
+                cons for key, writers in self.writers_of.items()
+                for cons in self.key_constraints(key, writers)]
+        return self._constraints
+
+    @constraints.setter
+    def constraints(self, constraints: List[Constraint]) -> None:
+        self._constraints = constraints
+
+    @property
+    def writer_lists(self) -> Optional[Dict[object, List[int]]]:
+        """:attr:`writers_of` while it is all there is of the
+        constraints (none built yet), else None."""
+        return self.writers_of if self._constraints is None else None
+
+    def key_constraints(self, key, writers: Sequence[int]) -> List[Constraint]:
+        """One key's constraints in order: ``(writers[i], writers[j])``
+        for every ``i < j``, over the reader index's lists."""
+        readers_from = self.readers_from
+        readers = [readers_from.get((w, key), ()) for w in writers]
+        return [Constraint(key, t, writers[j], readers[i], readers[j])
+                for i, t in enumerate(writers)
+                for j in range(i + 1, len(writers))]
+
+    @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        """How many constraints; unbuilt, ``k(k-1)/2`` per key of ``k``
+        writers."""
+        if self._constraints is None:
+            return sum(len(writers) * (len(writers) - 1) // 2
+                       for writers in self.writers_of.values())
+        return len(self._constraints)
 
     @property
     def num_unknown_deps(self) -> int:
-        return sum(c.num_unknown_deps for c in self.constraints)
+        """Typed edges over both branches of every constraint.  Unbuilt,
+        a key with ``k`` writers contributes its ``k(k-1)`` WW edges and
+        each reader of a writer once per other writer, less the readers
+        that are another writer (``reader != second``; no writer reads
+        its own write)."""
+        if self._constraints is not None:
+            return sum(c.num_unknown_deps for c in self._constraints)
+        readers_from, total = self.readers_from, 0
+        for key, writers in self.writers_of.items():
+            k, others = len(writers), set(writers)
+            total += k * (k - 1)
+            for w in writers:
+                readers = readers_from.get((w, key), ())
+                total += (k - 1) * len(readers) - sum(
+                    1 for r in readers if r in others)
+        return total
 
     def vertex_name(self, v: int) -> str:
         """Paper-style display name of vertex ``v`` (``T:init`` for init)."""
@@ -248,7 +361,10 @@ class GeneralizedPolygraph:
         )
         out._known_edges = list(self.known_edges)
         out._known_set = set(self._known_set)
-        out.constraints = list(self.constraints)
+        # Unbuilt, the copy builds its own list if something reads it.
+        out._constraints = (None if self._constraints is None
+                            else list(self._constraints))
+        out.writers_of = self.writers_of
         out.readers_from = self.readers_from
         out.labels = list(self.labels) if self.labels is not None else None
         out._txn_of = list(self._txn_of) if self._txn_of is not None else None
@@ -791,23 +907,19 @@ def match_history(
     # One generalized constraint per key per unordered writer pair.  Per
     # key, not per arrival: the clause set would be the same but its
     # order — and with it the search — would not (DESIGN.md S4).  Every
-    # read is matched by now, so the reader lists a constraint keeps are
-    # final.
-    readers_from = graph.readers_from
-    append = graph.constraints.append
-    for key, writers in builder.writers_of.items():
-        if len(writers) < 2:
-            continue
-        if not compact:
-            for i, t in enumerate(writers):
-                for s in writers[i + 1:]:
-                    _emit_explicit(graph, key, t, s)
-            continue
-        readers = [readers_from.get((w, key), ()) for w in writers]
+    # read is matched by now, so the writer and reader lists are final.
+    graph.writers_of = {key: writers
+                        for key, writers in builder.writers_of.items()
+                        if len(writers) > 1}
+    if compact:
+        # Built on first read (GeneralizedPolygraph.constraints), if
+        # ever: pruning decides most pairs from the writer lists.
+        graph.constraints = None
+        return anomalies
+    for key, writers in graph.writers_of.items():
         for i, t in enumerate(writers):
-            for j in range(i + 1, len(writers)):
-                append(Constraint(key, t, writers[j], readers[i],
-                                  readers[j]))
+            for s in writers[i + 1:]:
+                _emit_explicit(graph, key, t, s)
     return anomalies
 
 

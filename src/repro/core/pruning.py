@@ -65,7 +65,14 @@ from ..obs import counter as obs_counter, trace_span
 from ..utils.closure import PyBitsetClosure
 from ..utils.reachability import Reachability
 from .known import KnownGraph
-from .polygraph import Constraint, Edge, GeneralizedPolygraph, RW, WW
+from .polygraph import (
+    Constraint,
+    Edge,
+    GeneralizedPolygraph,
+    KeyOrder,
+    RW,
+    WW,
+)
 
 #: The closure kernel batch pruning builds (DESIGN S10): lookup-bound,
 #: so the int-bitset one, whose rows are ints already.
@@ -77,6 +84,7 @@ __all__ = [
     "pair_impossible",
     "classify_constraints",
     "apply_decisions",
+    "order_writers",
     "prune_constraints",
     "find_known_cycle",
 ]
@@ -177,8 +185,9 @@ class PruneState:
     :attr:`pairs_implied` its own closure implies.
     """
 
-    __slots__ = ("graph", "known", "pairs_implied", "_reach", "_pending",
-                 "_queued", "_reseed_above")
+    __slots__ = ("graph", "known", "pairs_implied", "pairs_ordered",
+                 "constraints_built", "_reach", "_pending", "_queued",
+                 "_reseed_above")
 
     def __init__(self, graph: GeneralizedPolygraph):
         self.graph = graph
@@ -195,6 +204,10 @@ class PruneState:
         #: Pairs :meth:`promote` skipped because the pairs it installed
         #: with them imply them.
         self.pairs_implied = 0
+        #: Pairs :func:`order_writers` decided from the seeded order
+        #: without a :class:`Constraint`, and the constraints it built.
+        self.pairs_ordered = 0
+        self.constraints_built = 0
 
     def _seed(self, reseed: bool) -> PyBitsetClosure:
         known = self.known
@@ -269,10 +282,21 @@ class PruneState:
             by_key.setdefault(cons.key, {}).setdefault(arc, []).append(
                 readers)
         for key, arcs in by_key.items():
-            self._install(key, arcs)
+            self._install(key, arcs, _chain_masks(arcs))
+
+    def promote_key(self, order: KeyOrder, arcs, masks,
+                    implied: int) -> None:
+        """Make one key's winners known from its :func:`_order_key`
+        plan: logged on the graph as one entry, installed as
+        :meth:`promote` would install them all (``arcs`` leaves out
+        ``implied`` pairs' worth that the chain implies anyway)."""
+        self.graph.promote_key(order)
+        self._install(order.key, arcs, masks)
+        self.pairs_implied += implied
 
     def _install(self, key,
-                 arcs: Dict[Tuple[int, int], List[Sequence[int]]]) -> None:
+                 arcs: Dict[Tuple[int, int], List[Sequence[int]]],
+                 masks) -> None:
         """Install one key's winning WW pairs ``first -> second``, each
         with the RW pairs ``r -> second`` of the readers of ``first``,
         skipping every pair the others imply (DESIGN.md S9).
@@ -285,16 +309,19 @@ class PruneState:
         reader list); pairs that came with different ones (the
         ablation's one-reader pieces) go in as they are, and so do
         winners that close a cycle among themselves
-        (:func:`_chain_masks`).
+        (``masks``, from :func:`_chain_masks`).  ``masks`` is None when
+        the pairs are their own transitive reduction already: no pair
+        is skipped.
         """
-        bit, via = _chain_masks(arcs)
+        bit, via = masks or ({}, {})
         by_first: Dict[int, List[Tuple[int, List[Sequence[int]]]]] = {}
         for (first, second), reader_lists in arcs.items():
             by_first.setdefault(first, []).append((second, reader_lists))
         for first, out in by_first.items():
             shared = out[0][1][0]
-            reducible = all(len(lists) == 1 and lists[0] is shared
-                            for _second, lists in out)
+            reducible = masks is not None and all(
+                len(lists) == 1 and lists[0] is shared
+                for _second, lists in out)
             for second, lists in out:
                 if reducible and via[first] & bit[second]:
                     self.pairs_implied += (1 + len(shared)
@@ -416,6 +443,33 @@ def classify_constraints(
     return decisions
 
 
+def _split(constraints: List[Constraint],
+           decisions: List[Tuple[bool, bool]]):
+    """``(winners, remaining, violating)``: the winning branches as
+    ``(constraint, either_wins)`` and the undecided constraints, in
+    order, up to the first constraint with both branches impossible
+    (``violating``, None when there is none)."""
+    winners: List[Tuple[Constraint, bool]] = []
+    remaining: List[Constraint] = []
+    for cons, (either_bad, orelse_bad) in zip(constraints, decisions):
+        if either_bad and orelse_bad:
+            return winners, remaining, cons
+        if either_bad or orelse_bad:
+            winners.append((cons, not either_bad))
+        else:
+            remaining.append(cons)
+    return winners, remaining, None
+
+
+def _violate(graph: GeneralizedPolygraph, result: PruneResult,
+             cons: Constraint) -> None:
+    """Mark ``result`` violated by ``cons``, with a witness searched
+    over the known edges, every winner promoted before it included."""
+    result.ok = False
+    result.violation_constraint = cons
+    result.violation_cycle = _violation_cycle(graph, cons)
+
+
 def apply_decisions(
     graph: GeneralizedPolygraph,
     decisions: List[Tuple[bool, bool]],
@@ -436,26 +490,226 @@ def apply_decisions(
     witness cycle reconstructed over the known edges, theirs included)
     and the remaining decisions are not applied.
     """
-    winners: List[Tuple[Constraint, bool]] = []
-    remaining: List[Constraint] = []
-    for cons, (either_bad, orelse_bad) in zip(graph.constraints, decisions):
-        if either_bad and orelse_bad:
-            # The witness is searched over the known edges, the earlier
-            # winners' included.
-            state.promote(winners)
-            result.pruned += len(winners)
-            result.ok = False
-            result.violation_constraint = cons
-            result.violation_cycle = _violation_cycle(graph, cons)
-            return bool(winners)
-        if either_bad or orelse_bad:
-            winners.append((cons, not either_bad))
-        else:
-            remaining.append(cons)
+    winners, remaining, violating = _split(graph.constraints, decisions)
     state.promote(winners)
     result.pruned += len(winners)
-    graph.constraints = remaining
+    if violating is not None:
+        _violate(graph, result, violating)
+    else:
+        graph.constraints = remaining
     return bool(winners)
+
+
+class _Rows:
+    """The seeded closure rows of one key's writers, each fetched with
+    one ``row`` lookup, as the oracle :func:`pair_impossible` asks about
+    that key's pairs: every question it asks is about two of them."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Dict[int, int]):
+        self.rows = rows
+
+    def has(self, u: int, v: int) -> bool:
+        return bool(self.rows[u] >> v & 1)
+
+    def row(self, u: int) -> int:
+        return self.rows[u]
+
+
+def order_writers(graph: GeneralizedPolygraph, state: PruneState,
+                  result: PruneResult) -> bool:
+    """Pruning's first iteration over a polygraph whose constraints are
+    still its writer lists (:attr:`GeneralizedPolygraph.writer_lists`),
+    key by key against the seeded closure (DESIGN.md S9); returns
+    whether anything was resolved.
+
+    Each key's writers' rows are fetched once (:class:`_Rows`) and
+    :func:`_order_key` decides the pairs they order in bulk, building a
+    :class:`Constraint` only for a pair they leave unordered.  A key
+    :func:`_order_key` declines is built and classified pair by pair.
+    Promotion follows, key by key, once every key is classified — or,
+    on the first constraint with both branches impossible, for the
+    keys and winners before it, as :func:`apply_decisions` would.  The
+    constraints, winners, known pairs, queue and witness are those of
+    :func:`classify_constraints` and :func:`apply_decisions` over the
+    built list; fewer closure lookups are asked.
+    """
+    reach, pred_mask = state.reach, state.pred_mask
+    readers_from = graph.readers_from
+    plans: list = []
+    remaining: List[Constraint] = []
+    won = ordered = built = 0
+    violating = None
+    for key, writers in graph.writer_lists.items():
+        rows = _Rows({w: reach.row(w) for w in writers})
+        readers = [readers_from.get((w, key), ()) for w in writers]
+        plan = _order_key(key, writers, readers, rows, pred_mask)
+        if plan is not None:
+            order, arcs, masks, implied, pairs, undecided = plan
+            plans.append((order, arcs, masks, implied))
+            won += pairs + len(order.decided)
+            ordered += pairs
+            built += len(undecided)
+        else:
+            constraints = graph.key_constraints(key, writers)
+            built += len(constraints)
+            winners, undecided, violating = _split(
+                constraints,
+                classify_constraints(constraints, rows, pred_mask))
+            plans.append(winners)
+            won += len(winners)
+            if violating is not None:
+                break
+        remaining += undecided
+    # The rows and pred_mask stayed frozen while every key was decided;
+    # now each key's winners go in, in key order.
+    for plan in plans:
+        if type(plan) is list:
+            state.promote(plan)
+        else:
+            state.promote_key(*plan)
+    result.pruned += won
+    state.pairs_ordered += ordered
+    state.constraints_built += built
+    if violating is not None:
+        _violate(graph, result, violating)
+    else:
+        graph.constraints = remaining
+    return bool(won)
+
+
+def _order_key(key, writers: List[int], readers: List[Sequence[int]],
+               rows: _Rows, pred_mask: Sequence[int]):
+    """Decide one key's writer pairs from its writers' seeded rows.
+
+    ``after[i]``, the writers ``writers[i]`` reaches, orders most pairs:
+    the WW rule makes the other order impossible.  Sorted by how many
+    writers they reach, the writers are a linear extension of that
+    order, so one forward scan per writer, stopping once what it has
+    found covers ``after[i]``, finds its immediate successors.  The
+    winning branch of every ordered pair still has to pass the RW rule,
+    asked once per writer: the union of its readers' Dep-predecessors
+    against the union of its immediate successors' rows and bits, which
+    contains every later writer's.  A hit is a pair with both branches
+    impossible: the one reader a pair ``(t, s)`` leaves out is ``s``,
+    and ``s`` reaching one of its own Dep-predecessors would make it
+    reach itself.  Pairs left unordered are asked both ways with
+    :func:`pair_impossible`; the undecided ones become constraints.
+
+    Returns None — build and classify the key pair by pair — when a
+    writer reaches itself, a pair has both branches impossible, or the
+    winners close a cycle; otherwise ``(order, arcs, masks, implied,
+    ordered, constraints)``: the :class:`KeyOrder` to log, the winning
+    WW pairs :meth:`PruneState._install` is to install and their
+    :func:`_chain_masks` (None when there is nothing to skip), the
+    weight of the ordered pairs left out (each ``1 + |readers| -
+    [second is a reader]``, as :meth:`PruneState._install` counts a
+    skipped pair), how many pairs the rows order, and the undecided
+    constraints in pair order.
+    """
+    row = rows.rows
+    k = len(writers)
+    bits = [1 << w for w in writers]
+    every = sum(bits)
+    after = [row[w] & every for w in writers]
+    if any(map(int.__and__, after, bits)):
+        return None    # a writer that reaches itself orders nothing
+    sizes = [a.bit_count() for a in after]
+    by_reach = sorted(range(k), key=sizes.__getitem__, reverse=True)
+    succ: List[List[int]] = [[] for _ in range(k)]
+    # Over positions, not vertices: bit j of earlier[i] / later[i] is
+    # writers[j] preceding / following writers[i].
+    earlier = [0] * k
+    for at, i in enumerate(by_reach):
+        target = after[i]
+        covered, scan = 0, at
+        while covered != target:
+            scan += 1
+            j = by_reach[scan]
+            if target & bits[j] & ~covered:
+                succ[i].append(j)
+                covered |= after[j] | bits[j]
+                earlier[j] |= earlier[i] | 1 << i
+        if not target:
+            continue
+        preds = 0
+        for reader in readers[i]:
+            preds |= pred_mask[reader]
+        if not preds:
+            continue
+        heads = 0
+        for j in succ[i]:
+            heads |= row[writers[j]] | bits[j]
+        if heads & preds:
+            return None
+
+    later = [0] * k
+    for i in reversed(by_reach):
+        for j in succ[i]:
+            later[i] |= later[j] | 1 << j
+    decided: Dict[Tuple[int, int], bool] = {}
+    undecided: List[Constraint] = []
+    ahead: List[List[int]] = [[] for _ in range(k)]  # RW-decided arcs
+    ordered = sum(sizes)
+    if ordered < k * (k - 1) // 2:    # some pairs are left unordered
+        everyone = (1 << k) - 1
+        for i, t in enumerate(writers):
+            # The writers after position i that i neither precedes nor
+            # follows, in position order.
+            free = everyone & ~(later[i] | earlier[i] | (2 << i) - 1)
+            while free:
+                low = free & -free
+                free ^= low
+                j = low.bit_length() - 1
+                s = writers[j]
+                either_bad = pair_impossible(t, s, readers[i], rows,
+                                             pred_mask)
+                orelse_bad = pair_impossible(s, t, readers[j], rows,
+                                             pred_mask)
+                if either_bad and orelse_bad:
+                    return None
+                if either_bad:
+                    decided[(i, j)] = False
+                    ahead[j].append(i)
+                elif orelse_bad:
+                    decided[(i, j)] = True
+                    ahead[i].append(j)
+                else:
+                    undecided.append(Constraint(key, t, s, readers[i],
+                                                readers[j]))
+
+    # The parent's install order: each first by the pair it first wins
+    # (that with the lowest position it precedes), then by position.
+    firsts = []
+    for i in range(k):
+        if later[i] or ahead[i]:
+            low = min([(later[i] & -later[i]).bit_length() - 1 if later[i]
+                       else k, *ahead[i]])
+            firsts.append((min(i, low), max(i, low), i))
+    firsts.sort()
+    arcs: Dict[Tuple[int, int], List[Sequence[int]]] = {}
+    for _low, _high, i in firsts:
+        t, lists = writers[i], [readers[i]]
+        for j in sorted(succ[i] + ahead[i]):
+            arcs[(t, writers[j])] = lists
+    masks = None    # the immediate successors: nothing to skip
+    if decided:
+        masks = _chain_masks(arcs)
+        if not min(masks[0].values()):
+            return None    # the winners close a cycle: every pair goes in
+
+    implied = 0
+    for i, size in enumerate(sizes):
+        if size > len(succ[i]):    # ordered pairs not immediate: left out
+            left = after[i]
+            for j in succ[i]:
+                left ^= bits[j]
+            own = readers[i]
+            implied += ((size - len(succ[i])) * (1 + len(own))
+                        - sum(1 for r in own if left >> r & 1))
+    order = KeyOrder(key, writers, readers, after, decided)
+    return order, arcs, masks, implied, ordered, undecided
 
 
 def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
@@ -484,11 +738,16 @@ def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
                     constraints=result.constraints_before) as span:
         while True:
             result.iterations += 1
-            with trace_span("classify", iteration=result.iterations):
-                decisions = classify_constraints(
-                    graph.constraints, state.reach, state.pred_mask
-                )
-            changed = apply_decisions(graph, decisions, result, state=state)
+            if graph.writer_lists is not None:
+                with trace_span("classify", iteration=result.iterations):
+                    changed = order_writers(graph, state, result)
+            else:
+                with trace_span("classify", iteration=result.iterations):
+                    decisions = classify_constraints(
+                        graph.constraints, state.reach, state.pred_mask
+                    )
+                changed = apply_decisions(graph, decisions, result,
+                                          state=state)
             if not result.ok or not changed:
                 break
         span.set(iterations=result.iterations, pruned=result.pruned)
@@ -515,8 +774,9 @@ def _publish_pair_counters(state: PruneState, span) -> None:
         "known_dep_pairs": sum(map(len, known.dep)),
         "known_antidep_pairs": sum(map(len, known.antidep)),
         "pairs_implied": state.pairs_implied,
+        "pairs_ordered": state.pairs_ordered,
     }
-    span.set(**pairs)
+    span.set(constraints_built=state.constraints_built, **pairs)
     for name, value in pairs.items():
         if value:
             obs_counter(f"prune.{name}").inc(value)

@@ -11,6 +11,7 @@ else was collected.
 from __future__ import annotations
 
 import json
+import time
 from types import SimpleNamespace
 
 import networkx as nx
@@ -26,8 +27,10 @@ from repro.core.polygraph import (
 from repro.core.known import KnownGraph
 from repro.core.pruning import (
     PruneResult,
+    PruneState,
     apply_decisions,
     classify_constraints,
+    order_writers,
 )
 from repro.storage.client import stream_workload
 from repro.storage.database import MVCCDatabase
@@ -42,6 +45,8 @@ __all__ = [
     "prune_constraints_recompute",
     "prune_fixpoint_reference",
     "explicit_constraints_reference",
+    "first_iteration",
+    "first_iteration_state",
     "evict_closed_reference",
     "subgraph_reference",
     "polygraph_reference",
@@ -286,6 +291,48 @@ def prune_constraints_recompute(graph):
     result.constraints_after = graph.num_constraints
     result.unknown_deps_after = graph.num_unknown_deps
     return result
+
+
+def first_iteration(graph, keyed):
+    """Run pruning's first iteration on an unbuilt compact ``graph``: by
+    key (:func:`repro.core.pruning.order_writers`, the shipped path), or
+    pair by pair over the built constraint list (:func:`classify_constraints`
+    then :func:`apply_decisions`, the path it replaced).  Returns
+    :func:`first_iteration_state` and the seconds the iteration took,
+    building the list included, seeding the closure not."""
+    state, result = PruneState(graph), PruneResult()
+    start = time.perf_counter()
+    if keyed:
+        changed = order_writers(graph, state, result)
+    else:
+        changed = apply_decisions(graph, classify_constraints(
+            graph.constraints, state.reach, state.pred_mask), result, state)
+    seconds = time.perf_counter() - start
+    return first_iteration_state(graph, state, result, changed), seconds
+
+
+def first_iteration_state(graph, state, result, changed):
+    """What one iteration leaves for the next and for the reader: the
+    constraints in order, the counters, the witness, the installed
+    pairs, the closure queue and the known edges in order."""
+    known = state.known
+    witness = result.violation_constraint
+    return {
+        "changed": changed,
+        "constraints": [(c.key, c.pair, list(c.readers[0]),
+                         list(c.readers[1])) for c in graph.constraints],
+        "ok": result.ok,
+        "pruned": result.pruned,
+        "witness": None if witness is None else (witness.key, witness.pair),
+        "cycle": result.violation_cycle,
+        "dep": [sorted(succ) for succ in known.dep],
+        "antidep": [sorted(succ) for succ in known.antidep],
+        "pred_mask": list(known.pred_mask),
+        "pairs_implied": state.pairs_implied,
+        "queued": state._queued,
+        "pending": list(state._pending),
+        "known_edges": list(graph.known_edges),
+    }
 
 
 def explicit_constraints_reference(constraints):
