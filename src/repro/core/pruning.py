@@ -310,18 +310,21 @@ class PruneState:
         ablation's one-reader pieces) go in as they are, and so do
         winners that close a cycle among themselves
         (``masks``, from :func:`_chain_masks`).  ``masks`` is None when
-        the pairs are their own transitive reduction already: no pair
-        is skipped.
+        the pairs are their own transitive reduction already: every pair
+        goes in, in order.
         """
-        bit, via = masks or ({}, {})
+        if masks is None:
+            for (first, second), lists in arcs.items():
+                self._add_pairs(key, first, second, lists)
+            return
+        bit, via = masks
         by_first: Dict[int, List[Tuple[int, List[Sequence[int]]]]] = {}
         for (first, second), reader_lists in arcs.items():
             by_first.setdefault(first, []).append((second, reader_lists))
         for first, out in by_first.items():
             shared = out[0][1][0]
-            reducible = masks is not None and all(
-                len(lists) == 1 and lists[0] is shared
-                for _second, lists in out)
+            reducible = all(len(lists) == 1 and lists[0] is shared
+                            for _second, lists in out)
             for second, lists in out:
                 if reducible and via[first] & bit[second]:
                     self.pairs_implied += (1 + len(shared)
