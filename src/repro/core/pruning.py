@@ -624,28 +624,34 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
     # Over positions, not vertices: bit j of earlier[i] / later[i] is
     # writers[j] preceding / following writers[i].
     earlier = [0] * k
+    implied = 0
     for at, i in enumerate(by_reach):
         target = after[i]
-        covered, scan = 0, at
+        if not target:
+            continue
+        covered = heads = 0
+        scan = at
         while covered != target:
             scan += 1
             j = by_reach[scan]
-            if target & bits[j] & ~covered:
+            bit = bits[j]
+            if target & bit and not covered & bit:
                 succ[i].append(j)
-                covered |= after[j] | bits[j]
+                covered |= after[j] | bit
+                heads |= row[writers[j]] | bit
                 earlier[j] |= earlier[i] | 1 << i
-        if not target:
-            continue
+        own = readers[i]
         preds = 0
-        for reader in readers[i]:
+        for reader in own:
             preds |= pred_mask[reader]
-        if not preds:
-            continue
-        heads = 0
-        for j in succ[i]:
-            heads |= row[writers[j]] | bits[j]
         if heads & preds:
             return None
+        if sizes[i] > len(succ[i]):    # ordered, not immediate: left out
+            left = target
+            for j in succ[i]:
+                left ^= bits[j]
+            implied += ((sizes[i] - len(succ[i])) * (1 + len(own))
+                        - sum(1 for r in own if left >> r & 1))
 
     later = [0] * k
     for i in reversed(by_reach):
@@ -653,7 +659,7 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
             later[i] |= later[j] | 1 << j
     decided: Dict[Tuple[int, int], bool] = {}
     undecided: List[Constraint] = []
-    ahead: List[List[int]] = [[] for _ in range(k)]  # RW-decided arcs
+    ahead: Dict[int, List[int]] = {}    # RW-decided arcs by first
     ordered = sum(sizes)
     if ordered < k * (k - 1) // 2:    # some pairs are left unordered
         everyone = (1 << k) - 1
@@ -674,43 +680,35 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
                     return None
                 if either_bad:
                     decided[(i, j)] = False
-                    ahead[j].append(i)
+                    ahead.setdefault(j, []).append(i)
                 elif orelse_bad:
                     decided[(i, j)] = True
-                    ahead[i].append(j)
+                    ahead.setdefault(i, []).append(j)
                 else:
                     undecided.append(Constraint(key, t, s, readers[i],
                                                 readers[j]))
 
-    # The parent's install order: each first by the pair it first wins
-    # (that with the lowest position it precedes), then by position.
+    # The per-pair iteration's install order: each first by the pair it
+    # first wins (that with the lowest position it precedes), then by
+    # position.
     firsts = []
-    for i in range(k):
-        if later[i] or ahead[i]:
-            low = min([(later[i] & -later[i]).bit_length() - 1 if later[i]
-                       else k, *ahead[i]])
+    for i, mask in enumerate(later):
+        low = (mask & -mask).bit_length() - 1 if mask else k
+        if i in ahead:
+            low = min(low, *ahead[i])
+        if low < k:
             firsts.append((min(i, low), max(i, low), i))
     firsts.sort()
     arcs: Dict[Tuple[int, int], List[Sequence[int]]] = {}
     for _low, _high, i in firsts:
         t, lists = writers[i], [readers[i]]
-        for j in sorted(succ[i] + ahead[i]):
+        for j in sorted(succ[i] + ahead.get(i, [])):
             arcs[(t, writers[j])] = lists
     masks = None    # the immediate successors: nothing to skip
     if decided:
         masks = _chain_masks(arcs)
         if not min(masks[0].values()):
             return None    # the winners close a cycle: every pair goes in
-
-    implied = 0
-    for i, size in enumerate(sizes):
-        if size > len(succ[i]):    # ordered pairs not immediate: left out
-            left = after[i]
-            for j in succ[i]:
-                left ^= bits[j]
-            own = readers[i]
-            implied += ((size - len(succ[i])) * (1 + len(own))
-                        - sum(1 for r in own if left >> r & 1))
     order = KeyOrder(key, writers, readers, after, decided)
     return order, arcs, masks, implied, ordered, undecided
 

@@ -180,7 +180,7 @@ def test_an_unordered_pair_decided_by_the_rw_rule():
         (1, 0, "WW", "x")]
 
 
-def test_an_iteration_that_does_not_reseed_queues_in_the_parents_order():
+def test_an_iteration_that_does_not_reseed_queues_in_pair_order():
     """Few promoted pairs stay under the reseed threshold, so the
     pending list is flushed edge by edge, in install order: each writer
     by the pair it first wins, then by position."""
