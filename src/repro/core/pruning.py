@@ -547,11 +547,12 @@ def order_writers(graph: GeneralizedPolygraph, state: PruneState,
     for key, writers in graph.writer_lists.items():
         rows = _Rows({w: reach.row(w) for w in writers})
         readers = [readers_from.get((w, key), ()) for w in writers]
-        plan = _order_key(key, writers, readers, rows, pred_mask)
-        if plan is not None:
-            order, arcs, masks, implied, pairs, undecided = plan
-            plans.append((order, arcs, masks, implied))
-            won += pairs + len(order.decided)
+        decision = _order_key(key, writers, readers, rows, pred_mask)
+        if decision is not None:
+            plan, pairs, decided, undecided = decision
+            if plan is not None:
+                plans.append(plan)
+            won += pairs + decided
             ordered += pairs
             built += len(undecided)
         else:
@@ -602,14 +603,15 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
 
     Returns None — build and classify the key pair by pair — when a
     writer reaches itself, a pair has both branches impossible, or the
-    winners close a cycle; otherwise ``(order, arcs, masks, implied,
-    ordered, constraints)``: the :class:`KeyOrder` to log, the winning
-    WW pairs :meth:`PruneState._install` is to install and their
-    :func:`_chain_masks` (None when there is nothing to skip), the
-    weight of the ordered pairs left out (each ``1 + |readers| -
-    [second is a reader]``, as :meth:`PruneState._install` counts a
-    skipped pair), how many pairs the rows order, and the undecided
-    constraints in pair order.
+    winners close a cycle.  Otherwise ``(plan, ordered, decided,
+    constraints)``.  ``plan`` is None when nothing won, else the
+    arguments of :meth:`PruneState.promote_key`: the :class:`KeyOrder`
+    to log, the winning WW pairs to install, their :func:`_chain_masks`
+    (None when there is nothing to skip) and the weight of the ordered
+    pairs left out (each ``1 + |readers| - [second is a reader]``, as
+    :meth:`PruneState._install` counts a skipped pair).  ``ordered`` and
+    ``decided`` count the pairs the rows order and the RW rule decides;
+    ``constraints`` are the undecided pairs, in pair order.
     """
     row = rows.rows
     k = len(writers)
@@ -619,12 +621,17 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
     if any(map(int.__and__, after, bits)):
         return None    # a writer that reaches itself orders nothing
     sizes = [a.bit_count() for a in after]
-    by_reach = sorted(range(k), key=sizes.__getitem__, reverse=True)
+    ordered = sum(sizes)
+    # succ[i]: the immediate successors of writers[i].  Over positions,
+    # not vertices: bit j of earlier[i] / later[i] is writers[j]
+    # preceding / following writers[i].  All empty when nothing is
+    # ordered.
     succ: List[List[int]] = [[] for _ in range(k)]
-    # Over positions, not vertices: bit j of earlier[i] / later[i] is
-    # writers[j] preceding / following writers[i].
     earlier = [0] * k
+    later = [0] * k
     implied = 0
+    by_reach = (sorted(range(k), key=sizes.__getitem__, reverse=True)
+                if ordered else ())
     for at, i in enumerate(by_reach):
         target = after[i]
         if not target:
@@ -653,14 +660,12 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
             implied += ((sizes[i] - len(succ[i])) * (1 + len(own))
                         - sum(1 for r in own if left >> r & 1))
 
-    later = [0] * k
     for i in reversed(by_reach):
         for j in succ[i]:
             later[i] |= later[j] | 1 << j
     decided: Dict[Tuple[int, int], bool] = {}
     undecided: List[Constraint] = []
     ahead: Dict[int, List[int]] = {}    # RW-decided arcs by first
-    ordered = sum(sizes)
     if ordered < k * (k - 1) // 2:    # some pairs are left unordered
         everyone = (1 << k) - 1
         for i, t in enumerate(writers):
@@ -688,6 +693,8 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
                     undecided.append(Constraint(key, t, s, readers[i],
                                                 readers[j]))
 
+    if not (ordered or decided):    # every pair left open: no winner
+        return None, 0, 0, undecided
     # The per-pair iteration's install order: each first by the pair it
     # first wins (that with the lowest position it precedes), then by
     # position.
@@ -710,7 +717,7 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
         if not min(masks[0].values()):
             return None    # the winners close a cycle: every pair goes in
     order = KeyOrder(key, writers, readers, after, decided)
-    return order, arcs, masks, implied, ordered, undecided
+    return (order, arcs, masks, implied), ordered, len(decided), undecided
 
 
 def prune_constraints(graph: GeneralizedPolygraph) -> PruneResult:
