@@ -309,14 +309,8 @@ class PruneState:
         reader list); pairs that came with different ones (the
         ablation's one-reader pieces) go in as they are, and so do
         winners that close a cycle among themselves
-        (``masks``, from :func:`_chain_masks`).  ``masks`` is None when
-        the pairs are their own transitive reduction already: every pair
-        goes in, in order.
+        (``masks``, from :func:`_chain_masks`).
         """
-        if masks is None:
-            for (first, second), lists in arcs.items():
-                self._add_pairs(key, first, second, lists)
-            return
         bit, via = masks
         by_first: Dict[int, List[Tuple[int, List[Sequence[int]]]]] = {}
         for (first, second), reader_lists in arcs.items():
@@ -550,8 +544,7 @@ def order_writers(graph: GeneralizedPolygraph, state: PruneState,
         decision = _order_key(key, writers, readers, rows, pred_mask)
         if decision is not None:
             plan, pairs, decided, undecided = decision
-            if plan is not None:
-                plans.append(plan)
+            plans.append(plan)
             won += pairs + decided
             ordered += pairs
             built += len(undecided)
@@ -604,12 +597,12 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
     Returns None — build and classify the key pair by pair — when a
     writer reaches itself, a pair has both branches impossible, or the
     winners close a cycle.  Otherwise ``(plan, ordered, decided,
-    constraints)``.  ``plan`` is None when nothing won, else the
-    arguments of :meth:`PruneState.promote_key`: the :class:`KeyOrder`
-    to log, the winning WW pairs to install, their :func:`_chain_masks`
-    (None when there is nothing to skip) and the weight of the ordered
-    pairs left out (each ``1 + |readers| - [second is a reader]``, as
-    :meth:`PruneState._install` counts a skipped pair).  ``ordered`` and
+    constraints)``.  ``plan`` holds the arguments of
+    :meth:`PruneState.promote_key`: the :class:`KeyOrder` to log, the
+    winning WW pairs to install, their :func:`_chain_masks` and the
+    weight of the ordered pairs left out (each ``1 + |readers| -
+    [second is a reader]``, as :meth:`PruneState._install` counts a
+    skipped pair).  ``ordered`` and
     ``decided`` count the pairs the rows order and the RW rule decides;
     ``constraints`` are the undecided pairs, in pair order.
     """
@@ -621,17 +614,14 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
     if any(map(int.__and__, after, bits)):
         return None    # a writer that reaches itself orders nothing
     sizes = [a.bit_count() for a in after]
-    ordered = sum(sizes)
+    by_reach = sorted(range(k), key=sizes.__getitem__, reverse=True)
     # succ[i]: the immediate successors of writers[i].  Over positions,
     # not vertices: bit j of earlier[i] / later[i] is writers[j]
-    # preceding / following writers[i].  All empty when nothing is
-    # ordered.
+    # preceding / following writers[i].
     succ: List[List[int]] = [[] for _ in range(k)]
     earlier = [0] * k
     later = [0] * k
     implied = 0
-    by_reach = (sorted(range(k), key=sizes.__getitem__, reverse=True)
-                if ordered else ())
     for at, i in enumerate(by_reach):
         target = after[i]
         if not target:
@@ -666,6 +656,7 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
     decided: Dict[Tuple[int, int], bool] = {}
     undecided: List[Constraint] = []
     ahead: Dict[int, List[int]] = {}    # RW-decided arcs by first
+    ordered = sum(sizes)
     if ordered < k * (k - 1) // 2:    # some pairs are left unordered
         everyone = (1 << k) - 1
         for i, t in enumerate(writers):
@@ -693,8 +684,6 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
                     undecided.append(Constraint(key, t, s, readers[i],
                                                 readers[j]))
 
-    if not (ordered or decided):    # every pair left open: no winner
-        return None, 0, 0, undecided
     # The per-pair iteration's install order: each first by the pair it
     # first wins (that with the lowest position it precedes), then by
     # position.
@@ -711,11 +700,9 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
         t, lists = writers[i], [readers[i]]
         for j in sorted(succ[i] + ahead.get(i, [])):
             arcs[(t, writers[j])] = lists
-    masks = None    # the immediate successors: nothing to skip
-    if decided:
-        masks = _chain_masks(arcs)
-        if not min(masks[0].values()):
-            return None    # the winners close a cycle: every pair goes in
+    masks = _chain_masks(arcs)
+    if decided and not min(masks[0].values()):
+        return None    # the winners close a cycle: every pair goes in
     order = KeyOrder(key, writers, readers, after, decided)
     return (order, arcs, masks, implied), ordered, len(decided), undecided
 
