@@ -1,32 +1,18 @@
-"""Shared infrastructure for the evaluation benchmarks (Section 5).
+"""Shared infrastructure for the benchmark scripts.
 
-Every benchmark regenerates one of the paper's tables or figures; see
-DESIGN.md's per-experiment index and EXPERIMENTS.md for the recorded
-results.  Sizes are scaled to pure-Python runtime (the paper's checker is
-JVM + native MonoSAT) but keep the paper's sweep structure; set
-``REPRO_BENCH_SCALE`` to grow or shrink every workload proportionally.
+``bench_paper.py`` regenerates the paper's tables and figures; the other
+``bench_*.py`` scripts gate one stage each (see DESIGN.md's
+per-experiment index).  Sizes are scaled to pure-Python runtime (the
+paper's checker is JVM + native MonoSAT); set ``REPRO_BENCH_SCALE`` to
+grow or shrink every workload proportionally.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-from repro.baselines.cobra import CobraChecker
-from repro.baselines.cobrasi import CobraSIChecker
-from repro.baselines.dbcop import DbcopBudgetExceeded, DbcopChecker
-from repro.core.checker import PolySIChecker
-from repro.storage.client import run_workload
-from repro.storage.database import MVCCDatabase
-from repro.workloads.benchmarks import (
-    ctwitter_workload,
-    rubis_workload,
-    tpcc_workload,
-)
-from repro.workloads.generator import WorkloadParams, generate_history
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -69,109 +55,3 @@ def note_stage_seconds(report, subject, **check_kwargs) -> dict:
     report.note("stage_seconds", totals)
     return totals
 
-
-#: Figure 6/7 base configuration (the paper: 20 sess x 100 txns x 15 ops,
-#: 50% reads, 10k keys, zipfian — scaled for Python).
-BASE = {
-    "sessions": scaled(8),
-    "txns_per_session": scaled(40),
-    "ops_per_txn": scaled(8),
-    "read_proportion": 0.5,
-    "keys": scaled(400),
-    "distribution": "zipfian",
-}
-
-#: Sweep axes for Figures 6 and 7 (paper values in comments).
-AXES = {
-    "sessions": [scaled(4), scaled(8), scaled(16), scaled(24)],  # 5..30
-    "txns_per_session": [scaled(20), scaled(40), scaled(80)],    # 50..250
-    "ops_per_txn": [scaled(4), scaled(8), scaled(16)],           # 5..30
-    "read_proportion": [0.1, 0.5, 0.9],                          # 0..100%
-    "keys": [scaled(100), scaled(400), scaled(1200)],            # 2k..10k
-    "distribution": ["uniform", "zipfian", "hotspot"],
-}
-
-#: Per-axis iteration order for the series sweeps, cheapest configuration
-#: first.  Checking cost *decreases* with read proportion and key count
-#: (less write-write contention) and with ops/txn (more reads pin more
-#: version orders), so those axes are swept in reverse; the budget-skip
-#: logic in the harness then drops only genuinely hopeless larger points.
-SWEEP_ORDER = {
-    "sessions": AXES["sessions"],
-    "txns_per_session": AXES["txns_per_session"],
-    "ops_per_txn": list(reversed(AXES["ops_per_txn"])),
-    "read_proportion": list(reversed(AXES["read_proportion"])),
-    "keys": list(reversed(AXES["keys"])),
-    "distribution": AXES["distribution"],
-}
-
-
-@functools.lru_cache(maxsize=None)
-def history_for(isolation: str = "snapshot", seed: int = 1, **overrides):
-    """Cached valid history for a Figure 6/7 configuration."""
-    config = dict(BASE)
-    config.update(overrides)
-    params = WorkloadParams(**config)
-    return generate_history(params, seed=seed, isolation=isolation).history
-
-
-def _dbcop_check(history):
-    # 40k states is this harness's analog of the paper's 180 s timeout:
-    # dbcop either finishes quickly or state-explodes far past it.
-    try:
-        return DbcopChecker(max_states=40_000).check_si(history).satisfies
-    except DbcopBudgetExceeded:
-        raise TimeoutError("dbcop state budget exceeded")
-
-
-#: The checker line-up of Figures 6 and 7.
-CHECKERS = {
-    "PolySI": lambda h: PolySIChecker().check(h).satisfies_si,
-    "dbcop": _dbcop_check,
-    "CobraSI w/ GPU": lambda h: CobraSIChecker(gpu=True).check(h).satisfies_si,
-    "CobraSI w/o GPU": lambda h: CobraSIChecker(gpu=False).check(h).satisfies_si,
-}
-
-
-# -- the six benchmark workloads of Figures 8-10 / Table 3 --------------------------
-
-
-def _general(read_proportion: float):
-    """General{RH,RW,WH}: 25 sessions x 400 txns x 8 ops in the paper."""
-    return WorkloadParams(
-        sessions=scaled(8),
-        txns_per_session=scaled(50),
-        ops_per_txn=scaled(8),
-        read_proportion=read_proportion,
-        keys=scaled(600),
-        distribution="zipfian",
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def workload_history(name: str, isolation: str = "snapshot", seed: int = 1):
-    """One of the six Section 5.1.1 benchmark histories, executed on the
-    requested isolation level."""
-    total = scaled(400)
-    sessions = scaled(8)
-    if name == "RUBiS":
-        spec = rubis_workload(sessions=sessions, total_txns=total, seed=seed)
-    elif name == "TPC-C":
-        spec = tpcc_workload(sessions=sessions, total_txns=total, seed=seed)
-    elif name == "C-Twitter":
-        spec = ctwitter_workload(sessions=sessions, total_txns=total, seed=seed)
-    elif name == "GeneralRH":
-        return generate_history(_general(0.95), seed=seed, isolation=isolation).history
-    elif name == "GeneralRW":
-        return generate_history(_general(0.50), seed=seed, isolation=isolation).history
-    elif name == "GeneralWH":
-        return generate_history(_general(0.30), seed=seed, isolation=isolation).history
-    else:
-        raise ValueError(f"unknown workload {name!r}")
-    db = MVCCDatabase(isolation=isolation, seed=seed)
-    return run_workload(db, spec, seed=seed).history
-
-
-WORKLOAD_NAMES = [
-    "RUBiS", "TPC-C", "C-Twitter", "GeneralRH", "GeneralRW", "GeneralWH",
-]

@@ -25,7 +25,7 @@ our MVCC database (see DESIGN.md, substitution 2):
   bookkeeping.
 
 ``DATABASE_PROFILES`` names the configurations after the systems they
-emulate; ``benchmarks/bench_table2.py`` regenerates Table 2 from them.
+emulate; ``benchmarks/bench_paper.py table2`` regenerates Table 2 from them.
 """
 
 from __future__ import annotations

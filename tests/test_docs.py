@@ -5,7 +5,9 @@ Two failure modes this file guards against:
 - **drift** — the README's CLI excerpt advertising subcommands or flags
   the parser no longer has (or missing ones it grew);
 - **dead links** — relative markdown links in README/DESIGN/docs/
-  pointing at files that moved or were renamed.
+  pointing at files that moved or were renamed, and backticked
+  ``benchmarks/*.py`` script paths in README/DESIGN naming scripts that
+  no longer exist.
 """
 
 import os
@@ -127,6 +129,20 @@ def test_no_dead_relative_links():
             if not os.path.exists(resolved):
                 dead.append(f"{os.path.relpath(path, REPO_ROOT)} -> {target}")
     assert dead == [], f"dead relative links: {dead}"
+
+
+_SCRIPT = re.compile(r"`(benchmarks/[\w/.-]+\.py)[`\s]")
+
+
+def test_no_stale_benchmark_script_paths():
+    """Every backticked ``benchmarks/….py`` path in README/DESIGN exists
+    (a renamed or folded script leaves no reference behind)."""
+    stale = []
+    for name in DOC_FILES:
+        for script in _SCRIPT.findall(_read(os.path.join(REPO_ROOT, name))):
+            if not os.path.exists(os.path.join(REPO_ROOT, script)):
+                stale.append(f"{name} -> {script}")
+    assert stale == [], f"stale benchmark script paths: {stale}"
 
 
 def test_design_has_collection_section():
