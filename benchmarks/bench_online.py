@@ -40,7 +40,11 @@ relative to every 8th (near 1 when a re-solve on the kept instance is a
 handful of decisions); and two work counts that do not depend on the
 machine: ``prune_asked`` (constraints the pruning fixpoint evaluated)
 and ``gc_examined`` (vertices the window's eviction passes examined)
-per mode — the online checker asks only what an event changed; and
+per mode — the online checker asks only what an event changed — and,
+next to them, ``closure``: the induced-graph closure's
+``inserts_new`` / ``inserts_known`` / ``queries`` per mode (an
+arrival's in-pairs enter with one ``insert_into`` and cost no lookup);
+and
 ``batch_speedup``, ``batch/1`` over ``batch/64``, asserted at 1.2x or
 more at full scale (both runs must reach the same verdict, accepted
 count and evictions).
@@ -171,7 +175,7 @@ def main():
         txns = stream_txns(size)
         cells = [str(len(txns))]
         runs = {mode: [] for mode in (*ONLINE_MODES, REBATCH)}
-        builds, asked, examined, settled = {}, {}, {}, {}
+        builds, asked, examined, settled, closure = {}, {}, {}, {}, {}
         for _ in range(REPEATS):
             for mode in ROUND:
                 if mode == REBATCH:
@@ -184,6 +188,8 @@ def main():
                 builds[mode] = stats["solver_builds"]
                 asked[mode] = stats["prune_asked"]
                 examined[mode] = stats["gc_examined"]
+                closure[mode] = {name: stats["closure"][name] for name in
+                                 ("inserts_new", "inserts_known", "queries")}
                 assert builds[mode] <= stats["window"]["compactions"] + 1, (
                     f"{mode}: {builds[mode]} solver instances for "
                     f"{stats['window']['compactions']} compactions")
@@ -197,6 +203,7 @@ def main():
     report.note("solver_builds", builds)
     report.note("prune_asked", asked)
     report.note("gc_examined", examined)
+    report.note("closure", closure)
     report.note("solve1_over_solve8",
                 round(seconds["online"] / seconds["online/8"], 2))
     assert settled["batch/1"] == settled["batch/64"], settled
@@ -212,6 +219,7 @@ def main():
     print(f"solver instances built at {rows[-1][0]} txns: {builds}; "
           f"online / online/8 = {report.derived['solve1_over_solve8']}")
     print(f"constraints asked: {asked}; vertices examined: {examined}")
+    print(f"closure work: {closure}")
     print(f"batch/1 / batch/64 = {batch_speedup}")
     print(f"results: {report.write()}")
     assert seconds["online"] < seconds[REBATCH], (

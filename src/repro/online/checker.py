@@ -19,10 +19,10 @@ eviction and solving settle once at the batch end (DESIGN.md S6,
   version order is already resolved, the implied anti-dependency edge is
   emitted immediately.
 - **pruning** — the known induced graph ``KI = Dep ∪ (Dep ; AntiDep)``
-  is extended edge by edge through the vectorized incremental-closure
-  kernel (:class:`repro.utils.closure_np.NumpyBitsetClosure`: the
-  checker is insert-bound, where bulk-OR propagation wins — DESIGN.md
-  S10); the paper's two impossibility rules (Section 4.3) run to
+  grows in :class:`~repro.utils.closure_np.NumpyBitsetClosure`
+  (DESIGN.md S10): one ``insert_into`` per arrival for the pairs into
+  it (it reaches nothing yet), one ``insert`` per other pair; the
+  paper's two impossibility rules (Section 4.3) run to
   fixpoint over the surviving constraints only, and ask only the
   *dirty* ones — those a change to the reader lists, Dep predecessors
   or closure rows they read can have flipped since they were last
@@ -230,6 +230,9 @@ class OnlineChecker:
 
         self._ki = NumpyBitsetClosure(1)
         self._dep_reach = NumpyBitsetClosure(1) if window else None
+        self._sink = -1         # the arriving vertex: see _flush_sink
+        self._ki_into: Dict[int, None] = {}
+        self._dep_into: List[int] = []
 
         self._unresolved: Dict[tuple, bool] = {}
         self._unresolved_touch: Dict[int, int] = {}
@@ -588,6 +591,7 @@ class OnlineChecker:
         self._wstats.peak_live = max(self._wstats.peak_live, self._live_count)
         candidates = self._candidates
         candidates.add(vertex)
+        self._sink = vertex
         for edge in self._arrival:
             self._add_known(edge)
             if edge[2] == SO:
@@ -596,6 +600,8 @@ class OnlineChecker:
                 if edge[1] != vertex:
                     candidates.add(edge[1])  # a read of it stopped pending
                 self._new_reader(edge)
+        self._flush_sink()
+        self._sink = -1
         self._arrival.clear()
         # One fresh generalized constraint per key per earlier writer
         # (index_writes just put this one last).
@@ -661,9 +667,15 @@ class OnlineChecker:
         if not self._known.add(edge):
             return
         if edge[2] != RW:
+            if edge[0] == self._sink:
+                self._flush_sink()
+                self._sink = -1             # the arrival gains a successor
             # edge[1] gained a Dep predecessor: its pred_mask grew.
             self._dirty.update(self._watch.get(edge[1], ()))
-            if self._dep_reach is not None:
+            if self._dep_reach is not None and edge[1] == self._sink:
+                self._dep_into.append(edge[0])
+            elif self._dep_reach is not None:
+                self._flush_sink()
                 self._dep_reach.insert(edge[0], edge[1])
         for a, b in self._known.induced_by(edge):
             self._add_ki(a, b)
@@ -684,19 +696,23 @@ class OnlineChecker:
 
     def _add_ki(self, a: int, b: int) -> None:
         """Insert one induced known edge; a cycle here is a violation."""
-        if self._ki.has_edge(a, b):
+        if self._ki.has_edge(a, b) or (b == self._sink and a in self._ki_into):
             return
         self._solver_dirty = True
-        status = self._ki.insert(a, b)
-        if status == CYCLE:
-            self._latch("pruning", cycle=self._witness())
-            return
-        if status == NEW:
-            # Every row that grew gained bits of these targets only; ask
-            # again whatever watches one of them.
-            hit = (self._ki.row(b) | 1 << b) & self._watched
-            for vert in iter_bits(hit):
-                self._dirty.update(self._watch[vert])
+        if b == self._sink:
+            self._ki_into[a] = None
+        else:
+            self._flush_sink()
+            status = self._ki.insert(a, b)
+            if status == CYCLE:
+                self._latch("pruning", cycle=self._witness())
+                return
+            if status == NEW:
+                # Every row that grew gained bits of these targets only;
+                # ask again whatever watches one of them.
+                hit = (self._ki.row(b) | 1 << b) & self._watched
+                for vert in iter_bits(hit):
+                    self._dirty.update(self._watch[vert])
         if self._enc is not None:
             conflict = self._enc.solver.add_static_edge(a, b)
             if conflict is not None:
@@ -704,6 +720,17 @@ class OnlineChecker:
                 # mandatory (root-level facts): a violation, though the
                 # typed witness may be partial.
                 self._latch("solving", cycle=self._witness())
+
+    def _flush_sink(self) -> None:
+        """Install the pairs waiting for the arriving transaction, one
+        ``insert_into`` per closure (DESIGN.md S6, "One flush per arrival")."""
+        if self._ki_into:
+            # No dirty mark: what watches the arrival is new, so dirty.
+            self._ki.insert_into(self._sink, list(self._ki_into))
+            self._ki_into.clear()
+        if self._dep_into:
+            self._dep_reach.insert_into(self._sink, self._dep_into)
+            self._dep_into.clear()
 
     # -- incremental pruning ---------------------------------------------------
 
@@ -851,6 +878,7 @@ class OnlineChecker:
                cycle: Optional[List[Edge]] = None) -> None:
         if self._violation is not None:
             return
+        self._flush_sink()
         out = OnlineResult()
         out.satisfies_si = False
         out.final = True

@@ -14,8 +14,8 @@ pattern (DESIGN.md S10):
 - the **online** checker (:mod:`repro.online.checker`) grows
   :class:`~repro.utils.closure_np.NumpyBitsetClosure` (packed ``uint64``
   matrices) one transaction at a time and additionally relies on cycle
-  reporting and window compaction.  It is insert-bound, where numpy's
-  bulk-OR propagation wins.
+  reporting and window compaction.  It is update-bound (one bulk-OR
+  ``insert`` per pair, one ``insert_into`` per arrival's in-pairs).
 
 Because two kernels serve the same contract, a fast-but-wrong kernel
 would silently corrupt a mode.  :class:`PyBitsetClosure` is therefore
@@ -234,6 +234,35 @@ class ClosureBackend:
         """
         raise NotImplementedError
 
+    def insert_into(self, v: int, sources: Sequence[int]) -> List[str]:
+        """``[insert(u, v) for u in sources]`` into a ``v`` that reaches
+        nothing (else ``ValueError``), in one pass: each pair only sets
+        bit ``v`` in the rows of ``v``'s new ancestors.  Kernels provide
+        ``_peek`` (``row``, not counted) and ``_install_into``."""
+        if self._peek(v):
+            raise ValueError(f"insert_into: vertex {v} is not a sink")
+        # ``u`` reaches ``v`` already iff its row meets ``v`` or an earlier
+        # source (or it is one); only ``u == v`` closes a cycle.
+        seen, new, outcomes = 1 << v, 0, []
+        for u in sources:
+            ubit = 1 << u
+            if u != v and (self._peek(u) | ubit) & seen:
+                self._iknown += 1
+                outcomes.append(KNOWN)
+            else:
+                outcomes.append(self._insert_outcome(u == v))
+                new |= ubit
+            seen |= ubit
+        self._install_into(v, sources, new)
+        return outcomes
+
+    def _insert_outcome(self, cyclic: bool) -> str:
+        if cyclic:
+            self._icycle += 1
+            return CYCLE
+        self._inew += 1
+        return NEW
+
     def compact(self, live: Sequence[int]) -> List[int]:
         """Renumber onto ``live`` (old vertex ids; their order of
         appearance defines the new ids — in-repo callers pass them
@@ -369,12 +398,23 @@ class PyBitsetClosure(ClosureBackend):
                 co[y] |= sources
         return self._insert_outcome(cyclic)
 
-    def _insert_outcome(self, cyclic: bool) -> str:
-        if cyclic:
-            self._icycle += 1
-            return CYCLE
-        self._inew += 1
-        return NEW
+    def _peek(self, u: int) -> int:
+        return self.rows[u]
+
+    def _install_into(self, v: int, sources: Sequence[int], new: int) -> None:
+        rows, co, bit = self.rows, self._co_rows, 1 << v
+        for u in sources:
+            self.edges[u] |= bit
+        if co is None:  # the new sources and every row meeting one
+            gained = [x for x, row in enumerate(rows)
+                      if (new >> x & 1 or row & new) and not row & bit]
+        else:
+            for u in iter_bits(new):
+                new |= co[u]
+            gained = iter_bits(new & ~co[v])
+            co[v] |= new
+        for x in gained:
+            rows[x] |= bit
 
     def compact(self, live: Sequence[int]) -> List[int]:
         """See :meth:`ClosureBackend.compact`."""

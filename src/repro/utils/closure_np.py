@@ -27,8 +27,8 @@ read) instead of a Python bit scan.  One insert into a closure with
 ``a`` ancestors costs O(a * n / 64) bytes of C-loop work with no
 Python-level per-ancestor iteration — on deep cascades (the
 ``bench_prune`` kernel-cascade corpus) this is the >=3x win the
-benchmark gates, and the online checker's insert-bound growth is
-where it pays.  Lookups cost more than on python ints, since every
+benchmark gates; an arrival's ``insert_into`` is one column write.
+Lookups cost more than on python ints, since every
 ``row()`` converts a matrix row back to an int, which is why lookup-bound
 batch pruning keeps the python kernel (DESIGN.md S10).
 
@@ -48,7 +48,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .closure import CYCLE, KNOWN, NEW, ClosureBackend
+from .closure import KNOWN, ClosureBackend, iter_bits
 
 __all__ = ["NumpyBitsetClosure"]
 
@@ -272,12 +272,24 @@ class NumpyBitsetClosure(ClosureBackend):
         self._bulk_or(co, tgt_idx, sources)
         return self._insert_outcome(cyclic)
 
-    def _insert_outcome(self, cyclic: bool) -> str:
-        if cyclic:
-            self._icycle += 1
-            return CYCLE
-        self._inew += 1
-        return NEW
+    def _peek(self, u: int) -> int:
+        if u >= self._n:
+            raise IndexError("vertex out of range")
+        return _unpack_int(self._rows[u])
+
+    def _install_into(self, v: int, sources: Sequence[int], new: int) -> None:
+        n, rows, co, words = self._n, self._rows, self._co, self._rows.shape[1]
+        wv, sv = v >> 6, np.uint64(v & 63)
+        self._edges[list(sources), wv] |= _ONE << sv
+        if co is None:  # the new sources and every row meeting one
+            anc = (rows[:n] & _pack_int(new, words)).any(axis=1)
+            anc[list(iter_bits(new))] = True
+        else:
+            for u in iter_bits(new):
+                new |= _unpack_int(co[u])
+            co[v] |= _pack_int(new, words)
+            anc = np.unpackbits(co[v].view("u1"), bitorder="little", count=n)
+        rows[:n, wv] |= anc.astype(np.uint64) << sv
 
     def _index_of(self, packed: np.ndarray) -> np.ndarray:
         """Vertex indices of the set bits of a packed row."""

@@ -9,9 +9,9 @@ step.  Three layers:
 
 1. **Differential fuzz** — ~200 seeded random scripts (DAG-biased and
    cyclic, constructor-seeded and ``from_rows``-seeded) interleaving
-   ``add_vertex`` / ``insert`` / ``compact`` with the full query
-   surface, replayed in lockstep against the numpy kernel with the
-   python reference as the oracle.  ``int_rows`` / ``co_rows`` must be
+   ``add_vertex`` / ``insert`` / ``insert_into`` / ``compact`` with the
+   full query surface, replayed in lockstep against the numpy kernel
+   with the python reference as the oracle.  ``int_rows`` / ``co_rows`` must be
    byte-identical integers, ``insert`` must return the same tri-state,
    queries the same answers, ``co_materialized`` the same laziness.
 2. **Property-based invariants** — each kernel checked against the
@@ -83,8 +83,12 @@ def random_script(rng, *, cyclic: bool, seed_from_rows: bool):
         roll = rng.random()
         if roll < 0.08:
             script.append(("add_vertex",))
-        elif roll < 0.55:
+        elif roll < 0.47:
             script.append(("insert", rng.random(), rng.random(), cyclic))
+        elif roll < 0.55:
+            script.append(("insert_into", rng.random(),
+                           [rng.random() for _ in range(rng.randrange(6))],
+                           cyclic))
         elif roll < 0.62:
             script.append(("compact", rng.random()))
         else:
@@ -131,6 +135,19 @@ class Replayer:
                     return ("insert", None)
                 u, v = v, u
             return ("insert", c.insert(u, v), c.co_materialized)
+        if kind == "insert_into":
+            # Whenever some vertex reaches nothing, it may take a batch
+            # of in-pairs at once (in DAG mode only from lower ids).
+            _, r, draws, cyclic = op
+            sinks = [x for x, row in enumerate(c.int_rows()) if not row]
+            if not sinks:
+                return ("insert_into", None)
+            v = sinks[int(r * len(sinks))]
+            sources = [int(d * n) for d in draws]
+            if not cyclic:
+                sources = [u for u in sources if u < v]
+            return ("insert_into", c.insert_into(v, sources),
+                    c.co_materialized)
         if kind == "compact":
             _, r = op
             live = [v for v in range(n)
@@ -177,6 +194,56 @@ def test_differential_fuzz(cyclic, seed_from_rows, block):
             for name, replayer in others:
                 got = replayer.step(op)
                 assert got == want, (name, seed, step_no, op)
+
+
+def sequential_pair(backend_cls, seed, from_rows):
+    """Two identical closures over a random graph, constructor-seeded or
+    ``from_rows``-seeded (backward rows lazy), with a fresh vertex."""
+    out = []
+    for _ in range(2):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 90)
+        c = build_random(PyBitsetClosure if from_rows else backend_cls,
+                         rng, n, rng.randrange(3 * n), dag=rng.random() < 0.5)
+        if from_rows:
+            c = backend_cls.from_rows(c.int_rows())
+        c.add_vertex()
+        out.append(c)
+    return out, rng
+
+
+@pytest.mark.parametrize("from_rows", [False, True])
+def test_insert_into_is_sequential_insert(backend, from_rows):
+    """``insert_into(v, sources)`` into a vertex that reaches nothing ends
+    exactly as ``insert(u, v)`` for each source in order: outcomes,
+    rows, backward rows and their laziness, direct edges, counters."""
+    for seed in range(60):
+        (batched, stepped), rng = sequential_pair(backend, seed, from_rows)
+        n = batched.num_vertices
+        sinks = [x for x, row in enumerate(batched.int_rows()) if not row]
+        v = rng.choice(sinks)
+        sources = [rng.randrange(n) for _ in range(rng.randrange(12))]
+        if rng.random() < 0.3:
+            sources.append(v)                 # a self-loop is a cycle
+        assert batched.insert_into(v, sources) == [
+            stepped.insert(u, v) for u in sources], seed
+        assert batched.co_materialized == stepped.co_materialized
+        assert batched.counters() == stepped.counters()
+        assert batched.int_rows() == stepped.int_rows(), seed
+        assert batched.co_rows == stepped.co_rows, seed
+        for u in range(n):
+            assert (list(batched.successors_direct(u))
+                    == list(stepped.successors_direct(u))), (seed, u)
+
+
+def test_insert_into_needs_a_sink(backend):
+    c = backend(3)
+    c.insert(1, 2)
+    with pytest.raises(ValueError):
+        c.insert_into(1, [0])
+    assert c.insert_into(2, []) == []
+    assert c.insert_into(2, [0, 1, 0]) == [NEW, KNOWN, KNOWN]
+    assert c.counters()["inserts_known"] == 2
 
 
 def test_differential_rows_after_dense_inserts():
