@@ -27,6 +27,12 @@ increasing length:
 
 Both bars are asserted, so CI fails if durability gets expensive or
 resume stops paying for itself.
+
+``derived.gc`` records, per series (``plain``, ``journal``,
+``checkpoint``, ``resume``), the cyclic collector's passes per
+generation during that series' run at the largest size (``resume``:
+its last reopen) — no bar, a record of what the collector pause
+leaves.
 """
 
 import os
@@ -37,6 +43,7 @@ import time
 from _common import scaled
 from repro.bench.harness import render_table
 from repro.bench.results import BenchReport
+from repro.obs import collector_passes
 from repro.online import OnlineChecker
 from repro.storage.client import stream_workload
 from repro.storage.database import MVCCDatabase
@@ -114,6 +121,14 @@ def reopen_seconds(path: str, *, resume: bool) -> float:
     return elapsed
 
 
+def with_passes(run, *args, **kwargs):
+    """``(run(...), collector passes per generation during it)``."""
+    before = collector_passes()
+    value = run(*args, **kwargs)
+    after = collector_passes()
+    return value, {name: after[name] - before[name] for name in after}
+
+
 def main():
     report = BenchReport("resume", config={
         "sessions": SESSIONS,
@@ -137,23 +152,27 @@ def main():
         for size in SIZES:
             txns = stream_txns(size)
             n = len(txns)
-            plain = plain_seconds(txns)
-            journal = persistent_seconds(
-                txns, os.path.join(workdir, f"journal-{n}"),
-                checkpoint_every=0)
+            passes = {}
+            plain, passes["plain"] = with_passes(plain_seconds, txns)
+            journal, passes["journal"] = with_passes(
+                persistent_seconds, txns,
+                os.path.join(workdir, f"journal-{n}"), checkpoint_every=0)
             append_only = min(
                 append_only_seconds(
                     txns, os.path.join(workdir, f"append-{n}-{attempt}"))
                 for attempt in range(3))
             ckpt_path = os.path.join(workdir, f"ckpt-{n}")
-            checkpoint = persistent_seconds(
-                txns, ckpt_path, checkpoint_every=CHECKPOINT_EVERY)
+            checkpoint, passes["checkpoint"] = with_passes(
+                persistent_seconds, txns, ckpt_path,
+                checkpoint_every=CHECKPOINT_EVERY)
             # Best of three reopens each, as for append-only: one noisy
             # sample must not decide the speedup bar.
             recheck = min(reopen_seconds(ckpt_path, resume=False)
                           for _ in range(REOPENS))
-            resume = min(reopen_seconds(ckpt_path, resume=True)
-                         for _ in range(REOPENS))
+            resumes = [with_passes(reopen_seconds, ckpt_path, resume=True)
+                       for _ in range(REOPENS)]
+            resume = min(seconds for seconds, _ in resumes)
+            passes["resume"] = resumes[-1][1]
 
             overhead = append_only / plain
             speedup = recheck / max(resume, 1e-9)
@@ -170,6 +189,7 @@ def main():
                          f"{append_only:.4f}", f"{checkpoint:.3f}",
                          f"{recheck:.3f}", f"{resume:.3f}",
                          f"{overhead * 100:.2f}%", f"{speedup:.1f}x"])
+        report.note("gc", passes)  # the largest size's
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -179,6 +199,9 @@ def main():
          "recheck", "resume", "durability tax", "resume speedup"],
         rows,
     ))
+    print("collector passes per generation at the largest size: "
+          + ", ".join(f"{series} {'/'.join(map(str, counts.values()))}"
+                      for series, counts in report.derived["gc"].items()))
     print(f"results: {report.write()}")
 
     largest, speedup = speedups[-1]

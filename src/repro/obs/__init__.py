@@ -11,11 +11,13 @@ functions, all of which are no-ops until a :class:`Tracer` /
 from .logs import configure_logging, get_logger, verbosity_level
 from .metrics import (
     MetricsRegistry,
+    collector_passes,
     counter,
     current_metrics,
     gauge,
     histogram,
     prometheus_text,
+    publish_collector_passes,
     use_metrics,
 )
 from .trace import (
@@ -43,6 +45,8 @@ __all__ = [
     "gauge",
     "histogram",
     "prometheus_text",
+    "collector_passes",
+    "publish_collector_passes",
     "use_metrics",
     "current_metrics",
     "validate_trace",

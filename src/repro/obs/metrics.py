@@ -14,8 +14,13 @@ emitter) see consistent snapshots.
 Prometheus text exposition format (the service daemon's ``/metrics``
 endpoint) — dotted instrument names become underscore-separated metric
 names, and an optional label set distinguishes per-tenant registries.
+
+:func:`collector_passes` reads CPython's cumulative cyclic-collector
+passes per generation, which :func:`publish_collector_passes` sets as
+``gc.passes_gen<N>`` gauges at scrape time.
 """
 
+import gc
 import re
 import threading
 from contextlib import contextmanager
@@ -202,6 +207,20 @@ def prometheus_text(snapshots, *, prefix="repro"):
             lines.append(f"# TYPE {header} {typed[header]}")
         lines.append(f"{metric}{label_text} {value}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def collector_passes():
+    """Cyclic-collector passes per generation since the interpreter
+    started: ``{"gen0": n0, "gen1": n1, "gen2": n2}``."""
+    return {f"gen{generation}": stats["collections"]
+            for generation, stats in enumerate(gc.get_stats())}
+
+
+def publish_collector_passes(registry):
+    """Set ``gc.passes_gen<N>`` on ``registry`` from
+    :func:`collector_passes` — cumulative, so they only grow."""
+    for name, passes in collector_passes().items():
+        registry.gauge(f"gc.passes_{name}").set(passes)
 
 
 @contextmanager

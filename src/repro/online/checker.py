@@ -79,6 +79,7 @@ from ..obs import current_metrics, get_logger, trace_span
 from ..solver.cdcl import SolverStats
 from ..utils.closure import CYCLE, NEW, iter_bits
 from ..utils.closure_np import NumpyBitsetClosure
+from ..utils.gcpause import collector_paused
 from .window import WindowPolicy, WindowStats
 
 log = get_logger("online")
@@ -273,6 +274,7 @@ class OnlineChecker:
         same as ``extend([(session, ops, status)])``."""
         return self.extend(((session, ops, status),))
 
+    @collector_paused
     def extend(self, txns: Iterable[tuple]) -> OnlineResult:
         """Feed a batch of ``(session, ops[, status])`` tuples; returns
         the (provisional) verdict at its end.
@@ -284,11 +286,13 @@ class OnlineChecker:
         the batch crossed a ``gc_every`` multiple of accepted
         transactions), a solve (when it crossed a ``solve_every``
         multiple) and the metrics — DESIGN.md S6, "Settling at a batch
-        boundary".  A batch of one is the per-event checker.
+        boundary".  A batch of one is the per-event checker.  The
+        cyclic collector sits the batch out (DESIGN.md S4).
         """
         self._feed(txns)
         return self.result()
 
+    @collector_paused
     def replay(self, history: History) -> OnlineResult:
         """Feed a recorded :class:`History` in transaction-id order, one
         transaction per batch, and finish — the online equivalent of one
@@ -307,6 +311,7 @@ class OnlineChecker:
         self._fill_stats(out)
         return out
 
+    @collector_paused
     def finish(self) -> OnlineResult:
         """End-of-stream verdict: pending reads become unjustified reads
         (no writer will ever arrive), and any solver residue is solved."""
@@ -336,6 +341,7 @@ class OnlineChecker:
 
     # -- persistence ---------------------------------------------------------
 
+    @collector_paused
     def snapshot(self) -> dict:
         """The checker's full state as a JSON-able dict.
 
@@ -426,6 +432,7 @@ class OnlineChecker:
         }
 
     @classmethod
+    @collector_paused
     def restore(cls, state: dict) -> "OnlineChecker":
         """Rebuild a checker from :meth:`snapshot` output.
 

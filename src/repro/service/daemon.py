@@ -33,7 +33,12 @@ import threading
 from typing import Dict, Optional
 
 from ..histories.codec import EVENTS_SCHEMA, event_from_obj
-from ..obs import MetricsRegistry, chrome_trace_events, prometheus_text
+from ..obs import (
+    MetricsRegistry,
+    chrome_trace_events,
+    prometheus_text,
+    publish_collector_passes,
+)
 from .config import ServiceConfig
 from .http import (
     HttpError,
@@ -577,6 +582,7 @@ class ReproService:
         self.metrics.gauge("service.tenants").set(totals["tenants"])
         self.metrics.gauge("service.live_total").set(totals["live"])
         self.metrics.gauge("service.evicted_total").set(totals["evicted"])
+        publish_collector_passes(self.metrics)
         snapshots = [({}, self.metrics.snapshot())]
         for tenant in self.router.tenants():
             snapshots.append(

@@ -47,6 +47,7 @@ from ..core.history import COMMITTED
 from ..histories.codec import event_from_json, event_to_json
 from ..obs import current_metrics, trace_span
 from ..online.checker import OnlineChecker, OnlineResult
+from ..utils.gcpause import collector_paused
 from .segments import SegmentStore
 
 __all__ = ["BATCH_EVENTS", "PersistentCheck", "ingest_error",
@@ -316,13 +317,16 @@ class PersistentCheck:
         if self.checkpoint_every and not self.events % self.checkpoint_every:
             self._checkpoint()
 
+    @collector_paused
     def _checkpoint(self) -> None:
         """Snapshot the checker at the current check position.
 
         No-op without a store, and once a violation or an error has
         latched: the verdict is final (:meth:`OnlineChecker.snapshot`
         refuses).  Best-effort — a failed checkpoint only means a resume
-        replays more of the journal.
+        replays more of the journal.  The cyclic collector sits out both
+        the snapshot and the write, so the payload's containers are
+        freed before it runs again.
         """
         if (self.store is None or self.error is not None
                 or not self.latest.satisfies_si):

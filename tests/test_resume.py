@@ -15,9 +15,21 @@ The soundness contract of DESIGN.md S14, pinned as properties:
   past the newest checkpoint.
 - A latched violation is never checkpointed, and the journaled log
   alone re-derives the violation (``run_persistent_check(path)``).
+- **Checkpoint bytes** — ``tests/data/checkpoint_digests_5e09023.json``
+  holds, for three daemon-shaped streams fed in 64-event slices, the
+  sha256 of every post-slice ``snapshot()`` (``timings`` aside) as
+  commit ``5e09023`` wrote it; every one must be the same today.
+
+Regenerate the digests (only from the build the file is named after)::
+
+    PYTHONPATH=src python tests/test_resume.py OUT.json
 """
 
+import hashlib
+import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -31,7 +43,7 @@ from repro.workloads import WorkloadParams, generate_history
 from repro.workloads.corpus import known_anomaly_corpus
 from repro.workloads.random_histories import random_history
 
-from _helpers import decision_vars, lost_update_history
+from _helpers import decision_vars, lost_update_history, simulated
 
 
 def _events_for(history):
@@ -226,9 +238,6 @@ class TestCheckpointWrittenByAnEarlierBuild:
 
     @staticmethod
     def _fixture(build):
-        import json
-        import os
-
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "data", f"checkpoint_{build}.json")
         with open(path, encoding="utf-8") as handle:
@@ -453,8 +462,6 @@ class TestFacadeAndCli:
         """The prefix match compares events, not bytes: a line another
         writer spelled with spaces and reordered keys is still the
         subject's event."""
-        import json
-
         from repro.histories.codec import event_to_json
         from repro.store import SegmentStore
 
@@ -489,12 +496,77 @@ class TestFacadeAndCli:
             assert store.total_events == journaled
 
 
+#: The checkpoint-digest streams: a tenant under a window small enough
+#: for two compactions, one without a window, and the windowed one
+#: restored from its own snapshot after ``DIGEST_SPLIT`` slices.
+DIGEST_SHAPE = dict(sessions=6, ops_per_txn=8, read_proportion=0.7,
+                    keys=120, distribution="uniform")
+DIGEST_STREAMS = {"windowed": (21, 48), "unwindowed": (22, None)}
+DIGEST_EVENTS, DIGEST_SLICE, DIGEST_SPLIT = 320, 64, 2
+DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "data", "checkpoint_digests_5e09023.json")
+
+
+def checkpoint_digest(checker):
+    """sha256 of the checker's snapshot as JSON, wall-clock timings
+    aside — what a checkpoint carries, byte for byte."""
+    state = checker.snapshot()
+    del state["timings"]
+    return hashlib.sha256(json.dumps(state).encode()).hexdigest()
+
+
+def checkpoint_digests():
+    """Per stream: the digest after every slice (the restored stream:
+    right after its restore, then after every slice it continues with)
+    and the compactions its window ran."""
+    out = {}
+    for name, (seed, max_live) in DIGEST_STREAMS.items():
+        events = simulated(seed, DIGEST_EVENTS, **DIGEST_SHAPE)
+        checker = OnlineChecker(
+            solve_every=8, sessions=range(DIGEST_SHAPE["sessions"]),
+            window=WindowPolicy(max_live) if max_live else None)
+        slices = [events[at:at + DIGEST_SLICE]
+                  for at in range(0, len(events), DIGEST_SLICE)]
+        digests = []
+        for number, batch in enumerate(slices, 1):
+            assert checker.extend(batch).satisfies_si
+            digests.append(checkpoint_digest(checker))
+            if number == DIGEST_SPLIT:
+                state = json.loads(json.dumps(checker.snapshot()))
+        out[name] = {"digests": digests, "compactions":
+                     checker.result().stats["window"]["compactions"]}
+        if max_live is None:
+            continue
+        restored = OnlineChecker.restore(state)
+        digests = [checkpoint_digest(restored)]
+        for batch in slices[DIGEST_SPLIT:]:
+            assert restored.extend(batch).satisfies_si
+            digests.append(checkpoint_digest(restored))
+        out["restored"] = {"digests": digests, "compactions":
+                           restored.result().stats["window"]["compactions"]}
+    return out
+
+
+def test_checkpoint_bytes_match_the_build_that_pinned_them():
+    with open(DIGEST_FILE, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert set(pinned) == {"windowed", "unwindowed", "restored"}
+    assert pinned["windowed"]["compactions"] >= 2
+    assert pinned["unwindowed"]["compactions"] == 0
+    got = checkpoint_digests()
+    for name, want in pinned.items():
+        assert len(got[name]["digests"]) == len(want["digests"]), name
+        for number, (mine, theirs) in enumerate(
+                zip(got[name]["digests"], want["digests"])):
+            assert mine == theirs, (name, number)
+        assert got[name]["compactions"] == want["compactions"], name
+
+
 def test_only_the_driver_touches_checkpoints():
     """``PersistentCheck`` is the one S14 driver: nothing else under
     ``src/`` writes or reads a checkpoint or restores a checker from
     one, and the service's tenant keeps no store of its own."""
     import ast
-    import os
 
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src", "repro")
@@ -525,3 +597,9 @@ def test_only_the_driver_touches_checkpoints():
     for name in ("SegmentStore", "OnlineChecker(", "_recover",
                  "_slice_limit", "_maybe_checkpoint", "_write_checkpoint"):
         assert name not in tenants, name
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1], "w", encoding="utf-8") as out:
+        json.dump(checkpoint_digests(), out, indent=1, sort_keys=True)
+        out.write("\n")

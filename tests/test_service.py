@@ -334,6 +334,35 @@ class TestObservability:
         # Per-tenant series carry a tenant label.
         assert 'tenant="alpha"' in text
 
+    def test_metrics_publish_collector_passes_that_only_grow(self, service):
+        import gc
+
+        def passes(text):
+            found = {}
+            for line in text.splitlines():
+                if line.startswith("repro_gc_passes_gen"):
+                    name, value = line.split()
+                    found[name] = int(value)
+            return found
+
+        _, _, client = service()
+        text = client.metrics_text()
+        for generation in range(3):
+            assert (f"# TYPE repro_gc_passes_gen{generation} gauge"
+                    in text)
+        before = passes(text)
+        assert sorted(before) == [f"repro_gc_passes_gen{g}"
+                                  for g in range(3)]
+        client.push_events("grow", [(0, (W("x", 1),), "committed")],
+                           sessions=2)
+        for generation in range(3):
+            gc.collect(generation)
+        after = passes(client.metrics_text())
+        assert set(after) == set(before)
+        assert all(after[name] > before[name] for name in before)
+        again = passes(client.metrics_text())
+        assert all(again[name] >= after[name] for name in after)
+
     def test_trace_endpoint_serves_live_chrome_trace(self, service):
         _, _, client = service()
         run = collect_run(seed=1)
