@@ -1,16 +1,18 @@
-"""Shared infrastructure for the benchmark scripts.
+"""Shared infrastructure for the two benchmark runners.
 
-``bench_paper.py`` regenerates the paper's tables and figures; the other
-``bench_*.py`` scripts gate one stage each (see DESIGN.md's
-per-experiment index).  Sizes are scaled to pure-Python runtime (the
-paper's checker is JVM + native MonoSAT); set ``REPRO_BENCH_SCALE`` to
-grow or shrink every workload proportionally.
+``bench_paper.py`` regenerates the paper's tables and figures and
+``bench_gates.py`` holds the gates that pin one stage each (see
+DESIGN.md's per-experiment index); both take the names to run on the
+command line (:func:`run_named`).  Sizes are scaled to pure-Python
+runtime (the paper's checker is JVM + native MonoSAT); set
+``REPRO_BENCH_SCALE`` to grow or shrink every workload proportionally.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -19,6 +21,32 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 def scaled(n: int, minimum: int = 1) -> int:
     return max(minimum, int(round(n * SCALE)))
+
+
+def run_named(table: dict, argv, kind: str) -> None:
+    """Run the entries of ``table`` that ``argv`` (default: the command
+    line) names, in ``argv`` order, or every entry when it names none;
+    an unknown name exits 1, listing the names there are."""
+    names = sys.argv[1:] if argv is None else list(argv)
+    unknown = [name for name in names if name not in table]
+    if unknown:
+        raise SystemExit(f"unknown {kind}(s) {' '.join(unknown)}; "
+                         f"choose from: {' '.join(table)}")
+    for name in names or table:
+        table[name]()
+
+
+def best_of(fn, *, setup=None, rounds: int = 3) -> tuple:
+    """``(best seconds, last value)`` of ``fn()`` over ``rounds`` calls,
+    scheduling noise only ever adding time.  With ``setup``, each call
+    is ``fn(setup())`` and the setup is not timed."""
+    best = float("inf")
+    for _ in range(rounds):
+        args = () if setup is None else (setup(),)
+        start = time.perf_counter()
+        value = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best, value
 
 
 def record_sweep_verdicts(report, sweeps) -> None:

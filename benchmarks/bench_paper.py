@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
 
-from _common import record_sweep_verdicts, scaled
+from _common import record_sweep_verdicts, run_named, scaled
 from repro import check
 from repro.baselines.cobra import CobraChecker
 from repro.baselines.cobrasi import CobraSIChecker
@@ -593,13 +592,7 @@ FIGURES = {
 
 
 def main(argv=None):
-    names = sys.argv[1:] if argv is None else list(argv)
-    unknown = [name for name in names if name not in FIGURES]
-    if unknown:
-        raise SystemExit(f"unknown figure(s) {' '.join(unknown)}; "
-                         f"choose from: {' '.join(FIGURES)}")
-    for name in names or FIGURES:
-        FIGURES[name]()
+    run_named(FIGURES, argv, "figure")
 
 
 if __name__ == "__main__":

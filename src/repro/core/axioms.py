@@ -127,10 +127,12 @@ def check_intermediate_reads(history: History) -> List[AxiomViolation]:
     for txn in history.transactions:
         if not txn.committed:
             continue
-        for key in txn.keys_written:
-            values = txn.all_write_values(key)
-            for value in values[:-1]:
-                intermediate[(key, value)] = txn
+        last: dict = {}
+        for op in txn.ops:
+            if op.is_write:
+                if op.key in last:
+                    intermediate[(op.key, last[op.key])] = txn
+                last[op.key] = op.value
 
     violations: List[AxiomViolation] = []
     for txn in history.transactions:

@@ -228,6 +228,18 @@ def build_list_polygraph(
     for a, b in history.session_order_pairs():
         graph.add_known((a.tid, b.tid, SO, None))
 
+    # Each key's appenders and observers, indexed in one pass each (in
+    # appender and transaction order), so the per-key loop below reads
+    # only its own key's.
+    appends_by_key: Dict[object, List[Tuple]] = {}
+    for (key, value), txn in appender.items():
+        appends_by_key.setdefault(key, []).append((value, txn.tid))
+    observers_by_key: Dict[object, List[Tuple]] = {}
+    for txn in history.transactions:
+        if txn.committed:
+            for key, observed in txn.external_reads.items():
+                observers_by_key.setdefault(key, []).append((txn.tid, observed))
+
     # Chain of writer transactions per key (observed order), collapsed to
     # transaction granularity, plus the unobserved appenders.
     for key in {k for (k, _v) in appender}:
@@ -238,12 +250,14 @@ def build_list_polygraph(
             tid = appender[(key, value)].tid
             if not chain_txns or chain_txns[-1] != tid:
                 chain_txns.append(tid)
+        # No FracturedAppend was found, so each chain transaction appears
+        # once and has one position.
+        position_of = {tid: at for at, tid in enumerate(chain_txns)}
         unobserved = sorted(
             {
-                txn.tid
-                for (k, value), txn in appender.items()
-                if k == key and value not in observed_values
-                and txn.tid not in chain_txns
+                tid
+                for value, tid in appends_by_key[key]
+                if value not in observed_values and tid not in position_of
             }
         )
         # Known WW: the observed chain, then every unobserved appender.
@@ -264,25 +278,22 @@ def build_list_polygraph(
                 t, s = unobserved[i], unobserved[j]
                 graph.constraints.append(Constraint(key, t, s))
         # WR and RW edges from every observer of the key.
-        for txn in history.transactions:
-            if not txn.committed or key not in txn.external_reads:
-                continue
-            observed = txn.external_reads[key]
+        for reader, observed in observers_by_key.get(key, ()):
             if observed:
                 tail_writer = appender[(key, observed[-1])].tid
-                position = chain_txns.index(tail_writer)
+                position = position_of[tail_writer]
             elif init_vertex is not None:
                 tail_writer = init_vertex
                 position = -1
             else:  # pragma: no cover - unreachable: empty read implies init
                 continue
-            if tail_writer != txn.tid:
-                graph.add_known((tail_writer, txn.tid, WR, key))
+            if tail_writer != reader:
+                graph.add_known((tail_writer, reader, WR, key))
                 graph.readers_from.setdefault((tail_writer, key), []).append(
-                    txn.tid
+                    reader
                 )
             for later in chain_txns[position + 1:] + unobserved:
-                if later != txn.tid:
-                    graph.add_known((txn.tid, later, RW, key))
+                if later != reader:
+                    graph.add_known((reader, later, RW, key))
 
     return graph, violations, register

@@ -54,6 +54,7 @@ import threading
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..histories.codec import EVENTS_SCHEMA, event_from_json, event_to_json
+from ..utils.gcpause import collector_paused
 from .atomic import atomic_write_json, crc32_of, fsync_dir
 
 try:
@@ -495,6 +496,7 @@ class SegmentStore:
                 continue
         return out
 
+    @collector_paused  # parses at most keep_checkpoints files
     def latest_checkpoint_payload(self) -> Optional[dict]:
         """Newest *loadable* checkpoint payload (``events``, ``checker``,
         optional ``extra``).

@@ -59,7 +59,10 @@ class TimestampResult:
     where the façade reads it, and adds the residue accounting:
     ``stats["residue_txns"]`` / ``stats["residue_fraction"]`` size the
     fallback, ``stats["residue_reasons"]`` counts condition failures by
-    kind, and ``fallback_result`` carries the PolySI verdict on the
+    kind, ``stats["clusters"]`` / ``stats["residue_clusters"]`` count the
+    ambiguity clusters in all and with a failure (both 0 when nothing
+    failed: a clean history is never clustered), and
+    ``fallback_result`` carries the PolySI verdict on the
     residue subhistory (None when the fast path certified everything).
     """
 
@@ -192,7 +195,7 @@ class TimestampChecker:
     def _validate(self, history: History,
                   committed: List[Transaction]) -> Tuple[List, Dict]:
         """One pass over the committed transactions: check the four
-        timestamp conditions and cluster the failures.
+        timestamp conditions, then cluster the failures, if any.
 
         Returns ``(residue, stats)`` where ``residue`` lists every
         committed transaction belonging to a cluster with at least one
@@ -200,39 +203,9 @@ class TimestampChecker:
         *shared key or same session* — an over-approximation of
         polygraph connectivity, so every possible dependency edge (and
         hence every possible cycle) touching a failure stays inside the
-        residue the fallback re-checks.
+        residue the fallback re-checks.  With no failure there is
+        nothing to cluster: ``stats["clusters"]`` then reads 0.
         """
-        parent = {t.tid: t.tid for t in committed}
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for sess in history.sessions:
-            prev = None
-            for txn in sess:
-                if not txn.committed:
-                    continue
-                if prev is not None:
-                    union(prev, txn.tid)
-                prev = txn.tid
-        last_by_key: Dict = {}
-        for txn in committed:
-            for op in txn.ops:
-                other = last_by_key.get(op.key)
-                if other is not None:
-                    union(other, txn.tid)
-                last_by_key[op.key] = txn.tid
-
         reasons: Dict[str, int] = {}
         seeds: set = set()
 
@@ -304,17 +277,59 @@ class TimestampChecker:
                 elif writer is not expected:
                     seed(txn, "prefix-read")
 
-        residue_roots = {find(tid) for tid in seeds}
-        residue = [t for t in committed if find(t.tid) in residue_roots]
+        residue, clusters, residue_clusters = (
+            _residue(history, committed, seeds) if seeds else ([], 0, 0))
         stats = {
-            "clusters": len({find(t.tid) for t in committed}),
-            "residue_clusters": len(residue_roots),
+            "clusters": clusters,
+            "residue_clusters": residue_clusters,
             "residue_txns": len(residue),
             "residue_fraction": (len(residue) / len(committed)
                                  if committed else 0.0),
             "residue_reasons": reasons,
         }
         return residue, stats
+
+
+def _residue(history: History, committed: List[Transaction],
+             seeds: set) -> Tuple[List[Transaction], int, int]:
+    """``(residue, clusters, residue_clusters)``: the committed
+    transactions connected to a seed over *shared key or same session*,
+    and how many such clusters there are in all and with a seed."""
+    parent = {t.tid: t.tid for t in committed}
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for sess in history.sessions:
+        prev = None
+        for txn in sess:
+            if not txn.committed:
+                continue
+            if prev is not None:
+                union(prev, txn.tid)
+            prev = txn.tid
+    last_by_key: Dict = {}
+    for txn in committed:
+        for op in txn.ops:
+            other = last_by_key.get(op.key)
+            if other is not None:
+                union(other, txn.tid)
+            last_by_key[op.key] = txn.tid
+
+    residue_roots = {find(tid) for tid in seeds}
+    residue = [t for t in committed if find(t.tid) in residue_roots]
+    return (residue, len({find(t.tid) for t in committed}),
+            len(residue_roots))
 
 
 def _residue_history(history: History,

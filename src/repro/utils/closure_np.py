@@ -26,7 +26,7 @@ and ancestor/descendant discovery is an ``unpackbits`` +
 read) instead of a Python bit scan.  One insert into a closure with
 ``a`` ancestors costs O(a * n / 64) bytes of C-loop work with no
 Python-level per-ancestor iteration — on deep cascades (the
-``bench_prune`` kernel-cascade corpus) this is the >=3x win the
+``prune`` gate's kernel-cascade corpus) this is the >=3x win the
 benchmark gates; an arrival's ``insert_into`` is one column write.
 Lookups cost more than on python ints, since every
 ``row()`` converts a matrix row back to an int, which is why lookup-bound

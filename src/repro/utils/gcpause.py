@@ -20,9 +20,11 @@ def collector_paused(fn):
     stream slice by slice are not, and the collector runs between
     slices.  The decorated calls are ``PolySIChecker.check`` and
     ``check_polygraph``, ``history_from_json``, ``OnlineChecker``'s
-    ``extend`` / ``finish`` / ``replay`` / ``snapshot`` / ``restore``
-    and ``PersistentCheck._checkpoint`` (``tests/test_gcpause.py`` holds
-    the list).
+    ``extend`` / ``finish`` / ``replay`` / ``snapshot`` / ``restore``,
+    ``PersistentCheck._checkpoint`` and
+    ``SegmentStore.latest_checkpoint_payload``, which parses at most
+    ``keep_checkpoints`` files (``tests/test_gcpause.py`` holds the
+    list).
 
     Plain ``gc.isenabled()`` / ``gc.disable()`` … ``gc.enable()``, no
     lock and no counter: a nested call, or one whose caller had already

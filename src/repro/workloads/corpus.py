@@ -11,8 +11,8 @@ violating SI.
 
 ``known_anomaly_corpus(count, seed)`` yields ``(class_name, History)``
 pairs with classes round-robined — the default ``count=2477`` mirrors the
-paper's corpus size.  ``benchmarks/bench_corpus.py`` checks that PolySI
-flags 100% of them (and the tests additionally verify the classifier's
+paper's corpus size.  ``benchmarks/bench_gates.py corpus`` checks that
+PolySI flags 100% of them (and the tests additionally verify the classifier's
 label on the unpadded templates).
 """
 

@@ -1,11 +1,11 @@
 """Shared history constructors for the test suite.
 
-These used to live in ``tests/conftest.py``, but ``from conftest import
-...`` is ambiguous under root-level collection: pytest also injects
-``benchmarks/`` (which has its own conftest) onto ``sys.path``, and
-whichever directory lands first wins.  A plainly-named helper module has
-no competing twin, so imports resolve the same way regardless of what
-else was collected.
+They live in a plainly-named module rather than ``tests/conftest.py``:
+``from conftest import ...`` resolves to whichever conftest-bearing
+directory lands first on ``sys.path``, while a helper module has no
+competing twin, so imports resolve the same way regardless of what else
+was collected.  ``benchmarks/bench_gates.py`` imports the reference
+fixpoint and rules from here too.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def prune_constraints_recompute(graph):
     rebuilt from ``graph.known_edges`` at the top of every iteration.
     The differential baseline the incremental fixpoint is pinned to
     (``test_pruning_incremental.py``) and the comparison leg of
-    ``benchmarks/bench_prune.py``."""
+    ``benchmarks/bench_gates.py prune``."""
     result = PruneResult()
     result.constraints_before = graph.num_constraints
     result.unknown_deps_before = graph.num_unknown_deps

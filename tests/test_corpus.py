@@ -64,7 +64,7 @@ class TestCorpusStream:
 
     def test_corpus_sample_fully_detected(self):
         """A slice of the 2477-anomaly reproduction (the full sweep runs in
-        benchmarks/bench_corpus.py)."""
+        ``benchmarks/bench_gates.py corpus``)."""
         missed = [
             name
             for name, history in known_anomaly_corpus(90, seed=7)

@@ -383,6 +383,7 @@ PAUSED = {
     ("online/checker.py", "OnlineChecker.snapshot"),
     ("online/checker.py", "OnlineChecker.restore"),
     ("store/resume.py", "PersistentCheck._checkpoint"),
+    ("store/segments.py", "SegmentStore.latest_checkpoint_payload"),
 }
 
 

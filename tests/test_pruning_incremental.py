@@ -26,8 +26,8 @@ from _helpers import prune_constraints_recompute, prune_iteration_state
 
 
 def cascade_history(pairs: int):
-    """One constraint resolves per fixpoint iteration (the bench_prune
-    corpus shape): promoted anti-dependencies are the only bridges
+    """One constraint resolves per fixpoint iteration (the ``prune``
+    gate's cascade corpus shape): promoted anti-dependencies are the only bridges
     between consecutive writer pairs."""
     b = HistoryBuilder()
     for i in range(pairs):

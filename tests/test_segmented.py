@@ -143,7 +143,7 @@ class TestSegmentedChecking:
         """The Section 6 motivation: every segment's polygraph is
         smaller than the whole history's, in vertices and in
         constraints (what that buys in seconds is
-        ``benchmarks/bench_segmented.py``'s job to measure)."""
+        the ``segmented`` gate's job to measure)."""
         run = make_run(sessions=6, txns=50, keys=60, snapshot_every=40)
         seg_result = check_segments(run)
         full = PolySIChecker().check(run.full_history()).polygraph
