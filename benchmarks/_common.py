@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -34,19 +33,6 @@ def run_named(table: dict, argv, kind: str) -> None:
                          f"choose from: {' '.join(table)}")
     for name in names or table:
         table[name]()
-
-
-def best_of(fn, *, setup=None, rounds: int = 3) -> tuple:
-    """``(best seconds, last value)`` of ``fn()`` over ``rounds`` calls,
-    scheduling noise only ever adding time.  With ``setup``, each call
-    is ``fn(setup())`` and the setup is not timed."""
-    best = float("inf")
-    for _ in range(rounds):
-        args = () if setup is None else (setup(),)
-        start = time.perf_counter()
-        value = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def record_sweep_verdicts(report, sweeps) -> None:

@@ -213,14 +213,6 @@ class Transaction:
     def keys_read(self):
         return self.external_reads.keys()
 
-    def all_write_values(self, key: Hashable) -> list:
-        """All values this transaction wrote to ``key``, in program order.
-
-        Needed by the IntermediateReads axiom: every value but the last is
-        an *intermediate* version that must never be observed.
-        """
-        return [op.value for op in self.ops if op.is_write and op.key == key]
-
     def __repr__(self) -> str:
         flag = "" if self.committed else "!"
         return f"T{flag}({self.session},{self.index})"

@@ -70,6 +70,14 @@ class TestIntermediateReads:
         assert len(violations) == 1
         assert violations[0].axiom == "IntermediateReads"
 
+    def test_every_overwritten_value_is_intermediate(self):
+        # Interleaved writes: x's first two values are intermediate, its
+        # last one and y's only one are not.
+        writer = [W("x", 1), W("y", 9), W("x", 2), W("x", 3)]
+        h = _h([writer], [[R("x", 1)], [R("x", 2)], [R("x", 3), R("y", 9)]])
+        violations = check_intermediate_reads(h)
+        assert sorted(v.txn.name for v in violations) == ["T:(1,0)", "T:(1,1)"]
+
     def test_reading_final_value_ok(self):
         h = _h([[W("x", 1), W("x", 2)]], [[R("x", 2)]])
         assert check_intermediate_reads(h) == []

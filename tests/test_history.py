@@ -61,11 +61,6 @@ class TestTransaction:
         assert t.external_reads == {"x": 0}
         assert t.writes == {"x": 1}
 
-    def test_all_write_values_in_order(self):
-        t = Transaction(0, [W("x", 1), W("y", 9), W("x", 2), W("x", 3)])
-        assert t.all_write_values("x") == [1, 2, 3]
-        assert t.all_write_values("y") == [9]
-
     def test_empty_transaction_rejected(self):
         with pytest.raises(HistoryError):
             Transaction(0, [])
