@@ -18,7 +18,7 @@ policy and stays with the caller.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..utils.reachability import Reachability, transitive_closure_bits
 from .polygraph import Edge, RW
@@ -54,9 +54,10 @@ class KnownGraph:
     pairs one edge induces, :meth:`induced_adjacency` the whole relation,
     :meth:`closure` its reachability without building it.
 
-    Built by :meth:`from_edges` or :meth:`add`, the graph is the pair
-    projection of the typed edges.  Batch pruning's graph is not: its
-    promotion skips the pairs the rest of an iteration implies
+    Built by :meth:`from_edges`, :meth:`add` or construction's
+    :meth:`recorder`, the graph is the pair projection of the typed
+    edges.  Batch pruning's graph is not: its promotion skips the pairs
+    the rest of an iteration implies
     (:meth:`PruneState.promote <repro.core.pruning.PruneState.promote>`),
     so it is *reachability-equivalent* to that projection — the same
     :meth:`closure` over fewer pairs.
@@ -87,6 +88,35 @@ class KnownGraph:
                 dep_preds[v].add(u)
         out.pred_mask = [mask_of(preds) for preds in dep_preds]
         return out
+
+    def recorder(self, log: List[Edge]) -> Callable[[Edge], None]:
+        """An ``emit`` for :class:`~repro.core.polygraph.PolygraphBuilder`
+        that appends each typed edge to ``log`` and installs its pair
+        here — how batch construction builds the graph pruning adopts
+        (:meth:`GeneralizedPolygraph.take_known
+        <repro.core.polygraph.GeneralizedPolygraph.take_known>`).  Once
+        the last edge is in, :meth:`seal` fills :attr:`pred_mask`; the
+        graph is then :meth:`from_edges` over ``log``."""
+        append = log.append
+        dep, dep_preds, antidep = self.dep, self.dep_preds, self.antidep
+
+        def emit(edge: Edge) -> None:
+            append(edge)
+            u, v, label, _key = edge
+            if label == RW:
+                antidep[u].add(v)
+            else:
+                dep[u].add(v)
+                dep_preds[v].add(u)
+        return emit
+
+    def seal(self, num_vertices: int) -> None:
+        """After a :meth:`recorder`: keep the first ``num_vertices``
+        vertices (the rest received no edge) and derive
+        :attr:`pred_mask`."""
+        for table in (self.dep, self.dep_preds, self.antidep):
+            del table[num_vertices:]
+        self.pred_mask = [mask_of(preds) for preds in self.dep_preds]
 
     @property
     def num_vertices(self) -> int:

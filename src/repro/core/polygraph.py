@@ -25,7 +25,9 @@ so everything downstream handles a single shape.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from .axioms import AxiomViolation
 from .history import (
@@ -37,6 +39,9 @@ from .history import (
     READ,
     Transaction,
 )
+
+if TYPE_CHECKING:
+    from .known import KnownGraph
 
 __all__ = [
     "SO",
@@ -186,7 +191,15 @@ class GeneralizedPolygraph:
         self.num_vertices = num_vertices
         self.init_vertex = init_vertex
         self._known_edges: List[Edge] = []
-        self._known_set: set = set()
+        #: :attr:`known_edges` as a set, built the first time something
+        #: asks for membership (:meth:`_edge_set`): batch construction
+        #: emits each edge once, so a check that never asks — a
+        #: satisfied one — never builds it.
+        self._known_set: Optional[set] = None
+        #: The pair graph construction installed while emitting the
+        #: known edges, until pruning adopts it (:meth:`take_known`) or
+        #: an edge joins afterwards.
+        self._known: Optional["KnownGraph"] = None
         #: Promoted branches not yet written into the known edges, in
         #: promotion order: ``(constraint, either_wins)`` per winning
         #: constraint (:meth:`promote`), or one key's :class:`KeyOrder`
@@ -216,10 +229,12 @@ class GeneralizedPolygraph:
         state, e.g. :class:`repro.core.pruning.PruneState`, key off it)."""
         if self._promoted:
             self._write_promoted()
-        if edge in self._known_set:
+        seen = self._edge_set()
+        if edge in seen:
             return False
-        self._known_set.add(edge)
+        seen.add(edge)
         self._known_edges.append(edge)
+        self._known = None
         return True
 
     def add_known_many(self, edges: Sequence[Edge]) -> None:
@@ -233,16 +248,23 @@ class GeneralizedPolygraph:
         per promotion would have built.  A check that never reads the
         list (a satisfied one) never builds the branch."""
         self._promoted.append((cons, either_wins))
+        self._known = None
 
     def promote_key(self, order: "KeyOrder") -> None:
         """As :meth:`promote`, for every winner of one key decided
         without a :class:`Constraint` (:class:`KeyOrder`): their
         branches are written in pair order when read."""
         self._promoted.append(order)
+        self._known = None
+
+    def _edge_set(self) -> set:
+        if self._known_set is None:
+            self._known_set = set(self._known_edges)
+        return self._known_set
 
     def _write_promoted(self) -> None:
         log, self._promoted = self._promoted, []
-        seen, edges = self._known_set, self._known_edges
+        seen, edges = self._edge_set(), self._known_edges
         written = 0
         for entry in log:
             if type(entry) is KeyOrder:
@@ -272,7 +294,22 @@ class GeneralizedPolygraph:
         """:attr:`known_edges` as a set."""
         if self._promoted:
             self._write_promoted()
-        return self._known_set
+        return self._edge_set()
+
+    def take_known(self) -> "KnownGraph":
+        """The pair graph of :attr:`known_edges`, for the caller to own
+        and grow (:class:`repro.core.pruning.PruneState`): the one batch
+        construction installed as it emitted the edges, handed over
+        once; otherwise — a copy, a subgraph, a polygraph assembled
+        edge by edge, one pruned before —
+        :meth:`KnownGraph.from_edges <repro.core.known.KnownGraph.from_edges>`
+        over the edges."""
+        known, self._known = self._known, None
+        if known is None:
+            from .known import KnownGraph
+            known = KnownGraph.from_edges(self.num_vertices,
+                                          self.known_edges)
+        return known
 
     def known_by_label(self, *labels: str) -> List[Edge]:
         wanted = set(labels)
@@ -355,12 +392,13 @@ class GeneralizedPolygraph:
     def copy(self) -> "GeneralizedPolygraph":
         """Shallow copy: shares edges/constraints (immutable tuples) and
         the reader index (final once constraints exist, and shared with
-        their reader lists) but can be pruned independently."""
+        their reader lists) but can be pruned independently.  Neither
+        the edge set nor construction's pair graph is copied: the copy
+        derives each if asked."""
         out = GeneralizedPolygraph(
             self.history, self.num_vertices, self.init_vertex
         )
         out._known_edges = list(self.known_edges)
-        out._known_set = set(self._known_set)
         # Unbuilt, the copy builds its own list if something reads it.
         out._constraints = (None if self._constraints is None
                             else list(self._constraints))
@@ -480,7 +518,6 @@ class GeneralizedPolygraph:
             for u, v, label, key in self.known_edges
             if remap[v] >= 0 and remap[u] >= 0
         ]
-        sub._known_set = set(sub._known_edges)
         # Each reader list is renamed once, keyed by the source list's
         # identity, so constraints keep sharing the reader index's lists.
         renamed: Dict[int, List[int]] = {}
@@ -592,6 +629,11 @@ class PolygraphBuilder:
         self.writers_of: Dict[object, List[int]] = {}
         self.readers_from: Dict[tuple, List[int]] = {}
         self.init_keys: set = set()
+        # (key, v) -> an evicted committed reader of the declared initial
+        # value v: it left readers_from[(init, key)], and a later aborted
+        # or intermediate write of v must still flag it (one reader is
+        # enough: a stream stops at its first anomaly).
+        self.evicted_init_reads: Dict[tuple, Transaction] = {}
 
     # -- the two functions ----------------------------------------------------
 
@@ -740,7 +782,7 @@ class PolygraphBuilder:
         """``kv`` turned out aborted or overwritten by ``txn``: index it,
         and flag the reads that were waiting for it or were matched
         without knowing — to a committed final write of the same value,
-        or to the caller's ``initial_values``."""
+        or to the caller's ``initial_values`` (an evicted one included)."""
         key, value = kv
         name = txn.name
         index[kv] = (name, txn.tid)
@@ -748,13 +790,17 @@ class PolygraphBuilder:
         writer = self.writer_index.get(kv)
         if writer is not None:
             readers = readers + self.readers_from.get((writer, key), [])
+        gone = None
         if key in self.initial_values and value == self.initial_values[key]:
             readers = readers + [
                 r for r in self.readers_from.get((self.init_vertex, key), ())
                 if self.txn_of[r].external_reads[key] is not INITIAL_VALUE]
+            gone = self.evicted_init_reads.get(kv)
         for reader in readers:
             self.anomalies.append(
                 anomaly(self.txn_of[reader], key, value, name))
+        if gone is not None:
+            self.anomalies.append(anomaly(gone, key, value, name))
 
     # -- a bounded window over an unbounded stream ----------------------------
 
@@ -773,6 +819,9 @@ class PolygraphBuilder:
             readers = self.readers_from.get((writer, key))
             if readers is not None and vertex in readers:
                 readers.remove(vertex)
+            value = txn.external_reads[key]
+            if writer == self.init_vertex and value is not INITIAL_VALUE:
+                self.evicted_init_reads.setdefault((key, value), txn)
 
     def compact(self, old_to_new: Sequence[int]) -> None:
         """Renumber the vertices (``old_to_new[v]`` is -1 for an evicted
@@ -821,7 +870,9 @@ class PolygraphBuilder:
 
     def state(self, num_vertices: int) -> dict:
         """The indexes as JSON-able lists (keys, values and session ids
-        must be JSON scalars); per-vertex tables as dense lists."""
+        must be JSON scalars); per-vertex tables as dense lists.
+        ``evicted_init_reads`` is optional: absent, as every earlier
+        build wrote it, when there is none."""
         vertices = range(num_vertices)
         waiting = Counter(self.waiting_readers())
         return {
@@ -846,6 +897,12 @@ class PolygraphBuilder:
                              for (w, key), readers in
                              self.readers_from.items()],
             "init_keys": sorted(self.init_keys, key=repr),
+            # Written only when there is one, so that every checkpoint
+            # without one keeps its bytes.
+            **({"evicted_init_reads": [
+                [key, value, _enc_txn(txn)] for (key, value), txn in
+                self.evicted_init_reads.items()]}
+               if self.evicted_init_reads else {}),
         }
 
     def restore(self, state: dict) -> None:
@@ -871,6 +928,9 @@ class PolygraphBuilder:
         self.readers_from = {(w, key): list(readers)
                              for w, key, readers in state["readers_from"]}
         self.init_keys = set(state["init_keys"])
+        self.evicted_init_reads = {
+            (key, value): _dec_txn(record)
+            for key, value, record in state.get("evicted_init_reads", ())}
 
 
 def index_history(
@@ -880,9 +940,16 @@ def index_history(
     writes, session by session (SO follows the session lists, not the
     ids), so that no read matched afterwards pends on a writer the
     history contains.  Int and UniqueValue are checked on the way."""
+    from .known import KnownGraph
+
     n = len(history.transactions)
     graph = GeneralizedPolygraph(history, n, None)
-    builder = PolygraphBuilder(graph.add_known, n, initial_values)
+    # Each edge is emitted once, so it is appended as it comes, and its
+    # pair installed in the graph pruning adopts; the init vertex ``n``
+    # keeps its slot only if some read needs it (match_history).
+    graph._known = KnownGraph(n + 1)
+    builder = PolygraphBuilder(graph._known.recorder(graph._known_edges), n,
+                               initial_values)
     graph.readers_from = builder.readers_from
     for session in history.sessions:
         for txn in session:
@@ -904,6 +971,7 @@ def match_history(
     if builder.init_keys:
         graph.init_vertex = builder.init_vertex
         graph.num_vertices += 1
+    graph._known.seal(graph.num_vertices)
     # One generalized constraint per key per unordered writer pair.  Per
     # key, not per arrival: the clause set would be the same but its
     # order — and with it the search — would not (DESIGN.md S4).  Every

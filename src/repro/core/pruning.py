@@ -64,7 +64,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..obs import counter as obs_counter, trace_span
 from ..utils.closure import PyBitsetClosure
 from ..utils.reachability import Reachability
-from .known import KnownGraph
 from .polygraph import (
     Constraint,
     Edge,
@@ -150,7 +149,11 @@ class PruneState:
     keeps both current as edges are promoted, instead of rebuilding per
     iteration:
 
-    - construction pays for one batch closure
+    - construction adopts the known graph the polygraph's
+      construction installed as it emitted the edges
+      (:meth:`GeneralizedPolygraph.take_known
+      <repro.core.polygraph.GeneralizedPolygraph.take_known>`), pays
+      for one batch closure
       (:meth:`KnownGraph.closure() <repro.core.known.KnownGraph.closure>`,
       which never builds KI) and wraps its rows into the int-bitset
       incremental kernel (:class:`~repro.utils.closure.PyBitsetClosure`:
@@ -191,8 +194,7 @@ class PruneState:
 
     def __init__(self, graph: GeneralizedPolygraph):
         self.graph = graph
-        self.known = KnownGraph.from_edges(graph.num_vertices,
-                                           graph.known_edges)
+        self.known = graph.take_known()
         self._reach = self._seed(reseed=False)
         #: How many promoted pairs (each a new Dep/AntiDep pair) are not
         #: yet in the closure.  Past ``_reseed_above`` the next flush
@@ -613,7 +615,7 @@ def _order_key(key, writers: List[int], readers: List[Sequence[int]],
     after = [row[w] & every for w in writers]
     if any(map(int.__and__, after, bits)):
         return None    # a writer that reaches itself orders nothing
-    sizes = [a.bit_count() for a in after]
+    sizes = [bin(a).count("1") for a in after]
     by_reach = sorted(range(k), key=sizes.__getitem__, reverse=True)
     # succ[i]: the immediate successors of writers[i].  Over positions,
     # not vertices: bit j of earlier[i] / later[i] is writers[j]

@@ -174,6 +174,7 @@ class SegmentStore:
             self.segment_max_events = int(segment_max_events)
             self.meta = dict(meta or {})
             self._sealed: List[dict] = []
+            self._sealed_events = 0
             self._active_index = 0
             self._active_events = 0
             self._write_manifest()
@@ -251,6 +252,9 @@ class SegmentStore:
         self.segment_max_events = int(manifest["segment_max_events"])
         self.meta = dict(manifest.get("meta") or {})
         self._sealed = list(manifest["segments"])
+        # Events in the sealed segments, kept as they seal: a position
+        # costs no walk over the manifest.
+        self._sealed_events = sum(record["events"] for record in self._sealed)
         for record in self._sealed:
             seg_path = os.path.join(self.path, record["name"])
             if not os.path.isfile(seg_path):
@@ -308,8 +312,7 @@ class SegmentStore:
     def total_events(self) -> int:
         """Events durably in the log (sealed + active)."""
         with self._lock:
-            return (sum(record["events"] for record in self._sealed)
-                    + self._active_events)
+            return self._sealed_events + self._active_events
 
     @property
     def segments(self) -> int:
@@ -353,8 +356,7 @@ class SegmentStore:
             handle.flush()
             if self.durability == "fsync":
                 os.fsync(handle.fileno())
-            position = (sum(r["events"] for r in self._sealed)
-                        + self._active_events)
+            position = self._sealed_events + self._active_events
             self._active_events += 1
             if self._active_events >= self.segment_max_events:
                 self._seal_active()
@@ -386,6 +388,7 @@ class SegmentStore:
             "events": self._active_events,
             "crc32": crc32_of(os.path.join(self.path, seg_name)),
         })
+        self._sealed_events += self._active_events
         self._active_index += 1
         self._active_events = 0
         self._write_manifest()

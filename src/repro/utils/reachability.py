@@ -2,16 +2,17 @@
 
 The paper computes reachability of the known induced graph with
 Floyd–Warshall (O(n^3)).  In Python that is prohibitively slow, so the
-default kernel condenses strongly connected components (iterative Tarjan)
-and propagates *bitset* reachability rows (arbitrary-precision ints) in
-reverse topological order — O(n * E / 64) in practice and exact.  It
+default kernel condenses strongly connected components in one iterative
+Tarjan walk and computes each component's *bitset* reachability row
+(an arbitrary-precision int) as the walk emits it, in reverse
+topological order — O(n * E / 64) in practice and exact.  It
 also stands in for Cobra's GPU-accelerated closure (see DESIGN.md,
 substitution 3).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "tarjan_scc",
@@ -24,69 +25,93 @@ __all__ = [
 
 def is_acyclic(n: int, succ: "Sequence[Iterable[int]]") -> bool:
     """True iff the graph has no directed cycle (self-loops included)."""
-    for u in range(n):
-        for v in succ[u]:
-            if v == u:
-                return False
-    return all(len(comp) == 1 for comp in tarjan_scc(n, succ))
+    return not any(cyclic for _comp, cyclic, _row in _condense(n, succ, 0))
 
 
 def tarjan_scc(n: int, succ: Sequence[Iterable[int]]) -> List[List[int]]:
     """Strongly connected components, emitted in reverse topological order.
 
-    Iterative Tarjan (explicit stack) so deep graphs do not hit the
-    recursion limit.  ``succ[u]`` lists the successors of vertex ``u``.
+    ``succ[u]`` lists the successors of vertex ``u``.
     """
-    index = [0] * n
+    return [comp for comp, _cyclic, _row in _condense(n, succ, 0)]
+
+
+def _condense(n: int, succ: Sequence[Iterable[int]],
+              visible: int) -> Iterator[Tuple[List[int], bool, int]]:
+    """The one Tarjan walk: ``(members, cyclic, row)`` per strongly
+    connected component, in the order Tarjan emits them (reverse
+    topological).  ``cyclic``: more than one member, or a self-loop.
+    ``row``: the bits of the vertices below ``visible`` the component
+    strictly reaches.
+
+    Iterative (explicit stack), so deep graphs do not hit the recursion
+    limit.  The rows come out of the same walk: every successor
+    component is emitted before the component itself, so an edge into a
+    finished vertex ORs in that vertex's component row plus members
+    (``row[w]`` once ``w`` is finished), and a vertex leaving the DFS
+    path hands its parent what its subtree reached — its own row plus
+    members if it closed a component, else what it accumulated, which
+    ends at the component's root.  No edge is walked twice.
+    """
+    index = [0] * n         # DFS number; 0 while unvisited
     low = [0] * n
     on_stack = bytearray(n)
-    visited = bytearray(n)
+    into_stack = bytearray(n)   # an edge to a vertex on the stack
+    row = [0] * n
     stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = 1
-
+    counter = 0
     for root in range(n):
-        if visited[root]:
+        if index[root]:
             continue
-        # Each frame is (vertex, iterator over its successors).
-        work = [(root, iter(succ[root]))]
-        visited[root] = 1
-        index[root] = low[root] = counter
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
         on_stack[root] = 1
+        # Each frame is (vertex, iterator over its successors).
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if not visited[w]:
-                    visited[w] = 1
-                    index[w] = low[w] = counter
+                if not index[w]:
                     counter += 1
+                    index[w] = low[w] = counter
                     stack.append(w)
                     on_stack[w] = 1
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+                if on_stack[w]:
+                    # w is in v's component (w == v: a self-loop).
+                    into_stack[v] = 1
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    row[v] |= row[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    members = 0
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w)
+                        if w < visible:
+                            members |= 1 << w
+                        if w == v:
+                            break
+                    reach = row[v]
+                    cyclic = len(comp) > 1 or bool(into_stack[v])
+                    if cyclic:
+                        reach |= members
+                    closed = reach | members
+                    for w in comp:
+                        row[w] = closed
+                    yield comp, cyclic, reach
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    row[parent] |= row[v]
 
 
 class Reachability:
@@ -114,8 +139,9 @@ def transitive_closure_bits(n: int, succ: Sequence[Iterable[int]],
                             visible: Optional[int] = None) -> Reachability:
     """Exact strict transitive closure using bitset rows.
 
-    Handles cyclic graphs by condensing SCCs first; members of a non-trivial
-    SCC (or a vertex with a self-loop) reach themselves.
+    Handles cyclic graphs by condensing SCCs, each component's row
+    computed as the walk emits it; members of a non-trivial SCC (or a
+    vertex with a self-loop) reach themselves.
 
     With ``visible``, only nodes ``0 .. visible-1`` get a bit and a row:
     the rest are interior nodes that paths run through but that no row
@@ -124,36 +150,12 @@ def transitive_closure_bits(n: int, succ: Sequence[Iterable[int]],
     """
     if visible is None:
         visible = n
-    sccs = tarjan_scc(n, succ)
-    comp_of = [0] * n
-    # Per component: ``reach`` is what it strictly reaches, ``closed``
-    # that plus its own members — what a predecessor component inherits.
-    # Tarjan emits SCCs in reverse topological order: every successor
-    # component of sccs[i] appears at an index < i, so one forward pass
-    # suffices.
-    reach = [0] * len(sccs)
-    closed = [0] * len(sccs)
-    for cid, comp in enumerate(sccs):
-        members = 0
+    rows = [0] * visible
+    for comp, _cyclic, reach in _condense(n, succ, visible):
         for v in comp:
-            comp_of[v] = cid
             if v < visible:
-                members |= 1 << v
-        row = 0
-        internal = len(comp) > 1
-        for v in comp:
-            for w in succ[v]:
-                wc = comp_of[w]
-                if wc == cid:
-                    internal = True  # self-loop or intra-SCC edge
-                else:
-                    row |= closed[wc]
-        if internal:
-            row |= members
-        reach[cid] = row
-        closed[cid] = row | members
-
-    return Reachability([reach[comp_of[v]] for v in range(visible)])
+                rows[v] = reach
+    return Reachability(rows)
 
 
 def transitive_closure_sets(n: int, succ: Sequence[Iterable[int]]) -> Reachability:

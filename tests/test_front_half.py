@@ -15,6 +15,7 @@ produced, and that there is one copy.
 import ast
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import random
@@ -250,6 +251,56 @@ class TestScheduleIndependence:
         final = checker.finish()
         assert final.stats["window"]["compactions"]
         assert final.satisfies_si is False
+
+    #: Found by the property above: the aborted writer of the declared
+    #: ``x=5`` arrives after a window evicted ``T:(1,1)``, its reader.
+    EVICTED_READER = (
+        [([W("z", 100), W("y", 101), W("z", 102), W("z", 103)], COMMITTED),
+         ([R("z", None)], ABORTED),
+         ([W("x", 104), W("x", 5)], ABORTED)],
+        [([R("y", 101)], ABORTED),
+         ([R("x", 5)], COMMITTED),
+         ([R("z", None)], COMMITTED)],
+    )
+
+    def test_an_evicted_read_of_an_initial_value_is_still_flagged(self):
+        """Every arrival order, with and without a window that evicts,
+        straight and restored from a checkpoint at every split: the
+        reader of ``x=5`` is reported as the batch checker reports it."""
+        sessions, initial = self.EVICTED_READER, {"x": 5}
+        bulk = PolySIChecker(initial_values=initial).check(
+            history_of(sessions))
+        want = [identity(a) for a in bulk.anomalies]
+        assert want == [("AbortedReads", "T:(1,1)", "x", 5)]
+        orders = sorted(set(itertools.permutations(
+            [s for s, session in enumerate(sessions) for _ in session])))
+        assert len(orders) == 20
+        evicted = 0
+        for order in orders:
+            heads = [0] * len(sessions)
+            arrivals = []
+            for s in order:
+                arrivals.append((s, *sessions[s][heads[s]]))
+                heads[s] += 1
+            for window in (None, WindowPolicy(max_live=3, gc_every=1)):
+                for split in [None, *range(1, len(arrivals))]:
+                    checker = OnlineChecker(initial_values=initial,
+                                            window=window,
+                                            sessions=range(len(sessions)))
+                    ok = True
+                    for at, (session, ops, status) in enumerate(arrivals):
+                        if at == split and ok:   # a latched verdict is final
+                            checker = OnlineChecker.restore(json.loads(
+                                json.dumps(checker.snapshot())))
+                        ok = checker.add(session, ops,
+                                         status=status).satisfies_si
+                    final = checker.finish()
+                    assert final.satisfies_si is False, (order, window,
+                                                         split)
+                    assert [identity(a) for a in final.anomalies] == want
+                    evicted += bool(final.stats.get("window", {}).get(
+                        "evicted"))
+        assert evicted
 
     @staticmethod
     def same_known_edges(history, initial, checker):

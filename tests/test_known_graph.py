@@ -30,6 +30,7 @@ from repro.listappend import build_list_polygraph, generate_list_history
 from repro.utils.reachability import transitive_closure_bits
 from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
+from repro.workloads.random_histories import random_history
 
 from _helpers import KERNELS, batch_on_kernel
 
@@ -119,6 +120,51 @@ class TestFromEdgesEqualsIncrementalAdd:
                 assert u in graph.dep_preds[v]
         assert (sum(map(len, graph.dep))
                 == sum(map(len, graph.dep_preds)))
+
+
+class TestConstructionFedGraph:
+    """Batch construction emits each typed edge once and installs its
+    pair as it goes; pruning adopts that graph instead of deriving it
+    (``GeneralizedPolygraph.take_known``).  Both rest on the list having
+    no repeats and the fed graph being ``from_edges`` over the list."""
+
+    @staticmethod
+    def assert_fed_as_derived(graph):
+        edges = graph.known_edges
+        assert len(set(edges)) == len(edges)
+        assert graph._known is not None
+        fed = graph.take_known()
+        derived = KnownGraph.from_edges(graph.num_vertices, edges)
+        for field in KnownGraph.__slots__:
+            assert getattr(fed, field) == getattr(derived, field), field
+        # Handed over once: asked again, the graph is derived.
+        assert graph.take_known() is not fed
+
+    @given(st.integers(min_value=0, max_value=10**9),
+           st.sampled_from([0.0, 0.2, 0.5]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_histories(self, seed, abort_prob, declare):
+        """Aborts, keys written twice in one transaction, and initial
+        values declared as a value some transaction writes (so reads
+        match the init rule and aborted writes retract them)."""
+        rng = random.Random(seed)
+        history = random_history(rng, sessions=rng.randint(1, 4),
+                                 txns_per_session=rng.randint(1, 5),
+                                 max_ops=5, keys=rng.randint(1, 4),
+                                 abort_prob=abort_prob)
+        initial = None
+        if declare:
+            written = [(op.key, op.value) for txn in history.transactions
+                       for op in txn.ops if op.kind == "w"]
+            if written:
+                initial = dict([rng.choice(written)])
+        graph, _violations = build_polygraph(history, initial_values=initial)
+        self.assert_fed_as_derived(graph)
+
+    @pytest.mark.parametrize("template", sorted(ANOMALY_TEMPLATES))
+    def test_corpus_templates(self, template):
+        graph, _violations = build_polygraph(make_anomaly(template))
+        self.assert_fed_as_derived(graph)
 
 
 class TestAdd:

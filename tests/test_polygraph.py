@@ -158,7 +158,7 @@ def _polygraph_state(graph):
         "init_vertex": graph.init_vertex,
         "history": graph.history,
         "known_edges": list(graph.known_edges),
-        "known_set": set(graph._known_set),
+        "known_set": set(graph.known_set),
         "constraints": [(cons.either, cons.orelse, cons.key, cons.pair)
                         for cons in graph.constraints],
         "labels": graph.labels,

@@ -7,6 +7,7 @@ from repro.utils.reachability import (
     is_acyclic,
     tarjan_scc,
     transitive_closure_bits,
+    transitive_closure_sets,
 )
 
 
@@ -110,6 +111,25 @@ class TestClosures:
         got = transitive_closure_bits(n, adj, visible=k).rows
         assert got == [row & mask for row in full[:k]]
         assert transitive_closure_bits(n, adj, visible=n).rows == full
+
+    @given(digraphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_as_the_walk_emits_them_equal_the_search(self, instance,
+                                                          data):
+        """The closure computes each component's row inside the Tarjan
+        walk: the rows are the per-vertex search's, on graphs with
+        cycles, self-loops and ``visible < n``, and ``is_acyclic``
+        (the same walk) agrees with their diagonal."""
+        n, edges = instance
+        adj = adj_from_edges(n, edges)
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        want = transitive_closure_sets(n, adj).rows
+        assert transitive_closure_bits(n, adj).rows == want
+        mask = (1 << k) - 1
+        assert (transitive_closure_bits(n, adj, visible=k).rows
+                == [row & mask for row in want[:k]])
+        assert is_acyclic(n, adj) == (
+            not any(row >> v & 1 for v, row in enumerate(want)))
 
     def test_reaches_any_bitmask(self):
         reach = transitive_closure_bits(3, adj_from_edges(3, [(0, 1), (1, 2)]))

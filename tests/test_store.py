@@ -164,6 +164,27 @@ class TestSegmentLog:
             ]
             assert list(store.iter_events(7))[0][0] == 7
 
+    def test_positions_count_on_across_seals_and_a_reopen(self, tmp_path):
+        """Each append returns the next position, whether it lands in a
+        fresh segment, seals one, or follows a reopen (the sealed-event
+        total is kept as segments seal and read from the manifest)."""
+        path = str(tmp_path / "s")
+        events = _events(23)
+        with SegmentStore.create(path, segment_max_events=3) as store:
+            for position, event in enumerate(events[:11]):
+                assert store.append_event(event) == position
+                assert store.total_events == position + 1
+            assert store.segments == 4
+        with SegmentStore.open(path) as store:
+            assert store.total_events == 11
+            for position, event in enumerate(events[11:], 11):
+                assert store.append_decoded(event) == position
+                assert store.total_events == position + 1
+            assert store.segments == 8
+            assert [pos for pos, _ in store.iter_events()] == list(range(23))
+        with SegmentStore.open(path, readonly=True) as store:
+            assert store.total_events == 23
+
     def test_torn_tail_is_truncated_on_reopen(self, tmp_path):
         path = str(tmp_path / "s")
         with SegmentStore.create(path) as store:
