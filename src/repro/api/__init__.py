@@ -37,7 +37,7 @@ from ..obs import (
     use_tracer,
 )
 from .engines import register_builtin_engines
-from .options import MODE_OPTIONS, OPTION_DOCS, CheckOptions
+from .options import OPTION_DOCS, CheckOptions
 from .registry import (
     ISOLATION_LEVELS,
     MODES,
@@ -202,9 +202,9 @@ def describe_engines(verbose: bool = False) -> str:
             lines.append("    options:")
             for name in sorted(spec.options):
                 doc = OPTION_DOCS.get(name, "")
-                scope = MODE_OPTIONS.get(name)
-                suffix = (f" [{'/'.join(sorted(scope))} only]"
-                          if scope else "")
+                readers = spec.read_by(name)
+                suffix = (f" [{', '.join(readers)} only]"
+                          if len(readers) < len(spec.combos) else "")
                 lines.append(f"        {name}: {doc}{suffix}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

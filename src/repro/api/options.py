@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Optional
 
-__all__ = ["CheckOptions", "FACADE_OPTIONS", "MODE_OPTIONS", "OPTION_DOCS"]
+__all__ = ["CheckOptions", "FACADE_OPTIONS", "OPTION_DOCS"]
 
 #: Options consumed by the façade itself, before any engine sees them.
 #: They are valid for every (engine, mode) combination and are never
@@ -23,27 +23,12 @@ __all__ = ["CheckOptions", "FACADE_OPTIONS", "MODE_OPTIONS", "OPTION_DOCS"]
 FACADE_OPTIONS: frozenset = frozenset({"trace"})
 
 
-#: Options that are only meaningful under specific checking modes.  An
-#: option absent from this table applies to every mode its engine
-#: supports.
-MODE_OPTIONS: Dict[str, frozenset] = {
-    # ``parallel`` accepts workers and ignores it (see its runner).
-    "workers": frozenset({"parallel", "segmented"}),
-    "oversubscribe": frozenset({"segmented"}),
-    "solve_every": frozenset({"online"}),
-    "max_live": frozenset({"online"}),
-    "sessions": frozenset({"online"}),
-    "state_dir": frozenset({"online"}),
-    "resume": frozenset({"online"}),
-    "checkpoint_every": frozenset({"online"}),
-}
-
 #: One-line help per option, surfaced by ``repro engines`` and by the
 #: option-validation errors.
 OPTION_DOCS: Dict[str, str] = {
     "prune": "apply constraint pruning before encoding (default True)",
     "compact": "use generalized (compacted) constraints (default True)",
-    "initial_values": "map key -> value considered initial (segmented runs)",
+    "initial_values": "map key -> value a read takes for the initial state",
     "workers": "process count for segmented checking's segment pool",
     "oversubscribe": "allow more pool processes than CPU cores",
     "solve_every": "online mode: solve the SAT residue every N txns",

@@ -127,6 +127,11 @@ class EngineSpec:
         """The options the (isolation, mode) combo actually forwards."""
         return self.options_for.get((isolation, mode), self.options)
 
+    def read_by(self, name: str) -> List[str]:
+        """The ``isolation/mode`` combos that forward option ``name``."""
+        return [f"{iso}/{m}" for iso, m in sorted(self.combos)
+                if name in self.options_of(iso, m)]
+
     def validate_options(self, options: CheckOptions, isolation: str,
                          mode: str) -> None:
         """Reject non-default options this engine or combo never reads."""
@@ -143,10 +148,7 @@ class EngineSpec:
                     f"(supported options: {supported})"
                 )
             if name not in allowed:
-                readers = ", ".join(
-                    f"{iso}/{m}" for iso, m in sorted(self.combos)
-                    if name in self.options_of(iso, m)
-                )
+                readers = ", ".join(self.read_by(name))
                 raise UnsupportedOptionError(
                     f"option {name!r} is not read by engine {self.name!r} "
                     f"with isolation={isolation!r}, mode={mode!r} "

@@ -28,18 +28,24 @@ polynomial:
   ``w`` but ``y`` from a writer that causally precedes ``w`` — and in
   particular must not mix ``w``'s values with pre-``w`` initial values.
 
-The non-cyclic axioms (Int, AbortedReads, IntermediateReads) apply to
-every level and are checked first.
+Both levels read the history through PolySI's front half
+(:func:`repro.core.polygraph.index_history` and ``match_history``, one
+read-matching pass).  Its anomaly list applies to every level and, when
+non-empty, is the verdict exactly as PolySI reports it: Int,
+AbortedReads and IntermediateReads, then the reads no write justifies
+(FutureRead, UnjustifiedRead).  A UniqueValue violation raises
+:class:`~repro.core.history.DuplicateValueError`, as it does for SI.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..core.axioms import AxiomViolation, check_axioms
-from ..core.history import History, INITIAL_VALUE
-from ..utils.reachability import Reachability, transitive_closure_bits
+from ..core.axioms import AxiomViolation
+from ..core.history import History
+from ..core.polygraph import SO, WR, index_history, match_history
+from ..utils.reachability import transitive_closure_bits
 
 __all__ = ["WeakCheckResult"]
 
@@ -66,42 +72,23 @@ class WeakCheckResult:
         return f"WeakCheckResult({self.level}, {verdict})"
 
 
-def _wr_edges(history: History) -> Tuple[List[Tuple[int, object, int]],
-                                         List[AxiomViolation]]:
-    """(reader, key, writer) triples; writer -1 for initial reads."""
-    triples: List[Tuple[int, object, int]] = []
-    violations: List[AxiomViolation] = []
-    index = history.writer_index
-    for txn in history.transactions:
-        if not txn.committed:
-            continue
-        for key, value in txn.external_reads.items():
-            if value is INITIAL_VALUE:
-                triples.append((txn.tid, key, -1))
-                continue
-            writer = index.get((key, value))
-            if writer is None or writer is txn:
-                violations.append(
-                    AxiomViolation(
-                        "UnjustifiedRead", txn, key, value,
-                        f"read {value!r} on {key!r} has no justifying write",
-                    )
-                )
-            else:
-                triples.append((txn.tid, key, writer.tid))
-    return triples, violations
-
-
-def _causal_order(history: History,
-                  reads: List[Tuple[int, object, int]]) -> Reachability:
-    n = len(history.transactions)
+def _front_half(history: History):
+    """PolySI's front half, once (Algorithm 1 line 2, CreateKnownGraph):
+    the anomaly list — the verdict when non-empty — the ``(reader, key,
+    writer)`` triples in transaction order (writer -1 for the initial
+    state), the causal order ``(SO ∪ WR)+`` and each key's writers."""
+    builder, graph = index_history(history)
+    anomalies = match_history(builder, graph)
+    init, n = builder.init_vertex, len(history.transactions)
+    reads = [(reader, key, -1 if writer == init else writer)
+             for reader in sorted(builder.reads_of)
+             for writer, key in builder.reads_of[reader]]
     succ: List[List[int]] = [[] for _ in range(n)]
-    for a, b in history.session_order_pairs():
-        succ[a.tid].append(b.tid)
-    for reader, _key, writer in reads:
-        if writer >= 0:
-            succ[writer].append(reader)
-    return transitive_closure_bits(n, succ)
+    for u, v, label, _key in graph.known_edges:
+        if label in (SO, WR) and u != init:
+            succ[u].append(v)
+    return (anomalies, reads, transitive_closure_bits(n, succ),
+            builder.writers_of)
 
 
 def _check_tcc(history: History) -> WeakCheckResult:
@@ -109,42 +96,23 @@ def _check_tcc(history: History) -> WeakCheckResult:
     result = WeakCheckResult("TCC")
     start = time.perf_counter()
 
-    axiom_violations = check_axioms(history)
-    if axiom_violations:
-        result.satisfies = False
-        result.anomalies = axiom_violations
-        result.seconds = time.perf_counter() - start
-        return result
-
-    reads, read_violations = _wr_edges(history)
-    if read_violations:
-        result.satisfies = False
-        result.anomalies = read_violations
-        result.seconds = time.perf_counter() - start
-        return result
-
-    co = _causal_order(history, reads)
+    result.anomalies, reads, co, writers_of = _front_half(history)
     txns = history.transactions
 
-    # Cyclic causality: a transaction causally precedes itself.
-    for txn in txns:
-        if txn.committed and co.has(txn.tid, txn.tid):
-            result.anomalies.append(
-                AxiomViolation(
-                    "CyclicCO", txn, None, None,
-                    f"{txn.name} causally precedes itself",
+    if not result.anomalies:
+        # Cyclic causality: a transaction causally precedes itself.
+        for txn in txns:
+            if txn.committed and co.has(txn.tid, txn.tid):
+                result.anomalies.append(
+                    AxiomViolation(
+                        "CyclicCO", txn, None, None,
+                        f"{txn.name} causally precedes itself",
+                    )
                 )
-            )
     if result.anomalies:
         result.satisfies = False
         result.seconds = time.perf_counter() - start
         return result
-
-    writers_of: Dict[object, List[int]] = {}
-    for txn in txns:
-        if txn.committed:
-            for key in txn.keys_written:
-                writers_of.setdefault(key, []).append(txn.tid)
 
     # Bad pattern WriteCORead: reader observes a causally overwritten
     # version — some other writer of the key sits CO-between the version
@@ -185,21 +153,11 @@ def _check_ra(history: History) -> WeakCheckResult:
     result = WeakCheckResult("RA")
     start = time.perf_counter()
 
-    axiom_violations = check_axioms(history)
-    if axiom_violations:
+    result.anomalies, reads, co, _writers_of = _front_half(history)
+    if result.anomalies:
         result.satisfies = False
-        result.anomalies = axiom_violations
         result.seconds = time.perf_counter() - start
         return result
-
-    reads, read_violations = _wr_edges(history)
-    if read_violations:
-        result.satisfies = False
-        result.anomalies = read_violations
-        result.seconds = time.perf_counter() - start
-        return result
-
-    co = _causal_order(history, reads)
     txns = history.transactions
 
     # Per reader: the set of writers it observed, per key.

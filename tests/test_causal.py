@@ -3,18 +3,38 @@
 The load-bearing property is Figure 1's hierarchy: SER > SI > TCC > RA.
 Every SI-consistent history must satisfy TCC and RA; the classic
 anomalies separate the levels exactly as the literature says.
+
+Both levels read the history through PolySI's front half
+(``repro.core.polygraph``), so whenever ``check(h)`` decides by its
+anomaly list, TCC and RA report that same list.
+``tests/data/weak_verdicts_c41c682.json`` holds the verdict and deciding
+stage of both levels on every corpus template and 300 random histories
+as commit ``c41c682`` wrote them; every one must be the same today.
+
+Regenerate the pin (only from the build the file is named after)::
+
+    PYTHONPATH=src python tests/test_causal.py OUT.json
 """
 
+import json
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import check
 from repro.core.checker import PolySIChecker
-from repro.core.history import ABORTED, HistoryBuilder, R, W
+from repro.core.history import (
+    ABORTED,
+    DuplicateValueError,
+    HistoryBuilder,
+    R,
+    W,
+)
 from repro.storage.faults import FaultConfig
-from repro.workloads.corpus import make_anomaly
+from repro.workloads.corpus import ANOMALY_TEMPLATES, make_anomaly
 from repro.workloads.generator import WorkloadParams, generate_history
 from repro.workloads.random_histories import random_history
 
@@ -188,3 +208,100 @@ class TestHierarchyProperties:
                 found = True
                 break
         assert found
+
+
+# -- one front half -------------------------------------------------------------
+
+PIN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "data", "weak_verdicts_c41c682.json")
+WEAK_LEVELS = ("causal", "ra")
+
+
+def pinned_histories():
+    """(name, history): every corpus template at seeds 0-2 with six
+    padding transactions, then 300 seeded random histories (aborts on
+    odd seeds)."""
+    for name in sorted(ANOMALY_TEMPLATES):
+        for seed in range(3):
+            yield f"{name}/{seed}", make_anomaly(name, seed=seed,
+                                                 padding_txns=6)
+    for seed in range(300):
+        yield f"random/{seed}", random_history(
+            random.Random(seed), sessions=3, txns_per_session=3,
+            max_ops=4, keys=3, abort_prob=0.2 if seed % 2 else 0.0)
+
+
+def weak_verdicts():
+    """Per pinned history and weak level: ``ok`` and ``decided_by``."""
+    out = {}
+    for name, history in pinned_histories():
+        for level in WEAK_LEVELS:
+            report = check(history, isolation=level, trace=False)
+            out[f"{name}/{level}"] = {"ok": report.ok,
+                                      "decided_by": report.decided_by}
+    return out
+
+
+def test_weak_verdicts_match_the_build_that_pinned_them():
+    with open(PIN_FILE, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == (9 * 3 + 300) * len(WEAK_LEVELS)
+    assert weak_verdicts() == pinned
+
+
+def _reported(subject, **level):
+    """The anomaly list of ``check(subject, **level)`` in full, or the
+    UniqueValue violation it raised."""
+    try:
+        report = check(subject, trace=False, **level)
+    except DuplicateValueError:
+        return "DuplicateValueError", None
+    return report.decided_by, [
+        (a.axiom, a.txn.name, a.key, a.value, a.detail)
+        for a in report.anomalies]
+
+
+def _rewritten(history, rng):
+    """``history`` with one write's value replaced by another write's
+    value on the same key, from another transaction (it may break
+    UniqueValue, or only make an aborted write repeat a committed
+    one)."""
+    writes = [(t.tid, i, op) for t in history.transactions
+              for i, op in enumerate(t.ops) if op.is_write]
+    tid, at, op = rng.choice(writes)
+    donors = [o.value for t, _i, o in writes if t != tid and o.key == op.key]
+    builder = HistoryBuilder()
+    for session in history.sessions:
+        for txn in session:
+            ops = list(txn.ops)
+            if txn.tid == tid and donors:
+                ops[at] = W(op.key, rng.choice(donors))
+            builder.txn(txn.session, ops, status=txn.status)
+    return builder.build()
+
+
+@given(st.integers(min_value=0, max_value=10_000_000),
+       st.sampled_from([0.0, 0.2, 0.4]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_weak_levels_report_polysis_anomalies(seed, abort_prob, rewrite):
+    """Whenever PolySI decides by its anomaly list, TCC and RA return
+    that list; a UniqueValue violation is raised by all three or by
+    none."""
+    rng = random.Random(seed)
+    history = random_history(rng, sessions=3, txns_per_session=3,
+                             max_ops=4, keys=3, abort_prob=abort_prob)
+    if rewrite:
+        history = _rewritten(history, rng)
+    si = _reported(history)
+    for level in WEAK_LEVELS:
+        weak = _reported(history, isolation=level)
+        if "DuplicateValueError" in (si[0], weak[0]):
+            assert weak[0] == si[0], level
+        elif si[0] == "axioms":
+            assert weak == si, level
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1], "w", encoding="utf-8") as out:
+        json.dump(weak_verdicts(), out, indent=1, sort_keys=True)
+        out.write("\n")

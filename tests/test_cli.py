@@ -193,6 +193,19 @@ class TestFacadeFlags:
         assert "options:" in out
         assert "max_states" in out
 
+    def test_engines_verbose_scopes_each_option_by_its_readers(self, capsys):
+        """The scope printed next to an option is the set of combos the
+        registry forwards it to: exactly where setting it is no error."""
+        assert main(["engines", "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        compact = next(line for line in lines
+                       if line.strip().startswith("compact:"))
+        initial = next(line for line in lines
+                       if line.strip().startswith("initial_values:"))
+        assert compact.endswith("[si/batch, si/parallel, si/segmented only]")
+        assert initial.endswith("[si/batch, si/online only]")
+        assert "segmented" not in initial.partition("[")[0]
+
 
 class TestExitCodeContract:
     """Every command honors the documented 0/1/2 contract, and all

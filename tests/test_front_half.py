@@ -478,11 +478,18 @@ def test_the_indexes_are_assigned_in_the_builder_only():
         ("polygraph.py", "PolygraphBuilder"),
         # ... whose readers_from the polygraph is handed,
         ("polygraph.py", "GeneralizedPolygraph"),
-        # the History's own (key, value) -> Transaction cache, which the
-        # baselines and the timestamp engine read and PolySI no longer does,
+        # the History's own (key, value) -> Transaction cache, which only
+        # the baselines and the timestamp engine read (not PolySI, TCC
+        # or RA),
         ("history.py", "History"),
         # and a namesake: the fixpoint's queue of promoted edges.
         ("pruning.py", "PruneState"),
     }
     assert "check_axioms" not in inspect.getsource(PolySIChecker.construct)
     assert "check_axioms" not in inspect.getsource(PolygraphBuilder)
+    # TCC and RA take the front half from the builder, not a second one.
+    with open(os.path.join(SRC, "extensions", "causal.py"),
+              encoding="utf-8") as handle:
+        weak = handle.read()
+    for name in ("check_axioms", "writer_index", "session_order_pairs"):
+        assert name not in weak, name
